@@ -47,6 +47,11 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// FIPS 180-4 §5.3.3 initial hash value.
+const INITIAL_STATE: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
 /// Streaming SHA-256 (FIPS 180-4). Incremental so HMAC's two passes never
 /// concatenate buffers.
 #[derive(Clone)]
@@ -60,22 +65,26 @@ struct Sha256 {
 
 impl Sha256 {
     fn new() -> Self {
+        Sha256::resume(INITIAL_STATE, 0)
+    }
+
+    /// Continue from `state`, reached after absorbing `len` bytes (a whole
+    /// number of blocks) — how a stored HMAC midstate becomes a hasher.
+    fn resume(state: [u32; 8], len: u64) -> Self {
+        debug_assert_eq!(len % BLOCK_BYTES as u64, 0);
         Sha256 {
-            // FIPS 180-4 §5.3.3 initial hash value.
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            len: 0,
+            state,
+            len,
             block: [0; BLOCK_BYTES],
             fill: 0,
         }
     }
 
-    fn compress(&mut self) {
+    /// One SHA-256 compression (FIPS 180-4 §6.2.2) of `block` into `state`.
+    fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_BYTES]) {
         let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(self.block[4 * i..4 * i + 4].try_into().unwrap());
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact(4) yields 4 bytes"));
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -85,7 +94,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -106,36 +115,50 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
 
     fn update(&mut self, mut data: &[u8]) {
         self.len += data.len() as u64;
-        while !data.is_empty() {
+        if self.fill > 0 {
+            // Top up the partial block first.
             let take = (BLOCK_BYTES - self.fill).min(data.len());
             self.block[self.fill..self.fill + take].copy_from_slice(&data[..take]);
             self.fill += take;
             data = &data[take..];
-            if self.fill == BLOCK_BYTES {
-                self.compress();
-                self.fill = 0;
+            if self.fill < BLOCK_BYTES {
+                return;
             }
+            Self::compress(&mut self.state, &self.block);
+            self.fill = 0;
         }
+        // Whole blocks compress straight from the input, uncopied.
+        let mut blocks = data.chunks_exact(BLOCK_BYTES);
+        for block in &mut blocks {
+            Self::compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields whole blocks"),
+            );
+        }
+        let tail = blocks.remainder();
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.fill = tail.len();
     }
 
     fn finish(mut self) -> [u8; 32] {
-        let bit_len = self.len * 8;
-        self.update(&[0x80]);
-        while self.fill != BLOCK_BYTES - 8 {
-            self.update(&[0]);
+        // Padding (FIPS 180-4 §5.1.1): 0x80, zeros to 8 bytes short of a
+        // block boundary, then the bit length — spilling into a second
+        // block when fewer than 9 bytes are free in this one.
+        self.block[self.fill] = 0x80;
+        self.block[self.fill + 1..].fill(0);
+        if self.fill + 1 > BLOCK_BYTES - 8 {
+            Self::compress(&mut self.state, &self.block);
+            self.block = [0; BLOCK_BYTES];
         }
-        // The length suffix via `update` would double-count into `len`,
-        // but `bit_len` was latched first, so the padding is exact.
-        self.block[BLOCK_BYTES - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        self.fill = BLOCK_BYTES;
-        self.compress();
+        self.block[BLOCK_BYTES - 8..].copy_from_slice(&(self.len * 8).to_be_bytes());
+        Self::compress(&mut self.state, &self.block);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -151,25 +174,53 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finish()
 }
 
+/// An HMAC-SHA256 key, absorbed (RFC 2104 §4): the SHA-256 states reached
+/// after the `key ⊕ ipad` and `key ⊕ opad` blocks. Both depend on the key
+/// alone, so every MAC under it starts from these instead of recomputing
+/// two compressions.
+#[derive(Clone)]
+struct HmacState {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacState {
+    /// Absorb `key`: keys longer than one block are hashed first, shorter
+    /// ones zero-padded.
+    fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_BYTES];
+        if key.len() > BLOCK_BYTES {
+            key_block[..32].copy_from_slice(&sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let midstate = |pad: u8| {
+            let mut state = INITIAL_STATE;
+            Sha256::compress(&mut state, &key_block.map(|b| b ^ pad));
+            state
+        };
+        HmacState {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
+        }
+    }
+
+    /// The MAC of the concatenation of `parts`.
+    fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = Sha256::resume(self.inner, BLOCK_BYTES as u64);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::resume(self.outer, BLOCK_BYTES as u64);
+        outer.update(&inner.finish());
+        outer.finish()
+    }
+}
+
 /// HMAC-SHA256 over `data` with `key` (RFC 2104): keys longer than one
 /// block are hashed first, shorter ones zero-padded.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; BLOCK_BYTES];
-    if key.len() > BLOCK_BYTES {
-        key_block[..32].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_hash = inner.finish();
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_hash);
-    outer.finish()
+    HmacState::new(key).mac(&[data])
 }
 
 /// The shared cluster secret that seals and verifies frames.
@@ -178,24 +229,28 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 /// tagged with a truncated HMAC-SHA256 over their header and payload (see
 /// [`seal_frame`](crate::wire::seal_frame)). Equality is deliberately not
 /// derived — keys are compared only through tag verification.
+///
+/// The key bytes themselves are not kept: construction absorbs them into
+/// the two HMAC midstates, which is all tagging needs and costs a
+/// 40-byte frame two SHA-256 compressions instead of four.
 #[derive(Clone)]
 pub struct AuthKey {
-    key: [u8; 32],
+    hmac: HmacState,
 }
 
 impl AuthKey {
     /// A key from 32 raw bytes.
     pub fn from_bytes(key: [u8; 32]) -> Self {
-        AuthKey { key }
+        AuthKey {
+            hmac: HmacState::new(&key),
+        }
     }
 
     /// A key derived from a shared passphrase (its SHA-256). The
     /// deployment path: every node is started with the same
     /// `--auth-key <phrase>`.
     pub fn from_passphrase(phrase: &str) -> Self {
-        AuthKey {
-            key: sha256(phrase.as_bytes()),
-        }
+        AuthKey::from_bytes(sha256(phrase.as_bytes()))
     }
 
     /// The truncated HMAC-SHA256 tag of `data` under this key.
@@ -207,21 +262,7 @@ impl AuthKey {
     /// materialising it — the frame sealer MACs "header ‖ payload" while
     /// the tag sits between them on the wire.
     pub fn tag_parts(&self, parts: &[&[u8]]) -> [u8; AUTH_TAG_BYTES] {
-        // A 32-byte key always fits one block, so no pre-hash is needed.
-        let mut key_block = [0u8; BLOCK_BYTES];
-        key_block[..32].copy_from_slice(&self.key);
-        let mut inner = Sha256::new();
-        let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-        inner.update(&ipad);
-        for part in parts {
-            inner.update(part);
-        }
-        let inner_hash = inner.finish();
-        let mut outer = Sha256::new();
-        let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-        outer.update(&opad);
-        outer.update(&inner_hash);
-        let mac = outer.finish();
+        let mac = self.hmac.mac(parts);
         let mut tag = [0u8; AUTH_TAG_BYTES];
         tag.copy_from_slice(&mac[..AUTH_TAG_BYTES]);
         tag

@@ -65,8 +65,9 @@ pub use phase::Phase;
 pub use stream::node_rng;
 pub use transport::{NodeIdIter, Transport};
 pub use wire::{
-    decode_frame, decode_frame_sealed, decode_frame_traced, encode_frame, encode_frame_sealed,
-    encode_frame_traced, frame_with_payload, frame_with_payload_traced, seal_frame, WireError,
-    WireMsg, WireReader, WireWriter, FLAG_AUTH, FLAG_TRACE, FRAME_HEADER_BYTES, MAX_PAYLOAD_BYTES,
-    TRACE_CTX_BYTES, WIRE_MAGIC, WIRE_VERSION,
+    decode_frame, decode_frame_sealed, decode_frame_traced, encode_frame, encode_frame_into,
+    encode_frame_sealed, encode_frame_traced, frame_with_payload, frame_with_payload_traced,
+    seal_frame, WireError, WireMsg, WireReader, WireWriter, FLAG_AUTH, FLAG_TRACE,
+    FRAME_HEADER_BYTES, MAX_FRAME_BYTES, MAX_PAYLOAD_BYTES, TRACE_CTX_BYTES, WIRE_MAGIC,
+    WIRE_VERSION,
 };

@@ -43,6 +43,9 @@ pub const WIRE_VERSION: u8 = 1;
 /// sender id (4) + payload length (4).
 pub const FRAME_HEADER_BYTES: usize = 12;
 
+/// Where the payload-length field sits in the header.
+const LEN_FIELD: std::ops::Range<usize> = 8..FRAME_HEADER_BYTES;
+
 /// Flags bit: the header is followed by a trace context (trace id `u64`
 /// plus hop `u8`) before the payload. Frames without the bit carry no extra
 /// bytes and are byte-identical to version-1 frames from builds that
@@ -69,6 +72,11 @@ pub const TRACE_CTX_BYTES: usize = 9;
 /// (65 507 bytes of UDP payload max). The decoder rejects length fields
 /// beyond this *before* trusting them.
 pub const MAX_PAYLOAD_BYTES: usize = 65_000;
+
+/// The largest frame a conforming sender can produce: header, trace
+/// context, tag and a full payload. What a receive buffer has to hold.
+pub const MAX_FRAME_BYTES: usize =
+    FRAME_HEADER_BYTES + TRACE_CTX_BYTES + AUTH_TAG_BYTES + MAX_PAYLOAD_BYTES;
 
 /// Everything that can be wrong with bytes off the wire.
 ///
@@ -454,6 +462,106 @@ impl<T: WireMsg> WireMsg for Option<T> {
     }
 }
 
+/// Write one frame into `buf`, replacing its contents: the single encoder
+/// every framing function here is a wrapper over. The layout is header
+/// ([`WIRE_MAGIC`], [`WIRE_VERSION`], flags, sender id, payload length),
+/// then the trace context if `ctx` is present ([`FLAG_TRACE`]), then a
+/// tag slot if `key` is present ([`FLAG_AUTH`]), then whatever `payload`
+/// writes. The length field is patched once the payload's size is known
+/// and the tag is computed in place over every frame byte *except
+/// itself*, so nothing is staged in a second buffer.
+///
+/// A payload beyond [`MAX_PAYLOAD_BYTES`] is [`WireError::Oversized`] and
+/// leaves `buf` empty with its storage released.
+fn write_frame(
+    buf: &mut Vec<u8>,
+    from: NodeId,
+    ctx: TraceCtx,
+    key: Option<&AuthKey>,
+    payload: impl FnOnce(&mut WireWriter),
+) -> Result<(), WireError> {
+    let mut flags = 0u8;
+    if ctx.is_some() {
+        flags |= FLAG_TRACE;
+    }
+    if key.is_some() {
+        flags |= FLAG_AUTH;
+    }
+    buf.clear();
+    // `WireWriter` owns its bytes, so the caller's buffer is moved through
+    // it and handed back: the allocation is reused, not copied.
+    let mut w = WireWriter {
+        buf: std::mem::take(buf),
+    };
+    w.buf.reserve(head_bytes(ctx, key));
+    w.put_u16(WIRE_MAGIC);
+    w.put_u8(WIRE_VERSION);
+    w.put_u8(flags);
+    w.put_u32(from.0);
+    w.put_u32(0); // the payload length, patched below
+    if ctx.is_some() {
+        w.put_u64(ctx.trace_id);
+        w.put_u8(ctx.hop);
+    }
+    let tag_start = w.len();
+    if key.is_some() {
+        w.put_bytes(&[0; AUTH_TAG_BYTES]);
+    }
+    let payload_start = w.len();
+    payload(&mut w);
+    *buf = w.into_bytes();
+    let payload_len = buf.len() - payload_start;
+    if payload_len > MAX_PAYLOAD_BYTES {
+        // Freed, not cleared: a reused buffer is sized by the frames it
+        // sent, and this one was not.
+        *buf = Vec::new();
+        return Err(WireError::Oversized {
+            claimed: payload_len,
+            limit: MAX_PAYLOAD_BYTES,
+        });
+    }
+    buf[LEN_FIELD].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    if let Some(key) = key {
+        // Header+context before the slot, payload after it — exactly the
+        // bytes a verifier can see.
+        let (head, rest) = buf.split_at_mut(tag_start);
+        let (tag, payload) = rest.split_at_mut(AUTH_TAG_BYTES);
+        tag.copy_from_slice(&key.tag_parts(&[head, payload]));
+    }
+    Ok(())
+}
+
+/// Bytes a frame spends before its payload: the header plus whichever of
+/// the trace context and the tag it carries.
+fn head_bytes(ctx: TraceCtx, key: Option<&AuthKey>) -> usize {
+    FRAME_HEADER_BYTES
+        + if ctx.is_some() { TRACE_CTX_BYTES } else { 0 }
+        + if key.is_some() { AUTH_TAG_BYTES } else { 0 }
+}
+
+/// Encode one frame into a caller-owned buffer, replacing its contents —
+/// the allocation-free framing seam. A sender that keeps `buf` between
+/// calls (the socket host lends one per node) encodes, seals and sends
+/// without touching the heap once the buffer has grown to its largest
+/// frame. Layout and authentication are [`seal_frame`]'s, byte for byte.
+///
+/// An encoded payload beyond [`MAX_PAYLOAD_BYTES`] is
+/// [`WireError::Oversized`] and leaves `buf` empty with its storage
+/// released, so a kept buffer stays sized by the frames it sent. The
+/// caller decides what an oversize message means (the socket host counts
+/// and drops it — `NodeStats::send_oversize` — instead of panicking
+/// mid-protocol or handing the kernel a datagram it will reject with a
+/// confusing OS error).
+pub fn encode_frame_into<M: WireMsg>(
+    buf: &mut Vec<u8>,
+    from: NodeId,
+    ctx: TraceCtx,
+    key: Option<&AuthKey>,
+    msg: &M,
+) -> Result<(), WireError> {
+    write_frame(buf, from, ctx, key, |w| msg.encode(w))
+}
+
 /// Encode one frame: header ([`WIRE_MAGIC`], [`WIRE_VERSION`], sender id,
 /// payload length) followed by the encoded payload.
 ///
@@ -463,25 +571,15 @@ impl<T: WireMsg> WireMsg for Option<T> {
 /// runtime condition, and it must fail loudly at the sender rather than be
 /// silently rejected by every receiver.
 pub fn encode_frame<M: WireMsg>(from: NodeId, msg: &M) -> Vec<u8> {
-    let payload = msg.to_wire_bytes();
-    assert!(
-        payload.len() <= MAX_PAYLOAD_BYTES,
-        "encoded payload ({} bytes) exceeds the {}-byte frame limit",
-        payload.len(),
-        MAX_PAYLOAD_BYTES
-    );
-    frame_with_payload(from, &payload)
+    encode_frame_sealed(from, TraceCtx::NONE, None, msg)
 }
 
 /// Wrap an already-encoded payload in a frame header. The seam that lets
 /// a sender encode once, *check the size itself*, and decide what to do
-/// with an oversize payload (the socket host counts and drops it —
-/// `NodeStats::send_oversize` — instead of panicking mid-protocol or
-/// handing the kernel a datagram it will reject with a confusing OS
-/// error). Callers must have checked `payload.len()` against
-/// [`MAX_PAYLOAD_BYTES`]; this function `debug_assert!`s it.
+/// with an oversize payload. Callers must have checked `payload.len()`
+/// against [`MAX_PAYLOAD_BYTES`]; see [`seal_frame`].
 pub fn frame_with_payload(from: NodeId, payload: &[u8]) -> Vec<u8> {
-    frame_with_payload_traced(from, TraceCtx::NONE, payload)
+    seal_frame(from, TraceCtx::NONE, None, payload)
 }
 
 /// [`frame_with_payload`] with a causal context. The absent context
@@ -502,36 +600,14 @@ pub fn frame_with_payload_traced(from: NodeId, ctx: TraceCtx, payload: &[u8]) ->
 /// itself* — header, trace context, and payload — so any post-seal
 /// tampering (including the length field and sender id) invalidates it.
 /// The length field counts the payload only, as always.
+///
+/// # Panics
+/// Panics if `payload` exceeds [`MAX_PAYLOAD_BYTES`]: callers check the
+/// size before framing.
 pub fn seal_frame(from: NodeId, ctx: TraceCtx, key: Option<&AuthKey>, payload: &[u8]) -> Vec<u8> {
-    debug_assert!(
-        payload.len() <= MAX_PAYLOAD_BYTES,
-        "caller must reject oversize payloads before framing"
-    );
-    let mut flags = 0u8;
-    if ctx.is_some() {
-        flags |= FLAG_TRACE;
-    }
-    if key.is_some() {
-        flags |= FLAG_AUTH;
-    }
-    let mut w = WireWriter::new();
-    w.put_u16(WIRE_MAGIC);
-    w.put_u8(WIRE_VERSION);
-    w.put_u8(flags);
-    w.put_u32(from.0);
-    w.put_u32(payload.len() as u32);
-    if ctx.is_some() {
-        w.put_u64(ctx.trace_id);
-        w.put_u8(ctx.hop);
-    }
-    let mut frame = w.into_bytes();
-    if let Some(key) = key {
-        // Tag over header+context so far, then the payload that follows
-        // the tag on the wire — exactly the bytes a verifier can see.
-        let tag = key.tag_parts(&[&frame, payload]);
-        frame.extend_from_slice(&tag);
-    }
-    frame.extend_from_slice(payload);
+    let mut frame = Vec::with_capacity(head_bytes(ctx, key) + payload.len());
+    write_frame(&mut frame, from, ctx, key, |w| w.put_bytes(payload))
+        .expect("caller must reject oversize payloads before framing");
     frame
 }
 
@@ -546,14 +622,11 @@ pub fn encode_frame_sealed<M: WireMsg>(
     key: Option<&AuthKey>,
     msg: &M,
 ) -> Vec<u8> {
-    let payload = msg.to_wire_bytes();
-    assert!(
-        payload.len() <= MAX_PAYLOAD_BYTES,
-        "encoded payload ({} bytes) exceeds the {}-byte frame limit",
-        payload.len(),
-        MAX_PAYLOAD_BYTES
-    );
-    seal_frame(from, ctx, key, &payload)
+    let mut frame = Vec::new();
+    if let Err(e) = encode_frame_into(&mut frame, from, ctx, key, msg) {
+        panic!("encoded payload does not fit one frame: {e}");
+    }
+    frame
 }
 
 /// [`encode_frame`] with a causal context (see
@@ -562,14 +635,7 @@ pub fn encode_frame_sealed<M: WireMsg>(
 /// # Panics
 /// Panics on oversize payloads, like [`encode_frame`].
 pub fn encode_frame_traced<M: WireMsg>(from: NodeId, ctx: TraceCtx, msg: &M) -> Vec<u8> {
-    let payload = msg.to_wire_bytes();
-    assert!(
-        payload.len() <= MAX_PAYLOAD_BYTES,
-        "encoded payload ({} bytes) exceeds the {}-byte frame limit",
-        payload.len(),
-        MAX_PAYLOAD_BYTES
-    );
-    frame_with_payload_traced(from, ctx, &payload)
+    encode_frame_sealed(from, ctx, None, msg)
 }
 
 /// Decode one frame: validates magic, version and the length field, then

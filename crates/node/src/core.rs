@@ -20,8 +20,8 @@
 //! authentication policy cannot drift between deployment shapes.
 
 use gossip_net::{
-    decode_frame_sealed, node_rng, seal_frame, AuthKey, Handler, Mailbox, Metrics, NodeId, Phase,
-    TimerId, WireError, WireMsg, MAX_PAYLOAD_BYTES,
+    decode_frame_sealed, encode_frame_into, node_rng, AuthKey, Handler, Mailbox, Metrics, NodeId,
+    Phase, TimerId, WireError, WireMsg,
 };
 use gossip_obs::{
     Histogram, Registry, Request, Response, TraceCtx, TraceFilter, TraceKind, TraceReason,
@@ -86,7 +86,7 @@ pub struct NodeStats {
     /// Sends that failed locally (kernel error or an out-of-range peer).
     pub send_errors: u64,
     /// Sends whose encoded payload exceeded one datagram
-    /// ([`MAX_PAYLOAD_BYTES`]): detected
+    /// ([`MAX_PAYLOAD_BYTES`](gossip_net::MAX_PAYLOAD_BYTES)): detected
     /// *before* `send_to`, counted, and dropped — the kernel would reject
     /// the datagram with a raw OS error that is easy to mistake for loss.
     /// A non-zero count means the protocol's messages outgrew the
@@ -279,6 +279,10 @@ pub struct NodeCore<H: Handler> {
     /// Cluster authentication key. `Some` makes this node *require*
     /// authenticated frames inbound and seal every frame outbound.
     auth_key: Option<AuthKey>,
+    /// The buffer every outbound frame is encoded into and sent from. It
+    /// grows to the largest frame this node has sent and is then reused,
+    /// so a steady-state send touches no heap.
+    frame_buf: Vec<u8>,
     metrics: Metrics,
     stats: NodeStats,
     /// How late timers fire relative to their due instant (real-clock µs).
@@ -310,6 +314,7 @@ impl<H: Handler> NodeCore<H> {
             timer_jitter_us: 0,
             started: false,
             auth_key: None,
+            frame_buf: Vec::new(),
             metrics: Metrics::new(),
             stats: NodeStats::default(),
             timer_lag: Histogram::new(),
@@ -777,6 +782,7 @@ impl<H: Handler> NodeCore<H> {
             cancels,
             timer_jitter_us,
             auth_key,
+            frame_buf,
             metrics,
             stats,
             trace,
@@ -794,6 +800,7 @@ impl<H: Handler> NodeCore<H> {
             cancels,
             jitter_us: *timer_jitter_us,
             auth_key: auth_key.as_ref(),
+            frame_buf,
             metrics,
             stats,
             trace,
@@ -868,6 +875,7 @@ struct CoreMailbox<'a, M> {
     cancels: &'a mut HashMap<u32, u64>,
     jitter_us: u64,
     auth_key: Option<&'a AuthKey>,
+    frame_buf: &'a mut Vec<u8>,
     metrics: &'a mut Metrics,
     stats: &'a mut NodeStats,
     trace: &'a mut Option<TraceRing>,
@@ -904,21 +912,20 @@ impl<M: WireMsg> Mailbox<M> for CoreMailbox<'_, M> {
         // so untraced hosts stay wire-compatible with old builds).
         let ctx = self.ctx.next_hop();
         let ok = if let Some(&addr) = self.peers.get(to.index()) {
-            let payload = msg.to_wire_bytes();
-            if payload.len() > MAX_PAYLOAD_BYTES {
-                // Caught before the kernel sees it: an oversize datagram
-                // would fail with a raw OS error indistinguishable from
-                // loss at a glance. Counted separately from send_errors so
-                // "your message outgrew the transport" has its own signal.
-                self.stats.send_oversize += 1;
-                self.trace_event(peer, TraceKind::Drop, TraceReason::Oversize, ctx);
-                false
-            } else {
-                let frame = seal_frame(self.me, ctx, self.auth_key, &payload);
-                match self.sink.send_frame(addr, &frame) {
+            match encode_frame_into(self.frame_buf, self.me, ctx, self.auth_key, &msg) {
+                Err(_) => {
+                    // Caught before the kernel sees it: an oversize datagram
+                    // would fail with a raw OS error indistinguishable from
+                    // loss at a glance. Counted separately from send_errors so
+                    // "your message outgrew the transport" has its own signal.
+                    self.stats.send_oversize += 1;
+                    self.trace_event(peer, TraceKind::Drop, TraceReason::Oversize, ctx);
+                    false
+                }
+                Ok(()) => match self.sink.send_frame(addr, self.frame_buf) {
                     Ok(_) => {
                         self.stats.datagrams_sent += 1;
-                        self.stats.bytes_sent += frame.len() as u64;
+                        self.stats.bytes_sent += self.frame_buf.len() as u64;
                         self.trace_event(peer, TraceKind::Send, TraceReason::None, ctx);
                         true
                     }
@@ -927,7 +934,7 @@ impl<M: WireMsg> Mailbox<M> for CoreMailbox<'_, M> {
                         self.trace_event(peer, TraceKind::Drop, TraceReason::SendError, ctx);
                         false
                     }
-                }
+                },
             }
         } else {
             self.stats.send_errors += 1;

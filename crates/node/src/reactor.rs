@@ -23,14 +23,18 @@
 //! [`core`](crate::core) module docs.
 
 use crate::core::{NodeCore, Recv};
-use gossip_net::{Handler, WireMsg};
+use gossip_net::{Handler, WireMsg, MAX_FRAME_BYTES};
 use gossip_obs::HttpServer;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
-/// Largest datagram a host will accept (header + max payload).
-const RECV_BUF_BYTES: usize = 1 << 16;
+/// Receive buffer size: one byte more than the largest legal frame. The
+/// kernel cuts a longer datagram to fit, so an overlong one arrives as
+/// `MAX_FRAME_BYTES + 1` bytes, which no length field can account for,
+/// and is rejected by the decoder as before instead of being trimmed into
+/// something acceptable.
+const RECV_BUF_BYTES: usize = MAX_FRAME_BYTES + 1;
 
 /// Datagrams drained per [`Reactor::pump`] pass before yielding, so a
 /// flood cannot starve the timer queue or the caller's loop.
@@ -111,9 +115,11 @@ impl Reactor {
     /// `/metrics` mid-run against frozen stats does exactly this).
     /// Returns the number of requests served.
     pub fn pump_status<H: Handler>(&mut self, core: &NodeCore<H>) -> usize {
-        let udp_addr = self.socket.local_addr().ok();
         match &mut self.status {
-            Some(server) => server.poll(|req| core.respond(req, udp_addr)),
+            Some(server) => {
+                let udp_addr = self.socket.local_addr().ok();
+                server.poll(|req| core.respond(req, udp_addr))
+            }
             None => 0,
         }
     }

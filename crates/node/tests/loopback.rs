@@ -415,11 +415,16 @@ fn one_causal_chain_crosses_four_real_hosts() {
     assert!(rendered.contains(&format!("trace {chain_id:016x}/1")));
 }
 
-/// Regression for the blocking loop's backoff: timer lag under bursty
-/// traffic must stay within one poll quantum ([`MAX_BLOCK_WAIT`]). The
+/// Regression for the blocking loop's backoff: bursty traffic must add
+/// no more than one poll quantum ([`MAX_BLOCK_WAIT`]) of timer lag. The
 /// old loop slept a hard-coded 1 ms on socket errors regardless of what
 /// was due; the reactor bounds every wait — including the error backoff —
 /// by the next due timer.
+///
+/// The bound is relative to an unflooded `Tick` host measured just
+/// before, not an absolute figure: on a shared box the scheduler alone
+/// can hold a thread off the CPU for longer than a quantum, and that
+/// shows in both runs alike.
 #[test]
 fn timer_lag_stays_within_one_poll_quantum_under_bursts() {
     use gossip_node::MAX_BLOCK_WAIT;
@@ -427,19 +432,21 @@ fn timer_lag_stays_within_one_poll_quantum_under_bursts() {
     if !sockets_available() {
         return;
     }
-    let socket = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-    let target = socket.local_addr().unwrap();
-    let mut host = gossip_node::NodeHost::from_socket(
-        socket,
-        NodeId::new(0),
-        vec![target],
-        3,
-        Tick,
-    )
-    .unwrap();
+    let tick_host = || {
+        let socket = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let addr = socket.local_addr().unwrap();
+        let host = gossip_node::NodeHost::from_socket(socket, NodeId::new(0), vec![addr], 3, Tick)
+            .unwrap();
+        (host, addr)
+    };
+
+    let (mut quiet, _) = tick_host();
+    quiet.run_for(Duration::from_millis(300));
+    let quiet_p99 = quiet.timer_lag().quantile(0.99);
 
     // A background flood: bursts of garbage and well-formed frames, far
     // faster than the 2 ms tick, for the whole run.
+    let (mut host, target) = tick_host();
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let flooder = {
         let stop = stop.clone();
@@ -469,8 +476,9 @@ fn timer_lag_stays_within_one_poll_quantum_under_bursts() {
     let p99 = host.timer_lag().quantile(0.99);
     let quantum = MAX_BLOCK_WAIT.as_micros() as u64;
     assert!(
-        p99 <= quantum,
-        "timer lag p99 {p99} us exceeds the {quantum} us poll quantum"
+        p99 <= quiet_p99 + quantum,
+        "flooded timer lag p99 {p99} us exceeds the unflooded {quiet_p99} us \
+         by more than the {quantum} us poll quantum"
     );
 }
 
