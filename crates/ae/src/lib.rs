@@ -22,9 +22,9 @@
 //!   digest for an O(log n) root-hash exchange whose every message stays
 //!   datagram-sized at any n (what lets the socket host run anti-entropy
 //!   at the scales the sharded engine simulates).
-//! * [`ae_driver`]: hosts one `AeNode` per node on the discrete-event
-//!   [`AsyncEngine`](gossip_runtime::AsyncEngine) — latency, loss, churn
-//!   and bandwidth are the engine's, determinism is the driver's, and a
+//! * [`ae_driver`]: hosts one `AeNode` per node on the sharded
+//!   discrete-event [`ShardedDriver`] — latency, loss, churn and bandwidth
+//!   are the engine's, determinism is shard-count invariant, and a
 //!   rejoiner restarts with an empty store exactly as the failure model
 //!   demands (anti-entropy is what fills it back up).
 //!
@@ -41,13 +41,12 @@
 //!
 //! let engine = AsyncConfig::new(SimConfig::new(64).with_seed(7))
 //!     .with_churn(ChurnModel::per_round(0.01, 0.2));
-//! let mut driver = ae_driver(engine, AeConfig::default());
+//! let mut driver = ae_driver(engine, AeConfig::default(), 2);
 //! driver.run_until(100_000); // 100 virtual ms of continuous aggregation
 //! let now = driver.now_us();
 //! let informed = driver
-//!     .handlers()
-//!     .iter()
-//!     .filter(|node| node.estimate(now).is_some())
+//!     .iter_handlers()
+//!     .filter(|(_, node)| node.estimate(now).is_some())
 //!     .count();
 //! assert!(informed > 0);
 //! ```
@@ -64,8 +63,7 @@ pub mod wire;
 
 pub use merkle::{reconcile, DigestTree, Handled, PROBE_BATCH};
 pub use protocol::{
-    ae_driver, ae_sharded_driver, AeConfig, AeMsg, AeNode, AeNodeStats, DigestMode, TIMER_TICK,
-    TIMER_UPDATE,
+    ae_driver, AeConfig, AeMsg, AeNode, AeNodeStats, DigestMode, TIMER_TICK, TIMER_UPDATE,
 };
 pub use recovery::{
     reference_store, RecoveryOutcome, RecoveryRecord, RecoveryTracker, RECOVERY_BOUND_TICKS,
@@ -77,4 +75,4 @@ pub use wire::payload_bytes;
 // The building blocks the subsystem is made of, re-exported so dependents
 // of the anti-entropy layer see one coherent API.
 pub use gossip_net::{Handler, Mailbox, TimerId};
-pub use gossip_runtime::{DriverMetrics, EventDriver, ShardedDriver};
+pub use gossip_runtime::{DriverMetrics, ShardedDriver};

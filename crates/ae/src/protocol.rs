@@ -29,7 +29,7 @@ use crate::merkle::{reconcile, DigestTree};
 use crate::signal::SignalModel;
 use crate::store::{Entry, SparseDigest, Store, STAMP_BITS};
 use gossip_net::{stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
-use gossip_runtime::{AsyncConfig, AsyncEngine, EventDriver, ShardedDriver};
+use gossip_runtime::{AsyncConfig, ShardedDriver};
 use serde::{Deserialize, Serialize};
 
 /// The anti-entropy tick timer.
@@ -253,7 +253,7 @@ pub struct AeNodeStats {
 }
 
 /// One node of the anti-entropy layer. Implements [`Handler`]; host it with
-/// [`ae_driver`] (or any [`EventDriver`]).
+/// [`ae_driver`] (or any [`ShardedDriver`]).
 #[derive(Clone, Debug)]
 pub struct AeNode {
     me: NodeId,
@@ -566,28 +566,15 @@ impl Handler for AeNode {
     }
 }
 
-/// Host the anti-entropy layer on an [`AsyncEngine`]: one [`AeNode`] per
-/// node, rejoiners restarting empty (the driver's incarnation contract).
-/// The driver's churn window is aligned with the anti-entropy tick, so the
-/// engine's per-round churn probabilities read as per-*tick* probabilities.
-pub fn ae_driver(engine_config: AsyncConfig, ae_config: AeConfig) -> EventDriver<AeNode> {
-    let n = engine_config.sim.n;
-    let id_bits = engine_config.sim.id_bits();
-    let value_bits = engine_config.sim.value_bits();
-    EventDriver::new(AsyncEngine::new(engine_config), move |me| {
-        AeNode::new(me, n, id_bits, value_bits, ae_config)
-    })
-    .with_window_us(ae_config.tick_us)
-}
-
-/// Host the anti-entropy layer on the **sharded** engine: the node space
-/// split into `shards` shards with per-shard event queues and per-node RNG
-/// streams (see `gossip_runtime::shard`), so the same [`AeNode`] handler
-/// scales to n ≥ 10⁶. The churn window is the anti-entropy tick, exactly
-/// like [`ae_driver`]. Runs are shard-count invariant, but *not*
-/// bit-comparable with `ae_driver` runs — the two execution models consume
-/// different RNG streams.
-pub fn ae_sharded_driver(
+/// Host the anti-entropy layer on the sharded engine: one [`AeNode`] per
+/// node, the node space split into `shards` shards with per-shard event
+/// queues and per-node RNG streams (see `gossip_runtime::shard`), so the
+/// same handler runs from n = 16 to n ≥ 10⁶. Rejoiners restart empty (the
+/// driver's incarnation contract). The driver's churn window is aligned
+/// with the anti-entropy tick, so the engine's per-round churn
+/// probabilities read as per-*tick* probabilities. Runs are shard-count
+/// invariant.
+pub fn ae_driver(
     engine_config: AsyncConfig,
     ae_config: AeConfig,
     shards: usize,
@@ -604,10 +591,10 @@ pub fn ae_sharded_driver(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::{SimConfig, Transport};
+    use gossip_net::SimConfig;
     use gossip_runtime::{ChurnModel, LatencyModel};
 
-    fn driver(n: usize, seed: u64, loss: f64, churn: ChurnModel) -> EventDriver<AeNode> {
+    fn driver(n: usize, seed: u64, loss: f64, churn: ChurnModel) -> ShardedDriver<AeNode> {
         let config = AsyncConfig::new(
             SimConfig::new(n)
                 .with_seed(seed)
@@ -619,12 +606,12 @@ mod tests {
             hi_us: 1_200,
         })
         .with_churn(churn);
-        ae_driver(config, AeConfig::default())
+        ae_driver(config, AeConfig::default(), 1)
     }
 
-    fn max_error(driver: &EventDriver<AeNode>, at_us: u64) -> f64 {
-        let signal = driver.handlers()[0].config.signal;
-        let alive: Vec<NodeId> = driver.engine().alive_nodes().collect();
+    fn max_error(driver: &ShardedDriver<AeNode>, at_us: u64) -> f64 {
+        let signal = driver.handler(NodeId::new(0)).config.signal;
+        let alive: Vec<NodeId> = driver.alive_nodes().collect();
         let truth = signal.true_mean(alive.iter().copied(), at_us).unwrap();
         alive
             .iter()
@@ -642,7 +629,7 @@ mod tests {
         let err = max_error(&d, 200_000);
         assert!(err < 1e-9, "static signal fully reconciles, err = {err}");
         // Everyone knows everyone.
-        for h in d.handlers() {
+        for (_, h) in d.iter_handlers() {
             assert_eq!(h.store().known(), 48);
         }
     }
@@ -655,16 +642,16 @@ mod tests {
         let ae = AeConfig::default()
             .with_update_us(8_000)
             .with_signal(SignalModel::uniform(0.0, 10_000.0).with_drift_per_s(5_000.0));
-        let mut d = ae_driver(config, ae);
+        let mut d = ae_driver(config, ae, 1);
         d.run_until(400_000);
         // Truth moved by 2000 units (0.4 s × 5000/s); estimates follow
         // within the staleness of one update interval of drift.
         let signal = ae.signal;
         let truth = signal.true_mean((0..n).map(NodeId::new), 400_000).unwrap();
-        for (i, h) in d.handlers().iter().enumerate() {
+        for (node, h) in d.iter_handlers() {
             let est = h.estimate(400_000).expect("estimate exists");
             let err = ((est - truth) / truth).abs();
-            assert!(err < 0.02, "node {i}: est {est} vs truth {truth}");
+            assert!(err < 0.02, "node {node:?}: est {est} vs truth {truth}");
         }
     }
 
@@ -679,7 +666,7 @@ mod tests {
         let mut d = driver(64, 11, 0.02, ChurnModel::per_round(0.01, 0.15));
         d.run_until(270_000);
         let now = d.now_us();
-        let rejoins = d.metrics().rejoin_log.len();
+        let rejoins = d.rejoin_log().len();
         assert!(rejoins > 0, "churn produced rejoins");
 
         // The union of all alive stores: what anti-entropy is converging to
@@ -692,11 +679,11 @@ mod tests {
         // (or since boot) must sit within 1% of the reference.
         let grace = 15 * AeConfig::default().tick_us;
         let mut last_rejoin = vec![0u64; 64];
-        for &(t, node) in &d.metrics().rejoin_log {
+        for &(t, node) in d.rejoin_log() {
             last_rejoin[node.index()] = t;
         }
         let mut checked = 0;
-        for v in d.engine().alive_nodes() {
+        for v in d.alive_nodes() {
             if now - last_rejoin[v.index()] < grace {
                 continue;
             }
@@ -710,10 +697,9 @@ mod tests {
 
     #[test]
     fn sharded_host_reconciles_and_is_shard_count_invariant() {
-        // The anti-entropy handler, unchanged, on the sharded engine: a
-        // static signal must still fully reconcile, and the run — order
-        // hash, store contents, estimates — must not depend on the shard
-        // count.
+        // A static signal must fully reconcile at any shard count, and the
+        // run — order hash, store contents, estimates — must not depend on
+        // it.
         let build = |shards| {
             let config = AsyncConfig::new(
                 SimConfig::new(48)
@@ -726,7 +712,7 @@ mod tests {
                 hi_us: 1_200,
             })
             .with_churn(ChurnModel::per_round(0.005, 0.15));
-            ae_sharded_driver(config, AeConfig::default(), shards)
+            ae_driver(config, AeConfig::default(), shards)
         };
         let run = |shards| {
             let mut d = build(shards);
@@ -753,7 +739,7 @@ mod tests {
             lo_us: 200,
             hi_us: 1_200,
         });
-        let mut d = ae_sharded_driver(config, AeConfig::default(), 8);
+        let mut d = ae_driver(config, AeConfig::default(), 8);
         d.run_until(200_000);
         let signal = d.handler(NodeId::new(0)).config.signal;
         let truth = signal.true_mean((0..48).map(NodeId::new), 200_000).unwrap();
@@ -851,14 +837,18 @@ mod tests {
                     .with_update_us(0)
                     .with_digest_mode(mode)
                     .with_merkle_fallback_slots(8),
+                1,
             )
         };
         let run = |mode| {
             let mut d = build(mode);
             d.run_until(200_000);
-            let stores: Vec<Store> = d.handlers().iter().map(|h| h.store().clone()).collect();
-            let mismatches: u64 = d.handlers().iter().map(|h| h.stats.digest_mismatches).sum();
-            let bits = d.engine().metrics().total_bits();
+            let stores: Vec<Store> = d.iter_handlers().map(|(_, h)| h.store().clone()).collect();
+            let mismatches: u64 = d
+                .iter_handlers()
+                .map(|(_, h)| h.stats.digest_mismatches)
+                .sum();
+            let bits = d.net_metrics().total_bits();
             (stores, mismatches, bits)
         };
         let (dense_stores, dense_mismatches, dense_bits) = run(DigestMode::Dense);
@@ -899,19 +889,19 @@ mod tests {
         let ae = AeConfig::default()
             .with_digest_mode(DigestMode::Merkle)
             .with_merkle_fallback_slots(8);
-        let mut d = ae_driver(config, ae);
+        let mut d = ae_driver(config, ae, 1);
         d.run_until(270_000);
         let now = d.now_us();
-        assert!(!d.metrics().rejoin_log.is_empty(), "churn produced rejoins");
+        assert!(!d.rejoin_log().is_empty(), "churn produced rejoins");
         let reference = crate::recovery::reference_store(&d);
         let truth = reference.mean_fresh(now, ae.expiry_us).expect("known");
         let grace = 15 * ae.tick_us;
         let mut last_rejoin = vec![0u64; 64];
-        for &(t, node) in &d.metrics().rejoin_log {
+        for &(t, node) in d.rejoin_log() {
             last_rejoin[node.index()] = t;
         }
         let mut checked = 0;
-        for v in d.engine().alive_nodes() {
+        for v in d.alive_nodes() {
             if now - last_rejoin[v.index()] < grace {
                 continue;
             }
@@ -930,12 +920,12 @@ mod tests {
         let run = |seed| {
             let mut d = driver(40, seed, 0.05, ChurnModel::per_round(0.02, 0.2));
             d.run_until(120_000);
-            let stores: Vec<Store> = d.handlers().iter().map(|h| h.store().clone()).collect();
+            let stores: Vec<Store> = d.iter_handlers().map(|(_, h)| h.store().clone()).collect();
             (
                 stores,
-                d.metrics().order_hash,
-                d.engine().metrics().total_messages(),
-                Transport::alive_count(d.engine()),
+                d.order_hash(),
+                d.net_metrics().total_messages(),
+                d.alive_count(),
             )
         };
         assert_eq!(run(9), run(9));

@@ -17,8 +17,8 @@
 
 use crate::protocol::AeNode;
 use crate::store::Store;
-use gossip_net::{NodeId, Transport};
-use gossip_runtime::EventDriver;
+use gossip_net::NodeId;
+use gossip_runtime::ShardedDriver;
 
 /// The claimed rejoin-recovery bound, in anti-entropy ticks: the E17
 /// acceptance criterion asserts every measurable rejoin re-enters the
@@ -65,10 +65,9 @@ pub struct RecoveryRecord {
 /// node's store. One `O(n)` slot scan per alive node — `O(n · alive)` per
 /// call, which is the inherent cost of an exact union; the tracker only
 /// pays it on ticks with a recovery in flight.
-pub fn reference_store(driver: &EventDriver<AeNode>) -> Store {
-    let n = driver.engine().config().n;
-    let mut reference = Store::new(n);
-    for v in driver.engine().alive_nodes() {
+pub fn reference_store(driver: &ShardedDriver<AeNode>) -> Store {
+    let mut reference = Store::new(driver.n());
+    for v in driver.alive_nodes() {
         reference.merge_from(driver.handler(v).store());
     }
     reference
@@ -104,9 +103,11 @@ impl RecoveryTracker {
     /// Take one sample; call at every anti-entropy tick. Consumes new
     /// rejoins from the driver's log, ages the pending ones, and settles
     /// those that recovered or crashed again.
-    pub fn observe(&mut self, driver: &EventDriver<AeNode>) {
+    pub fn observe(&mut self, driver: &ShardedDriver<AeNode>) {
         let now = driver.now_us();
-        let log = &driver.metrics().rejoin_log;
+        // Borrowed: `metrics()` would clone the whole log and fold all n
+        // node hashes on every tick.
+        let log = driver.rejoin_log();
         while self.seen_rejoins < log.len() {
             let (at, node) = log[self.seen_rejoins];
             self.seen_rejoins += 1;
@@ -198,13 +199,13 @@ mod tests {
             })
             .with_churn(ChurnModel::per_round(0.02, 0.25).with_min_alive(24));
         let ae = AeConfig::default();
-        let mut driver = ae_driver(config, ae);
+        let mut driver = ae_driver(config, ae, 1);
         let mut tracker = RecoveryTracker::new(0.01, ae.expiry_us);
         for k in 1..=80 {
             driver.run_until(k * ae.tick_us);
             tracker.observe(&driver);
         }
-        let total_rejoins = driver.metrics().rejoin_log.len();
+        let total_rejoins = driver.rejoin_log().len();
         assert!(total_rejoins > 0, "churn produced rejoins");
         let records = tracker.finish();
         assert_eq!(records.len(), total_rejoins, "every rejoin settled once");
@@ -229,11 +230,11 @@ mod tests {
         // newest stamps are always still in flight somewhere and no store
         // ever exactly equals the union.
         let ae = AeConfig::default().with_update_us(0);
-        let mut driver = ae_driver(config, ae);
+        let mut driver = ae_driver(config, ae, 1);
         driver.run_until(60_000);
         let reference = reference_store(&driver);
         // Fully reconciled network: every alive store equals the union.
-        for v in driver.engine().alive_nodes() {
+        for v in driver.alive_nodes() {
             assert_eq!(driver.handler(v).store(), &reference);
         }
         assert_eq!(reference.known(), 16);

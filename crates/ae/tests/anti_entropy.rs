@@ -8,12 +8,12 @@ use gossip_ae::{
     RECOVERY_BOUND_TICKS,
 };
 use gossip_net::SimConfig;
-use gossip_runtime::{AsyncConfig, ChurnModel, EventDriver, LatencyModel, SweepRunner};
+use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedDriver, SweepRunner};
 
 const N: usize = 96;
 const TICKS: u64 = 100;
 
-fn scenario(seed: u64, crash_rate: f64) -> (EventDriver<AeNode>, AeConfig) {
+fn scenario(seed: u64, crash_rate: f64) -> (ShardedDriver<AeNode>, AeConfig) {
     let engine = AsyncConfig::new(
         SimConfig::new(N)
             .with_seed(seed)
@@ -28,7 +28,7 @@ fn scenario(seed: u64, crash_rate: f64) -> (EventDriver<AeNode>, AeConfig) {
     .with_churn(ChurnModel::per_round(crash_rate, 0.25).with_min_alive(N / 2));
     let ae = AeConfig::default()
         .with_signal(SignalModel::uniform(0.0, 10_000.0).with_drift_per_s(1_000.0));
-    (ae_driver(engine, ae), ae)
+    (ae_driver(engine, ae, 1), ae)
 }
 
 /// Run the scenario for `TICKS` ticks, observing recoveries every tick.
@@ -50,7 +50,7 @@ fn run(seed: u64, crash_rate: f64) -> (Vec<(usize, u64, Option<u64>)>, u64) {
             (r.node.index(), r.rejoined_at_us, recovered)
         })
         .collect();
-    (records, driver.metrics().order_hash)
+    (records, driver.order_hash())
 }
 
 #[test]

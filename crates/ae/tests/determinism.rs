@@ -1,12 +1,15 @@
 //! Determinism suite for the anti-entropy layer: Merkle-mode runs are a
-//! pure function of the seed, bit-identical across shard counts, and the
-//! digest mode changes cost — never the dispatch schedule's integrity.
+//! pure function of the seed, bit-identical across shard counts, the
+//! digest mode changes cost — never the dispatch schedule's integrity —
+//! and rejoin-recovery measurement reads the same at every shard count.
 //!
 //! Honors `GOSSIP_TEST_SHARDS` (comma-separated shard counts) like the
 //! runtime determinism suite, so CI's matrix re-runs this ladder with an
 //! uneven count in the mix.
 
-use gossip_ae::{ae_driver, ae_sharded_driver, AeConfig, AeNodeStats, DigestMode, SignalModel};
+use gossip_ae::{
+    ae_driver, AeConfig, AeNodeStats, DigestMode, RecoveryOutcome, RecoveryTracker, SignalModel,
+};
 use gossip_net::SimConfig;
 use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel};
 
@@ -68,7 +71,7 @@ fn fingerprint(
 }
 
 fn sharded_run(shards: usize, seed: u64) -> RunFingerprint {
-    let mut d = ae_sharded_driver(engine_config(seed), merkle_config(), shards);
+    let mut d = ae_driver(engine_config(seed), merkle_config(), shards);
     d.run_until(180_000);
     let now = d.now_us();
     let rows: Vec<_> = d
@@ -115,10 +118,10 @@ fn merkle_mode_order_hash_is_shard_count_invariant() {
 #[test]
 fn merkle_mode_runs_reproduce_bit_for_bit_and_differ_across_seeds() {
     let run = |seed| {
-        let mut d = ae_driver(engine_config(seed), merkle_config());
+        let mut d = ae_driver(engine_config(seed), merkle_config(), 1);
         d.run_until(150_000);
-        let stores: Vec<Vec<u64>> = d.handlers().iter().map(|h| h.store().digest()).collect();
-        (d.metrics().order_hash, stores)
+        let stores: Vec<Vec<u64>> = d.iter_handlers().map(|(_, h)| h.store().digest()).collect();
+        (d.order_hash(), stores)
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9).0, run(10).0, "different seeds schedule differently");
@@ -141,10 +144,10 @@ fn dense_and_merkle_modes_schedule_differently_but_converge_identically() {
             .with_update_us(0)
             .with_digest_mode(mode)
             .with_merkle_fallback_slots(8);
-        let mut d = ae_driver(config, ae);
+        let mut d = ae_driver(config, ae, 1);
         d.run_until(200_000);
-        let stores: Vec<Vec<u64>> = d.handlers().iter().map(|h| h.store().digest()).collect();
-        (d.metrics().order_hash, stores)
+        let stores: Vec<Vec<u64>> = d.iter_handlers().map(|(_, h)| h.store().digest()).collect();
+        (d.order_hash(), stores)
     };
     let (dense_hash, dense_stores) = run(DigestMode::Dense);
     let (merkle_hash, merkle_stores) = run(DigestMode::Merkle);
@@ -152,5 +155,54 @@ fn dense_and_merkle_modes_schedule_differently_but_converge_identically() {
     assert_eq!(dense_stores, merkle_stores);
     for stamps in &merkle_stores {
         assert!(stamps.iter().all(|&s| s > 0), "fully reconciled");
+    }
+}
+
+#[test]
+fn recovery_records_are_shard_count_invariant_under_e17_churn() {
+    // The E17 scenario (log-normal latency, spread links, 1%/tick crashes,
+    // 25%/tick rejoins, drifting signal) observed tick by tick: the tracker
+    // reads the driver's rejoin log, liveness and stores from outside, so
+    // its records — which node, when, how many ticks — must not depend on
+    // how the node space is sharded.
+    let n = 96;
+    let run = |shards: usize| {
+        let engine = AsyncConfig::new(
+            SimConfig::new(n)
+                .with_seed(42)
+                .with_loss_prob(0.02)
+                .with_value_range(10_000.0),
+        )
+        .with_latency(LatencyModel::LogNormal {
+            median_us: 800.0,
+            sigma: 0.6,
+        })
+        .with_link_spread(0.2)
+        .with_churn(ChurnModel::per_round(0.01, 0.25).with_min_alive(n / 2));
+        let ae = AeConfig::default()
+            .with_signal(SignalModel::uniform(0.0, 10_000.0).with_drift_per_s(1_000.0));
+        let mut driver = ae_driver(engine, ae, shards);
+        let mut tracker = RecoveryTracker::new(0.01, ae.expiry_us);
+        for k in 1..=100 {
+            driver.run_until(k * ae.tick_us);
+            tracker.observe(&driver);
+        }
+        (tracker.finish(), driver.order_hash())
+    };
+    let counts = shard_counts();
+    let reference = run(counts[0]);
+    assert!(
+        reference
+            .0
+            .iter()
+            .any(|r| matches!(r.outcome, RecoveryOutcome::Recovered { .. })),
+        "the scenario must produce measured recoveries"
+    );
+    for &shards in &counts[1..] {
+        assert_eq!(
+            reference,
+            run(shards),
+            "recovery records diverged at {shards} shards"
+        );
     }
 }

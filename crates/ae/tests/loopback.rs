@@ -4,7 +4,7 @@
 //! reconciliation, max-stamp merge, freshness windows — hosted by
 //! `gossip-node` over 127.0.0.1 datagrams. With a static (drift-free)
 //! signal, full reconciliation gives every replica the identical store
-//! *values*, so the estimate must agree with the `EventDriver` run of the
+//! *values*, so the estimate must agree with the `ShardedDriver` run of the
 //! identical configuration bit for bit (stamps differ — real clocks —
 //! but values and therefore means do not). Skips gracefully where
 //! loopback binds are forbidden.
@@ -49,12 +49,20 @@ fn anti_entropy_reconciles_over_real_udp_and_matches_the_simulator() {
     let mut driver = ae_driver(
         AsyncConfig::new(sim.clone()).with_latency(LatencyModel::Constant(400)),
         ae,
+        1,
     );
     driver.run_until(200_000);
-    for (i, h) in driver.handlers().iter().enumerate() {
-        assert_eq!(h.store().known(), n, "simulated node {i} not reconciled");
+    for (node, h) in driver.iter_handlers() {
+        assert_eq!(
+            h.store().known(),
+            n,
+            "simulated node {node:?} not reconciled"
+        );
     }
-    let sim_estimate = driver.handlers()[0].estimate(driver.now_us()).unwrap();
+    let sim_estimate = driver
+        .handler(NodeId::new(0))
+        .estimate(driver.now_us())
+        .unwrap();
 
     // The same AeNode over real sockets.
     let id_bits = sim.id_bits();

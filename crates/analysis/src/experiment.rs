@@ -3,12 +3,13 @@
 //! Every experiment in the harness has the same shape: sweep the network
 //! size `n` over a range, run `trials` independent simulations per size
 //! (different seeds), measure one or more scalar quantities per run, and
-//! summarise. [`Sweep`] drives that loop, parallelising the independent
-//! trials with Rayon, and [`SweepResult`] holds the per-size summaries ready
+//! summarise. [`Sweep`] drives that loop, fanning the independent trials
+//! out over [`SweepRunner`] (so the output does not depend on the worker
+//! count), and [`SweepResult`] holds the per-size summaries ready
 //! for fitting ([`crate::fit`]) and rendering ([`crate::table`]).
 
 use crate::stats::Summary;
-use rayon::prelude::*;
+use gossip_runtime::SweepRunner;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -60,13 +61,13 @@ impl Sweep {
     where
         F: Fn(usize, u64) -> Observation + Sync,
     {
+        let runner = SweepRunner::new();
         let mut points = Vec::with_capacity(self.sizes.len());
         for (i, &n) in self.sizes.iter().enumerate() {
             let seeds: Vec<u64> = (0..self.trials)
                 .map(|t| self.base_seed + 1000 * i as u64 + t)
                 .collect();
-            let observations: Vec<Observation> =
-                seeds.par_iter().map(|&seed| run_trial(n, seed)).collect();
+            let observations = runner.run(&seeds, |&seed| run_trial(n, seed));
             let mut by_metric: BTreeMap<String, Vec<f64>> = BTreeMap::new();
             for obs in observations {
                 for (name, value) in obs {

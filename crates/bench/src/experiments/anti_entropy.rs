@@ -29,7 +29,7 @@ use gossip_ae::{
     ae_driver, AeConfig, RecoveryOutcome, RecoveryTracker, SignalModel, RECOVERY_BOUND_TICKS,
 };
 use gossip_analysis::{fmt_mean_or_dash, Summary, Table};
-use gossip_net::{SimConfig, Transport};
+use gossip_net::SimConfig;
 use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, SweepRunner};
 
 /// Per-tick crash rates swept by the experiment (rejoin rate is fixed).
@@ -67,7 +67,8 @@ fn one_trial(n: usize, seed: u64, crash_rate: f64, ticks: u64) -> TrialOutcome {
     })
     .with_link_spread(0.2)
     .with_churn(ChurnModel::per_round(crash_rate, REJOIN_RATE).with_min_alive(n / 2));
-    let mut driver = ae_driver(engine, ae);
+    // One shard per trial: the sweep already fans trials out over the cores.
+    let mut driver = ae_driver(engine, ae, 1);
     let mut tracker = RecoveryTracker::new(RECOVERY_BAND, ae.expiry_us);
 
     // The first quarter of the run is boot transient (stores still filling
@@ -82,7 +83,7 @@ fn one_trial(n: usize, seed: u64, crash_rate: f64, ticks: u64) -> TrialOutcome {
             continue;
         }
         let now = driver.now_us();
-        let alive: Vec<_> = driver.engine().alive_nodes().collect();
+        let alive: Vec<_> = driver.alive_nodes().collect();
         let truth = ae
             .signal
             .true_mean(alive.iter().copied(), now)
@@ -138,7 +139,7 @@ fn one_trial(n: usize, seed: u64, crash_rate: f64, ticks: u64) -> TrialOutcome {
             recovery.mean
         },
         max_recovery_ticks: recovery_ticks.iter().copied().fold(f64::NAN, f64::max),
-        msgs_per_node_tick: driver.engine().metrics().total_messages() as f64
+        msgs_per_node_tick: driver.net_metrics().total_messages() as f64
             / (n as f64 * ticks as f64),
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! * `sync` — the synchronous `Network`, whose closest analogue is folding
 //!   the whole churn budget into start-time crashes;
-//! * `async` — the discrete-event `AsyncEngine`, where crashes interleave
-//!   with message deliveries in virtual time.
+//! * `async` — the discrete-event `ShardedTransport`, where crashes
+//!   interleave with message deliveries in virtual time.
 //!
 //! Reported per configuration: the informed fraction (alive nodes holding a
 //! finite estimate), the stale fraction (alive-but-uninformed rejoiners —
@@ -23,7 +23,7 @@ use gossip_analysis::{fmt_mean_or_dash, Table};
 use gossip_baselines::{push_sum_average, PushSumConfig};
 use gossip_drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use gossip_net::{Network, SimConfig, Transport};
-use gossip_runtime::{AsyncConfig, AsyncEngine, ChurnModel, LatencyModel, SweepRunner};
+use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedTransport, SweepRunner};
 
 /// Per-round crash rates swept by the experiment (rejoin rate is 10×).
 const CHURN_RATES: [f64; 4] = [0.0, 0.005, 0.01, 0.02];
@@ -198,7 +198,9 @@ fn one_trial(backend: &str, protocol: &str, n: usize, seed: u64, crash_rate: f64
             }
         }
         "async" => {
-            let mut engine = AsyncEngine::new(async_config(n, seed, crash_rate));
+            // One shard per trial: the sweep already fans trials out over
+            // the cores.
+            let mut engine = ShardedTransport::new(async_config(n, seed, crash_rate), 1);
             let (informed_fraction, stale_fraction, consensus, rounds, messages) =
                 run_protocol(&mut engine, protocol, &vals);
             TrialOutcome {

@@ -38,7 +38,7 @@ use gossip_ae::{
     RecoveryOutcome, RecoveryTracker, Store, RECOVERY_BOUND_TICKS,
 };
 use gossip_analysis::{fmt_mean_or_dash, Table};
-use gossip_net::{NodeId, SimConfig, Transport, MAX_PAYLOAD_BYTES};
+use gossip_net::{NodeId, SimConfig, MAX_PAYLOAD_BYTES};
 use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, SweepRunner};
 
 /// Store arities for the in-vitro per-exchange measurement.
@@ -188,7 +188,8 @@ fn population_trial(n: usize, mode: DigestMode, seed: u64, ticks: u64) -> TrialO
     })
     .with_link_spread(0.2)
     .with_churn(ChurnModel::per_round(POPULATION_CRASH_RATE, 0.25).with_min_alive(n / 2));
-    let mut driver = ae_driver(engine, ae);
+    // One shard per trial: the sweep already fans trials out over the cores.
+    let mut driver = ae_driver(engine, ae, 1);
     let mut tracker = RecoveryTracker::new(0.01, ae.expiry_us);
 
     // Warmup: initial reconciliation from empty stores is a bulk
@@ -199,10 +200,10 @@ fn population_trial(n: usize, mode: DigestMode, seed: u64, ticks: u64) -> TrialO
         driver.run_until(k * ae.tick_us);
         tracker.observe(&driver);
         if k == warmup {
-            steady_bits_base = driver.engine().metrics().total_bits();
+            steady_bits_base = driver.net_metrics().total_bits();
         }
     }
-    let steady_bits = driver.engine().metrics().total_bits() - steady_bits_base;
+    let steady_bits = driver.net_metrics().total_bits() - steady_bits_base;
     let steady_ticks = (ticks - warmup) as f64;
 
     let records = tracker.finish();
@@ -228,8 +229,7 @@ fn population_trial(n: usize, mode: DigestMode, seed: u64, ticks: u64) -> TrialO
 
     TrialOutcome {
         steady_bytes_node_tick: steady_bits as f64 / 8.0 / (n as f64 * steady_ticks),
-        msgs_node_tick: driver.engine().metrics().total_messages() as f64
-            / (n as f64 * ticks as f64),
+        msgs_node_tick: driver.net_metrics().total_messages() as f64 / (n as f64 * ticks as f64),
         rejoins: records.len() as f64,
         recovered_fraction: if measurable == 0 {
             f64::NAN

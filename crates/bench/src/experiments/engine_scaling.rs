@@ -1,62 +1,38 @@
-//! E18 — Event-engine scaling: the sharded driver vs the single-queue
-//! driver at n up to 10⁷, and the round-barrier facade under the full
-//! DRR-gossip chain.
+//! E18 — Event-engine scaling: the sharded driver at n up to 10⁷, and the
+//! round-barrier facade under the full DRR-gossip chain.
 //!
-//! The one-queue [`EventDriver`] keeps all O(n) node state, one global
-//! binary heap and a payload side-table behind a single thread — the
-//! architecture, not the protocol, is what caps experiment sizes. The
-//! [`ShardedDriver`] partitions the node space into per-shard calendar
+//! The [`ShardedDriver`] partitions the node space into per-shard calendar
 //! queues and payload arenas with struct-of-arrays node state and
 //! per-node RNG streams (see `gossip_runtime::shard`). This experiment
-//! measures what that buys, as raw event throughput and as peak memory:
-//! the same interval-gossip workload ([`MaxGossipHandler`], one push per
-//! node per tick) under mid-run churn on
-//!
-//! * `serial` — the one-queue `EventDriver` (the baseline column,
-//!   skipped at n = 10⁷ where a single heap stops being a sensible
-//!   comparison point), and
-//! * `shard=S` — the sharded driver at S ∈ {1, 2, 8},
-//!
-//! reporting dispatched events, wall-clock time, events/second, speedup
-//! over serial, peak RSS and the dispatch-order hash. The hash column is
-//! an *assertion*, not decoration: the run aborts if any shard count
-//! disagrees at any n — the determinism contract checked at scale.
+//! measures it as raw event throughput and as peak memory: an
+//! interval-gossip workload ([`MaxGossipHandler`], one push per node per
+//! tick) under mid-run churn at S ∈ {1, 2, 8} shards, reporting
+//! dispatched events, wall-clock time, events/second, peak RSS and the
+//! dispatch-order hash. The hash column is an *assertion*, not
+//! decoration: the run aborts if any shard count disagrees at any n — the
+//! determinism contract checked at scale.
 //!
 //! A second table runs the paper's full Algorithm 7 chain
 //! (`drr_gossip_max`: DRR → convergecast → broadcast → gossip → spread)
-//! on [`AsyncEngine`] and on [`ShardedTransport`] — the round-barrier
-//! facade over the sharded core — and asserts the two runs are
-//! bit-identical (estimates, rounds, messages, liveness) while reporting
-//! what the facade costs in wall-clock and memory.
-//!
-//! The two interval-gossip execution models consume different RNG streams
-//! (global vs per-node), so their event *counts* differ slightly; the
-//! throughput comparison is still apples-to-apples because both dispatch
-//! the same protocol at the same tick rate over the same horizon.
+//! on [`ShardedTransport`] — the round-barrier facade over the same core
+//! — and asserts the runs are bit-identical across shard counts
+//! (estimates, rounds, messages, liveness) while reporting what the chain
+//! costs in wall-clock and memory.
 
 use super::ExperimentOptions;
 use gossip_analysis::{fmt_float, Table};
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use gossip_drr::protocol::{drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use gossip_net::{NodeId, SimConfig};
-use gossip_runtime::{
-    AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel, ShardedDriver,
-    ShardedTransport,
-};
+use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedDriver, ShardedTransport};
 use std::time::Instant;
 
-/// Shard counts swept against the serial baseline.
+/// Shard counts swept.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Virtual horizon of one run (µs): 10 push intervals — enough ticks that
 /// steady-state dispatch dominates setup.
 const HORIZON_US: u64 = 10_000;
-
-/// Above this size the serial baseline is skipped: a 10⁷-entry binary
-/// heap with a HashMap payload side-table is exactly the architecture
-/// the sharded engine exists to replace, and one row of it would
-/// dominate the experiment's wall-clock.
-const SERIAL_MAX_N: usize = 1_000_000;
 
 fn engine_config(n: usize, seed: u64) -> AsyncConfig {
     AsyncConfig::new(
@@ -120,31 +96,6 @@ impl Measurement {
     }
 }
 
-fn run_serial(n: usize, seed: u64) -> Measurement {
-    reset_peak_rss();
-    let hc = handler_config(n);
-    let mut driver = EventDriver::new(AsyncEngine::new(engine_config(n, seed)), move |me| {
-        MaxGossipHandler::new(me, own_value(me), hc)
-    });
-    let started = Instant::now();
-    driver.run_until(HORIZON_US);
-    let wall_s = started.elapsed().as_secs_f64();
-    // Same formula as ShardedDriver::events_dispatched, so the two
-    // backends' "events" columns compare like for like under churn.
-    let m = driver.metrics();
-    let crashes = driver.engine().async_metrics().churn_crashes;
-    Measurement {
-        events: m.messages_dispatched
-            + m.timer_fires
-            + m.stale_timer_skips
-            + m.dead_receiver_drops
-            + crashes,
-        wall_s,
-        peak_rss_mib: peak_rss_mib(),
-        order_hash: m.order_hash,
-    }
-}
-
 fn run_sharded(n: usize, seed: u64, shards: usize) -> Measurement {
     reset_peak_rss();
     let hc = handler_config(n);
@@ -178,19 +129,6 @@ fn chain_fingerprint(report: &DrrGossipReport) -> (Vec<u64>, u64, u64, Vec<bool>
         report.total_messages,
         report.alive.clone(),
     )
-}
-
-fn run_chain_engine(n: usize, seed: u64) -> ChainRun {
-    reset_peak_rss();
-    let vals: Vec<f64> = (0..n).map(|i| own_value(NodeId::new(i))).collect();
-    let mut engine = AsyncEngine::new(engine_config(n, seed));
-    let started = Instant::now();
-    let report = drr_gossip_max(&mut engine, &vals, &DrrGossipConfig::paper());
-    ChainRun {
-        report,
-        wall_s: started.elapsed().as_secs_f64(),
-        peak_rss_mib: peak_rss_mib(),
-    }
 }
 
 fn run_chain_facade(n: usize, seed: u64, shards: usize) -> ChainRun {
@@ -238,25 +176,11 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
             "events",
             "wall ms",
             "events/s",
-            "speedup",
             "peak rss MiB",
             "order hash",
         ],
     );
     for &n in &sizes {
-        let serial = (n <= SERIAL_MAX_N).then(|| run_serial(n, seed));
-        if let Some(serial) = &serial {
-            table.push_row(vec![
-                n.to_string(),
-                "serial".to_string(),
-                serial.events.to_string(),
-                fmt_float(serial.wall_s * 1_000.0),
-                fmt_float(serial.events_per_sec()),
-                "1".to_string(),
-                rss_cell(serial.peak_rss_mib),
-                format!("{:016x}", serial.order_hash),
-            ]);
-        }
         let mut sharded_hash: Option<u64> = None;
         for &shards in &SHARD_COUNTS {
             let sharded = run_sharded(n, seed, shards);
@@ -273,24 +197,18 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
                 sharded.events.to_string(),
                 fmt_float(sharded.wall_s * 1_000.0),
                 fmt_float(sharded.events_per_sec()),
-                serial
-                    .as_ref()
-                    .map(|s| fmt_float(s.wall_s / sharded.wall_s.max(1e-9)))
-                    .unwrap_or_else(|| "—".to_string()),
                 rss_cell(sharded.peak_rss_mib),
                 format!("{:016x}", sharded.order_hash),
             ]);
         }
     }
     table.push_note(
-        "serial = the one-queue EventDriver (global heap + payload side-table), skipped beyond \
-         n = 10⁶; shard=S = the sharded driver (per-shard calendar queues + payload arenas, \
+        "shard=S = the sharded driver (per-shard calendar queues + payload arenas, \
          struct-of-arrays node state, per-node RNG streams, batched cross-shard exchange)",
     );
     table.push_note(
-        "speedup = serial wall-clock / sharded wall-clock at the same n; identical workload \
-         (uniform gossip-max, 10 ticks, ~0.2% churn/round), deterministic per seed — only \
-         wall-clock and RSS are noisy",
+        "identical workload at every S (uniform gossip-max, 10 ticks, ~0.2% churn/round), \
+         deterministic per seed — only wall-clock and RSS are noisy",
     );
     table.push_note(
         "order hash fingerprints the entire dispatch schedule; equality across the shard=S rows \
@@ -298,16 +216,14 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
     );
 
     // Table 2: the full Algorithm 7 chain on the round-barrier facade,
-    // bit-identical to the engine by assertion.
+    // bit-identical across shard counts by assertion.
     let chain_sizes: Vec<usize> = if options.quick {
         vec![100_000]
     } else {
         vec![100_000, 1_000_000]
     };
     let mut chain = Table::new(
-        "E18b — full DRR-gossip chain (Algorithm 7) on the round-barrier facade vs the \
-         event-queue engine"
-            .to_string(),
+        "E18b — full DRR-gossip chain (Algorithm 7) on the round-barrier facade".to_string(),
         &[
             "n",
             "backend",
@@ -319,22 +235,24 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
         ],
     );
     for &n in &chain_sizes {
-        let engine = run_chain_engine(n, seed);
-        chain.push_row(chain_row(n, "engine", &engine));
+        let mut reference = None;
         for shards in [1usize, 8] {
             let facade = run_chain_facade(n, seed, shards);
-            assert_eq!(
-                chain_fingerprint(&engine.report),
-                chain_fingerprint(&facade.report),
-                "facade at {shards} shard(s) diverged from the engine at n = {n}"
-            );
+            let fingerprint = chain_fingerprint(&facade.report);
+            match &reference {
+                Some(first) => assert_eq!(
+                    first, &fingerprint,
+                    "facade at {shards} shard(s) diverged at n = {n}"
+                ),
+                None => reference = Some(fingerprint),
+            }
             chain.push_row(chain_row(n, &format!("facade={shards}"), &facade));
         }
     }
     chain.push_note(
-        "engine = AsyncEngine (one binary heap); facade=S = ShardedTransport (round-barrier \
-         facade over S calendar-queue shards); estimates, rounds, messages and liveness are \
-         asserted bit-identical between all rows of one n",
+        "facade=S = ShardedTransport (round-barrier facade over S calendar-queue shards); \
+         estimates, rounds, messages and liveness are asserted bit-identical between all rows \
+         of one n",
     );
     chain.push_note(
         "exact = fraction of alive nodes holding the true maximum when the chain ends; the same \
@@ -353,10 +271,8 @@ mod tests {
     fn produces_the_full_grid() {
         // The smallest meaningful instance: table shape and sane cells, not
         // timing claims (wall-clock asserts would flake on loaded CI).
-        let serial = run_serial(2_000, 7);
-        assert!(serial.events > 2_000 * 9, "10 ticks dispatch ≥ 9 per node");
         let sharded = run_sharded(2_000, 7, 4);
-        assert!(sharded.events > 2_000 * 9);
+        assert!(sharded.events > 2_000 * 9, "10 ticks dispatch ≥ 9 per node");
         assert!(sharded.events_per_sec() > 0.0);
         assert_eq!(
             sharded.order_hash,
@@ -378,39 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn drr_chain_is_bit_identical_on_the_facade() {
-        let engine = run_chain_engine(3_000, 0xE18B);
-        for shards in [1usize, 4] {
-            let facade = run_chain_facade(3_000, 0xE18B, shards);
-            assert_eq!(
-                chain_fingerprint(&engine.report),
-                chain_fingerprint(&facade.report),
-                "facade at {shards} shard(s) diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_throughput_beats_the_serial_baseline() {
-        // The headline claim at a CI-friendly size: the sharded engine
-        // dispatches the same workload faster than the one-queue driver
-        // (the full-mode table pins ≥ 3× at n ≥ 10⁵). Wall-clock
-        // comparisons only mean something in an optimized build on a
-        // quiet core, so in debug builds this runs both backends as a
-        // smoke test and skips the timing assertion — a noisy CI
-        // neighbour must not be able to turn the suite red.
-        let n = 20_000;
-        let serial = (0..2)
-            .map(|_| run_serial(n, 7).wall_s)
-            .fold(f64::MAX, f64::min);
-        let sharded = (0..2)
-            .map(|_| run_sharded(n, 7, 8).wall_s)
-            .fold(f64::MAX, f64::min);
-        if !cfg!(debug_assertions) {
-            assert!(
-                sharded < serial,
-                "sharded ({sharded:.4}s) should beat serial ({serial:.4}s)"
-            );
-        }
+    fn drr_chain_is_bit_identical_across_shard_counts() {
+        let one = run_chain_facade(3_000, 0xE18B, 1);
+        let four = run_chain_facade(3_000, 0xE18B, 4);
+        assert_eq!(
+            chain_fingerprint(&one.report),
+            chain_fingerprint(&four.report),
+            "facade at 4 shards diverged from 1 shard"
+        );
     }
 }

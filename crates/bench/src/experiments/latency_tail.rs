@@ -2,7 +2,7 @@
 //!
 //! Round counts are the paper's time metric, but in a deployment a round is
 //! only as fast as its slowest message. This experiment runs DRR-gossip-max
-//! on the [`AsyncEngine`] with three latency models of **equal median** —
+//! on [`ShardedTransport`] with three latency models of **equal median** —
 //! constant, uniform and log-normal with increasing σ — and measures what
 //! the round-barrier actually costs in virtual time:
 //!
@@ -19,7 +19,7 @@ use super::ExperimentOptions;
 use gossip_analysis::{fmt_float, fmt_mean_or_dash, Summary, Table};
 use gossip_drr::protocol::{drr_gossip_max, DrrGossipConfig};
 use gossip_net::SimConfig;
-use gossip_runtime::{AsyncConfig, AsyncEngine, LatencyModel, RoundPolicy, SweepRunner};
+use gossip_runtime::{AsyncConfig, LatencyModel, RoundPolicy, ShardedTransport, SweepRunner};
 
 const MEDIAN_US: f64 = 1_000.0;
 
@@ -76,7 +76,8 @@ fn one_trial(n: usize, seed: u64, latency: LatencyModel, policy: RoundPolicy) ->
     .with_latency(latency)
     .with_link_spread(0.2)
     .with_round_policy(policy);
-    let mut engine = AsyncEngine::new(config);
+    // One shard per trial: the sweep already fans trials out over the cores.
+    let mut engine = ShardedTransport::new(config, 1);
     let report = drr_gossip_max(&mut engine, &vals, &DrrGossipConfig::paper());
     let am = engine.async_metrics();
     let sent = engine.now_us();

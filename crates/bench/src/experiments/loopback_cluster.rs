@@ -3,7 +3,7 @@
 //! The same protocol configuration — event-driven uniform gossip-max, one
 //! push per node per millisecond — run two ways:
 //!
-//! * **sim** — `EventDriver` over the discrete-event engine with a
+//! * **sim** — `ShardedDriver` (one shard) over the discrete-event engine with a
 //!   loopback-shaped latency model (constant 100 µs, no loss), reporting
 //!   *virtual* time to convergence and the modelled message/byte totals;
 //! * **real** — `gossip-node`'s `LoopbackCluster`: n UDP sockets on
@@ -26,8 +26,8 @@
 use super::ExperimentOptions;
 use gossip_analysis::{fmt_float, Table};
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
-use gossip_net::{SimConfig, Transport};
-use gossip_runtime::{AsyncConfig, AsyncEngine, EventDriver, LatencyModel};
+use gossip_net::SimConfig;
+use gossip_runtime::{AsyncConfig, LatencyModel, ShardedDriver};
 use std::time::Duration;
 
 /// One push interval (µs): real milliseconds on the wire, virtual
@@ -63,22 +63,24 @@ fn run_sim(n: usize, seed: u64) -> Outcome {
     let vals = values(n);
     let exact = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let config = handler_config(n);
-    let mut driver = EventDriver::new(
-        AsyncEngine::new(
-            AsyncConfig::new(SimConfig::new(n).with_seed(seed))
-                .with_latency(LatencyModel::Constant(100)),
-        ),
+    let mut driver = ShardedDriver::new(
+        AsyncConfig::new(SimConfig::new(n).with_seed(seed))
+            .with_latency(LatencyModel::Constant(100)),
+        1,
         move |me| MaxGossipHandler::new(me, vals[me.index()], config),
     );
     let mut converge_us = None;
     while driver.now_us() < HORIZON_US {
         driver.run_for(SIM_POLL_US);
-        if driver.handlers().iter().all(|h| h.current_max() == exact) {
+        if driver
+            .iter_handlers()
+            .all(|(_, h)| h.current_max() == exact)
+        {
             converge_us = Some(driver.now_us());
             break;
         }
     }
-    let metrics = driver.engine().metrics();
+    let metrics = driver.net_metrics();
     Outcome {
         converge_us,
         messages: metrics.total_messages(),
@@ -144,7 +146,7 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
         }
     }
     table.push_note(
-        "sim = EventDriver, constant 100 µs latency, virtual ms + modelled bytes \
+        "sim = ShardedDriver, constant 100 µs latency, virtual ms + modelled bytes \
          (id_bits + value_bits per push); real = gossip-node LoopbackCluster over 127.0.0.1 \
          UDP, wall-clock ms + actual frame bytes (12-byte header + 8-byte payload per push)",
     );

@@ -9,7 +9,7 @@
 //! (false positives, driven by message loss racing the indirect-probe
 //! leg). This experiment measures both:
 //!
-//! * **sim rows** — `EventDriver` over the discrete-event engine with a
+//! * **sim rows** — `ShardedDriver` over the discrete-event engine with a
 //!   crash-only churn schedule; crashes and Declared-Dead transitions
 //!   are read from the passive trace ring, so the measurement itself
 //!   moves nothing. Loss is a model parameter, so the false-positive
@@ -30,7 +30,7 @@ use gossip_analysis::{fmt_float, Table};
 use gossip_member::{Liveness, Member, MemberConfig};
 use gossip_net::{Handler, Mailbox, NodeId, SimConfig, TimerId};
 use gossip_obs::{TraceKind, TraceReason};
-use gossip_runtime::{AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel};
+use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedDriver};
 use std::time::{Duration, Instant};
 
 /// Probe periods simulated per configuration.
@@ -79,7 +79,10 @@ fn run_sim(n: usize, probe_us: u64, loss: f64, seed: u64) -> Outcome {
         .with_latency(LatencyModel::Constant(300))
         .with_churn(ChurnModel::per_round(crash_prob, 0.0).with_min_alive(n * 3 / 4));
     let member_config = detector_config(probe_us);
-    let mut driver = EventDriver::new(AsyncEngine::new(config), move |_me| {
+    // One shard: the ring then holds events in dispatch order, which the
+    // fold below relies on (a Crash is seen before the Declared-Dead notes
+    // it causes).
+    let mut driver = ShardedDriver::new(config, 1, move |_me| {
         Member::new(member_config.clone(), Idle)
     })
     .with_window_us(probe_us)
@@ -131,7 +134,7 @@ fn run_sim(n: usize, probe_us: u64, loss: f64, seed: u64) -> Outcome {
     }
     let mut false_suspicions = 0;
     let mut suspicions = 0;
-    for h in driver.handlers() {
+    for (_, h) in driver.iter_handlers() {
         false_suspicions += h.stats().false_suspicions;
         suspicions += h.stats().suspicions_local;
     }
@@ -285,7 +288,7 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
         }
     }
     table.push_note(
-        "sim = EventDriver + crash-only churn at probe-period boundaries; detection read \
+        "sim = ShardedDriver + crash-only churn at probe-period boundaries; detection read \
          from the passive trace ring (Crash event → first Declared-Dead note); real = \
          gossip-node LoopbackCluster, one member killed by never polling it again, \
          wall-clock detection until every survivor holds a Dead record",

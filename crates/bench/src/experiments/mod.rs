@@ -153,8 +153,8 @@ pub const EXPERIMENTS: &[ExperimentEntry] = &[
     ),
     (
         "engine_scaling",
-        "E18: sharded event engine vs the one-queue driver — events/sec, peak RSS and \
-         wall-clock vs n (up to 10^7) and shard count, plus the DRR chain on the facade",
+        "E18: sharded event engine — events/sec, peak RSS and wall-clock vs n (up to 10^7) \
+         and shard count, plus the DRR chain on the round-barrier facade",
         engine_scaling::run,
     ),
     (

@@ -8,7 +8,7 @@
 //! event-driven model — the per-round barrier becomes a per-node interval
 //! timer, the push becomes a timer callback — which makes it the adapter
 //! showing how the existing round protocols port onto the [`Handler`] API
-//! hosted by `gossip_runtime::EventDriver`. The aggregate computed is
+//! hosted by `gossip_runtime::ShardedDriver`. The aggregate computed is
 //! identical (both drive toward `max_i v_i`); what changes is purely the
 //! execution model: no barrier, nodes tick out of phase, churned-and-
 //! rejoined nodes re-enter cleanly via `on_start` (they rejoin knowing
@@ -123,14 +123,14 @@ impl Handler for MaxGossipHandler {
 mod tests {
     use super::*;
     use crate::protocol::{drr_gossip_max, DrrGossipConfig};
-    use gossip_net::{Network, SimConfig, Transport};
-    use gossip_runtime::{AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel};
+    use gossip_net::{Network, SimConfig};
+    use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedDriver};
 
     fn values(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 37) % 1009) as f64).collect()
     }
 
-    fn driver(n: usize, seed: u64, churn: ChurnModel) -> EventDriver<MaxGossipHandler> {
+    fn driver(n: usize, seed: u64, churn: ChurnModel) -> ShardedDriver<MaxGossipHandler> {
         let sim = SimConfig::new(n).with_seed(seed).with_loss_prob(0.05);
         let config = AsyncConfig::new(sim.clone())
             .with_latency(LatencyModel::Uniform {
@@ -143,7 +143,7 @@ mod tests {
             bits: sim.id_bits() + sim.value_bits(),
             ..MaxGossipConfig::default()
         };
-        EventDriver::new(AsyncEngine::new(config), move |me| {
+        ShardedDriver::new(config, 1, move |me| {
             MaxGossipHandler::new(me, vals[me.index()], handler_config)
         })
     }
@@ -162,11 +162,11 @@ mod tests {
 
         let mut d = driver(n, 9, ChurnModel::none());
         d.run_until(40_000); // 40 push intervals ≫ O(log n) rounds
-        for (i, h) in d.handlers().iter().enumerate() {
+        for (node, h) in d.iter_handlers() {
             assert_eq!(
                 h.current_max(),
                 report.exact,
-                "node {i} disagrees with the round-based result"
+                "node {node:?} disagrees with the round-based result"
             );
         }
     }
@@ -180,11 +180,10 @@ mod tests {
             ChurnModel::per_round(0.01, 0.2).with_min_alive(n / 2),
         );
         d.run_until(120_000);
-        let rejoins = d.metrics().rejoin_log.len();
+        let rejoins = d.rejoin_log().len();
         assert!(rejoins > 0, "churn produced rejoins");
         let exact = values(n).into_iter().fold(f64::NEG_INFINITY, f64::max);
         let settled = d
-            .engine()
             .alive_nodes()
             .filter(|&v| d.handler(v).current_max() == exact)
             .count();
@@ -199,11 +198,9 @@ mod tests {
 
     #[test]
     fn sharded_host_converges_and_is_shard_count_invariant() {
-        // The same handler, unchanged, on the sharded execution model: it
-        // must still drive every node to the exact maximum, and the run —
-        // order hash and every node's store — must not depend on how the
-        // node space is partitioned.
-        use gossip_runtime::ShardedDriver;
+        // The handler must drive every node to the exact maximum, and the
+        // run — order hash and every node's store — must not depend on how
+        // the node space is partitioned.
         let n = 256;
         let vals = values(n);
         let exact = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -243,11 +240,10 @@ mod tests {
             let mut d = driver(128, seed, ChurnModel::per_round(0.02, 0.1));
             d.run_until(50_000);
             let maxima: Vec<u64> = d
-                .handlers()
-                .iter()
-                .map(|h| h.current_max().to_bits())
+                .iter_handlers()
+                .map(|(_, h)| h.current_max().to_bits())
                 .collect();
-            (maxima, d.metrics().order_hash)
+            (maxima, d.order_hash())
         };
         assert_eq!(fingerprint(5), fingerprint(5));
         assert_ne!(fingerprint(5), fingerprint(6));

@@ -546,7 +546,7 @@ mod tests {
 
         // End-to-end: under ongoing churn, rejoiners finish alive but
         // uninformed — the report must say `Stale`, not bury them as NaN.
-        use gossip_runtime::{AsyncConfig, AsyncEngine, ChurnModel, LatencyModel};
+        use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedTransport};
         let n = 1500;
         let values = uniform_values(n);
         let config = AsyncConfig::new(SimConfig::new(n).with_seed(23).with_loss_prob(0.05))
@@ -555,7 +555,7 @@ mod tests {
                 sigma: 0.7,
             })
             .with_churn(ChurnModel::per_round(0.01, 0.15).with_min_alive(n / 2));
-        let mut engine = AsyncEngine::new(config);
+        let mut engine = ShardedTransport::new(config, 2);
         let report = drr_gossip_max(&mut engine, &values, &DrrGossipConfig::paper());
         let stale = report
             .statuses

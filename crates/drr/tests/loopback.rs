@@ -2,7 +2,7 @@
 //! UDP sockets — and it must agree with the simulator.
 //!
 //! This is the cash-out of the `Handler`/`Mailbox` seam: the exact
-//! `MaxGossipHandler` the `EventDriver`/`ShardedDriver` tests pin is
+//! `MaxGossipHandler` the `ShardedDriver` tests pin is
 //! hosted by `gossip-node` over 127.0.0.1 datagrams, and every node must
 //! land on the same final value the simulated run of the identical
 //! configuration lands on. Skips gracefully where loopback binds are
@@ -11,9 +11,9 @@
 //! path lives in `gossip-node`'s own suite).
 
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
-use gossip_net::SimConfig;
+use gossip_net::{NodeId, SimConfig};
 use gossip_node::LoopbackCluster;
-use gossip_runtime::{AsyncConfig, AsyncEngine, EventDriver, LatencyModel};
+use gossip_runtime::{AsyncConfig, LatencyModel, ShardedDriver};
 use std::time::Duration;
 
 fn sockets_available() -> bool {
@@ -47,14 +47,19 @@ fn max_gossip_converges_over_real_udp_and_matches_the_simulator() {
 
     // The simulator's verdict for this configuration.
     let vals_for_driver = vals.clone();
-    let mut driver = EventDriver::new(
-        AsyncEngine::new(AsyncConfig::new(sim).with_latency(LatencyModel::Constant(300))),
+    let mut driver = ShardedDriver::new(
+        AsyncConfig::new(sim).with_latency(LatencyModel::Constant(300)),
+        1,
         move |me| MaxGossipHandler::new(me, vals_for_driver[me.index()], config),
     );
     driver.run_until(40_000);
-    let sim_max = driver.handlers()[0].current_max();
-    for (i, h) in driver.handlers().iter().enumerate() {
-        assert_eq!(h.current_max(), sim_max, "simulated node {i} not settled");
+    let sim_max = driver.handler(NodeId::new(0)).current_max();
+    for (node, h) in driver.iter_handlers() {
+        assert_eq!(
+            h.current_max(),
+            sim_max,
+            "simulated node {node:?} not settled"
+        );
     }
 
     // The identical handler configuration over real sockets.

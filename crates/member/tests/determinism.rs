@@ -13,9 +13,7 @@
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use gossip_member::{Member, MemberConfig, MemberStats};
 use gossip_net::{NodeId, SimConfig};
-use gossip_runtime::{
-    AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel, ShardedDriver,
-};
+use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedDriver};
 
 /// Shard counts exercised by the sharded tests (the same ladder the
 /// runtime suite reads; CI pins it via `GOSSIP_TEST_SHARDS`).
@@ -154,36 +152,6 @@ fn membership_keeps_the_order_hash_invariant_across_shard_counts() {
 }
 
 #[test]
-fn membership_runs_reproduce_on_the_one_queue_driver() {
-    // Same property on the EventDriver: a wrapped run is a pure function
-    // of the seed.
-    let n = 32;
-    let run = |seed: u64| {
-        let vals = values(n);
-        let handler_config = max_config(n);
-        let member_config = fast_member();
-        let config = AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(0.1))
-            .with_latency(LatencyModel::Uniform {
-                lo_us: 300,
-                hi_us: 2_000,
-            })
-            .with_churn(ChurnModel::per_round(0.01, 0.1).with_min_alive(n / 2));
-        let mut driver = EventDriver::new(AsyncEngine::new(config), move |me| {
-            Member::new(
-                member_config.clone(),
-                MaxGossipHandler::new(me, vals[me.index()], handler_config),
-            )
-        });
-        driver.run_until(100_000);
-        let states: Vec<NodeFingerprint> = driver.handlers().iter().map(node_fingerprint).collect();
-        (driver.metrics().order_hash, states)
-    };
-    let a = run(0xF17E);
-    assert_eq!(a, run(0xF17E));
-    assert_ne!(a.0, run(0xF17F).0);
-}
-
-#[test]
 fn a_cluster_discovers_itself_from_one_seed_and_the_aggregate_converges() {
     // Join-via-seed bootstrap in the simulator: only node 0 is known at
     // boot, everything else is discovered through Join/JoinAck and
@@ -196,11 +164,10 @@ fn a_cluster_discovers_itself_from_one_seed_and_the_aggregate_converges() {
     let member_config =
         MemberConfig::with_seeds(vec![NodeId::new(0)]).with_probe_interval_us(5_000);
     let vals_for_driver = vals.clone();
-    let mut driver = EventDriver::new(
-        AsyncEngine::new(
-            AsyncConfig::new(SimConfig::new(n).with_seed(0x1019))
-                .with_latency(LatencyModel::Constant(300)),
-        ),
+    let mut driver = ShardedDriver::new(
+        AsyncConfig::new(SimConfig::new(n).with_seed(0x1019))
+            .with_latency(LatencyModel::Constant(300)),
+        1,
         move |me| {
             Member::new(
                 member_config.clone(),
@@ -209,15 +176,15 @@ fn a_cluster_discovers_itself_from_one_seed_and_the_aggregate_converges() {
         },
     );
     driver.run_until(200_000);
-    for (i, h) in driver.handlers().iter().enumerate() {
-        assert!(h.is_joined(), "node {i} never completed the join handshake");
+    for (i, h) in driver.iter_handlers() {
+        assert!(h.is_joined(), "{i:?} never completed the join handshake");
         assert_eq!(
             h.live_view().len(),
             n - 1,
-            "node {i} discovered only {:?}",
+            "{i:?} discovered only {:?}",
             h.live_view()
         );
-        assert_eq!(h.inner().current_max(), exact, "node {i} not converged");
+        assert_eq!(h.inner().current_max(), exact, "{i:?} not converged");
     }
 }
 
@@ -230,11 +197,10 @@ fn a_loss_free_run_raises_zero_false_suspicions() {
     let vals = values(n);
     let handler_config = max_config(n);
     let member_config = fast_member();
-    let mut driver = EventDriver::new(
-        AsyncEngine::new(
-            AsyncConfig::new(SimConfig::new(n).with_seed(0xC1EA))
-                .with_latency(LatencyModel::Constant(300)),
-        ),
+    let mut driver = ShardedDriver::new(
+        AsyncConfig::new(SimConfig::new(n).with_seed(0xC1EA))
+            .with_latency(LatencyModel::Constant(300)),
+        1,
         move |me| {
             Member::new(
                 member_config.clone(),
@@ -243,12 +209,12 @@ fn a_loss_free_run_raises_zero_false_suspicions() {
         },
     );
     driver.run_until(150_000);
-    for (i, h) in driver.handlers().iter().enumerate() {
+    for (i, h) in driver.iter_handlers() {
         let s = h.stats();
-        assert_eq!(s.suspicions_local, 0, "node {i} suspected someone");
-        assert_eq!(s.false_suspicions, 0, "node {i} saw a false suspicion");
-        assert!(s.probes_sent > 0, "node {i} never probed");
-        assert!(s.acks_rx > 0, "node {i} never completed a probe");
-        assert_eq!(h.view_counts().1, 0, "node {i} still holds a Suspect");
+        assert_eq!(s.suspicions_local, 0, "{i:?} suspected someone");
+        assert_eq!(s.false_suspicions, 0, "{i:?} saw a false suspicion");
+        assert!(s.probes_sent > 0, "{i:?} never probed");
+        assert!(s.acks_rx > 0, "{i:?} never completed a probe");
+        assert_eq!(h.view_counts().1, 0, "{i:?} still holds a Suspect");
     }
 }

@@ -6,14 +6,12 @@
 //! message transmission and the round barrier — so that the same protocol
 //! code runs unchanged on
 //!
-//! * the synchronous [`Network`](crate::Network) (the paper's model),
-//! * the asynchronous discrete-event engine of `gossip-runtime`
-//!   (`AsyncEngine`), which adds per-link latency, ongoing churn and
-//!   per-node bandwidth budgets behind the same round-barrier contract, and
-//! * `gossip-runtime`'s `ShardedTransport` — the same semantics served by
-//!   the sharded calendar-queue core, bit-identical to `AsyncEngine` at
-//!   every shard count, which carries the one-shot protocol chain to
-//!   n ≥ 10⁷.
+//! * the synchronous [`Network`](crate::Network) (the paper's model), and
+//! * `gossip-runtime`'s `ShardedTransport` — a discrete-event engine on
+//!   sharded calendar queues, which adds per-link latency, ongoing churn
+//!   and per-node bandwidth budgets behind the same round-barrier
+//!   contract, bit-identical at every shard count, and carries the
+//!   one-shot protocol chain to n ≥ 10⁷.
 //!
 //! The contract every implementation must honour:
 //!

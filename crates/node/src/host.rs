@@ -1,7 +1,7 @@
 //! The socket host: one [`Handler`] on one UDP socket.
 //!
-//! [`NodeHost`] is the deployable counterpart of the simulators'
-//! `EventDriver`: the same callbacks, the same [`Mailbox`] surface, but
+//! [`NodeHost`] is the deployable counterpart of the simulator's
+//! `ShardedDriver`: the same callbacks, the same [`Mailbox`] surface, but
 //! `send` writes a [wire frame](gossip_net::wire) to a real
 //! [`UdpSocket`] and `now_us` reads a real clock.
 //! Internally it is a thin pairing of the two halves the host layer

@@ -1,9 +1,8 @@
 //! # gossip-node
 //!
-//! The **real-socket host**: the fourth execution backend of this
-//! workspace, and the one that is not a simulator. Any
-//! [`Handler`](gossip_net::Handler) written for `EventDriver` or
-//! `ShardedDriver` runs here **unchanged** over UDP datagrams — the
+//! The **real-socket host**: the execution backend of this workspace
+//! that is not a simulator. Any [`Handler`](gossip_net::Handler) written
+//! for `ShardedDriver` runs here **unchanged** over UDP datagrams — the
 //! anti-entropy node of `gossip-ae`, the event-driven gossip-max of
 //! `gossip-drr`, anything speaking the `Mailbox` contract.
 //!

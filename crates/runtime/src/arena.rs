@@ -1,10 +1,10 @@
 //! Slab arenas for in-flight message payloads.
 //!
-//! Both event-driven hosts used to carry handler payloads in a
-//! `HashMap<u64, M>` keyed by event sequence number — one hash + one
-//! allocation per message, and at n ≥ 10⁶ the map's rehashing and cold
-//! probing, not the protocol, dominates the send path. [`PayloadArena`]
-//! replaces it with a slab: payloads live in a dense `Vec<Option<M>>`,
+//! Carrying handler payloads in a `HashMap<u64, M>` keyed by event
+//! sequence number costs one hash + one allocation per message, and at
+//! n ≥ 10⁶ the map's rehashing and cold probing, not the protocol,
+//! dominates the send path. [`PayloadArena`] is a slab instead: payloads
+//! live in a dense `Vec<Option<M>>`,
 //! keys are plain `u32` slot indices carried inside the `Deliver` event,
 //! and freed slots go onto a free list for reuse — steady-state traffic
 //! allocates nothing per message.

@@ -15,44 +15,51 @@
 //! A `Transport` round maps onto the sharded core as one **window barrier
 //! per round**, with no intermediate epochs:
 //!
-//! * All sends of a round happen logically at the window start (the
-//!   phone-call model). [`Transport::send`] draws every verdict — loss,
-//!   latency, per-link bias, bandwidth, receiver liveness at arrival,
-//!   deadline — **at send time**, from one global RNG in exactly the order
-//!   [`AsyncEngine`](crate::AsyncEngine) draws them. Mid-window crashes are pre-scheduled at
-//!   the previous barrier, so "alive at the arrival instant" is known
-//!   without waiting.
+//! * A protocol round occupies a **window** of virtual time, and all
+//!   sends of a round happen logically at the window start (the
+//!   phone-call model: one call per node per round, initiated
+//!   simultaneously). [`Transport::send`] samples a per-link latency and
+//!   draws every verdict **at send time**, from one global RNG in a fixed
+//!   order: the message is delivered iff the sender is alive, the
+//!   receiver is alive *at the arrival instant*, it survives loss
+//!   (`SimConfig::loss_prob`), fits the sender's bandwidth budget, and —
+//!   under [`RoundPolicy::FixedDeadline`] — arrives before the window
+//!   closes. Mid-window crashes are pre-scheduled at the previous
+//!   barrier, so "alive at the arrival instant" is known without waiting.
 //! * Each *delivered* message becomes a plain-old-data event in the
 //!   calendar queue of the **receiver's shard** (payload-free:
 //!   round-barrier protocols carry their data in the coordinator, not in
 //!   the event).
-//! * [`Transport::advance_round`] is the barrier: it closes the window at
-//!   the engine's horizon rule (fixed deadline, or stretch to the slowest
-//!   delivered arrival), drains every shard's calendar up to the horizon —
-//!   concurrently when the host has cores to spare — tallies per-shard
-//!   delivery latencies, applies the window's crashes, resets bandwidth
-//!   budgets and draws next-window churn serially in node-id order.
+//! * [`Transport::advance_round`] is the barrier: it closes the window
+//!   (fixed deadline, or stretch to the slowest delivered arrival, at
+//!   least one latency median either way), drains every shard's calendar
+//!   up to the horizon — concurrently when the host has cores to spare —
+//!   tallies per-shard delivery latencies, applies the window's crashes,
+//!   resets bandwidth budgets and draws next-window churn serially in
+//!   node-id order.
 //!
-//! # Why this is bit-identical to the single-queue engine
+//! # Determinism
 //!
-//! Every protocol-visible draw happens at send time on the shared RNG, in
-//! the engine's order; the sharded part of the machinery only ever touches
-//! *order-insensitive* state. A drained event does exactly one thing —
-//! record its latency into its shard's [`LatencyHistogram`] — and
-//! histogram merge is a commutative sum; crashes apply at the barrier from
-//! verdicts fixed at churn-draw time; both round policies close the window
-//! at or beyond every delivered arrival, so the queues are empty at every
-//! barrier and no state leaks across rounds. Hence runs are bit-identical
-//! to [`AsyncEngine`](crate::AsyncEngine) on **every** configuration, invariant under the
-//! shard count and the parallel/sequential drain path — and, by the
-//! engine's own compatibility contract, bit-identical to the synchronous
-//! [`Network`](gossip_net::Network) in the compatibility configuration.
-//! The facade determinism suite pins all three equalities.
+//! Every protocol-visible draw happens at send time on the shared RNG, so
+//! a run is a pure function of the seed; the sharded part of the machinery
+//! only ever touches *order-insensitive* state. A drained event does
+//! exactly one thing — record its latency into its shard's
+//! [`LatencyHistogram`] — and histogram merge is a commutative sum;
+//! crashes apply at the barrier from verdicts fixed at churn-draw time;
+//! both round policies close the window at or beyond every delivered
+//! arrival, so the queues are empty at every barrier and no state leaks
+//! across rounds. Hence runs are invariant under the shard count and the
+//! parallel/sequential drain path. In the *compatibility configuration* —
+//! constant latency, no churn, no bandwidth cap — the draw order matches
+//! the synchronous [`Network`](gossip_net::Network) exactly and protocol
+//! runs are bit-identical across the two backends. The facade determinism
+//! suite holds both: golden fingerprints for the configurations only this
+//! backend can run, a live comparison against `Network` for the rest.
 //!
 //! [`LatencyHistogram`]: crate::LatencyHistogram
 
 use crate::arena::NO_PAYLOAD;
-use crate::engine::{draw_initial_liveness, AsyncConfig, RoundPolicy};
+use crate::config::{draw_initial_liveness, AsyncConfig, RoundPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::AsyncMetrics;
 use crate::shard::{CalendarQueue, EventKind, ShardEvent};
@@ -70,8 +77,7 @@ const MIN_PARALLEL_WINDOW_US: u64 = 32;
 pub struct ShardedTransport {
     config: AsyncConfig,
     /// The shared protocol RNG (seeded and positioned exactly like
-    /// [`AsyncEngine`](crate::AsyncEngine)'s: the setup stream continues as the send/churn
-    /// stream).
+    /// `Network`'s: the setup stream continues as the send/churn stream).
     rng: SmallRng,
     alive: Vec<bool>,
     alive_count: usize,
@@ -109,10 +115,8 @@ pub struct ShardedTransport {
 
 impl ShardedTransport {
     /// Build a facade over `shards` receiver-partitioned calendar queues,
-    /// applying initial crashes exactly like [`AsyncEngine::new`] (same
-    /// RNG stream).
-    ///
-    /// [`AsyncEngine::new`]: crate::AsyncEngine::new
+    /// applying initial crashes exactly like
+    /// [`Network::new`](gossip_net::Network::new) (same RNG stream).
     pub fn new(config: AsyncConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         config
@@ -288,7 +292,8 @@ impl ShardedTransport {
         self.alive[node.index()] && at_us < self.crash_at[node.index()]
     }
 
-    /// The reference window length (mirrors the engine).
+    /// The reference window length: what one round "costs" when nothing is
+    /// in flight (keeps virtual time moving on empty rounds).
     fn base_window_len(&self) -> u64 {
         match self.config.round_policy {
             RoundPolicy::FixedDeadline(d) => d.max(1),
@@ -296,9 +301,12 @@ impl ShardedTransport {
         }
     }
 
-    /// One transmission attempt, `elapsed_us` after the send instant. The
-    /// verdict sequence and every RNG draw mirror the single-queue
-    /// engine's `send_attempt` exactly — the bit-compatibility contract.
+    /// One transmission attempt, `elapsed_us` of virtual time after the
+    /// send instant (`0` for a first attempt; retransmissions carry the
+    /// timeout cycles already burned, see
+    /// [`Transport::send_with_retries`]). The verdict sequence and the RNG
+    /// draw order are pinned by the golden fingerprints, and in the
+    /// compatibility configuration they are `Network`'s.
     fn send_attempt(
         &mut self,
         from: NodeId,
@@ -315,7 +323,8 @@ impl ShardedTransport {
         // draw and changes no verdict — passivity holds by construction.
         let mut drop_reason = TraceReason::None;
 
-        // 1. Endpoint liveness and the loss draw.
+        // 1. Endpoint liveness and the loss draw, in exactly the order the
+        //    synchronous Network performs them (RNG-stream compatibility).
         let sender_alive = self.alive[from.index()];
         let mut delivered = sender_alive && self.alive[to.index()];
         if !delivered {
@@ -329,7 +338,8 @@ impl ShardedTransport {
             drop_reason = TraceReason::Loss;
         }
 
-        // 2. Latency: sampled per message, scaled by the per-link bias.
+        // 2. Latency: sampled per message, scaled by the deterministic
+        //    per-link bias. Constant latency with zero spread draws nothing.
         let mut latency_us = self.config.latency.sample(&mut self.rng);
         if self.config.link_spread > 0.0 {
             let bias =
@@ -338,7 +348,12 @@ impl ShardedTransport {
         }
         let arrival = self.window_start + elapsed_us + latency_us;
 
-        // 3. Bandwidth budget: live attempts accrue, delivered or not.
+        // 3. Bandwidth budget of the sender for this round. Only a live
+        //    sender puts bits on the wire: attempts from a dead node must
+        //    not accrue against the budget it gets back on rejoin.
+        //    Over-budget attempts by a live sender *do* accrue — the NIC
+        //    tried and burned the slot — so an oversized message can starve
+        //    later small ones until the barrier resets the budget.
         if delivered {
             if let Some(budget) = self.config.bandwidth_bits_per_round {
                 if self.bits_this_round[from.index()] + u64::from(bits) > budget {
@@ -353,13 +368,16 @@ impl ShardedTransport {
         }
 
         // 4. Receiver liveness at the arrival instant (mid-window crashes
-        //    were pre-scheduled at the last barrier).
+        //    were pre-scheduled at the last barrier). Sender calls happen at
+        //    the window start, so a sender crashing later this round still
+        //    gets its call out.
         if delivered && !self.alive_at(to, arrival) {
             delivered = false;
             drop_reason = TraceReason::DeadEndpoint;
         }
 
-        // 5. Fixed deadlines drop messages that outlive their round.
+        // 5. Fixed deadlines drop messages that outlive their round — the
+        //    elapsed retransmission offset counts against the budget.
         if delivered {
             if let RoundPolicy::FixedDeadline(deadline) = self.config.round_policy {
                 if elapsed_us + latency_us > deadline {
@@ -388,9 +406,12 @@ impl ShardedTransport {
         }
 
         if delivered {
+            // Only delivered messages stretch the round and queue: under
+            // `RoundPolicy::Stretch` the barrier waits for the slowest
+            // message that actually arrives — one lost to loss, churn or
+            // the bandwidth cap leaves no straggler to wait for and has no
+            // barrier-time effect.
             self.round_horizon = self.round_horizon.max(arrival);
-            // Only delivered messages queue: an undelivered one has no
-            // barrier-time effect (the engine queues and ignores them).
             let oseq = self.next_oseq;
             self.next_oseq += 1;
             self.queues[to.index() / self.chunk].push(ShardEvent {
@@ -412,9 +433,12 @@ impl ShardedTransport {
         delivered
     }
 
-    /// Draw next-window churn exactly like the engine: the same stream,
-    /// the same per-node draw order. Crashes are recorded (not queued —
-    /// the barrier applies them) so `alive_at` can rule on arrivals.
+    /// Draw next-window churn from the shared stream, in node-id order;
+    /// draws nothing when churn is disabled (RNG-stream compatibility with
+    /// `Network`). Crashes land at a uniform instant strictly inside the
+    /// window and are recorded (not queued — the barrier applies them) so
+    /// `alive_at` can rule on arrivals; rejoins take effect at the
+    /// boundary itself.
     fn draw_churn(&mut self, window_start: u64, window_len: u64) {
         if !self.config.churn.is_enabled() {
             return;
@@ -422,7 +446,6 @@ impl ShardedTransport {
         let churn = self.config.churn;
         for i in 0..self.config.sim.n {
             if self.alive[i] {
-                // `crashes.len()` is the engine's `pending_crashes`.
                 let can_crash = self.alive_count - self.crashes.len() > churn.min_alive;
                 if can_crash
                     && churn.crash_prob > 0.0
@@ -468,10 +491,15 @@ impl Transport for ShardedTransport {
         self.send_attempt(from, to, phase, bits, 0, ctx)
     }
 
-    /// Identical retry semantics to the single-queue engine: under a fixed
-    /// deadline, attempt `k` carries `k − 1` RTT-sized timeout cycles of
-    /// elapsed time that eat into the delivery budget; under stretching
-    /// rounds retries are independent same-instant draws.
+    /// Under [`RoundPolicy::FixedDeadline`], retransmissions happen in
+    /// *time*: attempt `k` ships only after `k − 1` timeout cycles of one
+    /// RTT each, so its arrival carries that elapsed offset and the offset
+    /// eats into the delivery budget. The retry cutoff is therefore exact:
+    /// it stops precisely when even a zero-latency retransmission could no
+    /// longer arrive in time. Under [`RoundPolicy::Stretch`] the round
+    /// barrier is the idealization that a round's sends are simultaneous —
+    /// retries stay independent same-instant draws with no time limit,
+    /// exactly as on the synchronous `Network`.
     fn send_with_retries(
         &mut self,
         from: NodeId,
@@ -485,7 +513,7 @@ impl Transport for ShardedTransport {
             .rtt_estimate_us()
             .expect("the facade always has a latency model");
         // One causal root for every attempt of this logical send — the
-        // retries of one message are one chain (mirrors the engine).
+        // retries of one message are one chain.
         let ctx = self.root_send_ctx(from);
         let mut attempts = 0;
         while attempts < max_attempts {
@@ -511,7 +539,8 @@ impl Transport for ShardedTransport {
     }
 
     fn advance_round(&mut self) {
-        // Close the window at the engine's horizon rule.
+        // Close the window: fixed deadline, or stretch to the slowest
+        // arrival of the round (at least one base window either way).
         let horizon = match self.config.round_policy {
             RoundPolicy::FixedDeadline(d) => self.window_start + d.max(1),
             RoundPolicy::Stretch => self
@@ -519,8 +548,8 @@ impl Transport for ShardedTransport {
                 .max(self.window_start + self.base_window_len()),
         };
 
-        // Drain every shard's calendar up to the horizon (inclusive, like
-        // the engine's `pop_due(horizon)`), tallying delivery latencies
+        // Drain every shard's calendar up to the horizon (inclusive),
+        // tallying delivery latencies
         // into per-shard histograms — the only per-event effect, and an
         // order-insensitive one, which is what makes the concurrent drain
         // safe and the result shard-count invariant. Empty queues must
@@ -581,8 +610,11 @@ impl Transport for ShardedTransport {
         );
 
         // Apply the window's crashes. Delivery verdicts already honoured
-        // the crash instants at send time, so barrier-time application is
-        // equivalent to the engine's in-drain application.
+        // the crash instants at send time, so applying them at the barrier
+        // is equivalent to interleaving them with the arrivals. Crash
+        // instants lie inside (window_start, window_start + base_window_len]
+        // and both policies close the window at or beyond that bound, so
+        // none outlives its window.
         for i in std::mem::take(&mut self.crashes) {
             let i = i as usize;
             if self.alive[i] {
@@ -635,7 +667,7 @@ impl std::fmt::Debug for ShardedTransport {
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
-    use crate::engine::AsyncEngine;
+    use gossip_net::Network;
 
     fn churny_config(n: usize, seed: u64) -> AsyncConfig {
         AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(0.05))
@@ -647,36 +679,307 @@ mod tests {
             .with_churn(ChurnModel::per_round(0.02, 0.1).with_min_alive(n / 2))
     }
 
-    /// Run an identical ad-hoc traffic pattern on both backends and
-    /// compare every observable.
+    /// The shard count the behaviour tests below run at (they are
+    /// shard-count invariant; `shard_count_and_drain_path_do_not_change_the_run`
+    /// and the integration suite sweep the ladder).
+    const SHARDS: usize = 2;
+
+    fn compat_facade(n: usize, seed: u64, loss: f64) -> ShardedTransport {
+        ShardedTransport::new(
+            AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(loss)),
+            SHARDS,
+        )
+    }
+
+    /// Crash `node` on the spot (tests only: in a run, crashes are drawn
+    /// by the churn model and applied at the barrier).
+    fn crash_now(facade: &mut ShardedTransport, node: NodeId) {
+        assert!(facade.alive[node.index()], "node is already dead");
+        facade.alive[node.index()] = false;
+        facade.alive_count -= 1;
+    }
+
     #[test]
-    fn facade_matches_the_engine_on_a_churny_config() {
-        let config = churny_config(128, 0xFACE);
-        let mut engine = AsyncEngine::new(config.clone());
-        let mut facade = ShardedTransport::new(config, 4);
-        for round in 0..40u64 {
-            for k in 0..64 {
-                let a = engine.sample_uniform();
-                let b = facade.sample_uniform();
-                assert_eq!(a, b, "round {round} draw {k}");
-                let a2 = engine.sample_other_than(a);
-                let b2 = facade.sample_other_than(b);
-                assert_eq!(a2, b2);
-                assert_eq!(
-                    engine.send(a, a2, Phase::Convergecast, 64),
-                    facade.send(b, b2, Phase::Convergecast, 64)
-                );
-            }
-            engine.advance_round();
-            facade.advance_round();
-            assert_eq!(engine.now_us(), facade.now_us(), "round {round}");
+    fn compat_configuration_matches_network_bit_for_bit() {
+        let sim = SimConfig::new(128)
+            .with_seed(21)
+            .with_loss_prob(0.15)
+            .with_initial_crash_prob(0.1);
+        let mut net = Network::new(sim.clone());
+        let mut facade = ShardedTransport::new(AsyncConfig::new(sim), SHARDS);
+        assert_eq!(net.alive_count(), Transport::alive_count(&facade));
+        for _ in 0..2000 {
+            let a = net.sample_uniform();
+            let b = Transport::sample_uniform(&mut facade);
+            assert_eq!(a, b);
+            let a2 = net.sample_other_than(a);
+            let b2 = facade.sample_other_than(b);
+            assert_eq!(a2, b2);
             assert_eq!(
-                Transport::alive_count(&engine),
-                Transport::alive_count(&facade)
+                net.send(a, a2, Phase::Other, 16),
+                facade.send(b, b2, Phase::Other, 16)
             );
         }
-        assert_eq!(Transport::metrics(&engine), Transport::metrics(&facade));
-        assert_eq!(*engine.async_metrics(), facade.async_metrics());
+        net.advance_round();
+        facade.advance_round();
+        assert_eq!(net.metrics(), Transport::metrics(&facade));
+    }
+
+    #[test]
+    fn virtual_time_advances_with_rounds() {
+        let mut facade = compat_facade(16, 3, 0.0);
+        assert_eq!(facade.now_us(), 0);
+        facade.advance_round();
+        let t1 = facade.now_us();
+        assert!(t1 >= 1000, "constant 1ms latency floors the window");
+        facade.send(NodeId::new(0), NodeId::new(1), Phase::Other, 8);
+        facade.advance_round();
+        assert!(facade.now_us() >= t1 + 1000);
+        assert_eq!(facade.round(), 2);
+    }
+
+    #[test]
+    fn stretch_rounds_wait_for_the_straggler() {
+        let mut facade = ShardedTransport::new(
+            AsyncConfig::new(SimConfig::new(8).with_seed(5)).with_latency(LatencyModel::Uniform {
+                lo_us: 10,
+                hi_us: 50_000,
+            }),
+            SHARDS,
+        );
+        for i in 0..4 {
+            facade.send(NodeId::new(i), NodeId::new(i + 4), Phase::Other, 8);
+        }
+        facade.advance_round();
+        let max_latency = facade.async_metrics().latency.max_us();
+        assert_eq!(facade.now_us(), max_latency.max(25_005));
+    }
+
+    #[test]
+    fn fixed_deadline_drops_late_messages() {
+        let mut facade = ShardedTransport::new(
+            AsyncConfig::new(SimConfig::new(4).with_seed(9))
+                .with_latency(LatencyModel::Uniform {
+                    lo_us: 1,
+                    hi_us: 2_000,
+                })
+                .with_round_policy(RoundPolicy::FixedDeadline(1_000)),
+            SHARDS,
+        );
+        let mut delivered = 0u32;
+        for _ in 0..500 {
+            if facade.send(NodeId::new(0), NodeId::new(1), Phase::Other, 8) {
+                delivered += 1;
+            }
+            facade.advance_round();
+        }
+        let late = facade.async_metrics().late_drops;
+        assert!(
+            late > 100,
+            "about half the messages should be late, got {late}"
+        );
+        assert_eq!(u64::from(delivered) + late, 500);
+        // Virtual time is exactly rounds × deadline under a fixed policy.
+        assert_eq!(facade.now_us(), 500 * 1_000);
+    }
+
+    #[test]
+    fn retries_are_rtt_capped_under_fixed_deadlines_only() {
+        // Constant 1 ms latency → RTT estimate 2 ms. With a 5 ms deadline,
+        // attempt k arrives around (k−1)·2000 + 1000 µs: only 3 attempts
+        // can meet the deadline, however large the caller's budget.
+        let lossy = |policy| {
+            ShardedTransport::new(
+                AsyncConfig::new(SimConfig::new(4).with_seed(2).with_loss_prob(0.99))
+                    .with_round_policy(policy),
+                SHARDS,
+            )
+        };
+        let mut facade = lossy(RoundPolicy::FixedDeadline(5_000));
+        let (attempts, _) =
+            facade.send_with_retries(NodeId::new(0), NodeId::new(1), Phase::Other, 8, 64);
+        assert!(attempts <= 3, "deadline-capped, got {attempts}");
+
+        // Stretching rounds never expire deliveries: the full budget is
+        // available (and with 99% loss this seed burns several attempts).
+        let mut facade = lossy(RoundPolicy::Stretch);
+        let (attempts, _) =
+            facade.send_with_retries(NodeId::new(0), NodeId::new(1), Phase::Other, 8, 64);
+        assert!(attempts > 3, "uncapped under Stretch, got {attempts}");
+    }
+
+    #[test]
+    fn bandwidth_budget_caps_per_round_sending() {
+        let mut facade = ShardedTransport::new(
+            AsyncConfig::new(SimConfig::new(4).with_seed(11)).with_bandwidth_bits_per_round(100),
+            SHARDS,
+        );
+        let ok: Vec<bool> = (0..5)
+            .map(|_| facade.send(NodeId::new(0), NodeId::new(1), Phase::Other, 40))
+            .collect();
+        assert_eq!(ok, vec![true, true, false, false, false]);
+        assert_eq!(facade.async_metrics().bandwidth_drops, 3);
+        facade.advance_round();
+        // Budget resets at the barrier.
+        assert!(facade.send(NodeId::new(0), NodeId::new(1), Phase::Other, 40));
+        // Other senders have their own budget.
+        assert!(facade.send(NodeId::new(2), NodeId::new(3), Phase::Other, 40));
+    }
+
+    #[test]
+    fn lost_messages_do_not_stretch_the_round() {
+        // Regression: round_horizon used to advance to the arrival instant
+        // of *undelivered* messages, so under Stretch a message lost to
+        // churn (or loss, or the bandwidth cap) still stretched the round
+        // for everyone — a phantom tail no real barrier would wait for.
+        let median: u64 = 1_000 + (80_000 - 1_000) / 2;
+        let build = || {
+            ShardedTransport::new(
+                AsyncConfig::new(SimConfig::new(8).with_seed(33)).with_latency(
+                    LatencyModel::Uniform {
+                        lo_us: 1_000,
+                        hi_us: 80_000,
+                    },
+                ),
+                SHARDS,
+            )
+        };
+
+        // A round whose every send fails (dead receiver) must close at the
+        // base window length, not at the lost messages' would-be arrivals.
+        let mut facade = build();
+        crash_now(&mut facade, NodeId::new(7));
+        for i in 0..4 {
+            let ok = facade.send(NodeId::new(i), NodeId::new(7), Phase::Other, 8);
+            assert!(!ok, "send to a crashed receiver cannot deliver");
+        }
+        facade.advance_round();
+        assert_eq!(
+            facade.now_us(),
+            median,
+            "a fully-lossy round inherits no phantom tail"
+        );
+
+        // Control: delivered messages still stretch to the real straggler.
+        let mut facade = build();
+        for i in 0..4 {
+            assert!(facade.send(NodeId::new(i), NodeId::new(i + 4), Phase::Other, 8));
+        }
+        facade.advance_round();
+        let slowest = facade.async_metrics().latency.max_us();
+        assert_eq!(facade.now_us(), slowest.max(median));
+    }
+
+    #[test]
+    fn dead_senders_are_not_charged_bandwidth() {
+        // Regression: bits_this_round[from] was charged unconditionally,
+        // so a crashed node's budget kept accruing while it was dead and
+        // the stale tally was what a rejoiner's accounting started from.
+        let mut facade = ShardedTransport::new(
+            AsyncConfig::new(SimConfig::new(4).with_seed(11)).with_bandwidth_bits_per_round(100),
+            SHARDS,
+        );
+        crash_now(&mut facade, NodeId::new(0));
+        for _ in 0..5 {
+            let ok = facade.send(NodeId::new(0), NodeId::new(1), Phase::Other, 40);
+            assert!(!ok, "a dead sender transmits nothing");
+        }
+        assert_eq!(
+            facade.bits_this_round[0], 0,
+            "attempts from a dead sender must not accrue against its budget"
+        );
+        assert_eq!(
+            facade.async_metrics().bandwidth_drops,
+            0,
+            "dead-sender drops are liveness drops, not bandwidth drops"
+        );
+
+        // Over-budget sequence from a *live* sender: every transmitted
+        // attempt accrues, including the ones the budget then drops.
+        for _ in 0..4 {
+            facade.send(NodeId::new(2), NodeId::new(3), Phase::Other, 40);
+        }
+        assert_eq!(facade.bits_this_round[2], 160, "live attempts all accrue");
+        assert_eq!(facade.async_metrics().bandwidth_drops, 2);
+    }
+
+    #[test]
+    fn churn_kills_and_revives_nodes_deterministically() {
+        let build = || {
+            ShardedTransport::new(
+                AsyncConfig::new(SimConfig::new(200).with_seed(13))
+                    .with_churn(ChurnModel::per_round(0.05, 0.1)),
+                SHARDS,
+            )
+        };
+        let mut facade = build();
+        let mut alive_trace = Vec::new();
+        for _ in 0..50 {
+            facade.advance_round();
+            alive_trace.push(Transport::alive_count(&facade));
+        }
+        assert!(facade.async_metrics().churn_crashes > 0);
+        assert!(facade.async_metrics().churn_rejoins > 0);
+        let alive_now = facade.alive_nodes().count();
+        assert_eq!(alive_now, Transport::alive_count(&facade));
+        // Bit-identical across re-runs.
+        let mut second = build();
+        let second_trace: Vec<usize> = (0..50)
+            .map(|_| {
+                second.advance_round();
+                Transport::alive_count(&second)
+            })
+            .collect();
+        assert_eq!(alive_trace, second_trace);
+    }
+
+    #[test]
+    fn churn_respects_the_alive_floor() {
+        let mut facade = ShardedTransport::new(
+            AsyncConfig::new(SimConfig::new(32).with_seed(17))
+                .with_churn(ChurnModel::per_round(0.9, 0.0).with_min_alive(5)),
+            SHARDS,
+        );
+        for _ in 0..100 {
+            facade.advance_round();
+        }
+        assert!(Transport::alive_count(&facade) >= 5);
+    }
+
+    #[test]
+    fn mid_window_crash_blocks_delivery_after_the_instant() {
+        // With crash_prob ~ 1 every node that may crash does, at a uniform
+        // instant inside the next window; messages arriving after their
+        // receiver's instant must not be delivered.
+        let mut facade = ShardedTransport::new(
+            AsyncConfig::new(SimConfig::new(64).with_seed(19))
+                .with_latency(LatencyModel::Constant(500))
+                .with_churn(ChurnModel::per_round(0.8, 0.0).with_min_alive(1)),
+            SHARDS,
+        );
+        facade.advance_round(); // draw the first churn window
+        let mut dropped_by_churn = 0;
+        for i in 0..63 {
+            if !facade.send(NodeId::new(63), NodeId::new(i), Phase::Other, 8)
+                && facade.is_alive(NodeId::new(i))
+            {
+                dropped_by_churn += 1;
+            }
+        }
+        assert!(
+            dropped_by_churn > 0,
+            "some still-alive receivers crash before +500µs"
+        );
+    }
+
+    #[test]
+    fn reset_metrics_clears_both_layers() {
+        let mut facade = compat_facade(8, 23, 0.0);
+        facade.send(NodeId::new(0), NodeId::new(1), Phase::Other, 8);
+        facade.advance_round();
+        Transport::reset_metrics(&mut facade);
+        assert_eq!(Transport::metrics(&facade).total_messages(), 0);
+        assert_eq!(facade.async_metrics().latency.count(), 0);
     }
 
     #[test]
@@ -706,22 +1009,6 @@ mod tests {
         assert_eq!(one, run(2, false));
         assert_eq!(one, run(8, true));
         assert_eq!(one, run(13, true));
-    }
-
-    #[test]
-    fn retries_match_the_engine_under_deadlines() {
-        let config = AsyncConfig::new(SimConfig::new(8).with_seed(2).with_loss_prob(0.6))
-            .with_round_policy(RoundPolicy::FixedDeadline(5_000));
-        let mut engine = AsyncEngine::new(config.clone());
-        let mut facade = ShardedTransport::new(config, 2);
-        for _ in 0..200 {
-            let a = engine.send_with_retries(NodeId::new(0), NodeId::new(1), Phase::Other, 8, 64);
-            let b = facade.send_with_retries(NodeId::new(0), NodeId::new(1), Phase::Other, 8, 64);
-            assert_eq!(a, b);
-            engine.advance_round();
-            facade.advance_round();
-        }
-        assert_eq!(*engine.async_metrics(), facade.async_metrics());
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Engine-level metrics: virtual time, drop causes, churn counts and the
-//! delivered-latency distribution.
+//! Engine-level metrics: virtual time, drop causes, churn counts, the
+//! delivered-latency distribution, and the sharded driver's dispatch
+//! counters with their order fingerprint.
 //!
 //! Message/round/bit accounting lives in [`gossip_net::Metrics`] exactly as
 //! on the synchronous backend (so protocol-level reports are comparable
 //! across backends); this module tracks what only an asynchronous engine
 //! can know.
 
+use gossip_net::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// Fixed-resolution log-scale histogram of latencies (µs).
@@ -201,6 +203,101 @@ impl AsyncMetrics {
             "Latency distribution of delivered messages (virtual us)",
             &[],
             &self.latency.to_obs(),
+        );
+    }
+}
+
+/// Counters the sharded driver maintains on top of [`AsyncMetrics`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DriverMetrics {
+    /// `on_start` invocations (initial boots + rejoin restarts).
+    pub handler_starts: u64,
+    /// Messages dispatched into `on_message`.
+    pub messages_dispatched: u64,
+    /// Timer events dispatched into `on_timer`.
+    pub timer_fires: u64,
+    /// Timers dropped because their incarnation was superseded by a rejoin
+    /// (or their node is currently dead).
+    pub stale_timer_skips: u64,
+    /// Timers suppressed by
+    /// [`Mailbox::cancel_timer`](gossip_net::Mailbox::cancel_timer) before
+    /// they fired.
+    pub cancelled_timer_skips: u64,
+    /// Delivered messages dropped at dispatch because the receiver crashed
+    /// in a later window than the delivery verdict was computed in.
+    pub dead_receiver_drops: u64,
+    /// Every rejoin restart, as `(boundary instant µs, node)` in dispatch
+    /// order. Experiments use this to measure re-sync recovery time.
+    pub rejoin_log: Vec<(u64, NodeId)>,
+    /// FNV-style fingerprint of the dispatch schedule: each node's events
+    /// (timestamp, kind, origin, origin sequence) fold into a per-node
+    /// hash, and the per-node hashes fold here in node-id order. Two runs
+    /// dispatching the same events in the same order — the determinism
+    /// contract — agree on it, whatever the shard count.
+    pub order_hash: u64,
+}
+
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+impl DriverMetrics {
+    pub(crate) fn new() -> Self {
+        DriverMetrics {
+            order_hash: FNV_OFFSET,
+            ..DriverMetrics::default()
+        }
+    }
+
+    /// Fold one word into the order hash. The sharded driver combines its
+    /// per-node dispatch hashes through this, in node-id order.
+    pub(crate) fn fold_word(&mut self, w: u64) {
+        self.order_hash = (self.order_hash ^ w).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Route these counters into an observability registry as the
+    /// `driver_*` families. Purely a read.
+    pub fn fill_registry(&self, registry: &mut gossip_obs::Registry) {
+        registry.add_counter(
+            "driver_handler_starts_total",
+            "on_start invocations (boots + rejoin restarts)",
+            &[],
+            self.handler_starts,
+        );
+        registry.add_counter(
+            "driver_messages_dispatched_total",
+            "Messages dispatched into on_message",
+            &[],
+            self.messages_dispatched,
+        );
+        registry.add_counter(
+            "driver_timer_fires_total",
+            "Timer events dispatched into on_timer",
+            &[],
+            self.timer_fires,
+        );
+        registry.add_counter(
+            "driver_stale_timer_skips_total",
+            "Timers dropped for a superseded incarnation or dead node",
+            &[],
+            self.stale_timer_skips,
+        );
+        registry.add_counter(
+            "driver_cancelled_timer_skips_total",
+            "Timers suppressed by cancel_timer before firing",
+            &[],
+            self.cancelled_timer_skips,
+        );
+        registry.add_counter(
+            "driver_dead_receiver_drops_total",
+            "Deliveries dropped because the receiver crashed later",
+            &[],
+            self.dead_receiver_drops,
+        );
+        registry.add_counter(
+            "driver_rejoins_total",
+            "Rejoin restarts applied",
+            &[],
+            self.rejoin_log.len() as u64,
         );
     }
 }

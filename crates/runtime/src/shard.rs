@@ -1,10 +1,10 @@
 //! The sharded event engine: the node space partitioned across shards,
 //! each with its own event queue, node state and RNG streams.
 //!
-//! [`EventDriver`](crate::EventDriver) keeps all O(n) per-node state and a
-//! single binary heap behind one thread, which caps every experiment at
-//! small n. [`ShardedDriver`] is the scale-out execution model: the node
-//! space is split into `S` contiguous shards, and each shard owns
+//! [`ShardedDriver`] hosts one [`Handler`] per node — per-node state plus
+//! `on_start` / `on_message` / `on_timer` callbacks — with no round
+//! barrier: the clock advances from event to event. The node space is
+//! split into `S` contiguous shards, and each shard owns
 //!
 //! * its nodes' state — handler instances in their own slab, the scalar
 //!   per-node fields packed into the dense parallel arrays of a
@@ -19,11 +19,11 @@
 //!
 //! # Why per-node RNG streams
 //!
-//! The single-queue engines funnel every draw through one global RNG, so
-//! the stream each node sees depends on the global interleaving of all
-//! events — reproducible on one thread, but impossible to preserve once
-//! two shards draw concurrently. The sharded driver therefore re-derives
-//! the determinism contract *per node*: every protocol-visible draw (peer
+//! One global RNG would make the stream each node sees depend on the
+//! global interleaving of all events — reproducible on one thread, but
+//! impossible to preserve once two shards draw concurrently. The driver
+//! therefore states the determinism contract *per node*: every
+//! protocol-visible draw (peer
 //! sampling, loss, latency) comes from the acting node's own stream, which
 //! advances only through that node's own callbacks. A node's behaviour is
 //! then a pure function of the seed and its own event history — identical
@@ -33,7 +33,7 @@
 //!
 //! Events are globally ordered by the key `(timestamp, origin node,
 //! per-origin sequence)` — a total order every shard can compute locally,
-//! unlike the single global submission counter of the one-queue engines.
+//! which a single global submission counter would not be.
 //! Time advances in **bounded-lag epochs** of at most the latency model's
 //! minimum ([`LatencyModel::min_us`](crate::LatencyModel::min_us), scaled
 //! down by the link spread): a
@@ -63,19 +63,15 @@
 //! hash, so the memory layout is free to differ where the event order may
 //! not.
 //!
-//! Delivery semantics are the engine's, re-cut along ownership lines: the
-//! *sender's* shard draws loss and latency and enforces the bandwidth
-//! budget and deadline; the *receiver's* shard rules on receiver liveness
-//! at the arrival instant (crashes are events in the same total order) and
-//! records the attempt in its metrics. The two single-queue engines decide
-//! receiver liveness at send time instead, so sharded runs are not
-//! bit-comparable with `EventDriver` runs — each execution model pins its
-//! own golden hashes.
+//! Delivery verdicts are cut along ownership lines: the *sender's* shard
+//! draws loss and latency and enforces the bandwidth budget and deadline;
+//! the *receiver's* shard rules on receiver liveness at the arrival
+//! instant (crashes are events in the same total order) and records the
+//! attempt in its metrics.
 
 use crate::arena::{PayloadArena, NO_PAYLOAD};
-use crate::driver::DriverMetrics;
-use crate::engine::AsyncConfig;
-use crate::metrics::AsyncMetrics;
+use crate::config::{AsyncConfig, RoundPolicy};
+use crate::metrics::{AsyncMetrics, DriverMetrics, FNV_PRIME};
 use crate::soa::{NodeTable, NO_CRASH};
 use gossip_net::{node_rng, Handler, Mailbox, Metrics, NodeId, Phase, TimerId};
 use gossip_obs::{TraceCtx, TraceKind, TraceReason, TraceRing, NO_PEER};
@@ -84,11 +80,10 @@ use rand::Rng;
 
 /// Word-level FNV-style fold for the per-node dispatch hashes, on the same
 /// FNV constants as [`DriverMetrics`]. Three words per event keep the hot
-/// path cheap (the byte-level FNV of the one-queue driver costs 32
-/// multiplies per event; this costs 3).
+/// path cheap (a byte-level FNV would cost 32 multiplies per event; this
+/// costs 3).
 #[inline]
 fn fold3(h: &mut u64, a: u64, b: u64, c: u64) {
-    use crate::driver::FNV_PRIME;
     *h = (*h ^ a).wrapping_mul(FNV_PRIME);
     *h = (*h ^ b).wrapping_mul(FNV_PRIME);
     *h = (*h ^ c).wrapping_mul(FNV_PRIME);
@@ -131,8 +126,8 @@ pub(crate) enum EventKind {
 }
 
 impl EventKind {
-    /// Kind tag folded into the order hash (mirrors the one-queue driver's
-    /// 1 = message, 2 = crash, 3 = timer labelling).
+    /// Kind tag folded into the order hash: 1 = message, 2 = crash,
+    /// 3 = timer.
     fn tag(&self) -> u64 {
         match self {
             EventKind::Deliver { .. } => 1,
@@ -185,9 +180,9 @@ const MIN_PARALLEL_EPOCH_US: u64 = 32;
 /// A calendar queue (timing wheel): one bucket per virtual microsecond,
 /// modulo [`WHEEL_US`].
 ///
-/// The single-queue engines use a binary heap, whose `O(log k)` pops walk
-/// `k`-sized cold memory — at n = 10⁶ that walk, not the protocol, is the
-/// simulation's hot loop. The sharded driver's time only moves forward in
+/// A binary heap's `O(log k)` pops walk `k`-sized cold memory — at
+/// n = 10⁶ that walk, not the protocol, would be the simulation's hot
+/// loop. The sharded core's time only moves forward in
 /// bounded-lag epochs, which is exactly the access pattern a calendar
 /// queue rewards: `O(1)` pushes into the bucket `at_us & WHEEL_MASK`, and
 /// a cursor that sweeps the buckets in virtual-time order. Determinism is
@@ -642,7 +637,7 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
         // Sender-side verdicts, all drawn from the sender's own stream in a
         // fixed order (the callback only runs on a live node, so the sender
         // is alive by construction — and its attempt accrues against its
-        // bandwidth budget, exactly the engine's post-fix semantics).
+        // bandwidth budget, delivered or not, as on the facade).
         let lost = config.sim.loss_prob > 0.0 && self.rng.gen_bool(config.sim.loss_prob);
         let mut latency_us = config.latency.sample(self.rng);
         if config.link_spread > 0.0 {
@@ -679,7 +674,7 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
             );
             return;
         }
-        if let crate::engine::RoundPolicy::FixedDeadline(deadline) = config.round_policy {
+        if let RoundPolicy::FixedDeadline(deadline) = config.round_policy {
             if latency_us > deadline {
                 self.async_metrics.late_drops += 1;
                 self.metrics.record_send(phase, bits, false);
@@ -781,9 +776,9 @@ pub struct ShardedDriver<H: Handler> {
     shards: Vec<Shard<H>>,
     factory: Box<dyn Fn(NodeId) -> H + Send>,
     /// Driver-level stream for initial crashes and churn coins (drawn
-    /// serially at barriers in node-id order; seeded exactly like the
-    /// engine's setup stream, so initial alive sets match `AsyncEngine`'s
-    /// for the same `SimConfig`).
+    /// serially at barriers in node-id order; seeded exactly like
+    /// `Network`'s setup stream, so initial alive sets match the
+    /// synchronous backend's for the same `SimConfig`).
     churn_rng: SmallRng,
     /// Churn-window length (µs).
     window_us: u64,
@@ -832,7 +827,7 @@ where
 
         // Initial crashes: the shared setup stream, drawn in node order —
         // the identical alive set every backend starts from.
-        let (alive, _, churn_rng) = crate::engine::draw_initial_liveness(&config.sim);
+        let (alive, _, churn_rng) = crate::config::draw_initial_liveness(&config.sim);
 
         let lookahead = Self::lookahead_us(&config);
         let window_us = config.latency.median_us().max(1);
@@ -1085,6 +1080,20 @@ where
     /// Number of currently alive nodes.
     pub fn alive_count(&self) -> usize {
         self.shards.iter().map(|s| s.nodes.alive_count).sum()
+    }
+
+    /// The currently alive nodes, in node-id order.
+    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.n())
+            .map(NodeId::new)
+            .filter(move |&v| self.is_alive(v))
+    }
+
+    /// Every rejoin restart so far, as `(boundary instant µs, node)` in
+    /// dispatch order — [`DriverMetrics::rejoin_log`] without the clone and
+    /// the hash fold [`metrics`](ShardedDriver::metrics) pays per call.
+    pub fn rejoin_log(&self) -> &[(u64, NodeId)] {
+        &self.rejoin_log
     }
 
     /// Payloads currently live across the per-shard slab arenas.
@@ -1370,9 +1379,8 @@ mod tests {
     use crate::latency::LatencyModel;
     use gossip_net::SimConfig;
 
-    /// Interval-driven rumor flooding (the same shape as the one-queue
-    /// driver's test handler): every tick each node pushes its token set to
-    /// one random peer.
+    /// Interval-driven rumor flooding (the ciruela emulator shape): every
+    /// tick each node pushes its token set to one random peer.
     #[derive(Debug, Clone)]
     struct Rumor {
         me: NodeId,
@@ -1474,6 +1482,10 @@ mod tests {
         assert_eq!(one, run(8));
         // And the whole thing reproduces.
         assert_eq!(one, run(1));
+        // A different seed is a different schedule.
+        let mut other = rumor_driver(96, 4, 1, ChurnModel::per_round(0.02, 0.1));
+        other.run_until(60_000);
+        assert_ne!(one.0, other.order_hash(), "seed changes the schedule");
     }
 
     #[test]
@@ -1536,7 +1548,7 @@ mod tests {
                 hi_us: 4_000,
             })
             .with_bandwidth_bits_per_round(300)
-            .with_round_policy(crate::engine::RoundPolicy::FixedDeadline(2_000));
+            .with_round_policy(RoundPolicy::FixedDeadline(2_000));
         let mut driver = ShardedDriver::new(config, 4, |me| Rumor {
             me,
             tokens: (0..8).map(|t| t + me.index() as u32).collect(),
@@ -1553,9 +1565,8 @@ mod tests {
         assert!(m.total_dropped() >= a.bandwidth_drops + a.late_drops);
     }
 
-    /// The cancel-then-re-arm idiom on the sharded host (mirrors the
-    /// one-queue driver's unit test: T0 at 10 cancels the boot-armed T1
-    /// due 20 and re-arms it for 40).
+    /// The cancel-then-re-arm idiom: T0 at 10 cancels the boot-armed T1
+    /// due 20 and re-arms it for 40.
     #[derive(Debug, Default)]
     struct Canceller {
         fired: Vec<(u64, TimerId)>,
@@ -1617,6 +1628,43 @@ mod tests {
     }
 
     #[test]
+    fn timer_jitter_delays_but_never_advances_and_perturbs_the_schedule() {
+        let run = |jitter| {
+            let config = AsyncConfig::new(SimConfig::new(4).with_seed(9));
+            let mut driver = ShardedDriver::new(config, 1, |me| Rumor {
+                me,
+                tokens: Vec::new(),
+                tick_us: 1_000,
+            })
+            .with_timer_jitter_us(jitter);
+            driver.run_until(20_000);
+            (driver.metrics(), driver.net_metrics().total_messages())
+        };
+        // Jittered runs are as reproducible as plain ones.
+        assert_eq!(run(300), run(300));
+        // And jitter actually perturbs the schedule.
+        assert_ne!(run(0).0.order_hash, run(300).0.order_hash);
+        // Ticks still fire at the expected rate (jitter delays, it does
+        // not drop): ~20 intervals per node, give or take the drift the
+        // jitter accumulates.
+        assert!(run(300).0.timer_fires >= 4 * 15);
+    }
+
+    #[test]
+    fn window_length_is_configurable_and_counts_rounds() {
+        let config = AsyncConfig::new(SimConfig::new(8).with_seed(5));
+        let mut driver = ShardedDriver::new(config, 2, |me| Rumor {
+            me,
+            tokens: Vec::new(),
+            tick_us: 1_000,
+        })
+        .with_window_us(2_000);
+        driver.run_until(20_000);
+        // Boundaries at 2k, 4k, ..., 20k → 10 windows counted as rounds.
+        assert_eq!(driver.net_metrics().rounds(), 10);
+    }
+
+    #[test]
     fn more_shards_than_nodes_is_fine() {
         let mut driver = rumor_driver(3, 2, 64, ChurnModel::none());
         assert_eq!(driver.num_shards(), 3);
@@ -1629,25 +1677,25 @@ mod tests {
     }
 
     #[test]
-    fn initial_crashes_match_the_engine_stream() {
+    fn initial_crashes_match_the_network_stream() {
         let sim = SimConfig::new(256)
             .with_seed(17)
             .with_initial_crash_prob(0.2);
-        let engine = crate::engine::AsyncEngine::new(AsyncConfig::new(sim.clone()));
+        let net = gossip_net::Network::new(sim.clone());
         let driver = ShardedDriver::new(AsyncConfig::new(sim), 8, |me| Rumor {
             me,
             tokens: Vec::new(),
             tick_us: 1_000,
         });
-        use gossip_net::Transport;
         for i in 0..256 {
             assert_eq!(
-                Transport::is_alive(&engine, NodeId::new(i)),
+                net.is_alive(NodeId::new(i)),
                 driver.is_alive(NodeId::new(i)),
                 "node {i}"
             );
         }
-        assert_eq!(Transport::alive_count(&engine), driver.alive_count());
+        assert_eq!(net.alive_count(), driver.alive_count());
+        assert!(driver.alive_nodes().eq(net.alive_nodes()));
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl NodeTable {
             incarnation: vec![0; n],
             oseq: vec![0; n],
             bits_window: vec![0; n],
-            node_hash: vec![crate::driver::FNV_OFFSET; n],
+            node_hash: vec![crate::metrics::FNV_OFFSET; n],
             cancels: HashMap::new(),
             alive_count: alive.iter().filter(|&&a| a).count(),
             pending_crashes: 0,
@@ -94,6 +94,6 @@ mod tests {
         assert_eq!(t.next_oseq(1), 0);
         assert_eq!(t.next_oseq(1), 1);
         assert_eq!(t.next_oseq(0), 0);
-        assert_eq!(t.node_hash[2], crate::driver::FNV_OFFSET);
+        assert_eq!(t.node_hash[2], crate::metrics::FNV_OFFSET);
     }
 }

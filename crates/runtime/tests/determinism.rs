@@ -1,20 +1,20 @@
-//! The determinism suite: seed-reproducibility of the asynchronous engine,
-//! bit-equality with the synchronous backend in the compatibility
-//! configuration, thread-count invariance of the sweep runner, and — for
-//! the event-driven execution model — pinned timer/delivery ordering.
+//! The determinism suite: seed-reproducibility of the round-barrier
+//! facade under heavy-tailed latency and churn (pinned to golden
+//! fingerprints, see [`common::Golden`]), thread-count invariance of the
+//! sweep runner, and — for the event-driven face — pinned timer/delivery
+//! ordering and shard-count invariance. Bit-equality with the synchronous
+//! backend in the compatibility configuration lives in `facade.rs`.
 
-use gossip_baselines::{push_sum_average, PushSumConfig};
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
-use gossip_drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport};
+use gossip_drr::protocol::{drr_gossip_max, DrrGossipConfig};
 use gossip_net::{Handler, Mailbox, Network, NodeId, Phase, SimConfig, TimerId};
 use gossip_runtime::{
-    AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel, RoundPolicy, ShardedDriver,
-    ShardedTransport, SweepRunner,
+    AsyncConfig, ChurnModel, LatencyModel, ShardedDriver, ShardedTransport, SweepRunner,
 };
 use std::sync::{Arc, Mutex};
 
 mod common;
-use common::shard_counts;
+use common::{assert_golden, check_golden, golden_of, shard_counts, Golden};
 
 fn values(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 37) % 1009) as f64).collect()
@@ -30,79 +30,31 @@ fn churny_config(n: usize, seed: u64) -> AsyncConfig {
         .with_churn(ChurnModel::per_round(0.01, 0.1).with_min_alive(n / 2))
 }
 
-fn fingerprint(report: &DrrGossipReport) -> (Vec<u64>, u64, u64, Vec<bool>) {
-    // Bit-exact estimate comparison (NaN at crashed nodes ≠ NaN via ==).
-    let bits = report.estimates.iter().map(|e| e.to_bits()).collect();
-    (
-        bits,
-        report.total_rounds,
-        report.total_messages,
-        report.alive.clone(),
-    )
+/// Algorithm 7 on `t`, fingerprinted.
+fn gossip_max_golden(t: &mut ShardedTransport, vals: &[f64]) -> Golden {
+    Golden::new().report(&drr_gossip_max(t, vals, &DrrGossipConfig::paper()))
 }
 
 #[test]
-fn async_engine_is_bit_reproducible_under_latency_and_churn() {
+fn facade_is_bit_reproducible_under_latency_and_churn() {
+    // Log-normal latency, spread links and churn: the protocol outcome,
+    // virtual time and engine metrics are a pure function of the seed —
+    // pinned absolutely, at every shard count and on both drain paths.
     let n = 1200;
     let vals = values(n);
-    let run = || {
-        let mut engine = AsyncEngine::new(churny_config(n, 42));
-        let report = drr_gossip_max(&mut engine, &vals, &DrrGossipConfig::paper());
-        (
-            fingerprint(&report),
-            engine.now_us(),
-            engine.async_metrics().clone(),
-        )
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(
-        a.0, b.0,
-        "protocol outcome must be a pure function of the seed"
+    let golden = 0x1470_EE9A_98AD_E453;
+    assert_golden(
+        "gossip-max, log-normal",
+        &churny_config(n, 42),
+        golden,
+        |t| gossip_max_golden(t, &vals),
     );
-    assert_eq!(a.1, b.1, "virtual time must reproduce");
-    assert_eq!(a.2, b.2, "engine metrics must reproduce");
 
     // ... and a different seed produces a different run.
-    let mut other = AsyncEngine::new(churny_config(n, 43));
-    let other_report = drr_gossip_max(&mut other, &vals, &DrrGossipConfig::paper());
-    assert_ne!(a.0, fingerprint(&other_report));
-}
-
-#[test]
-fn compat_configuration_reproduces_the_synchronous_backend_exactly() {
-    // Constant latency + no churn + no bandwidth cap consumes the RNG in
-    // the same order as Network, so whole protocol runs are bit-identical.
-    let n = 1500;
-    let vals = values(n);
-    let sim = SimConfig::new(n)
-        .with_seed(7)
-        .with_loss_prob(0.08)
-        .with_initial_crash_prob(0.05);
-
-    let mut net = Network::new(sim.clone());
-    let sync_report = drr_gossip_ave(&mut net, &vals, &DrrGossipConfig::paper());
-
-    let mut engine = AsyncEngine::new(AsyncConfig::new(sim.clone()));
-    let async_report = drr_gossip_ave(&mut engine, &vals, &DrrGossipConfig::paper());
-
-    assert_eq!(fingerprint(&sync_report), fingerprint(&async_report));
-    assert_eq!(sync_report.metrics, async_report.metrics);
-    assert_eq!(
-        engine.async_metrics().latency.count(),
-        sync_report.metrics.total_messages() - sync_report.metrics.total_dropped(),
-        "every delivered message passes through the event queue"
-    );
-
-    // Same property for the push-sum baseline. (Estimates are compared by
-    // bit pattern: crashed nodes hold NaN, and NaN != NaN under `==`.)
-    let mut net = Network::new(sim.clone());
-    let sync_push = push_sum_average(&mut net, &vals, &PushSumConfig::default());
-    let mut engine = AsyncEngine::new(AsyncConfig::new(sim));
-    let async_push = push_sum_average(&mut engine, &vals, &PushSumConfig::default());
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(&sync_push.estimates), bits(&async_push.estimates));
-    assert_eq!(sync_push.messages, async_push.messages);
-    assert_eq!(sync_push.max_error_trace, async_push.max_error_trace);
+    let other = golden_of(&churny_config(n, 43), 1, false, |t| {
+        gossip_max_golden(t, &vals)
+    });
+    assert_ne!(golden, other);
 }
 
 #[test]
@@ -111,15 +63,20 @@ fn sweep_runner_results_do_not_depend_on_thread_count() {
     let vals = values(n);
     let seeds = SweepRunner::trial_seeds(0xD0_5EED, 8);
     let trial = |_: &(), seed: u64| {
-        let mut engine = AsyncEngine::new(churny_config(n, seed));
-        let report = drr_gossip_max(&mut engine, &vals, &DrrGossipConfig::paper());
-        (fingerprint(&report), engine.now_us())
+        golden_of(&churny_config(n, seed), 1, false, |t| {
+            gossip_max_golden(t, &vals)
+        })
     };
     let one = SweepRunner::with_threads(1).run_grid(&[()], &seeds, trial);
     let two = SweepRunner::with_threads(2).run_grid(&[()], &seeds, trial);
     let eight = SweepRunner::with_threads(8).run_grid(&[()], &seeds, trial);
     assert_eq!(one, two);
     assert_eq!(one, eight);
+    check_golden(
+        "the eight sweep trials",
+        Golden::new().words(one).finish(),
+        0x1B4F_B6BC_047E_410C,
+    );
 }
 
 /// One recorded callback: `(virtual time, kind, node/sender index)`.
@@ -142,8 +99,8 @@ impl Handler for Probe {
             .unwrap()
             .push((mailbox.now_us(), "start", self.me.index()));
         if self.me.index() == 0 {
-            // Scheduled before the timers below: the message's Deliver event
-            // carries a smaller sequence number than any timer.
+            // Scheduled before the timer below: the message's Deliver event
+            // carries a smaller origin sequence number than node 0's timer.
             mailbox.send(NodeId::new(1), Phase::Other, 8, ());
         }
         mailbox.set_timer(1_000, TimerId(0));
@@ -167,22 +124,25 @@ impl Handler for Probe {
 #[test]
 fn timer_events_order_deterministically_against_deliveries() {
     // Constant 1 ms latency puts node 0's message and every timer at the
-    // same virtual instant, t = 1000. Ties break by schedule order, which
-    // the on_start sequence fixes completely: node 0 sends before arming
-    // its timer, node 1 arms its timer afterwards. The interleaving is
-    // therefore not merely reproducible — it is *this*:
+    // same virtual instant, t = 1000. Ties break by (origin node, the
+    // origin's own schedule order), which the on_start sequence fixes
+    // completely: node 0 sends before arming its timer, and node 1's timer
+    // sorts after both. The interleaving is therefore not merely
+    // reproducible — it is *this*:
     let golden = vec![
         (0, "start", 0),
         (0, "start", 1),
-        (1_000, "msg", 0),   // Deliver scheduled first (seq 0)
-        (1_000, "timer", 0), // node 0's timer (seq 1)
-        (1_000, "timer", 1), // node 1's timer (seq 2)
+        (1_000, "msg", 0),   // origin 0, its first scheduled event
+        (1_000, "timer", 0), // origin 0, its second
+        (1_000, "timer", 1), // origin 1, its first
     ];
     for _ in 0..3 {
         let log = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
-        let engine = AsyncEngine::new(AsyncConfig::new(SimConfig::new(2).with_seed(3)));
-        let mut driver = EventDriver::new(engine, move |me| Probe {
+        // One shard: the handlers share a log, which two shards on two
+        // threads would fill in either order.
+        let config = AsyncConfig::new(SimConfig::new(2).with_seed(3));
+        let mut driver = ShardedDriver::new(config, 1, move |me| Probe {
             me,
             log: Arc::clone(&sink),
         });
@@ -193,7 +153,7 @@ fn timer_events_order_deterministically_against_deliveries() {
     }
 }
 
-fn max_gossip_driver(n: usize, seed: u64, vals: Vec<f64>) -> EventDriver<MaxGossipHandler> {
+fn max_gossip_driver(n: usize, seed: u64, vals: Vec<f64>) -> ShardedDriver<MaxGossipHandler> {
     let sim = SimConfig::new(n).with_seed(seed).with_loss_prob(0.05);
     let handler_config = MaxGossipConfig {
         bits: sim.id_bits() + sim.value_bits(),
@@ -206,7 +166,7 @@ fn max_gossip_driver(n: usize, seed: u64, vals: Vec<f64>) -> EventDriver<MaxGoss
         })
         .with_link_spread(0.25)
         .with_churn(ChurnModel::per_round(0.005, 0.1).with_min_alive(n / 2));
-    EventDriver::new(AsyncEngine::new(config), move |me| {
+    ShardedDriver::new(config, 1, move |me| {
         MaxGossipHandler::new(me, vals[me.index()], handler_config)
     })
 }
@@ -214,7 +174,7 @@ fn max_gossip_driver(n: usize, seed: u64, vals: Vec<f64>) -> EventDriver<MaxGoss
 #[test]
 fn event_driven_dispatch_order_is_invariant_across_thread_counts() {
     // The driver's order hash fingerprints the entire dispatch schedule —
-    // timers, deliveries and crashes in (time, seq) order. Sweeping trials
+    // timers, deliveries and crashes in key order. Sweeping trials
     // across worker counts must reproduce it bit for bit, and resuming in
     // slices must walk the same schedule as one uninterrupted run.
     let n = 300;
@@ -226,16 +186,11 @@ fn event_driven_dispatch_order_is_invariant_across_thread_counts() {
             driver.run_until(k * 60_000 / slices);
         }
         let maxima: Vec<u64> = driver
-            .handlers()
-            .iter()
-            .map(|h| h.current_max().to_bits())
+            .iter_handlers()
+            .map(|(_, h)| h.current_max().to_bits())
             .collect();
-        (
-            driver.metrics().order_hash,
-            driver.metrics().timer_fires,
-            driver.metrics().rejoin_log.clone(),
-            maxima,
-        )
+        let m = driver.metrics();
+        (m.order_hash, m.timer_fires, m.rejoin_log, maxima)
     };
     let grid = [1u64, 4];
     let one = SweepRunner::with_threads(1).run_grid(&grid, &seeds, trial);
@@ -246,89 +201,6 @@ fn event_driven_dispatch_order_is_invariant_across_thread_counts() {
     // Slicing the run differently must not change the schedule either:
     // grid row 0 (one shot) equals grid row 1 (four slices), seed by seed.
     assert_eq!(one[..seeds.len()], one[seeds.len()..]);
-}
-
-#[test]
-fn event_driver_golden_order_hashes_survive_storage_refactors() {
-    // Serial-side twins of the absolute pins in `sharding.rs`: the same
-    // two golden configurations on the one-queue `EventDriver`, with
-    // hashes captured before the arena-payload rewrite. A storage change
-    // that re-orders or drops a dispatch fails here even if it remains
-    // internally reproducible.
-    let golden_a = AsyncConfig::new(
-        SimConfig::new(1_000)
-            .with_seed(0x60_1D)
-            .with_loss_prob(0.05),
-    )
-    .with_latency(LatencyModel::Uniform {
-        lo_us: 400,
-        hi_us: 2_000,
-    })
-    .with_link_spread(0.2)
-    .with_churn(ChurnModel::per_round(0.02, 0.1).with_min_alive(500));
-    let golden_b = AsyncConfig::new(SimConfig::new(500).with_seed(0xB0_1D).with_loss_prob(0.02))
-        .with_latency(LatencyModel::Uniform {
-            lo_us: 500,
-            hi_us: 1_500,
-        })
-        .with_churn(ChurnModel::per_round(0.01, 0.2).with_min_alive(100))
-        .with_bandwidth_bits_per_round(300)
-        .with_round_policy(RoundPolicy::FixedDeadline(2_000));
-    let golden = [
-        (golden_a, 0x1A8D_506A_FE94_1784u64, 21_289u64),
-        (golden_b, 0x6FC6_29C7_AB17_0E3Fu64, 12_893u64),
-    ];
-    for (i, (config, hash, messages)) in golden.into_iter().enumerate() {
-        let hc = MaxGossipConfig {
-            bits: config.sim.id_bits() + config.sim.value_bits(),
-            ..MaxGossipConfig::default()
-        };
-        let own = |me: NodeId| ((me.index() as u64).wrapping_mul(0x9E37_79B9) % 1_000_003) as f64;
-        let mut driver = EventDriver::new(AsyncEngine::new(config), move |me| {
-            MaxGossipHandler::new(me, own(me), hc)
-        });
-        driver.run_until(30_000);
-        assert_eq!(
-            (
-                driver.metrics().order_hash,
-                driver.metrics().messages_dispatched
-            ),
-            (hash, messages),
-            "golden config {} diverged on the EventDriver",
-            ["A", "B"][i]
-        );
-    }
-}
-
-#[test]
-fn event_driven_max_agrees_with_the_round_based_backends() {
-    // The same aggregate across all three execution models: synchronous
-    // rounds, asynchronous rounds (bit-identical pair pinned above), and
-    // the event-driven driver — the newcomer must land every node on the
-    // maximum the round protocols compute.
-    let n = 600;
-    let vals = values(n);
-    let mut net = Network::new(SimConfig::new(n).with_seed(31));
-    let round_report = drr_gossip_max(&mut net, &vals, &DrrGossipConfig::paper());
-    assert_eq!(round_report.fraction_exact(), 1.0);
-
-    let sim = SimConfig::new(n).with_seed(31);
-    let handler_config = MaxGossipConfig {
-        bits: sim.id_bits() + sim.value_bits(),
-        ..MaxGossipConfig::default()
-    };
-    let vals_for_driver = vals.clone();
-    let mut driver = EventDriver::new(AsyncEngine::new(AsyncConfig::new(sim)), move |me| {
-        MaxGossipHandler::new(me, vals_for_driver[me.index()], handler_config)
-    });
-    driver.run_until(50_000);
-    for (i, h) in driver.handlers().iter().enumerate() {
-        assert_eq!(
-            h.current_max(),
-            round_report.exact,
-            "node {i} disagrees across execution models"
-        );
-    }
 }
 
 fn sharded_max_driver(n: usize, seed: u64, shards: usize) -> ShardedDriver<MaxGossipHandler> {
@@ -422,8 +294,8 @@ fn sharded_runs_are_invariant_across_slicing_and_worker_paths() {
 
 #[test]
 fn sharded_max_agrees_with_the_other_execution_models() {
-    // Fourth execution model, same aggregate: the sharded driver must land
-    // every alive node on the maximum the round-based protocols compute.
+    // Other execution model, same aggregate: the event-driven face must
+    // land every node on the maximum the round protocols compute.
     let n = 600;
     let vals = values(n);
     let mut net = Network::new(SimConfig::new(n).with_seed(31));
@@ -514,8 +386,8 @@ fn cancellation_is_order_stable_across_shard_counts() {
     // node's observable state must not depend on how the node space is
     // sharded — with and without host-injected timer jitter.
     let n = 96;
-    let run = |shards, jitter| {
-        let config = AsyncConfig::new(SimConfig::new(n).with_seed(0xCA9).with_loss_prob(0.2))
+    let run = |seed, shards, jitter| {
+        let config = AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(0.2))
             .with_latency(LatencyModel::Uniform {
                 lo_us: 300,
                 hi_us: 2_000,
@@ -539,7 +411,7 @@ fn cancellation_is_order_stable_across_shard_counts() {
     };
     for &jitter in &[0u64, 250] {
         let counts = common::shard_counts();
-        let reference = run(counts[0], jitter);
+        let reference = run(0xCA9, counts[0], jitter);
         assert!(
             reference.1 > 0,
             "the workload must actually exercise cancellation (jitter {jitter})"
@@ -552,42 +424,16 @@ fn cancellation_is_order_stable_across_shard_counts() {
         for &shards in &counts {
             assert_eq!(
                 reference,
-                run(shards, jitter),
+                run(0xCA9, shards, jitter),
                 "shard count {shards} changed a cancellation-heavy run (jitter {jitter})"
             );
         }
+        assert_ne!(
+            reference.0,
+            run(0xCAA, counts[0], jitter).0,
+            "a seed change must move the schedule (jitter {jitter})"
+        );
     }
-}
-
-#[test]
-fn cancellation_reproduces_on_the_one_queue_driver() {
-    // Same workload on the EventDriver: bit-reproducible, cancellation
-    // counted, and a seed change moves the schedule.
-    let n = 64;
-    let run = |seed| {
-        let config = AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(0.2))
-            .with_latency(LatencyModel::Uniform {
-                lo_us: 300,
-                hi_us: 2_000,
-            })
-            .with_churn(ChurnModel::per_round(0.01, 0.1).with_min_alive(n / 2));
-        let mut d = EventDriver::new(AsyncEngine::new(config), suspector_factory(n));
-        d.run_until(60_000);
-        let states: Vec<(u64, u64)> = d
-            .handlers()
-            .iter()
-            .map(|h| (h.heartbeats_seen, h.suspicions))
-            .collect();
-        (
-            d.metrics().order_hash,
-            d.metrics().cancelled_timer_skips,
-            states,
-        )
-    };
-    let a = run(0xF00D);
-    assert_eq!(a, run(0xF00D));
-    assert!(a.1 > 0, "cancellation exercised");
-    assert_ne!(a.0, run(0xF00E).0);
 }
 
 /// A [`Suspector`] that remembers when its incarnation booted, so a stale
@@ -706,41 +552,14 @@ fn rejoin_within_a_suspicion_window_never_inherits_the_stale_timer() {
 }
 
 #[test]
-fn observability_is_passive_across_backends_and_shard_counts() {
+fn observability_is_passive_on_both_faces_at_every_shard_count() {
     // The instrumentation contract: enabling the trace ring and scraping
     // the registry mid-run must not move a single event. The order hash —
     // the fingerprint of the entire dispatch schedule — and every node's
     // final state must be bit-identical with observability on or off, on
-    // both event-driven backends, at every shard count CI pins.
+    // both faces of the sharded core, at every shard count CI pins.
     let n = 400;
 
-    // EventDriver: trace on vs off, with a mid-run registry scrape.
-    let event_run = |traced: bool| {
-        let vals = values(n);
-        let mut driver = max_gossip_driver(n, 0x0B5, vals);
-        if traced {
-            driver = driver.with_trace(512);
-        }
-        driver.run_until(30_000);
-        if traced {
-            // A scrape in the middle of the run: purely a read.
-            let mut registry = gossip_obs::Registry::new();
-            driver.fill_registry(&mut registry);
-            assert!(!registry.is_empty());
-        }
-        driver.run_until(60_000);
-        let maxima: Vec<u64> = driver
-            .handlers()
-            .iter()
-            .map(|h| h.current_max().to_bits())
-            .collect();
-        (driver.metrics().order_hash, maxima)
-    };
-    let plain = event_run(false);
-    let traced = event_run(true);
-    assert_eq!(plain, traced, "tracing changed an EventDriver run");
-
-    // ShardedDriver: the same contract at every pinned shard count.
     let sharded_run = |shards: usize, traced: bool| {
         let mut driver = sharded_max_driver(n, 0x0B5, shards);
         if traced {
@@ -748,6 +567,7 @@ fn observability_is_passive_across_backends_and_shard_counts() {
         }
         driver.run_until(30_000);
         if traced {
+            // A scrape in the middle of the run: purely a read.
             let mut registry = gossip_obs::Registry::new();
             driver.fill_registry(&mut registry);
             assert!(!registry.is_empty());
@@ -776,60 +596,32 @@ fn observability_is_passive_across_backends_and_shard_counts() {
     let ring = driver.trace().expect("trace enabled");
     assert!(ring.total() > 0, "an instrumented run records events");
 
-    // AsyncEngine under the synchronous-protocol bridge: the raw-transport
-    // path mints causal roots per send, and doing so must not move a bit.
-    let engine_run = |traced: bool| {
-        let vals = values(n);
-        let mut engine = AsyncEngine::new(churny_config(n, 0x0B5));
-        if traced {
-            engine = engine.with_trace(512);
-        }
-        let report = drr_gossip_max(&mut engine, &vals, &DrrGossipConfig::paper());
-        if traced {
-            let mut registry = gossip_obs::Registry::new();
-            engine.fill_registry(&mut registry);
-            assert!(!registry.is_empty());
-            assert!(
-                engine.trace().expect("trace enabled").total() > 0,
-                "an instrumented engine run records events"
-            );
-        }
-        (
-            fingerprint(&report),
-            engine.now_us(),
-            engine.async_metrics().clone(),
-        )
-    };
-    assert_eq!(
-        engine_run(false),
-        engine_run(true),
-        "tracing changed an AsyncEngine run"
-    );
-
-    // The sharded facade over the same bridge, at every pinned shard count.
-    let facade_run = |shards: usize, traced: bool| {
-        let vals = values(n);
-        let mut facade = ShardedTransport::new(churny_config(n, 0x0B5), shards);
-        if traced {
-            facade = facade.with_trace(512);
-        }
-        let report = drr_gossip_max(&mut facade, &vals, &DrrGossipConfig::paper());
-        if traced {
-            let mut registry = gossip_obs::Registry::new();
-            facade.fill_registry(&mut registry);
-            assert!(!registry.is_empty());
-            assert!(
-                facade.trace().expect("trace enabled").total() > 0,
-                "an instrumented facade run records events"
-            );
-        }
-        (fingerprint(&report), facade.now_us())
-    };
+    // The round-barrier face under the synchronous-protocol bridge: the
+    // raw-transport path mints causal roots per send, and doing so must
+    // not move a bit — the traced run lands on the untraced run's golden.
+    let vals = values(n);
+    let config = churny_config(n, 0x0B5);
+    let golden = 0x3623_87EF_5360_A52F;
+    assert_golden("gossip-max, untraced", &config, golden, |t| {
+        gossip_max_golden(t, &vals)
+    });
     for &shards in &counts {
-        assert_eq!(
-            facade_run(shards, false),
-            facade_run(shards, true),
-            "tracing changed a {shards}-shard facade run"
+        let mut facade = ShardedTransport::new(config.clone(), shards).with_trace(512);
+        let traced = gossip_max_golden(&mut facade, &vals);
+        let mut registry = gossip_obs::Registry::new();
+        facade.fill_registry(&mut registry);
+        assert!(!registry.is_empty());
+        assert!(
+            facade.trace().expect("trace enabled").total() > 0,
+            "an instrumented facade run records events"
+        );
+        check_golden(
+            &format!("gossip-max, traced, {shards} shard(s)"),
+            traced
+                .word(facade.now_us())
+                .async_metrics(&facade.async_metrics())
+                .finish(),
+            golden,
         );
     }
 }
@@ -843,8 +635,15 @@ fn drr_gossip_still_converges_under_churn_and_heavy_tails() {
     // majority of the final alive set and overwhelmingly hold the true max.
     let n = 2000;
     let vals = values(n);
-    let mut engine = AsyncEngine::new(churny_config(n, 5));
-    let report = drr_gossip_max(&mut engine, &vals, &DrrGossipConfig::paper());
+    let mut outcome = None;
+    let golden = golden_of(&churny_config(n, 5), 4, false, |t| {
+        let report = drr_gossip_max(t, &vals, &DrrGossipConfig::paper());
+        let golden = Golden::new().report(&report);
+        outcome = Some((report, t.async_metrics()));
+        golden
+    });
+    check_golden("gossip-max, n = 2000", golden, 0x6CA9_1E19_31BC_A196);
+    let (report, async_metrics) = outcome.expect("the run happened");
     let informed: Vec<f64> = report
         .estimates
         .iter()
@@ -865,13 +664,9 @@ fn drr_gossip_still_converges_under_churn_and_heavy_tails() {
         "only {exact}/{} informed nodes agree on the max",
         informed.len()
     );
+    assert!(async_metrics.churn_crashes > 0, "churn actually happened");
     assert!(
-        engine.async_metrics().churn_crashes > 0,
-        "churn actually happened"
-    );
-    assert!(
-        engine.async_metrics().latency.quantile_us(0.99)
-            > 2 * engine.async_metrics().latency.quantile_us(0.5),
+        async_metrics.latency.quantile_us(0.99) > 2 * async_metrics.latency.quantile_us(0.5),
         "log-normal tail is visible"
     );
 }

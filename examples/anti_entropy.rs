@@ -12,7 +12,7 @@
 //! measured in anti-entropy ticks, not a terminal state.
 
 use drr_gossip::ae::{ae_driver, AeConfig, RecoveryOutcome, RecoveryTracker, SignalModel};
-use drr_gossip::net::{SimConfig, Transport};
+use drr_gossip::net::SimConfig;
 use drr_gossip::runtime::{AsyncConfig, ChurnModel, LatencyModel};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
         ae.tick_us, ae.signal.drift_per_s
     );
 
-    let mut driver = ae_driver(engine, ae);
+    let mut driver = ae_driver(engine, ae, 2);
     let mut tracker = RecoveryTracker::new(0.01, ae.expiry_us);
     println!(
         "{:>5} {:>7} {:>10} {:>12} {:>12} {:>9}",
@@ -54,7 +54,7 @@ fn main() {
             continue;
         }
         let now = driver.now_us();
-        let alive: Vec<_> = driver.engine().alive_nodes().collect();
+        let alive: Vec<_> = driver.alive_nodes().collect();
         let truth = ae.signal.true_mean(alive.iter().copied(), now).unwrap();
         let mut informed = 0usize;
         let mut max_err = 0.0f64;
@@ -69,7 +69,7 @@ fn main() {
             alive.len(),
             informed,
             max_err * 100.0,
-            driver.metrics().rejoin_log.len(),
+            driver.rejoin_log().len(),
         );
     }
 
@@ -92,8 +92,8 @@ fn main() {
     }
     println!(
         "  messages           {:>6} ({:.1}/node/tick)",
-        driver.engine().metrics().total_messages(),
-        driver.engine().metrics().total_messages() as f64 / (n as f64 * ticks as f64)
+        driver.net_metrics().total_messages(),
+        driver.net_metrics().total_messages() as f64 / (n as f64 * ticks as f64)
     );
     println!("\nre-run with the same seed for a bit-identical trace.");
 }

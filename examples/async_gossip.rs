@@ -1,5 +1,5 @@
-//! Run DRR-gossip on the asynchronous discrete-event engine and compare it
-//! with the synchronous round-barrier backend on the same workload.
+//! Run DRR-gossip on the sharded discrete-event engine and compare it with
+//! the synchronous round-barrier backend on the same workload.
 //!
 //! ```text
 //! cargo run --release --example async_gossip [n] [seed]
@@ -12,7 +12,11 @@
 
 use drr_gossip::drr::protocol::{drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use drr_gossip::net::{Network, SimConfig};
-use drr_gossip::runtime::{AsyncConfig, AsyncEngine, ChurnModel, LatencyModel};
+use drr_gossip::runtime::{AsyncConfig, ChurnModel, LatencyModel, ShardedTransport};
+
+/// Shards the node space is split into; the run is bit-identical at any
+/// count.
+const SHARDS: usize = 2;
 
 fn consensus(report: &DrrGossipReport) -> (usize, usize, f64) {
     let informed: Vec<f64> = report
@@ -36,10 +40,23 @@ fn consensus(report: &DrrGossipReport) -> (usize, usize, f64) {
     (informed.len(), alive, share)
 }
 
+/// The next positional argument, `default` when absent; a value that does
+/// not parse is a usage error (exit 2), never a silent default.
+fn arg_or<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, default: T) -> T {
+    match args.next() {
+        None => default,
+        Some(raw) => raw.parse().unwrap_or_else(|_| {
+            eprintln!("async_gossip: not a number: {raw:?}");
+            eprintln!("usage: async_gossip [n] [seed]");
+            std::process::exit(2)
+        }),
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
-    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1 << 12);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
+    let n: usize = arg_or(&mut args, 1 << 12);
+    let seed: u64 = arg_or(&mut args, 7);
     let values: Vec<f64> = (0..n).map(|i| ((i * 37) % 100_003) as f64).collect();
 
     println!("DRR-gossip-max, n = {n}, seed = {seed}\n");
@@ -52,7 +69,7 @@ fn main() {
     println!("  messages {:>10}", sync_report.total_messages);
     println!("  exact    {:>10}", sync_report.fraction_exact());
 
-    // --- Asynchronous engine: churn + heavy-tailed latency. --------------
+    // --- Sharded engine: churn + heavy-tailed latency. -------------------
     let config = AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(0.05))
         .with_latency(LatencyModel::LogNormal {
             median_us: 1_000.0,
@@ -60,11 +77,11 @@ fn main() {
         })
         .with_link_spread(0.3)
         .with_churn(ChurnModel::per_round(0.01, 0.1).with_min_alive(n / 2));
-    let mut engine = AsyncEngine::new(config.clone());
+    let mut engine = ShardedTransport::new(config.clone(), SHARDS);
     let report = drr_gossip_max(&mut engine, &values, &DrrGossipConfig::paper());
     let (informed, alive, share) = consensus(&report);
     let am = engine.async_metrics();
-    println!("\nasync AsyncEngine     (1%/round churn, log-normal latency σ = 1.0):");
+    println!("\nasync ShardedTransport (1%/round churn, log-normal latency σ = 1.0):");
     println!("  rounds   {:>10}", report.total_rounds);
     println!("  messages {:>10}", report.total_messages);
     println!("  alive at end      {alive:>7} / {n}");
@@ -89,7 +106,7 @@ fn main() {
     );
 
     // --- Determinism: the run is a pure function of the seed. ------------
-    let mut replay = AsyncEngine::new(config);
+    let mut replay = ShardedTransport::new(config, SHARDS);
     let replay_report = drr_gossip_max(&mut replay, &values, &DrrGossipConfig::paper());
     let identical = replay_report
         .estimates

@@ -27,6 +27,6 @@ pub mod prelude {
     pub use gossip_net::{Handler, Mailbox, Network, NodeId, Phase, SimConfig, TimerId, Transport};
     pub use gossip_node::{LoopbackCluster, NodeHost, ThreadedCluster};
     pub use gossip_runtime::{
-        AsyncConfig, AsyncEngine, ChurnModel, EventDriver, LatencyModel, SweepRunner,
+        AsyncConfig, ChurnModel, LatencyModel, ShardedDriver, ShardedTransport, SweepRunner,
     };
 }
