@@ -10,7 +10,7 @@
 //! (phone-call model) and heights (message-passing model) are `O(log n)`.
 
 use crate::convergecast::ReceptionModel;
-use crate::forest::Forest;
+use crate::forest::{Forest, FrontierNode};
 use gossip_net::{NodeId, Phase, Transport};
 
 /// Outcome of a tree broadcast.
@@ -36,6 +36,13 @@ impl BroadcastOutcome {
 /// `payload_bits` is the logical size of the payload (a root address for the
 /// Phase-II broadcast; an address plus an aggregate value for the final
 /// dissemination). Lost messages are retransmitted in subsequent rounds.
+///
+/// A round costs time in proportion to the *frontier* — the holders with a
+/// child still to serve — not to `n`: a holder joins it the round after the
+/// payload reaches it and leaves it once its last child is served. The
+/// frontier is walked in node-id order, so the sends, and with them every
+/// draw from the transport's RNG, happen in the order a sweep over all
+/// nodes would make them.
 pub fn broadcast_down<T: Transport>(
     net: &mut T,
     forest: &Forest,
@@ -49,12 +56,23 @@ pub fn broadcast_down<T: Transport>(
     let messages_before = net.metrics().total_messages();
 
     // A node "has" the payload once its root's broadcast reaches it.
-    let mut has: Vec<bool> = (0..n)
-        .map(|i| {
-            let v = NodeId::new(i);
-            forest.is_root(v) && net.is_alive(v)
-        })
-        .collect();
+    let mut has = vec![false; n];
+    // The holders that may still have a child to serve, in node-id order.
+    let mut frontier: Vec<FrontierNode> = Vec::new();
+    for &root in forest.roots() {
+        if net.is_alive(root) {
+            has[root.index()] = true;
+            if !forest.is_leaf(root) {
+                frontier.push(FrontierNode::new(root));
+            }
+        }
+    }
+    // The nodes still without the payload, pruned only when a round sends
+    // nothing and the phase has to decide whether it is done.
+    let mut missing: Vec<NodeId> = net.nodes().filter(|v| !has[v.index()]).collect();
+    // Nodes reached this round: they forward from the next round on.
+    let mut reached: Vec<FrontierNode> = Vec::new();
+
     // Liveness is re-read every round (on churny backends nodes crash and
     // rejoin mid-phase); the phase ends when every alive node holds the
     // payload, or when it stops progressing (a crashed inner node cuts its
@@ -64,54 +82,55 @@ pub fn broadcast_down<T: Transport>(
     let mut stalled_rounds = 0u32;
     let mut rounds_used = 0u64;
     while rounds_used < round_cap && stalled_rounds < stall_cap {
-        let pending = (0..n)
-            .filter(|&i| {
-                let v = NodeId::new(i);
-                net.is_alive(v) && !has[i]
-            })
-            .count();
-        if pending == 0 {
-            break;
-        }
-        // Snapshot the holders at the start of the round: a node that first
-        // receives the payload this round may only forward it from the next
-        // round on.
-        let holders: Vec<usize> = (0..n)
-            .filter(|&i| has[i] && net.is_alive(NodeId::new(i)))
-            .collect();
+        let mut attempted = false;
         let mut progressed = false;
-        for i in holders {
-            let me = NodeId::new(i);
-            match reception {
-                ReceptionModel::OneCallPerRound => {
-                    // Send to the first child that does not have it yet.
-                    if let Some(&child) = forest
-                        .children(me)
-                        .iter()
-                        .find(|c| net.is_alive(**c) && !has[c.index()])
-                    {
-                        if net.send(me, child, phase, payload_bits) {
-                            has[child.index()] = true;
-                            progressed = true;
-                        }
-                    }
+        let mut kept = 0;
+        for at in 0..frontier.len() {
+            let mut holder = frontier[at];
+            let waiting = holder.waiting(forest, &has);
+            if waiting.is_empty() {
+                continue; // every child served: leave the frontier
+            }
+            frontier[kept] = holder;
+            kept += 1;
+            if !net.is_alive(holder.node) {
+                continue;
+            }
+            // One call per round reaches the first child still waiting; the
+            // message-passing model reaches all of them.
+            let mut calls = match reception {
+                ReceptionModel::OneCallPerRound => 1,
+                ReceptionModel::AllNeighborsPerRound => waiting.len(),
+            };
+            for &child in waiting {
+                if calls == 0 {
+                    break;
                 }
-                ReceptionModel::AllNeighborsPerRound => {
-                    let targets: Vec<NodeId> = forest
-                        .children(me)
-                        .iter()
-                        .copied()
-                        .filter(|c| net.is_alive(*c) && !has[c.index()])
-                        .collect();
-                    for child in targets {
-                        if net.send(me, child, phase, payload_bits) {
-                            has[child.index()] = true;
-                            progressed = true;
-                        }
+                if has[child.index()] || !net.is_alive(child) {
+                    continue;
+                }
+                calls -= 1;
+                attempted = true;
+                if net.send(holder.node, child, phase, payload_bits) {
+                    has[child.index()] = true;
+                    progressed = true;
+                    if !forest.is_leaf(child) {
+                        reached.push(FrontierNode::new(child));
                     }
                 }
             }
         }
+        frontier.truncate(kept);
+        if !attempted {
+            // Nobody had anyone to call. Either every alive node holds the
+            // payload, or the rest sit behind crashed nodes and the phase
+            // waits (up to the stall cap) for churn to bring one back.
+            missing.retain(|v| !has[v.index()]);
+            if !missing.iter().any(|&v| net.is_alive(v)) {
+                break;
+            }
+        }
+        merge_by_id(&mut frontier, &mut reached);
         net.advance_round();
         rounds_used += 1;
         if progressed {
@@ -125,6 +144,25 @@ pub fn broadcast_down<T: Transport>(
         reached: has,
         rounds: net.round() - rounds_before,
         messages: net.metrics().total_messages() - messages_before,
+    }
+}
+
+/// Merge `reached` (in any order) into `frontier` (in node-id order),
+/// leaving `frontier` in node-id order and `reached` empty.
+fn merge_by_id(frontier: &mut Vec<FrontierNode>, reached: &mut Vec<FrontierNode>) {
+    reached.sort_unstable();
+    let mut a = frontier.len();
+    let mut at = a + reached.len();
+    frontier.resize(at, FrontierNode::new(NodeId::new(0)));
+    while let Some(&last) = reached.last() {
+        at -= 1;
+        if a > 0 && frontier[a - 1] > last {
+            frontier[at] = frontier[a - 1];
+            a -= 1;
+        } else {
+            frontier[at] = last;
+            reached.pop();
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! and the running time is bounded by the tree **height** (Theorem 11).
 //! [`ReceptionModel`] selects between the two.
 
-use crate::forest::Forest;
+use crate::forest::{Forest, FrontierNode};
 use gossip_aggregate::{Aggregate, Average, AverageState, Max, Sum};
 use gossip_net::{NodeId, Phase, Transport};
 use serde::{Deserialize, Serialize};
@@ -53,6 +53,12 @@ impl<S: Clone> ConvergecastOutcome<S> {
 /// matching the paper's "repeated calls" handling of lossy links. The
 /// safeguard cap of `16·n + 64` rounds only exists to terminate adversarial
 /// configurations (e.g. extreme loss rates) in tests.
+///
+/// A round costs time in proportion to the nodes that still have to
+/// deliver, not to `n`: a node leaves the walk for good once its parent has
+/// heard it. The walk is in node-id order, so the sends, and with them
+/// every draw from the transport's RNG, happen in the order a sweep over
+/// all nodes would make them.
 pub fn convergecast<T: Transport, A: Aggregate>(
     net: &mut T,
     forest: &Forest,
@@ -79,8 +85,27 @@ pub fn convergecast<T: Transport, A: Aggregate>(
         })
         .collect();
 
-    // has_sent[i]: node i delivered its state to its parent.
+    // has_sent[i]: node i delivered its state to its parent in an earlier
+    // round. This round's deliveries wait in `delivered` until the walk is
+    // over, so that readiness is judged on the state at the *start* of the
+    // round: a node that only becomes ready because of a message it
+    // receives this round waits until the next one (a node talks to at
+    // most one partner per round).
     let mut has_sent = vec![false; n];
+    let mut delivered: Vec<NodeId> = Vec::new();
+    // Everyone who still has to deliver, in node-id order; crashed nodes
+    // included, since on churny backends they may rejoin mid-phase.
+    let mut senders: Vec<FrontierNode> = net
+        .nodes()
+        .filter(|&v| !forest.is_root(v))
+        .map(FrontierNode::new)
+        .collect();
+    // The round (counted from 1) in which each parent last took a call:
+    // under the phone-call model it takes one per round.
+    let mut served_in = match reception {
+        ReceptionModel::OneCallPerRound => vec![0u64; n],
+        ReceptionModel::AllNeighborsPerRound => Vec::new(),
+    };
 
     // Liveness is re-read every round (on churny backends nodes crash and
     // rejoin mid-phase): a parent waits only for children that are still
@@ -92,58 +117,57 @@ pub fn convergecast<T: Transport, A: Aggregate>(
     let mut stalled_rounds = 0u32;
     let mut rounds_used = 0u64;
     while rounds_used < round_cap && stalled_rounds < stall_cap {
-        let remaining = (0..n)
-            .filter(|&i| {
-                let v = NodeId::new(i);
-                net.is_alive(v) && !forest.is_root(v) && !has_sent[i]
-            })
-            .count();
-        if remaining == 0 {
+        let mut remaining = false;
+        let mut kept = 0;
+        for at in 0..senders.len() {
+            let mut sender = senders[at];
+            let me = sender.node;
+            let mut sent = false;
+            if net.is_alive(me) {
+                remaining = true;
+                // Ready means: every child has either delivered or crashed.
+                let ready = sender
+                    .waiting(forest, &has_sent)
+                    .iter()
+                    .all(|&c| has_sent[c.index()] || !net.is_alive(c));
+                let parent = forest.parent(me).expect("non-root has a parent");
+                // Under the phone-call model the parent takes its one call
+                // of the round from the first ready child, delivered or not.
+                let parent_free = ready
+                    && match reception {
+                        ReceptionModel::OneCallPerRound => {
+                            let served = &mut served_in[parent.index()];
+                            let free = *served <= rounds_used;
+                            *served = rounds_used + 1;
+                            free
+                        }
+                        ReceptionModel::AllNeighborsPerRound => true,
+                    };
+                if parent_free && net.send(me, parent, Phase::Convergecast, payload_bits) {
+                    // A node that rejoined mid-phase starts from its own value.
+                    let i = me.index();
+                    let child_state = state[i].clone().unwrap_or_else(|| agg.lift(values[i]));
+                    let merged = match &state[parent.index()] {
+                        Some(parent_state) => agg.combine(parent_state, &child_state),
+                        None => child_state,
+                    };
+                    state[parent.index()] = Some(merged);
+                    delivered.push(me);
+                    sent = true;
+                }
+            }
+            if !sent {
+                senders[kept] = sender;
+                kept += 1;
+            }
+        }
+        senders.truncate(kept);
+        if !remaining {
             break;
         }
-        // Snapshot the set of nodes ready to transmit at the *start* of the
-        // round, so a node that only becomes ready because of a message it
-        // receives this round waits until the next round (a node talks to at
-        // most one partner per round). Ready means: every child has either
-        // delivered or crashed.
-        let ready: Vec<usize> = (0..n)
-            .filter(|&i| {
-                let me = NodeId::new(i);
-                !has_sent[i]
-                    && net.is_alive(me)
-                    && !forest.is_root(me)
-                    && forest
-                        .children(me)
-                        .iter()
-                        .all(|&c| has_sent[c.index()] || !net.is_alive(c))
-            })
-            .collect();
-        let mut parent_served: Vec<bool> = match reception {
-            ReceptionModel::OneCallPerRound => vec![false; n],
-            ReceptionModel::AllNeighborsPerRound => Vec::new(),
-        };
-        let mut progressed = false;
-        for i in ready {
-            let me = NodeId::new(i);
-            let parent = forest.parent(me).expect("non-root has a parent");
-            if let ReceptionModel::OneCallPerRound = reception {
-                if parent_served[parent.index()] {
-                    continue; // parent already took its one call this round
-                }
-                parent_served[parent.index()] = true;
-            }
-            let delivered = net.send(me, parent, Phase::Convergecast, payload_bits);
-            if delivered {
-                // A node that rejoined mid-phase starts from its own value.
-                let child_state = state[i].clone().unwrap_or_else(|| agg.lift(values[i]));
-                let merged = match &state[parent.index()] {
-                    Some(parent_state) => agg.combine(parent_state, &child_state),
-                    None => child_state,
-                };
-                state[parent.index()] = Some(merged);
-                has_sent[i] = true;
-                progressed = true;
-            }
+        let progressed = !delivered.is_empty();
+        for v in delivered.drain(..) {
+            has_sent[v.index()] = true;
         }
         net.advance_round();
         rounds_used += 1;

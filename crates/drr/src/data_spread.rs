@@ -8,7 +8,7 @@
 //! messages cost as Gossip-max.
 
 use crate::forest::Forest;
-use crate::gossip_max::{gossip_max, GossipMaxConfig, GossipMaxOutcome};
+use crate::gossip_max::{gossip_max_from, GossipMaxConfig, GossipMaxOutcome};
 use gossip_net::{NodeId, Transport};
 
 /// Spread `value` from `source` (which must be an alive root) to all roots.
@@ -24,20 +24,14 @@ pub fn data_spread<T: Transport>(
         value.is_finite(),
         "data-spread requires a finite value (|x_ru| < ∞)"
     );
-    let n = net.n();
-    let initial: Vec<Option<f64>> = (0..n)
-        .map(|i| {
-            let v = NodeId::new(i);
-            if v == source {
-                Some(value)
-            } else if forest.is_root(v) {
-                Some(f64::NEG_INFINITY)
-            } else {
-                None
-            }
-        })
-        .collect();
-    gossip_max(net, forest, &initial, config)
+    let initial = |root| {
+        if root == source {
+            value
+        } else {
+            f64::NEG_INFINITY
+        }
+    };
+    gossip_max_from(net, forest, initial, config)
 }
 
 /// Spread from several sources holding the same value (used when the
@@ -50,20 +44,14 @@ pub fn data_spread_multi<T: Transport>(
     config: &GossipMaxConfig,
 ) -> GossipMaxOutcome {
     assert!(!sources.is_empty(), "need at least one spreading root");
-    let n = net.n();
-    let initial: Vec<Option<f64>> = (0..n)
-        .map(|i| {
-            let v = NodeId::new(i);
-            if sources.contains(&v) {
-                Some(value)
-            } else if forest.is_root(v) {
-                Some(f64::NEG_INFINITY)
-            } else {
-                None
-            }
-        })
-        .collect();
-    gossip_max(net, forest, &initial, config)
+    let initial = |root| {
+        if sources.contains(&root) {
+            value
+        } else {
+            f64::NEG_INFINITY
+        }
+    };
+    gossip_max_from(net, forest, initial, config)
 }
 
 #[cfg(test)]

@@ -51,8 +51,13 @@ pub struct ForestStats {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Forest {
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// Every node's children, parent by parent, each run in increasing id
+    /// order; node `v`'s run is `child_list[child_start[v]..child_start[v + 1]]`.
+    child_list: Vec<NodeId>,
+    child_start: Vec<u32>,
     root_of: Vec<NodeId>,
+    /// Position of each node's root in `roots`.
+    root_slot: Vec<u32>,
     depth: Vec<u32>,
     roots: Vec<NodeId>,
     tree_size: Vec<u32>,
@@ -127,11 +132,12 @@ impl Forest {
         // incremental bookkeeping above can be off when a path joins an
         // already-resolved node).
         let mut exact_depth = vec![UNVISITED; n];
+        let mut chain = Vec::new();
         for start in 0..n {
             if exact_depth[start] != UNVISITED {
                 continue;
             }
-            let mut chain = Vec::new();
+            chain.clear();
             let mut v = start;
             while exact_depth[v] == UNVISITED {
                 chain.push(v);
@@ -154,16 +160,34 @@ impl Forest {
         }
         let depth = exact_depth;
 
-        let mut children = vec![Vec::new(); n];
+        // Children, flat: count per parent, prefix-sum into run starts, then
+        // file the nodes in increasing id order.
+        let mut child_start = vec![0u32; n + 1];
+        for p in parent.iter().flatten() {
+            child_start[p.index() + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut next = child_start.clone();
+        let mut child_list = vec![NodeId::new(0); child_start[n] as usize];
         for (i, p) in parent.iter().enumerate() {
             if let Some(p) = p {
-                children[p.index()].push(NodeId::new(i));
+                child_list[next[p.index()] as usize] = NodeId::new(i);
+                next[p.index()] += 1;
             }
         }
         let roots: Vec<NodeId> = (0..n)
             .filter(|&i| parent[i].is_none())
             .map(NodeId::new)
             .collect();
+        let mut root_slot = vec![0u32; n];
+        for (slot, r) in roots.iter().enumerate() {
+            root_slot[r.index()] = slot as u32;
+        }
+        for i in 0..n {
+            root_slot[i] = root_slot[root_of[i].index()];
+        }
         let mut tree_size = vec![0u32; n];
         let mut tree_height = vec![0u32; n];
         for i in 0..n {
@@ -174,8 +198,10 @@ impl Forest {
 
         Ok(Forest {
             parent,
-            children,
+            child_list,
+            child_start,
             root_of,
+            root_slot,
             depth,
             roots,
             tree_size,
@@ -197,7 +223,8 @@ impl Forest {
     /// The children of a node.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v.index()]
+        let i = v.index();
+        &self.child_list[self.child_start[i] as usize..self.child_start[i + 1] as usize]
     }
 
     /// Whether a node is a root.
@@ -210,7 +237,7 @@ impl Forest {
     /// both roots and leaves.
     #[inline]
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children[v.index()].is_empty()
+        self.children(v).is_empty()
     }
 
     /// All roots, in increasing node-id order.
@@ -227,6 +254,14 @@ impl Forest {
     #[inline]
     pub fn root_of(&self, v: NodeId) -> NodeId {
         self.root_of[v.index()]
+    }
+
+    /// Position in [`roots`](Forest::roots) of the root of the tree
+    /// containing `v`: the index root-gossip phases keep per-root state
+    /// under.
+    #[inline]
+    pub fn root_slot(&self, v: NodeId) -> usize {
+        self.root_slot[v.index()] as usize
     }
 
     /// Depth of `v` below its root (0 for roots).
@@ -284,6 +319,19 @@ impl Forest {
             .expect("forest over at least one node has a root")
     }
 
+    /// Per-root values, given in [`roots`](Forest::roots) order, as a
+    /// per-node vector: `None` at every non-root.
+    pub(crate) fn by_node<T: Clone>(
+        &self,
+        by_slot: impl IntoIterator<Item = Option<T>>,
+    ) -> Vec<Option<T>> {
+        let mut by_node = vec![None; self.n()];
+        for (&root, value) in self.roots.iter().zip(by_slot) {
+            by_node[root.index()] = value;
+        }
+        by_node
+    }
+
     /// All members of the tree rooted at `root` (including the root), in BFS
     /// order.
     pub fn members_of(&self, root: NodeId) -> Vec<NodeId> {
@@ -292,7 +340,7 @@ impl Forest {
         let mut i = 0;
         while i < members.len() {
             let v = members[i];
-            members.extend_from_slice(&self.children[v.index()]);
+            members.extend_from_slice(self.children(v));
             i += 1;
         }
         members
@@ -311,6 +359,39 @@ impl Forest {
             },
             max_height: self.max_height(),
         }
+    }
+}
+
+/// A node on the active frontier of a tree phase (convergecast,
+/// broadcast), with a cursor into its child list. The phases keep their
+/// frontier in node-id order — hence the derived ordering — and drop a node
+/// from it once it has nothing left to send, so a round costs the frontier,
+/// not `n`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct FrontierNode {
+    pub(crate) node: NodeId,
+    /// Children before this position are done.
+    cursor: u32,
+}
+
+impl FrontierNode {
+    pub(crate) fn new(node: NodeId) -> Self {
+        FrontierNode { node, cursor: 0 }
+    }
+
+    /// The node's children from the first one not yet `done` on. `done`
+    /// only ever gains nodes, so what the cursor has passed stays passed;
+    /// a child that is merely *down* is not done (it may rejoin) and stops
+    /// the cursor.
+    pub(crate) fn waiting<'f>(&mut self, forest: &'f Forest, done: &[bool]) -> &'f [NodeId] {
+        let children = forest.children(self.node);
+        while children
+            .get(self.cursor as usize)
+            .is_some_and(|c| done[c.index()])
+        {
+            self.cursor += 1;
+        }
+        &children[self.cursor as usize..]
     }
 }
 
@@ -463,13 +544,20 @@ mod tests {
                 prop_assert_eq!(cur, r);
                 prop_assert_eq!(hops, f.depth(v));
             }
-            // children lists are consistent with parents
+            // children lists are consistent with parents: every child
+            // names its parent, runs are in increasing id order, and
+            // together they hold every non-root exactly once
+            let mut listed = 0;
             for i in 0..n {
                 let v = NodeId::new(i);
                 for &c in f.children(v) {
                     prop_assert_eq!(f.parent(c), Some(v));
                 }
+                prop_assert!(f.children(v).windows(2).all(|w| w[0] < w[1]));
+                listed += f.children(v).len();
+                prop_assert_eq!(f.roots()[f.root_slot(v)], f.root_of(v));
             }
+            prop_assert_eq!(listed, n - f.num_trees());
         }
     }
 }

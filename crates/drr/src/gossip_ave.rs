@@ -69,6 +69,15 @@ impl GossipAveOutcome {
     }
 }
 
+/// The average estimate `s/g` of a root holding the pair `(s, g)`.
+pub(crate) fn estimate(sum: f64, weight: f64) -> f64 {
+    if weight > 0.0 {
+        sum / weight
+    } else {
+        0.0
+    }
+}
+
 /// Run Algorithm 6 on the roots of `forest`.
 ///
 /// `initial` holds each root's `(local sum, tree size)` pair from
@@ -85,14 +94,16 @@ pub fn gossip_ave<T: Transport>(
     let messages_before = net.metrics().total_messages();
     let payload_bits = 2 * net.config().value_bits() + net.config().id_bits();
 
-    // Working (s, g) state at alive roots.
-    let mut sum: Vec<f64> = vec![0.0; n];
-    let mut weight: Vec<f64> = vec![0.0; n];
-    let mut active: Vec<bool> = vec![false; n];
+    // Working (s, g) state, one slot per root ([`Forest::root_slot`]; there
+    // are `O(n / log n)` of them); `active` marks the roots alive now.
+    let roots = forest.roots();
+    let mut sum = vec![0.0; roots.len()];
+    let mut weight = vec![0.0; roots.len()];
+    let mut active = vec![false; roots.len()];
     let mut m = 0usize;
     let mut total_sum = 0.0;
     let mut total_weight = 0.0;
-    for &root in forest.roots() {
+    for (slot, &root) in roots.iter().enumerate() {
         if !net.is_alive(root) {
             continue;
         }
@@ -100,9 +111,9 @@ pub fn gossip_ave<T: Transport>(
             sum: 0.0,
             count: 0.0,
         });
-        sum[root.index()] = state.sum;
-        weight[root.index()] = state.count;
-        active[root.index()] = true;
+        sum[slot] = state.sum;
+        weight[slot] = state.count;
+        active[slot] = true;
         total_sum += state.sum;
         total_weight += state.count;
         m += 1;
@@ -116,64 +127,53 @@ pub fn gossip_ave<T: Transport>(
 
     let rounds = config.rounds(m);
     let mut error_trace = Vec::with_capacity(rounds as usize);
+    // What a round delivers, added to the working state when it ends.
+    let mut incoming_sum = vec![0.0; roots.len()];
+    let mut incoming_weight = vec![0.0; roots.len()];
     for _ in 0..rounds {
-        let mut incoming_sum = vec![0.0; n];
-        let mut incoming_weight = vec![0.0; n];
+        incoming_sum.fill(0.0);
+        incoming_weight.fill(0.0);
         // Every root halves its pair and pushes one half.
-        for &root in forest.roots() {
-            let i = root.index();
-            if !active[i] {
+        for (slot, &root) in roots.iter().enumerate() {
+            if !active[slot] {
                 continue;
             }
-            let half_sum = sum[i] / 2.0;
-            let half_weight = weight[i] / 2.0;
-            sum[i] = half_sum;
-            weight[i] = half_weight;
+            let half_sum = sum[slot] / 2.0;
+            let half_weight = weight[slot] / 2.0;
+            sum[slot] = half_sum;
+            weight[slot] = half_weight;
             let target = net.sample_uniform();
             if !net.send(root, target, Phase::RootGossip, payload_bits) {
                 continue; // the pushed half is lost in transit
             }
-            let receiver_root = if forest.is_root(target) {
-                target
-            } else {
-                let owner = forest.root_of(target);
-                if !net.send(target, owner, Phase::RootForward, payload_bits) {
-                    continue;
-                }
-                owner
-            };
-            if active[receiver_root.index()] {
-                incoming_sum[receiver_root.index()] += half_sum;
-                incoming_weight[receiver_root.index()] += half_weight;
+            if !forest.is_root(target)
+                && !net.send(
+                    target,
+                    forest.root_of(target),
+                    Phase::RootForward,
+                    payload_bits,
+                )
+            {
+                continue;
+            }
+            let receiver = forest.root_slot(target);
+            if active[receiver] {
+                incoming_sum[receiver] += half_sum;
+                incoming_weight[receiver] += half_weight;
             }
         }
-        for i in 0..n {
-            sum[i] += incoming_sum[i];
-            weight[i] += incoming_weight[i];
+        for slot in 0..roots.len() {
+            sum[slot] += incoming_sum[slot];
+            weight[slot] += incoming_weight[slot];
         }
         net.advance_round();
-        let z = largest_root.index();
-        let estimate = if weight[z] > 0.0 {
-            sum[z] / weight[z]
-        } else {
-            0.0
-        };
-        error_trace.push(relative_error(estimate, true_average));
+        let z = forest.root_slot(largest_root);
+        error_trace.push(relative_error(estimate(sum[z], weight[z]), true_average));
     }
 
-    let estimates: Vec<Option<f64>> = (0..n)
-        .map(|i| {
-            if active[i] {
-                Some(if weight[i] > 0.0 {
-                    sum[i] / weight[i]
-                } else {
-                    0.0
-                })
-            } else {
-                None
-            }
-        })
-        .collect();
+    let estimates = forest.by_node(
+        (0..roots.len()).map(|slot| active[slot].then(|| estimate(sum[slot], weight[slot]))),
+    );
     let largest_root_estimate = estimates[largest_root.index()].unwrap_or(0.0);
 
     GossipAveOutcome {

@@ -91,6 +91,7 @@ impl GossipMaxOutcome {
     }
 }
 
+/// Fraction of the alive roots whose slot of `values` holds `target`.
 fn fraction_with_value<T: Transport>(
     net: &T,
     forest: &Forest,
@@ -99,12 +100,12 @@ fn fraction_with_value<T: Transport>(
 ) -> f64 {
     let mut roots = 0usize;
     let mut have = 0usize;
-    for &r in forest.roots() {
+    for (slot, &r) in forest.roots().iter().enumerate() {
         if !net.is_alive(r) {
             continue;
         }
         roots += 1;
-        if values[r.index()] == Some(target) {
+        if values[slot] == Some(target) {
             have += 1;
         }
     }
@@ -112,6 +113,16 @@ fn fraction_with_value<T: Transport>(
         0.0
     } else {
         have as f64 / roots as f64
+    }
+}
+
+/// Fold what a round delivered, as `(root slot, value)` pairs, into the
+/// roots' values, emptying `incoming`.
+pub(crate) fn absorb(values: &mut [Option<f64>], incoming: &mut Vec<(usize, f64)>) {
+    for (slot, value) in incoming.drain(..) {
+        if let Some(current) = values[slot] {
+            values[slot] = Some(current.max(value));
+        }
     }
 }
 
@@ -128,40 +139,54 @@ pub fn gossip_max<T: Transport>(
     initial: &[Option<f64>],
     config: &GossipMaxConfig,
 ) -> GossipMaxOutcome {
+    assert_eq!(initial.len(), net.n());
+    gossip_max_from(
+        net,
+        forest,
+        |root| initial[root.index()].unwrap_or(f64::NEG_INFINITY),
+        config,
+    )
+}
+
+/// [`gossip_max`] with the starting values given as a function of the root,
+/// asked once per alive root. All working state is indexed by
+/// [`Forest::root_slot`] — there are `O(n / log n)` roots — and reused from
+/// round to round.
+pub(crate) fn gossip_max_from<T: Transport>(
+    net: &mut T,
+    forest: &Forest,
+    initial: impl Fn(NodeId) -> f64,
+    config: &GossipMaxConfig,
+) -> GossipMaxOutcome {
     let n = net.n();
     assert_eq!(forest.n(), n);
-    assert_eq!(initial.len(), n);
     let messages_before = net.metrics().total_messages();
     let value_bits = net.config().value_bits() + net.config().id_bits();
     let inquiry_bits = net.config().id_bits();
 
-    // Working values: defined exactly at alive roots.
-    let mut values: Vec<Option<f64>> = (0..n)
-        .map(|i| {
-            let v = NodeId::new(i);
-            if forest.is_root(v) && net.is_alive(v) {
-                Some(initial[i].unwrap_or(f64::NEG_INFINITY))
-            } else {
-                None
-            }
-        })
+    // Working values, one slot per root: defined exactly at the roots alive
+    // now. They change only between rounds (what a round delivers waits in
+    // `incoming`), so every push and reply of a round reads round-start
+    // state.
+    let mut values: Vec<Option<f64>> = forest
+        .roots()
+        .iter()
+        .map(|&root| net.is_alive(root).then(|| initial(root)))
         .collect();
     let true_max = values
         .iter()
         .flatten()
         .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+    let mut incoming: Vec<(usize, f64)> = Vec::new();
 
     // ---- Gossip procedure ----
     let gossip_rounds = config.gossip_rounds(n);
     for _ in 0..gossip_rounds {
-        // Snapshot sender values so all pushes in a round use round-start state.
-        let snapshot = values.clone();
-        let mut incoming: Vec<(usize, f64)> = Vec::new();
-        for &root in forest.roots() {
+        for (slot, &root) in forest.roots().iter().enumerate() {
             if !net.is_alive(root) {
                 continue;
             }
-            let value = match snapshot[root.index()] {
+            let value = match values[slot] {
                 Some(v) => v,
                 None => continue,
             };
@@ -179,14 +204,10 @@ pub fn gossip_max<T: Transport>(
                 owner
             };
             if net.is_alive(receiver_root) {
-                incoming.push((receiver_root.index(), value));
+                incoming.push((forest.root_slot(target), value));
             }
         }
-        for (idx, value) in incoming {
-            if let Some(current) = values[idx] {
-                values[idx] = Some(current.max(value));
-            }
-        }
+        absorb(&mut values, &mut incoming);
         net.advance_round();
     }
     let fraction_after_gossip = fraction_with_value(net, forest, &values, true_max);
@@ -194,9 +215,7 @@ pub fn gossip_max<T: Transport>(
     // ---- Sampling procedure ----
     let sampling_rounds = config.sampling_rounds(n);
     for _ in 0..sampling_rounds {
-        let snapshot = values.clone();
-        let mut incoming: Vec<(usize, f64)> = Vec::new();
-        for &root in forest.roots() {
+        for (slot, &root) in forest.roots().iter().enumerate() {
             if !net.is_alive(root) {
                 continue;
             }
@@ -216,20 +235,16 @@ pub fn gossip_max<T: Transport>(
             if !net.is_alive(queried_root) {
                 continue;
             }
-            let reply_value = match snapshot[queried_root.index()] {
+            let reply_value = match values[forest.root_slot(target)] {
                 Some(v) => v,
                 None => continue,
             };
             // The queried root replies directly to the inquiring root.
             if net.send(queried_root, root, Phase::RootSampling, value_bits) {
-                incoming.push((root.index(), reply_value));
+                incoming.push((slot, reply_value));
             }
         }
-        for (idx, value) in incoming {
-            if let Some(current) = values[idx] {
-                values[idx] = Some(current.max(value));
-            }
-        }
+        absorb(&mut values, &mut incoming);
         net.advance_round();
     }
     let fraction_after_sampling = if config.run_sampling {
@@ -239,7 +254,7 @@ pub fn gossip_max<T: Transport>(
     };
 
     GossipMaxOutcome {
-        root_values: values,
+        root_values: forest.by_node(values),
         true_max,
         fraction_after_gossip,
         fraction_after_sampling,

@@ -45,44 +45,31 @@ pub fn run_local_drr(net: &mut Network, graph: &Graph) -> LocalDrrOutcome {
     let connect_bits = net.config().id_bits();
 
     // Round 1: every alive node sends its rank to all neighbours
-    // simultaneously (message-passing model). Receivers record the ranks
-    // they successfully hear.
-    let mut heard: Vec<Vec<(NodeId, bool)>> = vec![Vec::new(); n];
+    // simultaneously (message-passing model). A receiver keeps the
+    // highest-ranked neighbour it successfully hears from; ranks are a
+    // strict total order, so a running best is the maximum.
+    let mut best: Vec<Option<NodeId>> = vec![None; n];
     for v in 0..n {
         let me = NodeId::new(v);
         if !net.is_alive(me) {
             continue;
         }
         for u in graph.neighbors(me) {
-            let delivered = net.send(me, u, Phase::DrrProbe, rank_bits);
-            heard[u.index()].push((me, delivered));
+            if net.send(me, u, Phase::DrrProbe, rank_bits)
+                && best[u.index()].is_none_or(|b| ranks.higher(me, b))
+            {
+                best[u.index()] = Some(me);
+            }
         }
     }
     net.advance_round();
 
-    // Each node picks the highest-ranked neighbour it actually heard from;
-    // it connects iff that neighbour outranks it.
+    // Each node connects to that neighbour iff it outranks the node itself.
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
     for v in 0..n {
         let me = NodeId::new(v);
-        if !net.is_alive(me) {
-            continue;
-        }
-        let best = heard[v]
-            .iter()
-            .filter(|&&(_, delivered)| delivered)
-            .map(|&(u, _)| u)
-            .max_by(|&a, &b| {
-                if ranks.higher(a, b) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Less
-                }
-            });
-        if let Some(best) = best {
-            if ranks.higher(best, me) {
-                parent[v] = Some(best);
-            }
+        if net.is_alive(me) {
+            parent[v] = best[v].filter(|&b| ranks.higher(b, me));
         }
     }
 

@@ -23,6 +23,8 @@
 use crate::broadcast::broadcast_down;
 use crate::convergecast::{convergecast_max, convergecast_sum, ReceptionModel};
 use crate::forest::Forest;
+use crate::gossip_ave::estimate;
+use crate::gossip_max::absorb;
 use crate::local_drr::run_local_drr;
 use crate::protocol::{DrrGossipReport, PhaseCost};
 use gossip_aggregate::AverageState;
@@ -104,6 +106,9 @@ fn charge_super_round(net: &mut Network, sampler_rounds: usize, max_height: usiz
 /// Gossip-max among the roots of a Local-DRR forest, using `sampler` to
 /// reach random nodes. Returns per-node values (at roots) and the fraction
 /// of roots holding the true maximum at the end.
+///
+/// Working state is indexed by [`Forest::root_slot`], and it and the
+/// routing path are reused from sample to sample.
 pub fn sparse_gossip_max(
     net: &mut Network,
     forest: &Forest,
@@ -111,70 +116,67 @@ pub fn sparse_gossip_max(
     initial: &[Option<f64>],
     config: &SparseGossipConfig,
 ) -> Vec<Option<f64>> {
-    let n = net.n();
     let value_bits = net.config().value_bits() + net.config().id_bits();
-    let mut values: Vec<Option<f64>> = (0..n)
-        .map(|i| {
-            let v = NodeId::new(i);
-            if forest.is_root(v) && net.is_alive(v) {
-                Some(initial[i].unwrap_or(f64::NEG_INFINITY))
-            } else {
-                None
-            }
+    // Values change only between rounds, so every exchange of a round reads
+    // round-start state.
+    let mut values: Vec<Option<f64>> = forest
+        .roots()
+        .iter()
+        .map(|&root| {
+            net.is_alive(root)
+                .then(|| initial[root.index()].unwrap_or(f64::NEG_INFINITY))
         })
         .collect();
     let roots = forest.num_trees();
     let max_height = forest.max_height();
     let rounds = config.gossip_rounds(roots) + config.sampling_rounds(roots);
 
+    let mut incoming: Vec<(usize, f64)> = Vec::new();
+    let mut path = Vec::new();
     for _ in 0..rounds {
-        let snapshot = values.clone();
-        let mut incoming: Vec<(usize, f64)> = Vec::new();
-        for &root in forest.roots() {
+        for (slot, &root) in forest.roots().iter().enumerate() {
             if !net.is_alive(root) {
                 continue;
             }
-            let value = match snapshot[root.index()] {
+            let value = match values[slot] {
                 Some(v) => v,
                 None => continue,
             };
             let mut rng = net.derive_rng(root.index() as u64 ^ net.round() << 20);
-            let route = sampler.sample(root, &mut rng);
-            if !route_along(net, root, &route.path, Phase::Routing, value_bits) {
+            let landed = sampler.sample_into(root, &mut rng, &mut path);
+            if !route_along(net, root, &path, Phase::Routing, value_bits) {
                 continue;
             }
-            let landed = route.target;
             let receiver_root = forest.root_of(landed);
             if landed != receiver_root
                 && !climb_to_root(net, forest, landed, Phase::RootForward, value_bits)
             {
                 continue;
             }
+            let receiver = forest.root_slot(landed);
             if net.is_alive(receiver_root) {
-                incoming.push((receiver_root.index(), value));
+                incoming.push((receiver, value));
             }
             // Pull half of the exchange: the receiver root's value travels
             // back along the same route (sampling-procedure style), so the
             // sender also learns the receiver's value.
-            if let Some(back_value) = snapshot[receiver_root.index()] {
-                let back_cost = (route.path.len() + forest.depth(landed)) as u32;
+            if let Some(back_value) = values[receiver] {
+                let back_cost = (path.len() + forest.depth(landed)) as u32;
                 if back_cost == 0 || net.send(receiver_root, root, Phase::RootSampling, value_bits)
                 {
-                    incoming.push((root.index(), back_value));
+                    incoming.push((slot, back_value));
                 }
             }
         }
-        for (idx, value) in incoming {
-            if let Some(current) = values[idx] {
-                values[idx] = Some(current.max(value));
-            }
-        }
+        absorb(&mut values, &mut incoming);
         charge_super_round(net, sampler.rounds_per_sample(), max_height);
     }
-    values
+
+    forest.by_node(values)
 }
 
 /// Push-sum among the roots of a Local-DRR forest using routed samples.
+/// Indexed and buffered like [`sparse_gossip_max`].
 pub fn sparse_gossip_ave(
     net: &mut Network,
     forest: &Forest,
@@ -182,12 +184,12 @@ pub fn sparse_gossip_ave(
     initial: &[Option<AverageState>],
     config: &SparseGossipConfig,
 ) -> Vec<Option<f64>> {
-    let n = net.n();
     let payload_bits = 2 * net.config().value_bits() + net.config().id_bits();
-    let mut sum = vec![0.0; n];
-    let mut weight = vec![0.0; n];
-    let mut active = vec![false; n];
-    for &root in forest.roots() {
+    let roots = forest.roots();
+    let mut sum = vec![0.0; roots.len()];
+    let mut weight = vec![0.0; roots.len()];
+    let mut active = vec![false; roots.len()];
+    for (slot, &root) in roots.iter().enumerate() {
         if !net.is_alive(root) {
             continue;
         }
@@ -195,63 +197,53 @@ pub fn sparse_gossip_ave(
             sum: 0.0,
             count: 0.0,
         });
-        sum[root.index()] = st.sum;
-        weight[root.index()] = st.count;
-        active[root.index()] = true;
+        sum[slot] = st.sum;
+        weight[slot] = st.count;
+        active[slot] = true;
     }
-    let roots = forest.num_trees();
     let max_height = forest.max_height();
-    let rounds = config.gossip_rounds(roots) + config.sampling_rounds(roots);
+    let rounds = config.gossip_rounds(roots.len()) + config.sampling_rounds(roots.len());
 
+    let mut incoming_sum = vec![0.0; roots.len()];
+    let mut incoming_weight = vec![0.0; roots.len()];
+    let mut path = Vec::new();
     for _ in 0..rounds {
-        let mut incoming_sum = vec![0.0; n];
-        let mut incoming_weight = vec![0.0; n];
-        for &root in forest.roots() {
-            let i = root.index();
-            if !active[i] {
+        incoming_sum.fill(0.0);
+        incoming_weight.fill(0.0);
+        for (slot, &root) in roots.iter().enumerate() {
+            if !active[slot] {
                 continue;
             }
-            let half_sum = sum[i] / 2.0;
-            let half_weight = weight[i] / 2.0;
-            sum[i] = half_sum;
-            weight[i] = half_weight;
-            let mut rng = net.derive_rng(i as u64 ^ net.round() << 21);
-            let route = sampler.sample(root, &mut rng);
-            if !route_along(net, root, &route.path, Phase::Routing, payload_bits) {
+            let half_sum = sum[slot] / 2.0;
+            let half_weight = weight[slot] / 2.0;
+            sum[slot] = half_sum;
+            weight[slot] = half_weight;
+            let mut rng = net.derive_rng(root.index() as u64 ^ net.round() << 21);
+            let landed = sampler.sample_into(root, &mut rng, &mut path);
+            if !route_along(net, root, &path, Phase::Routing, payload_bits) {
                 continue;
             }
-            let landed = route.target;
-            let receiver_root = forest.root_of(landed);
-            if landed != receiver_root
+            if landed != forest.root_of(landed)
                 && !climb_to_root(net, forest, landed, Phase::RootForward, payload_bits)
             {
                 continue;
             }
-            if active[receiver_root.index()] {
-                incoming_sum[receiver_root.index()] += half_sum;
-                incoming_weight[receiver_root.index()] += half_weight;
+            let receiver = forest.root_slot(landed);
+            if active[receiver] {
+                incoming_sum[receiver] += half_sum;
+                incoming_weight[receiver] += half_weight;
             }
         }
-        for i in 0..n {
-            sum[i] += incoming_sum[i];
-            weight[i] += incoming_weight[i];
+        for slot in 0..roots.len() {
+            sum[slot] += incoming_sum[slot];
+            weight[slot] += incoming_weight[slot];
         }
         charge_super_round(net, sampler.rounds_per_sample(), max_height);
     }
 
-    (0..n)
-        .map(|i| {
-            if active[i] {
-                Some(if weight[i] > 0.0 {
-                    sum[i] / weight[i]
-                } else {
-                    0.0
-                })
-            } else {
-                None
-            }
-        })
-        .collect()
+    forest.by_node(
+        (0..roots.len()).map(|slot| active[slot].then(|| estimate(sum[slot], weight[slot]))),
+    )
 }
 
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by the two sparse composites

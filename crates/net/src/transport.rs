@@ -7,11 +7,12 @@
 //! code runs unchanged on
 //!
 //! * the synchronous [`Network`](crate::Network) (the paper's model), and
-//! * `gossip-runtime`'s `ShardedTransport` — a discrete-event engine on
-//!   sharded calendar queues, which adds per-link latency, ongoing churn
-//!   and per-node bandwidth budgets behind the same round-barrier
-//!   contract, bit-identical at every shard count, and carries the
-//!   one-shot protocol chain to n ≥ 10⁷.
+//! * `gossip-runtime`'s `ShardedTransport` — the round-barrier face of
+//!   the discrete-event simulator, which adds per-link latency, ongoing
+//!   churn and per-node bandwidth budgets behind the same contract. It
+//!   rules on every message at send time and queues nothing, so it costs
+//!   about what `Network` does per message and carries the one-shot
+//!   protocol chain to n ≥ 10⁷.
 //!
 //! The contract every implementation must honour:
 //!

@@ -1,19 +1,19 @@
-//! The round-barrier [`Transport`] facade over the sharded event core.
+//! The round-barrier [`Transport`] facade of the simulator.
 //!
 //! The workspace has two protocol styles: one-shot round-barrier
 //! coordinators (`drr_gossip_max`, `drr_gossip_ave`, `push_sum_average`,
 //! convergecast/broadcast on the DRR forest) written against
 //! [`Transport`], and continuous [`Handler`](gossip_net::Handler)
-//! protocols written for the event-driven hosts. The sharded scale-out
-//! work ([`ShardedDriver`](crate::ShardedDriver)) only served the second
-//! style; [`ShardedTransport`] closes the gap by putting the same calendar
-//! machinery behind the plain `Transport` trait, so every round-barrier
-//! protocol runs on the sharded core **unchanged**.
+//! protocols written for the event-driven hosts.
+//! [`ShardedDriver`](crate::ShardedDriver) serves the second style from
+//! sharded calendar queues; [`ShardedTransport`] serves the first from the
+//! same [`AsyncConfig`] (latency, churn, bandwidth, round policy), so every
+//! round-barrier protocol runs under the engine's network model
+//! **unchanged** — and at a cost per message close to the synchronous
+//! [`Network`](gossip_net::Network)'s, because a round barrier needs no
+//! event queue at all.
 //!
-//! # Round ↔ epoch mapping
-//!
-//! A `Transport` round maps onto the sharded core as one **window barrier
-//! per round**, with no intermediate epochs:
+//! # One window per round, no queue
 //!
 //! * A protocol round occupies a **window** of virtual time, and all
 //!   sends of a round happen logically at the window start (the
@@ -26,54 +26,71 @@
 //!   under [`RoundPolicy::FixedDeadline`] — arrives before the window
 //!   closes. Mid-window crashes are pre-scheduled at the previous
 //!   barrier, so "alive at the arrival instant" is known without waiting.
-//! * Each *delivered* message becomes a plain-old-data event in the
-//!   calendar queue of the **receiver's shard** (payload-free:
-//!   round-barrier protocols carry their data in the coordinator, not in
-//!   the event).
+//! * Round-barrier protocols carry their data in the coordinator, not in
+//!   the message, so the only thing a delivery does besides its verdict is
+//!   add its latency to the [`LatencyHistogram`] — an order-insensitive
+//!   tally, taken at send time too. Both round policies close the window
+//!   at or beyond every delivered arrival, so nothing is ever in flight
+//!   across a barrier and there is nothing to queue.
 //! * [`Transport::advance_round`] is the barrier: it closes the window
 //!   (fixed deadline, or stretch to the slowest delivered arrival, at
-//!   least one latency median either way), drains every shard's calendar
-//!   up to the horizon — concurrently when the host has cores to spare —
-//!   tallies per-shard delivery latencies, applies the window's crashes,
+//!   least one latency median either way), applies the window's crashes,
 //!   resets bandwidth budgets and draws next-window churn serially in
 //!   node-id order.
+//! * With [`with_trace`](ShardedTransport::with_trace), arrivals are also
+//!   *recorded*: each delivery is buffered and written to the Recv ring at
+//!   the barrier, stable-sorted by arrival instant. Without it no buffer
+//!   exists.
 //!
 //! # Determinism
 //!
-//! Every protocol-visible draw happens at send time on the shared RNG, so
-//! a run is a pure function of the seed; the sharded part of the machinery
-//! only ever touches *order-insensitive* state. A drained event does
-//! exactly one thing — record its latency into its shard's
-//! [`LatencyHistogram`] — and histogram merge is a commutative sum;
-//! crashes apply at the barrier from verdicts fixed at churn-draw time;
-//! both round policies close the window at or beyond every delivered
-//! arrival, so the queues are empty at every barrier and no state leaks
-//! across rounds. Hence runs are invariant under the shard count and the
-//! parallel/sequential drain path. In the *compatibility configuration* —
-//! constant latency, no churn, no bandwidth cap — the draw order matches
-//! the synchronous [`Network`](gossip_net::Network) exactly and protocol
-//! runs are bit-identical across the two backends. The facade determinism
-//! suite holds both: golden fingerprints for the configurations only this
-//! backend can run, a live comparison against `Network` for the rest.
+//! Every draw happens at send or barrier time on the shared RNG, in call
+//! order, so a run is a pure function of the seed. The `shards` argument
+//! and [`with_parallel`](ShardedTransport::with_parallel) survive from the
+//! queued implementation for their callers' sake and partition nothing;
+//! runs are trivially invariant under both. In the *compatibility
+//! configuration* — constant latency, no churn, no bandwidth cap — the
+//! draw order matches the synchronous [`Network`](gossip_net::Network)
+//! exactly and protocol runs are bit-identical across the two backends.
+//! The facade determinism suite holds both: golden fingerprints for the
+//! configurations only this backend can run, a live comparison against
+//! `Network` for the rest.
 //!
 //! [`LatencyHistogram`]: crate::LatencyHistogram
 
-use crate::arena::NO_PAYLOAD;
 use crate::config::{draw_initial_liveness, AsyncConfig, RoundPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::AsyncMetrics;
-use crate::shard::{CalendarQueue, EventKind, ShardEvent};
 use crate::soa::NO_CRASH;
 use gossip_net::{Metrics, NodeId, Phase, SimConfig, Transport};
 use gossip_obs::{TraceCtx, TraceKind, TraceReason, TraceRing};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Epochs shorter than this would not pay for a thread scope; the facade
-/// drains whole round windows, so the only cheap case is a tiny window.
-const MIN_PARALLEL_WINDOW_US: u64 = 32;
+/// A delivery waiting for the barrier to record its arrival (traced runs
+/// only).
+#[derive(Clone, Copy, Debug)]
+struct PendingRecv {
+    at_us: u64,
+    from: u32,
+    to: u32,
+    ctx: TraceCtx,
+}
 
-/// [`Transport`] over sharded calendar queues. See the module docs.
+/// What [`ShardedTransport::with_trace`] attaches. Passive: nothing here
+/// feeds back into a verdict or a draw.
+#[derive(Clone, Debug)]
+struct FacadeTrace {
+    /// Send/Drop records, written at send time.
+    sends: TraceRing,
+    /// Recv records, written at the barrier in arrival order.
+    recvs: TraceRing,
+    /// This round's deliveries, in send order.
+    pending: Vec<PendingRecv>,
+}
+
+/// Round-barrier [`Transport`] under the engine's network model. See the
+/// module docs.
 pub struct ShardedTransport {
     config: AsyncConfig,
     /// The shared protocol RNG (seeded and positioned exactly like
@@ -82,41 +99,35 @@ pub struct ShardedTransport {
     alive: Vec<bool>,
     alive_count: usize,
     /// Crash instant scheduled inside the current window, per node
-    /// ([`NO_CRASH`] when none is).
+    /// ([`NO_CRASH`] when none is). Empty when the churn model never
+    /// crashes anyone; read only while `crashes` is non-empty.
     crash_at: Vec<u64>,
     /// Nodes with a crash scheduled this window, in node-id order.
     crashes: Vec<u32>,
+    /// Bits each sender put on the wire this round. Empty without a
+    /// bandwidth budget.
     bits_this_round: Vec<u64>,
     window_start: u64,
     round_horizon: u64,
-    /// Nodes per shard; node `i`'s deliveries queue at shard `i / chunk`.
-    chunk: usize,
-    /// Per-shard calendar queues, receiver-partitioned. Only *delivered*
-    /// messages are queued (an undelivered one has no barrier-time effect).
-    queues: Vec<CalendarQueue>,
-    /// Per-shard engine metrics (the latency tallies the concurrent drain
-    /// writes); merged with `base_async` on read.
-    shard_async: Vec<AsyncMetrics>,
-    /// Engine metrics written at send/barrier time (drop causes, churn).
-    base_async: AsyncMetrics,
+    /// The shard count asked for, clamped to `n`. Reported, never used.
+    shards: usize,
+    /// Engine metrics: drop causes, churn, the delivery-latency tally.
+    async_metrics: AsyncMetrics,
     metrics: Metrics,
-    /// Global origin-sequence counter for queued events (the calendar only
-    /// needs a total order key; the facade never dispatches callbacks, so
-    /// one shared counter is fine).
-    next_oseq: u64,
-    parallel: bool,
-    /// Send/Drop records at send time (`None` unless
-    /// [`with_trace`](ShardedTransport::with_trace) was used). Passive.
-    trace: Option<TraceRing>,
-    /// Per-shard Recv records, written by the (possibly concurrent) round
-    /// drain; merged with the base ring on read, in shard order.
-    shard_trace: Vec<Option<TraceRing>>,
+    /// `None` unless [`with_trace`](ShardedTransport::with_trace) was used.
+    trace: Option<FacadeTrace>,
 }
 
 impl ShardedTransport {
-    /// Build a facade over `shards` receiver-partitioned calendar queues,
-    /// applying initial crashes exactly like
+    /// Build a facade, applying initial crashes exactly like
     /// [`Network::new`](gossip_net::Network::new) (same RNG stream).
+    ///
+    /// `shards` partitions nothing: the facade keeps no per-shard state
+    /// since it stopped queueing deliveries. The argument stays so that
+    /// callers sweeping a shard ladder over both faces of the simulator
+    /// need no special case; it must be at least 1 and is reported, clamped
+    /// to `n`, by [`num_shards`](ShardedTransport::num_shards) and the
+    /// `engine_shards` gauge.
     pub fn new(config: AsyncConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         config
@@ -124,65 +135,53 @@ impl ShardedTransport {
             .validate()
             .expect("invalid simulation configuration");
         let n = config.sim.n;
-        let num_shards = shards.min(n).max(1);
-        let chunk = n.div_ceil(num_shards);
-        let num_shards = n.div_ceil(chunk);
         let (alive, alive_count, rng) = draw_initial_liveness(&config.sim);
-        let parallel = num_shards > 1
-            && std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-                > 1;
+        let per_node = |needed: bool, fill: u64| if needed { vec![fill; n] } else { Vec::new() };
         ShardedTransport {
             rng,
             alive,
             alive_count,
-            crash_at: vec![NO_CRASH; n],
+            crash_at: per_node(config.churn.crash_prob > 0.0, NO_CRASH),
             crashes: Vec::new(),
-            bits_this_round: vec![0; n],
+            bits_this_round: per_node(config.bandwidth_bits_per_round.is_some(), 0),
             window_start: 0,
             round_horizon: 0,
-            chunk,
-            queues: (0..num_shards).map(|_| CalendarQueue::new()).collect(),
-            shard_async: vec![AsyncMetrics::default(); num_shards],
-            base_async: AsyncMetrics::default(),
+            shards: shards.min(n).max(1),
+            async_metrics: AsyncMetrics::default(),
             metrics: Metrics::new(),
-            next_oseq: 0,
-            parallel,
             trace: None,
-            shard_trace: vec![None; num_shards],
             config,
         }
     }
 
-    /// Force the parallel (scoped worker threads) or sequential drain
-    /// path. Results are bit-identical either way.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel && self.queues.len() > 1;
+    /// Does nothing, and returns `self`: there is no drain left to run on
+    /// worker threads. Kept because sweeps over both faces of the
+    /// simulator call it on each.
+    pub fn with_parallel(self, _parallel: bool) -> Self {
         self
     }
 
-    /// Attach a trace ring of the most recent `capacity` events:
-    /// Send/Drop records (with minted causal roots) at send time into a
-    /// base ring, Recv records into per-shard rings at the round drain.
-    /// Passive — the facade determinism suite pins that enabling it
-    /// changes no observable of the run.
+    /// Attach trace rings of the most recent `capacity` events each:
+    /// Send/Drop records (with minted causal roots) at send time, Recv
+    /// records at the barrier in arrival order. Passive — the facade
+    /// determinism suite pins that enabling it changes no observable of
+    /// the run.
     pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = Some(TraceRing::new(capacity));
-        self.shard_trace = (0..self.queues.len())
-            .map(|_| Some(TraceRing::new(capacity)))
-            .collect();
+        self.trace = Some(FacadeTrace {
+            sends: TraceRing::new(capacity),
+            recvs: TraceRing::new(capacity),
+            pending: Vec::new(),
+        });
         self
     }
 
-    /// A merged view of the trace: send-time records plus whatever the
-    /// round drains recorded, in shard order. `None` unless
+    /// A merged view of the trace: the send-time records, then the
+    /// arrivals recorded at the barriers so far. `None` unless
     /// [`with_trace`](ShardedTransport::with_trace) was used.
     pub fn trace(&self) -> Option<TraceRing> {
-        let mut merged = self.trace.clone()?;
-        for ring in self.shard_trace.iter().flatten() {
-            ring.clone().drain_into(&mut merged);
-        }
+        let trace = self.trace.as_ref()?;
+        let mut merged = trace.sends.clone();
+        trace.recvs.clone().drain_into(&mut merged);
         Some(merged)
     }
 
@@ -191,14 +190,15 @@ impl ShardedTransport {
     /// RNG draw (passivity).
     fn root_send_ctx(&self, from: NodeId) -> TraceCtx {
         match &self.trace {
-            Some(ring) => TraceCtx::derive(from.index() as u64, ring.total()),
+            Some(trace) => TraceCtx::derive(from.index() as u64, trace.sends.total()),
             None => TraceCtx::NONE,
         }
     }
 
-    /// Number of shards actually in use (`min(requested, n)`).
+    /// The shard count the facade was built with, clamped to `n`. It
+    /// partitions nothing (see [`new`](ShardedTransport::new)).
     pub fn num_shards(&self) -> usize {
-        self.queues.len()
+        self.shards
     }
 
     /// Current virtual time (µs). Advances at round barriers.
@@ -211,14 +211,9 @@ impl ShardedTransport {
         &self.config
     }
 
-    /// Engine-level metrics (drop causes, churn counts, latency tail),
-    /// merged across the per-shard drain tallies.
+    /// Engine-level metrics (drop causes, churn counts, latency tail).
     pub fn async_metrics(&self) -> AsyncMetrics {
-        let mut merged = self.base_async.clone();
-        for shard in &self.shard_async {
-            merged.merge(shard);
-        }
-        merged
+        self.async_metrics.clone()
     }
 
     /// Take the protocol metrics out, leaving zeroed metrics behind
@@ -227,10 +222,10 @@ impl ShardedTransport {
         std::mem::replace(&mut self.metrics, Metrics::new())
     }
 
-    /// Total event slots the calendar queues hold memory for — the
-    /// flat-memory regression probe.
+    /// Event slots the facade holds memory for: 0, unless a trace is
+    /// attached, in which case it is the arrival buffer's capacity.
     pub fn queue_capacity_events(&self) -> usize {
-        self.queues.iter().map(CalendarQueue::capacity_events).sum()
+        self.trace.as_ref().map_or(0, |t| t.pending.capacity())
     }
 
     /// Route backend state into an observability registry: protocol
@@ -238,7 +233,7 @@ impl ShardedTransport {
     /// read.
     pub fn fill_registry(&self, registry: &mut gossip_obs::Registry) {
         self.metrics.fill_registry(registry);
-        self.async_metrics().fill_registry(registry);
+        self.async_metrics.fill_registry(registry);
         registry.set_gauge(
             "engine_nodes",
             "Nodes in the simulated network (crashed included)",
@@ -261,7 +256,7 @@ impl ShardedTransport {
             "engine_shards",
             "Shards hosting the node space",
             &[],
-            self.queues.len() as f64,
+            self.shards as f64,
         );
         registry.set_gauge(
             "engine_queue_capacity_events",
@@ -289,7 +284,7 @@ impl ShardedTransport {
     /// Whether `node` will still be alive at virtual instant `at_us`,
     /// given the crashes already scheduled inside the current window.
     fn alive_at(&self, node: NodeId, at_us: u64) -> bool {
-        self.alive[node.index()] && at_us < self.crash_at[node.index()]
+        self.alive[node.index()] && (self.crashes.is_empty() || at_us < self.crash_at[node.index()])
     }
 
     /// The reference window length: what one round "costs" when nothing is
@@ -354,17 +349,16 @@ impl ShardedTransport {
         //    Over-budget attempts by a live sender *do* accrue — the NIC
         //    tried and burned the slot — so an oversized message can starve
         //    later small ones until the barrier resets the budget.
-        if delivered {
-            if let Some(budget) = self.config.bandwidth_bits_per_round {
-                if self.bits_this_round[from.index()] + u64::from(bits) > budget {
-                    delivered = false;
-                    drop_reason = TraceReason::Bandwidth;
-                    self.base_async.bandwidth_drops += 1;
-                }
+        if let Some(budget) = self.config.bandwidth_bits_per_round {
+            let used = &mut self.bits_this_round[from.index()];
+            if delivered && *used + u64::from(bits) > budget {
+                delivered = false;
+                drop_reason = TraceReason::Bandwidth;
+                self.async_metrics.bandwidth_drops += 1;
             }
-        }
-        if sender_alive {
-            self.bits_this_round[from.index()] += u64::from(bits);
+            if sender_alive {
+                *used += u64::from(bits);
+            }
         }
 
         // 4. Receiver liveness at the arrival instant (mid-window crashes
@@ -383,51 +377,42 @@ impl ShardedTransport {
                 if elapsed_us + latency_us > deadline {
                     delivered = false;
                     drop_reason = TraceReason::Late;
-                    self.base_async.late_drops += 1;
+                    self.async_metrics.late_drops += 1;
                 }
             }
         }
 
-        let record_at = self.window_start + elapsed_us;
-        if let Some(ring) = &mut self.trace {
+        if let Some(trace) = &mut self.trace {
             let kind = if delivered {
                 TraceKind::Send
             } else {
                 TraceKind::Drop
             };
-            ring.record_ctx(
-                record_at,
+            trace.sends.record_ctx(
+                self.window_start + elapsed_us,
                 from.index() as u64,
                 to.index() as u64,
                 kind,
                 drop_reason,
                 ctx,
             );
+            if delivered {
+                trace.pending.push(PendingRecv {
+                    at_us: arrival,
+                    from: from.index() as u32,
+                    to: to.index() as u32,
+                    ctx,
+                });
+            }
         }
 
         if delivered {
-            // Only delivered messages stretch the round and queue: under
-            // `RoundPolicy::Stretch` the barrier waits for the slowest
-            // message that actually arrives — one lost to loss, churn or
-            // the bandwidth cap leaves no straggler to wait for and has no
-            // barrier-time effect.
+            // Only delivered messages stretch the round and are tallied:
+            // under `RoundPolicy::Stretch` the barrier waits for the
+            // slowest message that actually arrives — one lost to loss,
+            // churn or the bandwidth cap leaves no straggler to wait for.
             self.round_horizon = self.round_horizon.max(arrival);
-            let oseq = self.next_oseq;
-            self.next_oseq += 1;
-            self.queues[to.index() / self.chunk].push(ShardEvent {
-                at_us: arrival,
-                origin: from.index() as u32,
-                oseq,
-                to: to.index() as u32,
-                kind: EventKind::Deliver {
-                    phase,
-                    bits,
-                    latency_us,
-                    payload: NO_PAYLOAD,
-                    trace_id: ctx.trace_id,
-                    hop: ctx.hop,
-                },
-            });
+            self.async_metrics.latency.record(latency_us);
         }
         self.metrics.record_send(phase, bits, delivered);
         delivered
@@ -447,11 +432,7 @@ impl ShardedTransport {
         for i in 0..self.config.sim.n {
             if self.alive[i] {
                 let can_crash = self.alive_count - self.crashes.len() > churn.min_alive;
-                if can_crash
-                    && churn.crash_prob > 0.0
-                    && self.crash_at[i] == NO_CRASH
-                    && self.rng.gen_bool(churn.crash_prob)
-                {
+                if can_crash && churn.crash_prob > 0.0 && self.rng.gen_bool(churn.crash_prob) {
                     let at = window_start + 1 + self.rng.gen_range(0..window_len.max(1));
                     self.crash_at[i] = at;
                     self.crashes.push(i as u32);
@@ -459,7 +440,7 @@ impl ShardedTransport {
             } else if churn.rejoin_prob > 0.0 && self.rng.gen_bool(churn.rejoin_prob) {
                 self.alive[i] = true;
                 self.alive_count += 1;
-                self.base_async.churn_rejoins += 1;
+                self.async_metrics.churn_rejoins += 1;
             }
         }
     }
@@ -548,66 +529,22 @@ impl Transport for ShardedTransport {
                 .max(self.window_start + self.base_window_len()),
         };
 
-        // Drain every shard's calendar up to the horizon (inclusive),
-        // tallying delivery latencies
-        // into per-shard histograms — the only per-event effect, and an
-        // order-insensitive one, which is what makes the concurrent drain
-        // safe and the result shard-count invariant. Empty queues must
-        // sweep too: their cursors have to cross the window so next
-        // round's arrivals are never "in the past".
-        let end = horizon + 1;
-        let drain_one =
-            |queue: &mut CalendarQueue, tally: &mut AsyncMetrics, ring: &mut Option<TraceRing>| {
-                queue.drain_until(end, |ev| {
-                    if let EventKind::Deliver {
-                        latency_us,
-                        trace_id,
-                        hop,
-                        ..
-                    } = ev.kind
-                    {
-                        tally.latency.record(latency_us);
-                        // Arrival record into the shard's own ring: shard-
-                        // local order is drain order, which is deterministic
-                        // per shard whatever the thread path.
-                        if let Some(ring) = ring {
-                            ring.record_ctx(
-                                ev.at_us,
-                                u64::from(ev.to),
-                                u64::from(ev.origin),
-                                TraceKind::Recv,
-                                TraceReason::None,
-                                TraceCtx { trace_id, hop },
-                            );
-                        }
-                    }
-                });
-            };
-        if self.parallel && horizon - self.window_start >= MIN_PARALLEL_WINDOW_US {
-            std::thread::scope(|scope| {
-                for ((queue, tally), ring) in self
-                    .queues
-                    .iter_mut()
-                    .zip(self.shard_async.iter_mut())
-                    .zip(self.shard_trace.iter_mut())
-                {
-                    scope.spawn(move || drain_one(queue, tally, ring));
-                }
-            });
-        } else {
-            for ((queue, tally), ring) in self
-                .queues
-                .iter_mut()
-                .zip(self.shard_async.iter_mut())
-                .zip(self.shard_trace.iter_mut())
-            {
-                drain_one(queue, tally, ring);
+        // Record the round's arrivals in arrival order (ties in send
+        // order). Every one of them lies at or before the horizon.
+        if let Some(trace) = &mut self.trace {
+            trace.pending.sort_by_key(|recv| recv.at_us);
+            for recv in trace.pending.drain(..) {
+                debug_assert!(recv.at_us <= horizon, "no arrival outlives its window");
+                trace.recvs.record_ctx(
+                    recv.at_us,
+                    u64::from(recv.to),
+                    u64::from(recv.from),
+                    TraceKind::Recv,
+                    TraceReason::None,
+                    recv.ctx,
+                );
             }
         }
-        debug_assert!(
-            self.queues.iter().all(CalendarQueue::is_empty),
-            "both round policies close the window at or beyond every delivered arrival"
-        );
 
         // Apply the window's crashes. Delivery verdicts already honoured
         // the crash instants at send time, so applying them at the barrier
@@ -620,14 +557,14 @@ impl Transport for ShardedTransport {
             if self.alive[i] {
                 self.alive[i] = false;
                 self.alive_count -= 1;
-                self.base_async.churn_crashes += 1;
+                self.async_metrics.churn_crashes += 1;
             }
             self.crash_at[i] = NO_CRASH;
         }
 
         self.window_start = horizon;
         self.round_horizon = horizon;
-        self.bits_this_round.iter_mut().for_each(|b| *b = 0);
+        self.bits_this_round.fill(0);
         self.metrics.advance_round();
 
         let window_len = self.base_window_len();
@@ -636,8 +573,7 @@ impl Transport for ShardedTransport {
 
     fn reset_metrics(&mut self) {
         self.metrics.reset();
-        self.base_async = AsyncMetrics::default();
-        self.shard_async = vec![AsyncMetrics::default(); self.queues.len()];
+        self.async_metrics = AsyncMetrics::default();
     }
 
     fn deadline_budget_us(&self) -> Option<u64> {
@@ -656,9 +592,7 @@ impl std::fmt::Debug for ShardedTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedTransport")
             .field("n", &self.config.sim.n)
-            .field("shards", &self.queues.len())
             .field("now_us", &self.window_start)
-            .field("parallel", &self.parallel)
             .finish_non_exhaustive()
     }
 }
@@ -679,9 +613,9 @@ mod tests {
             .with_churn(ChurnModel::per_round(0.02, 0.1).with_min_alive(n / 2))
     }
 
-    /// The shard count the behaviour tests below run at (they are
-    /// shard-count invariant; `shard_count_and_drain_path_do_not_change_the_run`
-    /// and the integration suite sweep the ladder).
+    /// The shard count the behaviour tests below run at (it partitions
+    /// nothing; `shard_count_and_drain_path_do_not_change_the_run` and the
+    /// integration suite sweep the ladder all the same).
     const SHARDS: usize = 2;
 
     fn compat_facade(n: usize, seed: u64, loss: f64) -> ShardedTransport {
@@ -1012,41 +946,97 @@ mod tests {
     }
 
     #[test]
-    fn queues_drain_flat_and_registry_exports_the_probe() {
-        // Constant latency funnels a round's arrivals into one calendar
-        // slot per queue — the worst case for slot ballooning. One huge
-        // round, then quiet ones: the ballooned slots must hand their
-        // capacity back at the next wheel revolution instead of pinning
-        // the burst's high-water mark forever.
-        let config = AsyncConfig::new(SimConfig::new(64).with_seed(3))
-            .with_latency(LatencyModel::Constant(500));
-        let mut facade = ShardedTransport::new(config, 4);
-        for i in 0..64 {
-            let from = NodeId::new(i);
-            for _ in 0..200 {
-                let to = facade.sample_other_than(from);
-                facade.send(from, to, Phase::Other, 16);
+    fn latency_is_tallied_at_send_and_nothing_is_queued() {
+        // What the calendar drain used to guarantee, held directly: at
+        // every barrier the latency tally has seen exactly the delivered
+        // sends so far — under both round policies, with loss and churn.
+        for policy in [RoundPolicy::Stretch, RoundPolicy::FixedDeadline(1_500)] {
+            let mut facade =
+                ShardedTransport::new(churny_config(64, 3).with_round_policy(policy), 4);
+            let mut delivered = 0u64;
+            for _ in 0..40 {
+                for _ in 0..64 {
+                    let from = facade.sample_uniform();
+                    let to = facade.sample_other_than(from);
+                    delivered += u64::from(facade.send(from, to, Phase::Other, 16));
+                }
+                facade.advance_round();
+                assert_eq!(facade.async_metrics().latency.count(), delivered);
             }
+            let engine = facade.async_metrics();
+            assert!(delivered > 1_000, "most sends get through");
+            assert!(delivered < 40 * 64, "loss and churn drop some");
+            assert!(engine.churn_crashes > 0 && engine.churn_rejoins > 0);
+            if policy != RoundPolicy::Stretch {
+                assert!(engine.late_drops > 0, "the deadline cuts the tail");
+            }
+            assert_eq!(
+                facade.queue_capacity_events(),
+                0,
+                "an untraced run buffers nothing"
+            );
+
+            let mut registry = gossip_obs::Registry::new();
+            facade.fill_registry(&mut registry);
+            let text = registry.render();
+            assert!(text.contains("engine_queue_capacity_events 0"));
+            assert!(text.contains("engine_shards 4"));
         }
-        facade.advance_round();
-        let peak = facade.queue_capacity_events();
-        assert!(peak > 10_000, "the burst ballooned the slots, got {peak}");
-        // Quiet rounds: one send each, across several wheel revolutions.
-        for _ in 0..12 {
-            let from = facade.sample_uniform();
-            let to = facade.sample_other_than(from);
-            facade.send(from, to, Phase::Other, 16);
+    }
+
+    #[test]
+    fn traced_arrivals_are_the_delivered_sends_in_arrival_order() {
+        // Constant latency times the per-link bias: every delivery's
+        // latency can be recomputed from its endpoints.
+        let spread = 0.3;
+        let config = AsyncConfig::new(SimConfig::new(48).with_seed(29).with_loss_prob(0.1))
+            .with_latency(LatencyModel::Constant(700))
+            .with_link_spread(spread)
+            .with_churn(ChurnModel::per_round(0.03, 0.2).with_min_alive(24));
+        let seed = config.sim.seed;
+        let mut facade = ShardedTransport::new(config, SHARDS).with_trace(1 << 14);
+        let mut delivered = 0usize;
+        for _ in 0..25 {
+            for _ in 0..48 {
+                let from = facade.sample_uniform();
+                let to = facade.sample_other_than(from);
+                delivered += usize::from(facade.send(from, to, Phase::Other, 16));
+            }
             facade.advance_round();
         }
         assert!(
-            facade.queue_capacity_events() < 1_000,
-            "burst capacity decayed, got {}",
-            facade.queue_capacity_events()
+            facade.queue_capacity_events() > 0,
+            "a traced run buffers arrivals"
         );
-        let mut registry = gossip_obs::Registry::new();
-        facade.fill_registry(&mut registry);
-        let text = registry.render();
-        assert!(text.contains("engine_queue_capacity_events"));
-        assert!(text.contains("engine_shards 4"));
+
+        let ring = facade.trace().expect("trace enabled");
+        assert_eq!(ring.overwritten(), 0, "the ring holds the whole run");
+        let of_kind = |kind| ring.iter().filter(move |e| e.kind == kind);
+        let recvs: Vec<_> = of_kind(TraceKind::Recv).collect();
+        assert_eq!(recvs.len(), delivered);
+        assert_eq!(of_kind(TraceKind::Send).count(), delivered);
+        assert_eq!(
+            ring.len(),
+            25 * 48 + delivered,
+            "one Send or Drop per attempt"
+        );
+        assert!(
+            recvs.windows(2).all(|w| w[0].at_us <= w[1].at_us),
+            "arrivals are recorded in arrival order"
+        );
+        for recv in recvs {
+            let send = of_kind(TraceKind::Send)
+                .find(|s| s.trace_id == recv.trace_id)
+                .expect("every arrival has its send");
+            assert_eq!((send.node, send.peer), (recv.peer, recv.node));
+            let (from, to) = (
+                NodeId::new(send.node as usize),
+                NodeId::new(send.peer as usize),
+            );
+            let latency = (700.0 * LatencyModel::link_bias(seed, from, to, spread)).round();
+            assert_eq!(recv.at_us, send.at_us + latency as u64);
+        }
+        let tally = facade.async_metrics().latency;
+        assert_eq!(tally.count(), delivered as u64);
     }
 }

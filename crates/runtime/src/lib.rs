@@ -8,15 +8,15 @@
 //! round-barrier phone-call model: every message arrives instantly (or is
 //! lost), failures happen only before the protocol starts, and rounds are
 //! free. Real gossip deployments are none of those things. This crate
-//! models the world underneath the protocols with per-shard calendar
-//! queues over virtual microseconds, and shows it to them through two
-//! faces:
+//! models the world underneath the protocols — latency, churn, bandwidth
+//! — over virtual microseconds, and shows it to them through two faces:
 //!
 //! * **The round-barrier face** ([`ShardedTransport`]) keeps the
 //!   *protocol-facing* contract — it implements
 //!   [`gossip_net::Transport`], so `drr_gossip_max`, `drr_gossip_ave`,
-//!   `push_sum_average`, convergecast and broadcast run on it unchanged
-//!   (see the `facade` module docs).
+//!   `push_sum_average`, convergecast and broadcast run on it unchanged.
+//!   It rules on every message when it is sent and queues nothing (see
+//!   the `facade` module docs).
 //! * **The event-driven face** ([`ShardedDriver`]): instead of the round
 //!   barrier, per-node [`Handler`](gossip_net::Handler)s (`on_start` /
 //!   `on_message` / `on_timer`) dispatched straight from the calendar

@@ -104,8 +104,7 @@ pub(crate) enum EventKind {
         /// End-to-end latency (µs), recorded at dispatch.
         latency_us: u64,
         /// Arena key of the payload in the destination shard's arena
-        /// ([`NO_PAYLOAD`] for payload-free traffic, e.g. the round-barrier
-        /// facade's deliveries).
+        /// ([`NO_PAYLOAD`] for payload-free traffic).
         payload: u32,
         /// Causal chain id carried by the message
         /// ([`gossip_obs::NO_TRACE`] untraced). Passive: rides the event
@@ -252,31 +251,6 @@ impl CalendarQueue {
             self.overflow
                 .shrink_to(SLOT_DECAY_MIN.max(2 * self.overflow.len()));
         }
-    }
-
-    /// Drain every event due strictly before `end_us` into `f`, advancing
-    /// the cursor. Events of one instant come out in push order, *not*
-    /// sorted by the global key — callers whose handling is order-sensitive
-    /// (the shard dispatch loop) sweep the wheel themselves and sort each
-    /// slot batch; this is for order-insensitive drains (the round-barrier
-    /// facade, which only tallies per-event metrics).
-    pub(crate) fn drain_until(&mut self, end_us: u64, mut f: impl FnMut(ShardEvent)) {
-        while self.cursor < end_us {
-            if self.cursor & WHEEL_MASK == 0 {
-                self.redistribute();
-            }
-            let slot = (self.cursor & WHEEL_MASK) as usize;
-            for ev in self.wheel[slot].drain(..) {
-                debug_assert_eq!(ev.at_us, self.cursor, "slot holds one instant");
-                f(ev);
-            }
-            self.cursor += 1;
-        }
-    }
-
-    /// Whether any event is still queued (wheel or overflow).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.overflow.is_empty() && self.wheel.iter().all(Vec::is_empty)
     }
 
     /// Total event slots this queue holds memory for (wheel slot

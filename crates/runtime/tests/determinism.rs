@@ -39,7 +39,7 @@ fn gossip_max_golden(t: &mut ShardedTransport, vals: &[f64]) -> Golden {
 fn facade_is_bit_reproducible_under_latency_and_churn() {
     // Log-normal latency, spread links and churn: the protocol outcome,
     // virtual time and engine metrics are a pure function of the seed —
-    // pinned absolutely, at every shard count and on both drain paths.
+    // pinned absolutely, at every shard count.
     let n = 1200;
     let vals = values(n);
     let golden = 0x1470_EE9A_98AD_E453;
@@ -51,9 +51,7 @@ fn facade_is_bit_reproducible_under_latency_and_churn() {
     );
 
     // ... and a different seed produces a different run.
-    let other = golden_of(&churny_config(n, 43), 1, false, |t| {
-        gossip_max_golden(t, &vals)
-    });
+    let other = golden_of(&churny_config(n, 43), 1, |t| gossip_max_golden(t, &vals));
     assert_ne!(golden, other);
 }
 
@@ -62,11 +60,8 @@ fn sweep_runner_results_do_not_depend_on_thread_count() {
     let n = 400;
     let vals = values(n);
     let seeds = SweepRunner::trial_seeds(0xD0_5EED, 8);
-    let trial = |_: &(), seed: u64| {
-        golden_of(&churny_config(n, seed), 1, false, |t| {
-            gossip_max_golden(t, &vals)
-        })
-    };
+    let trial =
+        |_: &(), seed: u64| golden_of(&churny_config(n, seed), 1, |t| gossip_max_golden(t, &vals));
     let one = SweepRunner::with_threads(1).run_grid(&[()], &seeds, trial);
     let two = SweepRunner::with_threads(2).run_grid(&[()], &seeds, trial);
     let eight = SweepRunner::with_threads(8).run_grid(&[()], &seeds, trial);
@@ -636,7 +631,7 @@ fn drr_gossip_still_converges_under_churn_and_heavy_tails() {
     let n = 2000;
     let vals = values(n);
     let mut outcome = None;
-    let golden = golden_of(&churny_config(n, 5), 4, false, |t| {
+    let golden = golden_of(&churny_config(n, 5), 4, |t| {
         let report = drr_gossip_max(t, &vals, &DrrGossipConfig::paper());
         let golden = Golden::new().report(&report);
         outcome = Some((report, t.async_metrics()));

@@ -1,12 +1,13 @@
 //! Determinism suite for the round-barrier facade: every one-shot,
 //! `Transport`-generic protocol in the workspace must produce the **same
-//! bits** on [`ShardedTransport`] at every shard count CI pins and on both
-//! drain paths. Outside the compatibility configuration the reference is
-//! an absolute golden fingerprint (see [`common::Golden`] for where the
-//! constants come from); inside it, the reference is the synchronous
-//! [`Network`], live — the facade replays `Network`'s RNG stream draw for
-//! draw, so whole protocol runs are bit-identical, and these tests hold it
-//! to that.
+//! bits** on [`ShardedTransport`] at every shard count CI pins (the facade
+//! queues nothing, so the count partitions nothing; the ladder stays because
+//! the goldens were pinned across it). Outside the compatibility
+//! configuration the reference is an absolute golden fingerprint (see
+//! [`common::Golden`] for where the constants come from); inside it, the
+//! reference is the synchronous [`Network`], live — the facade replays
+//! `Network`'s RNG stream draw for draw, so whole protocol runs are
+//! bit-identical, and these tests hold it to that.
 
 use gossip_baselines::{push_sum_average, PushSumConfig};
 use gossip_drr::convergecast::ReceptionModel;
@@ -59,10 +60,10 @@ fn fingerprint(report: &DrrGossipReport) -> (Vec<u64>, u64, u64, Vec<bool>) {
 
 #[test]
 fn drr_gossip_reproduces_its_goldens_at_every_shard_count() {
-    // The headline contract: Algorithm 7 and Algorithm 8 on the sharded
-    // calendar queues, unchanged, landing on the pinned bits — estimates,
-    // rounds, messages, liveness, virtual time and the full engine
-    // metrics — at every shard count CI pins, on both drain paths.
+    // The headline contract: Algorithm 7 and Algorithm 8 on the facade,
+    // unchanged, landing on the pinned bits — estimates, rounds, messages,
+    // liveness, virtual time and the full engine metrics — at every shard
+    // count CI pins.
     for (name, n, config, golden) in [
         (
             "gossip-max, churny",
@@ -256,7 +257,7 @@ fn compat_configuration_reproduces_the_synchronous_backend_exactly() {
         assert_eq!(
             t.async_metrics().latency.count(),
             sync_ave.metrics.total_messages() - sync_ave.metrics.total_dropped(),
-            "every delivered message passes through the calendar queues"
+            "every delivered message is tallied"
         );
 
         let max = drr_gossip_max(&mut facade(), &vals, &DrrGossipConfig::paper());
@@ -283,10 +284,10 @@ fn compat_configuration_reproduces_the_synchronous_backend_exactly() {
 }
 
 #[test]
-fn drain_paths_and_reruns_do_not_move_an_event() {
-    // The scoped-thread drain and the sequential drain must walk the same
-    // schedule, and a rerun must reproduce it; a different seed is the
-    // control that the fingerprint actually has teeth.
+fn with_parallel_and_reruns_do_not_move_an_event() {
+    // `with_parallel` has no drain left to move to worker threads and must
+    // change nothing, and a rerun must reproduce the run; a different seed
+    // is the control that the fingerprint actually has teeth.
     let n = 400;
     let vals = values(n);
     let run = |seed: u64, parallel: bool| {
@@ -299,7 +300,7 @@ fn drain_paths_and_reruns_do_not_move_an_event() {
         )
     };
     let reference = run(0xD4A1, false);
-    assert_eq!(reference, run(0xD4A1, true), "drain path moved an event");
+    assert_eq!(reference, run(0xD4A1, true), "with_parallel moved an event");
     assert_eq!(reference, run(0xD4A1, false), "rerun diverged");
     assert_ne!(
         reference.0,

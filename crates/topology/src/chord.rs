@@ -86,6 +86,15 @@ impl ChordOverlay {
     /// target, so the path has `O(log n)` hops.
     pub fn lookup_path(&self, from: NodeId, target: NodeId) -> Vec<NodeId> {
         let mut path = Vec::new();
+        self.lookup_path_into(from, target, &mut path);
+        path
+    }
+
+    /// [`lookup_path`](ChordOverlay::lookup_path) into a caller-owned
+    /// buffer, which is cleared first: a caller routing many samples pays
+    /// for one path allocation, not one per sample.
+    pub fn lookup_path_into(&self, from: NodeId, target: NodeId, path: &mut Vec<NodeId>) {
+        path.clear();
         let mut current = from.index();
         let target_idx = target.index();
         while current != target_idx {
@@ -101,7 +110,6 @@ impl ChordOverlay {
             current = (current + step) % self.n;
             path.push(NodeId::new(current));
         }
-        path
     }
 
     /// Number of hops of the greedy lookup.
@@ -114,11 +122,22 @@ impl ChordOverlay {
     /// King et al. cited by the paper: `T = O(log n)` rounds and
     /// `M = O(log n)` messages per sample.
     pub fn sample_random_node(&self, from: NodeId, rng: &mut SmallRng) -> Vec<NodeId> {
+        let mut path = Vec::new();
+        self.sample_random_node_into(from, rng, &mut path);
+        path
+    }
+
+    /// [`sample_random_node`](ChordOverlay::sample_random_node) into a
+    /// caller-owned buffer, which is cleared first. The path is empty when
+    /// the node sampled itself.
+    pub fn sample_random_node_into(
+        &self,
+        from: NodeId,
+        rng: &mut SmallRng,
+        path: &mut Vec<NodeId>,
+    ) {
         let target = NodeId::new(rng.gen_range(0..self.n));
-        if target == from {
-            return Vec::new();
-        }
-        self.lookup_path(from, target)
+        self.lookup_path_into(from, target, path);
     }
 
     /// Upper bound on lookup hop count (`⌈log₂ n⌉`).

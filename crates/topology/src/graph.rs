@@ -21,27 +21,45 @@ impl Graph {
     /// edges are dropped.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
         assert!(n >= 1, "graph must have at least one node");
-        // Collect per-node neighbour sets, deduplicated and sorted.
-        let mut neighbor_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Straight into compressed rows, with two allocations whatever the
+        // edge count: size every node's run by its degree (duplicates
+        // included), file both directions of every edge, then sort each run
+        // and squeeze the duplicates out, closing the gaps in place.
+        let mut offsets = vec![0usize; n + 1];
         for &(a, b) in edges {
             assert!(a < n && b < n, "edge ({a},{b}) out of range for n={n}");
-            if a == b {
-                continue;
+            if a != b {
+                offsets[a + 1] += 1;
+                offsets[b + 1] += 1;
             }
-            neighbor_lists[a].push(b as u32);
-            neighbor_lists[b].push(a as u32);
         }
-        for list in &mut neighbor_lists {
-            list.sort_unstable();
-            list.dedup();
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adjacency = Vec::new();
-        offsets.push(0);
-        for list in &neighbor_lists {
-            adjacency.extend_from_slice(list);
-            offsets.push(adjacency.len());
+        let mut adjacency = vec![0u32; offsets[n]];
+        let mut next = offsets[..n].to_vec();
+        for &(a, b) in edges {
+            if a != b {
+                adjacency[next[a]] = b as u32;
+                next[a] += 1;
+                adjacency[next[b]] = a as u32;
+                next[b] += 1;
+            }
         }
+        let mut kept = 0;
+        for v in 0..n {
+            let run = offsets[v]..offsets[v + 1];
+            adjacency[run.clone()].sort_unstable();
+            offsets[v] = kept;
+            for at in run {
+                if kept == offsets[v] || adjacency[kept - 1] != adjacency[at] {
+                    adjacency[kept] = adjacency[at];
+                    kept += 1;
+                }
+            }
+        }
+        offsets[n] = kept;
+        adjacency.truncate(kept);
         Graph {
             n,
             offsets,
@@ -189,5 +207,31 @@ mod tests {
         assert_eq!(g.n(), 1);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(NodeId::new(0)), 0);
+    }
+
+    proptest::proptest! {
+        /// The in-place row construction against per-node sets: random
+        /// multigraphs with self-loops, repeats in both directions and
+        /// isolated nodes.
+        #[test]
+        fn rows_are_the_sorted_neighbour_sets(
+            n in 1usize..40,
+            raw in proptest::collection::vec(0usize..1600, 0..200),
+        ) {
+            let edges: Vec<(usize, usize)> = raw.iter().map(|&x| (x / 40 % n, x % 40 % n)).collect();
+            let mut sets = vec![std::collections::BTreeSet::new(); n];
+            for &(a, b) in &edges {
+                if a != b {
+                    sets[a].insert(b as u32);
+                    sets[b].insert(a as u32);
+                }
+            }
+            let g = Graph::from_edges(n, &edges);
+            for v in g.nodes() {
+                let want: Vec<u32> = sets[v.index()].iter().copied().collect();
+                proptest::prop_assert_eq!(g.neighbor_slice(v), &want[..]);
+            }
+            proptest::prop_assert_eq!(g.num_edges() * 2, sets.iter().map(|s| s.len()).sum::<usize>());
+        }
     }
 }

@@ -35,8 +35,19 @@ impl SampleRoute {
 
 /// A protocol for reaching a (roughly) uniformly random node of the network.
 pub trait RandomNodeSampler {
-    /// Sample a random node reachable from `from` and the path to it.
-    fn sample(&self, from: NodeId, rng: &mut SmallRng) -> SampleRoute;
+    /// Sample a random node reachable from `from`: return it, and leave the
+    /// path to it in `path` (cleared first; hops as in
+    /// [`SampleRoute::path`]). A caller that routes many samples reuses one
+    /// buffer and pays for no allocation per sample.
+    fn sample_into(&self, from: NodeId, rng: &mut SmallRng, path: &mut Vec<NodeId>) -> NodeId;
+
+    /// Sample a random node reachable from `from` and the path to it, in a
+    /// path of its own.
+    fn sample(&self, from: NodeId, rng: &mut SmallRng) -> SampleRoute {
+        let mut path = Vec::new();
+        let target = self.sample_into(from, rng, &mut path);
+        SampleRoute { target, path }
+    }
 
     /// The `T` of Assumption 2: worst-case rounds per sample.
     fn rounds_per_sample(&self) -> usize;
@@ -61,14 +72,13 @@ impl DirectSampler {
 }
 
 impl RandomNodeSampler for DirectSampler {
-    fn sample(&self, from: NodeId, rng: &mut SmallRng) -> SampleRoute {
+    fn sample_into(&self, from: NodeId, rng: &mut SmallRng, path: &mut Vec<NodeId>) -> NodeId {
         let target = NodeId::new(rng.gen_range(0..self.n));
-        let path = if target == from {
-            Vec::new()
-        } else {
-            vec![target]
-        };
-        SampleRoute { target, path }
+        path.clear();
+        if target != from {
+            path.push(target);
+        }
+        target
     }
 
     fn rounds_per_sample(&self) -> usize {
@@ -95,10 +105,9 @@ impl<'a> ChordSampler<'a> {
 }
 
 impl RandomNodeSampler for ChordSampler<'_> {
-    fn sample(&self, from: NodeId, rng: &mut SmallRng) -> SampleRoute {
-        let path = self.overlay.sample_random_node(from, rng);
-        let target = path.last().copied().unwrap_or(from);
-        SampleRoute { target, path }
+    fn sample_into(&self, from: NodeId, rng: &mut SmallRng, path: &mut Vec<NodeId>) -> NodeId {
+        self.overlay.sample_random_node_into(from, rng, path);
+        path.last().copied().unwrap_or(from)
     }
 
     fn rounds_per_sample(&self) -> usize {
@@ -129,9 +138,9 @@ impl<'a> RandomWalkSampler<'a> {
 }
 
 impl RandomNodeSampler for RandomWalkSampler<'_> {
-    fn sample(&self, from: NodeId, rng: &mut SmallRng) -> SampleRoute {
+    fn sample_into(&self, from: NodeId, rng: &mut SmallRng, path: &mut Vec<NodeId>) -> NodeId {
         let mut current = from;
-        let mut path = Vec::with_capacity(self.walk_length);
+        path.clear();
         for _ in 0..self.walk_length {
             let neighbors = self.graph.neighbor_slice(current);
             if neighbors.is_empty() {
@@ -146,10 +155,7 @@ impl RandomNodeSampler for RandomWalkSampler<'_> {
             path.push(next);
             current = next;
         }
-        SampleRoute {
-            target: current,
-            path,
-        }
+        current
     }
 
     fn rounds_per_sample(&self) -> usize {
