@@ -61,7 +61,7 @@ pub mod signal;
 pub mod store;
 pub mod wire;
 
-pub use merkle::{reconcile, DigestTree, Handled, PROBE_BATCH};
+pub use merkle::{reconcile, reconcile_into, DigestTree, Handled, Tally, PROBE_BATCH};
 pub use protocol::{
     ae_driver, AeConfig, AeMsg, AeNode, AeNodeStats, DigestMode, TIMER_TICK, TIMER_UPDATE,
 };

@@ -35,9 +35,12 @@
 //! (the socket host is simulation-grade and unauthenticated either way;
 //! see `DESIGN.md` §6).
 //!
-//! [`DigestTree`] is maintained **incrementally**: adopting an entry
-//! recomputes one leaf (a `fallback_slots`-wide scan) and its root path —
-//! O(span + log n) per adoption, not O(n) per exchange.
+//! [`DigestTree`] is maintained **incrementally**: as a delivered delta is
+//! merged, each leaf it touches is recomputed once (a `fallback_slots`-wide
+//! scan, when the delta moves on to the next leaf or ends) together with
+//! its root path — O(span + log n) per touched leaf per message, not per
+//! adopted entry and not O(n) per exchange. A range repair touches one
+//! leaf however many entries it carries.
 
 use crate::protocol::AeMsg;
 use crate::store::{sparse_digest_well_formed, Entry, Store};
@@ -117,6 +120,13 @@ impl DigestTree {
         idx >= self.leaves - 1
     }
 
+    /// Whether a mismatch at `idx` is answered by probing its children
+    /// rather than by a dense range: an internal node covering more than
+    /// `fallback_slots` slots.
+    fn splits(&self, idx: usize, fallback_slots: usize) -> bool {
+        !self.is_leaf(idx) && self.slot_range(idx).1 > fallback_slots
+    }
+
     /// The slot range `(start, len)` tree node `idx` covers, clamped to
     /// the store: padding subtrees report `len == 0`.
     pub fn slot_range(&self, idx: usize) -> (usize, usize) {
@@ -145,10 +155,18 @@ impl DigestTree {
     }
 
     /// Re-hash the leaf covering `origin` and its root path — call after
-    /// every adopted entry. O(leaf_span + log n).
+    /// merging into that leaf's slots. O(leaf_span + log n).
     pub fn refresh(&mut self, origin: NodeId, store: &Store) {
+        self.refresh_leaf(self.leaf_of(origin), store);
+    }
+
+    /// The leaf whose span covers `origin`'s slot.
+    fn leaf_of(&self, origin: NodeId) -> usize {
+        origin.index() / self.leaf_span
+    }
+
+    fn refresh_leaf(&mut self, leaf: usize, store: &Store) {
         debug_assert_eq!(store.n(), self.n, "tree built over a different arity");
-        let leaf = origin.index() / self.leaf_span;
         let mut idx = self.leaves - 1 + leaf;
         self.hashes[idx] = self.leaf_hash(leaf, store);
         while idx > 0 {
@@ -160,7 +178,7 @@ impl DigestTree {
     /// The fold over one leaf's slots: position-implicit (every slot in
     /// the span contributes, absent as 0), so two replicas' leaves hash
     /// equal iff their stamp vectors for the span are equal. Allocation-
-    /// free — this runs on every adoption's tree refresh.
+    /// free — this runs on every tree refresh.
     fn leaf_hash(&self, leaf: usize, store: &Store) -> u64 {
         let start = leaf * self.leaf_span;
         if start >= self.n {
@@ -181,12 +199,11 @@ fn combine(left: u64, right: u64) -> u64 {
     mix64(left ^ mix64(right ^ LEAF_SEED))
 }
 
-/// What one delivered message did to the replica: entries adopted,
-/// malformed input dropped, and the replies to send back. Returned by
-/// [`reconcile`]; [`AeNode`](crate::AeNode) folds the counts into its
-/// stats and ships the replies through its mailbox.
-#[derive(Debug, Default)]
-pub struct Handled {
+/// What one delivered message did to the replica, replies aside: entries
+/// adopted and malformed input dropped. Returned by [`reconcile_into`];
+/// [`AeNode`](crate::AeNode) folds the counts into its stats.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
     /// Entries merged into the store (they beat what was held).
     pub adopted: usize,
     /// Malformed pieces dropped: digest arity mismatches, out-of-range or
@@ -194,39 +211,72 @@ pub struct Handled {
     /// probe indices outside the tree. Counted, never fatal — this is the
     /// untrusted-socket contract.
     pub invalid: usize,
+}
+
+/// A [`Tally`] together with the replies, collected: what [`reconcile`]
+/// returns.
+#[derive(Debug, Default)]
+pub struct Handled {
+    /// Entries merged into the store (see [`Tally::adopted`]).
+    pub adopted: usize,
+    /// Malformed pieces dropped (see [`Tally::invalid`]).
+    pub invalid: usize,
     /// Messages to send back to the peer, in deterministic order.
     pub replies: Vec<AeMsg>,
 }
 
+/// [`reconcile_into`] with the replies collected into a `Vec` — for callers
+/// that pump replicas against each other (the property suites, the
+/// `digest_scaling` experiment) rather than ship each reply as it comes.
+pub fn reconcile(
+    store: &mut Store,
+    tree: Option<&mut DigestTree>,
+    fallback_slots: usize,
+    msg: &AeMsg,
+) -> Handled {
+    let mut replies = Vec::new();
+    let Tally { adopted, invalid } =
+        reconcile_into(store, tree, fallback_slots, msg, |m| replies.push(m));
+    Handled {
+        adopted,
+        invalid,
+        replies,
+    }
+}
+
 /// The reconciliation engine: apply one received [`AeMsg`] to a replica
-/// (store + optional digest tree) and produce the replies.
+/// (store + optional digest tree), handing each reply to `reply` as it is
+/// produced — range fallbacks during the descent, then the probe front as
+/// one batch.
 ///
 /// This is the whole protocol minus the I/O: `AeNode::on_message` calls it
-/// with its own store and ships `replies` through the mailbox, and the
-/// property suites call it directly to pump two bare replicas against each
-/// other under arbitrary delivery orders. `tree` is `Some` in Merkle mode
-/// (`fallback_slots` bounds where the descent hands over to dense ranges)
-/// and `None` in dense mode — a dense replica answers Merkle openers with
-/// a classic [`AeMsg::SynReq`], so mixed-mode clusters still converge.
+/// with its own store and a `reply` that sends through the mailbox (no
+/// reply list is ever built), and [`reconcile`] collects the replies for
+/// callers that pump two bare replicas against each other under arbitrary
+/// delivery orders. `tree` is `Some` in Merkle mode (`fallback_slots`
+/// bounds where the descent hands over to dense ranges) and `None` in
+/// dense mode — a dense replica answers Merkle openers with a classic
+/// [`AeMsg::SynReq`], so mixed-mode clusters still converge.
 ///
 /// All input is treated as hostile: arity, ordering, ranges and indices
 /// are validated before use, and malformed pieces are dropped and counted
-/// in [`Handled::invalid`].
-pub fn reconcile(
+/// in [`Tally::invalid`].
+pub fn reconcile_into(
     store: &mut Store,
     mut tree: Option<&mut DigestTree>,
     fallback_slots: usize,
     msg: &AeMsg,
-) -> Handled {
+    mut reply: impl FnMut(AeMsg),
+) -> Tally {
     let n = store.n();
-    let mut out = Handled::default();
+    let mut tally = Tally::default();
     match msg {
         AeMsg::SynReq { n: their_n, digest } => {
             if *their_n as usize != n || !sparse_digest_well_formed(n, digest) {
-                out.invalid += 1;
-                return out;
+                tally.invalid += 1;
+                return tally;
             }
-            out.replies.push(AeMsg::SynAck {
+            reply(AeMsg::SynAck {
                 n: *their_n,
                 delta: store.delta_for_sparse(digest),
                 digest: store.sparse_digest(),
@@ -238,34 +288,35 @@ pub fn reconcile(
             digest,
         } => {
             if *their_n as usize != n || !sparse_digest_well_formed(n, digest) {
-                out.invalid += 1;
-                return out;
+                tally.invalid += 1;
+                return tally;
             }
-            adopt(store, &mut tree, delta, &mut out);
+            adopt(store, &mut tree, delta, &mut tally);
             let back = store.delta_for_sparse(digest);
             if !back.is_empty() {
-                out.replies.push(AeMsg::Delta { delta: back });
+                reply(AeMsg::Delta { delta: back });
             }
         }
         AeMsg::Delta { delta } => {
-            adopt(store, &mut tree, delta, &mut out);
+            adopt(store, &mut tree, delta, &mut tally);
         }
         AeMsg::MerkleSyn { n: their_n, root } => {
             if *their_n as usize != n {
-                out.invalid += 1;
-                return out;
+                tally.invalid += 1;
+                return tally;
             }
             match tree {
                 // Dense replica: answer with a classic opener so the
                 // Merkle peer repairs it the way it repairs anyone.
-                None => out.replies.push(AeMsg::SynReq {
+                None => reply(AeMsg::SynReq {
                     n: n as u32,
                     digest: store.sparse_digest(),
                 }),
                 Some(tree) => {
                     if *root != tree.root() {
-                        descend(tree, store, 0, fallback_slots, &mut out.replies);
-                        flush_probes(n, &mut out.replies);
+                        let mut front = Vec::with_capacity(2);
+                        descend(tree, store, 0, fallback_slots, &mut front, &mut reply);
+                        send_probes(n, front, &mut reply);
                     }
                 }
             }
@@ -278,27 +329,39 @@ pub fn reconcile(
             // PROBE_BATCH range replies (send amplification).
             let ascending = probes.windows(2).all(|w| w[0].0 < w[1].0);
             if *their_n as usize != n || !ascending {
-                out.invalid += 1;
-                return out;
+                tally.invalid += 1;
+                return tally;
             }
             let Some(tree) = tree else {
-                out.replies.push(AeMsg::SynReq {
+                reply(AeMsg::SynReq {
                     n: n as u32,
                     digest: store.sparse_digest(),
                 });
-                return out;
+                return tally;
             };
+            // The next front is two pairs per mismatching parent that
+            // still splits: sized once, it is the reply's own allocation.
+            let splitting = probes
+                .iter()
+                .filter(|&&(idx, their_hash)| {
+                    let idx = idx as usize;
+                    idx < tree.len()
+                        && tree.hash(idx) != their_hash
+                        && tree.splits(idx, fallback_slots)
+                })
+                .count();
+            let mut front = Vec::with_capacity(2 * splitting);
             for &(idx, their_hash) in probes {
                 let idx = idx as usize;
                 if idx >= tree.len() {
-                    out.invalid += 1;
+                    tally.invalid += 1;
                     continue;
                 }
                 if tree.hash(idx) != their_hash {
-                    descend(tree, store, idx, fallback_slots, &mut out.replies);
+                    descend(tree, store, idx, fallback_slots, &mut front, &mut reply);
                 }
             }
-            flush_probes(n, &mut out.replies);
+            send_probes(n, front, &mut reply);
         }
         AeMsg::RangeSyn {
             n: their_n,
@@ -306,11 +369,11 @@ pub fn reconcile(
             stamps,
         } => {
             if !range_well_formed(n, *their_n, *start, stamps.len(), fallback_slots) {
-                out.invalid += 1;
-                return out;
+                tally.invalid += 1;
+                return tally;
             }
             let start = *start as usize;
-            out.replies.push(AeMsg::RangeAck {
+            reply(AeMsg::RangeAck {
                 n: *their_n,
                 start: start as u32,
                 delta: store.delta_for_range(start, stamps),
@@ -324,92 +387,102 @@ pub fn reconcile(
             delta,
         } => {
             if !range_well_formed(n, *their_n, *start, stamps.len(), fallback_slots) {
-                out.invalid += 1;
-                return out;
+                tally.invalid += 1;
+                return tally;
             }
-            adopt(store, &mut tree, delta, &mut out);
+            adopt(store, &mut tree, delta, &mut tally);
             let back = store.delta_for_range(*start as usize, stamps);
             if !back.is_empty() {
-                out.replies.push(AeMsg::Delta { delta: back });
+                reply(AeMsg::Delta { delta: back });
             }
         }
     }
-    out
+    tally
 }
 
 /// Merge a delta, keeping the digest tree current and dropping (counting)
 /// hostile pairs: origins outside the store and the stamp-0 "absent" code
 /// — which, off a socket, would otherwise index out of bounds or trip the
 /// store's stamp invariant.
+///
+/// A leaf is rehashed when the delta moves on to another leaf (and the
+/// last one when the delta ends), not per adopted entry. Honest deltas
+/// ascend by origin, so each leaf they touch — one, for a range repair —
+/// is rehashed exactly once; any other order leaves the tree just as
+/// current and costs at most the per-entry refresh it replaces.
 fn adopt(
     store: &mut Store,
     tree: &mut Option<&mut DigestTree>,
     delta: &[(NodeId, Entry)],
-    out: &mut Handled,
+    tally: &mut Tally,
 ) {
+    // The leaf holding adopted entries the tree has not hashed yet.
+    let mut dirty: Option<usize> = None;
     for &(origin, entry) in delta {
         if origin.index() >= store.n() || entry.stamp == 0 {
-            out.invalid += 1;
+            tally.invalid += 1;
             continue;
         }
         if store.merge(origin, entry) {
-            out.adopted += 1;
+            tally.adopted += 1;
             if let Some(tree) = tree.as_deref_mut() {
-                tree.refresh(origin, store);
+                let leaf = tree.leaf_of(origin);
+                if let Some(done) = dirty.replace(leaf).filter(|&done| done != leaf) {
+                    tree.refresh_leaf(done, store);
+                }
             }
         }
+    }
+    if let (Some(tree), Some(leaf)) = (tree.as_deref_mut(), dirty) {
+        tree.refresh_leaf(leaf, store);
     }
 }
 
 /// One step of the descent below a node whose hash mismatched: small
-/// subtrees fall back to a dense range digest, larger ones probe their
-/// children. Probe pairs are pushed as placeholder single-pair messages;
-/// [`flush_probes`] re-batches them.
+/// subtrees fall back to a dense range digest, replied at once; larger
+/// ones add their children's hashes to the probe `front`, which
+/// [`send_probes`] ships when the step's message is done.
 fn descend(
     tree: &DigestTree,
     store: &Store,
     idx: usize,
     fallback_slots: usize,
-    replies: &mut Vec<AeMsg>,
+    front: &mut Vec<(u32, u64)>,
+    reply: &mut impl FnMut(AeMsg),
 ) {
-    let (start, len) = tree.slot_range(idx);
-    if len == 0 {
-        return; // padding beyond n — nothing to reconcile
+    if tree.splits(idx, fallback_slots) {
+        let (l, r) = (2 * idx + 1, 2 * idx + 2);
+        front.extend([(l as u32, tree.hash(l)), (r as u32, tree.hash(r))]);
+        return;
     }
-    if tree.is_leaf(idx) || len <= fallback_slots {
-        replies.push(AeMsg::RangeSyn {
+    let (start, len) = tree.slot_range(idx);
+    if len > 0 {
+        // (`len == 0` is padding beyond n — nothing to reconcile.)
+        reply(AeMsg::RangeSyn {
             n: tree.n as u32,
             start: start as u32,
             stamps: store.range_digest(start, len),
         });
-    } else {
-        let (l, r) = (2 * idx + 1, 2 * idx + 2);
-        replies.push(AeMsg::MerkleProbe {
-            n: tree.n as u32,
-            probes: vec![(l as u32, tree.hash(l)), (r as u32, tree.hash(r))],
-        });
     }
 }
 
-/// Coalesce the probe pairs [`descend`] produced into [`PROBE_BATCH`]-sized
-/// [`AeMsg::MerkleProbe`] messages, preserving order; non-probe replies
-/// pass through unchanged.
-fn flush_probes(n: usize, replies: &mut Vec<AeMsg>) {
-    let mut pairs: Vec<(u32, u64)> = Vec::new();
-    let mut rest: Vec<AeMsg> = Vec::new();
-    for reply in replies.drain(..) {
-        match reply {
-            AeMsg::MerkleProbe { probes, .. } => pairs.extend(probes),
-            other => rest.push(other),
+/// Ship a probe front as [`PROBE_BATCH`]-sized [`AeMsg::MerkleProbe`]
+/// messages, preserving order. A front within the cap — every honest one
+/// below n ≈ 16k leaves — becomes the message as it stands.
+fn send_probes(n: usize, front: Vec<(u32, u64)>, reply: &mut impl FnMut(AeMsg)) {
+    let n = n as u32;
+    if front.len() <= PROBE_BATCH {
+        if !front.is_empty() {
+            reply(AeMsg::MerkleProbe { n, probes: front });
         }
+        return;
     }
-    for chunk in pairs.chunks(PROBE_BATCH) {
-        rest.push(AeMsg::MerkleProbe {
-            n: n as u32,
+    for chunk in front.chunks(PROBE_BATCH) {
+        reply(AeMsg::MerkleProbe {
+            n,
             probes: chunk.to_vec(),
         });
     }
-    *replies = rest;
 }
 
 /// Validate a range message: matching arity, a range that lies inside the

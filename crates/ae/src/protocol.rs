@@ -25,7 +25,7 @@
 //! [`Store::mean_fresh`]), and a churned-and-rejoined node — restarted
 //! with an empty store — pulls the whole state back within a few ticks.
 
-use crate::merkle::{reconcile, DigestTree};
+use crate::merkle::{reconcile_into, DigestTree};
 use crate::signal::SignalModel;
 use crate::store::{Entry, SparseDigest, Store, STAMP_BITS};
 use gossip_net::{stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
@@ -252,13 +252,59 @@ pub struct AeNodeStats {
     pub digest_mismatches: u64,
 }
 
+/// The widths the modelled wire charges for an origin id and a value
+/// (stamps, tags, arities, tree indices and hashes have fixed widths).
+/// Split from [`AeNode`] so a reply can be sized while the node's store and
+/// tree are lent to the reconciliation engine.
+#[derive(Clone, Copy, Debug)]
+struct BitModel {
+    id_bits: u32,
+    value_bits: u32,
+}
+
+impl BitModel {
+    /// Modelled wire size of a digest: tag byte + arity + one
+    /// `(origin, stamp)` pair per pair actually carried — the sparse form
+    /// both the model and the real wire use, so the two agree pair for
+    /// pair (the loopback suite pins the byte-level counterpart).
+    fn digest_bits(&self, digest: &SparseDigest) -> u32 {
+        8 + 32 + digest.len() as u32 * (self.id_bits + STAMP_BITS)
+    }
+
+    fn delta_bits(&self, delta: &[(NodeId, Entry)]) -> u32 {
+        8 + delta.len() as u32 * (self.id_bits + STAMP_BITS + self.value_bits)
+    }
+
+    /// Honest modelled bits for any leg of either protocol: every field
+    /// the wire encodes is charged — tags and arities at their wire width,
+    /// origins at the model's `id_bits`, stamps at [`STAMP_BITS`], values
+    /// at `value_bits`, tree-node indices and hashes at their wire widths.
+    fn msg_bits(&self, msg: &AeMsg) -> u32 {
+        match msg {
+            AeMsg::SynReq { digest, .. } => self.digest_bits(digest),
+            AeMsg::SynAck { delta, digest, .. } => {
+                self.delta_bits(delta) + self.digest_bits(digest)
+            }
+            AeMsg::Delta { delta } => self.delta_bits(delta),
+            AeMsg::MerkleSyn { .. } => 8 + 32 + 64,
+            AeMsg::MerkleProbe { probes, .. } => 8 + 32 + probes.len() as u32 * (32 + 64),
+            AeMsg::RangeSyn { stamps, .. } => 8 + 32 + 32 + stamps.len() as u32 * STAMP_BITS,
+            AeMsg::RangeAck { stamps, delta, .. } => {
+                8 + 32
+                    + 32
+                    + stamps.len() as u32 * STAMP_BITS
+                    + delta.len() as u32 * (self.id_bits + STAMP_BITS + self.value_bits)
+            }
+        }
+    }
+}
+
 /// One node of the anti-entropy layer. Implements [`Handler`]; host it with
 /// [`ae_driver`] (or any [`ShardedDriver`]).
 #[derive(Clone, Debug)]
 pub struct AeNode {
     me: NodeId,
-    id_bits: u32,
-    value_bits: u32,
+    bits: BitModel,
     config: AeConfig,
     store: Store,
     /// The digest tree, maintained incrementally on every adoption
@@ -291,8 +337,10 @@ impl AeNode {
         };
         AeNode {
             me,
-            id_bits,
-            value_bits,
+            bits: BitModel {
+                id_bits,
+                value_bits,
+            },
             config,
             store,
             tree,
@@ -348,41 +396,6 @@ impl AeNode {
         }
     }
 
-    /// Modelled wire size of a digest: tag byte + arity + one
-    /// `(origin, stamp)` pair per pair actually carried — the sparse form
-    /// both the model and the real wire use, so the two agree pair for
-    /// pair (the loopback suite pins the byte-level counterpart).
-    fn digest_bits(&self, digest: &SparseDigest) -> u32 {
-        8 + 32 + digest.len() as u32 * (self.id_bits + STAMP_BITS)
-    }
-
-    fn delta_bits(&self, delta: &[(NodeId, Entry)]) -> u32 {
-        8 + delta.len() as u32 * (self.id_bits + STAMP_BITS + self.value_bits)
-    }
-
-    /// Honest modelled bits for any leg of either protocol: every field
-    /// the wire encodes is charged — tags and arities at their wire width,
-    /// origins at the model's `id_bits`, stamps at [`STAMP_BITS`], values
-    /// at `value_bits`, tree-node indices and hashes at their wire widths.
-    fn msg_bits(&self, msg: &AeMsg) -> u32 {
-        match msg {
-            AeMsg::SynReq { digest, .. } => self.digest_bits(digest),
-            AeMsg::SynAck { delta, digest, .. } => {
-                self.delta_bits(delta) + self.digest_bits(digest)
-            }
-            AeMsg::Delta { delta } => self.delta_bits(delta),
-            AeMsg::MerkleSyn { .. } => 8 + 32 + 64,
-            AeMsg::MerkleProbe { probes, .. } => 8 + 32 + probes.len() as u32 * (32 + 64),
-            AeMsg::RangeSyn { stamps, .. } => 8 + 32 + 32 + stamps.len() as u32 * STAMP_BITS,
-            AeMsg::RangeAck { stamps, delta, .. } => {
-                8 + 32
-                    + 32
-                    + stamps.len() as u32 * STAMP_BITS
-                    + delta.len() as u32 * (self.id_bits + STAMP_BITS + self.value_bits)
-            }
-        }
-    }
-
     /// The exchange opener this node's digest mode sends on its tick.
     fn opener(&self) -> AeMsg {
         let n = self.store.n() as u32;
@@ -427,7 +440,7 @@ impl Handler for AeNode {
                 // One opener serves every fanout target: the store cannot
                 // change between the sends of one tick.
                 let opener = self.opener();
-                let bits = self.msg_bits(&opener);
+                let bits = self.bits.msg_bits(&opener);
                 for _ in 0..self.config.fanout {
                     let peer = mailbox.sample_peer();
                     mailbox.send(peer, Phase::AntiEntropy, bits, opener.clone());
@@ -446,24 +459,22 @@ impl Handler for AeNode {
 
     fn on_message(&mut self, from: NodeId, msg: AeMsg, mailbox: &mut dyn Mailbox<AeMsg>) {
         // Validation, merging and reply construction all live in the
-        // reconciliation engine (`crate::merkle::reconcile`); this
-        // callback is the I/O shim: fold the counters, charge honest
-        // modelled bits per reply, ship.
-        let handled = reconcile(
+        // reconciliation engine (`crate::merkle::reconcile_into`); this
+        // callback is the I/O shim: charge honest modelled bits per reply
+        // and ship it the moment the engine produces it, fold the counters.
+        let bits = self.bits;
+        let tally = reconcile_into(
             &mut self.store,
             self.tree.as_mut(),
             self.config.merkle_fallback_slots,
             &msg,
+            |reply| mailbox.send(from, Phase::AntiEntropy, bits.msg_bits(&reply), reply),
         );
-        self.stats.entries_adopted += handled.adopted as u64;
-        self.stats.digest_mismatches += handled.invalid as u64;
-        if handled.adopted > 0 {
+        self.stats.entries_adopted += tally.adopted as u64;
+        self.stats.digest_mismatches += tally.invalid as u64;
+        if tally.adopted > 0 {
             self.ticks_since_adopt = 0;
             self.last_adopt_us = Some(mailbox.now_us());
-        }
-        for reply in handled.replies {
-            let bits = self.msg_bits(&reply);
-            mailbox.send(from, Phase::AntiEntropy, bits, reply);
         }
     }
 
@@ -770,12 +781,12 @@ mod tests {
         let node = AeNode::new(NodeId::new(0), n, 4, 24, AeConfig::default());
         let empty: SparseDigest = Vec::new();
         assert_eq!(
-            node.digest_bits(&empty),
+            node.bits.digest_bits(&empty),
             8 + 32,
             "empty digest is tag + arity"
         );
         let full: SparseDigest = (0..n).map(|i| (NodeId::new(i), 1)).collect();
-        assert_eq!(node.digest_bits(&full), 8 + 32 + 16 * (4 + STAMP_BITS));
+        assert_eq!(node.bits.digest_bits(&full), 8 + 32 + 16 * (4 + STAMP_BITS));
         let delta = vec![(
             NodeId::new(1),
             Entry {
@@ -783,19 +794,22 @@ mod tests {
                 value: 2.0,
             },
         )];
-        assert_eq!(node.delta_bits(&delta), 8 + (4 + STAMP_BITS + 24));
+        assert_eq!(node.bits.delta_bits(&delta), 8 + (4 + STAMP_BITS + 24));
         // The Merkle legs: constant opener, per-pair probes, per-slot
         // ranges — none of them a function of n.
-        assert_eq!(node.msg_bits(&AeMsg::MerkleSyn { n: 16, root: 0 }), 104);
         assert_eq!(
-            node.msg_bits(&AeMsg::MerkleProbe {
+            node.bits.msg_bits(&AeMsg::MerkleSyn { n: 16, root: 0 }),
+            104
+        );
+        assert_eq!(
+            node.bits.msg_bits(&AeMsg::MerkleProbe {
                 n: 16,
                 probes: vec![(1, 2), (2, 3)],
             }),
             8 + 32 + 2 * 96
         );
         assert_eq!(
-            node.msg_bits(&AeMsg::RangeSyn {
+            node.bits.msg_bits(&AeMsg::RangeSyn {
                 n: 16,
                 start: 0,
                 stamps: vec![1, 0, 2],
@@ -803,7 +817,7 @@ mod tests {
             8 + 64 + 3 * STAMP_BITS
         );
         assert_eq!(
-            node.msg_bits(&AeMsg::RangeAck {
+            node.bits.msg_bits(&AeMsg::RangeAck {
                 n: 16,
                 start: 0,
                 stamps: vec![1, 0, 2],

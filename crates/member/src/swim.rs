@@ -666,8 +666,7 @@ impl<H: Handler> Member<H> {
     fn on_tick(&mut self, mailbox: &mut dyn Mailbox<MemberMsg<H::Msg>>) {
         let now = mailbox.now_us();
         // 1. Judge last period's probes: no ack at all means Suspect.
-        let unanswered: Vec<Probe> = self.core.pending.drain(..).collect();
-        for probe in unanswered {
+        for probe in self.core.pending.drain(..) {
             if self.core.table.start_suspect(probe.target, now) {
                 self.core.stats.suspicions_local += 1;
                 mailbox.note(Some(probe.target), TraceReason::Suspected);
@@ -724,8 +723,9 @@ impl<H: Handler> Member<H> {
         }
         self.core.indirect_fired = true;
         // Ask k proxies to probe every still-unacked target.
-        let pending: Vec<Probe> = self.core.pending.clone();
-        for probe in pending {
+        // (By index: sending borrows the whole core, and touches no probe.)
+        for i in 0..self.core.pending.len() {
+            let probe = self.core.pending[i];
             let proxies =
                 self.core
                     .draw_targets(mailbox, self.core.cfg.proxies, Some(probe.target));

@@ -11,10 +11,14 @@
 //!   `NodeTable` (liveness, incarnations, bandwidth tallies, cancel
 //!   watermarks — see the `soa` module docs),
 //! * a **per-shard event queue** holding exactly the events addressed to
-//!   its nodes, with message payloads parked in a per-shard
-//!   [`PayloadArena`] and referenced by `u32` slot key from the event
-//!   (events are plain-old-data; steady-state traffic allocates nothing
-//!   per event), and
+//!   its nodes — a two-level calendar queue (a wheel of one-microsecond
+//!   slots the cursor crosses from one occupied slot to the next, and
+//!   behind it one list per wheel revolution for events further out; see
+//!   `CalendarQueue`), so a run costs what its events cost whether its
+//!   time scale is microseconds or seconds — with message payloads parked
+//!   in a per-shard [`PayloadArena`] and referenced by `u32` slot key from
+//!   the event (events are plain-old-data; steady-state traffic allocates
+//!   nothing per event), and
 //! * its nodes' **private RNG streams** ([`gossip_net::node_rng`]).
 //!
 //! # Why per-node RNG streams
@@ -49,8 +53,9 @@
 //! layered on the same loop: churn coins are drawn serially from a
 //! dedicated driver-level stream in node-id order, rejoiners reboot with
 //! fresh handlers and bumped epochs, per-window bandwidth budgets reset,
-//! and burst memory decays (arena slabs and calendar slots hand back
-//! capacity they no longer need).
+//! and the arena slabs hand back burst memory they no longer need (the
+//! calendar queue does the same on its own clock, once per wheel
+//! revolution).
 //!
 //! # The order fingerprint
 //!
@@ -160,15 +165,25 @@ struct Outbound<M> {
     msg: M,
 }
 
-/// Wheel size (µs, power of two). Events further than this ahead of the
-/// cursor wait in the overflow list and are folded into the wheel at
-/// revolution boundaries.
-const WHEEL_US: u64 = 4096;
+/// Wheel size (µs, power of two): the first level has one slot per
+/// virtual microsecond of the window `[cursor, cursor + WHEEL_US)`.
+const WHEEL_BITS: u32 = 12;
+const WHEEL_US: u64 = 1 << WHEEL_BITS;
 const WHEEL_MASK: u64 = WHEEL_US - 1;
+/// Words of a one-bit-per-slot wheel bitmap.
+const WHEEL_WORDS: usize = (WHEEL_US / 64) as usize;
 
-/// Slots (and the overflow list) whose capacity is at or below this never
-/// decay — the floor keeps steady traffic from thrashing tiny
-/// reallocations.
+/// Revolutions the second level spans (power of two): events up to
+/// `FAR_REVS × WHEEL_US` µs ahead (≈ 4.2 s) wait in a per-revolution list;
+/// only events beyond that sit in the unsorted overflow list.
+const FAR_REVS: u64 = 1024;
+const FAR_MASK: u64 = FAR_REVS - 1;
+
+/// End-of-list / empty-free-list marker of the second level's slab.
+const NIL: u32 = u32::MAX;
+
+/// Slots, the slab and the overflow list never decay below this capacity —
+/// the floor keeps steady traffic from thrashing tiny reallocations.
 const SLOT_DECAY_MIN: usize = 32;
 
 /// Epochs shorter than this run the shards sequentially even when the
@@ -176,24 +191,65 @@ const SLOT_DECAY_MIN: usize = 32;
 /// setup outweighs the dispatch work an epoch can possibly contain.
 const MIN_PARALLEL_EPOCH_US: u64 = 32;
 
-/// A calendar queue (timing wheel): one bucket per virtual microsecond,
-/// modulo [`WHEEL_US`].
+/// One second-level event: a slab cell threaded onto its revolution's
+/// list (or, once folded, onto the free list).
+#[derive(Clone, Copy)]
+struct FarNode {
+    ev: ShardEvent,
+    next: u32,
+}
+
+/// A two-level calendar queue (hierarchical timing wheel, Varghese &
+/// Lauck 1987): one bucket per virtual microsecond modulo [`WHEEL_US`],
+/// and behind it one list per wheel revolution.
 ///
 /// A binary heap's `O(log k)` pops walk `k`-sized cold memory — at
 /// n = 10⁶ that walk, not the protocol, would be the simulation's hot
-/// loop. The sharded core's time only moves forward in
-/// bounded-lag epochs, which is exactly the access pattern a calendar
-/// queue rewards: `O(1)` pushes into the bucket `at_us & WHEEL_MASK`, and
-/// a cursor that sweeps the buckets in virtual-time order. Determinism is
-/// preserved because every bucket holds events of a single instant (any
-/// two in-wheel events in one slot are equal mod `WHEEL_US` and less than
-/// `WHEEL_US` apart, hence simultaneous) and drains in `(origin, oseq)`
-/// order — the same global `(timestamp, origin, origin-sequence)` total
-/// order a heap would produce.
+/// loop. The sharded core's time only moves forward in bounded-lag
+/// epochs, which is exactly the access pattern a calendar queue rewards:
+/// `O(1)` pushes, and a cursor that visits the buckets in virtual-time
+/// order.
+///
+/// * **First level** — events inside `[cursor, cursor + WHEEL_US)` go
+///   straight into the bucket `at_us & WHEEL_MASK`. An occupancy bitmap
+///   lets the cursor jump to the next non-empty bucket (or the epoch end)
+///   instead of stepping through empty microseconds: a workload on a
+///   seconds time scale pays for its events, not for its clock.
+/// * **Second level** — events up to [`FAR_REVS`] revolutions ahead are
+///   threaded onto their revolution's list, all lists sharing one slab,
+///   and folded into the wheel when the cursor enters that revolution.
+///   Filing costs `O(1)` and each event is touched once more at its fold;
+///   nothing rescans events that are not yet due.
+/// * **Overflow** — events beyond the second level's horizon sit in an
+///   unsorted list that is re-filed once per second-level wrap. An
+///   overflow event always lies at or beyond the next wrap, so the
+///   re-filing reaches it before the cursor can.
+///
+/// Determinism is preserved because every bucket holds events of a single
+/// instant (any two in-wheel events in one slot are equal mod `WHEEL_US`
+/// and less than `WHEEL_US` apart, hence simultaneous) and drains in
+/// `(origin, oseq)` order — the same global `(timestamp, origin,
+/// origin-sequence)` total order a heap would produce. Which level an
+/// event waited in never shows.
 pub(crate) struct CalendarQueue {
     wheel: Vec<Vec<ShardEvent>>,
-    /// Events at or beyond `cursor + WHEEL_US`, parked until their
-    /// revolution comes around.
+    /// Bit `s` set iff `wheel[s]` is non-empty.
+    occupied: [u64; WHEEL_WORDS],
+    /// Bit `s` set iff `wheel[s]` was handed back a drained allocation
+    /// above [`SLOT_DECAY_MIN`] and has not decayed to the floor since —
+    /// the only slots capacity decay has to look at.
+    grown: [u64; WHEEL_WORDS],
+    /// The second level's cells, live and free.
+    far: Vec<FarNode>,
+    /// Head of the free list through `far` ([`NIL`] when none is free).
+    far_free: u32,
+    /// Cells of `far` holding a queued event.
+    far_live: usize,
+    /// Head of the list of revolution `r` at `r & FAR_MASK`. Allocated by
+    /// the first second-level event: a dense short-latency run never has
+    /// one.
+    far_heads: Vec<u32>,
+    /// Events at or beyond `FAR_REVS` revolutions past the cursor's.
     overflow: Vec<ShardEvent>,
     /// All events strictly below the cursor have been drained.
     cursor: u64,
@@ -203,6 +259,12 @@ impl CalendarQueue {
     pub(crate) fn new() -> Self {
         CalendarQueue {
             wheel: (0..WHEEL_US).map(|_| Vec::new()).collect(),
+            occupied: [0; WHEEL_WORDS],
+            grown: [0; WHEEL_WORDS],
+            far: Vec::new(),
+            far_free: NIL,
+            far_live: 0,
+            far_heads: Vec::new(),
             overflow: Vec::new(),
             cursor: 0,
         }
@@ -214,36 +276,192 @@ impl CalendarQueue {
     #[inline]
     pub(crate) fn push(&mut self, ev: ShardEvent) {
         debug_assert!(ev.at_us >= self.cursor, "event scheduled in the past");
-        if ev.at_us >= self.cursor + WHEEL_US {
-            self.overflow.push(ev);
+        if ev.at_us - self.cursor < WHEEL_US {
+            self.push_wheel(ev);
         } else {
-            self.wheel[(ev.at_us & WHEEL_MASK) as usize].push(ev);
+            self.push_far(ev);
         }
     }
 
-    /// Fold every overflow event whose revolution has arrived into the
-    /// wheel, and decay slot capacities that ballooned during a burst.
-    /// Called whenever the cursor crosses a multiple of [`WHEEL_US`]; an
-    /// overflow event's instant is always at or beyond the *next*
-    /// boundary, so it is re-filed before the cursor can pass it.
-    fn redistribute(&mut self) {
-        let horizon = self.cursor + WHEEL_US;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            if self.overflow[i].at_us < horizon {
-                let ev = self.overflow.swap_remove(i);
-                self.wheel[(ev.at_us & WHEEL_MASK) as usize].push(ev);
-            } else {
-                i += 1;
+    /// File an event of the window `[cursor, cursor + WHEEL_US)`. The
+    /// occupancy bit is written only when the slot turns non-empty: a
+    /// dense run's pushes read one length they were about to read anyway.
+    #[inline]
+    fn push_wheel(&mut self, ev: ShardEvent) {
+        let slot = (ev.at_us & WHEEL_MASK) as usize;
+        let events = &mut self.wheel[slot];
+        if events.is_empty() {
+            self.occupied[slot >> 6] |= 1 << (slot & 63);
+        }
+        events.push(ev);
+    }
+
+    /// File an event beyond the wheel: onto its revolution's list, or into
+    /// the overflow when even that is out of range. Out of line so that
+    /// the dense workloads' `push` stays a compare and a `Vec::push`.
+    #[cold]
+    #[inline(never)]
+    fn push_far(&mut self, ev: ShardEvent) {
+        let rev = ev.at_us >> WHEEL_BITS;
+        if rev - (self.cursor >> WHEEL_BITS) >= FAR_REVS {
+            self.overflow.push(ev);
+            return;
+        }
+        if self.far_heads.is_empty() {
+            self.far_heads = vec![NIL; FAR_REVS as usize];
+        }
+        let head = &mut self.far_heads[(rev & FAR_MASK) as usize];
+        let node = FarNode { ev, next: *head };
+        if self.far_free != NIL {
+            *head = self.far_free;
+            let cell = &mut self.far[self.far_free as usize];
+            self.far_free = cell.next;
+            *cell = node;
+        } else {
+            assert!(self.far.len() < NIL as usize, "calendar slab exhausted");
+            *head = self.far.len() as u32;
+            self.far.push(node);
+        }
+        self.far_live += 1;
+    }
+
+    /// Detach the batch of the earliest queued instant before `end_us`,
+    /// sorted by `(origin, oseq)`, leaving the cursor on that instant; or
+    /// move the cursor to `end_us` and return `None` when nothing is due
+    /// before it. The caller dispatches the batch (dispatches only ever
+    /// schedule *future* events — delays floor at 1 µs — so the detached
+    /// batch is complete) and hands the allocation back through
+    /// [`finish_batch`](Self::finish_batch).
+    ///
+    /// Inlined into the dispatch loop (as is `finish_batch`): out of line,
+    /// the dense workload's per-slot sort and hand-over read 5 % slower.
+    #[inline]
+    pub(crate) fn next_batch(&mut self, end_us: u64) -> Option<Vec<ShardEvent>> {
+        while self.cursor < end_us {
+            if self.cursor & WHEEL_MASK == 0 {
+                self.start_revolution();
+            }
+            let from = (self.cursor & WHEEL_MASK) as usize;
+            let Some(slot) = self.next_occupied(from) else {
+                // Nothing left in this revolution: on to the next one's
+                // fold, or out of the epoch.
+                self.cursor = ((self.cursor | WHEEL_MASK) + 1).min(end_us);
+                continue;
+            };
+            let at_us = self.cursor + (slot - from) as u64;
+            if at_us >= end_us {
+                break;
+            }
+            self.cursor = at_us;
+            self.occupied[slot >> 6] &= !(1 << (slot & 63));
+            let mut batch = std::mem::take(&mut self.wheel[slot]);
+            debug_assert!(
+                batch.iter().all(|ev| ev.at_us == at_us),
+                "slot holds one instant"
+            );
+            batch.sort_unstable_by_key(|ev| (ev.origin, ev.oseq));
+            return Some(batch);
+        }
+        self.cursor = self.cursor.max(end_us);
+        None
+    }
+
+    /// Take back the (drained) allocation of the batch at the cursor for
+    /// the slot's next revolution, and step past the instant.
+    #[inline]
+    pub(crate) fn finish_batch(&mut self, batch: Vec<ShardEvent>) {
+        debug_assert!(batch.is_empty(), "a finished batch was dispatched whole");
+        let slot = (self.cursor & WHEEL_MASK) as usize;
+        debug_assert!(
+            self.wheel[slot].is_empty(),
+            "nothing lands a revolution out"
+        );
+        // Noted here, once per drain, rather than on every push: a slot
+        // can only hold more capacity than its events need after a drain.
+        if batch.capacity() > SLOT_DECAY_MIN {
+            self.grown[slot >> 6] |= 1 << (slot & 63);
+        }
+        self.wheel[slot] = batch;
+        self.cursor += 1;
+    }
+
+    /// The first non-empty slot at or after `from` in the current
+    /// revolution. (Occupied slots *before* the cursor's hold the next
+    /// revolution's events and are not this scan's business.)
+    #[inline]
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let mut word = from >> 6;
+        let mut bits = self.occupied[word] & (!0 << (from & 63));
+        while bits == 0 {
+            word += 1;
+            if word == WHEEL_WORDS {
+                return None;
+            }
+            bits = self.occupied[word];
+        }
+        Some(word << 6 | bits.trailing_zeros() as usize)
+    }
+
+    /// The cursor enters a revolution: bring in what the outer levels hold
+    /// for it, then hand back burst memory. Once in 4096 µs: kept out of
+    /// the dispatch loop `next_batch` is inlined into.
+    #[inline(never)]
+    fn start_revolution(&mut self) {
+        let rev = self.cursor >> WHEEL_BITS;
+        if rev & FAR_MASK == 0 {
+            // A second-level wrap: everything the overflow holds for the
+            // FAR_REVS revolutions ahead now has a list (or a slot).
+            let mut i = 0;
+            while i < self.overflow.len() {
+                if (self.overflow[i].at_us >> WHEEL_BITS) - rev < FAR_REVS {
+                    let ev = self.overflow.swap_remove(i);
+                    self.push(ev);
+                } else {
+                    i += 1;
+                }
             }
         }
-        // Hand burst memory back: a slot that ballooned keeps its capacity
-        // only until its next revolution (it used to keep it forever — the
-        // memory-drift bug). The floor avoids thrashing small slots.
-        for slot in &mut self.wheel {
-            if slot.capacity() > SLOT_DECAY_MIN && slot.capacity() > 4 * slot.len() {
-                slot.shrink_to(SLOT_DECAY_MIN.max(2 * slot.len()));
+        // Fold this revolution's list into the wheel; its cells go onto
+        // the free list. (No list can be pushed to in its own revolution:
+        // an event that near goes to the wheel.)
+        if let Some(head) = self.far_heads.get_mut((rev & FAR_MASK) as usize) {
+            let mut at = std::mem::replace(head, NIL);
+            while at != NIL {
+                let cell = &mut self.far[at as usize];
+                let (ev, next) = (cell.ev, cell.next);
+                cell.next = self.far_free;
+                self.far_free = at;
+                self.far_live -= 1;
+                self.push_wheel(ev);
+                at = next;
             }
+        }
+        self.decay();
+    }
+
+    /// Hand burst memory back: a slot that ballooned keeps its capacity
+    /// only until the next revolution (it used to keep it forever — the
+    /// memory-drift bug), the slab is re-packed once three quarters of it
+    /// hold no event, and the overflow list shrinks the same way. The
+    /// floor avoids thrashing small allocations. Only slots marked `grown`
+    /// are looked at, so a quiet revolution costs 64 word tests.
+    fn decay(&mut self) {
+        for w in 0..WHEEL_WORDS {
+            let mut bits = self.grown[w];
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = &mut self.wheel[w << 6 | bit];
+                if slot.capacity() > 4 * slot.len() {
+                    slot.shrink_to(SLOT_DECAY_MIN.max(2 * slot.len()));
+                }
+                if slot.capacity() <= SLOT_DECAY_MIN {
+                    self.grown[w] &= !(1 << bit);
+                }
+            }
+        }
+        if self.far.capacity() > SLOT_DECAY_MIN && self.far.capacity() > 4 * self.far_live {
+            self.repack_far();
         }
         if self.overflow.capacity() > SLOT_DECAY_MIN
             && self.overflow.capacity() > 4 * self.overflow.len()
@@ -253,11 +471,36 @@ impl CalendarQueue {
         }
     }
 
-    /// Total event slots this queue holds memory for (wheel slot
-    /// capacities plus the overflow list) — the flat-memory regression
-    /// probe.
+    /// Copy the live cells of the slab into a fresh one sized for them,
+    /// list by list (free cells are scattered through the old slab, so it
+    /// cannot simply be truncated). `O(FAR_REVS + live)`, and only after a
+    /// burst has drained.
+    fn repack_far(&mut self) {
+        let mut packed = Vec::with_capacity(SLOT_DECAY_MIN.max(2 * self.far_live));
+        for head in &mut self.far_heads {
+            let mut at = std::mem::replace(head, NIL);
+            while at != NIL {
+                let FarNode { ev, next } = self.far[at as usize];
+                packed.push(FarNode { ev, next: *head });
+                *head = packed.len() as u32 - 1;
+                at = next;
+            }
+        }
+        debug_assert_eq!(packed.len(), self.far_live);
+        self.far = packed;
+        self.far_free = NIL;
+    }
+
+    /// Total event slots this queue holds memory for — the flat-memory
+    /// regression probe: wheel slot capacities, the second level's slab
+    /// and the overflow list, plus the list heads at their size in events.
     pub(crate) fn capacity_events(&self) -> usize {
-        self.wheel.iter().map(Vec::capacity).sum::<usize>() + self.overflow.capacity()
+        let heads = (self.far_heads.capacity() * std::mem::size_of::<u32>())
+            .div_ceil(std::mem::size_of::<ShardEvent>());
+        self.wheel.iter().map(Vec::capacity).sum::<usize>()
+            + self.far.capacity()
+            + heads
+            + self.overflow.capacity()
     }
 }
 
@@ -354,30 +597,15 @@ impl<H: Handler> Shard<H> {
     /// key order. The bounded-lag contract guarantees no event below
     /// `end_us` can still be in another shard's outbox.
     ///
-    /// The cursor sweeps the calendar one microsecond at a time; a slot's
-    /// batch is detached, sorted by `(origin, oseq)` — timestamps within a
-    /// slot are all the cursor instant — and dispatched. Dispatches only
-    /// ever schedule *future* events (delays floor at 1 µs), so the
-    /// detached batch is complete when it is sorted.
+    /// The queue hands out one instant's events at a time, already in
+    /// `(origin, oseq)` order, and moves its cursor straight from one
+    /// occupied instant to the next.
     fn run_epoch(&mut self, end_us: u64, topo: &Topology) {
-        while self.queue.cursor < end_us {
-            if self.queue.cursor & WHEEL_MASK == 0 {
-                self.queue.redistribute();
+        while let Some(mut batch) = self.queue.next_batch(end_us) {
+            for ev in batch.drain(..) {
+                self.dispatch(ev, topo);
             }
-            let slot = (self.queue.cursor & WHEEL_MASK) as usize;
-            if !self.queue.wheel[slot].is_empty() {
-                let mut batch = std::mem::take(&mut self.queue.wheel[slot]);
-                batch.sort_unstable_by_key(|ev| (ev.origin, ev.oseq));
-                for ev in batch.drain(..) {
-                    debug_assert_eq!(ev.at_us, self.queue.cursor, "slot holds one instant");
-                    self.dispatch(ev, topo);
-                }
-                // Hand the allocation back for the slot's next revolution
-                // (redistribute decays it if the burst that filled it has
-                // passed).
-                self.queue.wheel[slot] = batch;
-            }
-            self.queue.cursor += 1;
+            self.queue.finish_batch(batch);
         }
     }
 
@@ -1352,6 +1580,7 @@ mod tests {
     use crate::churn::ChurnModel;
     use crate::latency::LatencyModel;
     use gossip_net::SimConfig;
+    use rand::SeedableRng;
 
     /// Interval-driven rumor flooding (the ciruela emulator shape): every
     /// tick each node pushes its token set to one random peer.
@@ -1744,5 +1973,232 @@ mod tests {
             driver.arena_reuse_total() > 0,
             "trickle traffic reuses freed slots"
         );
+    }
+
+    #[test]
+    fn far_horizon_burst_hands_its_slab_back() {
+        // The twin of the test above for the second level: the burst is
+        // scheduled 50 ms out — twelve wheel revolutions — so it waits in
+        // the slab, not in a slot (the short epoch makes the exchange file
+        // it while it is still that far away). The probe must see the slab
+        // while the burst waits, and see it gone one revolution after the
+        // burst drained, although the trickles keep the slab in use.
+        let config = AsyncConfig::new(SimConfig::new(2).with_seed(5))
+            .with_latency(LatencyModel::Constant(50_000));
+        let mut driver =
+            ShardedDriver::new(config, 2, |me| Burst { me, bursts: 0 }).with_epoch_us(1_000);
+        driver.run_until(30_000);
+        assert!(
+            driver.queue_capacity_events() >= 10_000,
+            "the probe counts the waiting burst's slab, got {}",
+            driver.queue_capacity_events()
+        );
+        // The burst drains at 50 001 µs; the next revolution starts at
+        // 13 × 4096 = 53 248 µs.
+        driver.run_until(54_000);
+        assert!(driver.metrics().messages_dispatched >= 10_000);
+        assert!(
+            driver.queue_capacity_events() < 1_000,
+            "slab and slot decayed after the burst, still hold {} events",
+            driver.queue_capacity_events()
+        );
+    }
+
+    /// The queue [`CalendarQueue`] replaced, kept as its oracle: one level,
+    /// a cursor that sweeps the wheel one microsecond at a time, and an
+    /// unsorted overflow list rescanned at every revolution.
+    struct SweepQueue {
+        wheel: Vec<Vec<ShardEvent>>,
+        overflow: Vec<ShardEvent>,
+        cursor: u64,
+    }
+
+    impl SweepQueue {
+        fn new() -> Self {
+            SweepQueue {
+                wheel: (0..WHEEL_US).map(|_| Vec::new()).collect(),
+                overflow: Vec::new(),
+                cursor: 0,
+            }
+        }
+
+        fn push(&mut self, ev: ShardEvent) {
+            assert!(ev.at_us >= self.cursor, "event scheduled in the past");
+            if ev.at_us >= self.cursor + WHEEL_US {
+                self.overflow.push(ev);
+            } else {
+                self.wheel[(ev.at_us & WHEEL_MASK) as usize].push(ev);
+            }
+        }
+
+        fn redistribute(&mut self) {
+            let horizon = self.cursor + WHEEL_US;
+            let mut i = 0;
+            while i < self.overflow.len() {
+                if self.overflow[i].at_us < horizon {
+                    let ev = self.overflow.swap_remove(i);
+                    self.wheel[(ev.at_us & WHEEL_MASK) as usize].push(ev);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        fn next_batch(&mut self, end_us: u64) -> Option<Vec<ShardEvent>> {
+            while self.cursor < end_us {
+                if self.cursor & WHEEL_MASK == 0 {
+                    self.redistribute();
+                }
+                let slot = (self.cursor & WHEEL_MASK) as usize;
+                if !self.wheel[slot].is_empty() {
+                    let mut batch = std::mem::take(&mut self.wheel[slot]);
+                    batch.sort_unstable_by_key(|ev| (ev.origin, ev.oseq));
+                    return Some(batch);
+                }
+                self.cursor += 1;
+            }
+            None
+        }
+
+        fn finish_batch(&mut self) {
+            self.cursor += 1;
+        }
+    }
+
+    /// Both queues of the oracle test, fed the same events.
+    struct Pair {
+        new: CalendarQueue,
+        old: SweepQueue,
+        rng: SmallRng,
+        oseq: u64,
+        queued: usize,
+    }
+
+    impl Pair {
+        /// Schedule one event `delay_us` after `now_us` on both queues,
+        /// from a random one of eight origins — so same-instant events
+        /// arrive out of `(origin, oseq)` order.
+        fn push(&mut self, now_us: u64, delay_us: u64) {
+            self.oseq += 1;
+            let ev = ShardEvent {
+                at_us: now_us + delay_us,
+                origin: self.rng.gen_range(0..8),
+                oseq: self.oseq,
+                to: 0,
+                kind: EventKind::Crash,
+            };
+            self.new.push(ev);
+            self.old.push(ev);
+            self.queued += 1;
+        }
+
+        /// A delay from every regime the queue files differently: the next
+        /// microsecond, a few shared slots, the same slot revolutions
+        /// later, inside the wheel, the next revolution, the second level
+        /// near and deep, and around and beyond its 4.19 s horizon.
+        fn delay(&mut self) -> u64 {
+            match self.rng.gen_range(0..8) {
+                0 => 1,
+                1 => self.rng.gen_range(1..16),
+                2 => WHEEL_US * self.rng.gen_range(1..4u64),
+                3 => self.rng.gen_range(1..WHEEL_US),
+                4 => self.rng.gen_range(WHEEL_US..2 * WHEEL_US),
+                5 => self.rng.gen_range(20_000..150_000),
+                6 => self.rng.gen_range(1_000_000..4_000_000),
+                _ => self.rng.gen_range(4_000_000..10_000_000),
+            }
+        }
+    }
+
+    #[test]
+    fn calendar_queue_pops_what_the_one_microsecond_sweep_pops() {
+        for seed in [1, 2, 3] {
+            let mut pair = Pair {
+                new: CalendarQueue::new(),
+                old: SweepQueue::new(),
+                rng: SmallRng::seed_from_u64(seed),
+                oseq: 0,
+                queued: 0,
+            };
+            let mut popped = 0u64;
+            let mut now_us = 0u64;
+            while now_us < 24_000_000 {
+                // Between epochs: the exchange and the barrier file events
+                // at or after the frontier — now and then a same-instant
+                // burst, which is what grows a slot past its floor.
+                let arrivals = if pair.queued < 300 { 40 } else { 2 };
+                for _ in 0..arrivals {
+                    let delay = pair.delay();
+                    pair.push(now_us, delay);
+                }
+                if pair.rng.gen_range(0..50) == 0 {
+                    let delay = pair.delay();
+                    for _ in 0..100 {
+                        pair.push(now_us, delay);
+                    }
+                }
+                // An epoch end anywhere: the next microsecond, inside the
+                // revolution, revolutions or a second-level wrap away.
+                let end_us = now_us
+                    + match pair.rng.gen_range(0..4) {
+                        0 => pair.rng.gen_range(1..8),
+                        1 => pair.rng.gen_range(1..WHEEL_US),
+                        2 => pair.rng.gen_range(WHEEL_US..40 * WHEEL_US),
+                        _ => pair.rng.gen_range(1..3_000_000),
+                    };
+                loop {
+                    let (new, old) = (pair.new.next_batch(end_us), pair.old.next_batch(end_us));
+                    assert_eq!(
+                        new.is_some(),
+                        old.is_some(),
+                        "seed {seed}: one queue popped at {} and the other ran dry at {}",
+                        pair.new.cursor.min(pair.old.cursor),
+                        pair.new.cursor.max(pair.old.cursor),
+                    );
+                    let (Some(mut new), Some(old)) = (new, old) else {
+                        break;
+                    };
+                    assert_eq!(pair.new.cursor, pair.old.cursor, "seed {seed}: pop instant");
+                    let key = |ev: &ShardEvent| (ev.at_us, ev.origin, ev.oseq);
+                    assert_eq!(
+                        new.iter().map(key).collect::<Vec<_>>(),
+                        old.iter().map(key).collect::<Vec<_>>(),
+                        "seed {seed}: batch at {}",
+                        pair.new.cursor
+                    );
+                    // Dispatch: most events schedule a successor while
+                    // their batch is still detached.
+                    let at_us = pair.new.cursor;
+                    for _ in new.drain(..) {
+                        popped += 1;
+                        pair.queued -= 1;
+                        if pair.queued < 600 && pair.rng.gen_range(0..8) != 0 {
+                            let delay = pair.delay();
+                            pair.push(at_us, delay);
+                        }
+                    }
+                    pair.new.finish_batch(new);
+                    pair.old.finish_batch();
+                }
+                assert_eq!(pair.new.cursor, end_us, "seed {seed}: epoch end");
+                assert_eq!(pair.old.cursor, end_us, "seed {seed}: epoch end");
+                now_us = end_us;
+            }
+            assert!(popped > 5_000, "seed {seed}: only {popped} events popped");
+            // Drained and two revolutions on, every allocation a burst
+            // grew is back at the floor.
+            let end_us = now_us + 10_000_000 + 2 * WHEEL_US;
+            while let Some(mut batch) = pair.new.next_batch(end_us) {
+                batch.clear();
+                pair.new.finish_batch(batch);
+            }
+            let q = &pair.new;
+            assert_eq!(q.far_live, 0, "seed {seed}");
+            assert_eq!(q.grown, [0; WHEEL_WORDS], "seed {seed}");
+            let largest = q.wheel.iter().map(Vec::capacity).max();
+            assert!(largest <= Some(SLOT_DECAY_MIN), "seed {seed}: {largest:?}");
+            assert!(q.far.capacity() <= SLOT_DECAY_MIN, "seed {seed}");
+            assert!(q.overflow.capacity() <= SLOT_DECAY_MIN, "seed {seed}");
+        }
     }
 }
