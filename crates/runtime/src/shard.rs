@@ -96,7 +96,8 @@ fn fold3(h: &mut u64, a: u64, b: u64, c: u64) {
 
 /// What happens when a scheduled event reaches its destination node.
 /// Plain old data: message payloads live in the owning shard's
-/// [`PayloadArena`] and are referenced by slot key.
+/// [`PayloadArena`] and are referenced by slot key, and a traced message's
+/// causal context waits in the shard's `ShardTrace` under the same key.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum EventKind {
     /// A message arrives (sender-side checks already passed; receiver
@@ -106,17 +107,13 @@ pub(crate) enum EventKind {
         phase: Phase,
         /// Message size in bits.
         bits: u32,
-        /// End-to-end latency (µs), recorded at dispatch.
-        latency_us: u64,
+        /// End-to-end latency (µs), recorded at dispatch. Saturates at
+        /// `u32::MAX` (≈ 71.6 min): only the latency histogram sees the
+        /// cap — the arrival instant `at_us` is exact whatever the delay.
+        latency_us: u32,
         /// Arena key of the payload in the destination shard's arena
         /// ([`NO_PAYLOAD`] for payload-free traffic).
         payload: u32,
-        /// Causal chain id carried by the message
-        /// ([`gossip_obs::NO_TRACE`] untraced). Passive: rides the event
-        /// for the trace ring, never feeds ordering, RNG or the node hash.
-        trace_id: u64,
-        /// Message hops from the chain's origin.
-        hop: u8,
     },
     /// A timer armed by incarnation `incarnation` of the node fires.
     Timer {
@@ -157,12 +154,20 @@ pub(crate) struct ShardEvent {
     pub(crate) kind: EventKind,
 }
 
-/// A cross-shard send parked in an outbox: the event plus its payload,
-/// which is re-homed into the destination shard's arena at the exchange
-/// (the event's `payload` key is filled in there).
+// The queue's memory is its events' size times their count: 24 bytes of
+// ordering key and destination, 16 of kind. That is why a traced message's
+// causal context waits in the shard's trace table instead of riding every
+// event, traced or not, and why the latency is a `u32`.
+const _: () = assert!(std::mem::size_of::<ShardEvent>() == 40);
+
+/// A cross-shard send parked in an outbox: the event plus its payload and
+/// causal context, which are re-homed into the destination shard's arena
+/// and trace table at the exchange (the event's `payload` key is filled in
+/// there).
 struct Outbound<M> {
     ev: ShardEvent,
     msg: M,
+    ctx: TraceCtx,
 }
 
 /// Wheel size (µs, power of two): the first level has one slot per
@@ -182,8 +187,9 @@ const FAR_MASK: u64 = FAR_REVS - 1;
 /// End-of-list / empty-free-list marker of the second level's slab.
 const NIL: u32 = u32::MAX;
 
-/// Slots, the slab and the overflow list never decay below this capacity —
-/// the floor keeps steady traffic from thrashing tiny reallocations.
+/// Slots, spares, the slab and the overflow list never decay below this
+/// capacity — the floor keeps steady traffic from thrashing tiny
+/// reallocations.
 const SLOT_DECAY_MIN: usize = 32;
 
 /// Epochs shorter than this run the shards sequentially even when the
@@ -224,6 +230,11 @@ struct FarNode {
 ///   unsorted list that is re-filed once per second-level wrap. An
 ///   overflow event always lies at or beyond the next wrap, so the
 ///   re-filing reaches it before the cursor can.
+/// * **Spare pool** — an empty bucket holds no allocation. A drained
+///   batch's buffer goes onto a LIFO spare list, and a bucket that turns
+///   non-empty takes the most recent spare, so the queue holds buffers for
+///   the buckets occupied at once (≈ 1 500 of 4 096 in a dense run with
+///   0.5–1.5 ms latency), not for every bucket it ever used.
 ///
 /// Determinism is preserved because every bucket holds events of a single
 /// instant (any two in-wheel events in one slot are equal mod `WHEEL_US`
@@ -235,10 +246,14 @@ pub(crate) struct CalendarQueue {
     wheel: Vec<Vec<ShardEvent>>,
     /// Bit `s` set iff `wheel[s]` is non-empty.
     occupied: [u64; WHEEL_WORDS],
-    /// Bit `s` set iff `wheel[s]` was handed back a drained allocation
-    /// above [`SLOT_DECAY_MIN`] and has not decayed to the floor since —
-    /// the only slots capacity decay has to look at.
+    /// Bit `s` set once `wheel[s]` takes a spare above [`SLOT_DECAY_MIN`],
+    /// cleared by the first decay that finds the slot at or below it (a
+    /// drained slot holds nothing) — the only slots capacity decay has to
+    /// look at.
     grown: [u64; WHEEL_WORDS],
+    /// Drained slot buffers, empty, waiting for a slot that turns
+    /// non-empty (LIFO: the most recently drained, cache-warm one first).
+    spares: Vec<Vec<ShardEvent>>,
     /// The second level's cells, live and free.
     far: Vec<FarNode>,
     /// Head of the free list through `far` ([`NIL`] when none is free).
@@ -261,6 +276,7 @@ impl CalendarQueue {
             wheel: (0..WHEEL_US).map(|_| Vec::new()).collect(),
             occupied: [0; WHEEL_WORDS],
             grown: [0; WHEEL_WORDS],
+            spares: Vec::new(),
             far: Vec::new(),
             far_free: NIL,
             far_live: 0,
@@ -284,14 +300,22 @@ impl CalendarQueue {
     }
 
     /// File an event of the window `[cursor, cursor + WHEEL_US)`. The
-    /// occupancy bit is written only when the slot turns non-empty: a
-    /// dense run's pushes read one length they were about to read anyway.
+    /// occupancy bit is written, and a spare buffer taken, only when the
+    /// slot turns non-empty: a dense run's pushes read one length they
+    /// were about to read anyway.
     #[inline]
     fn push_wheel(&mut self, ev: ShardEvent) {
         let slot = (ev.at_us & WHEEL_MASK) as usize;
         let events = &mut self.wheel[slot];
         if events.is_empty() {
             self.occupied[slot >> 6] |= 1 << (slot & 63);
+            // An empty slot holds no allocation (draining took it).
+            if let Some(spare) = self.spares.pop() {
+                if spare.capacity() > SLOT_DECAY_MIN {
+                    self.grown[slot >> 6] |= 1 << (slot & 63);
+                }
+                *events = spare;
+            }
         }
         events.push(ev);
     }
@@ -366,22 +390,17 @@ impl CalendarQueue {
         None
     }
 
-    /// Take back the (drained) allocation of the batch at the cursor for
-    /// the slot's next revolution, and step past the instant.
+    /// Take back the (drained) allocation of the batch at the cursor onto
+    /// the spare list, and step past the instant. The slot stays without
+    /// one: the next slot to turn non-empty, whichever it is, reuses it.
     #[inline]
     pub(crate) fn finish_batch(&mut self, batch: Vec<ShardEvent>) {
         debug_assert!(batch.is_empty(), "a finished batch was dispatched whole");
-        let slot = (self.cursor & WHEEL_MASK) as usize;
         debug_assert!(
-            self.wheel[slot].is_empty(),
+            self.wheel[(self.cursor & WHEEL_MASK) as usize].is_empty(),
             "nothing lands a revolution out"
         );
-        // Noted here, once per drain, rather than on every push: a slot
-        // can only hold more capacity than its events need after a drain.
-        if batch.capacity() > SLOT_DECAY_MIN {
-            self.grown[slot >> 6] |= 1 << (slot & 63);
-        }
-        self.wheel[slot] = batch;
+        self.spares.push(batch);
         self.cursor += 1;
     }
 
@@ -439,12 +458,15 @@ impl CalendarQueue {
         self.decay();
     }
 
-    /// Hand burst memory back: a slot that ballooned keeps its capacity
-    /// only until the next revolution (it used to keep it forever — the
-    /// memory-drift bug), the slab is re-packed once three quarters of it
-    /// hold no event, and the overflow list shrinks the same way. The
-    /// floor avoids thrashing small allocations. Only slots marked `grown`
-    /// are looked at, so a quiet revolution costs 64 word tests.
+    /// Hand burst memory back: a slot holding a ballooned buffer keeps
+    /// only what its events need, a spare that sits idle across a
+    /// revolution start shrinks to the floor, the slab is re-packed once
+    /// three quarters of it hold no event, and the overflow list shrinks
+    /// like a slot. The floor avoids thrashing small allocations, and
+    /// spares are shrunk rather than freed for the same reason (a sparse
+    /// run, whose slots open and drain one at a time, would allocate a
+    /// buffer per opening). Only slots marked `grown` are looked at, so a
+    /// quiet revolution costs 64 word tests and a walk of the spares.
     fn decay(&mut self) {
         for w in 0..WHEEL_WORDS {
             let mut bits = self.grown[w];
@@ -459,6 +481,9 @@ impl CalendarQueue {
                     self.grown[w] &= !(1 << bit);
                 }
             }
+        }
+        for spare in &mut self.spares {
+            spare.shrink_to(SLOT_DECAY_MIN);
         }
         if self.far.capacity() > SLOT_DECAY_MIN && self.far.capacity() > 4 * self.far_live {
             self.repack_far();
@@ -492,15 +517,24 @@ impl CalendarQueue {
     }
 
     /// Total event slots this queue holds memory for — the flat-memory
-    /// regression probe: wheel slot capacities, the second level's slab
-    /// and the overflow list, plus the list heads at their size in events.
+    /// regression probe: the buffers of occupied slots and of the spare
+    /// list, the second level's slab and the overflow list, plus the list
+    /// heads and the spare list's own array at their size in events.
     pub(crate) fn capacity_events(&self) -> usize {
-        let heads = (self.far_heads.capacity() * std::mem::size_of::<u32>())
-            .div_ceil(std::mem::size_of::<ShardEvent>());
-        self.wheel.iter().map(Vec::capacity).sum::<usize>()
+        let in_events = |bytes: usize| bytes.div_ceil(std::mem::size_of::<ShardEvent>());
+        let buffers = |list: &[Vec<ShardEvent>]| list.iter().map(Vec::capacity).sum::<usize>();
+        buffers(&self.wheel)
+            + buffers(&self.spares)
+            + in_events(self.spares.capacity() * std::mem::size_of::<Vec<ShardEvent>>())
             + self.far.capacity()
-            + heads
+            + in_events(self.far_heads.capacity() * std::mem::size_of::<u32>())
             + self.overflow.capacity()
+    }
+
+    /// Events queued on every level.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.wheel.iter().map(Vec::len).sum::<usize>() + self.far_live + self.overflow.len()
     }
 }
 
@@ -512,6 +546,49 @@ struct ShardCounters {
     stale_timer_skips: u64,
     cancelled_timer_skips: u64,
     dead_receiver_drops: u64,
+}
+
+/// A traced shard's share of the trace. Passive: recording and filing are
+/// plain stores into shard-local state, never read by ordering, RNG or the
+/// node hashes, so the node hashes are trace-invariant.
+struct ShardTrace {
+    /// This shard's slice of the protocol-event trace; drained into the
+    /// driver's base ring at window barriers (in shard order), mirroring
+    /// the shard-metrics drain.
+    ring: TraceRing,
+    /// Causal context of each queued delivery, at the arena key of its
+    /// payload. It lives here rather than in the event so that an untraced
+    /// run's queue does not carry it; a freed key's entry is stale until
+    /// the key is reused, and never read.
+    ctx_by_key: Vec<TraceCtx>,
+}
+
+impl ShardTrace {
+    fn new(capacity: usize) -> Self {
+        ShardTrace {
+            ring: TraceRing::new(capacity),
+            ctx_by_key: Vec::new(),
+        }
+    }
+
+    /// File the context of the delivery whose payload was just parked at
+    /// arena key `key`.
+    #[inline]
+    fn file(&mut self, key: u32, ctx: TraceCtx) {
+        let key = key as usize;
+        if key >= self.ctx_by_key.len() {
+            self.ctx_by_key.resize(key + 1, TraceCtx::NONE);
+        }
+        self.ctx_by_key[key] = ctx;
+    }
+
+    /// Follow the arena when its decay truncated trailing slots.
+    fn fit(&mut self, arena_capacity: usize) {
+        if self.ctx_by_key.len() > arena_capacity {
+            self.ctx_by_key.truncate(arena_capacity);
+            self.ctx_by_key.shrink_to(arena_capacity);
+        }
+    }
 }
 
 /// One shard: the owner of a contiguous block of nodes. Scalar per-node
@@ -535,11 +612,9 @@ struct Shard<H: Handler> {
     metrics: Metrics,
     async_metrics: AsyncMetrics,
     counters: ShardCounters,
-    /// Per-shard slice of the protocol-event trace; drained into the
-    /// driver's base ring at window barriers (in shard order), mirroring
-    /// the shard-metrics drain. Passive: recording is a plain store into
-    /// shard-local state, so the node hashes are trace-invariant.
-    trace: Option<TraceRing>,
+    /// Tracing state; `None` unless
+    /// [`with_trace`](ShardedDriver::with_trace) was used.
+    trace: Option<ShardTrace>,
     /// Scheduled-vs-dispatched delta of timer fires (µs) — identically
     /// zero in virtual time; merged across shards at scrape.
     timer_lag: gossip_obs::Histogram,
@@ -620,8 +695,8 @@ impl<H: Handler> Shard<H> {
         reason: TraceReason,
         ctx: TraceCtx,
     ) {
-        if let Some(ring) = &mut self.trace {
-            ring.record_ctx(at_us, node, peer, kind, reason, ctx);
+        if let Some(trace) = &mut self.trace {
+            trace.ring.record_ctx(at_us, node, peer, kind, reason, ctx);
         }
     }
 
@@ -666,10 +741,11 @@ impl<H: Handler> Shard<H> {
                 bits,
                 latency_us,
                 payload,
-                trace_id,
-                hop,
             } => {
-                let ctx = TraceCtx { trace_id, hop };
+                let ctx = self
+                    .trace
+                    .as_ref()
+                    .map_or(TraceCtx::NONE, |trace| trace.ctx_by_key[payload as usize]);
                 // Reclaim the payload first: a dead receiver must still
                 // free the slot, or burst memory would leak.
                 let msg = self.arena.take(payload);
@@ -690,7 +766,7 @@ impl<H: Handler> Shard<H> {
                     );
                     return;
                 }
-                self.async_metrics.latency.record(latency_us);
+                self.async_metrics.latency.record(u64::from(latency_us));
                 self.counters.messages_dispatched += 1;
                 fold3(&mut self.nodes.node_hash[local], ev.at_us, tagged, ev.oseq);
                 self.trace_event(
@@ -784,6 +860,28 @@ impl<H: Handler> Shard<H> {
     }
 }
 
+/// Queue a delivery at the shard that owns its receiver: park the payload
+/// in the shard's arena, file a traced run's causal context under the same
+/// key, and push the event with the key filled in.
+#[inline]
+fn enqueue_delivery<M>(
+    queue: &mut CalendarQueue,
+    arena: &mut PayloadArena<M>,
+    trace: &mut Option<ShardTrace>,
+    mut ev: ShardEvent,
+    msg: M,
+    ctx: TraceCtx,
+) {
+    let key = arena.insert(msg);
+    if let Some(trace) = trace {
+        trace.file(key, ctx);
+    }
+    if let EventKind::Deliver { payload, .. } = &mut ev.kind {
+        *payload = key;
+    }
+    queue.push(ev);
+}
+
 /// The mailbox a sharded dispatch hands to handler callbacks: a view of
 /// one node's slice of its shard.
 struct ShardMailbox<'a, M> {
@@ -803,7 +901,7 @@ struct ShardMailbox<'a, M> {
     outbox: &'a mut Vec<Vec<Outbound<M>>>,
     metrics: &'a mut Metrics,
     async_metrics: &'a mut AsyncMetrics,
-    trace: &'a mut Option<TraceRing>,
+    trace: &'a mut Option<ShardTrace>,
 }
 
 impl<M> ShardMailbox<'_, M> {
@@ -815,8 +913,11 @@ impl<M> ShardMailbox<'_, M> {
     /// Record into the shard's trace ring, if tracing is on (passive).
     #[inline]
     fn trace_event(&mut self, peer: u64, kind: TraceKind, reason: TraceReason, ctx: TraceCtx) {
-        if let Some(ring) = self.trace.as_mut() {
-            ring.record_ctx(self.now_us, self.me.index() as u64, peer, kind, reason, ctx);
+        if let Some(trace) = self.trace.as_mut() {
+            let node = self.me.index() as u64;
+            trace
+                .ring
+                .record_ctx(self.now_us, node, peer, kind, reason, ctx);
         }
     }
 }
@@ -852,10 +953,13 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
             latency_us = ((latency_us as f64) * bias).round().max(1.0) as u64;
         }
         let over_budget = match config.bandwidth_bits_per_round {
-            Some(budget) => self.nodes.bits_window[self.local] + u64::from(bits) > budget,
+            Some(budget) => {
+                let sent = &mut self.nodes.bits_window[self.local];
+                *sent += u64::from(bits);
+                *sent > budget
+            }
             None => false,
         };
-        self.nodes.bits_window[self.local] += u64::from(bits);
         // The outgoing message inherits this callback's causal context one
         // hop downstream; drop records carry the same ctx so a chain ends
         // with its reason.
@@ -887,10 +991,11 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
         self.trace_event(to.index() as u64, TraceKind::Send, TraceReason::None, ctx);
         // In flight: the receiver's shard rules on liveness at arrival and
         // records the attempt with the final verdict. A local delivery
-        // parks its payload in the shard's own arena; a cross-shard one
-        // travels next to the event and is re-homed at the exchange.
+        // parks its payload (and, traced, its context) in the shard's own
+        // arena and table; a cross-shard one carries both next to the event
+        // and is re-homed at the exchange.
         let oseq = self.next_oseq();
-        let mut ev = ShardEvent {
+        let ev = ShardEvent {
             at_us: self.now_us + latency_us,
             origin: self.me.index() as u32,
             oseq,
@@ -898,20 +1003,15 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
             kind: EventKind::Deliver {
                 phase,
                 bits,
-                latency_us,
+                latency_us: latency_us.min(u64::from(u32::MAX)) as u32,
                 payload: NO_PAYLOAD,
-                trace_id: ctx.trace_id,
-                hop: ctx.hop,
             },
         };
         let to_idx = to.index();
         if to_idx >= self.shard_start && to_idx < self.shard_start + self.topo.chunk {
-            if let EventKind::Deliver { payload, .. } = &mut ev.kind {
-                *payload = self.arena.insert(msg);
-            }
-            self.queue.push(ev);
+            enqueue_delivery(self.queue, self.arena, self.trace, ev, msg, ctx);
         } else {
-            self.outbox[to_idx / self.topo.chunk].push(Outbound { ev, msg });
+            self.outbox[to_idx / self.topo.chunk].push(Outbound { ev, msg, ctx });
         }
     }
 
@@ -1045,7 +1145,7 @@ where
                     .clone()
                     .map(|i| node_rng(config.sim.seed, NodeId::new(i)))
                     .collect(),
-                nodes: NodeTable::new(&alive[start..end]),
+                nodes: NodeTable::new(&alive[start..end], &config),
                 queue: CalendarQueue::new(),
                 arena: PayloadArena::new(),
                 outbox: (0..num_shards).map(|_| Vec::new()).collect(),
@@ -1095,7 +1195,7 @@ where
         assert!(!self.started, "the trace ring is fixed once the run starts");
         self.base_trace = Some(TraceRing::new(capacity));
         for shard in &mut self.shards {
-            shard.trace = Some(TraceRing::new(capacity));
+            shard.trace = Some(ShardTrace::new(capacity));
         }
         self
     }
@@ -1107,8 +1207,8 @@ where
     pub fn trace(&self) -> Option<TraceRing> {
         let mut merged = self.base_trace.clone()?;
         for shard in &self.shards {
-            if let Some(ring) = &shard.trace {
-                ring.clone().drain_into(&mut merged);
+            if let Some(trace) = &shard.trace {
+                trace.ring.clone().drain_into(&mut merged);
             }
         }
         Some(merged)
@@ -1313,8 +1413,10 @@ where
         self.shards.iter().map(|s| s.arena.reuse_total()).sum()
     }
 
-    /// Total event slots the calendar queues hold memory for (wheel slot
-    /// capacities plus overflow lists) — the flat-memory regression probe.
+    /// Total event slots the calendar queues hold memory for — the buffers
+    /// of occupied wheel slots and of the spare lists, the second-level
+    /// slabs and the overflow lists, plus the list heads and spare arrays
+    /// at their size in events: the flat-memory regression probe.
     pub fn queue_capacity_events(&self) -> usize {
         self.shards.iter().map(|s| s.queue.capacity_events()).sum()
     }
@@ -1480,11 +1582,15 @@ where
                     continue;
                 }
                 let dest = &mut self.shards[d];
-                for Outbound { mut ev, msg } in events.drain(..) {
-                    if let EventKind::Deliver { payload, .. } = &mut ev.kind {
-                        *payload = dest.arena.insert(msg);
-                    }
-                    dest.queue.push(ev);
+                for Outbound { ev, msg, ctx } in events.drain(..) {
+                    enqueue_delivery(
+                        &mut dest.queue,
+                        &mut dest.arena,
+                        &mut dest.trace,
+                        ev,
+                        msg,
+                        ctx,
+                    );
                 }
             }
             self.shards[s].outbox = outbox;
@@ -1502,10 +1608,11 @@ where
                 .merge(&std::mem::replace(&mut shard.metrics, Metrics::new()));
             self.base_async
                 .merge(&std::mem::take(&mut shard.async_metrics));
-            if let (Some(ring), Some(base)) = (&mut shard.trace, &mut self.base_trace) {
-                ring.drain_into(base);
-            }
             shard.arena.decay();
+            if let (Some(trace), Some(base)) = (&mut shard.trace, &mut self.base_trace) {
+                trace.ring.drain_into(base);
+                trace.fit(shard.arena.capacity());
+            }
         }
         self.base_metrics.advance_round();
         if self.topo.config.bandwidth_bits_per_round.is_some() {
@@ -2004,6 +2111,128 @@ mod tests {
         );
     }
 
+    /// `events-churn`'s handler in miniature: every node pushes one number
+    /// to a random peer each millisecond, staggered by its id.
+    #[derive(Debug)]
+    struct Pulse;
+
+    impl Handler for Pulse {
+        type Msg = u64;
+        fn on_start(&mut self, mailbox: &mut dyn Mailbox<u64>) {
+            mailbox.set_timer(1 + mailbox.me().index() as u64 % 1_000, TICK);
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: u64, _mailbox: &mut dyn Mailbox<u64>) {}
+        fn on_timer(&mut self, _timer: TimerId, mailbox: &mut dyn Mailbox<u64>) {
+            let peer = mailbox.sample_peer();
+            mailbox.send(peer, Phase::Other, 64, 1);
+            mailbox.set_timer(1_000, TICK);
+        }
+    }
+
+    #[test]
+    fn queue_memory_follows_live_events() {
+        // events-churn's shape at a toy n: two sequential shards, 0.5–1.5 ms
+        // latency, a timer per node per millisecond, loss and churn — about
+        // 16 events per shard per virtual microsecond, spread over the
+        // ≈ 1 500 slots ahead of the cursor. A wheel whose every slot kept
+        // its drained buffer held 4 096 × the per-slot peak, 8× the live
+        // events here; the spare pool holds buffers for the occupied slots
+        // only (2.8× at this n, where every buffer sits at the 32-event
+        // floor while the farthest slots are still filling).
+        let n = 16_000;
+        let config = AsyncConfig::new(SimConfig::new(n).with_seed(7).with_loss_prob(0.01))
+            .with_latency(LatencyModel::Uniform {
+                lo_us: 500,
+                hi_us: 1_500,
+            })
+            .with_churn(ChurnModel::per_round(0.002, 0.05).with_min_alive(n / 2));
+        let mut driver = ShardedDriver::new(config, 2, |_| Pulse).with_parallel(false);
+        let mut peak_live = 0;
+        for slice in 1..=40 {
+            driver.run_until(slice * 500);
+            let live: usize = driver.shards.iter().map(|s| s.queue.len()).sum();
+            peak_live = peak_live.max(live);
+            let capacity = driver.queue_capacity_events();
+            assert!(
+                capacity <= 4 * peak_live,
+                "at {} µs the queues hold {capacity} event slots for at most {peak_live} live events",
+                driver.now_us()
+            );
+        }
+        assert!(peak_live > 30_000, "the run is dense: {peak_live}");
+    }
+
+    #[test]
+    fn a_slot_holding_a_burst_buffer_hands_it_back() {
+        // A burst's buffer drains onto the spare list, and the next slot to
+        // open takes it — here one a revolution ahead, which still holds it
+        // when that revolution starts. The slot decay must see it there
+        // (the spare decay never will) and shrink it to what one event needs.
+        let mut q = CalendarQueue::new();
+        let event = |at_us, oseq| ShardEvent {
+            at_us,
+            origin: 0,
+            oseq,
+            to: 0,
+            kind: EventKind::Crash,
+        };
+        for oseq in 0..10_000 {
+            q.push(event(10, oseq));
+        }
+        let mut batch = q.next_batch(11).expect("the burst is due");
+        batch.clear();
+        q.finish_batch(batch);
+        q.push(event(WHEEL_US + 7, 0));
+        assert!(
+            q.capacity_events() >= 10_000,
+            "the slot took the burst's buffer"
+        );
+        assert!(q.next_batch(WHEEL_US + 1).is_none());
+        assert!(
+            q.capacity_events() < 1_000,
+            "the burst buffer outlived the revolution start: {} event slots",
+            q.capacity_events()
+        );
+        assert!(q.next_batch(WHEEL_US + 8).is_some(), "the event survived");
+    }
+
+    /// Sends one message at boot, from node 0 to node 1, and notes when
+    /// node 1 receives it.
+    #[derive(Debug, Default)]
+    struct Once {
+        arrived_at: Option<u64>,
+    }
+
+    impl Handler for Once {
+        type Msg = ();
+        fn on_start(&mut self, mailbox: &mut dyn Mailbox<()>) {
+            if mailbox.me().index() == 0 {
+                mailbox.send(NodeId::new(1), Phase::Other, 8, ());
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: (), mailbox: &mut dyn Mailbox<()>) {
+            self.arrived_at = Some(mailbox.now_us());
+        }
+        fn on_timer(&mut self, _timer: TimerId, _mailbox: &mut dyn Mailbox<()>) {}
+    }
+
+    #[test]
+    fn latency_beyond_u32_arrives_exactly_and_records_saturated() {
+        // The event stores its latency in 32 bits; the arrival instant is
+        // the sum taken in 64 bits before that, so a delay past u32::MAX µs
+        // (≈ 71.6 min) still lands on its exact instant, and only the
+        // latency histogram sees the cap.
+        let delay = u64::from(u32::MAX) + 12_345;
+        let config = AsyncConfig::new(SimConfig::new(2).with_seed(3))
+            .with_latency(LatencyModel::Constant(delay));
+        let mut driver = ShardedDriver::new(config, 1, |_| Once::default());
+        driver.run_until(delay);
+        assert_eq!(driver.handler(NodeId::new(1)).arrived_at, Some(delay));
+        let latency = driver.async_metrics().latency;
+        assert_eq!(latency.count(), 1);
+        assert_eq!(latency.max_us(), u64::from(u32::MAX));
+    }
+
     /// The queue [`CalendarQueue`] replaced, kept as its oracle: one level,
     /// a cursor that sweeps the wheel one microsecond at a time, and an
     /// unsorted overflow list rescanned at every revolution.
@@ -2195,7 +2424,7 @@ mod tests {
             let q = &pair.new;
             assert_eq!(q.far_live, 0, "seed {seed}");
             assert_eq!(q.grown, [0; WHEEL_WORDS], "seed {seed}");
-            let largest = q.wheel.iter().map(Vec::capacity).max();
+            let largest = q.wheel.iter().chain(&q.spares).map(Vec::capacity).max();
             assert!(largest <= Some(SLOT_DECAY_MIN), "seed {seed}: {largest:?}");
             assert!(q.far.capacity() <= SLOT_DECAY_MIN, "seed {seed}");
             assert!(q.overflow.capacity() <= SLOT_DECAY_MIN, "seed {seed}");

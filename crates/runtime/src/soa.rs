@@ -9,6 +9,10 @@
 //!
 //! * `crash_at` stores a raw `u64` with [`NO_CRASH`] as the "none"
 //!   sentinel — half the width of `Option<u64>` and branch-free to scan;
+//! * arrays only some configurations read are allocated only under them:
+//!   `crash_at` when the churn model crashes nodes, `bits_window` when a
+//!   bandwidth budget is set (8 bytes per node each, 80 MB apiece at
+//!   n = 10⁷, otherwise spent on zeros nobody reads);
 //! * cancellation watermarks live in **one** shard-level map keyed by
 //!   `(local node, timer label)` instead of a `HashMap` per node, so the
 //!   common all-nodes-never-cancel case costs one empty map, not n.
@@ -22,6 +26,7 @@
 //! them the driver's shard-count-invariant fingerprint — are preserved
 //! bit for bit.
 
+use crate::config::AsyncConfig;
 use std::collections::HashMap;
 
 /// Sentinel in [`NodeTable::crash_at`] marking "no crash scheduled".
@@ -33,13 +38,15 @@ pub(crate) struct NodeTable {
     /// Current liveness.
     pub(crate) alive: Vec<bool>,
     /// Crash instant scheduled inside the current window ([`NO_CRASH`]
-    /// when none is).
+    /// when none is). Empty when the churn model never crashes anyone:
+    /// only crash events and the churn draw read it.
     pub(crate) crash_at: Vec<u64>,
     /// Incarnation epoch, bumped at every rejoin.
     pub(crate) incarnation: Vec<u32>,
     /// Private, monotone event-scheduling counter.
     pub(crate) oseq: Vec<u64>,
-    /// Bits sent in the current bandwidth window.
+    /// Bits sent in the current bandwidth window. Empty without a
+    /// bandwidth budget: nothing is tallied then.
     pub(crate) bits_window: Vec<u64>,
     /// Per-node dispatch-order hash (FNV fold of the node's events).
     pub(crate) node_hash: Vec<u64>,
@@ -55,15 +62,17 @@ pub(crate) struct NodeTable {
 }
 
 impl NodeTable {
-    /// A table seeded from the initial liveness pattern.
-    pub(crate) fn new(alive: &[bool]) -> Self {
+    /// A table seeded from the initial liveness pattern, with the arrays
+    /// `config` reads.
+    pub(crate) fn new(alive: &[bool], config: &AsyncConfig) -> Self {
         let n = alive.len();
+        let per_node = |needed: bool, fill: u64| if needed { vec![fill; n] } else { Vec::new() };
         NodeTable {
             alive: alive.to_vec(),
-            crash_at: vec![NO_CRASH; n],
+            crash_at: per_node(config.churn.crash_prob > 0.0, NO_CRASH),
             incarnation: vec![0; n],
             oseq: vec![0; n],
-            bits_window: vec![0; n],
+            bits_window: per_node(config.bandwidth_bits_per_round.is_some(), 0),
             node_hash: vec![crate::metrics::FNV_OFFSET; n],
             cancels: HashMap::new(),
             alive_count: alive.iter().filter(|&&a| a).count(),
@@ -83,17 +92,35 @@ impl NodeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnModel;
+    use gossip_net::SimConfig;
 
     #[test]
     fn table_tracks_liveness_and_sequences() {
-        let mut t = NodeTable::new(&[true, false, true]);
+        let config = AsyncConfig::new(SimConfig::new(3))
+            .with_churn(ChurnModel::per_round(0.1, 0.1))
+            .with_bandwidth_bits_per_round(64);
+        let mut t = NodeTable::new(&[true, false, true], &config);
         assert_eq!(t.alive.len(), 3);
         assert_eq!(t.alive_count, 2);
         assert_eq!(t.pending_crashes, 0);
-        assert!(t.crash_at.iter().all(|&c| c == NO_CRASH));
+        assert_eq!(t.crash_at, vec![NO_CRASH; 3]);
+        assert_eq!(t.bits_window, vec![0; 3]);
         assert_eq!(t.next_oseq(1), 0);
         assert_eq!(t.next_oseq(1), 1);
         assert_eq!(t.next_oseq(0), 0);
         assert_eq!(t.node_hash[2], crate::metrics::FNV_OFFSET);
+    }
+
+    #[test]
+    fn arrays_the_config_never_reads_are_not_allocated() {
+        let quiet = AsyncConfig::new(SimConfig::new(3));
+        let t = NodeTable::new(&[true; 3], &quiet);
+        assert!(t.crash_at.is_empty() && t.bits_window.is_empty());
+        // Rejoins alone crash nobody.
+        let rejoin_only = quiet.with_churn(ChurnModel::per_round(0.0, 0.5));
+        let t = NodeTable::new(&[true, false, true], &rejoin_only);
+        assert!(t.crash_at.is_empty());
+        assert_eq!(t.incarnation.len(), 3);
     }
 }

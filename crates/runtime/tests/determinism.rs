@@ -8,9 +8,11 @@
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use gossip_drr::protocol::{drr_gossip_max, DrrGossipConfig};
 use gossip_net::{Handler, Mailbox, Network, NodeId, Phase, SimConfig, TimerId};
+use gossip_obs::{TraceKind, TraceReason};
 use gossip_runtime::{
     AsyncConfig, ChurnModel, LatencyModel, ShardedDriver, ShardedTransport, SweepRunner,
 };
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 mod common;
@@ -618,6 +620,64 @@ fn observability_is_passive_on_both_faces_at_every_shard_count() {
                 .finish(),
             golden,
         );
+    }
+}
+
+#[test]
+fn traced_driver_arrivals_carry_their_sends_context_at_every_shard_count() {
+    // A queued delivery's causal context waits in its receiver shard's
+    // trace table under the payload's arena key, and a cross-shard send
+    // carries it through the exchange. Either way, every arrival must be
+    // recorded with exactly the (trace id, hop) its send was — a Recv, or
+    // the Drop of a receiver that died in flight — and the tallies must
+    // not depend on how the node space is cut.
+    let n = 96;
+    let run = |shards: usize| {
+        let mut driver = sharded_max_driver(n, 0x7ACE, shards).with_trace(1 << 15);
+        driver.run_until(40_000);
+        let ring = driver.trace().expect("trace enabled");
+        assert_eq!(ring.overwritten(), 0, "the ring holds the whole run");
+        let mut sends = HashMap::new();
+        for send in ring.iter().filter(|e| e.kind == TraceKind::Send) {
+            assert!(send.ctx().is_some() && send.hop == 1, "{send:?}");
+            // One push per timer fire, each fire a chain of its own.
+            assert!(sends.insert(send.trace_id, send).is_none(), "{send:?}");
+        }
+        let chunk = n.div_ceil(driver.num_shards());
+        let (mut local, mut cross, mut dead) = (0, 0, 0);
+        let (mut recvs, mut arrivals) = (0, 0);
+        for arrival in ring.iter() {
+            match (arrival.kind, arrival.reason) {
+                (TraceKind::Recv, _) => recvs += 1,
+                (TraceKind::Drop, TraceReason::DeadEndpoint) => dead += 1,
+                _ => continue,
+            }
+            arrivals += 1;
+            let send = sends
+                .get(&arrival.trace_id)
+                .unwrap_or_else(|| panic!("{arrival:?} has no send"));
+            assert_eq!(arrival.ctx(), send.ctx(), "{arrival:?} vs {send:?}");
+            assert_eq!((arrival.node, arrival.peer), (send.peer, send.node));
+            assert!(arrival.at_us > send.at_us);
+            if send.node as usize / chunk == send.peer as usize / chunk {
+                local += 1;
+            } else {
+                cross += 1;
+            }
+        }
+        assert!(local > 0, "{shards} shard(s): no local delivery");
+        assert!(
+            shards == 1 || cross > 0,
+            "{shards} shards: no cross-shard delivery"
+        );
+        assert!(dead > 0, "churn killed no receiver in flight");
+        let chains = gossip_obs::reconstruct(&ring).chains.len();
+        (recvs, arrivals, sends.len(), chains)
+    };
+    let counts = shard_counts();
+    let reference = run(counts[0]);
+    for &shards in &counts[1..] {
+        assert_eq!(reference, run(shards), "shard count {shards} diverged");
     }
 }
 
