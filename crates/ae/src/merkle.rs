@@ -21,9 +21,14 @@
 //!    stop paying for themselves and the classic dense exchange finishes
 //!    the job, restricted to that range: [`AeMsg::RangeSyn`] carries the
 //!    range's per-slot stamps, [`AeMsg::RangeAck`] answers with the
-//!    entries the sender lacked plus the responder's own range stamps, and
-//!    the ordinary [`AeMsg::Delta`] third leg repairs the reverse
-//!    direction. Because every repair travels in fallback-sized ranges,
+//!    entries the sender lacked plus a want word — one bit per slot where
+//!    the responder holds nothing or an older stamp than claimed — and the
+//!    ordinary [`AeMsg::Delta`] third leg sends the initiator's current
+//!    entries at the wanted slots. The responder has already compared the
+//!    two ranges, so it says what it lacks instead of echoing its stamps
+//!    for the initiator to compare again; a slot the initiator learned
+//!    after its `RangeSyn` still travels, because an empty slot is always
+//!    wanted. Because every repair travels in fallback-sized ranges,
 //!    **no message grows with n** — a rejoiner's full re-sync crosses the
 //!    wire as many datagram-sized range repairs instead of one impossible
 //!    65 KB+ delta.
@@ -59,6 +64,10 @@ const LEAF_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// carries; wider probe fronts split across messages so no descent leg can
 /// outgrow a datagram (512 × 12 B ≈ 6 KB of payload).
 pub const PROBE_BATCH: usize = 512;
+
+/// Widest range a repair may span: an [`AeMsg::RangeAck`]'s want word has
+/// one bit per slot of a `u64`. `merkle_fallback_slots` is capped here.
+pub const MAX_RANGE_SLOTS: usize = 64;
 
 /// An incrementally-maintained hash tree over a [`Store`]'s slots.
 ///
@@ -372,26 +381,32 @@ pub fn reconcile_into(
                 tally.invalid += 1;
                 return tally;
             }
-            let start = *start as usize;
+            let slot = *start as usize;
             reply(AeMsg::RangeAck {
                 n: *their_n,
-                start: start as u32,
-                delta: store.delta_for_range(start, stamps),
-                stamps: store.range_digest(start, stamps.len()),
+                start: *start,
+                len: stamps.len() as u8,
+                want: store.range_want(slot, stamps),
+                delta: store.delta_for_range(slot, stamps),
             });
         }
         AeMsg::RangeAck {
             n: their_n,
             start,
-            stamps,
+            len,
+            want,
             delta,
         } => {
-            if !range_well_formed(n, *their_n, *start, stamps.len(), fallback_slots) {
+            // No honest want word names a slot beyond its range.
+            let want_fits = want.checked_shr(u32::from(*len)).unwrap_or(0) == 0;
+            if !range_well_formed(n, *their_n, *start, usize::from(*len), fallback_slots)
+                || !want_fits
+            {
                 tally.invalid += 1;
                 return tally;
             }
             adopt(store, &mut tree, delta, &mut tally);
-            let back = store.delta_for_range(*start as usize, stamps);
+            let back = store.delta_for_want(*start as usize, *want);
             if !back.is_empty() {
                 reply(AeMsg::Delta { delta: back });
             }
@@ -486,10 +501,11 @@ fn send_probes(n: usize, front: Vec<(u32, u64)>, reply: &mut impl FnMut(AeMsg)) 
 }
 
 /// Validate a range message: matching arity, a range that lies inside the
-/// store, and a length within the fallback span — honest senders never
-/// produce empty ranges or ranges wider than their fallback (which must
-/// therefore agree across a cluster, like the store arity); a hostile
-/// store-wide range would otherwise draw a reply far beyond one datagram.
+/// store, and a length within the fallback span and the want word's
+/// [`MAX_RANGE_SLOTS`] — honest senders never produce empty ranges or
+/// ranges wider than their fallback (which must therefore agree across a
+/// cluster, like the store arity); a hostile store-wide range would
+/// otherwise draw a reply far beyond one datagram.
 fn range_well_formed(
     n: usize,
     their_n: u32,
@@ -499,7 +515,7 @@ fn range_well_formed(
 ) -> bool {
     their_n as usize == n
         && len > 0
-        && len <= fallback_slots
+        && len <= fallback_slots.min(MAX_RANGE_SLOTS)
         && (start as usize)
             .checked_add(len)
             .is_some_and(|end| end <= n)
@@ -623,6 +639,42 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_learned_after_the_range_syn_still_travels() {
+        // The initiator claims slot 5 empty, then learns it before the
+        // ack lands. The responder holds nothing there, so its want word
+        // names the slot and the initiator's Delta carries the new entry.
+        let mut a = store_with(16, &[(1, 4)]);
+        let mut ta = DigestTree::new(&a, 8);
+        let mut b = store_with(16, &[(2, 7)]);
+        let mut tb = DigestTree::new(&b, 8);
+        let syn = AeMsg::RangeSyn {
+            n: 16,
+            start: 0,
+            stamps: a.range_digest(0, 8),
+        };
+        let handled = reconcile(&mut b, Some(&mut tb), 8, &syn);
+        let [ack] = &handled.replies[..] else {
+            panic!("a range syn draws one ack");
+        };
+        let AeMsg::RangeAck { len, want, .. } = ack else {
+            panic!("{ack:?} is not a range ack");
+        };
+        assert_eq!((*len, *want), (8, 0b1111_1011), "every slot but 2");
+
+        a.merge(NodeId::new(5), e(3, 3.0));
+        ta.refresh(NodeId::new(5), &a);
+        let handled = reconcile(&mut a, Some(&mut ta), 8, ack);
+        assert_eq!(handled.adopted, 1, "slot 2 came back in the ack");
+        let [AeMsg::Delta { delta }] = &handled.replies[..] else {
+            panic!("the initiator answers with one delta");
+        };
+        assert_eq!(
+            delta,
+            &vec![(NodeId::new(1), e(4, 4.0)), (NodeId::new(5), e(3, 3.0))]
+        );
+    }
+
+    #[test]
     fn dense_peer_answers_merkle_openers_with_a_classic_exchange() {
         let mut merkle_store = store_with(64, &[(1, 5), (40, 2)]);
         let mut merkle_tree = DigestTree::new(&merkle_store, 8);
@@ -734,7 +786,31 @@ mod tests {
             AeMsg::RangeAck {
                 n: 64,
                 start: 64,
-                stamps: vec![1],
+                len: 1,
+                want: 0,
+                delta: vec![],
+            },
+            // Range acks that are empty, wider than the fallback span, or
+            // whose want word names a slot beyond the range.
+            AeMsg::RangeAck {
+                n: 64,
+                start: 0,
+                len: 0,
+                want: 0,
+                delta: vec![],
+            },
+            AeMsg::RangeAck {
+                n: 64,
+                start: 0,
+                len: 9,
+                want: 1,
+                delta: vec![],
+            },
+            AeMsg::RangeAck {
+                n: 64,
+                start: 0,
+                len: 3,
+                want: 0b1000,
                 delta: vec![],
             },
             // Unsorted probe fronts are hostile (the descent emits

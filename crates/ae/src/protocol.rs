@@ -25,7 +25,7 @@
 //! [`Store::mean_fresh`]), and a churned-and-rejoined node — restarted
 //! with an empty store — pulls the whole state back within a few ticks.
 
-use crate::merkle::{reconcile_into, DigestTree};
+use crate::merkle::{reconcile_into, DigestTree, MAX_RANGE_SLOTS};
 use crate::signal::SignalModel;
 use crate::store::{Entry, SparseDigest, Store, STAMP_BITS};
 use gossip_net::{stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
@@ -83,7 +83,8 @@ pub struct AeConfig {
     /// digest tree's leaf span, and the widest range repair a node will
     /// *accept* — so, like the store arity, it must agree across a
     /// cluster (a mismatched peer's range legs are counted as digest
-    /// mismatches and dropped). Ignored in dense mode.
+    /// mismatches and dropped). At most [`MAX_RANGE_SLOTS`], the width of
+    /// a range ack's want word. Ignored in dense mode.
     pub merkle_fallback_slots: usize,
 }
 
@@ -126,12 +127,23 @@ impl AeConfig {
         self
     }
 
-    /// Set the Merkle descent's dense-fallback subtree size (slots).
+    /// Set the Merkle descent's dense-fallback subtree size (slots, 1 to
+    /// [`MAX_RANGE_SLOTS`]).
     pub fn with_merkle_fallback_slots(mut self, slots: usize) -> Self {
-        assert!(slots >= 1, "fallback must cover at least one slot");
+        check_fallback_slots(slots);
         self.merkle_fallback_slots = slots;
         self
     }
+}
+
+/// Reject a fallback span no range repair can carry.
+fn check_fallback_slots(slots: usize) {
+    assert!(slots >= 1, "fallback must cover at least one slot");
+    assert!(
+        slots <= MAX_RANGE_SLOTS,
+        "merkle_fallback_slots = {slots} exceeds {MAX_RANGE_SLOTS}: a range ack's \
+         want word has one bit per slot"
+    );
 }
 
 impl Default for AeConfig {
@@ -219,18 +231,54 @@ pub enum AeMsg {
         stamps: Vec<u64>,
     },
     /// The range repair: entries of the range the [`RangeSyn`](Self::RangeSyn)
-    /// sender lacked, plus the responder's own stamps for the range so the
-    /// initiator can counter-repair with a [`Delta`](Self::Delta).
+    /// sender lacked, plus a want word naming the slots the responder
+    /// needs back, which the initiator answers with a [`Delta`](Self::Delta)
+    /// of its current entries there. The responder has already compared
+    /// the two ranges, so it does not echo its own stamps.
     RangeAck {
         /// The responder's store arity (validated by the receiver).
         n: u32,
         /// First slot of the range.
         start: u32,
-        /// The responder's per-slot stamps for the range.
-        stamps: Vec<u64>,
+        /// Slots in the range: the range-syn's length, at most
+        /// [`MAX_RANGE_SLOTS`].
+        len: u8,
+        /// Bit k set: the responder holds nothing at slot `start + k`, or
+        /// an older stamp than the range-syn claimed. No bit at or beyond
+        /// `len`.
+        want: u64,
         /// Entries the range-syn's stamps were missing.
         delta: Vec<(NodeId, Entry)>,
     },
+}
+
+impl AeMsg {
+    /// Number of message kinds (legs).
+    pub const LEGS: usize = 7;
+
+    /// Each leg's metric label, indexed by [`AeMsg::leg`].
+    pub const LEG_NAMES: [&'static str; AeMsg::LEGS] = [
+        "syn_req",
+        "syn_ack",
+        "delta",
+        "merkle_syn",
+        "merkle_probe",
+        "range_syn",
+        "range_ack",
+    ];
+
+    /// This message's leg: its variant's index in declaration order.
+    pub fn leg(&self) -> usize {
+        match self {
+            AeMsg::SynReq { .. } => 0,
+            AeMsg::SynAck { .. } => 1,
+            AeMsg::Delta { .. } => 2,
+            AeMsg::MerkleSyn { .. } => 3,
+            AeMsg::MerkleProbe { .. } => 4,
+            AeMsg::RangeSyn { .. } => 5,
+            AeMsg::RangeAck { .. } => 6,
+        }
+    }
 }
 
 /// Per-node protocol counters (diagnostics; not part of the wire state).
@@ -250,6 +298,18 @@ pub struct AeNodeStats {
     /// version-skewed traffic lands here instead of panicking the node or
     /// amplifying its sends.
     pub digest_mismatches: u64,
+    /// Messages sent, per leg (indexed by [`AeMsg::leg`]).
+    pub leg_messages: [u64; AeMsg::LEGS],
+    /// Modelled bits sent, per leg (indexed by [`AeMsg::leg`]).
+    pub leg_bits: [u64; AeMsg::LEGS],
+}
+
+impl AeNodeStats {
+    /// Count one sent message of `bits` modelled bits against its leg.
+    fn sent(&mut self, msg: &AeMsg, bits: u32) {
+        self.leg_messages[msg.leg()] += 1;
+        self.leg_bits[msg.leg()] += u64::from(bits);
+    }
 }
 
 /// The widths the modelled wire charges for an origin id and a value
@@ -289,10 +349,11 @@ impl BitModel {
             AeMsg::MerkleSyn { .. } => 8 + 32 + 64,
             AeMsg::MerkleProbe { probes, .. } => 8 + 32 + probes.len() as u32 * (32 + 64),
             AeMsg::RangeSyn { stamps, .. } => 8 + 32 + 32 + stamps.len() as u32 * STAMP_BITS,
-            AeMsg::RangeAck { stamps, delta, .. } => {
+            AeMsg::RangeAck { delta, .. } => {
                 8 + 32
                     + 32
-                    + stamps.len() as u32 * STAMP_BITS
+                    + 8
+                    + 64
                     + delta.len() as u32 * (self.id_bits + STAMP_BITS + self.value_bits)
             }
         }
@@ -328,8 +389,10 @@ pub struct AeNode {
 impl AeNode {
     /// A node with an empty store (what a fresh boot — or a rejoiner —
     /// knows: nothing). `id_bits`/`value_bits` size the modelled wire
-    /// messages.
+    /// messages. Panics when `config.merkle_fallback_slots` is 0 or above
+    /// [`MAX_RANGE_SLOTS`].
     pub fn new(me: NodeId, n: usize, id_bits: u32, value_bits: u32, config: AeConfig) -> Self {
+        check_fallback_slots(config.merkle_fallback_slots);
         let store = Store::new(n);
         let tree = match config.digest_mode {
             DigestMode::Dense => None,
@@ -445,6 +508,7 @@ impl Handler for AeNode {
                     let peer = mailbox.sample_peer();
                     mailbox.send(peer, Phase::AntiEntropy, bits, opener.clone());
                     self.stats.syn_sent += 1;
+                    self.stats.sent(&opener, bits);
                 }
                 mailbox.set_timer(self.config.tick_us, TIMER_TICK);
             }
@@ -463,12 +527,17 @@ impl Handler for AeNode {
         // callback is the I/O shim: charge honest modelled bits per reply
         // and ship it the moment the engine produces it, fold the counters.
         let bits = self.bits;
+        let stats = &mut self.stats;
         let tally = reconcile_into(
             &mut self.store,
             self.tree.as_mut(),
             self.config.merkle_fallback_slots,
             &msg,
-            |reply| mailbox.send(from, Phase::AntiEntropy, bits.msg_bits(&reply), reply),
+            |reply| {
+                let reply_bits = bits.msg_bits(&reply);
+                stats.sent(&reply, reply_bits);
+                mailbox.send(from, Phase::AntiEntropy, reply_bits, reply);
+            },
         );
         self.stats.entries_adopted += tally.adopted as u64;
         self.stats.digest_mismatches += tally.invalid as u64;
@@ -509,6 +578,21 @@ impl Handler for AeNode {
             &[],
             self.stats.digest_mismatches,
         );
+        for (leg, name) in AeMsg::LEG_NAMES.iter().enumerate() {
+            let labels = [("leg", *name)];
+            registry.add_counter(
+                "ae_leg_messages_total",
+                "Anti-entropy messages sent, by leg",
+                &labels,
+                self.stats.leg_messages[leg],
+            );
+            registry.add_counter(
+                "ae_leg_bits_total",
+                "Modelled anti-entropy bits sent, by leg",
+                &labels,
+                self.stats.leg_bits[leg],
+            );
+        }
         registry.add_gauge(
             "ae_store_known",
             "Origins with a known entry, summed over local handlers",
@@ -820,10 +904,11 @@ mod tests {
             node.bits.msg_bits(&AeMsg::RangeAck {
                 n: 16,
                 start: 0,
-                stamps: vec![1, 0, 2],
+                len: 3,
+                want: 0b101,
                 delta: delta.clone(),
             }),
-            8 + 64 + 3 * STAMP_BITS + (4 + STAMP_BITS + 24)
+            8 + 32 + 32 + 8 + 64 + (4 + STAMP_BITS + 24)
         );
     }
 

@@ -219,6 +219,38 @@ impl Store {
             .collect()
     }
 
+    /// The want word of a range repair: bit k is set when this replica
+    /// holds nothing at slot `start + k`, or an older stamp than `their[k]`
+    /// claims — the slots the peer should send back. `their` spans at most
+    /// 64 slots, and the range must lie inside the store (the protocol
+    /// validates before calling).
+    pub(crate) fn range_want(&self, start: usize, their: &[u64]) -> u64 {
+        assert!(their.len() <= 64, "a want word names at most 64 slots");
+        self.slots[start..start + their.len()]
+            .iter()
+            .zip(their)
+            .enumerate()
+            .fold(0, |want, (k, (slot, &theirs))| match slot {
+                Some(entry) if entry.stamp >= theirs => want,
+                _ => want | 1 << k,
+            })
+    }
+
+    /// The entries this replica holds at the slots `want` names (bit k is
+    /// slot `start + k`), ascending: the answer to a range repair's want
+    /// word. Visits the set bits only. The named slots must lie inside the
+    /// store.
+    pub(crate) fn delta_for_want(&self, start: usize, want: u64) -> Vec<(NodeId, Entry)> {
+        let mut rest = want;
+        std::iter::from_fn(|| {
+            let k = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (k < 64).then_some(start + k)
+        })
+        .filter_map(|slot| self.slots[slot].map(|entry| (NodeId::new(slot), entry)))
+        .collect()
+    }
+
     /// The entries this replica holds that are strictly newer than `their`
     /// digest claims — exactly what the peer is missing. Ascending origin
     /// order (deterministic).
@@ -387,6 +419,29 @@ mod tests {
         // Entries outside the range never leak in.
         assert!(s.delta_for_range(0, &[0]).is_empty());
         assert_eq!(s.delta_for_range(4, &[0, 0]).len(), 1);
+    }
+
+    #[test]
+    fn want_words_name_the_slots_to_send_back() {
+        let mut s = Store::new(6);
+        s.merge(NodeId::new(1), e(5, 1.0));
+        s.merge(NodeId::new(2), e(3, 2.0));
+        s.merge(NodeId::new(4), e(8, 3.0));
+        // Peer's stamps for slots 1..5: newer at 1, older at 2, absent on
+        // both sides at 3 (holds nothing: wanted), equal at 4 (not wanted).
+        assert_eq!(s.range_want(1, &[9, 1, 0, 8]), 0b0101);
+        assert_eq!(s.range_want(0, &[]), 0);
+        // The answer holds only what is held at the named slots.
+        assert_eq!(
+            s.delta_for_want(1, 0b1111),
+            vec![
+                (NodeId::new(1), e(5, 1.0)),
+                (NodeId::new(2), e(3, 2.0)),
+                (NodeId::new(4), e(8, 3.0)),
+            ]
+        );
+        assert_eq!(s.delta_for_want(3, 0b10), vec![(NodeId::new(4), e(8, 3.0))]);
+        assert!(s.delta_for_want(0, 0).is_empty());
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! the model and the wire disagreed for every sparse store: early ticks,
 //! rejoiners). Deltas are `(origin, stamp, value)` triples; the Merkle
 //! legs carry root hashes, `(tree index, hash)` probe pairs and per-slot
-//! range stamps. [`payload_bytes`] is the exact byte-length twin of the
+//! range stamps. A range ack is the arity, the range start, a `u8` range
+//! length (at most [`MAX_RANGE_SLOTS`]; longer is a [`WireError`]), the
+//! `u64` want word and the delta: 22 + 20·k bytes for k entries, at any
+//! range length. [`payload_bytes`] is the exact byte-length twin of the
 //! encoder, pinned equal to `to_wire_bytes().len()` by the property
 //! suite, so tests and experiments can reason about datagram budgets
 //! without encoding.
@@ -25,6 +28,7 @@
 //! [`AeNode`]: crate::protocol::AeNode
 //! [`STAMP_BITS`]: crate::store::STAMP_BITS
 
+use crate::merkle::MAX_RANGE_SLOTS;
 use crate::protocol::AeMsg;
 use crate::store::Entry;
 use gossip_net::{NodeId, WireError, WireMsg, WireReader, WireWriter};
@@ -88,13 +92,15 @@ impl WireMsg for AeMsg {
             AeMsg::RangeAck {
                 n,
                 start,
-                stamps,
+                len,
+                want,
                 delta,
             } => {
                 w.put_u8(TAG_RANGE_ACK);
                 w.put_u32(*n);
                 w.put_u32(*start);
-                stamps.encode(w);
+                w.put_u8(*len);
+                w.put_u64(*want);
                 delta.encode(w);
             }
         }
@@ -127,12 +133,21 @@ impl WireMsg for AeMsg {
                 start: r.take_u32()?,
                 stamps: Vec::<u64>::decode(r)?,
             }),
-            TAG_RANGE_ACK => Ok(AeMsg::RangeAck {
-                n: r.take_u32()?,
-                start: r.take_u32()?,
-                stamps: Vec::<u64>::decode(r)?,
-                delta: Vec::<(NodeId, Entry)>::decode(r)?,
-            }),
+            TAG_RANGE_ACK => {
+                let (n, start, len) = (r.take_u32()?, r.take_u32()?, r.take_u8()?);
+                if usize::from(len) > MAX_RANGE_SLOTS {
+                    return Err(WireError::BadLength {
+                        claimed: len.into(),
+                    });
+                }
+                Ok(AeMsg::RangeAck {
+                    n,
+                    start,
+                    len,
+                    want: r.take_u64()?,
+                    delta: Vec::<(NodeId, Entry)>::decode(r)?,
+                })
+            }
             tag => Err(WireError::BadTag { tag }),
         }
     }
@@ -155,9 +170,7 @@ pub fn payload_bytes(msg: &AeMsg) -> usize {
         AeMsg::MerkleSyn { .. } => 1 + 4 + 8,
         AeMsg::MerkleProbe { probes, .. } => 1 + 4 + VEC_LEN + probes.len() * PAIR,
         AeMsg::RangeSyn { stamps, .. } => 1 + 4 + 4 + VEC_LEN + stamps.len() * 8,
-        AeMsg::RangeAck { stamps, delta, .. } => {
-            1 + 4 + 4 + VEC_LEN + stamps.len() * 8 + VEC_LEN + delta.len() * DELTA_ENTRY
-        }
+        AeMsg::RangeAck { delta, .. } => 1 + 4 + 4 + 1 + 8 + VEC_LEN + delta.len() * DELTA_ENTRY,
     }
 }
 
@@ -219,11 +232,30 @@ mod tests {
             AeMsg::RangeAck {
                 n: 64,
                 start: 32,
-                stamps: vec![1, 0, 3, 0],
-                delta,
+                len: 4,
+                want: 0b1010,
+                delta: delta.clone(),
+            },
+            AeMsg::RangeAck {
+                n: 64,
+                start: 0,
+                len: 64,
+                want: u64::MAX,
+                delta: Vec::new(),
             },
         ] {
             assert_eq!(round_trip(&msg), msg);
+        }
+        // A 32-slot range ack costs its header and its entries, no stamps.
+        let ack = |k: usize| AeMsg::RangeAck {
+            n: 1 << 20,
+            start: 64,
+            len: 32,
+            want: 0xFFFF_0000,
+            delta: delta.iter().copied().cycle().take(k).collect(),
+        };
+        for k in [0, 1, 2, 32] {
+            assert_eq!(payload_bytes(&ack(k)), 22 + 20 * k);
         }
     }
 
@@ -248,8 +280,14 @@ mod tests {
             AeMsg::RangeAck {
                 n: 8,
                 start: 4,
-                stamps: vec![1, 2],
+                len: 2,
+                want: 0b10,
                 delta: vec![(NodeId::new(5), entry(2, 0.5))],
+            },
+            AeMsg::RangeSyn {
+                n: 8,
+                start: 4,
+                stamps: vec![1, 2],
             },
             AeMsg::MerkleProbe {
                 n: 8,

@@ -12,8 +12,9 @@
 //! encode→decode before it reaches `on_message`, exactly like a datagram.
 
 use gossip_ae::protocol::{AeConfig, AeMsg, AeNode, DigestMode};
-use gossip_ae::store::Entry;
-use gossip_net::{decode_frame, encode_frame, Mailbox, NodeId, Phase, TimerId};
+use gossip_ae::store::{Entry, Store};
+use gossip_ae::{reconcile, MAX_RANGE_SLOTS};
+use gossip_net::{decode_frame, encode_frame, Mailbox, NodeId, Phase, TimerId, WireError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -233,15 +234,155 @@ fn hostile_merkle_legs_are_dropped_in_merkle_mode() {
         AeMsg::RangeAck {
             n: N as u32,
             start: 4,
-            stamps: vec![1; N], // overflows past the end of the store
+            len: N as u8, // overflows past the end of the store
+            want: 0,
+            delta: Vec::new(),
+        },
+        // An empty range: no honest descent sends one.
+        AeMsg::RangeAck {
+            n: N as u32,
+            start: 0,
+            len: 0,
+            want: 0,
+            delta: Vec::new(),
+        },
+        // Want words naming slots beyond the range, just past it and at
+        // the word's top bit.
+        AeMsg::RangeAck {
+            n: N as u32,
+            start: 2,
+            len: 2,
+            want: 0b101,
+            delta: Vec::new(),
+        },
+        AeMsg::RangeAck {
+            n: N as u32,
+            start: 0,
+            len: N as u8,
+            want: 1 << 63,
             delta: Vec::new(),
         },
     ] {
         deliver_over_wire(&mut node, &mut mailbox, &msg);
     }
-    assert_eq!(node.stats.digest_mismatches, 5);
+    assert_eq!(node.stats.digest_mismatches, 8);
     assert_eq!(node.store(), &before);
     assert!(mailbox.outbox.is_empty());
+}
+
+#[test]
+fn range_legs_wider_than_the_fallback_span_are_dropped() {
+    let config = AeConfig::default()
+        .with_digest_mode(DigestMode::Merkle)
+        .with_merkle_fallback_slots(4);
+    let mut node = AeNode::new(NodeId::new(0), N, 3, 24, config);
+    let mut mailbox = RecordingMailbox::new(NodeId::new(0));
+    for msg in [
+        AeMsg::RangeSyn {
+            n: N as u32,
+            start: 0,
+            stamps: vec![1; 5],
+        },
+        AeMsg::RangeAck {
+            n: N as u32,
+            start: 0,
+            len: 5,
+            want: 0b1_0000,
+            delta: Vec::new(),
+        },
+    ] {
+        deliver_over_wire(&mut node, &mut mailbox, &msg);
+    }
+    assert_eq!(node.stats.digest_mismatches, 2);
+    assert!(mailbox.outbox.is_empty());
+}
+
+#[test]
+fn range_legs_wider_than_a_want_word_are_dropped() {
+    // The wire cannot carry a range ack past 64 slots, so hand these to
+    // the engine and the node directly. The bare engine takes any
+    // fallback span; the want word still caps the range at 64 slots.
+    let n = 4 * MAX_RANGE_SLOTS;
+    let wide = MAX_RANGE_SLOTS + 1;
+    let ack = AeMsg::RangeAck {
+        n: n as u32,
+        start: 0,
+        len: wide as u8,
+        want: 1,
+        delta: Vec::new(),
+    };
+    let syn = AeMsg::RangeSyn {
+        n: n as u32,
+        start: 0,
+        stamps: vec![1; wide],
+    };
+    let mut store = Store::new(n);
+    for msg in [&ack, &syn] {
+        let handled = reconcile(&mut store, None, 2 * MAX_RANGE_SLOTS, msg);
+        assert_eq!(handled.invalid, 1, "{msg:?} must be dropped");
+        assert!(handled.replies.is_empty(), "{msg:?} must draw no reply");
+    }
+
+    use gossip_net::Handler;
+    let config = AeConfig::default()
+        .with_digest_mode(DigestMode::Merkle)
+        .with_merkle_fallback_slots(MAX_RANGE_SLOTS);
+    let mut node = AeNode::new(NodeId::new(0), n, 8, 24, config);
+    let mut mailbox = RecordingMailbox::new(NodeId::new(0));
+    node.on_message(NodeId::new(1), ack, &mut mailbox);
+    node.on_message(NodeId::new(1), syn, &mut mailbox);
+    assert_eq!(node.stats.digest_mismatches, 2);
+    assert!(mailbox.outbox.is_empty());
+}
+
+#[test]
+fn range_acks_past_a_want_word_or_cut_short_fail_to_decode() {
+    let ack = |len: u8| AeMsg::RangeAck {
+        n: 1 << 10,
+        start: 0,
+        len,
+        want: 1,
+        delta: vec![(
+            NodeId::new(0),
+            Entry {
+                stamp: 3,
+                value: 1.0,
+            },
+        )],
+    };
+    for len in [MAX_RANGE_SLOTS as u8 + 1, u8::MAX] {
+        let frame = encode_frame(NodeId::new(1), &ack(len));
+        assert_eq!(
+            decode_frame::<AeMsg>(&frame),
+            Err(WireError::BadLength {
+                claimed: len.into()
+            })
+        );
+    }
+    let frame = encode_frame(NodeId::new(1), &ack(MAX_RANGE_SLOTS as u8));
+    assert!(decode_frame::<AeMsg>(&frame).is_ok());
+    for cut in 0..frame.len() {
+        assert!(
+            decode_frame::<AeMsg>(&frame[..cut]).is_err(),
+            "cut at {cut}"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "merkle_fallback_slots = 65 exceeds 64")]
+fn fallback_spans_past_a_want_word_are_refused_by_the_config() {
+    let _ = AeConfig::default().with_merkle_fallback_slots(MAX_RANGE_SLOTS + 1);
+}
+
+#[test]
+#[should_panic(expected = "merkle_fallback_slots = 65 exceeds 64")]
+fn fallback_spans_past_a_want_word_are_refused_by_the_node() {
+    let config = AeConfig {
+        merkle_fallback_slots: MAX_RANGE_SLOTS + 1,
+        ..AeConfig::default().with_digest_mode(DigestMode::Merkle)
+    };
+    let _ = AeNode::new(NodeId::new(0), 4 * MAX_RANGE_SLOTS, 8, 24, config);
 }
 
 #[test]

@@ -7,9 +7,15 @@
 //!
 //! The engine itself is held, message by message, to the implementation
 //! it replaced ([`oracle`]: one tree refresh per adopted entry, replies
-//! built as a list and re-batched afterwards): same store, same tree, same
-//! counts, same replies in the same order — for honest traffic under every
-//! delivery order, and for arbitrary hostile deltas.
+//! built as a list and re-batched afterwards, and a range ack that echoes
+//! the responder's stamps): same store, same tree, same counts — for
+//! honest traffic under every delivery order, and for arbitrary hostile
+//! deltas. Every leg but the range ack answers with the oracle's replies
+//! in the oracle's order. The range ack is the one leg that changed: its
+//! delta is the oracle's, its want word names exactly the slots where the
+//! responder holds nothing or less than the range syn claimed, and the
+//! initiator's `Delta` answering it is always a subset of the oracle's —
+//! equal to it whenever the initiator's store did not change in between.
 
 use gossip_ae::merkle::{reconcile, DigestTree};
 use gossip_ae::protocol::AeMsg;
@@ -43,21 +49,59 @@ fn replica(raws: &[u64], span: usize) -> (Store, DigestTree) {
     (store, tree)
 }
 
+/// A message in flight. A range ack also carries what judging its answer
+/// takes: the stamps the oracle's ack echoed in its place (the
+/// responder's) and the stamps the range syn claimed (the initiator's).
+struct InFlight {
+    msg: AeMsg,
+    ranges: Option<Ranges>,
+}
+
+struct Ranges {
+    responder: Vec<u64>,
+    claimed: Vec<u64>,
+}
+
+impl InFlight {
+    fn plain(msg: AeMsg) -> Self {
+        InFlight { msg, ranges: None }
+    }
+}
+
+/// What [`reconcile_checked`] hands back: the engine's counts, and its
+/// replies as messages in flight.
+struct Checked {
+    adopted: usize,
+    invalid: usize,
+    replies: Vec<InFlight>,
+}
+
+/// The want word the range ack must carry: {k : claimed_k > mine_k or
+/// mine_k = 0}, from the stamps the range syn claimed and the responder's.
+fn want_word(claimed: &[u64], responder: &[u64]) -> u64 {
+    claimed
+        .iter()
+        .zip(responder)
+        .enumerate()
+        .filter(|&(_, (&theirs, &mine))| theirs > mine || mine == 0)
+        .fold(0, |want, (k, _)| want | 1 << k)
+}
+
 /// `reconcile`, checked against the oracle on a copy of the replica: the
-/// store, the tree, the counts and the replies (order included) must all
-/// agree, and the tree must be what a from-scratch build gives.
-fn reconcile_checked(
-    replica: &mut (Store, DigestTree),
-    span: usize,
-    msg: &AeMsg,
-) -> gossip_ae::Handled {
+/// store, the tree and the counts must agree, the tree must be what a
+/// from-scratch build gives, and the replies must be the oracle's (order
+/// included), except where the range ack changed them — see the module
+/// docs.
+fn reconcile_checked(replica: &mut (Store, DigestTree), span: usize, flight: &InFlight) -> Checked {
+    let msg = &flight.msg;
     let mut twin = replica.clone();
-    let want = oracle::reconcile(&mut twin.0, Some(&mut twin.1), span, msg);
+    let echoed = flight.ranges.as_ref().map(|r| &r.responder[..]);
+    let expected = oracle::reconcile(&mut twin.0, Some(&mut twin.1), span, msg, echoed);
     let got = reconcile(&mut replica.0, Some(&mut replica.1), span, msg);
     assert_eq!(
-        (got.adopted, got.invalid, &got.replies),
-        (want.adopted, want.invalid, &want.replies),
-        "counts and replies for {msg:?}"
+        (got.adopted, got.invalid),
+        (expected.adopted, expected.invalid),
+        "counts for {msg:?}"
     );
     assert_eq!(replica.0, twin.0, "store after {msg:?}");
     assert_eq!(replica.1, twin.1, "tree after {msg:?}");
@@ -66,7 +110,97 @@ fn reconcile_checked(
         DigestTree::new(&replica.0, span),
         "tree is current after {msg:?}"
     );
-    got
+    let replies = match (msg, &flight.ranges) {
+        (
+            AeMsg::RangeSyn {
+                stamps: claimed, ..
+            },
+            _,
+        ) => match (&got.replies[..], &expected.replies[..]) {
+            ([], []) => Vec::new(),
+            (
+                [ack @ AeMsg::RangeAck {
+                    n,
+                    start,
+                    len,
+                    want: word,
+                    delta,
+                }],
+                [oracle::Reply::EchoAck {
+                    n: echo_n,
+                    start: echo_start,
+                    stamps: responder,
+                    delta: echo_delta,
+                }],
+            ) => {
+                assert_eq!((n, start, delta), (echo_n, echo_start, echo_delta));
+                assert_eq!(usize::from(*len), responder.len(), "length of {ack:?}");
+                assert_eq!(
+                    *word,
+                    want_word(claimed, responder),
+                    "want word of {ack:?} against {responder:?}"
+                );
+                vec![InFlight {
+                    msg: ack.clone(),
+                    ranges: Some(Ranges {
+                        responder: responder.clone(),
+                        claimed: claimed.clone(),
+                    }),
+                }]
+            }
+            (got, expected) => panic!("{msg:?} drew {got:?}, the oracle {expected:?}"),
+        },
+        (AeMsg::RangeAck { start, len, .. }, Some(ranges)) => {
+            let back = match &got.replies[..] {
+                [] => Vec::new(),
+                [AeMsg::Delta { delta }] => delta.clone(),
+                other => panic!("{msg:?} drew {other:?}"),
+            };
+            let oracle_back = match &expected.replies[..] {
+                [] => Vec::new(),
+                [oracle::Reply::Same(AeMsg::Delta { delta })] => delta.clone(),
+                other => panic!("the oracle answered {msg:?} with {other:?}"),
+            };
+            assert!(
+                back.iter().all(|pair| oracle_back.contains(pair)),
+                "{back:?} is not a subset of the oracle's {oracle_back:?}"
+            );
+            // An initiator whose store did not change between its range
+            // syn and this ack ends with the range it claimed, raised to
+            // the responder's stamps where those were newer.
+            let unchanged: Vec<u64> = ranges
+                .claimed
+                .iter()
+                .zip(&ranges.responder)
+                .map(|(&claimed, &responder)| claimed.max(responder))
+                .collect();
+            if replica.0.range_digest(*start as usize, usize::from(*len)) == unchanged {
+                assert_eq!(back, oracle_back, "unchanged initiator answering {msg:?}");
+            }
+            got.replies.into_iter().map(InFlight::plain).collect()
+        }
+        _ => {
+            let same: Vec<&AeMsg> = expected
+                .replies
+                .iter()
+                .map(|reply| match reply {
+                    oracle::Reply::Same(m) => m,
+                    echo => panic!("{msg:?} drew an oracle {echo:?}"),
+                })
+                .collect();
+            assert_eq!(
+                got.replies.iter().collect::<Vec<_>>(),
+                same,
+                "replies for {msg:?}"
+            );
+            got.replies.into_iter().map(InFlight::plain).collect()
+        }
+    };
+    Checked {
+        adopted: got.adopted,
+        invalid: got.invalid,
+        replies,
+    }
 }
 
 /// The dense reference: one full three-leg digest/delta exchange.
@@ -94,29 +228,29 @@ fn merkle_pump(
     let mut rng = SmallRng::seed_from_u64(order_seed);
     for round in 1..=32 {
         // Both sides open, like two ticking nodes.
-        let mut queue: Vec<(bool, AeMsg)> = vec![
+        let mut queue: Vec<(bool, InFlight)> = vec![
             (
                 false,
-                AeMsg::MerkleSyn {
+                InFlight::plain(AeMsg::MerkleSyn {
                     n: N as u32,
                     root: a.1.root(),
-                },
+                }),
             ),
             (
                 true,
-                AeMsg::MerkleSyn {
+                InFlight::plain(AeMsg::MerkleSyn {
                     n: N as u32,
                     root: b.1.root(),
-                },
+                }),
             ),
         ];
         let mut progressed = false;
         while !queue.is_empty() {
             // Arbitrary delivery order: pop a random in-flight message.
             let pick = rng.gen_range(0..queue.len());
-            let (to_a, msg) = queue.swap_remove(pick);
+            let (to_a, flight) = queue.swap_remove(pick);
             let target = if to_a { &mut *a } else { &mut *b };
-            let handled = reconcile_checked(target, span, &msg);
+            let handled = reconcile_checked(target, span, &flight);
             assert_eq!(handled.invalid, 0, "honest traffic is never dropped");
             progressed |= handled.adopted > 0 || !handled.replies.is_empty();
             queue.extend(handled.replies.into_iter().map(|m| (!to_a, m)));
@@ -225,37 +359,70 @@ proptest! {
         // A peer whose digests are well-formed, so the delta is what
         // decides the outcome.
         let peer = replica(&raws_delta, span).0;
-        let msg = match leg {
-            0 => AeMsg::Delta { delta },
-            1 => AeMsg::SynAck { n: N as u32, delta, digest: peer.sparse_digest() },
+        let flight = match leg {
+            0 => InFlight::plain(AeMsg::Delta { delta }),
+            1 => InFlight::plain(AeMsg::SynAck { n: N as u32, delta, digest: peer.sparse_digest() }),
             _ => {
+                // The ack the peer sends to `held`'s range syn, carrying
+                // the hostile delta.
                 let start = raws_delta.len() * 7 % (N - span);
-                AeMsg::RangeAck {
-                    n: N as u32,
-                    start: start as u32,
-                    stamps: peer.range_digest(start, span),
-                    delta,
+                let claimed = held.0.range_digest(start, span);
+                let responder = peer.range_digest(start, span);
+                InFlight {
+                    msg: AeMsg::RangeAck {
+                        n: N as u32,
+                        start: start as u32,
+                        len: span as u8,
+                        want: want_word(&claimed, &responder),
+                        delta,
+                    },
+                    ranges: Some(Ranges { responder, claimed }),
                 }
             }
         };
-        reconcile_checked(&mut held, span, &msg);
+        reconcile_checked(&mut held, span, &flight);
     }
 }
 
 /// The reconciliation engine as it stood before replies went to a sink
 /// and `adopt` batched its tree refreshes (commit 6d8057f), on the crate's
-/// public API: the oracle the properties above compare against.
+/// public API: the oracle the properties above compare against. Its range
+/// ack echoed the responder's stamps, a variant `AeMsg` no longer has, so
+/// that one reply is a [`Reply::EchoAck`], and a range ack it receives is
+/// judged by the stamps its own ack would have echoed, which the caller
+/// passes in.
 mod oracle {
-    use gossip_ae::merkle::{DigestTree, Handled, PROBE_BATCH};
+    use gossip_ae::merkle::{DigestTree, PROBE_BATCH};
     use gossip_ae::protocol::AeMsg;
     use gossip_ae::store::{sparse_digest_well_formed, Entry, Store};
     use gossip_net::NodeId;
+
+    #[derive(Debug)]
+    pub enum Reply {
+        /// A reply the engine must send alike.
+        Same(AeMsg),
+        /// The stamp-echo range ack.
+        EchoAck {
+            n: u32,
+            start: u32,
+            stamps: Vec<u64>,
+            delta: Vec<(NodeId, Entry)>,
+        },
+    }
+
+    #[derive(Default)]
+    pub struct Handled {
+        pub adopted: usize,
+        pub invalid: usize,
+        pub replies: Vec<Reply>,
+    }
 
     pub fn reconcile(
         store: &mut Store,
         mut tree: Option<&mut DigestTree>,
         fallback_slots: usize,
         msg: &AeMsg,
+        echoed: Option<&[u64]>,
     ) -> Handled {
         let n = store.n();
         let mut out = Handled::default();
@@ -265,11 +432,11 @@ mod oracle {
                     out.invalid += 1;
                     return out;
                 }
-                out.replies.push(AeMsg::SynAck {
+                out.replies.push(Reply::Same(AeMsg::SynAck {
                     n: *their_n,
                     delta: store.delta_for_sparse(digest),
                     digest: store.sparse_digest(),
-                });
+                }));
             }
             AeMsg::SynAck {
                 n: their_n,
@@ -283,7 +450,7 @@ mod oracle {
                 adopt(store, &mut tree, delta, &mut out);
                 let back = store.delta_for_sparse(digest);
                 if !back.is_empty() {
-                    out.replies.push(AeMsg::Delta { delta: back });
+                    out.replies.push(Reply::Same(AeMsg::Delta { delta: back }));
                 }
             }
             AeMsg::Delta { delta } => {
@@ -295,10 +462,10 @@ mod oracle {
                     return out;
                 }
                 match tree {
-                    None => out.replies.push(AeMsg::SynReq {
+                    None => out.replies.push(Reply::Same(AeMsg::SynReq {
                         n: n as u32,
                         digest: store.sparse_digest(),
-                    }),
+                    })),
                     Some(tree) => {
                         if *root != tree.root() {
                             descend(tree, store, 0, fallback_slots, &mut out.replies);
@@ -314,10 +481,10 @@ mod oracle {
                     return out;
                 }
                 let Some(tree) = tree else {
-                    out.replies.push(AeMsg::SynReq {
+                    out.replies.push(Reply::Same(AeMsg::SynReq {
                         n: n as u32,
                         digest: store.sparse_digest(),
-                    });
+                    }));
                     return out;
                 };
                 for &(idx, their_hash) in probes {
@@ -342,7 +509,7 @@ mod oracle {
                     return out;
                 }
                 let start = *start as usize;
-                out.replies.push(AeMsg::RangeAck {
+                out.replies.push(Reply::EchoAck {
                     n: *their_n,
                     start: start as u32,
                     delta: store.delta_for_range(start, stamps),
@@ -352,9 +519,10 @@ mod oracle {
             AeMsg::RangeAck {
                 n: their_n,
                 start,
-                stamps,
                 delta,
+                ..
             } => {
+                let stamps = echoed.expect("a range ack is judged by the stamps it replaced");
                 if !range_well_formed(n, *their_n, *start, stamps.len(), fallback_slots) {
                     out.invalid += 1;
                     return out;
@@ -362,7 +530,7 @@ mod oracle {
                 adopt(store, &mut tree, delta, &mut out);
                 let back = store.delta_for_range(*start as usize, stamps);
                 if !back.is_empty() {
-                    out.replies.push(AeMsg::Delta { delta: back });
+                    out.replies.push(Reply::Same(AeMsg::Delta { delta: back }));
                 }
             }
         }
@@ -397,41 +565,41 @@ mod oracle {
         store: &Store,
         idx: usize,
         fallback_slots: usize,
-        replies: &mut Vec<AeMsg>,
+        replies: &mut Vec<Reply>,
     ) {
         let (start, len) = tree.slot_range(idx);
         if len == 0 {
             return;
         }
         if tree.is_leaf(idx) || len <= fallback_slots {
-            replies.push(AeMsg::RangeSyn {
+            replies.push(Reply::Same(AeMsg::RangeSyn {
                 n: store.n() as u32,
                 start: start as u32,
                 stamps: store.range_digest(start, len),
-            });
+            }));
         } else {
             let (l, r) = (2 * idx + 1, 2 * idx + 2);
-            replies.push(AeMsg::MerkleProbe {
+            replies.push(Reply::Same(AeMsg::MerkleProbe {
                 n: store.n() as u32,
                 probes: vec![(l as u32, tree.hash(l)), (r as u32, tree.hash(r))],
-            });
+            }));
         }
     }
 
-    fn flush_probes(n: usize, replies: &mut Vec<AeMsg>) {
+    fn flush_probes(n: usize, replies: &mut Vec<Reply>) {
         let mut pairs: Vec<(u32, u64)> = Vec::new();
-        let mut rest: Vec<AeMsg> = Vec::new();
+        let mut rest: Vec<Reply> = Vec::new();
         for reply in replies.drain(..) {
             match reply {
-                AeMsg::MerkleProbe { probes, .. } => pairs.extend(probes),
+                Reply::Same(AeMsg::MerkleProbe { probes, .. }) => pairs.extend(probes),
                 other => rest.push(other),
             }
         }
         for chunk in pairs.chunks(PROBE_BATCH) {
-            rest.push(AeMsg::MerkleProbe {
+            rest.push(Reply::Same(AeMsg::MerkleProbe {
                 n: n as u32,
                 probes: chunk.to_vec(),
-            });
+            }));
         }
         *replies = rest;
     }

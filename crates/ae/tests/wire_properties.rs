@@ -7,6 +7,7 @@
 use gossip_ae::protocol::AeMsg;
 use gossip_ae::store::Entry;
 use gossip_ae::wire::payload_bytes;
+use gossip_ae::MAX_RANGE_SLOTS;
 use gossip_net::{decode_frame, encode_frame, NodeId, WireMsg, WireReader};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -59,12 +60,13 @@ fn messages(raws: &[u64], digest_raws: &[u64]) -> Vec<AeMsg> {
         AeMsg::RangeSyn {
             n,
             start: n / 2,
-            stamps: stamps.clone(),
+            stamps,
         },
         AeMsg::RangeAck {
             n,
             start: n / 2,
-            stamps,
+            len: (digest_raws.len() % (MAX_RANGE_SLOTS + 1)) as u8,
+            want: digest_raws.iter().fold(0, |w, &z| w ^ z),
             delta,
         },
     ]

@@ -25,7 +25,9 @@
 //!   recovery measurement, in both modes: the digest tax disappears
 //!   (≈10× at n = 2¹⁰, growing with n — what remains in Merkle mode is
 //!   the irreducible churn-repair data movement both modes pay) while
-//!   recovery stays within a few ticks.
+//!   recovery stays within a few ticks. A third table splits each mode's
+//!   modelled bytes by leg (`AeNodeStats::leg_bits`), which says where
+//!   the remaining traffic goes.
 //!
 //! A hot-update workload (every entry re-stamped every few ticks) erodes
 //! the Merkle advantage — with most leaves dirty the descent degenerates
@@ -166,6 +168,9 @@ struct TrialOutcome {
     recovered_fraction: f64,
     mean_recovery_ticks: f64,
     max_recovery_ticks: f64,
+    /// Modelled bits sent per leg over the whole run, summed over every
+    /// node's current incarnation (a rejoiner's tally restarts with it).
+    leg_bits: [u64; AeMsg::LEGS],
 }
 
 fn population_trial(n: usize, mode: DigestMode, seed: u64, ticks: u64) -> TrialOutcome {
@@ -205,6 +210,12 @@ fn population_trial(n: usize, mode: DigestMode, seed: u64, ticks: u64) -> TrialO
     }
     let steady_bits = driver.net_metrics().total_bits() - steady_bits_base;
     let steady_ticks = (ticks - warmup) as f64;
+    let mut leg_bits = [0u64; AeMsg::LEGS];
+    for (_, node) in driver.iter_handlers() {
+        for (sum, bits) in leg_bits.iter_mut().zip(node.stats.leg_bits) {
+            *sum += bits;
+        }
+    }
 
     let records = tracker.finish();
     let mut recovery_ticks: Vec<f64> = Vec::new();
@@ -238,6 +249,7 @@ fn population_trial(n: usize, mode: DigestMode, seed: u64, ticks: u64) -> TrialO
         },
         mean_recovery_ticks: mean_recovery,
         max_recovery_ticks: recovery_ticks.iter().copied().fold(f64::NAN, f64::max),
+        leg_bits,
     }
 }
 
@@ -348,7 +360,38 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
          with an empty store — and in merkle mode a blank tree) to re-enter the 1% band \
          around the fully-synced reference estimate",
     );
-    vec![vitro, population]
+
+    // Table 3: where each mode's bytes go, leg by leg.
+    let mut header = vec!["mode"];
+    header.extend(AeMsg::LEG_NAMES);
+    let mut legs = Table::new(
+        format!(
+            "E20 — share of modelled bytes by leg, population run (n = {n}, {ticks} ticks, \
+             whole run)"
+        ),
+        &header,
+    );
+    for (mi, &mode) in modes.iter().enumerate() {
+        let mut bits = [0u64; AeMsg::LEGS];
+        for trial in &outcomes[mi * seeds.len()..(mi + 1) * seeds.len()] {
+            for (sum, leg) in bits.iter_mut().zip(trial.leg_bits) {
+                *sum += leg;
+            }
+        }
+        let total = bits.iter().sum::<u64>().max(1) as f64;
+        let mut row = vec![mode_name(mode).to_string()];
+        row.extend(
+            bits.iter()
+                .map(|&b| format!("{:.1}%", 100.0 * b as f64 / total)),
+        );
+        legs.push_row(row);
+    }
+    legs.push_note(
+        "share = the leg's modelled bits over all legs' (AeNodeStats::leg_bits, exported \
+         as ae_leg_bits_total{leg}), summed over trials and over every node's current \
+         incarnation: warmup included, a crashed incarnation's tally lost with it",
+    );
+    vec![vitro, population, legs]
 }
 
 #[cfg(test)]
@@ -447,8 +490,9 @@ mod tests {
             quick: true,
             markdown: false,
         });
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].num_rows(), VITRO_SIZES.len() * 2);
         assert_eq!(tables[1].num_rows(), 2);
+        assert_eq!(tables[2].num_rows(), 2);
     }
 }
