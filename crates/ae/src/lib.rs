@@ -22,6 +22,9 @@
 //!   digest for an O(log n) root-hash exchange whose every message stays
 //!   datagram-sized at any n (what lets the socket host run anti-entropy
 //!   at the scales the sharded engine simulates).
+//! * [`stamps`]: the stamp-run codec every stamp vector travels in — a
+//!   base and one code per stamp at the width the vector's range needs,
+//!   in the bit model and on the wire alike.
 //! * [`ae_driver`]: hosts one `AeNode` per node on the sharded
 //!   discrete-event [`ShardedDriver`] — latency, loss, churn and bandwidth
 //!   are the engine's, determinism is shard-count invariant, and a
@@ -58,6 +61,7 @@ pub mod merkle;
 pub mod protocol;
 pub mod recovery;
 pub mod signal;
+pub mod stamps;
 pub mod store;
 pub mod wire;
 
@@ -71,6 +75,7 @@ pub use recovery::{
     reference_store, RecoveryOutcome, RecoveryRecord, RecoveryTracker, RECOVERY_BOUND_TICKS,
 };
 pub use signal::SignalModel;
+pub use stamps::StampRun;
 pub use store::{sparse_digest_well_formed, Digest, Entry, SparseDigest, Store, STAMP_BITS};
 pub use wire::payload_bytes;
 

@@ -1,7 +1,7 @@
 //! Merkle-style digest trees: O(log n) anti-entropy digests.
 //!
 //! The dense digest exchange is O(n) stamps per exchange *even when nothing
-//! changed* — at n ≥ ~5,500 a digest no longer fits one UDP datagram, so
+//! changed* — at n ≳ 10,000 a digest no longer fits one UDP datagram, so
 //! the socket host cannot run anti-entropy at the scales the sharded
 //! engine simulates. This module replaces the flat digest with a hash tree
 //! and a multi-round **descent**:

@@ -27,7 +27,8 @@
 
 use crate::merkle::{reconcile_into, DigestTree, MAX_RANGE_SLOTS};
 use crate::signal::SignalModel;
-use crate::store::{Entry, SparseDigest, Store, STAMP_BITS};
+use crate::stamps::StampRun;
+use crate::store::{Entry, SparseDigest, Store};
 use gossip_net::{stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
 use gossip_runtime::{AsyncConfig, ShardedDriver};
 use serde::{Deserialize, Serialize};
@@ -42,7 +43,7 @@ pub const TIMER_UPDATE: TimerId = TimerId(1);
 pub enum DigestMode {
     /// The classic flat digest: every exchange opens with one
     /// `(origin, stamp)` pair per known origin — O(n) bits per exchange,
-    /// and beyond ~5,500 known origins the opener no longer fits one UDP
+    /// and beyond ~10,000 known origins the opener no longer fits one UDP
     /// datagram.
     #[default]
     Dense,
@@ -286,7 +287,8 @@ impl AeMsg {
 pub struct AeNodeStats {
     /// Anti-entropy ticks fired.
     pub ticks: u64,
-    /// Exchanges initiated (`SynReq`s sent).
+    /// Exchanges initiated: openers sent, a `SynReq` each in dense mode
+    /// and a `MerkleSyn` each in Merkle mode.
     pub syn_sent: u64,
     /// Entries adopted from peers' deltas.
     pub entries_adopted: u64,
@@ -313,31 +315,46 @@ impl AeNodeStats {
 }
 
 /// The widths the modelled wire charges for an origin id and a value
-/// (stamps, tags, arities, tree indices and hashes have fixed widths).
-/// Split from [`AeNode`] so a reply can be sized while the node's store and
-/// tree are lent to the reconciliation engine.
+/// (stamps travel as [`StampRun`]s; tags, arities, tree indices and hashes
+/// have fixed widths). Split from [`AeNode`] so a reply can be sized while
+/// the node's store and tree are lent to the reconciliation engine.
 #[derive(Clone, Copy, Debug)]
 struct BitModel {
     id_bits: u32,
     value_bits: u32,
 }
 
+/// Bits that name one slot of a `len`-slot range: ⌈log₂ len⌉.
+fn offset_bits(len: u8) -> u32 {
+    u8::BITS - len.saturating_sub(1).leading_zeros()
+}
+
 impl BitModel {
-    /// Modelled wire size of a digest: tag byte + arity + one
-    /// `(origin, stamp)` pair per pair actually carried — the sparse form
+    /// Modelled wire size of a digest: tag byte + arity + one origin per
+    /// pair actually carried + the run of their stamps — the sparse form
     /// both the model and the real wire use, so the two agree pair for
     /// pair (the loopback suite pins the byte-level counterpart).
     fn digest_bits(&self, digest: &SparseDigest) -> u32 {
-        8 + 32 + digest.len() as u32 * (self.id_bits + STAMP_BITS)
+        8 + 32
+            + digest.len() as u32 * self.id_bits
+            + StampRun::of_pairs(digest).model_bits(digest.len())
     }
 
     fn delta_bits(&self, delta: &[(NodeId, Entry)]) -> u32 {
-        8 + delta.len() as u32 * (self.id_bits + STAMP_BITS + self.value_bits)
+        8 + self.entries_bits(delta, self.id_bits)
+    }
+
+    /// A delta's entries, each origin at `origin_bits`: origins, values
+    /// and the run of their stamps.
+    fn entries_bits(&self, delta: &[(NodeId, Entry)], origin_bits: u32) -> u32 {
+        delta.len() as u32 * (origin_bits + self.value_bits)
+            + StampRun::of_entries(delta).model_bits(delta.len())
     }
 
     /// Honest modelled bits for any leg of either protocol: every field
-    /// the wire encodes is charged — tags and arities at their wire width,
-    /// origins at the model's `id_bits`, stamps at [`STAMP_BITS`], values
+    /// the wire encodes is charged — tags, arities and range lengths at
+    /// their wire width, origins at the model's `id_bits` (at ⌈log₂ len⌉
+    /// inside a range ack), stamp runs at [`StampRun::model_bits`], values
     /// at `value_bits`, tree-node indices and hashes at their wire widths.
     fn msg_bits(&self, msg: &AeMsg) -> u32 {
         match msg {
@@ -348,13 +365,11 @@ impl BitModel {
             AeMsg::Delta { delta } => self.delta_bits(delta),
             AeMsg::MerkleSyn { .. } => 8 + 32 + 64,
             AeMsg::MerkleProbe { probes, .. } => 8 + 32 + probes.len() as u32 * (32 + 64),
-            AeMsg::RangeSyn { stamps, .. } => 8 + 32 + 32 + stamps.len() as u32 * STAMP_BITS,
-            AeMsg::RangeAck { delta, .. } => {
-                8 + 32
-                    + 32
-                    + 8
-                    + 64
-                    + delta.len() as u32 * (self.id_bits + STAMP_BITS + self.value_bits)
+            AeMsg::RangeSyn { stamps, .. } => {
+                8 + 32 + 32 + 8 + StampRun::of_stamps(stamps).model_bits(stamps.len())
+            }
+            AeMsg::RangeAck { len, delta, .. } => {
+                8 + 32 + 32 + 8 + 64 + self.entries_bits(delta, offset_bits(*len))
             }
         }
     }
@@ -863,14 +878,22 @@ mod tests {
     fn message_sizes_scale_with_content() {
         let n = 16;
         let node = AeNode::new(NodeId::new(0), n, 4, 24, AeConfig::default());
+        // A run: the base at STAMP_BITS, a width byte, w bits per code.
+        let run = |k: u32, w: u32| crate::STAMP_BITS + 8 + k * w;
         let empty: SparseDigest = Vec::new();
         assert_eq!(
             node.bits.digest_bits(&empty),
             8 + 32,
-            "empty digest is tag + arity"
+            "empty digest is tag + arity, no run"
         );
         let full: SparseDigest = (0..n).map(|i| (NodeId::new(i), 1)).collect();
-        assert_eq!(node.bits.digest_bits(&full), 8 + 32 + 16 * (4 + STAMP_BITS));
+        assert_eq!(node.bits.digest_bits(&full), 8 + 32 + 16 * 4 + run(16, 1));
+        let spread: SparseDigest = vec![(NodeId::new(2), 1_000), (NodeId::new(9), 1_006)];
+        assert_eq!(
+            node.bits.digest_bits(&spread),
+            8 + 32 + 2 * 4 + run(2, 3),
+            "codes 1 and 7 take 3 bits"
+        );
         let delta = vec![(
             NodeId::new(1),
             Entry {
@@ -878,7 +901,7 @@ mod tests {
                 value: 2.0,
             },
         )];
-        assert_eq!(node.bits.delta_bits(&delta), 8 + (4 + STAMP_BITS + 24));
+        assert_eq!(node.bits.delta_bits(&delta), 8 + (4 + 24) + run(1, 1));
         // The Merkle legs: constant opener, per-pair probes, per-slot
         // ranges — none of them a function of n.
         assert_eq!(
@@ -898,8 +921,18 @@ mod tests {
                 start: 0,
                 stamps: vec![1, 0, 2],
             }),
-            8 + 64 + 3 * STAMP_BITS
+            8 + 64 + 8 + run(3, 2)
         );
+        assert_eq!(
+            node.bits.msg_bits(&AeMsg::RangeSyn {
+                n: 16,
+                start: 0,
+                stamps: vec![0; 3],
+            }),
+            8 + 64 + 8 + run(3, 0),
+            "an all-absent range pays the run header only"
+        );
+        // A range ack names its slots in ⌈log₂ len⌉ bits: 2 for 3 slots.
         assert_eq!(
             node.bits.msg_bits(&AeMsg::RangeAck {
                 n: 16,
@@ -908,7 +941,11 @@ mod tests {
                 want: 0b101,
                 delta: delta.clone(),
             }),
-            8 + 32 + 32 + 8 + 64 + (4 + STAMP_BITS + 24)
+            8 + 32 + 32 + 8 + 64 + (2 + 24) + run(1, 1)
+        );
+        assert_eq!(
+            [1, 2, 3, 4, 5, 32, 33, 64].map(offset_bits),
+            [0, 1, 2, 2, 3, 5, 6, 6]
         );
     }
 

@@ -15,7 +15,9 @@
 use gossip_net::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// Timestamps are carried in this many bits on the modelled wire.
+/// Bits the modelled wire charges for a stamp run's base (see
+/// [`StampRun`](crate::StampRun)); each stamp is then a code at the width
+/// its run needs.
 pub const STAMP_BITS: u32 = 32;
 
 /// One origin's value, stamped with the origin's virtual clock at update

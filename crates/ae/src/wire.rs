@@ -2,50 +2,50 @@
 //! unchanged on the real-socket host (`gossip-node`).
 //!
 //! The layout mirrors the modelled sizing of [`AeMsg`]: a one-byte tag,
-//! then exactly the fields `AeNode`'s bit accounting charges for. A flat
-//! digest travels **sparse** — the store arity, then one
-//! `(origin, stamp)` pair per known origin — matching the model's
-//! `8 + 32 + known·(id_bits + STAMP_BITS)` (the dense `Vec<u64>` form an
-//! earlier revision shipped charged sparse but encoded all n stamps, so
-//! the model and the wire disagreed for every sparse store: early ticks,
-//! rejoiners). Deltas are `(origin, stamp, value)` triples; the Merkle
-//! legs carry root hashes, `(tree index, hash)` probe pairs and per-slot
-//! range stamps. A range ack is the arity, the range start, a `u8` range
-//! length (at most [`MAX_RANGE_SLOTS`]; longer is a [`WireError`]), the
-//! `u64` want word and the delta: 22 + 20·k bytes for k entries, at any
-//! range length. [`payload_bytes`] is the exact byte-length twin of the
-//! encoder, pinned equal to `to_wire_bytes().len()` by the property
-//! suite, so tests and experiments can reason about datagram budgets
-//! without encoding.
+//! then exactly the fields `AeNode`'s bit accounting charges for. Every
+//! stamp vector travels as one **stamp run** (see [`crate::stamps`]): a
+//! `u64` base, a `u8` byte width, then one code of that many bytes per
+//! stamp, and nothing at all for an empty vector. Per leg (`run(k)` is
+//! `9 + k·⌈w/8⌉` bytes, 0 when k = 0):
+//!
+//! - a flat digest travels **sparse**: a `u32` pair count, the run, then
+//!   `u32` origin and code per known origin, `4 + 4k + run(k)` bytes;
+//! - a delta is a `u32` count, the run, then `u32` origin, code and `f64`
+//!   value per entry, `4 + 12k + run(k)`;
+//! - a range syn is the arity, the range start, a `u8` range length (at
+//!   most [`MAX_RANGE_SLOTS`]) and the run over its per-slot stamps: a
+//!   32-slot range at 23-bit codes is 115 bytes;
+//! - a range ack is the arity, the start, the `u8` length, the `u64` want
+//!   word and its delta, whose entries name their slot by a `u8` offset
+//!   from the start: `22 + 9k + run(k)` bytes, 12 per entry at 23-bit codes;
+//! - the Merkle opener and probes carry root hashes and `(tree index,
+//!   hash)` pairs at fixed widths.
+//!
+//! The model charges each code its logical width in bits; the wire rounds
+//! it up to whole bytes, so a code is one byte copy. [`payload_bytes`] is
+//! the exact byte-length twin of the encoder, pinned equal to
+//! `to_wire_bytes().len()` by the property suite, so tests and experiments
+//! can reason about datagram budgets without encoding.
 //!
 //! The decoder is total (property-pinned): truncated, oversized,
 //! bit-flipped and hostile-length input returns [`WireError`], never a
-//! panic. Decoding is only the first gate — a structurally valid message
-//! can still carry a hostile digest (wrong arity, unsorted pairs,
-//! out-of-range origins), which [`AeNode`] validates and counts before
-//! trusting (see `AeNodeStats::digest_mismatches`).
+//! panic. A range length above [`MAX_RANGE_SLOTS`] is
+//! [`WireError::BadLength`] (width-0 codes occupy no bytes, so the length
+//! check is what keeps a hostile one from allocating); a run width byte
+//! above 8, a code that overflows its base and a range-ack offset at or
+//! beyond the length are [`WireError::OutOfRange`]. Decoding is only the
+//! first gate — a structurally valid message can still carry a hostile
+//! digest (wrong arity, unsorted pairs, out-of-range origins), which
+//! [`AeNode`] validates and counts before trusting (see
+//! `AeNodeStats::digest_mismatches`).
 //!
 //! [`AeNode`]: crate::protocol::AeNode
-//! [`STAMP_BITS`]: crate::store::STAMP_BITS
 
 use crate::merkle::MAX_RANGE_SLOTS;
 use crate::protocol::AeMsg;
+use crate::stamps::{RunReader, StampRun};
 use crate::store::Entry;
 use gossip_net::{NodeId, WireError, WireMsg, WireReader, WireWriter};
-
-impl WireMsg for Entry {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.stamp);
-        w.put_f64(self.value);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Entry {
-            stamp: r.take_u64()?,
-            value: r.take_f64()?,
-        })
-    }
-}
 
 const TAG_SYN_REQ: u8 = 0;
 const TAG_SYN_ACK: u8 = 1;
@@ -55,23 +55,150 @@ const TAG_MERKLE_PROBE: u8 = 4;
 const TAG_RANGE_SYN: u8 = 5;
 const TAG_RANGE_ACK: u8 = 6;
 
+/// Bytes of the `u32` count in front of a delta or a digest.
+const COUNT_BYTES: usize = 4;
+/// Bytes of an absolute origin id.
+const ID_BYTES: usize = 4;
+/// Bytes of a range-ack entry's slot offset.
+const OFFSET_BYTES: usize = 1;
+/// Bytes of an entry's value.
+const VALUE_BYTES: usize = 8;
+
+/// How a delta's entries name their origins on the wire.
+#[derive(Clone, Copy)]
+enum Origins {
+    /// A `u32` origin id.
+    Absolute,
+    /// A `u8` offset into the range `[start, start + len)` of a range ack.
+    InRange { start: u32, len: u8 },
+}
+
+impl Origins {
+    fn bytes(self) -> usize {
+        match self {
+            Origins::Absolute => ID_BYTES,
+            Origins::InRange { .. } => OFFSET_BYTES,
+        }
+    }
+
+    fn put(self, w: &mut WireWriter, origin: NodeId) {
+        match self {
+            Origins::Absolute => origin.encode(w),
+            Origins::InRange { start, len } => {
+                let offset = origin.0.wrapping_sub(start);
+                assert!(
+                    offset < u32::from(len),
+                    "range-ack entry {origin:?} outside [{start}, {start} + {len})"
+                );
+                w.put_u8(offset as u8);
+            }
+        }
+    }
+
+    fn take(self, r: &mut WireReader<'_>) -> Result<NodeId, WireError> {
+        match self {
+            Origins::Absolute => NodeId::decode(r),
+            Origins::InRange { start, len } => {
+                let offset = r.take_u8()?;
+                let origin = start.checked_add(offset.into());
+                match origin {
+                    Some(origin) if offset < len => Ok(NodeId(origin)),
+                    _ => Err(WireError::OutOfRange {
+                        value: u64::from(start) + u64::from(offset),
+                    }),
+                }
+            }
+        }
+    }
+}
+
+fn put_entries(w: &mut WireWriter, entries: &[(NodeId, Entry)], origins: Origins) {
+    w.put_u32(entries.len() as u32);
+    let run = StampRun::of_entries(entries);
+    run.put_header(w, entries.len());
+    for &(origin, entry) in entries {
+        origins.put(w, origin);
+        run.put(w, entry.stamp);
+        w.put_f64(entry.value);
+    }
+}
+
+fn take_entries(
+    r: &mut WireReader<'_>,
+    origins: Origins,
+) -> Result<Vec<(NodeId, Entry)>, WireError> {
+    let k = r.take_u32()? as usize;
+    let run = RunReader::take_header(r, k)?;
+    r.check_len(k, origins.bytes() + run.code_bytes() + VALUE_BYTES)?;
+    let mut out = Vec::with_capacity(k);
+    for _ in 0..k {
+        let origin = origins.take(r)?;
+        let stamp = run.take(r)?;
+        let value = r.take_f64()?;
+        out.push((origin, Entry { stamp, value }));
+    }
+    Ok(out)
+}
+
+fn entries_bytes(entries: &[(NodeId, Entry)], origins: Origins) -> usize {
+    let k = entries.len();
+    COUNT_BYTES + k * (origins.bytes() + VALUE_BYTES) + StampRun::of_entries(entries).wire_bytes(k)
+}
+
+fn put_pairs(w: &mut WireWriter, pairs: &[(NodeId, u64)]) {
+    w.put_u32(pairs.len() as u32);
+    let run = StampRun::of_pairs(pairs);
+    run.put_header(w, pairs.len());
+    for &(origin, stamp) in pairs {
+        origin.encode(w);
+        run.put(w, stamp);
+    }
+}
+
+fn take_pairs(r: &mut WireReader<'_>) -> Result<Vec<(NodeId, u64)>, WireError> {
+    let k = r.take_u32()? as usize;
+    let run = RunReader::take_header(r, k)?;
+    r.check_len(k, ID_BYTES + run.code_bytes())?;
+    let mut out = Vec::with_capacity(k);
+    for _ in 0..k {
+        out.push((NodeId::decode(r)?, run.take(r)?));
+    }
+    Ok(out)
+}
+
+fn pairs_bytes(pairs: &[(NodeId, u64)]) -> usize {
+    let k = pairs.len();
+    COUNT_BYTES + k * ID_BYTES + StampRun::of_pairs(pairs).wire_bytes(k)
+}
+
+/// A range length, rejected above [`MAX_RANGE_SLOTS`].
+fn take_range_len(r: &mut WireReader<'_>) -> Result<u8, WireError> {
+    let len = r.take_u8()?;
+    if usize::from(len) > MAX_RANGE_SLOTS {
+        return Err(WireError::BadLength {
+            claimed: len.into(),
+        });
+    }
+    Ok(len)
+}
+
 impl WireMsg for AeMsg {
     fn encode(&self, w: &mut WireWriter) {
         match self {
             AeMsg::SynReq { n, digest } => {
                 w.put_u8(TAG_SYN_REQ);
                 w.put_u32(*n);
-                digest.encode(w);
+                put_pairs(w, digest);
             }
             AeMsg::SynAck { n, delta, digest } => {
                 w.put_u8(TAG_SYN_ACK);
                 w.put_u32(*n);
-                delta.encode(w);
-                digest.encode(w);
+                put_entries(w, delta, Origins::Absolute);
+                put_pairs(w, digest);
             }
             AeMsg::Delta { delta } => {
                 w.put_u8(TAG_DELTA);
-                delta.encode(w);
+                put_entries(w, delta, Origins::Absolute);
             }
             AeMsg::MerkleSyn { n, root } => {
                 w.put_u8(TAG_MERKLE_SYN);
@@ -87,7 +214,13 @@ impl WireMsg for AeMsg {
                 w.put_u8(TAG_RANGE_SYN);
                 w.put_u32(*n);
                 w.put_u32(*start);
-                stamps.encode(w);
+                let len = u8::try_from(stamps.len()).expect("a range syn's length fits a byte");
+                w.put_u8(len);
+                let run = StampRun::of_stamps(stamps);
+                run.put_header(w, stamps.len());
+                for &stamp in stamps {
+                    run.put(w, stamp);
+                }
             }
             AeMsg::RangeAck {
                 n,
@@ -101,7 +234,11 @@ impl WireMsg for AeMsg {
                 w.put_u32(*start);
                 w.put_u8(*len);
                 w.put_u64(*want);
-                delta.encode(w);
+                let origins = Origins::InRange {
+                    start: *start,
+                    len: *len,
+                };
+                put_entries(w, delta, origins);
             }
         }
     }
@@ -110,15 +247,15 @@ impl WireMsg for AeMsg {
         match r.take_u8()? {
             TAG_SYN_REQ => Ok(AeMsg::SynReq {
                 n: r.take_u32()?,
-                digest: Vec::<(NodeId, u64)>::decode(r)?,
+                digest: take_pairs(r)?,
             }),
             TAG_SYN_ACK => Ok(AeMsg::SynAck {
                 n: r.take_u32()?,
-                delta: Vec::<(NodeId, Entry)>::decode(r)?,
-                digest: Vec::<(NodeId, u64)>::decode(r)?,
+                delta: take_entries(r, Origins::Absolute)?,
+                digest: take_pairs(r)?,
             }),
             TAG_DELTA => Ok(AeMsg::Delta {
-                delta: Vec::<(NodeId, Entry)>::decode(r)?,
+                delta: take_entries(r, Origins::Absolute)?,
             }),
             TAG_MERKLE_SYN => Ok(AeMsg::MerkleSyn {
                 n: r.take_u32()?,
@@ -128,24 +265,22 @@ impl WireMsg for AeMsg {
                 n: r.take_u32()?,
                 probes: Vec::<(u32, u64)>::decode(r)?,
             }),
-            TAG_RANGE_SYN => Ok(AeMsg::RangeSyn {
-                n: r.take_u32()?,
-                start: r.take_u32()?,
-                stamps: Vec::<u64>::decode(r)?,
-            }),
+            TAG_RANGE_SYN => {
+                let (n, start, len) = (r.take_u32()?, r.take_u32()?, take_range_len(r)?);
+                let run = RunReader::take_header(r, len.into())?;
+                let stamps = (0..len).map(|_| run.take(r)).collect::<Result<_, _>>()?;
+                Ok(AeMsg::RangeSyn { n, start, stamps })
+            }
             TAG_RANGE_ACK => {
-                let (n, start, len) = (r.take_u32()?, r.take_u32()?, r.take_u8()?);
-                if usize::from(len) > MAX_RANGE_SLOTS {
-                    return Err(WireError::BadLength {
-                        claimed: len.into(),
-                    });
-                }
+                let (n, start, len) = (r.take_u32()?, r.take_u32()?, take_range_len(r)?);
+                let want = r.take_u64()?;
+                let delta = take_entries(r, Origins::InRange { start, len })?;
                 Ok(AeMsg::RangeAck {
                     n,
                     start,
                     len,
-                    want: r.take_u64()?,
-                    delta: Vec::<(NodeId, Entry)>::decode(r)?,
+                    want,
+                    delta,
                 })
             }
             tag => Err(WireError::BadTag { tag }),
@@ -153,24 +288,32 @@ impl WireMsg for AeMsg {
     }
 }
 
-/// Exact encoded payload size of `msg`, computed from its counts without
-/// encoding: `payload_bytes(m) == m.to_wire_bytes().len()` for every
-/// message (property-pinned). The arithmetic twin the datagram-budget
-/// assertions and E20's in-vitro byte measurements use.
+/// Exact encoded payload size of `msg`, computed from its counts and stamp
+/// runs without encoding: `payload_bytes(m) == m.to_wire_bytes().len()`
+/// for every message (property-pinned). The arithmetic twin the
+/// datagram-budget assertions and E20's in-vitro byte measurements use.
 pub fn payload_bytes(msg: &AeMsg) -> usize {
-    const VEC_LEN: usize = 4; // Vec<T> length prefix
-    const PAIR: usize = 4 + 8; // (NodeId, u64) — digest pairs and probes
-    const DELTA_ENTRY: usize = 4 + 8 + 8; // (NodeId, Entry{stamp, value})
+    const PROBE: usize = 4 + 8; // (tree index, hash)
     match msg {
-        AeMsg::SynReq { digest, .. } => 1 + 4 + VEC_LEN + digest.len() * PAIR,
+        AeMsg::SynReq { digest, .. } => 1 + 4 + pairs_bytes(digest),
         AeMsg::SynAck { delta, digest, .. } => {
-            1 + 4 + VEC_LEN + delta.len() * DELTA_ENTRY + VEC_LEN + digest.len() * PAIR
+            1 + 4 + entries_bytes(delta, Origins::Absolute) + pairs_bytes(digest)
         }
-        AeMsg::Delta { delta } => 1 + VEC_LEN + delta.len() * DELTA_ENTRY,
+        AeMsg::Delta { delta } => 1 + entries_bytes(delta, Origins::Absolute),
         AeMsg::MerkleSyn { .. } => 1 + 4 + 8,
-        AeMsg::MerkleProbe { probes, .. } => 1 + 4 + VEC_LEN + probes.len() * PAIR,
-        AeMsg::RangeSyn { stamps, .. } => 1 + 4 + 4 + VEC_LEN + stamps.len() * 8,
-        AeMsg::RangeAck { delta, .. } => 1 + 4 + 4 + 1 + 8 + VEC_LEN + delta.len() * DELTA_ENTRY,
+        AeMsg::MerkleProbe { probes, .. } => 1 + 4 + COUNT_BYTES + probes.len() * PROBE,
+        AeMsg::RangeSyn { stamps, .. } => {
+            1 + 4 + 4 + 1 + StampRun::of_stamps(stamps).wire_bytes(stamps.len())
+        }
+        AeMsg::RangeAck {
+            start, len, delta, ..
+        } => {
+            let origins = Origins::InRange {
+                start: *start,
+                len: *len,
+            };
+            1 + 4 + 4 + 1 + 8 + entries_bytes(delta, origins)
+        }
     }
 }
 
@@ -197,6 +340,10 @@ mod tests {
         let delta = vec![
             (NodeId::new(1), entry(5, 1.25)),
             (NodeId::new(3), entry(12, -7.5)),
+        ];
+        let in_range = vec![
+            (NodeId::new(33), entry(5, 1.25)),
+            (NodeId::new(35), entry(12, -7.5)),
         ];
         for msg in [
             AeMsg::SynReq {
@@ -229,12 +376,17 @@ mod tests {
                 start: 32,
                 stamps: vec![0, 7, 0, 9],
             },
+            AeMsg::RangeSyn {
+                n: 64,
+                start: 32,
+                stamps: vec![0; 4],
+            },
             AeMsg::RangeAck {
                 n: 64,
                 start: 32,
                 len: 4,
                 want: 0b1010,
-                delta: delta.clone(),
+                delta: in_range.clone(),
             },
             AeMsg::RangeAck {
                 n: 64,
@@ -246,16 +398,37 @@ mod tests {
         ] {
             assert_eq!(round_trip(&msg), msg);
         }
-        // A 32-slot range ack costs its header and its entries, no stamps.
-        let ack = |k: usize| AeMsg::RangeAck {
+    }
+
+    #[test]
+    fn range_legs_cost_what_the_layout_doc_says() {
+        // A 32-slot range syn at 23-bit codes: 10 header bytes, a 9-byte
+        // run header and 3 bytes per slot (it was 269 at 8 bytes a stamp).
+        let base = 40_000_000;
+        let stamps: Vec<u64> = (0..32).map(|k| base + k * 200_000).collect();
+        assert_eq!(StampRun::of_stamps(&stamps).width(), 23);
+        let syn = AeMsg::RangeSyn {
+            n: 256,
+            start: 64,
+            stamps,
+        };
+        assert_eq!(payload_bytes(&syn), 115);
+        assert_eq!(round_trip(&syn), syn);
+        // A 32-slot range ack: its header, then 9 bytes of run and 12 per
+        // entry at 23-bit codes (it was 22 + 20 per entry).
+        let ack = |k: u64| AeMsg::RangeAck {
             n: 1 << 20,
             start: 64,
             len: 32,
             want: 0xFFFF_0000,
-            delta: delta.iter().copied().cycle().take(k).collect(),
+            delta: (0..k)
+                .map(|i| (NodeId::new(64 + i as usize), entry(base + i * 200_000, 0.5)))
+                .collect(),
         };
-        for k in [0, 1, 2, 32] {
-            assert_eq!(payload_bytes(&ack(k)), 22 + 20 * k);
+        assert_eq!(payload_bytes(&ack(0)), 22);
+        for k in [2, 32] {
+            assert_eq!(payload_bytes(&ack(k)), 22 + 9 + 12 * k as usize);
+            assert_eq!(round_trip(&ack(k)), ack(k));
         }
     }
 
@@ -303,10 +476,9 @@ mod tests {
 
     #[test]
     fn digests_cost_bytes_only_for_known_origins() {
-        // The satellite bugfix in one assertion: the wire size of a digest
-        // is a function of what the replica *knows*, not of n — a
-        // rejoiner's opener is 9 bytes whether the network has ten nodes
-        // or a million.
+        // The wire size of a digest is a function of what the replica
+        // *knows*, not of n — a rejoiner's opener is 9 bytes whether the
+        // network has ten nodes or a million.
         let rejoiner = AeMsg::SynReq {
             n: 1_000_000,
             digest: Vec::new(),
@@ -316,6 +488,7 @@ mod tests {
             n: 1_000_000,
             digest: vec![(NodeId::new(123_456), 7)],
         };
-        assert_eq!(payload_bytes(&one_known), 9 + 12);
+        // The origin, a run header and one 1-byte code.
+        assert_eq!(payload_bytes(&one_known), 9 + 4 + 9 + 1);
     }
 }

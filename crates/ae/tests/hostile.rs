@@ -14,7 +14,9 @@
 use gossip_ae::protocol::{AeConfig, AeMsg, AeNode, DigestMode};
 use gossip_ae::store::{Entry, Store};
 use gossip_ae::{reconcile, MAX_RANGE_SLOTS};
-use gossip_net::{decode_frame, encode_frame, Mailbox, NodeId, Phase, TimerId, WireError};
+use gossip_net::{
+    decode_frame, encode_frame, Mailbox, NodeId, Phase, TimerId, WireError, WireMsg, WireReader,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -367,6 +369,127 @@ fn range_acks_past_a_want_word_or_cut_short_fail_to_decode() {
             "cut at {cut}"
         );
     }
+}
+
+#[test]
+fn range_syns_past_a_want_word_fail_to_decode() {
+    // Width-0 codes (an all-absent range) take no bytes, so without the
+    // length check a hostile length would pass `check_len` and allocate.
+    for stamps in [vec![0; MAX_RANGE_SLOTS + 1], vec![0; 200], vec![7; 255]] {
+        let len = stamps.len();
+        let syn = AeMsg::RangeSyn {
+            n: 1 << 10,
+            start: 0,
+            stamps,
+        };
+        assert_eq!(
+            decode_frame::<AeMsg>(&encode_frame(NodeId::new(1), &syn)),
+            Err(WireError::BadLength { claimed: len })
+        );
+    }
+    let syn = AeMsg::RangeSyn {
+        n: 1 << 10,
+        start: 0,
+        stamps: vec![0; MAX_RANGE_SLOTS],
+    };
+    assert!(decode_frame::<AeMsg>(&encode_frame(NodeId::new(1), &syn)).is_ok());
+}
+
+/// Payload offsets of a range syn's run: tag, arity, start, length, then
+/// the `u64` base, the width byte and the codes.
+const SYN_WIDTH_AT: usize = 1 + 4 + 4 + 1 + 8;
+
+#[test]
+fn run_widths_above_eight_bytes_fail_to_decode() {
+    let syn = AeMsg::RangeSyn {
+        n: 64,
+        start: 0,
+        stamps: vec![5, 0, 6],
+    };
+    let mut bytes = syn.to_wire_bytes();
+    assert_eq!(bytes[SYN_WIDTH_AT], 1, "codes 1..2 take one byte");
+    for width in [9u8, 64, u8::MAX] {
+        bytes[SYN_WIDTH_AT] = width;
+        // Pad so the claimed codes would be there: only the width is wrong.
+        let mut padded = bytes.clone();
+        padded.resize(SYN_WIDTH_AT + 1 + 3 * usize::from(width), 0);
+        assert_eq!(
+            AeMsg::decode(&mut WireReader::new(&padded)),
+            Err(WireError::OutOfRange {
+                value: width.into()
+            })
+        );
+    }
+}
+
+#[test]
+fn codes_that_overflow_their_base_fail_to_decode() {
+    let syn = AeMsg::RangeSyn {
+        n: 64,
+        start: 0,
+        stamps: vec![u64::MAX - 1, u64::MAX],
+    };
+    let mut bytes = syn.to_wire_bytes();
+    let codes = SYN_WIDTH_AT + 1;
+    assert_eq!(&bytes[codes..], [1, 2], "the top stamp is the top code");
+    assert_eq!(AeMsg::decode(&mut WireReader::new(&bytes)), Ok(syn));
+    bytes[codes + 1] = 3; // one past u64::MAX
+    assert_eq!(
+        AeMsg::decode(&mut WireReader::new(&bytes)),
+        Err(WireError::OutOfRange { value: 3 })
+    );
+}
+
+#[test]
+fn range_ack_offsets_outside_the_range_fail_to_decode() {
+    let entry = Entry {
+        stamp: 3,
+        value: 1.0,
+    };
+    // Tag, arity, start, length, want, count, run header: then the first
+    // entry's slot offset.
+    let offset_at = 1 + 4 + 4 + 1 + 8 + 4 + 9;
+    for (start, len, offset, origin) in [
+        (8u32, 4u8, 4u8, 12u64),       // offset = len
+        (8, 4, u8::MAX, 8 + 255),      // far past the length
+        (u32::MAX - 1, 4, 2, 1 << 32), // start + offset past u32
+    ] {
+        let ack = AeMsg::RangeAck {
+            n: 1 << 10,
+            start,
+            len,
+            want: 0,
+            delta: vec![(NodeId(start + 1), entry)],
+        };
+        let mut bytes = ack.to_wire_bytes();
+        assert_eq!(bytes[offset_at], 1);
+        assert_eq!(AeMsg::decode(&mut WireReader::new(&bytes)), Ok(ack));
+        bytes[offset_at] = offset;
+        assert_eq!(
+            AeMsg::decode(&mut WireReader::new(&bytes)),
+            Err(WireError::OutOfRange { value: origin })
+        );
+    }
+}
+
+#[test]
+fn version_one_frames_are_refused() {
+    // A pre-codec peer's Delta: fixed-width stamps under version 1. Read
+    // as stamp runs it could decode as well-formed with a wrong stamp, and
+    // the max-stamp merge would keep a bogus far-future stamp forever, so
+    // the frame layer refuses the version before the payload is parsed.
+    assert_eq!(gossip_net::WIRE_VERSION, 2);
+    let mut payload = vec![2u8]; // TAG_DELTA
+    payload.extend_from_slice(&1u32.to_le_bytes()); // one entry
+    payload.extend_from_slice(&3u32.to_le_bytes()); // origin
+    payload.extend_from_slice(&7_000_000u64.to_le_bytes()); // stamp
+    payload.extend_from_slice(&2.5f64.to_le_bytes()); // value
+    let mut frame = gossip_net::frame_with_payload(NodeId::new(1), &payload);
+    frame[2] = 1;
+    assert_eq!(
+        decode_frame::<AeMsg>(&frame),
+        Err(WireError::VersionMismatch { found: 1 })
+    );
 }
 
 #[test]

@@ -138,15 +138,22 @@ fn modelled_digest_accounting_agrees_with_the_wire() {
     };
     assert_eq!(host.handler().store().known(), 1, "nothing answered yet");
     let frame_bytes = (FRAME_HEADER_BYTES + payload_bytes(&expected)) as u64;
-    assert_eq!(frame_bytes, 12 + 21, "one pair = 21 payload bytes");
+    assert_eq!(
+        frame_bytes,
+        12 + 23,
+        "one pair = tag, arity, count, origin, a 9-byte run header and a 1-byte code"
+    );
     assert_eq!(
         stats.bytes_sent,
         frame_bytes * stats.datagrams_sent,
         "wire bytes are exactly the sparse encoding, datagram for datagram"
     );
     // And the modelled ledger charged the same sparse shape: tag + arity
-    // + one (id_bits + stamp) pair per send.
-    let modelled_bits = u64::from(8 + 32 + (id_bits + gossip_ae::STAMP_BITS));
+    // + one origin + a one-code stamp run (base, width byte, a 1-bit code)
+    // per send.
+    let run = gossip_ae::StampRun::HEADER_BITS + 1;
+    assert_eq!(run, gossip_ae::STAMP_BITS + 8 + 1);
+    let modelled_bits = u64::from(8 + 32 + id_bits + run);
     assert_eq!(
         host.metrics().total_bits(),
         modelled_bits * stats.datagrams_sent,
@@ -161,14 +168,22 @@ fn modelled_digest_accounting_agrees_with_the_wire() {
 const BIG_ORIGINS: usize = 12_000;
 const BIG_HOSTS: usize = 16;
 
+/// The synthetic stamp of `origin`, spread across the `u64` range: the
+/// stamp codec's worst case, where every code takes 8 bytes, so a digest
+/// pair is 12 bytes and a delta entry 20, and the dense digest crosses the
+/// datagram ceiling at ≈ 5,400 known origins.
+fn big_stamp(origin: usize) -> u64 {
+    (1 + origin as u64) << 48
+}
+
 /// A node of the at-scale cluster: its own entry plus a deterministic
 /// shard of synthetic origins (origin o lives at host o mod BIG_HOSTS),
 /// so the union over hosts covers all BIG_ORIGINS and full convergence
 /// means every host holds every origin.
-fn big_node(me: NodeId, mode: DigestMode) -> AeNode {
+fn big_node(me: NodeId, mode: DigestMode, tick_us: u64) -> AeNode {
     let sim = SimConfig::new(BIG_ORIGINS).with_value_range(10_000.0);
     let ae = AeConfig::default()
-        .with_tick_us(2_000)
+        .with_tick_us(tick_us)
         .with_update_us(0)
         .with_expiry_us(0)
         .with_digest_mode(mode)
@@ -178,7 +193,7 @@ fn big_node(me: NodeId, mode: DigestMode) -> AeNode {
         node.seed_entry(
             NodeId::new(origin),
             Entry {
-                stamp: 1 + origin as u64,
+                stamp: big_stamp(origin),
                 value: (origin as f64) * 0.5,
             },
         );
@@ -195,15 +210,18 @@ fn merkle_mode_converges_where_a_dense_digest_cannot_fit_a_datagram() {
     // arity does not fit one UDP datagram even in sparse form.
     let full_digest = AeMsg::SynReq {
         n: BIG_ORIGINS as u32,
-        digest: (0..BIG_ORIGINS).map(|i| (NodeId::new(i), 1)).collect(),
+        digest: (0..BIG_ORIGINS)
+            .map(|i| (NodeId::new(i), big_stamp(i)))
+            .collect(),
     };
     assert!(
-        payload_bytes(&full_digest) > MAX_PAYLOAD_BYTES,
-        "premise: a full dense digest at n = {BIG_ORIGINS} exceeds a datagram"
+        payload_bytes(&full_digest) > 2 * MAX_PAYLOAD_BYTES,
+        "premise: a full dense digest at n = {BIG_ORIGINS} exceeds two datagrams"
     );
 
-    let mut cluster = LoopbackCluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Merkle))
-        .expect("bind loopback cluster");
+    let mut cluster =
+        LoopbackCluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Merkle, 2_000))
+            .expect("bind loopback cluster");
     let elapsed = cluster.run_until(Duration::from_secs(120), |hosts| {
         hosts
             .iter()
@@ -247,23 +265,33 @@ fn dense_mode_jams_on_oversize_digests_at_the_same_scale() {
     // the datagram ceiling mid-run, and from then on the exchange legs
     // are dropped *before* the kernel — counted as send_oversize (the
     // satellite bugfix: previously this was an encode panic or a raw OS
-    // error masquerading as loss). The cluster must fail to converge.
-    let mut cluster = LoopbackCluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Dense))
-        .expect("bind loopback cluster");
-    let converged = cluster.run_until(Duration::from_secs(8), |hosts| {
-        hosts
-            .iter()
-            .all(|h| h.handler().store().known() == BIG_ORIGINS)
+    // error masquerading as loss). No host can complete: below ≈ 5,400
+    // known origins (where its own digest still fits) it lacks ≥ 6,600,
+    // and 6,600 entries are 132 KB, more than one leg can carry.
+    //
+    // Driven by counts, not by a wall-clock span: pump until the jam is
+    // counted at a sender (the time cap only bounds a failing run), then a
+    // fixed number of busy passes more. Ticks are 20 ms: a 5,000-pair
+    // dense tick can outlast 2 ms in a debug build, and a periodic timer
+    // whose callback outlasts its period fires back to back.
+    let mut cluster =
+        LoopbackCluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Dense, 20_000))
+            .expect("bind loopback cluster");
+    let jammed = cluster.run_until(Duration::from_secs(300), |hosts| {
+        hosts.iter().any(|h| h.stats().send_oversize > 0)
     });
     assert!(
-        converged.is_none(),
-        "a dense digest beyond one datagram cannot fully reconcile"
-    );
-    let totals = cluster.total_stats();
-    assert!(
-        totals.send_oversize > 0,
+        jammed.is_some(),
         "oversize digests were detected and counted at the sender"
     );
+    let mut busy = 0;
+    while busy < 200 {
+        if cluster.poll() > 0 {
+            busy += 1;
+        } else {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
     assert!(
         cluster
             .iter_handlers()

@@ -51,4 +51,4 @@ pub use state::{
     supersedes, Liveness, MemberTable, PeerRecord, Transition, Update, UPDATE_WIRE_BYTES,
 };
 pub use swim::{Member, MemberConfig, MemberMsg, MemberStats, MEMBER_TIMER_RTT, MEMBER_TIMER_TICK};
-pub use wire::payload_bytes;
+pub use wire::{payload_bytes, MAX_UPDATES};

@@ -40,6 +40,7 @@
 //! fits the budget.
 
 use crate::state::{Liveness, MemberTable, Transition, Update, UPDATE_WIRE_BYTES};
+use crate::wire::{MAX_UPDATES, UPDATES_LEN_BYTES};
 use gossip_net::{sample_from_view, stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
 use gossip_obs::{Histogram, Registry, TraceReason};
 use rand::Rng;
@@ -63,8 +64,6 @@ const JOIN_BASE_BYTES: usize = 1;
 const JOIN_ACK_BASE_BYTES: usize = 1;
 const LEAVE_BASE_BYTES: usize = 1 + 8;
 const APP_BASE_BYTES: usize = 1;
-/// A `Vec<Update>` costs a u32 length prefix plus its entries.
-const VEC_LEN_BYTES: usize = 4;
 
 /// Tuning knobs for the detector and disseminator.
 #[derive(Clone, Debug)]
@@ -81,7 +80,8 @@ pub struct MemberConfig {
     /// Fresh targets pinged per period. 1 is classic SWIM; raising it
     /// tightens the detection-latency tail at proportional message cost.
     pub probe_fanout: usize,
-    /// Hard cap on rumors per datagram (further capped by `budget_bytes`).
+    /// Hard cap on rumors per datagram (further capped by `budget_bytes`
+    /// and by the wire's one-byte count, [`MAX_UPDATES`]).
     pub piggyback_limit: usize,
     /// Retire a rumor after this many transmissions (0 = auto:
     /// `3·⌈log2(n+1)⌉`, the classic λ log n dissemination bound).
@@ -425,9 +425,9 @@ impl Core {
         let room = self
             .cfg
             .budget_bytes
-            .saturating_sub(base_bytes + VEC_LEN_BYTES)
+            .saturating_sub(base_bytes + UPDATES_LEN_BYTES)
             / UPDATE_WIRE_BYTES;
-        let take = room.min(self.cfg.piggyback_limit);
+        let take = room.min(self.cfg.piggyback_limit).min(MAX_UPDATES);
         let ups = self.table.next_piggyback(take);
         self.stats.updates_piggybacked += ups.len() as u64;
         ups
@@ -443,7 +443,7 @@ impl Core {
         make: impl FnOnce(Vec<Update>) -> MemberMsg<M>,
     ) {
         let updates = self.piggyback_for(base_bytes);
-        let bytes = base_bytes + VEC_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
+        let bytes = base_bytes + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
         mailbox.send(to, Phase::Membership, (bytes * 8) as u32, make(updates));
     }
 
@@ -562,7 +562,7 @@ impl Core {
             state: Liveness::Alive,
         };
         let updates = vec![self_claim];
-        let bytes = JOIN_BASE_BYTES + VEC_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
+        let bytes = JOIN_BASE_BYTES + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
         mailbox.send(
             seed,
             Phase::Membership,
@@ -845,12 +845,12 @@ impl<H: Handler> Handler for Member<H> {
                     .core
                     .cfg
                     .budget_bytes
-                    .saturating_sub(JOIN_ACK_BASE_BYTES + VEC_LEN_BYTES)
+                    .saturating_sub(JOIN_ACK_BASE_BYTES + UPDATES_LEN_BYTES)
                     / UPDATE_WIRE_BYTES;
-                for chunk in snapshot.chunks(per_chunk.max(1)) {
+                for chunk in snapshot.chunks(per_chunk.clamp(1, MAX_UPDATES)) {
                     let updates = chunk.to_vec();
                     let bytes =
-                        JOIN_ACK_BASE_BYTES + VEC_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
+                        JOIN_ACK_BASE_BYTES + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
                     mailbox.send(
                         from,
                         Phase::Membership,
@@ -979,7 +979,7 @@ impl<M> Mailbox<M> for MemberMailbox<'_, M> {
     fn send(&mut self, to: NodeId, phase: Phase, bits: u32, msg: M) {
         let payload_bytes = (bits as usize).div_ceil(8);
         let updates = self.core.piggyback_for(APP_BASE_BYTES + payload_bytes);
-        let overhead_bytes = APP_BASE_BYTES + VEC_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
+        let overhead_bytes = APP_BASE_BYTES + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
         self.outer.send(
             to,
             phase,

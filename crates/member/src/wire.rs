@@ -2,8 +2,9 @@
 //! unchanged on the real-socket host (`gossip-node`).
 //!
 //! The layout mirrors the modelled sizing exactly: a one-byte tag, the
-//! variant's fixed fields, then the piggybacked rumor vector (u32 count +
-//! 13 bytes per [`Update`]: u32 id, u64 incarnation, u8 state). The
+//! variant's fixed fields, then the piggybacked rumor vector (a `u8` count,
+//! so at most [`MAX_UPDATES`] rumors a message, then 13 bytes per
+//! [`Update`]: u32 id, u64 incarnation, u8 state). The
 //! [`payload_bytes`] helper is the byte-length twin of the encoder —
 //! pinned equal to `to_wire_bytes().len()` by the property suite — which
 //! is what the piggyback budget arithmetic in `swim.rs` relies on to keep
@@ -29,6 +30,25 @@ const TAG_JOIN: u8 = 3;
 const TAG_JOIN_ACK: u8 = 4;
 const TAG_LEAVE: u8 = 5;
 const TAG_APP: u8 = 6;
+
+/// Most rumors one message carries: the count travels as one byte.
+pub const MAX_UPDATES: usize = u8::MAX as usize;
+/// Wire bytes of the rumor count.
+pub(crate) const UPDATES_LEN_BYTES: usize = 1;
+
+fn put_updates(w: &mut WireWriter, updates: &[Update]) {
+    let k = u8::try_from(updates.len()).expect("at most MAX_UPDATES rumors per message");
+    w.put_u8(k);
+    for update in updates {
+        update.encode(w);
+    }
+}
+
+fn take_updates(r: &mut WireReader<'_>) -> Result<Vec<Update>, WireError> {
+    let k = usize::from(r.take_u8()?);
+    r.check_len(k, UPDATE_WIRE_BYTES)?;
+    (0..k).map(|_| Update::decode(r)).collect()
+}
 
 impl WireMsg for Update {
     fn encode(&self, w: &mut WireWriter) {
@@ -61,7 +81,7 @@ impl<M: WireMsg> WireMsg for MemberMsg<M> {
                 w.put_u8(TAG_PING);
                 w.put_u64(*seq);
                 origin.encode(w);
-                updates.encode(w);
+                put_updates(w, updates);
             }
             MemberMsg::Ack {
                 seq,
@@ -71,7 +91,7 @@ impl<M: WireMsg> WireMsg for MemberMsg<M> {
                 w.put_u8(TAG_ACK);
                 w.put_u64(*seq);
                 origin.encode(w);
-                updates.encode(w);
+                put_updates(w, updates);
             }
             MemberMsg::PingReq {
                 seq,
@@ -81,15 +101,15 @@ impl<M: WireMsg> WireMsg for MemberMsg<M> {
                 w.put_u8(TAG_PING_REQ);
                 w.put_u64(*seq);
                 target.encode(w);
-                updates.encode(w);
+                put_updates(w, updates);
             }
             MemberMsg::Join { updates } => {
                 w.put_u8(TAG_JOIN);
-                updates.encode(w);
+                put_updates(w, updates);
             }
             MemberMsg::JoinAck { updates } => {
                 w.put_u8(TAG_JOIN_ACK);
-                updates.encode(w);
+                put_updates(w, updates);
             }
             MemberMsg::Leave {
                 incarnation,
@@ -97,12 +117,12 @@ impl<M: WireMsg> WireMsg for MemberMsg<M> {
             } => {
                 w.put_u8(TAG_LEAVE);
                 w.put_u64(*incarnation);
-                updates.encode(w);
+                put_updates(w, updates);
             }
             MemberMsg::App { payload, updates } => {
                 w.put_u8(TAG_APP);
                 payload.encode(w);
-                updates.encode(w);
+                put_updates(w, updates);
             }
         }
     }
@@ -112,31 +132,31 @@ impl<M: WireMsg> WireMsg for MemberMsg<M> {
             TAG_PING => Ok(MemberMsg::Ping {
                 seq: r.take_u64()?,
                 origin: NodeId::decode(r)?,
-                updates: Vec::<Update>::decode(r)?,
+                updates: take_updates(r)?,
             }),
             TAG_ACK => Ok(MemberMsg::Ack {
                 seq: r.take_u64()?,
                 origin: NodeId::decode(r)?,
-                updates: Vec::<Update>::decode(r)?,
+                updates: take_updates(r)?,
             }),
             TAG_PING_REQ => Ok(MemberMsg::PingReq {
                 seq: r.take_u64()?,
                 target: NodeId::decode(r)?,
-                updates: Vec::<Update>::decode(r)?,
+                updates: take_updates(r)?,
             }),
             TAG_JOIN => Ok(MemberMsg::Join {
-                updates: Vec::<Update>::decode(r)?,
+                updates: take_updates(r)?,
             }),
             TAG_JOIN_ACK => Ok(MemberMsg::JoinAck {
-                updates: Vec::<Update>::decode(r)?,
+                updates: take_updates(r)?,
             }),
             TAG_LEAVE => Ok(MemberMsg::Leave {
                 incarnation: r.take_u64()?,
-                updates: Vec::<Update>::decode(r)?,
+                updates: take_updates(r)?,
             }),
             TAG_APP => Ok(MemberMsg::App {
                 payload: M::decode(r)?,
-                updates: Vec::<Update>::decode(r)?,
+                updates: take_updates(r)?,
             }),
             tag => Err(WireError::BadTag { tag }),
         }
@@ -147,7 +167,7 @@ impl<M: WireMsg> WireMsg for MemberMsg<M> {
 /// wrapped payload for [`MemberMsg::App`] (`app_payload_bytes` is ignored
 /// for control variants). The size-twin of [`WireMsg::encode`].
 pub fn payload_bytes<M: WireMsg>(msg: &MemberMsg<M>, app_payload_bytes: usize) -> usize {
-    let updates_bytes = 4 + UPDATE_WIRE_BYTES * msg.updates().len();
+    let updates_bytes = UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * msg.updates().len();
     match msg {
         MemberMsg::Ping { .. } | MemberMsg::Ack { .. } | MemberMsg::PingReq { .. } => {
             1 + 8 + 4 + updates_bytes
@@ -213,6 +233,44 @@ mod tests {
             payload: 0xDEAD_BEEF_u64,
             updates: ups(),
         });
+    }
+
+    #[test]
+    fn rumor_counts_travel_in_one_byte() {
+        let full = MemberMsg::<u64>::JoinAck {
+            updates: ups().into_iter().cycle().take(MAX_UPDATES).collect(),
+        };
+        round_trip(full.clone());
+        assert_eq!(
+            payload_bytes(&full, 0),
+            1 + 1 + MAX_UPDATES * UPDATE_WIRE_BYTES
+        );
+        // Every cut of every variant fails to decode, count byte included.
+        let msg = MemberMsg::<u64>::Leave {
+            incarnation: 3,
+            updates: ups(),
+        };
+        let bytes = msg.to_wire_bytes();
+        for cut in 0..bytes.len() {
+            assert!(MemberMsg::<u64>::decode(&mut WireReader::new(&bytes[..cut])).is_err());
+        }
+        // A count claiming more rumors than the bytes behind it hold is
+        // rejected before anything is allocated.
+        let mut bytes = MemberMsg::<u64>::Join { updates: ups() }.to_wire_bytes();
+        bytes[1] = u8::MAX;
+        assert_eq!(
+            MemberMsg::<u64>::decode(&mut WireReader::new(&bytes)),
+            Err(WireError::BadLength { claimed: 255 })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most MAX_UPDATES rumors")]
+    fn more_rumors_than_the_count_byte_refuse_to_encode() {
+        let msg = MemberMsg::<u64>::JoinAck {
+            updates: ups().into_iter().cycle().take(MAX_UPDATES + 1).collect(),
+        };
+        let _ = msg.to_wire_bytes();
     }
 
     #[test]

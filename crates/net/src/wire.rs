@@ -36,8 +36,11 @@ use std::fmt;
 pub const WIRE_MAGIC: u16 = 0xCA75;
 
 /// Current wire-format version. Bump on any incompatible layout change;
-/// the decoder rejects every other version.
-pub const WIRE_VERSION: u8 = 1;
+/// the decoder rejects every other version. Version 2 changed the
+/// anti-entropy and membership payloads (stamp runs, one-byte rumor
+/// counts): a version-1 payload could otherwise decode as well-formed with
+/// wrong stamps.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frame header size in bytes: magic (2) + version (1) + flags (1) +
 /// sender id (4) + payload length (4).
@@ -48,8 +51,8 @@ const LEN_FIELD: std::ops::Range<usize> = 8..FRAME_HEADER_BYTES;
 
 /// Flags bit: the header is followed by a trace context (trace id `u64`
 /// plus hop `u8`) before the payload. Frames without the bit carry no extra
-/// bytes and are byte-identical to version-1 frames from builds that
-/// predate tracing — the feature is opt-in per frame, not a version bump.
+/// bytes and are byte-identical to frames from builds that predate
+/// tracing — the feature is opt-in per frame, not a version bump.
 pub const FLAG_TRACE: u8 = 0x01;
 
 /// Flags bit: the frame is authenticated — [`AUTH_TAG_BYTES`] of
@@ -128,6 +131,13 @@ pub enum WireError {
         /// The claimed element count.
         claimed: usize,
     },
+    /// A field decoded to a value its layout rules out: a stamp-run width
+    /// byte above 8, a stamp code that overflows its run's base, a slot
+    /// offset outside its range.
+    OutOfRange {
+        /// The offending value.
+        value: u64,
+    },
     /// The flags byte carries a bit this build does not understand (see
     /// [`KNOWN_FLAGS`]): the frame cannot be parsed safely.
     BadFlags {
@@ -167,6 +177,7 @@ impl fmt::Display for WireError {
                     "collection length {claimed} cannot fit the remaining bytes"
                 )
             }
+            WireError::OutOfRange { value } => write!(f, "field value {value} out of range"),
             WireError::BadFlags { found } => {
                 write!(
                     f,
@@ -230,6 +241,16 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append the low `bytes` bytes of `v` (little-endian, `bytes` ≤ 8):
+    /// an unsigned integer at the width its range needs.
+    pub fn put_uint(&mut self, v: u64, bytes: usize) {
+        debug_assert!(
+            bytes == 8 || v >> (8 * bytes) == 0,
+            "{v} needs more than {bytes} bytes"
+        );
+        self.buf.extend_from_slice(&v.to_le_bytes()[..bytes]);
+    }
+
     /// Append an `f64` as its IEEE-754 bit pattern (bit-exact round-trip,
     /// NaN payloads included).
     pub fn put_f64(&mut self, v: f64) {
@@ -290,6 +311,14 @@ impl<'a> WireReader<'a> {
     /// Read a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Read a little-endian unsigned integer of `bytes` bytes (`bytes` ≤ 8),
+    /// the counterpart of [`WireWriter::put_uint`].
+    pub fn take_uint(&mut self, bytes: usize) -> Result<u64, WireError> {
+        let mut le = [0u8; 8];
+        le[..bytes].copy_from_slice(self.take(bytes)?);
+        Ok(u64::from_le_bytes(le))
     }
 
     /// Read an `f64` from its bit pattern.
@@ -774,6 +803,24 @@ mod tests {
     }
 
     #[test]
+    fn variable_width_integers_round_trip() {
+        let mut w = WireWriter::new();
+        for (v, bytes) in [(0, 0), (0xAB, 1), (0x01_0203, 3), (u64::MAX, 8)] {
+            w.put_uint(v, bytes);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 3 + 8);
+        let mut r = WireReader::new(&bytes);
+        for (v, bytes) in [(0, 0), (0xAB, 1), (0x01_0203, 3), (u64::MAX, 8)] {
+            assert_eq!(r.take_uint(bytes), Ok(v));
+        }
+        assert_eq!(
+            r.take_uint(1),
+            Err(WireError::Truncated { need: 1, have: 0 })
+        );
+    }
+
+    #[test]
     fn composites_round_trip() {
         type Composite = (u32, Vec<(NodeId, f64)>, Option<u64>);
         let value: Composite = (
@@ -834,6 +881,13 @@ mod tests {
             Err(WireError::VersionMismatch {
                 found: WIRE_VERSION + 1
             })
+        );
+        // A version-1 frame: its payload layouts predate stamp runs.
+        let mut frame = encode_frame(NodeId::new(0), &42u64);
+        frame[2] = 1;
+        assert_eq!(
+            decode_frame::<u64>(&frame),
+            Err(WireError::VersionMismatch { found: 1 })
         );
         let mut frame = encode_frame(NodeId::new(0), &42u64);
         frame[0] ^= 0xFF;
@@ -896,6 +950,7 @@ mod tests {
             Box::new(WireError::TrailingBytes { extra: 4 }),
             Box::new(WireError::BadTag { tag: 7 }),
             Box::new(WireError::BadLength { claimed: 1 << 40 }),
+            Box::new(WireError::OutOfRange { value: 9 }),
             Box::new(WireError::BadFlags { found: 0x80 }),
             Box::new(WireError::BadAuthTag),
             Box::new(WireError::AuthRequired),

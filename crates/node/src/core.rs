@@ -90,7 +90,7 @@ pub struct NodeStats {
     /// *before* `send_to`, counted, and dropped — the kernel would reject
     /// the datagram with a raw OS error that is easy to mistake for loss.
     /// A non-zero count means the protocol's messages outgrew the
-    /// transport (e.g. a dense anti-entropy digest at n ≳ 5,500); the fix
+    /// transport (e.g. a dense anti-entropy digest at n ≳ 10,000); the fix
     /// is a protocol that fragments, such as Merkle-mode `gossip-ae`.
     pub send_oversize: u64,
     /// Datagrams received.
