@@ -14,7 +14,7 @@ use gossip_ae::signal::SignalModel;
 use gossip_ae::store::Entry;
 use gossip_ae::wire::payload_bytes;
 use gossip_net::{NodeId, SimConfig, FRAME_HEADER_BYTES, MAX_PAYLOAD_BYTES};
-use gossip_node::LoopbackCluster;
+use gossip_node::Cluster;
 use gossip_runtime::{AsyncConfig, LatencyModel};
 use std::time::Duration;
 
@@ -67,12 +67,12 @@ fn anti_entropy_reconciles_over_real_udp_and_matches_the_simulator() {
     // The same AeNode over real sockets.
     let id_bits = sim.id_bits();
     let value_bits = sim.value_bits();
-    let mut cluster = LoopbackCluster::bind(n, seed, move |me| {
+    let mut cluster = Cluster::bind(n, seed, move |me| {
         AeNode::new(me, n, id_bits, value_bits, ae)
     })
     .expect("bind loopback cluster");
-    let elapsed = cluster.run_until(Duration::from_secs(30), |hosts| {
-        hosts.iter().all(|h| h.handler().store().known() == n)
+    let elapsed = cluster.run_until(Duration::from_secs(30), move |h| {
+        h.handler().store().known() == n
     });
     assert!(
         elapsed.is_some(),
@@ -114,9 +114,8 @@ fn modelled_digest_accounting_agrees_with_the_wire() {
     let sim = SimConfig::new(n);
     let id_bits = sim.id_bits();
     let value_bits = sim.value_bits();
-    let mut cluster =
-        LoopbackCluster::bind(n, 23, move |me| AeNode::new(me, n, id_bits, value_bits, ae))
-            .expect("bind loopback cluster");
+    let mut cluster = Cluster::bind(n, 23, move |me| AeNode::new(me, n, id_bits, value_bits, ae))
+        .expect("bind loopback cluster");
 
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     while cluster.host(NodeId::new(0)).stats().datagrams_sent < 3 {
@@ -219,13 +218,10 @@ fn merkle_mode_converges_where_a_dense_digest_cannot_fit_a_datagram() {
         "premise: a full dense digest at n = {BIG_ORIGINS} exceeds two datagrams"
     );
 
-    let mut cluster =
-        LoopbackCluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Merkle, 2_000))
-            .expect("bind loopback cluster");
-    let elapsed = cluster.run_until(Duration::from_secs(120), |hosts| {
-        hosts
-            .iter()
-            .all(|h| h.handler().store().known() == BIG_ORIGINS)
+    let mut cluster = Cluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Merkle, 2_000))
+        .expect("bind loopback cluster");
+    let elapsed = cluster.run_until(Duration::from_secs(120), |h| {
+        h.handler().store().known() == BIG_ORIGINS
     });
     assert!(
         elapsed.is_some(),
@@ -270,20 +266,22 @@ fn dense_mode_jams_on_oversize_digests_at_the_same_scale() {
     // and 6,600 entries are 132 KB, more than one leg can carry.
     //
     // Driven by counts, not by a wall-clock span: pump until the jam is
-    // counted at a sender (the time cap only bounds a failing run), then a
+    // counted at a sender (the pass cap only bounds a failing run), then a
     // fixed number of busy passes more. Ticks are 20 ms: a 5,000-pair
-    // dense tick can outlast 2 ms in a debug build, and a periodic timer
-    // whose callback outlasts its period fires back to back.
-    let mut cluster =
-        LoopbackCluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Dense, 20_000))
-            .expect("bind loopback cluster");
-    let jammed = cluster.run_until(Duration::from_secs(300), |hosts| {
-        hosts.iter().any(|h| h.stats().send_oversize > 0)
-    });
-    assert!(
-        jammed.is_some(),
-        "oversize digests were detected and counted at the sender"
-    );
+    // dense tick can outlast 2 ms in a debug build.
+    let mut cluster = Cluster::bind(BIG_HOSTS, 31, |me| big_node(me, DigestMode::Dense, 20_000))
+        .expect("bind loopback cluster");
+    let mut passes = 0;
+    while cluster.total_stats().send_oversize == 0 {
+        assert!(
+            passes < 1_000_000,
+            "oversize digests were detected and counted at the sender"
+        );
+        if cluster.poll() == 0 {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        passes += 1;
+    }
     let mut busy = 0;
     while busy < 200 {
         if cluster.poll() > 0 {
@@ -317,9 +315,8 @@ fn a_late_joiner_pulls_the_whole_state_over_the_wire() {
         .with_expiry_us(0);
     let id_bits = sim.id_bits();
     let value_bits = sim.value_bits();
-    let mut cluster =
-        LoopbackCluster::bind(n, 5, move |me| AeNode::new(me, n, id_bits, value_bits, ae))
-            .expect("bind loopback cluster");
+    let mut cluster = Cluster::bind(n, 5, move |me| AeNode::new(me, n, id_bits, value_bits, ae))
+        .expect("bind loopback cluster");
 
     // Phase 1: everyone but the late joiner. Its host is never pumped, so
     // its handler never runs and it knows nothing; peers' sends to it sit
@@ -347,8 +344,8 @@ fn a_late_joiner_pulls_the_whole_state_over_the_wire() {
 
     // Phase 2: the late joiner starts participating (the cluster pump
     // polls every host, including the previously idle one).
-    let caught_up = cluster.run_until(Duration::from_secs(30), |hosts| {
-        hosts.iter().all(|h| h.handler().store().known() == n)
+    let caught_up = cluster.run_until(Duration::from_secs(30), move |h| {
+        h.handler().store().known() == n
     });
     assert!(
         caught_up.is_some(),

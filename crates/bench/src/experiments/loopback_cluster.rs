@@ -6,9 +6,10 @@
 //! * **sim** — `ShardedDriver` (one shard) over the discrete-event engine with a
 //!   loopback-shaped latency model (constant 100 µs, no loss), reporting
 //!   *virtual* time to convergence and the modelled message/byte totals;
-//! * **real** — `gossip-node`'s `LoopbackCluster`: n UDP sockets on
-//!   127.0.0.1, real frames, real kernel, reporting *wall-clock* time to
-//!   convergence and the bytes actually handed to the wire.
+//! * **real** — `gossip-node`'s `Cluster`, round-robin on one thread: n
+//!   UDP sockets on 127.0.0.1, real frames, real kernel, reporting
+//!   *wall-clock* time to convergence and the bytes actually handed to the
+//!   wire.
 //!
 //! Convergence = every node holds the exact global maximum. The
 //! comparison this table is after: does the simulator's prediction of
@@ -92,11 +93,11 @@ fn run_real(n: usize, seed: u64) -> std::io::Result<Outcome> {
     let vals = values(n);
     let exact = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let config = handler_config(n);
-    let mut cluster = gossip_node::LoopbackCluster::bind(n, seed, move |me| {
+    let mut cluster = gossip_node::Cluster::bind(n, seed, move |me| {
         MaxGossipHandler::new(me, vals[me.index()], config)
     })?;
-    let elapsed = cluster.run_until(Duration::from_micros(HORIZON_US), |hosts| {
-        hosts.iter().all(|h| h.handler().current_max() == exact)
+    let elapsed = cluster.run_until(Duration::from_micros(HORIZON_US), move |h| {
+        h.handler().current_max() == exact
     });
     let totals = cluster.total_stats();
     Ok(Outcome {
@@ -147,8 +148,8 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
     }
     table.push_note(
         "sim = ShardedDriver, constant 100 µs latency, virtual ms + modelled bytes \
-         (id_bits + value_bits per push); real = gossip-node LoopbackCluster over 127.0.0.1 \
-         UDP, wall-clock ms + actual frame bytes (12-byte header + 8-byte payload per push)",
+         (id_bits + value_bits per push); real = gossip-node Cluster (round-robin) over \
+         127.0.0.1 UDP, wall-clock ms + actual frame bytes (12-byte header + 8-byte payload per push)",
     );
     table.push_note(
         "convergence = every node holds the exact maximum; sim rows are deterministic per \

@@ -14,7 +14,7 @@
 //!   are read from the passive trace ring, so the measurement itself
 //!   moves nothing. Loss is a model parameter, so the false-positive
 //!   column sweeps it directly.
-//! * **real rows** — `gossip-node`'s `LoopbackCluster`: one member stops
+//! * **real rows** — `gossip-node`'s `Cluster`: one member stops
 //!   being polled (a real kill: its socket stays bound, nothing
 //!   answers), survivors run on real UDP until everyone holds a Dead
 //!   record. The loopback wire is loss-free, so real rows double as the
@@ -159,9 +159,8 @@ fn run_real(n: usize, probe_us: u64, seed: u64) -> std::io::Result<Outcome> {
         probe_fanout: 2,
         ..detector_config(probe_us)
     };
-    let mut cluster = gossip_node::LoopbackCluster::bind(n, seed, move |_me| {
-        Member::new(member_config.clone(), Idle)
-    })?;
+    let mut cluster =
+        gossip_node::Cluster::bind(n, seed, move |_me| Member::new(member_config.clone(), Idle))?;
     let period = Duration::from_micros(probe_us);
     cluster.run_for(2 * period); // warmup: everyone probing
     let victim = NodeId::new(n / 2);
@@ -290,7 +289,7 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
     table.push_note(
         "sim = ShardedDriver + crash-only churn at probe-period boundaries; detection read \
          from the passive trace ring (Crash event → first Declared-Dead note); real = \
-         gossip-node LoopbackCluster, one member killed by never polling it again, \
+         gossip-node Cluster (round-robin), one member killed by never polling it again, \
          wall-clock detection until every survivor holds a Dead record",
     );
     table.push_note(

@@ -26,10 +26,11 @@
 //!   `GOSSIP_TEST_SHARDS`, the determinism suite's matrix knob), hours
 //!   of virtual time with crash/rejoin churn and a passive trace ring
 //!   small enough to wrap, so the overwrite path itself is soaked.
-//! * **real row** — `gossip-node`'s `LoopbackCluster` on real UDP with a
-//!   real `/metrics` endpoint scraped over TCP, hostile datagrams
+//! * **real row** — `gossip-node`'s `Cluster` (round-robin) on real UDP
+//!   with a real `/metrics` endpoint scraped over TCP, hostile datagrams
 //!   injected at the sockets, and one member churned (unpolled, then
-//!   resumed) mid-run. Wall-clock bounded; runners without sockets get a
+//!   resumed) mid-run. The page carries one series per `node`; the scrape
+//!   sums them, so the drift check reads cluster totals. Wall-clock bounded; runners without sockets get a
 //!   note instead of a row.
 //!
 //! Any violation fails the process loudly — this experiment doubles as
@@ -96,7 +97,8 @@ impl Snapshot {
 /// Parse a Prometheus 0.0.4 text page into the same shape
 /// [`Snapshot::from_registry`] produces, using the `# TYPE` lines to
 /// classify families (histogram series are skipped; their `_count`/`_sum`
-/// lines belong to the histogram, not to the drift check).
+/// lines belong to the histogram, not to the drift check). Samples are
+/// summed across the `node` label, so a cluster page reads as totals.
 fn parse_prometheus(at_us: u64, text: &str) -> Snapshot {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut snap = Snapshot {
@@ -119,21 +121,36 @@ fn parse_prometheus(at_us: u64, text: &str) -> Snapshot {
             continue;
         };
         let family = key.split('{').next().unwrap_or(key);
+        let Ok(v) = value.parse::<f64>() else {
+            continue;
+        };
         match types.get(family).map(String::as_str) {
             Some("counter") => {
-                if let Ok(v) = value.parse::<f64>() {
-                    snap.counters.insert(key.to_string(), v as u64);
-                }
+                *snap.counters.entry(without_node_label(key)).or_default() += v as u64;
             }
-            Some("gauge") => {
-                if let Ok(v) = value.parse::<f64>() {
-                    snap.gauges.insert(key.to_string(), v);
-                }
-            }
+            Some("gauge") => *snap.gauges.entry(without_node_label(key)).or_default() += v,
             _ => {}
         }
     }
     snap
+}
+
+/// A sample key with its `node` label dropped: `f{leg="x",node="3"}`
+/// becomes `f{leg="x"}`, and `f{node="3"}` becomes `f`.
+fn without_node_label(key: &str) -> String {
+    let Some((family, labels)) = key.split_once('{') else {
+        return key.to_string();
+    };
+    let kept: Vec<&str> = labels
+        .trim_end_matches('}')
+        .split(',')
+        .filter(|pair| !pair.starts_with("node="))
+        .collect();
+    if kept.is_empty() {
+        family.to_string()
+    } else {
+        format!("{family}{{{}}}", kept.join(","))
+    }
 }
 
 /// The drift verdict over a scrape series: every violated flatness
@@ -397,7 +414,7 @@ fn run_sim(n: usize, shards: usize, horizon_us: u64, scrape_us: u64, seed: u64) 
 /// Minimal HTTP GET against the cluster endpoint, pumping the cluster
 /// (minus any churned-out member) so the single-threaded server answers.
 fn http_get(
-    cluster: &mut gossip_node::LoopbackCluster<Soaked>,
+    cluster: &mut gossip_node::Cluster<Soaked>,
     down: Option<NodeId>,
     path: &str,
 ) -> std::io::Result<String> {
@@ -472,8 +489,8 @@ fn run_real(
         .with_expiry_us(0)
         .with_digest_mode(DigestMode::Merkle)
         .with_signal(SignalModel::uniform(0.0, 10_000.0).with_drift_per_s(100.0));
-    let mut cluster = gossip_node::LoopbackCluster::bind(n, seed, soaked_factory(n, probe_us, ae))?
-        .with_trace(1 << 10);
+    let mut cluster =
+        gossip_node::Cluster::bind(n, seed, soaked_factory(n, probe_us, ae))?.with_trace(1 << 10);
     cluster.serve_status(("127.0.0.1", 0))?;
     let member_addrs: Vec<_> = (0..n)
         .map(|i| cluster.host(NodeId::new(i)).local_addr())
@@ -660,8 +677,8 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
 
     table.push_note(
         "sim = ShardedDriver, hours of virtual time, crash/rejoin churn, trace ring sized \
-         to wrap; real = LoopbackCluster on 127.0.0.1 UDP, /metrics scraped over TCP, \
-         hostile datagrams at every scrape, one member unpolled then resumed mid-run",
+         to wrap; real = Cluster (round-robin) on 127.0.0.1 UDP, /metrics scraped over \
+         TCP and summed over nodes, hostile datagrams at every scrape, one member unpolled then resumed mid-run",
     );
     table.push_note(
         "drift verdict: post-warmup occupancy gauges bounded by 1.5× their early steady \
@@ -738,11 +755,15 @@ mod tests {
     #[test]
     fn prometheus_pages_round_trip_into_snapshots() {
         let page = "# HELP a_total things\n# TYPE a_total counter\na_total 42\n\
-                    # HELP g stuff\n# TYPE g gauge\ng{node=\"3\"} 1.5\n\
+                    # HELP g stuff\n# TYPE g gauge\ng{node=\"3\"} 1.5\ng{node=\"4\"} 2.5\n\
+                    # TYPE l_total counter\nl_total{leg=\"x\",node=\"0\"} 1\n\
+                    l_total{leg=\"x\",node=\"1\"} 2\n\
                     # TYPE h histogram\nh_bucket{le=\"1\"} 7\nh_count 7\nh_sum 3\n";
         let snap = parse_prometheus(5, page);
         assert_eq!(snap.counters.get("a_total"), Some(&42));
-        assert_eq!(snap.gauges.get("g{node=\"3\"}"), Some(&1.5));
+        // Per-node series sum into one cluster total; other labels stay.
+        assert_eq!(snap.gauges.get("g"), Some(&4.0));
+        assert_eq!(snap.counters.get("l_total{leg=\"x\"}"), Some(&3));
         // Histogram series stay out of the drift maps.
         assert!(snap.counters.keys().all(|k| !k.starts_with("h_")));
     }

@@ -12,7 +12,7 @@
 
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use gossip_net::{NodeId, SimConfig};
-use gossip_node::LoopbackCluster;
+use gossip_node::Cluster;
 use gossip_runtime::{AsyncConfig, LatencyModel, ShardedDriver};
 use std::time::Duration;
 
@@ -64,12 +64,12 @@ fn max_gossip_converges_over_real_udp_and_matches_the_simulator() {
 
     // The identical handler configuration over real sockets.
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, seed, move |me| {
+    let mut cluster = Cluster::bind(n, seed, move |me| {
         MaxGossipHandler::new(me, vals_for_cluster[me.index()], config)
     })
     .expect("bind loopback cluster");
-    let elapsed = cluster.run_until(Duration::from_secs(30), |hosts| {
-        hosts.iter().all(|h| h.handler().current_max() == sim_max)
+    let elapsed = cluster.run_until(Duration::from_secs(30), move |h| {
+        h.handler().current_max() == sim_max
     });
     assert!(
         elapsed.is_some(),
@@ -115,14 +115,12 @@ fn value_payloads_survive_the_wire_bit_for_bit() {
     };
     let expected = f64::MIN_POSITIVE / 2.0;
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, 7, move |me| {
+    let mut cluster = Cluster::bind(n, 7, move |me| {
         MaxGossipHandler::new(me, vals_for_cluster[me.index()], config)
     })
     .expect("bind loopback cluster");
-    let done = cluster.run_until(Duration::from_secs(20), |hosts| {
-        hosts
-            .iter()
-            .all(|h| h.handler().current_max().to_bits() == expected.to_bits())
+    let done = cluster.run_until(Duration::from_secs(20), move |h| {
+        h.handler().current_max().to_bits() == expected.to_bits()
     });
     assert!(
         done.is_some(),

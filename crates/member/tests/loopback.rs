@@ -15,7 +15,7 @@
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use gossip_member::{Liveness, Member, MemberConfig, MemberMsg, Update};
 use gossip_net::{encode_frame, Handler, NodeId, SimConfig};
-use gossip_node::LoopbackCluster;
+use gossip_node::Cluster;
 use gossip_obs::Registry;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -50,10 +50,10 @@ type Wrapped = Member<MaxGossipHandler>;
 /// Pump every host except `down` (a host never polled is a dead node —
 /// its socket still receives, nothing dispatches) until `done` holds.
 fn pump_survivors(
-    cluster: &mut LoopbackCluster<Wrapped>,
+    cluster: &mut Cluster<Wrapped>,
     down: NodeId,
     timeout: Duration,
-    mut done: impl FnMut(&LoopbackCluster<Wrapped>) -> bool,
+    mut done: impl FnMut(&Cluster<Wrapped>) -> bool,
 ) -> Option<Duration> {
     let started = Instant::now();
     loop {
@@ -92,25 +92,21 @@ fn sixteen_hosts_discover_the_cluster_from_one_seed_and_converge() {
     let member_config =
         MemberConfig::with_seeds(vec![NodeId::new(0)]).with_probe_interval_us(50_000);
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, 0x16D, move |me| {
+    let mut cluster = Cluster::bind(n, 0x16D, move |me| {
         Member::new(member_config.clone(), max_handler(n, me, &vals_for_cluster))
     })
     .expect("bind loopback cluster");
 
-    let discovered = cluster.run_until(Duration::from_secs(30), |hosts| {
-        hosts
-            .iter()
-            .all(|h| h.handler().is_joined() && h.handler().live_view().len() == n - 1)
+    let discovered = cluster.run_until(Duration::from_secs(30), move |h| {
+        h.handler().is_joined() && h.handler().live_view().len() == n - 1
     });
     assert!(
         discovered.is_some(),
         "the cluster never fully discovered itself from one seed"
     );
 
-    let converged = cluster.run_until(Duration::from_secs(30), |hosts| {
-        hosts
-            .iter()
-            .all(|h| h.handler().inner().current_max() == exact)
+    let converged = cluster.run_until(Duration::from_secs(30), move |h| {
+        h.handler().inner().current_max() == exact
     });
     assert!(
         converged.is_some(),
@@ -150,7 +146,7 @@ fn a_killed_member_is_declared_dead_within_three_probe_periods() {
         ..MemberConfig::static_full().with_probe_interval_us(period.as_micros() as u64)
     };
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, 0xDEAD, move |me| {
+    let mut cluster = Cluster::bind(n, 0xDEAD, move |me| {
         Member::new(member_config.clone(), max_handler(n, me, &vals_for_cluster))
     })
     .expect("bind loopback cluster");
@@ -208,7 +204,7 @@ fn a_graceful_leave_spreads_as_dead_without_any_suspicion() {
         ..MemberConfig::static_full().with_probe_interval_us(period.as_micros() as u64)
     };
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, 0x1EA, move |me| {
+    let mut cluster = Cluster::bind(n, 0x1EA, move |me| {
         Member::new(member_config.clone(), max_handler(n, me, &vals_for_cluster))
     })
     .expect("bind loopback cluster");
@@ -265,7 +261,7 @@ fn forged_membership_updates_are_rejected_counted_and_harmless() {
     let vals = values(n);
     let member_config = MemberConfig::static_full().with_probe_interval_us(100_000);
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, 0xF06, move |me| {
+    let mut cluster = Cluster::bind(n, 0xF06, move |me| {
         Member::new(member_config.clone(), max_handler(n, me, &vals_for_cluster))
     })
     .expect("bind loopback cluster");
@@ -340,7 +336,7 @@ fn forged_membership_updates_are_rejected_counted_and_harmless() {
 
 /// Minimal HTTP GET against the cluster status endpoint, pumping the
 /// cluster between reads so the single-threaded server makes progress.
-fn http_get(cluster: &mut LoopbackCluster<Wrapped>, down: Option<NodeId>, path: &str) -> String {
+fn http_get(cluster: &mut Cluster<Wrapped>, down: Option<NodeId>, path: &str) -> String {
     let addr = cluster.status_addr().expect("status endpoint bound");
     let stream = TcpStream::connect(addr).expect("connect to status endpoint");
     stream
@@ -389,7 +385,7 @@ fn the_status_peer_table_tracks_join_and_death_of_a_member() {
     let period = Duration::from_millis(150);
     let seed_node = NodeId::new(0);
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, 0x57A7, move |me| {
+    let mut cluster = Cluster::bind(n, 0x57A7, move |me| {
         // The seed and node 1 know the full universe; node 2 starts knowing
         // only the seed and discovers the rest through Join/JoinAck.
         let base = MemberConfig {
@@ -416,8 +412,9 @@ fn the_status_peer_table_tracks_join_and_death_of_a_member() {
         .expect("bind status endpoint");
 
     // Phase 1: the joiner completes the handshake and shows up alive.
-    let joined = cluster.run_until(Duration::from_secs(15), |hosts| {
-        hosts[2].handler().is_joined() && hosts[2].handler().live_view().len() == n - 1
+    let joiner = NodeId::new(2);
+    let joined = cluster.run_until(Duration::from_secs(15), move |h| {
+        h.me() != joiner || (h.handler().is_joined() && h.handler().live_view().len() == n - 1)
     });
     assert!(joined.is_some(), "node 2 never joined via the seed");
     let page = http_get(&mut cluster, None, "/status");
@@ -467,7 +464,7 @@ fn auth_required_members_reject_forged_frames_at_the_wire_and_still_converge() {
     let wrong_key = gossip_net::AuthKey::from_passphrase("member-hostile-wrong");
     let member_config = MemberConfig::static_full().with_probe_interval_us(100_000);
     let vals_for_cluster = vals.clone();
-    let mut cluster = LoopbackCluster::bind(n, 0xA07, move |me| {
+    let mut cluster = Cluster::bind(n, 0xA07, move |me| {
         Member::new(member_config.clone(), max_handler(n, me, &vals_for_cluster))
     })
     .expect("bind loopback cluster")
@@ -522,10 +519,8 @@ fn auth_required_members_reject_forged_frames_at_the_wire_and_still_converge() {
     );
 
     // And the authenticated cluster still does its job.
-    let converged = cluster.run_until(Duration::from_secs(30), |hosts| {
-        hosts
-            .iter()
-            .all(|h| h.handler().inner().current_max() == exact)
+    let converged = cluster.run_until(Duration::from_secs(30), move |h| {
+        h.handler().inner().current_max() == exact
     });
     assert!(
         converged.is_some(),

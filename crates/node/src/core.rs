@@ -15,9 +15,9 @@
 //!   bytes on its transport.
 //!
 //! This split is what makes the core host-agnostic: the blocking
-//! reactor ([`Reactor`](crate::Reactor)), the threaded cluster and any
-//! test harness drive the *same* engine, so dispatch order, stats and
-//! authentication policy cannot drift between deployment shapes.
+//! reactor ([`Reactor`](crate::Reactor)), the cluster in either schedule
+//! and any test harness drive the *same* engine, so dispatch order, stats
+//! and authentication policy cannot drift between deployment shapes.
 
 use gossip_net::{
     decode_frame_sealed, encode_frame_into, node_rng, AuthKey, Handler, Mailbox, Metrics, NodeId,
@@ -449,20 +449,28 @@ impl<H: Handler> NodeCore<H> {
         self.with_mailbox(now, ctx, sink, f);
     }
 
-    /// Fire every timer due at the current clock, in `(due, seq)` order.
-    /// Returns the number of callbacks dispatched.
+    /// Fire every timer that was due when this pass began, in
+    /// `(due, seq)` order. A timer armed by a callback of this pass waits
+    /// for the next pass, so a periodic timer whose callback outlasts its
+    /// period fires once per pass, never back to back. Returns the number
+    /// of callbacks dispatched.
     pub fn fire_due_timers(&mut self, sink: &mut dyn FrameSink) -> usize
     where
         H::Msg: WireMsg,
     {
+        // No clock read while the queue is empty: the receive path calls
+        // this once per datagram.
+        if self.timers.is_empty() {
+            return 0;
+        }
+        let pass_now = self.now_us();
         let mut fired = 0;
-        loop {
-            let now = self.now_us();
-            match self.timers.peek() {
-                Some(Reverse((at, _, _))) if *at <= now => {}
-                _ => return fired,
+        while let Some(&Reverse((at, seq, label))) = self.timers.peek() {
+            if at > pass_now {
+                break;
             }
-            let Reverse((at, seq, label)) = self.timers.pop().expect("peeked");
+            self.timers.pop();
+            let now = self.now_us();
             if self
                 .cancels
                 .get(&label)
@@ -481,21 +489,17 @@ impl<H: Handler> NodeCore<H> {
             self.stats.timer_fires += 1;
             self.timer_lag.record(now.saturating_sub(at));
             fired += 1;
-            // The callback's clock never runs behind the timer's instant.
-            let cb_now = now.max(at);
             // Each timer fire roots a causal chain, keyed by its arm seq.
+            // The callback's clock (`now ≥ pass_now ≥ at`) never runs
+            // behind the timer's instant, so every re-arm lands after
+            // `pass_now`.
             let ctx = self.root_ctx(seq);
-            self.trace_event(
-                cb_now,
-                NO_PEER,
-                TraceKind::TimerFire,
-                TraceReason::None,
-                ctx,
-            );
-            self.with_mailbox(cb_now, ctx, sink, |handler, mailbox| {
+            self.trace_event(now, NO_PEER, TraceKind::TimerFire, TraceReason::None, ctx);
+            self.with_mailbox(now, ctx, sink, |handler, mailbox| {
                 handler.on_timer(TimerId(label), mailbox)
             });
         }
+        fired
     }
 
     /// How long until the next pending timer is due (`None` when the

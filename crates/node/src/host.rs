@@ -129,7 +129,8 @@ where
     /// One non-blocking pump: fire every due timer, then drain up to a
     /// batch of waiting datagrams (re-checking timers between packets).
     /// Returns the number of callbacks dispatched; `0` means idle. Never
-    /// blocks — the loopback cluster round-robins this across hosts.
+    /// blocks — a [`Cluster`](crate::Cluster) round-robins this across its
+    /// hosts on the caller's thread.
     pub fn poll(&mut self) -> usize {
         self.reactor.pump(&mut self.core, None)
     }
@@ -158,20 +159,6 @@ where
     /// this). Returns the number of requests served.
     pub fn pump_status(&mut self) -> usize {
         self.reactor.pump_status(&self.core)
-    }
-
-    /// Split this host into its two halves — the protocol engine and the
-    /// I/O engine — for callers that drive them independently (the
-    /// threaded cluster's worker loop does). Rejoin with
-    /// [`from_parts`](NodeHost::from_parts).
-    pub fn into_parts(self) -> (NodeCore<H>, Reactor) {
-        (self.core, self.reactor)
-    }
-
-    /// Reassemble a host from its halves (see
-    /// [`into_parts`](NodeHost::into_parts)).
-    pub fn from_parts(core: NodeCore<H>, reactor: Reactor) -> Self {
-        NodeHost { core, reactor }
     }
 }
 

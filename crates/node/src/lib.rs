@@ -16,10 +16,15 @@
 //! * [`NodeHost`] — one node: a bound UDP socket, a peer address book, a
 //!   monotonic timer queue (with `cancel_timer` and host jitter), and an
 //!   event loop that keeps the simulators' `(timestamp, seq)` dispatch
-//!   discipline wherever reality permits it.
-//! * [`LoopbackCluster`] — N hosts on 127.0.0.1 ephemeral ports, pumped
-//!   from one thread: the integration harness that lets a test assert
-//!   "this protocol converges over real sockets" in milliseconds.
+//!   discipline wherever reality permits it. It pairs a [`NodeCore`]
+//!   (protocol state, no I/O) with a [`Reactor`] (the socket and its
+//!   readiness loop).
+//! * [`Cluster`] — N hosts on 127.0.0.1 ephemeral ports in one process:
+//!   round-robined from the caller's thread, where a test can inspect
+//!   every handler between passes, or moved one per OS thread with
+//!   [`Cluster::start_threads`] for real parallelism. One per-node
+//!   convergence goal and one `/metrics` page (per-node registries under
+//!   a `node` label) serve both schedules.
 //!
 //! Both expose a live observability endpoint (`serve_status`): `/metrics`
 //! in Prometheus text exposition, `/status` as a human-readable summary,
@@ -40,10 +45,8 @@ pub mod cluster;
 pub mod core;
 pub mod host;
 pub mod reactor;
-pub mod threaded;
 
 pub use crate::core::{FrameSink, NodeCore, NodeStats, Recv};
-pub use cluster::LoopbackCluster;
+pub use cluster::Cluster;
 pub use host::NodeHost;
 pub use reactor::{Reactor, MAX_BLOCK_WAIT};
-pub use threaded::ThreadedCluster;

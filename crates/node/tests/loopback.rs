@@ -10,7 +10,7 @@ use gossip_net::{
     encode_frame, Handler, Mailbox, NodeId, Phase, TimerId, WireError, WireMsg, WireReader,
     WireWriter,
 };
-use gossip_node::LoopbackCluster;
+use gossip_node::Cluster;
 use std::time::Duration;
 
 /// Probe for loopback UDP. Under `--features sockets-required` a failed
@@ -74,14 +74,12 @@ fn rumor_floods_a_loopback_cluster() {
     if !sockets_available() {
         return;
     }
-    let mut cluster = LoopbackCluster::bind(12, 0xFEED, |_| Rumor {
+    let mut cluster = Cluster::bind(12, 0xFEED, |_| Rumor {
         tokens: Vec::new(),
         tick_us: 1_000,
     })
     .expect("bind 12 loopback sockets");
-    let converged = cluster.run_until(GENEROUS, |hosts| {
-        hosts.iter().all(|h| h.handler().tokens.contains(&42))
-    });
+    let converged = cluster.run_until(GENEROUS, |h| h.handler().tokens.contains(&42));
     assert!(converged.is_some(), "rumor must flood all 12 nodes");
     let totals = cluster.total_stats();
     assert!(totals.datagrams_sent > 0);
@@ -141,11 +139,9 @@ fn cancel_timer_works_over_real_sockets() {
     if !sockets_available() {
         return;
     }
-    let mut cluster = LoopbackCluster::bind(8, 0xCA9CE1, |_| Suspecting::default())
-        .expect("bind 8 loopback sockets");
-    let enough = cluster.run_until(GENEROUS, |hosts| {
-        hosts.iter().all(|h| h.handler().heartbeats_seen >= 5)
-    });
+    let mut cluster =
+        Cluster::bind(8, 0xCA9CE1, |_| Suspecting::default()).expect("bind 8 loopback sockets");
+    let enough = cluster.run_until(GENEROUS, |h| h.handler().heartbeats_seen >= 5);
     assert!(enough.is_some(), "heartbeats flow on loopback");
     for (node, h) in cluster.iter_handlers() {
         assert_eq!(h.suspicions, 0, "node {node:?} raised a false suspicion");
@@ -193,8 +189,7 @@ fn hostile_datagrams_are_counted_never_fatal() {
     if !sockets_available() {
         return;
     }
-    let mut cluster =
-        LoopbackCluster::bind(2, 1, |_| PingCount::default()).expect("bind 2 sockets");
+    let mut cluster = Cluster::bind(2, 1, |_| PingCount::default()).expect("bind 2 sockets");
     cluster.poll(); // boot
     let target = cluster.host(NodeId::new(0)).local_addr().unwrap();
     let attacker = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
@@ -306,9 +301,10 @@ fn oversize_sends_are_counted_and_dropped_before_the_kernel() {
     if !sockets_available() {
         return;
     }
-    let mut cluster =
-        LoopbackCluster::bind(2, 0xB16, |_| Oversender::default()).expect("bind 2 sockets");
-    let got_it = cluster.run_until(GENEROUS, |hosts| hosts[1].handler().replies_seen >= 1);
+    let mut cluster = Cluster::bind(2, 0xB16, |_| Oversender::default()).expect("bind 2 sockets");
+    let got_it = cluster.run_until(GENEROUS, |h| {
+        h.me() != NodeId::new(1) || h.handler().replies_seen >= 1
+    });
     assert!(got_it.is_some(), "the normal-sized follow-up send arrives");
     let sender = cluster.host(NodeId::new(0)).stats();
     assert_eq!(sender.send_oversize, 1, "the oversize send was counted");
@@ -360,11 +356,10 @@ fn one_causal_chain_crosses_four_real_hosts() {
     use gossip_obs::TraceKind;
 
     let n = 4;
-    let mut cluster =
-        LoopbackCluster::bind(n, 0xCA5A, |_| Relay::default()).expect("bind 4 sockets");
+    let mut cluster = Cluster::bind(n, 0xCA5A, |_| Relay::default()).expect("bind 4 sockets");
     cluster = cluster.with_trace(256);
-    let relayed = cluster.run_until(GENEROUS, |hosts| {
-        hosts.iter().skip(1).all(|h| h.handler().saw_token)
+    let relayed = cluster.run_until(GENEROUS, |h| {
+        h.me() == NodeId::new(0) || h.handler().saw_token
     });
     assert!(relayed.is_some(), "the token must reach every host");
 
@@ -372,7 +367,13 @@ fn one_causal_chain_crosses_four_real_hosts() {
     // — Send at node i, Recv at node i+1, across real kernel sockets —
     // must carry the SAME chain id, with the hop counter ticking up by
     // one per wire crossing.
-    let ring = cluster.trace().expect("tracing enabled");
+    // Each host records into its own ring; the chain spans them, so merge
+    // the rings first.
+    let mut ring = gossip_obs::TraceRing::new(n * 256);
+    for host in cluster.hosts() {
+        let own = host.trace().expect("tracing enabled");
+        own.clone().drain_into(&mut ring);
+    }
     let chain_id = ring
         .iter()
         .find(|e| e.kind == TraceKind::Send && e.node == 0 && e.peer == 1)
@@ -498,6 +499,60 @@ impl Handler for Tick {
     }
 }
 
+/// The period of [`Sluggish`]'s tick; its callback takes twice as long.
+const SLUGGISH_PERIOD: Duration = Duration::from_millis(2);
+
+/// Fires the tick this many times at most, so a host that fires it back
+/// to back fails the test below instead of hanging it.
+const SLUGGISH_FIRES: u32 = 5;
+
+/// A periodic tick whose callback outlasts its period.
+#[derive(Debug, Default)]
+struct Sluggish {
+    fires: u32,
+}
+
+impl Handler for Sluggish {
+    type Msg = u64;
+    fn on_start(&mut self, mailbox: &mut dyn Mailbox<u64>) {
+        mailbox.set_timer(SLUGGISH_PERIOD.as_micros() as u64, TICK);
+    }
+    fn on_message(&mut self, _from: NodeId, _msg: u64, _mailbox: &mut dyn Mailbox<u64>) {}
+    fn on_timer(&mut self, _timer: TimerId, mailbox: &mut dyn Mailbox<u64>) {
+        self.fires += 1;
+        std::thread::sleep(2 * SLUGGISH_PERIOD);
+        if self.fires < SLUGGISH_FIRES {
+            mailbox.set_timer(SLUGGISH_PERIOD.as_micros() as u64, TICK);
+        }
+    }
+}
+
+#[test]
+fn a_slow_periodic_timer_fires_once_per_poll() {
+    if !sockets_available() {
+        return;
+    }
+    let socket = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let addr = socket.local_addr().unwrap();
+    let mut host = gossip_node::NodeHost::from_socket(
+        socket,
+        NodeId::new(0),
+        vec![addr],
+        5,
+        Sluggish::default(),
+    )
+    .unwrap();
+    assert_eq!(host.poll(), 0, "boot arms the tick; nothing is due yet");
+
+    // Each re-arm is already overdue when its callback returns; it must
+    // still wait for the next pass rather than fire inside this one.
+    for pass in 1..=3 {
+        std::thread::sleep(2 * SLUGGISH_PERIOD);
+        assert_eq!(host.poll(), 1, "pass {pass} fired the overdue tick once");
+        assert_eq!(host.handler().fires, pass);
+    }
+}
+
 #[test]
 fn authenticated_cluster_converges_and_rejects_hostile_frames() {
     use gossip_net::{encode_frame_sealed, AuthKey};
@@ -507,7 +562,7 @@ fn authenticated_cluster_converges_and_rejects_hostile_frames() {
         return;
     }
     let key = AuthKey::from_passphrase("loopback-cluster-key");
-    let mut cluster = LoopbackCluster::bind(8, 0x5EA1, |_| Rumor {
+    let mut cluster = Cluster::bind(8, 0x5EA1, |_| Rumor {
         tokens: Vec::new(),
         tick_us: 1_000,
     })
@@ -536,9 +591,7 @@ fn authenticated_cluster_converges_and_rejects_hostile_frames() {
     attacker.send_to(&forged, target).unwrap();
 
     // The protocol still converges around the hostile traffic.
-    let converged = cluster.run_until(GENEROUS, |hosts| {
-        hosts.iter().all(|h| h.handler().tokens.contains(&42))
-    });
+    let converged = cluster.run_until(GENEROUS, |h| h.handler().tokens.contains(&42));
     assert!(converged.is_some(), "auth cluster still floods the rumor");
 
     let stats = *cluster.host(NodeId::new(0)).stats();

@@ -9,8 +9,7 @@
 use gossip_ae::protocol::{AeConfig, AeNode};
 use gossip_ae::signal::SignalModel;
 use gossip_net::{NodeId, SimConfig};
-use gossip_node::{LoopbackCluster, NodeHost};
-use gossip_obs::Registry;
+use gossip_node::{Cluster, NodeHost};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -101,6 +100,22 @@ fn sample(metrics: &str, name: &str) -> u64 {
         .unwrap_or_else(|_| panic!("metric {name} is not an integer"))
 }
 
+/// The sum of a family's samples over every label set: a cluster page
+/// carries one series per `node`.
+fn summed(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix(name))
+        .filter(|rest| rest.starts_with('{') || rest.starts_with(' '))
+        .map(|rest| {
+            let value = rest.rsplit(' ').next().expect("metric line has a value");
+            value
+                .parse::<u64>()
+                .unwrap_or_else(|_| panic!("metric {name} is not an integer"))
+        })
+        .sum()
+}
+
 /// Drop the one real-clock gauge so frozen scrapes compare byte-exact.
 fn strip_uptime(metrics: &str) -> String {
     metrics
@@ -119,13 +134,11 @@ fn scraped_metrics_agree_byte_exactly_with_in_process_stats() {
         return;
     }
     let n = 6;
-    let mut cluster = LoopbackCluster::bind(n, 0x0B5, ae_factory(n)).expect("bind cluster");
+    let mut cluster = Cluster::bind(n, 0x0B5, ae_factory(n)).expect("bind cluster");
     let status = cluster.serve_status(("127.0.0.1", 0)).expect("bind status");
 
     // Run the protocol to full reconciliation...
-    let converged = cluster.run_until(GENEROUS, |hosts| {
-        hosts.iter().all(|h| h.handler().store().known() == n)
-    });
+    let converged = cluster.run_until(GENEROUS, move |h| h.handler().store().known() == n);
     assert!(converged.is_some(), "cluster reconciles");
 
     // ...then freeze it: only the HTTP server is pumped from here on, so
@@ -137,24 +150,31 @@ fn scraped_metrics_agree_byte_exactly_with_in_process_stats() {
 
     // The scrape is the same render the in-process registry produces,
     // byte for byte (modulo the wall-clock uptime gauge).
-    let mut registry = Registry::new();
-    cluster.fill_registry(&mut registry);
-    assert_eq!(strip_uptime(&scraped), strip_uptime(&registry.render()));
+    assert_eq!(
+        strip_uptime(&scraped),
+        strip_uptime(&cluster.registry().render())
+    );
+    for i in 0..n {
+        assert!(
+            scraped.contains(&format!("node_datagrams_sent_total{{node=\"{i}\"}}")),
+            "node {i} has its own series"
+        );
+    }
 
-    // And the counters are the in-process structs' exact values — wire
-    // stats and protocol stats alike.
+    // And the counters, summed over the nodes, are the in-process structs'
+    // exact values — wire stats and protocol stats alike.
     let totals = cluster.total_stats();
     assert_eq!(
-        sample(&scraped, "node_datagrams_sent_total"),
+        summed(&scraped, "node_datagrams_sent_total"),
         totals.datagrams_sent
     );
-    assert_eq!(sample(&scraped, "node_bytes_sent_total"), totals.bytes_sent);
+    assert_eq!(summed(&scraped, "node_bytes_sent_total"), totals.bytes_sent);
     assert_eq!(
-        sample(&scraped, "node_messages_dispatched_total"),
+        summed(&scraped, "node_messages_dispatched_total"),
         totals.messages_dispatched
     );
     assert_eq!(
-        sample(&scraped, "node_timer_fires_total"),
+        summed(&scraped, "node_timer_fires_total"),
         totals.timer_fires
     );
     let ticks: u64 = cluster.iter_handlers().map(|(_, h)| h.stats.ticks).sum();
@@ -163,17 +183,17 @@ fn scraped_metrics_agree_byte_exactly_with_in_process_stats() {
         .iter_handlers()
         .map(|(_, h)| h.stats.entries_adopted)
         .sum();
-    assert_eq!(sample(&scraped, "ae_ticks_total"), ticks);
-    assert_eq!(sample(&scraped, "ae_syn_sent_total"), syns);
-    assert_eq!(sample(&scraped, "ae_entries_adopted_total"), adopted);
-    assert_eq!(sample(&scraped, "ae_store_known"), (n * n) as u64);
+    assert_eq!(summed(&scraped, "ae_ticks_total"), ticks);
+    assert_eq!(summed(&scraped, "ae_syn_sent_total"), syns);
+    assert_eq!(summed(&scraped, "ae_entries_adopted_total"), adopted);
+    assert_eq!(summed(&scraped, "ae_store_known"), (n * n) as u64);
 
     // The status page reflects the same frozen run.
     let (code, page) = get(status, "/status", || {
         cluster.pump_status();
     });
     assert_eq!(code, 200);
-    assert!(page.contains(&format!("loopback cluster of {n}")));
+    assert!(page.contains(&format!("cluster of {n}, round-robin")));
     assert!(page.contains(&format!("ae.store: {n}/{n} origins known")));
 }
 
@@ -363,7 +383,7 @@ fn hostile_http_input_cannot_wedge_the_node() {
         return;
     }
     let n = 4;
-    let mut cluster = LoopbackCluster::bind(n, 0xBAD, ae_factory(n)).expect("bind cluster");
+    let mut cluster = Cluster::bind(n, 0xBAD, ae_factory(n)).expect("bind cluster");
     let status = cluster.serve_status(("127.0.0.1", 0)).expect("bind status");
 
     // A half-open connection: opened, nothing sent, never closed. Held
@@ -399,9 +419,7 @@ fn hostile_http_input_cannot_wedge_the_node() {
     });
     assert_eq!(code, 200);
     assert!(metrics.contains("node_datagrams_sent_total"));
-    let converged = cluster.run_until(GENEROUS, |hosts| {
-        hosts.iter().all(|h| h.handler().store().known() == n)
-    });
+    let converged = cluster.run_until(GENEROUS, move |h| h.handler().store().known() == n);
     assert!(
         converged.is_some(),
         "protocol survived hostile HTTP traffic"

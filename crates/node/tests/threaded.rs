@@ -1,4 +1,4 @@
-//! [`ThreadedCluster`] integration: real parallelism, one process.
+//! [`Cluster`] on worker threads: real parallelism, one process.
 //!
 //! The headline test runs **64 nodes on 64 OS threads** — SWIM membership
 //! discovering the cluster from one seed, Merkle-digest anti-entropy
@@ -17,10 +17,10 @@ use gossip_ae::protocol::{AeConfig, AeNode, DigestMode};
 use gossip_ae::signal::SignalModel;
 use gossip_member::{Member, MemberConfig};
 use gossip_net::{frame_with_payload, seal_frame, AuthKey, NodeId};
-use gossip_node::ThreadedCluster;
+use gossip_node::Cluster;
 use gossip_obs::TraceCtx;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,7 +43,7 @@ fn sockets_available() -> bool {
 const GENEROUS: Duration = Duration::from_secs(30);
 
 /// Plain HTTP GET against a status endpoint, returning the whole response.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+fn http_get(addr: SocketAddr, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect to status endpoint");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -56,6 +56,32 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut response = String::new();
     let _ = stream.read_to_string(&mut response);
     response
+}
+
+/// GET `path` from a side thread while this one keeps pumping the
+/// cluster's non-blocking endpoint (in either schedule, the caller's
+/// thread answers scrapes).
+fn scrape(cluster: &mut Cluster<AeNode>, addr: SocketAddr, path: &'static str) -> String {
+    let handle = std::thread::spawn(move || http_get(addr, path));
+    while !handle.is_finished() {
+        cluster.pump_status();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().expect("scrape thread")
+}
+
+/// Scrape `/metrics` until it carries a series for every node: worker
+/// pages land one pump slice after the workers start.
+fn scrape_all_nodes(cluster: &mut Cluster<AeNode>, addr: SocketAddr) -> String {
+    let deadline = std::time::Instant::now() + GENEROUS;
+    loop {
+        let page = scrape(cluster, addr, "/metrics");
+        let all = (0..cluster.n()).all(|i| page.contains(&format!("node=\"{i}\"")));
+        if all || std::time::Instant::now() >= deadline {
+            return page;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// Sum every `{name}{{...}} value` sample in a rendered registry — the
@@ -91,14 +117,14 @@ fn sixty_four_threaded_nodes_converge_under_auth_and_hostile_traffic() {
         MemberConfig::with_seeds(vec![NodeId::new(0)]).with_probe_interval_us(50_000);
     let ae = ae_config();
     let factory_config = member_config.clone();
-    let mut cluster = ThreadedCluster::bind(n, 0x64, move |me| {
+    let mut cluster = Cluster::bind(n, 0x64, move |me| {
         let sim = gossip_net::SimConfig::new(n);
         Member::new(
             factory_config.clone(),
             AeNode::new(me, n, sim.id_bits(), sim.value_bits(), ae),
         )
     })
-    .expect("bind threaded cluster")
+    .expect("bind cluster")
     .with_auth_key(key.clone());
 
     // The attacker: a thread hammering the first four members with bare,
@@ -106,7 +132,10 @@ fn sixty_four_threaded_nodes_converge_under_auth_and_hostile_traffic() {
     // authentication before any payload ever decodes, so junk payloads
     // are fine — rejection must not depend on what the forgery claims.
     let stop_attack = Arc::new(AtomicBool::new(false));
-    let targets: Vec<std::net::SocketAddr> = cluster.peer_addrs()[..4].to_vec();
+    let targets: Vec<SocketAddr> = cluster.hosts()[..4]
+        .iter()
+        .map(|h| h.local_addr().expect("bound socket"))
+        .collect();
     let wrong_key = AuthKey::from_passphrase("not-the-cluster-key");
     let bare = frame_with_payload(NodeId::new(1), b"forged");
     let mut tampered = seal_frame(NodeId::new(1), TraceCtx::NONE, Some(&key), b"forged");
@@ -133,8 +162,9 @@ fn sixty_four_threaded_nodes_converge_under_auth_and_hostile_traffic() {
     // monotone — `known()` is grow-only — so the predicate cannot flap
     // the way a momentary false suspicion would make `live_view` flap
     // when 65 busy threads contend for a few cores.
-    let converged = cluster.run_until(Duration::from_secs(60), move |h: &Member<AeNode>| {
-        h.is_joined() && h.inner().store().known() == n
+    cluster.start_threads();
+    let converged = cluster.run_until(Duration::from_secs(60), move |h| {
+        h.handler().is_joined() && h.handler().inner().store().known() == n
     });
     assert!(
         converged.is_some(),
@@ -171,7 +201,8 @@ fn sixty_four_threaded_nodes_converge_under_auth_and_hostile_traffic() {
     stop_attack.store(true, Ordering::Relaxed);
     let volleys = attacker.join().expect("attacker thread");
     assert!(volleys > 0, "the attacker never fired");
-    let hosts = cluster.stop();
+    cluster.stop_threads();
+    let hosts = cluster.hosts();
     assert_eq!(hosts.len(), n);
 
     // Zero cross-node state bleed: every host kept its own identity, its
@@ -242,42 +273,25 @@ fn threaded_cluster_metrics_page_folds_nodes_under_a_label() {
     }
     let n = 4;
     let ae = ae_config();
-    let mut cluster = ThreadedCluster::bind(n, 7, move |me| {
+    let mut cluster = Cluster::bind(n, 7, move |me| {
         let sim = gossip_net::SimConfig::new(n);
         AeNode::new(me, n, sim.id_bits(), sim.value_bits(), ae)
     })
-    .expect("bind threaded cluster");
+    .expect("bind cluster");
     let status_addr = cluster
         .serve_status(("127.0.0.1", 0))
         .expect("bind cluster status endpoint");
 
-    let converged = cluster.run_until(GENEROUS, move |h: &AeNode| h.store().known() == n);
+    cluster.start_threads();
+    let converged = cluster.run_until(GENEROUS, move |h| h.handler().store().known() == n);
     assert!(
         converged.is_some(),
         "threaded anti-entropy never reconciled"
     );
 
-    // The endpoint is non-blocking and answered by the coordinator's
-    // pump, so scrape from a side thread while this one keeps pumping.
-    let scrape = |cluster: &mut ThreadedCluster<AeNode>, path: &'static str| {
-        let handle = std::thread::spawn(move || http_get(status_addr, path));
-        while !handle.is_finished() {
-            cluster.pump_status();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        handle.join().expect("scrape thread")
-    };
-
-    // The scrape reads worker snapshots, which land a slice after each
-    // worker starts — retry briefly rather than racing the first one.
-    let deadline = std::time::Instant::now() + GENEROUS;
-    let metrics = loop {
-        let page = scrape(&mut cluster, "/metrics");
-        if page.contains("node=\"0\"") || std::time::Instant::now() >= deadline {
-            break page;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    // The scrape reads worker pages, which land a slice after each worker
+    // starts — retry briefly rather than racing the first one.
+    let metrics = scrape_all_nodes(&mut cluster, status_addr);
     for i in 0..n {
         assert!(
             metrics.contains(&format!("node=\"{i}\"")),
@@ -288,13 +302,18 @@ fn threaded_cluster_metrics_page_folds_nodes_under_a_label() {
         metrics.contains("node_datagrams_sent_total"),
         "metrics page lost the wire counters:\n{metrics}"
     );
-    let status = scrape(&mut cluster, "/status");
+    let status = scrape(&mut cluster, status_addr, "/status");
     assert!(
-        status.contains("threaded cluster of 4"),
+        status.contains("cluster of 4, one worker thread per node"),
         "status page lost the summary:\n{status}"
     );
+    assert!(
+        status.contains("node 3  ae.store: "),
+        "status page lost the handler lines:\n{status}"
+    );
 
-    let hosts = cluster.stop();
+    cluster.stop_threads();
+    let hosts = cluster.hosts();
     assert_eq!(hosts.len(), n);
     for (i, host) in hosts.iter().enumerate() {
         assert_eq!(host.me(), NodeId::new(i));
@@ -309,15 +328,90 @@ fn stop_before_start_returns_the_parked_hosts() {
         return;
     }
     let ae = ae_config();
-    let cluster = ThreadedCluster::bind(3, 9, move |me| {
+    let mut cluster = Cluster::bind(3, 9, move |me| {
         let sim = gossip_net::SimConfig::new(3);
         AeNode::new(me, 3, sim.id_bits(), sim.value_bits(), ae)
     })
-    .expect("bind threaded cluster");
-    let hosts = cluster.stop();
+    .expect("bind cluster");
+    cluster.stop_threads();
+    let hosts = cluster.hosts();
     assert_eq!(hosts.len(), 3);
     for (i, host) in hosts.iter().enumerate() {
         assert_eq!(host.me(), NodeId::new(i));
         assert_eq!(host.stats().handler_starts, 0, "never started, never ran");
     }
+}
+
+#[test]
+fn one_cluster_value_runs_both_schedules_in_turn() {
+    if !sockets_available() {
+        return;
+    }
+    let n = 4;
+    let ae = ae_config();
+    let mut cluster = Cluster::bind(n, 11, move |me| {
+        let sim = gossip_net::SimConfig::new(n);
+        AeNode::new(me, n, sim.id_bits(), sim.value_bits(), ae)
+    })
+    .expect("bind cluster");
+    let status_addr = cluster
+        .serve_status(("127.0.0.1", 0))
+        .expect("bind cluster status endpoint");
+
+    // Caller's thread first: round-robin until every store holds more
+    // than its own entry.
+    let partial = cluster.run_until(GENEROUS, |h| h.handler().store().known() >= 2);
+    assert!(
+        partial.is_some(),
+        "round-robin anti-entropy made no progress"
+    );
+    let known_before: Vec<usize> = cluster
+        .hosts()
+        .iter()
+        .map(|h| h.handler().store().known())
+        .collect();
+    let local_page = scrape_all_nodes(&mut cluster, status_addr);
+
+    // Then the same value on worker threads, to full reconciliation.
+    cluster.start_threads();
+    let converged = cluster.run_until(GENEROUS, move |h| h.handler().store().known() == n);
+    assert!(converged.is_some(), "workers never finished reconciling");
+    let threaded_page = scrape_all_nodes(&mut cluster, status_addr);
+    cluster.stop_threads();
+
+    // One schema in both schedules: a series per node.
+    for (schedule, page) in [
+        ("caller's thread", &local_page),
+        ("workers", &threaded_page),
+    ] {
+        for i in 0..n {
+            assert!(
+                page.contains(&format!("node_datagrams_sent_total{{node=\"{i}\"}}")),
+                "{schedule} page lost node {i}'s series:\n{page}"
+            );
+        }
+    }
+
+    // Back on the caller's thread: the same hosts, started once, stores
+    // kept across both transitions.
+    assert_eq!(cluster.total_stats().handler_starts, n as u64);
+    for (i, host) in cluster.hosts().iter().enumerate() {
+        assert_eq!(host.me(), NodeId::new(i), "host {i} lost its identity");
+        let known = host.handler().store().known();
+        assert_eq!(known, n, "node {i} lost entries across the transitions");
+        assert!(known >= known_before[i]);
+    }
+
+    // And the returned hosts pump again: node 0's 2 ms tick fires within
+    // a bounded number of single-node passes.
+    let node = NodeId::new(0);
+    let ticks = cluster.host(node).handler().stats.ticks;
+    let mut passes = 0;
+    while cluster.host(node).handler().stats.ticks == ticks {
+        assert!(passes < 20_000, "node 0 never ticked after stop_threads");
+        cluster.poll_node(node);
+        std::thread::sleep(Duration::from_micros(200));
+        passes += 1;
+    }
+    assert_eq!(cluster.host(node).handler().store().known(), n);
 }

@@ -25,7 +25,7 @@ pub mod prelude {
     pub use gossip_ae::{ae_driver, AeConfig, AeNode, SignalModel};
     pub use gossip_member::{Member, MemberConfig, MemberMsg};
     pub use gossip_net::{Handler, Mailbox, Network, NodeId, Phase, SimConfig, TimerId, Transport};
-    pub use gossip_node::{LoopbackCluster, NodeHost, ThreadedCluster};
+    pub use gossip_node::{Cluster, NodeHost};
     pub use gossip_runtime::{
         AsyncConfig, ChurnModel, LatencyModel, ShardedDriver, ShardedTransport, SweepRunner,
     };
