@@ -23,7 +23,7 @@
 //! members.
 
 use gossip_aggregate::relative_error;
-use gossip_net::{Network, NodeId, Phase};
+use gossip_net::{Network, NodeId, Phase, PhaseCost, PhaseLedger};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of efficient gossip.
@@ -58,17 +58,6 @@ impl EfficientGossipConfig {
     }
 }
 
-/// Cost of one phase of the protocol.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EfficientPhaseCost {
-    /// Phase name.
-    pub name: &'static str,
-    /// Rounds used.
-    pub rounds: u64,
-    /// Messages sent.
-    pub messages: u64,
-}
-
 /// Outcome of efficient gossip.
 #[derive(Clone, Debug)]
 pub struct EfficientGossipOutcome {
@@ -85,7 +74,7 @@ pub struct EfficientGossipOutcome {
     /// Number of synchronized merge phases executed.
     pub merge_phases: u64,
     /// Per-phase cost breakdown.
-    pub phases: Vec<EfficientPhaseCost>,
+    pub phases: Vec<PhaseCost>,
 }
 
 impl EfficientGossipOutcome {
@@ -107,24 +96,10 @@ pub fn efficient_gossip_average(
 ) -> EfficientGossipOutcome {
     let n = net.n();
     assert_eq!(values.len(), n);
-    let start_rounds = net.round();
-    let start_messages = net.metrics().total_messages();
     let id_bits = net.config().id_bits();
     let value_bits = net.config().value_bits();
     let target = config.target(n);
-    let mut phases: Vec<EfficientPhaseCost> = Vec::new();
-    let mut mark = (net.round(), net.metrics().total_messages());
-    let record = |net: &Network,
-                  name: &'static str,
-                  mark: &mut (u64, u64),
-                  phases: &mut Vec<EfficientPhaseCost>| {
-        phases.push(EfficientPhaseCost {
-            name,
-            rounds: net.round() - mark.0,
-            messages: net.metrics().total_messages() - mark.1,
-        });
-        *mark = (net.round(), net.metrics().total_messages());
-    };
+    let mut ledger = PhaseLedger::new(net);
 
     // ---- Grouping: randomized group doubling ----
     let mut leader: Vec<usize> = (0..n).collect();
@@ -213,7 +188,7 @@ pub fn efficient_gossip_average(
             }
         }
     }
-    record(net, "grouping", &mut mark, &mut phases);
+    ledger.record(net, "grouping");
 
     let group_leaders: Vec<usize> = alive
         .iter()
@@ -253,7 +228,7 @@ pub fn efficient_gossip_average(
         }
         net.advance_round();
     }
-    record(net, "in-group aggregation", &mut mark, &mut phases);
+    ledger.record(net, "in-group aggregation");
 
     // ---- Leader gossip: uniform push-sum among leaders (forwarded through members) ----
     let total_sum: f64 = group_leaders.iter().map(|&l| group_sum[l]).sum();
@@ -305,7 +280,7 @@ pub fn efficient_gossip_average(
         }
         net.advance_round();
     }
-    record(net, "leader gossip", &mut mark, &mut phases);
+    ledger.record(net, "leader gossip");
 
     // ---- Dissemination: each leader sends the estimate to its members, one per round ----
     let mut estimate: Vec<f64> = vec![f64::NAN; n];
@@ -329,13 +304,14 @@ pub fn efficient_gossip_average(
         }
         net.advance_round();
     }
-    record(net, "disseminate", &mut mark, &mut phases);
+    ledger.record(net, "disseminate");
 
+    let (phases, rounds, messages) = ledger.finish(net);
     EfficientGossipOutcome {
         estimates: estimate,
         true_average,
-        rounds: net.round() - start_rounds,
-        messages: net.metrics().total_messages() - start_messages,
+        rounds,
+        messages,
         num_groups,
         merge_phases,
         phases,

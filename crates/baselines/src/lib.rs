@@ -30,9 +30,7 @@ pub mod push_max;
 pub mod push_sum;
 pub mod rumor;
 
-pub use kashyap::{
-    efficient_gossip_average, EfficientGossipConfig, EfficientGossipOutcome, EfficientPhaseCost,
-};
+pub use kashyap::{efficient_gossip_average, EfficientGossipConfig, EfficientGossipOutcome};
 pub use oblivious::{oblivious_max_lower_bound, ObliviousLowerBoundResult, ObliviousProtocol};
 pub use push_max::{push_max, PushMaxConfig, PushMaxOutcome};
 pub use push_sum::{push_sum_average, routed_push_sum_average, PushSumConfig, PushSumOutcome};

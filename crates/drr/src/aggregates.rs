@@ -30,21 +30,16 @@
 //! crashes expect a few percent of error. The implementation compensates by
 //! running the sum push-phase for twice the configured number of rounds.
 
-use crate::broadcast::broadcast_down;
-use crate::convergecast::convergecast_sum;
-use crate::data_spread::data_spread_multi;
-use crate::drr::run_drr;
-use crate::gossip_ave::gossip_ave;
-use crate::gossip_max::gossip_max;
 use crate::protocol::{
-    drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport, PhaseCost,
+    averaging_chain, drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport, Mass,
+    Uniform,
 };
-use gossip_aggregate::{AggregateKind, AverageState};
-use gossip_net::{Network, NodeId, Phase};
+use gossip_aggregate::AggregateKind;
+use gossip_net::Transport;
 
 /// Compute the global minimum at every node (Max of the negated values).
-pub fn drr_gossip_min(
-    net: &mut Network,
+pub fn drr_gossip_min<T: Transport>(
+    net: &mut T,
     values: &[f64],
     config: &DrrGossipConfig,
 ) -> DrrGossipReport {
@@ -61,155 +56,29 @@ pub fn drr_gossip_min(
 
 /// Compute the global **sum** at every node.
 ///
-/// The protocol follows Algorithm 8's structure, but the push-sum among the
-/// roots is seeded with weight 1 at the largest-tree root and weight 0
-/// everywhere else, so the ratio `s/w` at the largest-tree root converges to
-/// `Σᵢ vᵢ` instead of the average (the standard push-sum trick of Kempe et
-/// al., transplanted onto the root overlay).
-pub fn drr_gossip_sum(
-    net: &mut Network,
+/// This is Algorithm 8 with the push-sum among the roots seeded with weight
+/// 1 at the largest-tree root and weight 0 everywhere else, so the ratio
+/// `s/w` at the largest-tree root converges to `Σᵢ vᵢ` instead of the
+/// average (the standard push-sum trick of Kempe et al., transplanted onto
+/// the root overlay). Its push-sum phase is named `gossip-sum`.
+pub fn drr_gossip_sum<T: Transport>(
+    net: &mut T,
     values: &[f64],
     config: &DrrGossipConfig,
 ) -> DrrGossipReport {
-    assert_eq!(values.len(), net.n(), "one value per node required");
-    let start_rounds = net.round();
-    let start_messages = net.metrics().total_messages();
-    let mut phases: Vec<PhaseCost> = Vec::new();
-    let mut mark = (net.round(), net.metrics().total_messages());
-    let record =
-        |net: &Network, name: &'static str, mark: &mut (u64, u64), phases: &mut Vec<PhaseCost>| {
-            phases.push(PhaseCost {
-                name,
-                rounds: net.round() - mark.0,
-                messages: net.metrics().total_messages() - mark.1,
-            });
-            *mark = (net.round(), net.metrics().total_messages());
-        };
-
-    // Phases I and II are identical to DRR-gossip-ave.
-    let drr = run_drr(net, &config.drr);
-    record(net, "drr", &mut mark, &mut phases);
-    let cc = convergecast_sum(net, &drr.forest, values, config.reception);
-    record(net, "convergecast", &mut mark, &mut phases);
-    let _ = broadcast_down(
-        net,
-        &drr.forest,
-        config.reception,
-        Phase::Broadcast,
-        net.config().id_bits(),
-    );
-    record(net, "broadcast-root", &mut mark, &mut phases);
-
-    // Largest-tree election on tree sizes (as in Algorithm 8).
-    let sizes: Vec<Option<f64>> = cc
-        .state
-        .iter()
-        .map(|s| s.as_ref().map(|s| s.count))
-        .collect();
-    let election = gossip_max(net, &drr.forest, &sizes, &config.gossip_max);
-    record(net, "size-election", &mut mark, &mut phases);
-
-    // Push-sum with unit weight at the largest-tree root only.
-    let largest = drr.forest.largest_tree_root();
-    let initial: Vec<Option<AverageState>> = net
-        .nodes()
-        .map(|v| {
-            if drr.forest.is_root(v) && net.is_alive(v) {
-                let sum = cc.state[v.index()].as_ref().map_or(0.0, |s| s.sum);
-                Some(AverageState {
-                    sum,
-                    count: if v == largest { 1.0 } else { 0.0 },
-                })
-            } else {
-                None
-            }
-        })
-        .collect();
-    // Twice the configured rounds: the concentrated weight needs more mixing
-    // than the spread weight of the Average protocol (see the module docs).
-    let sum_gossip_config = crate::gossip_ave::GossipAveConfig {
-        rounds_factor: config.gossip_ave.rounds_factor * 2.0,
-        epsilon: config.gossip_ave.epsilon,
-    };
-    let push_sum = gossip_ave(net, &drr.forest, &initial, &sum_gossip_config);
-    record(net, "gossip-sum", &mut mark, &mut phases);
-
-    // Spread the largest-tree root's sum estimate to all roots, then down the trees.
-    let spread_value = push_sum.largest_root_estimate;
-    let max_size = election.true_max;
-    let spreaders: Vec<NodeId> = drr
-        .forest
-        .roots()
-        .iter()
-        .copied()
-        .filter(|&r| {
-            net.is_alive(r)
-                && election.value_at(r) == Some(max_size)
-                && drr.forest.tree_size(r) as f64 == max_size
-        })
-        .collect();
-    let spreaders = if spreaders.is_empty() {
-        vec![largest]
-    } else {
-        spreaders
-    };
-    let spread = data_spread_multi(
-        net,
-        &drr.forest,
-        &spreaders,
-        spread_value,
-        &config.gossip_max,
-    );
-    record(net, "data-spread", &mut mark, &mut phases);
-    let _ = broadcast_down(
-        net,
-        &drr.forest,
-        config.reception,
-        Phase::Dissemination,
-        net.config().id_bits() + net.config().value_bits(),
-    );
-    record(net, "disseminate", &mut mark, &mut phases);
-
-    let alive: Vec<bool> = net.nodes().map(|v| net.is_alive(v)).collect();
-    let exact: f64 = net.alive_nodes().map(|v| values[v.index()]).sum();
-    let estimates: Vec<f64> = net
-        .nodes()
-        .map(|v| {
-            if net.is_alive(v) {
-                let root = drr.forest.root_of(v);
-                match spread.value_at(root) {
-                    Some(x) if x.is_finite() => x,
-                    _ => push_sum.estimates[root.index()].unwrap_or(f64::NAN),
-                }
-            } else {
-                f64::NAN
-            }
-        })
-        .collect();
-
-    DrrGossipReport {
-        statuses: crate::protocol::statuses_of(&estimates, &alive),
-        estimates,
-        exact,
-        alive,
-        forest_stats: drr.forest.stats(),
-        phases,
-        total_rounds: net.round() - start_rounds,
-        total_messages: net.metrics().total_messages() - start_messages,
-        metrics: net.metrics().clone(),
-    }
+    averaging_chain(net, &Uniform(config), values, Mass::Sum)
 }
 
 /// Compute the number of alive nodes at every node (the Sum of all-ones).
-pub fn drr_gossip_count(net: &mut Network, config: &DrrGossipConfig) -> DrrGossipReport {
+pub fn drr_gossip_count<T: Transport>(net: &mut T, config: &DrrGossipConfig) -> DrrGossipReport {
     let ones = vec![1.0; net.n()];
     drr_gossip_sum(net, &ones, config)
 }
 
 /// Compute the rank of `target` — the number of alive nodes whose value is
 /// strictly smaller than `target` — at every node.
-pub fn drr_gossip_rank(
-    net: &mut Network,
+pub fn drr_gossip_rank<T: Transport>(
+    net: &mut T,
     values: &[f64],
     target: f64,
     config: &DrrGossipConfig,
@@ -224,7 +93,8 @@ pub fn drr_gossip_rank(
 /// The result of a quantile computation.
 #[derive(Clone, Debug)]
 pub struct QuantileReport {
-    /// The estimated `q`-quantile value.
+    /// The estimated `q`-quantile value (NaN when the Min or Max run left
+    /// no estimate to bracket the search with).
     pub estimate: f64,
     /// The exact quantile over the alive nodes (nearest rank).
     pub exact: f64,
@@ -240,8 +110,11 @@ pub struct QuantileReport {
 /// search on the value domain, answering each probe with a DRR-gossip rank
 /// query. `value_tolerance` stops the search once the bracketing interval is
 /// narrower than this width.
-pub fn drr_gossip_quantile(
-    net: &mut Network,
+///
+/// The search is bracketed by a DRR-gossip Min and Max run. The rank it
+/// aims for, `q · (alive − 1)`, still reads the true alive count.
+pub fn drr_gossip_quantile<T: Transport>(
+    net: &mut T,
     values: &[f64],
     q: f64,
     value_tolerance: f64,
@@ -257,34 +130,24 @@ pub fn drr_gossip_quantile(
     let alive_count = alive_values.len().max(1) as f64;
     let target_rank = q * (alive_count - 1.0);
 
-    // Bracket the search with the global min and max (two cheap extremum runs
-    // would also do; here the bracket is derived from a single Count+Min+Max
-    // style sweep using the already-implemented protocols).
     let min_report = drr_gossip_min(net, values, config);
     let max_report = drr_gossip_max(net, values, config);
-    let mut lo = min_report.exact.min(min_report_estimate(&min_report));
-    let mut hi = max_report.exact.max(report_estimate(&max_report));
-    if !lo.is_finite() || !hi.is_finite() || lo > hi {
-        lo = alive_values.iter().cloned().fold(f64::INFINITY, f64::min);
-        hi = alive_values
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-    }
-
     let mut iterations = 2; // the two extremum runs above
-    let mut estimate = (lo + hi) / 2.0;
-    while hi - lo > value_tolerance && iterations < 64 {
-        let mid = (lo + hi) / 2.0;
-        let rank_report = drr_gossip_rank(net, values, mid, config);
-        iterations += 1;
-        let estimated_rank = report_estimate(&rank_report);
-        if estimated_rank <= target_rank {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
+    let mut estimate = f64::NAN;
+    if let Some((mut lo, mut hi)) = search_bracket(&min_report, &max_report) {
         estimate = (lo + hi) / 2.0;
+        while hi - lo > value_tolerance && iterations < 64 {
+            let mid = (lo + hi) / 2.0;
+            let rank_report = drr_gossip_rank(net, values, mid, config);
+            iterations += 1;
+            let estimated_rank = report_estimate(&rank_report);
+            if estimated_rank <= target_rank {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            estimate = (lo + hi) / 2.0;
+        }
     }
 
     QuantileReport {
@@ -296,9 +159,17 @@ pub fn drr_gossip_quantile(
     }
 }
 
+/// The interval a quantile search starts from: the Min and the Max run's
+/// estimates, or `None` if either run left no finite estimate or they do
+/// not form an interval.
+fn search_bracket(min: &DrrGossipReport, max: &DrrGossipReport) -> Option<(f64, f64)> {
+    let (lo, hi) = (report_estimate(min), report_estimate(max));
+    (lo.is_finite() && hi.is_finite() && lo <= hi).then_some((lo, hi))
+}
+
 /// Estimate the median of the node values.
-pub fn drr_gossip_median(
-    net: &mut Network,
+pub fn drr_gossip_median<T: Transport>(
+    net: &mut T,
     values: &[f64],
     value_tolerance: f64,
     config: &DrrGossipConfig,
@@ -307,8 +178,8 @@ pub fn drr_gossip_median(
 }
 
 /// Dispatch a [`AggregateKind`] to the matching DRR-gossip protocol.
-pub fn drr_gossip_aggregate(
-    net: &mut Network,
+pub fn drr_gossip_aggregate<T: Transport>(
+    net: &mut T,
     values: &[f64],
     kind: AggregateKind,
     config: &DrrGossipConfig,
@@ -323,6 +194,7 @@ pub fn drr_gossip_aggregate(
     }
 }
 
+/// The first finite estimate of a run (NaN if it has none).
 fn report_estimate(report: &DrrGossipReport) -> f64 {
     report
         .estimates
@@ -332,14 +204,11 @@ fn report_estimate(report: &DrrGossipReport) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
-fn min_report_estimate(report: &DrrGossipReport) -> f64 {
-    report_estimate(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::SimConfig;
+    use crate::protocol::NodeStatus;
+    use gossip_net::{Network, SimConfig};
 
     fn values(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 83) % 1009) as f64).collect()
@@ -455,6 +324,39 @@ mod tests {
             q90.estimate,
             q90.exact
         );
+    }
+
+    fn hand_built(estimates: Vec<f64>, exact: f64) -> DrrGossipReport {
+        DrrGossipReport {
+            statuses: estimates.iter().map(|&e| NodeStatus::of(true, e)).collect(),
+            alive: vec![true; estimates.len()],
+            estimates,
+            exact,
+            forest_stats: crate::forest::ForestStats {
+                num_trees: 1,
+                max_tree_size: 1,
+                mean_tree_size: 1.0,
+                max_height: 0,
+            },
+            phases: Vec::new(),
+            total_rounds: 0,
+            total_messages: 0,
+            metrics: gossip_net::Metrics::new(),
+        }
+    }
+
+    #[test]
+    fn quantile_search_is_bracketed_by_the_runs_estimates_not_their_exact() {
+        // The runs' exact fields say [0, 100]; their estimates say [10, 90].
+        let min = hand_built(vec![f64::NAN, 10.0, 10.0], 0.0);
+        let max = hand_built(vec![90.0, f64::NAN], 100.0);
+        assert_eq!(search_bracket(&min, &max), Some((10.0, 90.0)));
+        // A run that left no finite estimate leaves nothing to bracket with.
+        let lost = hand_built(vec![f64::NAN; 3], 0.0);
+        assert_eq!(search_bracket(&lost, &max), None);
+        assert_eq!(search_bracket(&min, &lost), None);
+        // Nor does a pair that is not an interval.
+        assert_eq!(search_bracket(&max, &min), None);
     }
 
     #[test]

@@ -69,12 +69,96 @@ impl GossipAveOutcome {
     }
 }
 
-/// The average estimate `s/g` of a root holding the pair `(s, g)`.
-pub(crate) fn estimate(sum: f64, weight: f64) -> f64 {
-    if weight > 0.0 {
-        sum / weight
-    } else {
-        0.0
+/// Push-sum state of the roots: one `(s, g)` pair per root slot
+/// ([`Forest::root_slot`]; there are `O(n / log n)` of them). `active`
+/// marks the roots alive at the start; only they push and receive.
+pub(crate) struct RootPairs {
+    sum: Vec<f64>,
+    weight: Vec<f64>,
+    active: Vec<bool>,
+}
+
+impl RootPairs {
+    /// Every root alive now starts from `initial(root)`.
+    pub(crate) fn new<T: Transport>(
+        net: &T,
+        forest: &Forest,
+        initial: impl Fn(NodeId) -> AverageState,
+    ) -> Self {
+        let roots = forest.roots();
+        let mut pairs = RootPairs {
+            sum: vec![0.0; roots.len()],
+            weight: vec![0.0; roots.len()],
+            active: vec![false; roots.len()],
+        };
+        for (slot, &root) in roots.iter().enumerate() {
+            if net.is_alive(root) {
+                let state = initial(root);
+                pairs.sum[slot] = state.sum;
+                pairs.weight[slot] = state.count;
+                pairs.active[slot] = true;
+            }
+        }
+        pairs
+    }
+
+    /// The average estimate `s/g` of the root in `slot`.
+    fn estimate(&self, slot: usize) -> f64 {
+        if self.weight[slot] > 0.0 {
+            self.sum[slot] / self.weight[slot]
+        } else {
+            0.0
+        }
+    }
+
+    /// The estimates per node: `Some` at the active roots.
+    pub(crate) fn by_node(&self, forest: &Forest) -> Vec<Option<f64>> {
+        forest
+            .by_node((0..self.sum.len()).map(|slot| self.active[slot].then(|| self.estimate(slot))))
+    }
+
+    /// Algorithm 6's round loop, on either network model: every round each
+    /// active root keeps half of its pair and pushes the other half to the
+    /// node `reach` lands it on (`None`: lost on the way), whose root takes
+    /// it if active. What a round delivers is added when the round ends,
+    /// and `end_round` then closes it.
+    pub(crate) fn run<T: Transport>(
+        &mut self,
+        net: &mut T,
+        forest: &Forest,
+        rounds: u64,
+        mut reach: impl FnMut(&mut T, NodeId) -> Option<NodeId>,
+        mut end_round: impl FnMut(&mut T, &Self),
+    ) {
+        let slots = self.sum.len();
+        let mut incoming_sum = vec![0.0; slots];
+        let mut incoming_weight = vec![0.0; slots];
+        for _ in 0..rounds {
+            incoming_sum.fill(0.0);
+            incoming_weight.fill(0.0);
+            for (slot, &root) in forest.roots().iter().enumerate() {
+                if !self.active[slot] {
+                    continue;
+                }
+                let half_sum = self.sum[slot] / 2.0;
+                let half_weight = self.weight[slot] / 2.0;
+                self.sum[slot] = half_sum;
+                self.weight[slot] = half_weight;
+                let Some(landed) = reach(net, root) else {
+                    continue;
+                };
+                let receiver = forest.root_slot(landed);
+                if self.active[receiver] {
+                    incoming_sum[receiver] += half_sum;
+                    incoming_weight[receiver] += half_weight;
+                }
+            }
+            for slot in 0..slots {
+                self.sum[slot] += incoming_sum[slot];
+                self.weight[slot] += incoming_weight[slot];
+            }
+            end_round(net, self);
+        }
     }
 }
 
@@ -88,34 +172,35 @@ pub fn gossip_ave<T: Transport>(
     initial: &[Option<AverageState>],
     config: &GossipAveConfig,
 ) -> GossipAveOutcome {
-    let n = net.n();
-    assert_eq!(forest.n(), n);
-    assert_eq!(initial.len(), n);
+    assert_eq!(initial.len(), net.n());
+    gossip_ave_from(
+        net,
+        forest,
+        |root| initial[root.index()].unwrap_or_default(),
+        config,
+    )
+}
+
+/// [`gossip_ave`] with the starting pairs given as a function of the root,
+/// asked once per alive root. A push goes to a uniformly random node and,
+/// from a non-root, on to its root.
+pub(crate) fn gossip_ave_from<T: Transport>(
+    net: &mut T,
+    forest: &Forest,
+    initial: impl Fn(NodeId) -> AverageState,
+    config: &GossipAveConfig,
+) -> GossipAveOutcome {
+    assert_eq!(forest.n(), net.n());
     let messages_before = net.metrics().total_messages();
     let payload_bits = 2 * net.config().value_bits() + net.config().id_bits();
 
-    // Working (s, g) state, one slot per root ([`Forest::root_slot`]; there
-    // are `O(n / log n)` of them); `active` marks the roots alive now.
-    let roots = forest.roots();
-    let mut sum = vec![0.0; roots.len()];
-    let mut weight = vec![0.0; roots.len()];
-    let mut active = vec![false; roots.len()];
+    let mut pairs = RootPairs::new(net, forest, initial);
     let mut m = 0usize;
     let mut total_sum = 0.0;
     let mut total_weight = 0.0;
-    for (slot, &root) in roots.iter().enumerate() {
-        if !net.is_alive(root) {
-            continue;
-        }
-        let state = initial[root.index()].unwrap_or(AverageState {
-            sum: 0.0,
-            count: 0.0,
-        });
-        sum[slot] = state.sum;
-        weight[slot] = state.count;
-        active[slot] = true;
-        total_sum += state.sum;
-        total_weight += state.count;
+    for slot in (0..pairs.sum.len()).filter(|&slot| pairs.active[slot]) {
+        total_sum += pairs.sum[slot];
+        total_weight += pairs.weight[slot];
         m += 1;
     }
     let true_average = if total_weight == 0.0 {
@@ -124,56 +209,33 @@ pub fn gossip_ave<T: Transport>(
         total_sum / total_weight
     };
     let largest_root = forest.largest_tree_root();
+    let z = forest.root_slot(largest_root);
 
     let rounds = config.rounds(m);
     let mut error_trace = Vec::with_capacity(rounds as usize);
-    // What a round delivers, added to the working state when it ends.
-    let mut incoming_sum = vec![0.0; roots.len()];
-    let mut incoming_weight = vec![0.0; roots.len()];
-    for _ in 0..rounds {
-        incoming_sum.fill(0.0);
-        incoming_weight.fill(0.0);
-        // Every root halves its pair and pushes one half.
-        for (slot, &root) in roots.iter().enumerate() {
-            if !active[slot] {
-                continue;
-            }
-            let half_sum = sum[slot] / 2.0;
-            let half_weight = weight[slot] / 2.0;
-            sum[slot] = half_sum;
-            weight[slot] = half_weight;
+    pairs.run(
+        net,
+        forest,
+        rounds,
+        |net, root| {
             let target = net.sample_uniform();
-            if !net.send(root, target, Phase::RootGossip, payload_bits) {
-                continue; // the pushed half is lost in transit
-            }
-            if !forest.is_root(target)
-                && !net.send(
-                    target,
-                    forest.root_of(target),
-                    Phase::RootForward,
-                    payload_bits,
-                )
-            {
-                continue;
-            }
-            let receiver = forest.root_slot(target);
-            if active[receiver] {
-                incoming_sum[receiver] += half_sum;
-                incoming_weight[receiver] += half_weight;
-            }
-        }
-        for slot in 0..roots.len() {
-            sum[slot] += incoming_sum[slot];
-            weight[slot] += incoming_weight[slot];
-        }
-        net.advance_round();
-        let z = forest.root_slot(largest_root);
-        error_trace.push(relative_error(estimate(sum[z], weight[z]), true_average));
-    }
-
-    let estimates = forest.by_node(
-        (0..roots.len()).map(|slot| active[slot].then(|| estimate(sum[slot], weight[slot]))),
+            let delivered = net.send(root, target, Phase::RootGossip, payload_bits)
+                && (forest.is_root(target)
+                    || net.send(
+                        target,
+                        forest.root_of(target),
+                        Phase::RootForward,
+                        payload_bits,
+                    ));
+            delivered.then_some(target)
+        },
+        |net, pairs| {
+            net.advance_round();
+            error_trace.push(relative_error(pairs.estimate(z), true_average));
+        },
     );
+
+    let estimates = pairs.by_node(forest);
     let largest_root_estimate = estimates[largest_root.index()].unwrap_or(0.0);
 
     GossipAveOutcome {

@@ -2,7 +2,7 @@
 //! [`Handler`].
 //!
 //! The round-based backends run uniform push-max as a coordinator loop
-//! (`gossip_baselines::push_max_all`): every round, every node pushes its
+//! (`gossip_baselines::push_max`): every round, every node pushes its
 //! current maximum to one random peer, with a global barrier between
 //! rounds. [`MaxGossipHandler`] is the same protocol re-expressed in the
 //! event-driven model — the per-round barrier becomes a per-node interval

@@ -71,7 +71,4 @@ pub use protocol::{
     drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport, NodeStatus, PhaseCost,
 };
 pub use rank::Ranks;
-pub use sparse::{
-    sparse_drr_gossip_ave, sparse_drr_gossip_max, sparse_gossip_ave, sparse_gossip_max,
-    SparseGossipConfig,
-};
+pub use sparse::{sparse_drr_gossip_ave, sparse_drr_gossip_max, SparseGossipConfig};

@@ -13,7 +13,7 @@
 
 use crate::forest::Forest;
 use crate::rank::Ranks;
-use gossip_net::{Network, NodeId, Phase};
+use gossip_net::{NodeId, Phase, Transport};
 use gossip_topology::Graph;
 
 /// Outcome of the Local-DRR phase.
@@ -31,7 +31,7 @@ pub struct LocalDrrOutcome {
 
 /// Run Local-DRR on `graph` over the given network (used for accounting; the
 /// graph must have the same number of nodes as the network).
-pub fn run_local_drr(net: &mut Network, graph: &Graph) -> LocalDrrOutcome {
+pub fn run_local_drr<T: Transport>(net: &mut T, graph: &Graph) -> LocalDrrOutcome {
     assert_eq!(
         net.n(),
         graph.n(),
@@ -126,7 +126,7 @@ pub fn local_drr_forest(graph: &Graph, ranks: &Ranks) -> Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::SimConfig;
+    use gossip_net::{Network, SimConfig};
     use gossip_topology::{complete, d_regular, grid2d, ring, ChordOverlay};
 
     fn net(n: usize, seed: u64) -> Network {

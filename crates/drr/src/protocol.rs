@@ -10,16 +10,23 @@
 //!
 //! Both take `O(log n)` rounds; the message complexity is dominated by the
 //! DRR phase, `O(n log log n)` (Section 3.5).
+//!
+//! Each algorithm is written once, as `max_chain` and `averaging_chain`,
+//! over any [`Transport`] and either root overlay: the complete graph here
+//! (`Uniform`) and a sparse graph with routed samples (`Routed`, in
+//! [`crate::sparse`]). The Sum, Count and Rank protocols of
+//! [`crate::aggregates`] are the averaging chain with unit weight at the
+//! largest root.
 
 use crate::broadcast::broadcast_down;
 use crate::convergecast::{convergecast_max, convergecast_sum, ReceptionModel};
-use crate::data_spread::data_spread_multi;
 use crate::drr::{run_drr, DrrConfig};
-use crate::forest::ForestStats;
-use crate::gossip_ave::{gossip_ave, GossipAveConfig};
-use crate::gossip_max::{gossip_max, GossipMaxConfig};
-use gossip_aggregate::relative_error;
-use gossip_net::{Metrics, NodeId, Phase, Transport};
+use crate::forest::{Forest, ForestStats};
+use crate::gossip_ave::{gossip_ave_from, GossipAveConfig};
+use crate::gossip_max::{gossip_max_from, GossipMaxConfig, GossipMaxOutcome};
+use gossip_aggregate::{relative_error, AverageState};
+pub use gossip_net::PhaseCost;
+use gossip_net::{Metrics, NodeId, Phase, PhaseLedger, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the full DRR-gossip protocols.
@@ -47,17 +54,6 @@ impl DrrGossipConfig {
             reception: ReceptionModel::OneCallPerRound,
         }
     }
-}
-
-/// Rounds and messages consumed by one named phase of a protocol run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseCost {
-    /// Phase name ("drr", "convergecast", ...).
-    pub name: &'static str,
-    /// Rounds used by the phase.
-    pub rounds: u64,
-    /// Messages sent during the phase.
-    pub messages: u64,
 }
 
 /// Why a node does — or does not — hold an estimate at the end of a
@@ -112,6 +108,33 @@ pub struct DrrGossipReport {
 }
 
 impl DrrGossipReport {
+    /// Close a run: classify every node and take the costs from `ledger`.
+    fn assemble<T: Transport>(
+        net: &T,
+        ledger: PhaseLedger,
+        forest: &Forest,
+        estimates: Vec<f64>,
+        exact: f64,
+    ) -> Self {
+        let alive: Vec<bool> = net.nodes().map(|v| net.is_alive(v)).collect();
+        let (phases, total_rounds, total_messages) = ledger.finish(net);
+        DrrGossipReport {
+            statuses: estimates
+                .iter()
+                .zip(&alive)
+                .map(|(&e, &a)| NodeStatus::of(a, e))
+                .collect(),
+            estimates,
+            exact,
+            alive,
+            forest_stats: forest.stats(),
+            phases,
+            total_rounds,
+            total_messages,
+            metrics: net.metrics().clone(),
+        }
+    }
+
     /// Largest relative error of any alive node's estimate.
     pub fn max_relative_error(&self) -> f64 {
         self.estimates
@@ -155,45 +178,295 @@ impl DrrGossipReport {
     }
 }
 
-/// Classify every node of a finished run (see [`NodeStatus`]).
-pub(crate) fn statuses_of(estimates: &[f64], alive: &[bool]) -> Vec<NodeStatus> {
-    estimates
+/// How the roots of a ranking forest reach a random root, and how one
+/// learns that it owns the largest tree: the part of the chain the complete
+/// graph (Section 3) and a sparse graph (Section 4) do differently. The two
+/// gossips return per-node values, `Some` at alive roots.
+///
+/// `forest`, `push_sum` and `elect` are phases of their own and record
+/// themselves in the ledger; `gossip_max` serves two phases, which the
+/// chain names.
+pub(crate) trait RootOverlay {
+    /// The name of Algorithm 7's root-gossip phase.
+    const GOSSIP_MAX: &'static str;
+
+    /// The reception model of the tree phases.
+    fn reception(&self) -> ReceptionModel;
+
+    /// Phase I: partition the nodes into a ranking forest.
+    fn forest<T: Transport>(&self, net: &mut T, ledger: &mut PhaseLedger) -> Forest;
+
+    /// Gossip-max among the roots, each alive root starting at
+    /// `initial(root)`.
+    fn gossip_max<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        initial: impl Fn(NodeId) -> f64,
+    ) -> Vec<Option<f64>>;
+
+    /// Push-sum among the roots, each alive root starting at
+    /// `initial(root)`: the `s/g` estimates.
+    fn push_sum<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        initial: impl Fn(NodeId) -> AverageState,
+        mass: Mass,
+        ledger: &mut PhaseLedger,
+    ) -> Vec<Option<f64>>;
+
+    /// The size election, if the overlay holds one: Gossip-max on tree
+    /// sizes before push-sum, so that afterwards a root can tell it owns
+    /// the largest tree. `tree` is the convergecast state. Without an
+    /// election the canonical largest-tree root spreads alone.
+    fn elect<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        tree: &[Option<AverageState>],
+        ledger: &mut PhaseLedger,
+    ) -> Option<GossipMaxOutcome>;
+}
+
+/// What the averaging chain's push-sum converges to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Mass {
+    /// Every root starts at `(tree sum, tree size)`, so `s/g` tends to the
+    /// average (Algorithm 8).
+    Average,
+    /// Every root starts at `(tree sum, 0)` except the largest-tree root at
+    /// `(tree sum, 1)`, so `s/w` there tends to the sum (the push-sum trick
+    /// of Kempe et al. on the root overlay). The concentrated weight mixes
+    /// more slowly, so push-sum runs twice the rounds.
+    Sum,
+}
+
+impl Mass {
+    /// The exact aggregate over the alive nodes' values.
+    fn exact<T: Transport>(self, net: &T, values: &[f64]) -> f64 {
+        let sum: f64 = net.alive_nodes().map(|v| values[v.index()]).sum();
+        match self {
+            Mass::Sum => sum,
+            Mass::Average => match net.alive_nodes().count() {
+                0 => 0.0,
+                alive => sum / alive as f64,
+            },
+        }
+    }
+}
+
+/// The complete-graph overlay of Section 3: DRR, uniform samples forwarded
+/// by a non-root to its root, and a Gossip-max election on tree sizes.
+pub(crate) struct Uniform<'a>(pub(crate) &'a DrrGossipConfig);
+
+impl RootOverlay for Uniform<'_> {
+    const GOSSIP_MAX: &'static str = "gossip-max";
+
+    fn reception(&self) -> ReceptionModel {
+        self.0.reception
+    }
+
+    fn forest<T: Transport>(&self, net: &mut T, ledger: &mut PhaseLedger) -> Forest {
+        let forest = run_drr(net, &self.0.drr).forest;
+        ledger.record(net, "drr");
+        forest
+    }
+
+    fn gossip_max<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        initial: impl Fn(NodeId) -> f64,
+    ) -> Vec<Option<f64>> {
+        gossip_max_from(net, forest, initial, &self.0.gossip_max).root_values
+    }
+
+    fn push_sum<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        initial: impl Fn(NodeId) -> AverageState,
+        mass: Mass,
+        ledger: &mut PhaseLedger,
+    ) -> Vec<Option<f64>> {
+        let (config, name) = match mass {
+            Mass::Average => (self.0.gossip_ave, "gossip-ave"),
+            Mass::Sum => {
+                let config = GossipAveConfig {
+                    rounds_factor: self.0.gossip_ave.rounds_factor * 2.0,
+                    ..self.0.gossip_ave
+                };
+                (config, "gossip-sum")
+            }
+        };
+        let estimates = gossip_ave_from(net, forest, initial, &config).estimates;
+        ledger.record(net, name);
+        estimates
+    }
+
+    fn elect<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        tree: &[Option<AverageState>],
+        ledger: &mut PhaseLedger,
+    ) -> Option<GossipMaxOutcome> {
+        let sizes = |root: NodeId| tree[root.index()].map_or(f64::NEG_INFINITY, |s| s.count);
+        let election = gossip_max_from(net, forest, sizes, &self.0.gossip_max);
+        ledger.record(net, "size-election");
+        Some(election)
+    }
+}
+
+/// The alive roots that learned the largest tree size in `election` and own
+/// a tree of that size.
+fn election_winners<T: Transport>(
+    net: &T,
+    forest: &Forest,
+    election: &GossipMaxOutcome,
+) -> Vec<NodeId> {
+    let max_size = election.true_max;
+    forest
+        .roots()
         .iter()
-        .zip(alive)
-        .map(|(&e, &a)| NodeStatus::of(a, e))
+        .copied()
+        .filter(|&r| {
+            net.is_alive(r)
+                && election.value_at(r) == Some(max_size)
+                && forest.tree_size(r) as f64 == max_size
+        })
         .collect()
 }
 
-struct PhaseTracker {
-    rounds: u64,
-    messages: u64,
-    phases: Vec<PhaseCost>,
+/// Phase II's second half: every root broadcasts its address down its tree.
+fn broadcast_root<T: Transport>(
+    net: &mut T,
+    forest: &Forest,
+    reception: ReceptionModel,
+    ledger: &mut PhaseLedger,
+) {
+    let bits = net.config().id_bits();
+    let _ = broadcast_down(net, forest, reception, Phase::Broadcast, bits);
+    ledger.record(net, "broadcast-root");
 }
 
-impl PhaseTracker {
-    fn new<T: Transport>(net: &T) -> Self {
-        PhaseTracker {
-            rounds: net.round(),
-            messages: net.metrics().total_messages(),
-            phases: Vec::new(),
+/// The last phase: every root sends the aggregate down its tree.
+fn disseminate<T: Transport>(
+    net: &mut T,
+    forest: &Forest,
+    reception: ReceptionModel,
+    ledger: &mut PhaseLedger,
+) {
+    let bits = net.config().id_bits() + net.config().value_bits();
+    let _ = broadcast_down(net, forest, reception, Phase::Dissemination, bits);
+    ledger.record(net, "disseminate");
+}
+
+/// Algorithm 7 on any overlay: every alive node ends with the maximum its
+/// root agreed on.
+pub(crate) fn max_chain<T: Transport, O: RootOverlay>(
+    net: &mut T,
+    overlay: &O,
+    values: &[f64],
+) -> DrrGossipReport {
+    assert_eq!(values.len(), net.n(), "one value per node required");
+    let mut ledger = PhaseLedger::new(net);
+    let forest = overlay.forest(net, &mut ledger);
+
+    // Phase II: convergecast of the maximum, then the root-address broadcast.
+    let tree = convergecast_max(net, &forest, values, overlay.reception()).state;
+    ledger.record(net, "convergecast");
+    broadcast_root(net, &forest, overlay.reception(), &mut ledger);
+
+    // Phase III: Gossip-max among the roots, then down every tree.
+    let at_roots = overlay.gossip_max(net, &forest, |root| {
+        tree[root.index()].unwrap_or(f64::NEG_INFINITY)
+    });
+    ledger.record(net, O::GOSSIP_MAX);
+    disseminate(net, &forest, overlay.reception(), &mut ledger);
+
+    let exact = net
+        .alive_nodes()
+        .map(|v| values[v.index()])
+        .fold(f64::NEG_INFINITY, f64::max);
+    let estimates = net
+        .nodes()
+        .map(|v| {
+            if net.is_alive(v) {
+                at_roots[forest.root_of(v).index()].unwrap_or(f64::NAN)
+            } else {
+                f64::NAN
+            }
+        })
+        .collect();
+    DrrGossipReport::assemble(net, ledger, &forest, estimates, exact)
+}
+
+/// Algorithm 8 on any overlay, for the average or (with [`Mass::Sum`]) the
+/// sum: push-sum among the roots, then the largest tree's estimate spread
+/// to every root and down every tree.
+pub(crate) fn averaging_chain<T: Transport, O: RootOverlay>(
+    net: &mut T,
+    overlay: &O,
+    values: &[f64],
+    mass: Mass,
+) -> DrrGossipReport {
+    assert_eq!(values.len(), net.n(), "one value per node required");
+    let mut ledger = PhaseLedger::new(net);
+    let forest = overlay.forest(net, &mut ledger);
+
+    // Phase II: convergecast of (local sum, tree size), then root-address broadcast.
+    let tree = convergecast_sum(net, &forest, values, overlay.reception()).state;
+    ledger.record(net, "convergecast");
+    broadcast_root(net, &forest, overlay.reception(), &mut ledger);
+
+    // Phase III: push-sum among the roots, the largest tree's estimate
+    // spread to every root (Data-spread), then down every tree.
+    let election = overlay.elect(net, &forest, &tree, &mut ledger);
+    let largest = forest.largest_tree_root();
+    let initial = |root: NodeId| {
+        let state = tree[root.index()].unwrap_or_default();
+        match mass {
+            Mass::Average => state,
+            Mass::Sum => AverageState {
+                sum: state.sum,
+                count: if root == largest { 1.0 } else { 0.0 },
+            },
         }
+    };
+    let at_roots = overlay.push_sum(net, &forest, initial, mass, &mut ledger);
+    let value = at_roots[largest.index()].unwrap_or(0.0);
+    let mut spreaders = election.map_or_else(Vec::new, |e| election_winners(net, &forest, &e));
+    if spreaders.is_empty() {
+        spreaders.push(largest);
     }
+    let spread = overlay.gossip_max(net, &forest, |root| {
+        if spreaders.contains(&root) {
+            value
+        } else {
+            f64::NEG_INFINITY
+        }
+    });
+    ledger.record(net, "data-spread");
+    disseminate(net, &forest, overlay.reception(), &mut ledger);
 
-    fn record<T: Transport>(&mut self, net: &T, name: &'static str) {
-        let rounds = net.round();
-        let messages = net.metrics().total_messages();
-        self.phases.push(PhaseCost {
-            name,
-            rounds: rounds - self.rounds,
-            messages: messages - self.messages,
-        });
-        self.rounds = rounds;
-        self.messages = messages;
-    }
-}
-
-fn broadcast_payload_bits<T: Transport>(net: &T) -> u32 {
-    net.config().id_bits() + net.config().value_bits()
+    let exact = mass.exact(net, values);
+    let estimates = net
+        .nodes()
+        .map(|v| {
+            if !net.is_alive(v) {
+                return f64::NAN;
+            }
+            let root = forest.root_of(v).index();
+            match spread[root] {
+                Some(x) if x.is_finite() => x,
+                // A root the spread missed falls back to its own estimate.
+                _ => at_roots[root].unwrap_or(f64::NAN),
+            }
+        })
+        .collect();
+    DrrGossipReport::assemble(net, ledger, &forest, estimates, exact)
 }
 
 /// Algorithm 7: compute the global maximum at every node.
@@ -202,68 +475,7 @@ pub fn drr_gossip_max<T: Transport>(
     values: &[f64],
     config: &DrrGossipConfig,
 ) -> DrrGossipReport {
-    assert_eq!(values.len(), net.n(), "one value per node required");
-    let start_rounds = net.round();
-    let start_messages = net.metrics().total_messages();
-    let mut tracker = PhaseTracker::new(net);
-
-    // Phase I: DRR.
-    let drr = run_drr(net, &config.drr);
-    tracker.record(net, "drr");
-
-    // Phase II: convergecast of the maximum, then the root-address broadcast.
-    let cc = convergecast_max(net, &drr.forest, values, config.reception);
-    tracker.record(net, "convergecast");
-    let _ = broadcast_down(
-        net,
-        &drr.forest,
-        config.reception,
-        Phase::Broadcast,
-        net.config().id_bits(),
-    );
-    tracker.record(net, "broadcast-root");
-
-    // Phase III: Gossip-max among the roots.
-    let gossip = gossip_max(net, &drr.forest, &cc.state, &config.gossip_max);
-    tracker.record(net, "gossip-max");
-
-    // Final dissemination of the maximum to every tree member.
-    let _ = broadcast_down(
-        net,
-        &drr.forest,
-        config.reception,
-        Phase::Dissemination,
-        broadcast_payload_bits(net),
-    );
-    tracker.record(net, "disseminate");
-
-    let alive: Vec<bool> = net.nodes().map(|v| net.is_alive(v)).collect();
-    let exact = net
-        .alive_nodes()
-        .map(|v| values[v.index()])
-        .fold(f64::NEG_INFINITY, f64::max);
-    let estimates: Vec<f64> = net
-        .nodes()
-        .map(|v| {
-            if net.is_alive(v) {
-                gossip.value_at(drr.forest.root_of(v)).unwrap_or(f64::NAN)
-            } else {
-                f64::NAN
-            }
-        })
-        .collect();
-
-    DrrGossipReport {
-        statuses: statuses_of(&estimates, &alive),
-        estimates,
-        exact,
-        alive,
-        forest_stats: drr.forest.stats(),
-        phases: tracker.phases,
-        total_rounds: net.round() - start_rounds,
-        total_messages: net.metrics().total_messages() - start_messages,
-        metrics: net.metrics().clone(),
-    }
+    max_chain(net, &Uniform(config), values)
 }
 
 /// Algorithm 8: compute the global average at every node.
@@ -272,114 +484,7 @@ pub fn drr_gossip_ave<T: Transport>(
     values: &[f64],
     config: &DrrGossipConfig,
 ) -> DrrGossipReport {
-    assert_eq!(values.len(), net.n(), "one value per node required");
-    let start_rounds = net.round();
-    let start_messages = net.metrics().total_messages();
-    let mut tracker = PhaseTracker::new(net);
-
-    // Phase I: DRR.
-    let drr = run_drr(net, &config.drr);
-    tracker.record(net, "drr");
-
-    // Phase II: convergecast of (local sum, tree size), then root-address broadcast.
-    let cc = convergecast_sum(net, &drr.forest, values, config.reception);
-    tracker.record(net, "convergecast");
-    let _ = broadcast_down(
-        net,
-        &drr.forest,
-        config.reception,
-        Phase::Broadcast,
-        net.config().id_bits(),
-    );
-    tracker.record(net, "broadcast-root");
-
-    // Phase III(a): Gossip-max on tree sizes so each root learns the largest
-    // tree size and can tell whether it is the largest-tree root.
-    let sizes: Vec<Option<f64>> = cc
-        .state
-        .iter()
-        .map(|s| s.as_ref().map(|s| s.count))
-        .collect();
-    let size_election = gossip_max(net, &drr.forest, &sizes, &config.gossip_max);
-    tracker.record(net, "size-election");
-
-    // Phase III(b): Gossip-ave (push-sum among roots).
-    let ave = gossip_ave(net, &drr.forest, &cc.state, &config.gossip_ave);
-    tracker.record(net, "gossip-ave");
-
-    // Phase III(c): the root(s) that recognise themselves as largest spread
-    // the estimate of the (canonical) largest-tree root.
-    let max_size = size_election.true_max;
-    let spreaders: Vec<NodeId> = drr
-        .forest
-        .roots()
-        .iter()
-        .copied()
-        .filter(|&r| {
-            net.is_alive(r)
-                && size_election.value_at(r) == Some(max_size)
-                && drr.forest.tree_size(r) as f64 == max_size
-        })
-        .collect();
-    let spread_value = ave.largest_root_estimate;
-    let spreaders = if spreaders.is_empty() {
-        vec![ave.largest_root]
-    } else {
-        spreaders
-    };
-    let spread = data_spread_multi(
-        net,
-        &drr.forest,
-        &spreaders,
-        spread_value,
-        &config.gossip_max,
-    );
-    tracker.record(net, "data-spread");
-
-    // Final dissemination of the average to every tree member.
-    let _ = broadcast_down(
-        net,
-        &drr.forest,
-        config.reception,
-        Phase::Dissemination,
-        broadcast_payload_bits(net),
-    );
-    tracker.record(net, "disseminate");
-
-    let alive: Vec<bool> = net.nodes().map(|v| net.is_alive(v)).collect();
-    let alive_values: Vec<f64> = net.alive_nodes().map(|v| values[v.index()]).collect();
-    let exact = if alive_values.is_empty() {
-        0.0
-    } else {
-        alive_values.iter().sum::<f64>() / alive_values.len() as f64
-    };
-    let estimates: Vec<f64> = net
-        .nodes()
-        .map(|v| {
-            if net.is_alive(v) {
-                let root = drr.forest.root_of(v);
-                match spread.value_at(root) {
-                    Some(x) if x.is_finite() => x,
-                    // A root the spread missed falls back to its own estimate.
-                    _ => ave.estimates[root.index()].unwrap_or(f64::NAN),
-                }
-            } else {
-                f64::NAN
-            }
-        })
-        .collect();
-
-    DrrGossipReport {
-        statuses: statuses_of(&estimates, &alive),
-        estimates,
-        exact,
-        alive,
-        forest_stats: drr.forest.stats(),
-        phases: tracker.phases,
-        total_rounds: net.round() - start_rounds,
-        total_messages: net.metrics().total_messages() - start_messages,
-        metrics: net.metrics().clone(),
-    }
+    averaging_chain(net, &Uniform(config), values, Mass::Average)
 }
 
 #[cfg(test)]

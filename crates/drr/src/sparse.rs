@@ -19,16 +19,18 @@
 //! On Chord (`d = Θ(log n)`, `T = M = Θ(log n)`) this is `O(log² n)` time and
 //! `O(n log n)` messages, versus `O(log² n)` time and `O(n log² n)` messages
 //! for routed uniform gossip.
+//!
+//! The chain is the one [`crate::protocol`] runs on the complete graph;
+//! this module supplies its routed root overlay.
 
-use crate::broadcast::broadcast_down;
-use crate::convergecast::{convergecast_max, convergecast_sum, ReceptionModel};
+use crate::convergecast::ReceptionModel;
 use crate::forest::Forest;
-use crate::gossip_ave::estimate;
-use crate::gossip_max::absorb;
+use crate::gossip_ave::RootPairs;
+use crate::gossip_max::{absorb, GossipMaxOutcome};
 use crate::local_drr::run_local_drr;
-use crate::protocol::{DrrGossipReport, PhaseCost};
+use crate::protocol::{averaging_chain, max_chain, DrrGossipReport, Mass, RootOverlay};
 use gossip_aggregate::AverageState;
-use gossip_net::{Network, NodeId, Phase};
+use gossip_net::{NodeId, Phase, PhaseLedger, Transport};
 use gossip_topology::{Graph, RandomNodeSampler};
 use serde::{Deserialize, Serialize};
 
@@ -51,21 +53,26 @@ impl Default for SparseGossipConfig {
 }
 
 impl SparseGossipConfig {
-    fn gossip_rounds(&self, roots: usize) -> u64 {
-        ((f64::from(gossip_net::id_bits(roots.max(2))) * self.gossip_rounds_factor).ceil() as u64)
-            .max(1)
-    }
-
-    fn sampling_rounds(&self, roots: usize) -> u64 {
-        ((f64::from(gossip_net::id_bits(roots.max(2))) * self.sampling_rounds_factor).ceil() as u64)
-            .max(1)
+    /// Super-rounds of one root gossip: the gossip and the sampling rounds.
+    fn rounds(&self, roots: usize) -> u64 {
+        let log_roots = f64::from(gossip_net::id_bits(roots.max(2)));
+        [self.gossip_rounds_factor, self.sampling_rounds_factor]
+            .iter()
+            .map(|factor| ((log_roots * factor).ceil() as u64).max(1))
+            .sum()
     }
 }
 
 /// Deliver a payload hop-by-hop along `path`, starting at `from`. Every hop
 /// costs one message; the delivery fails if any hop is lost. Returns whether
 /// the payload reached the end of the path.
-fn route_along(net: &mut Network, from: NodeId, path: &[NodeId], phase: Phase, bits: u32) -> bool {
+fn route_along<T: Transport>(
+    net: &mut T,
+    from: NodeId,
+    path: &[NodeId],
+    phase: Phase,
+    bits: u32,
+) -> bool {
     let mut current = from;
     for &hop in path {
         if !net.send(current, hop, phase, bits) {
@@ -78,8 +85,8 @@ fn route_along(net: &mut Network, from: NodeId, path: &[NodeId], phase: Phase, b
 
 /// Climb from `node` to its tree root along parent pointers, one message per
 /// edge. Returns whether the payload reached the root.
-fn climb_to_root(
-    net: &mut Network,
+fn climb_to_root<T: Transport>(
+    net: &mut T,
     forest: &Forest,
     node: NodeId,
     phase: Phase,
@@ -95,25 +102,45 @@ fn climb_to_root(
     true
 }
 
+/// Route a `bits`-bit payload from `root` to a random node drawn from the
+/// stream `salt`, then up to that node's root: the node it landed on, or
+/// `None` if a hop lost it. The route is left in `path`.
+fn reach_routed<T: Transport>(
+    net: &mut T,
+    forest: &Forest,
+    sampler: &dyn RandomNodeSampler,
+    root: NodeId,
+    salt: u64,
+    path: &mut Vec<NodeId>,
+    bits: u32,
+) -> Option<NodeId> {
+    let mut rng = net.derive_rng(salt);
+    let landed = sampler.sample_into(root, &mut rng, path);
+    let delivered = route_along(net, root, path, Phase::Routing, bits)
+        && (landed == forest.root_of(landed)
+            || climb_to_root(net, forest, landed, Phase::RootForward, bits));
+    delivered.then_some(landed)
+}
+
 /// Charge the time of one routed gossip super-round: `T` rounds for the
 /// routed sample plus up to `max_height` rounds for the climb to the root.
-fn charge_super_round(net: &mut Network, sampler_rounds: usize, max_height: usize) {
+fn charge_super_round<T: Transport>(net: &mut T, sampler_rounds: usize, max_height: usize) {
     for _ in 0..(sampler_rounds + max_height).max(1) {
         net.advance_round();
     }
 }
 
 /// Gossip-max among the roots of a Local-DRR forest, using `sampler` to
-/// reach random nodes. Returns per-node values (at roots) and the fraction
-/// of roots holding the true maximum at the end.
+/// reach random nodes; each alive root starts at `initial(root)`. Returns
+/// per-node values (at roots).
 ///
 /// Working state is indexed by [`Forest::root_slot`], and it and the
 /// routing path are reused from sample to sample.
-pub fn sparse_gossip_max(
-    net: &mut Network,
+fn sparse_gossip_max<T: Transport>(
+    net: &mut T,
     forest: &Forest,
     sampler: &dyn RandomNodeSampler,
-    initial: &[Option<f64>],
+    initial: impl Fn(NodeId) -> f64,
     config: &SparseGossipConfig,
 ) -> Vec<Option<f64>> {
     let value_bits = net.config().value_bits() + net.config().id_bits();
@@ -122,14 +149,10 @@ pub fn sparse_gossip_max(
     let mut values: Vec<Option<f64>> = forest
         .roots()
         .iter()
-        .map(|&root| {
-            net.is_alive(root)
-                .then(|| initial[root.index()].unwrap_or(f64::NEG_INFINITY))
-        })
+        .map(|&root| net.is_alive(root).then(|| initial(root)))
         .collect();
-    let roots = forest.num_trees();
     let max_height = forest.max_height();
-    let rounds = config.gossip_rounds(roots) + config.sampling_rounds(roots);
+    let rounds = config.rounds(forest.num_trees());
 
     let mut incoming: Vec<(usize, f64)> = Vec::new();
     let mut path = Vec::new();
@@ -142,17 +165,13 @@ pub fn sparse_gossip_max(
                 Some(v) => v,
                 None => continue,
             };
-            let mut rng = net.derive_rng(root.index() as u64 ^ net.round() << 20);
-            let landed = sampler.sample_into(root, &mut rng, &mut path);
-            if !route_along(net, root, &path, Phase::Routing, value_bits) {
+            let salt = root.index() as u64 ^ net.round() << 20;
+            let Some(landed) =
+                reach_routed(net, forest, sampler, root, salt, &mut path, value_bits)
+            else {
                 continue;
-            }
+            };
             let receiver_root = forest.root_of(landed);
-            if landed != receiver_root
-                && !climb_to_root(net, forest, landed, Phase::RootForward, value_bits)
-            {
-                continue;
-            }
             let receiver = forest.root_slot(landed);
             if net.is_alive(receiver_root) {
                 incoming.push((receiver, value));
@@ -175,292 +194,125 @@ pub fn sparse_gossip_max(
     forest.by_node(values)
 }
 
-/// Push-sum among the roots of a Local-DRR forest using routed samples.
-/// Indexed and buffered like [`sparse_gossip_max`].
-pub fn sparse_gossip_ave(
-    net: &mut Network,
-    forest: &Forest,
-    sampler: &dyn RandomNodeSampler,
-    initial: &[Option<AverageState>],
-    config: &SparseGossipConfig,
-) -> Vec<Option<f64>> {
-    let payload_bits = 2 * net.config().value_bits() + net.config().id_bits();
-    let roots = forest.roots();
-    let mut sum = vec![0.0; roots.len()];
-    let mut weight = vec![0.0; roots.len()];
-    let mut active = vec![false; roots.len()];
-    for (slot, &root) in roots.iter().enumerate() {
-        if !net.is_alive(root) {
-            continue;
-        }
-        let st = initial[root.index()].unwrap_or(AverageState {
-            sum: 0.0,
-            count: 0.0,
-        });
-        sum[slot] = st.sum;
-        weight[slot] = st.count;
-        active[slot] = true;
-    }
-    let max_height = forest.max_height();
-    let rounds = config.gossip_rounds(roots.len()) + config.sampling_rounds(roots.len());
-
-    let mut incoming_sum = vec![0.0; roots.len()];
-    let mut incoming_weight = vec![0.0; roots.len()];
-    let mut path = Vec::new();
-    for _ in 0..rounds {
-        incoming_sum.fill(0.0);
-        incoming_weight.fill(0.0);
-        for (slot, &root) in roots.iter().enumerate() {
-            if !active[slot] {
-                continue;
-            }
-            let half_sum = sum[slot] / 2.0;
-            let half_weight = weight[slot] / 2.0;
-            sum[slot] = half_sum;
-            weight[slot] = half_weight;
-            let mut rng = net.derive_rng(root.index() as u64 ^ net.round() << 21);
-            let landed = sampler.sample_into(root, &mut rng, &mut path);
-            if !route_along(net, root, &path, Phase::Routing, payload_bits) {
-                continue;
-            }
-            if landed != forest.root_of(landed)
-                && !climb_to_root(net, forest, landed, Phase::RootForward, payload_bits)
-            {
-                continue;
-            }
-            let receiver = forest.root_slot(landed);
-            if active[receiver] {
-                incoming_sum[receiver] += half_sum;
-                incoming_weight[receiver] += half_weight;
-            }
-        }
-        for slot in 0..roots.len() {
-            sum[slot] += incoming_sum[slot];
-            weight[slot] += incoming_weight[slot];
-        }
-        charge_super_round(net, sampler.rounds_per_sample(), max_height);
-    }
-
-    forest.by_node(
-        (0..roots.len()).map(|slot| active[slot].then(|| estimate(sum[slot], weight[slot]))),
-    )
+/// The sparse-graph overlay of Section 4: Local-DRR over `graph`, root
+/// gossip over routed samples charged a super-round each, and no size
+/// election: the canonical largest-tree root spreads the estimate.
+struct Routed<'a> {
+    graph: &'a Graph,
+    sampler: &'a dyn RandomNodeSampler,
+    config: &'a SparseGossipConfig,
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by the two sparse composites
-fn finish_report(
-    net: &Network,
-    forest: &Forest,
-    values: &[f64],
-    estimates: Vec<f64>,
-    exact: f64,
-    phases: Vec<PhaseCost>,
-    start_rounds: u64,
-    start_messages: u64,
-) -> DrrGossipReport {
-    let _ = values;
-    let alive: Vec<bool> = net.nodes().map(|v| net.is_alive(v)).collect();
-    DrrGossipReport {
-        statuses: crate::protocol::statuses_of(&estimates, &alive),
-        estimates,
-        exact,
-        alive,
-        forest_stats: forest.stats(),
-        phases,
-        total_rounds: net.round() - start_rounds,
-        total_messages: net.metrics().total_messages() - start_messages,
-        metrics: net.metrics().clone(),
+impl RootOverlay for Routed<'_> {
+    const GOSSIP_MAX: &'static str = "root-gossip";
+
+    fn reception(&self) -> ReceptionModel {
+        ReceptionModel::AllNeighborsPerRound
+    }
+
+    fn forest<T: Transport>(&self, net: &mut T, ledger: &mut PhaseLedger) -> Forest {
+        let forest = run_local_drr(net, self.graph).forest;
+        ledger.record(net, "local-drr");
+        forest
+    }
+
+    fn gossip_max<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        initial: impl Fn(NodeId) -> f64,
+    ) -> Vec<Option<f64>> {
+        sparse_gossip_max(net, forest, self.sampler, initial, self.config)
+    }
+
+    /// Push-sum whose pushes travel by [`reach_routed`], a super-round each.
+    fn push_sum<T: Transport>(
+        &self,
+        net: &mut T,
+        forest: &Forest,
+        initial: impl Fn(NodeId) -> AverageState,
+        mass: Mass,
+        ledger: &mut PhaseLedger,
+    ) -> Vec<Option<f64>> {
+        let payload_bits = 2 * net.config().value_bits() + net.config().id_bits();
+        let rounds = self.config.rounds(forest.num_trees());
+        let (rounds, name) = match mass {
+            Mass::Average => (rounds, "root-gossip-ave"),
+            Mass::Sum => (2 * rounds, "root-gossip-sum"),
+        };
+        let max_height = forest.max_height();
+        let mut pairs = RootPairs::new(net, forest, initial);
+        let mut path = Vec::new();
+        pairs.run(
+            net,
+            forest,
+            rounds,
+            |net, root| {
+                let salt = root.index() as u64 ^ net.round() << 21;
+                reach_routed(
+                    net,
+                    forest,
+                    self.sampler,
+                    root,
+                    salt,
+                    &mut path,
+                    payload_bits,
+                )
+            },
+            |net, _| charge_super_round(net, self.sampler.rounds_per_sample(), max_height),
+        );
+        let estimates = pairs.by_node(forest);
+        ledger.record(net, name);
+        estimates
+    }
+
+    fn elect<T: Transport>(
+        &self,
+        _: &mut T,
+        _: &Forest,
+        _: &[Option<AverageState>],
+        _: &mut PhaseLedger,
+    ) -> Option<GossipMaxOutcome> {
+        None
     }
 }
 
 /// Sparse-network DRR-gossip-max (Theorem 14 instantiated for Max).
-pub fn sparse_drr_gossip_max(
-    net: &mut Network,
+pub fn sparse_drr_gossip_max<T: Transport>(
+    net: &mut T,
     graph: &Graph,
     sampler: &dyn RandomNodeSampler,
     values: &[f64],
     config: &SparseGossipConfig,
 ) -> DrrGossipReport {
-    assert_eq!(values.len(), net.n());
-    let start_rounds = net.round();
-    let start_messages = net.metrics().total_messages();
-    let mut phases = Vec::new();
-    let mut mark = (net.round(), net.metrics().total_messages());
-    let record =
-        |net: &Network, name: &'static str, mark: &mut (u64, u64), phases: &mut Vec<PhaseCost>| {
-            phases.push(PhaseCost {
-                name,
-                rounds: net.round() - mark.0,
-                messages: net.metrics().total_messages() - mark.1,
-            });
-            *mark = (net.round(), net.metrics().total_messages());
-        };
-
-    let local = run_local_drr(net, graph);
-    record(net, "local-drr", &mut mark, &mut phases);
-
-    let cc = convergecast_max(
-        net,
-        &local.forest,
-        values,
-        ReceptionModel::AllNeighborsPerRound,
-    );
-    record(net, "convergecast", &mut mark, &mut phases);
-    let _ = broadcast_down(
-        net,
-        &local.forest,
-        ReceptionModel::AllNeighborsPerRound,
-        Phase::Broadcast,
-        net.config().id_bits(),
-    );
-    record(net, "broadcast-root", &mut mark, &mut phases);
-
-    let gossip_values = sparse_gossip_max(net, &local.forest, sampler, &cc.state, config);
-    record(net, "root-gossip", &mut mark, &mut phases);
-
-    let _ = broadcast_down(
-        net,
-        &local.forest,
-        ReceptionModel::AllNeighborsPerRound,
-        Phase::Dissemination,
-        net.config().id_bits() + net.config().value_bits(),
-    );
-    record(net, "disseminate", &mut mark, &mut phases);
-
-    let exact = net
-        .alive_nodes()
-        .map(|v| values[v.index()])
-        .fold(f64::NEG_INFINITY, f64::max);
-    let estimates: Vec<f64> = net
-        .nodes()
-        .map(|v| {
-            if net.is_alive(v) {
-                gossip_values[local.forest.root_of(v).index()].unwrap_or(f64::NAN)
-            } else {
-                f64::NAN
-            }
-        })
-        .collect();
-    finish_report(
-        net,
-        &local.forest,
-        values,
-        estimates,
-        exact,
-        phases,
-        start_rounds,
-        start_messages,
-    )
+    let overlay = Routed {
+        graph,
+        sampler,
+        config,
+    };
+    max_chain(net, &overlay, values)
 }
 
 /// Sparse-network DRR-gossip-ave (Theorem 14 instantiated for Average).
-pub fn sparse_drr_gossip_ave(
-    net: &mut Network,
+pub fn sparse_drr_gossip_ave<T: Transport>(
+    net: &mut T,
     graph: &Graph,
     sampler: &dyn RandomNodeSampler,
     values: &[f64],
     config: &SparseGossipConfig,
 ) -> DrrGossipReport {
-    assert_eq!(values.len(), net.n());
-    let start_rounds = net.round();
-    let start_messages = net.metrics().total_messages();
-    let mut phases = Vec::new();
-    let mut mark = (net.round(), net.metrics().total_messages());
-    let record =
-        |net: &Network, name: &'static str, mark: &mut (u64, u64), phases: &mut Vec<PhaseCost>| {
-            phases.push(PhaseCost {
-                name,
-                rounds: net.round() - mark.0,
-                messages: net.metrics().total_messages() - mark.1,
-            });
-            *mark = (net.round(), net.metrics().total_messages());
-        };
-
-    let local = run_local_drr(net, graph);
-    record(net, "local-drr", &mut mark, &mut phases);
-
-    let cc = convergecast_sum(
-        net,
-        &local.forest,
-        values,
-        ReceptionModel::AllNeighborsPerRound,
-    );
-    record(net, "convergecast", &mut mark, &mut phases);
-    let _ = broadcast_down(
-        net,
-        &local.forest,
-        ReceptionModel::AllNeighborsPerRound,
-        Phase::Broadcast,
-        net.config().id_bits(),
-    );
-    record(net, "broadcast-root", &mut mark, &mut phases);
-
-    let ave_estimates = sparse_gossip_ave(net, &local.forest, sampler, &cc.state, config);
-    record(net, "root-gossip-ave", &mut mark, &mut phases);
-
-    // The largest-tree root spreads its estimate to all roots (Data-spread),
-    // again over routed samples.
-    let largest = local.forest.largest_tree_root();
-    let spread_value = ave_estimates[largest.index()].unwrap_or(0.0);
-    let spread_initial: Vec<Option<f64>> = net
-        .nodes()
-        .map(|v| {
-            if v == largest {
-                Some(spread_value)
-            } else if local.forest.is_root(v) {
-                Some(f64::NEG_INFINITY)
-            } else {
-                None
-            }
-        })
-        .collect();
-    let spread = sparse_gossip_max(net, &local.forest, sampler, &spread_initial, config);
-    record(net, "data-spread", &mut mark, &mut phases);
-
-    let _ = broadcast_down(
-        net,
-        &local.forest,
-        ReceptionModel::AllNeighborsPerRound,
-        Phase::Dissemination,
-        net.config().id_bits() + net.config().value_bits(),
-    );
-    record(net, "disseminate", &mut mark, &mut phases);
-
-    let alive_values: Vec<f64> = net.alive_nodes().map(|v| values[v.index()]).collect();
-    let exact = if alive_values.is_empty() {
-        0.0
-    } else {
-        alive_values.iter().sum::<f64>() / alive_values.len() as f64
+    let overlay = Routed {
+        graph,
+        sampler,
+        config,
     };
-    let estimates: Vec<f64> = net
-        .nodes()
-        .map(|v| {
-            if net.is_alive(v) {
-                let root = local.forest.root_of(v).index();
-                match spread[root] {
-                    Some(x) if x.is_finite() => x,
-                    _ => ave_estimates[root].unwrap_or(f64::NAN),
-                }
-            } else {
-                f64::NAN
-            }
-        })
-        .collect();
-    finish_report(
-        net,
-        &local.forest,
-        values,
-        estimates,
-        exact,
-        phases,
-        start_rounds,
-        start_messages,
-    )
+    averaging_chain(net, &overlay, values, Mass::Average)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_net::SimConfig;
+    use gossip_net::{Network, SimConfig};
     use gossip_topology::{ChordOverlay, ChordSampler, DirectSampler, RandomWalkSampler};
 
     fn values(n: usize) -> Vec<f64> {

@@ -47,6 +47,7 @@
 pub mod auth;
 pub mod bits;
 pub mod config;
+pub mod ledger;
 pub mod mailbox;
 pub mod metrics;
 pub mod network;
@@ -59,6 +60,7 @@ pub mod wire;
 pub use auth::{hmac_sha256, sha256, AuthKey, AUTH_TAG_BYTES};
 pub use bits::{ceil_log2, id_bits, mix64, value_bits_for_range, SETUP_STREAM_SALT};
 pub use config::SimConfig;
+pub use ledger::{PhaseCost, PhaseLedger};
 pub use mailbox::{sample_from_view, stagger_us, Handler, Mailbox, PeerView, StaticView, TimerId};
 pub use metrics::{Metrics, PhaseBreakdown};
 pub use network::Network;
