@@ -65,18 +65,12 @@ pub mod stamps;
 pub mod store;
 pub mod wire;
 
-pub use merkle::{
-    reconcile, reconcile_into, DigestTree, Handled, Tally, MAX_RANGE_SLOTS, PROBE_BATCH,
-};
-pub use protocol::{
-    ae_driver, AeConfig, AeMsg, AeNode, AeNodeStats, DigestMode, TIMER_TICK, TIMER_UPDATE,
-};
-pub use recovery::{
-    reference_store, RecoveryOutcome, RecoveryRecord, RecoveryTracker, RECOVERY_BOUND_TICKS,
-};
+pub use merkle::{reconcile, DigestTree, Handled, MAX_RANGE_SLOTS, PROBE_BATCH};
+pub use protocol::{ae_driver, AeConfig, AeMsg, AeNode, AeNodeStats, DigestMode};
+pub use recovery::{RecoveryOutcome, RecoveryRecord, RecoveryTracker, RECOVERY_BOUND_TICKS};
 pub use signal::SignalModel;
 pub use stamps::StampRun;
-pub use store::{sparse_digest_well_formed, Digest, Entry, SparseDigest, Store, STAMP_BITS};
+pub use store::{sparse_digest_well_formed, Digest, Entry, Store, STAMP_BITS};
 pub use wire::payload_bytes;
 
 // The building blocks the subsystem is made of, re-exported so dependents

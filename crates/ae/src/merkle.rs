@@ -212,7 +212,7 @@ fn combine(left: u64, right: u64) -> u64 {
 /// adopted and malformed input dropped. Returned by [`reconcile_into`];
 /// [`AeNode`](crate::AeNode) folds the counts into its stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Tally {
+pub(crate) struct Tally {
     /// Entries merged into the store (they beat what was held).
     pub adopted: usize,
     /// Malformed pieces dropped: digest arity mismatches, out-of-range or
@@ -222,21 +222,25 @@ pub struct Tally {
     pub invalid: usize,
 }
 
-/// A [`Tally`] together with the replies, collected: what [`reconcile`]
-/// returns.
+/// What [`reconcile`] returns: what one delivered message did to the
+/// replica, and the replies it produced.
 #[derive(Debug, Default)]
 pub struct Handled {
-    /// Entries merged into the store (see [`Tally::adopted`]).
+    /// Entries merged into the store (they beat what was held).
     pub adopted: usize,
-    /// Malformed pieces dropped (see [`Tally::invalid`]).
+    /// Malformed pieces dropped: digest arity mismatches, out-of-range or
+    /// unsorted digest pairs, out-of-range delta origins, zero stamps,
+    /// probe indices outside the tree.
     pub invalid: usize,
     /// Messages to send back to the peer, in deterministic order.
     pub replies: Vec<AeMsg>,
 }
 
-/// [`reconcile_into`] with the replies collected into a `Vec` — for callers
-/// that pump replicas against each other (the property suites, the
-/// `digest_scaling` experiment) rather than ship each reply as it comes.
+/// Apply one delivered message to a replica (validate it, merge what it
+/// carries, build the replies), with the replies collected into a `Vec` —
+/// for callers that pump replicas against each other (the property
+/// suites, the `digest_scaling` experiment) rather than ship each reply as
+/// it comes, as [`AeNode`](crate::AeNode) does.
 pub fn reconcile(
     store: &mut Store,
     tree: Option<&mut DigestTree>,
@@ -270,7 +274,7 @@ pub fn reconcile(
 /// All input is treated as hostile: arity, ordering, ranges and indices
 /// are validated before use, and malformed pieces are dropped and counted
 /// in [`Tally::invalid`].
-pub fn reconcile_into(
+pub(crate) fn reconcile_into(
     store: &mut Store,
     mut tree: Option<&mut DigestTree>,
     fallback_slots: usize,

@@ -21,9 +21,9 @@
 //! dropped leg costs nothing but the next tick. On its update tick a node
 //! re-stamps its own entry with the current signal value, which is what
 //! turns one-shot aggregation into **continuous** aggregation: estimates
-//! track the input as it drifts, stale entries age out (see
-//! [`Store::mean_fresh`]), and a churned-and-rejoined node — restarted
-//! with an empty store — pulls the whole state back within a few ticks.
+//! track the input as it drifts, stale entries age out of
+//! [`AeNode::estimate`], and a churned-and-rejoined node — restarted with
+//! an empty store — pulls the whole state back within a few ticks.
 
 use crate::merkle::{reconcile_into, DigestTree, MAX_RANGE_SLOTS};
 use crate::signal::SignalModel;
@@ -34,9 +34,9 @@ use gossip_runtime::{AsyncConfig, ShardedDriver};
 use serde::{Deserialize, Serialize};
 
 /// The anti-entropy tick timer.
-pub const TIMER_TICK: TimerId = TimerId(0);
+pub(crate) const TIMER_TICK: TimerId = TimerId(0);
 /// The local signal-update timer.
-pub const TIMER_UPDATE: TimerId = TimerId(1);
+pub(crate) const TIMER_UPDATE: TimerId = TimerId(1);
 
 /// How a node summarises its store for reconciliation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,8 +71,6 @@ pub struct AeConfig {
     /// exceed `update_us` plus a few ticks of propagation, or live
     /// origins flicker out of the aggregate between refreshes.
     pub expiry_us: u64,
-    /// Peers contacted per tick.
-    pub fanout: usize,
     /// The input signal being aggregated.
     pub signal: SignalModel,
     /// Digest representation for exchanges (dense flat digests by
@@ -109,13 +107,6 @@ impl AeConfig {
         self
     }
 
-    /// Set the per-tick fanout.
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout >= 1, "fanout must be at least 1");
-        self.fanout = fanout;
-        self
-    }
-
     /// Set the signal model.
     pub fn with_signal(mut self, signal: SignalModel) -> Self {
         self.signal = signal;
@@ -148,7 +139,7 @@ fn check_fallback_slots(slots: usize) {
 }
 
 impl Default for AeConfig {
-    /// 4 ms ticks, 16 ms signal refresh, 80 ms freshness window, fanout 1 —
+    /// 4 ms ticks, 16 ms signal refresh, 80 ms freshness window —
     /// proportioned like the ciruela emulator's interval gossip (ticks a
     /// few latency medians apart).
     fn default() -> Self {
@@ -156,7 +147,6 @@ impl Default for AeConfig {
             tick_us: 4_000,
             update_us: 16_000,
             expiry_us: 80_000,
-            fanout: 1,
             signal: SignalModel::default(),
             digest_mode: DigestMode::Dense,
             merkle_fallback_slots: 32,
@@ -429,12 +419,6 @@ impl AeNode {
         }
     }
 
-    /// Ticks fired since the last adoption from a peer (the convergence
-    /// lag surfaced as `ae_convergence_lag`).
-    pub fn convergence_lag(&self) -> u64 {
-        self.ticks_since_adopt
-    }
-
     /// The node's replicated store.
     pub fn store(&self) -> &Store {
         &self.store
@@ -515,16 +499,12 @@ impl Handler for AeNode {
                         self.staleness.record(now_us.saturating_sub(entry.stamp));
                     }
                 }
-                // One opener serves every fanout target: the store cannot
-                // change between the sends of one tick.
                 let opener = self.opener();
                 let bits = self.bits.msg_bits(&opener);
-                for _ in 0..self.config.fanout {
-                    let peer = mailbox.sample_peer();
-                    mailbox.send(peer, Phase::AntiEntropy, bits, opener.clone());
-                    self.stats.syn_sent += 1;
-                    self.stats.sent(&opener, bits);
-                }
+                let peer = mailbox.sample_peer();
+                self.stats.syn_sent += 1;
+                self.stats.sent(&opener, bits);
+                mailbox.send(peer, Phase::AntiEntropy, bits, opener);
                 mailbox.set_timer(self.config.tick_us, TIMER_TICK);
             }
             TIMER_UPDATE => {

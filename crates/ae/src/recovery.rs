@@ -65,7 +65,7 @@ pub struct RecoveryRecord {
 /// node's store. One `O(n)` slot scan per alive node — `O(n · alive)` per
 /// call, which is the inherent cost of an exact union; the tracker only
 /// pays it on ticks with a recovery in flight.
-pub fn reference_store(driver: &ShardedDriver<AeNode>) -> Store {
+pub(crate) fn reference_store(driver: &ShardedDriver<AeNode>) -> Store {
     let mut reference = Store::new(driver.n());
     for v in driver.alive_nodes() {
         reference.merge_from(driver.handler(v).store());

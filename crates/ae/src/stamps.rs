@@ -11,10 +11,10 @@
 //!
 //! - **Model.** A run of k codes of logical width w costs
 //!   [`HEADER_BITS`](StampRun::HEADER_BITS) `+ k·w` modelled bits, and
-//!   nothing when k = 0 ([`StampRun::model_bits`]).
+//!   nothing when k = 0 (`StampRun::model_bits`).
 //! - **Wire.** The base as a `u64`, the width in whole bytes as a `u8`, then
 //!   the codes at ⌈w/8⌉ bytes each, little-endian; nothing when k = 0
-//!   ([`StampRun::wire_bytes`]). The model charges the logical width
+//!   (`StampRun::wire_bytes`). The model charges the logical width
 //!   because it prices what the information costs (any bit-packed wire
 //!   could reach it); the byte-aligned wire keeps the codec a byte copy per
 //!   code.
@@ -70,7 +70,7 @@ impl StampRun {
     }
 
     /// The run of a delta's entry stamps.
-    pub fn of_entries(entries: &[(NodeId, Entry)]) -> Self {
+    pub(crate) fn of_entries(entries: &[(NodeId, Entry)]) -> Self {
         Self::from_bounds(
             entries
                 .iter()
@@ -79,7 +79,7 @@ impl StampRun {
     }
 
     /// The run of a sparse digest's stamps.
-    pub fn of_pairs(pairs: &[(NodeId, u64)]) -> Self {
+    pub(crate) fn of_pairs(pairs: &[(NodeId, u64)]) -> Self {
         Self::from_bounds(pairs.iter().fold(EMPTY, |acc, &(_, s)| widen(acc, s)))
     }
 
@@ -94,7 +94,7 @@ impl StampRun {
     }
 
     /// Modelled bits of this run over `k` codes.
-    pub fn model_bits(&self, k: usize) -> u32 {
+    pub(crate) fn model_bits(&self, k: usize) -> u32 {
         if k == 0 {
             0
         } else {
@@ -103,7 +103,7 @@ impl StampRun {
     }
 
     /// Wire bytes of this run over `k` codes.
-    pub fn wire_bytes(&self, k: usize) -> usize {
+    pub(crate) fn wire_bytes(&self, k: usize) -> usize {
         if k == 0 {
             0
         } else {

@@ -50,7 +50,7 @@ pub type Digest = Vec<u64>;
 /// what the *messages* carry (and what the wire encodes) — absent origins
 /// cost nothing, so a rejoiner's digest is a handful of bytes instead of
 /// `n` stamps. The dense form stays the in-store working representation.
-pub type SparseDigest = Vec<(NodeId, u64)>;
+pub(crate) type SparseDigest = Vec<(NodeId, u64)>;
 
 /// Whether `pairs` is a well-formed sparse digest for an `n`-origin store:
 /// origins strictly ascending (sorted, duplicate-free) and in range,
@@ -275,7 +275,7 @@ impl Store {
     /// under churn: a crashed origin stops refreshing its entry, so its
     /// stale value ages out of everyone's estimate instead of biasing it
     /// forever.
-    pub fn mean_fresh(&self, now_us: u64, expiry_us: u64) -> Option<f64> {
+    pub(crate) fn mean_fresh(&self, now_us: u64, expiry_us: u64) -> Option<f64> {
         let mut sum = 0.0;
         let mut count = 0usize;
         for entry in self.slots.iter().flatten() {

@@ -15,24 +15,12 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
     }
 }
 
-/// Absolute error `|estimate − truth|`.
-pub fn absolute_error(estimate: f64, truth: f64) -> f64 {
-    (estimate - truth).abs()
-}
-
 /// Largest relative error over a collection of per-node estimates.
 pub fn max_relative_error(estimates: &[f64], truth: f64) -> f64 {
     estimates
         .iter()
         .map(|&e| relative_error(e, truth))
         .fold(0.0, f64::max)
-}
-
-/// Whether every estimate is within relative error `epsilon` of the truth.
-pub fn all_within_relative_error(estimates: &[f64], truth: f64, epsilon: f64) -> bool {
-    estimates
-        .iter()
-        .all(|&e| relative_error(e, truth) <= epsilon)
 }
 
 /// Fraction of estimates that are exactly equal to the truth (used for the
@@ -69,21 +57,8 @@ mod tests {
     }
 
     #[test]
-    fn all_within_checks_every_estimate() {
-        assert!(all_within_relative_error(&[10.0, 10.1], 10.0, 0.011));
-        assert!(!all_within_relative_error(&[10.0, 12.0], 10.0, 0.011));
-        assert!(all_within_relative_error(&[], 10.0, 0.0));
-    }
-
-    #[test]
     fn fraction_exact_counts_matches() {
         assert_eq!(fraction_exact(&[5.0, 5.0, 3.0, 5.0], 5.0), 0.75);
         assert_eq!(fraction_exact(&[], 5.0), 0.0);
-    }
-
-    #[test]
-    fn absolute_error_basic() {
-        assert_eq!(absolute_error(3.0, 5.0), 2.0);
-        assert_eq!(absolute_error(-3.0, 5.0), 8.0);
     }
 }

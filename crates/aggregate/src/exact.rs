@@ -40,11 +40,6 @@ impl ExactAggregates {
         }
     }
 
-    /// Rank of `target`: number of values strictly smaller than it.
-    pub fn rank_of(values: &[f64], target: f64) -> usize {
-        values.iter().filter(|&&v| v < target).count()
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on a sorted copy.
     pub fn quantile(values: &[f64], q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
@@ -61,6 +56,7 @@ impl ExactAggregates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::functions::{Aggregate, Rank};
     use proptest::prelude::*;
 
     #[test]
@@ -86,7 +82,7 @@ mod tests {
     #[test]
     fn rank_and_quantile() {
         let values = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(ExactAggregates::rank_of(&values, 3.0), 2);
+        assert_eq!(Rank::of(3.0).exact(&values), 2.0);
         assert_eq!(ExactAggregates::quantile(&values, 0.0), 1.0);
         assert_eq!(ExactAggregates::quantile(&values, 0.5), 3.0);
         assert_eq!(ExactAggregates::quantile(&values, 1.0), 5.0);
@@ -108,8 +104,8 @@ mod tests {
         #[test]
         fn rank_bounded_by_count(values in proptest::collection::vec(-1e3f64..1e3, 0..200),
                                  target in -1e3f64..1e3) {
-            let r = ExactAggregates::rank_of(&values, target);
-            prop_assert!(r <= values.len());
+            let r = Rank::of(target).exact(&values);
+            prop_assert!(r <= values.len() as f64);
         }
     }
 }

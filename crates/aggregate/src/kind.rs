@@ -25,15 +25,6 @@ pub enum AggregateKind {
 }
 
 impl AggregateKind {
-    /// All parameter-free kinds.
-    pub const BASIC: [AggregateKind; 5] = [
-        AggregateKind::Max,
-        AggregateKind::Min,
-        AggregateKind::Sum,
-        AggregateKind::Count,
-        AggregateKind::Average,
-    ];
-
     /// Name used in tables and CLI arguments.
     pub fn name(&self) -> &'static str {
         match self {
@@ -97,7 +88,13 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_names() {
-        for kind in AggregateKind::BASIC {
+        for kind in [
+            AggregateKind::Max,
+            AggregateKind::Min,
+            AggregateKind::Sum,
+            AggregateKind::Count,
+            AggregateKind::Average,
+        ] {
             assert_eq!(AggregateKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(AggregateKind::parse("AVG"), Some(AggregateKind::Average));

@@ -25,9 +25,7 @@ pub mod functions;
 pub mod kind;
 pub mod values;
 
-pub use error::{
-    absolute_error, all_within_relative_error, fraction_exact, max_relative_error, relative_error,
-};
+pub use error::{fraction_exact, max_relative_error, relative_error};
 pub use exact::ExactAggregates;
 pub use functions::{Aggregate, Average, AverageState, Count, Max, Min, Rank, Sum};
 pub use kind::AggregateKind;

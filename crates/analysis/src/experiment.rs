@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One measured sample: named scalar observations from a single trial.
-pub type Observation = Vec<(String, f64)>;
+pub(crate) type Observation = Vec<(String, f64)>;
 
 /// A sweep over network sizes with repeated trials per size.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,63 +116,6 @@ impl SweepResult {
             .find(|p| p.n == n)
             .and_then(|p| p.metrics.get(metric))
     }
-
-    /// Names of all measured metrics (sorted).
-    pub fn metric_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .points
-            .iter()
-            .flat_map(|p| p.metrics.keys().cloned())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// Serialise to pretty JSON (for EXPERIMENTS.md appendices and archival).
-    ///
-    /// The JSON is written by hand: the offline build's `serde` stand-in has
-    /// no real serialisation backend, and the shape of a sweep result is
-    /// fixed, so a direct writer is both dependency-free and stable.
-    pub fn to_json(&self) -> String {
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\n  \"points\": [\n");
-        for (pi, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\n      \"n\": {},\n      \"metrics\": {{\n",
-                p.n
-            ));
-            for (mi, (name, s)) in p.metrics.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {:?}: {{ \"count\": {}, \"mean\": {}, \"std_dev\": {}, \"min\": {}, \"max\": {}, \"median\": {}, \"p10\": {}, \"p90\": {} }}{}\n",
-                    name,
-                    s.count,
-                    num(s.mean),
-                    num(s.std_dev),
-                    num(s.min),
-                    num(s.max),
-                    num(s.median),
-                    num(s.p10),
-                    num(s.p90),
-                    if mi + 1 < p.metrics.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("      }\n    }");
-            out.push_str(if pi + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -194,8 +137,8 @@ mod tests {
         let sweep = Sweep::powers_of_two(6, 9, 5);
         let result = sweep.run(fake_trial);
         assert_eq!(result.points.len(), 4);
-        assert_eq!(result.metric_names(), vec!["messages", "rounds"]);
         for p in &result.points {
+            assert!(p.metrics.keys().eq(["messages", "rounds"]));
             assert_eq!(p.metrics["messages"].count, 5);
         }
     }
@@ -226,23 +169,6 @@ mod tests {
         let a = sweep.run(fake_trial);
         let b = sweep.run(fake_trial);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn json_is_well_formed_and_complete() {
-        let sweep = Sweep::over(vec![64], 2);
-        let result = sweep.run(fake_trial);
-        let json = result.to_json();
-        // Structural checks in lieu of a parser: balanced delimiters, one
-        // object per point, every metric name present.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"n\": 64"));
-        for name in result.metric_names() {
-            assert!(json.contains(&format!("{name:?}")), "missing {name}");
-        }
-        assert!(json.contains("\"mean\""));
-        assert!(!json.contains("NaN"), "non-finite values must map to null");
     }
 
     #[test]

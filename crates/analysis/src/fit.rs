@@ -59,7 +59,7 @@ impl ComplexityModel {
     ];
 
     /// Evaluate `f(n)`.
-    pub fn eval(&self, n: f64) -> f64 {
+    pub(crate) fn eval(&self, n: f64) -> f64 {
         let n = n.max(2.0);
         let log_n = n.log2();
         let log_log_n = log_n.max(2.0).log2();
@@ -119,7 +119,7 @@ pub struct ModelFit {
 ///
 /// Points with non-positive `y` are ignored (they carry no scaling
 /// information); if all points are non-positive the coefficient is 0.
-pub fn fit_model(points: &[(f64, f64)], model: ComplexityModel) -> ModelFit {
+pub(crate) fn fit_model(points: &[(f64, f64)], model: ComplexityModel) -> ModelFit {
     assert!(!points.is_empty(), "cannot fit an empty series");
     let logs: Vec<(f64, f64)> = points
         .iter()
@@ -158,7 +158,7 @@ pub fn fit_model(points: &[(f64, f64)], model: ComplexityModel) -> ModelFit {
 }
 
 /// Fit every candidate and return them sorted by decreasing `R²`.
-pub fn fit_all(points: &[(f64, f64)], candidates: &[ComplexityModel]) -> Vec<ModelFit> {
+pub(crate) fn fit_all(points: &[(f64, f64)], candidates: &[ComplexityModel]) -> Vec<ModelFit> {
     let mut fits: Vec<ModelFit> = candidates.iter().map(|&m| fit_model(points, m)).collect();
     fits.sort_by(|a, b| b.r_squared.partial_cmp(&a.r_squared).expect("finite r²"));
     fits
@@ -170,23 +170,6 @@ pub fn best_fit(points: &[(f64, f64)], candidates: &[ComplexityModel]) -> ModelF
         .into_iter()
         .next()
         .expect("at least one candidate model")
-}
-
-/// The measured/model ratios `y / f(n)` — flat ratios confirm the model.
-pub fn normalized_ratios(points: &[(f64, f64)], model: ComplexityModel) -> Vec<f64> {
-    points.iter().map(|&(n, y)| y / model.eval(n)).collect()
-}
-
-/// How flat a ratio series is: `max/min` (1.0 = perfectly flat). Useful as a
-/// scale-free "does this growth model explain the data" indicator.
-pub fn ratio_spread(ratios: &[f64]) -> f64 {
-    let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if min <= 0.0 || !min.is_finite() || !max.is_finite() {
-        f64::INFINITY
-    } else {
-        max / min
-    }
 }
 
 #[cfg(test)]
@@ -262,15 +245,6 @@ mod tests {
         let best = best_fit(&points, &ComplexityModel::MESSAGE_MODELS);
         assert_eq!(best.model, ComplexityModel::NLogLogN);
         assert!(best.r_squared > 0.98);
-    }
-
-    #[test]
-    fn ratios_flat_for_matching_model() {
-        let points = series(ComplexityModel::NLogN, 1.5);
-        let ratios = normalized_ratios(&points, ComplexityModel::NLogN);
-        assert!(ratio_spread(&ratios) < 1.0 + 1e-9);
-        let wrong = normalized_ratios(&points, ComplexityModel::N);
-        assert!(ratio_spread(&wrong) > 1.2);
     }
 
     #[test]

@@ -80,22 +80,6 @@ impl Summary {
         let finite: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
         Summary::of(&finite)
     }
-
-    /// Half-width of the (normal-approximation) 95% confidence interval of
-    /// the mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.count as f64).sqrt()
-        }
-    }
-}
-
-/// Convenience: summarise an iterator of `u64` measurements.
-pub fn summarize_u64<I: IntoIterator<Item = u64>>(samples: I) -> Summary {
-    let as_f64: Vec<f64> = samples.into_iter().map(|x| x as f64).collect();
-    Summary::of(&as_f64)
 }
 
 #[cfg(test)]
@@ -123,7 +107,6 @@ mod tests {
         assert_eq!(single.count, 1);
         assert_eq!(single.mean, 7.0);
         assert_eq!(single.std_dev, 0.0);
-        assert_eq!(single.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -145,13 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn summarize_u64_converts() {
-        let s = summarize_u64([2u64, 4, 6]);
-        assert_eq!(s.mean, 4.0);
-        assert_eq!(s.count, 3);
-    }
-
-    #[test]
     fn percentiles_are_ordered() {
         let s = Summary::of(&[9.0, 1.0, 5.0, 3.0, 7.0, 2.0, 8.0]);
         assert!(s.p10 <= s.median && s.median <= s.p90);
@@ -165,7 +141,6 @@ mod tests {
             prop_assert!(s.mean >= s.min - 1e-9);
             prop_assert!(s.mean <= s.max + 1e-9);
             prop_assert!(s.std_dev >= 0.0);
-            prop_assert!(s.ci95_half_width() >= 0.0);
         }
 
         #[test]

@@ -42,11 +42,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Append a row of displayable cells.
-    pub fn push_display_row<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        self.push_row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Append a footnote rendered below the table.
     pub fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
@@ -152,7 +147,7 @@ mod tests {
     fn sample() -> Table {
         let mut t = Table::new("Demo", &["n", "messages", "model"]);
         t.push_row(vec!["256".into(), "1024".into(), "n log n".into()]);
-        t.push_display_row(&["65536", "131072", "n"]);
+        t.push_row(vec!["65536".into(), "131072".into(), "n".into()]);
         t.push_note("twenty trials per row");
         t
     }

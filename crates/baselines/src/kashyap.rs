@@ -26,26 +26,26 @@ use gossip_aggregate::relative_error;
 use gossip_net::{Network, NodeId, Phase, PhaseCost, PhaseLedger};
 use serde::{Deserialize, Serialize};
 
+/// Leader push-sum rounds = `⌈LEADER_ROUNDS_FACTOR · (log₂ m + log₂(1/ε))⌉`.
+const LEADER_ROUNDS_FACTOR: f64 = 1.5;
+/// Cap on probe rounds within one merge phase, in units of `⌈log₂ n⌉`
+/// (a safety net only).
+const PROBE_ROUND_CAP_FACTOR: f64 = 6.0;
+
 /// Configuration of efficient gossip.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EfficientGossipConfig {
     /// Target group size; `None` selects `⌈log₂ n⌉`.
     pub target_group_size: Option<usize>,
-    /// Leader push-sum rounds = `⌈factor · (log₂ m + log₂(1/ε))⌉`.
-    pub leader_rounds_factor: f64,
     /// Target relative error of the leader gossip.
     pub epsilon: f64,
-    /// Cap on probe rounds within one merge phase (safety net only).
-    pub probe_round_cap_factor: f64,
 }
 
 impl Default for EfficientGossipConfig {
     fn default() -> Self {
         EfficientGossipConfig {
             target_group_size: None,
-            leader_rounds_factor: 1.5,
             epsilon: 1e-4,
-            probe_round_cap_factor: 6.0,
         }
     }
 }
@@ -111,7 +111,7 @@ pub fn efficient_gossip_average(
 
     let max_phases = ((target as f64).log2().ceil() as u64 + 5).max(1);
     let probe_round_cap =
-        ((f64::from(gossip_net::id_bits(n)) * config.probe_round_cap_factor).ceil() as u64).max(4);
+        ((f64::from(gossip_net::id_bits(n)) * PROBE_ROUND_CAP_FACTOR).ceil() as u64).max(4);
     let mut merge_phases = 0;
     for _ in 0..max_phases {
         // Every group participates in at most one merge per phase (this is
@@ -242,7 +242,7 @@ pub fn efficient_gossip_average(
     let mut w: Vec<f64> = group_count.clone();
     let log_m = f64::from(gossip_net::id_bits(num_groups.max(2)));
     let log_eps = (1.0 / config.epsilon).log2().max(0.0);
-    let leader_rounds = ((config.leader_rounds_factor * (log_m + log_eps)).ceil() as u64).max(1);
+    let leader_rounds = ((LEADER_ROUNDS_FACTOR * (log_m + log_eps)).ceil() as u64).max(1);
     let payload_bits = 2 * value_bits + id_bits;
     for _ in 0..leader_rounds {
         let mut incoming_s = vec![0.0; n];

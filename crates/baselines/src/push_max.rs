@@ -38,7 +38,7 @@ impl Default for PushMaxConfig {
 
 impl PushMaxConfig {
     /// Maximum number of rounds for an `n`-node network.
-    pub fn max_rounds(&self, n: usize) -> u64 {
+    pub(crate) fn max_rounds(&self, n: usize) -> u64 {
         ((f64::from(gossip_net::id_bits(n.max(2))) * self.rounds_factor).ceil() as u64).max(1)
     }
 }
@@ -69,7 +69,7 @@ impl PushMaxOutcome {
     /// Messages that had been sent when coverage first reached `threshold`,
     /// if it ever did. This is the quantity Theorem 15 lower-bounds by
     /// `Ω(n log n)` for address-oblivious protocols.
-    pub fn messages_until_coverage(&self, threshold: f64) -> Option<u64> {
+    pub(crate) fn messages_until_coverage(&self, threshold: f64) -> Option<u64> {
         self.coverage_trace
             .iter()
             .position(|&c| c >= threshold)
@@ -77,7 +77,7 @@ impl PushMaxOutcome {
     }
 
     /// Rounds until coverage first reached `threshold`.
-    pub fn rounds_until_coverage(&self, threshold: f64) -> Option<u64> {
+    pub(crate) fn rounds_until_coverage(&self, threshold: f64) -> Option<u64> {
         self.coverage_trace
             .iter()
             .position(|&c| c >= threshold)

@@ -68,15 +68,6 @@ impl PushSumOutcome {
             .copied()
             .unwrap_or(f64::INFINITY)
     }
-
-    /// First round (1-based) at which the maximum relative error dropped
-    /// below `epsilon`, if it ever did.
-    pub fn rounds_to_error(&self, epsilon: f64) -> Option<u64> {
-        self.max_error_trace
-            .iter()
-            .position(|&e| e <= epsilon)
-            .map(|i| i as u64 + 1)
-    }
 }
 
 fn finish<T: Transport>(
@@ -309,8 +300,7 @@ mod tests {
         let early = out.max_error_trace[2];
         let late = *out.max_error_trace.last().unwrap();
         assert!(late < early);
-        assert!(out.rounds_to_error(0.01).is_some());
-        assert!(out.rounds_to_error(0.0).is_none() || out.max_relative_error() == 0.0);
+        assert!(out.max_error_trace.iter().any(|&e| e <= 0.01));
     }
 
     #[test]

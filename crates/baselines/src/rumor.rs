@@ -28,9 +28,6 @@ use serde::{Deserialize, Serialize};
 /// Configuration of rumor spreading.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RumorConfig {
-    /// Counter threshold after which an informed node stops pushing;
-    /// `None` selects the paper's `⌈log₂ log₂ n⌉ + 2`.
-    pub ctr_max: Option<u32>,
     /// Hard cap on rounds = `⌈rounds_factor · log₂ n⌉`.
     pub rounds_factor: f64,
     /// Disable the pull half (plain push protocol; needs `Θ(n log n)`
@@ -41,7 +38,6 @@ pub struct RumorConfig {
 impl Default for RumorConfig {
     fn default() -> Self {
         RumorConfig {
-            ctr_max: None,
             rounds_factor: 8.0,
             push_only: false,
         }
@@ -49,11 +45,11 @@ impl Default for RumorConfig {
 }
 
 impl RumorConfig {
-    fn counter_threshold(&self, n: usize) -> u32 {
-        self.ctr_max.unwrap_or_else(|| {
-            let log_n = f64::from(gossip_net::id_bits(n.max(4)));
-            (log_n.log2().ceil() as u32) + 2
-        })
+    /// Counter threshold after which an informed node stops pushing: the
+    /// paper's `⌈log₂ log₂ n⌉ + 2`.
+    fn counter_threshold(n: usize) -> u32 {
+        let log_n = f64::from(gossip_net::id_bits(n.max(4)));
+        (log_n.log2().ceil() as u32) + 2
     }
 
     fn max_rounds(&self, n: usize) -> u64 {
@@ -88,7 +84,7 @@ pub fn spread_rumor(net: &mut Network, source: NodeId, config: &RumorConfig) -> 
     let n = net.n();
     let messages_before = net.metrics().total_messages();
     let rumor_bits = net.config().value_bits();
-    let ctr_max = config.counter_threshold(n);
+    let ctr_max = RumorConfig::counter_threshold(n);
     let max_rounds = config.max_rounds(n);
 
     let mut state = vec![NodeState::Uninformed; n];

@@ -136,7 +136,7 @@ fn local_drr_stats(graph: &Graph, seed: u64) -> (f64, f64, f64) {
 }
 
 /// Run E7–E8 (Local-DRR on sparse graphs).
-pub fn run_local(options: &ExperimentOptions) -> Vec<Table> {
+pub(crate) fn run_local(options: &ExperimentOptions) -> Vec<Table> {
     let sweep = Sweep::over(options.sparse_sizes(), options.trials());
 
     let result = sweep.run(|n, seed| {

@@ -50,7 +50,6 @@ fn handler_config(n: usize) -> MaxGossipConfig {
     MaxGossipConfig {
         bits: sim.id_bits() + sim.value_bits(),
         push_interval_us: PUSH_INTERVAL_US,
-        fanout: 1,
     }
 }
 

@@ -35,7 +35,7 @@ pub struct ExperimentOptions {
 
 impl ExperimentOptions {
     /// Network sizes for message/round scaling sweeps.
-    pub fn scaling_sizes(&self) -> Vec<usize> {
+    pub(crate) fn scaling_sizes(&self) -> Vec<usize> {
         if self.quick {
             vec![1 << 8, 1 << 9, 1 << 10, 1 << 11]
         } else {
@@ -44,7 +44,7 @@ impl ExperimentOptions {
     }
 
     /// Network sizes for the more expensive sparse-network sweeps.
-    pub fn sparse_sizes(&self) -> Vec<usize> {
+    pub(crate) fn sparse_sizes(&self) -> Vec<usize> {
         if self.quick {
             vec![1 << 8, 1 << 9, 1 << 10]
         } else {
@@ -62,7 +62,7 @@ impl ExperimentOptions {
     }
 
     /// A single "showcase" size used by non-sweep experiments.
-    pub fn showcase_n(&self) -> usize {
+    pub(crate) fn showcase_n(&self) -> usize {
         if self.quick {
             1 << 10
         } else {
@@ -72,7 +72,7 @@ impl ExperimentOptions {
 }
 
 /// `(name, description, runner)` for every experiment.
-pub type ExperimentEntry = (
+pub(crate) type ExperimentEntry = (
     &'static str,
     &'static str,
     fn(&ExperimentOptions) -> Vec<Table>,

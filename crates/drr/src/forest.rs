@@ -260,7 +260,7 @@ impl Forest {
     /// containing `v`: the index root-gossip phases keep per-root state
     /// under.
     #[inline]
-    pub fn root_slot(&self, v: NodeId) -> usize {
+    pub(crate) fn root_slot(&self, v: NodeId) -> usize {
         self.root_slot[v.index()] as usize
     }
 
@@ -277,12 +277,6 @@ impl Forest {
     pub fn tree_size(&self, root: NodeId) -> usize {
         assert!(self.is_root(root), "{root} is not a root");
         self.tree_size[root.index()] as usize
-    }
-
-    /// Height (max depth) of the tree rooted at `root`.
-    pub fn tree_height(&self, root: NodeId) -> usize {
-        assert!(self.is_root(root), "{root} is not a root");
-        self.tree_height[root.index()] as usize
     }
 
     /// `(root, size)` for every tree.
@@ -334,7 +328,8 @@ impl Forest {
 
     /// All members of the tree rooted at `root` (including the root), in BFS
     /// order.
-    pub fn members_of(&self, root: NodeId) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn members_of(&self, root: NodeId) -> Vec<NodeId> {
         assert!(self.is_root(root), "{root} is not a root");
         let mut members = vec![root];
         let mut i = 0;
@@ -437,8 +432,6 @@ mod tests {
         assert_eq!(f.tree_size(NodeId::new(0)), 4);
         assert_eq!(f.tree_size(NodeId::new(4)), 1);
         assert_eq!(f.tree_size(NodeId::new(5)), 2);
-        assert_eq!(f.tree_height(NodeId::new(0)), 2);
-        assert_eq!(f.tree_height(NodeId::new(4)), 0);
         assert_eq!(f.max_tree_size(), 4);
         assert_eq!(f.max_height(), 2);
         assert_eq!(f.largest_tree_root(), NodeId::new(0));

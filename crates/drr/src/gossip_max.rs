@@ -56,7 +56,7 @@ impl GossipMaxConfig {
     }
 
     /// The number of sampling-procedure rounds for an `n`-node network.
-    pub fn sampling_rounds(&self, n: usize) -> u64 {
+    pub(crate) fn sampling_rounds(&self, n: usize) -> u64 {
         if !self.run_sampling {
             return 0;
         }

@@ -20,15 +20,14 @@ use gossip_net::{stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
 use serde::{Deserialize, Serialize};
 
 /// The push timer of [`MaxGossipHandler`].
-pub const TIMER_PUSH: TimerId = TimerId(0);
+pub(crate) const TIMER_PUSH: TimerId = TimerId(0);
 
 /// Parameters of the event-driven uniform gossip-max.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MaxGossipConfig {
-    /// Push interval (µs) — the event-driven analogue of one round.
+    /// Push interval (µs) — the event-driven analogue of one round. Each
+    /// interval the node pushes to one peer, as in the phone-call model.
     pub push_interval_us: u64,
-    /// Peers pushed to per interval (1 mirrors the phone-call model).
-    pub fanout: usize,
     /// Modelled wire size of one push (bits); use the backend's
     /// `id_bits + value_bits` for parity with the round-based accounting.
     pub bits: u32,
@@ -38,7 +37,6 @@ impl Default for MaxGossipConfig {
     fn default() -> Self {
         MaxGossipConfig {
             push_interval_us: 1_000,
-            fanout: 1,
             bits: 64,
         }
     }
@@ -92,10 +90,8 @@ impl Handler for MaxGossipHandler {
 
     fn on_timer(&mut self, timer: TimerId, mailbox: &mut dyn Mailbox<f64>) {
         debug_assert_eq!(timer, TIMER_PUSH);
-        for _ in 0..self.config.fanout {
-            let peer = mailbox.sample_peer();
-            mailbox.send(peer, Phase::UniformGossip, self.config.bits, self.current);
-        }
+        let peer = mailbox.sample_peer();
+        mailbox.send(peer, Phase::UniformGossip, self.config.bits, self.current);
         mailbox.set_timer(self.config.push_interval_us, TIMER_PUSH);
     }
 

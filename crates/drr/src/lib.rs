@@ -65,8 +65,8 @@ pub use drr::{run_drr, DrrConfig, DrrOutcome, ProbeBudget};
 pub use forest::{Forest, ForestError, ForestStats};
 pub use gossip_ave::{gossip_ave, GossipAveConfig, GossipAveOutcome};
 pub use gossip_max::{gossip_max, GossipMaxConfig, GossipMaxOutcome};
-pub use handler::{MaxGossipConfig, MaxGossipHandler, TIMER_PUSH};
-pub use local_drr::{local_drr_forest, run_local_drr, LocalDrrOutcome};
+pub use handler::{MaxGossipConfig, MaxGossipHandler};
+pub use local_drr::{run_local_drr, LocalDrrOutcome};
 pub use protocol::{
     drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport, NodeStatus, PhaseCost,
 };

@@ -98,10 +98,11 @@ pub fn run_local_drr<T: Transport>(net: &mut T, graph: &Graph) -> LocalDrrOutcom
     }
 }
 
-/// Pure (network-free) Local-DRR used by analysis experiments that only care
-/// about the forest shape: each node connects to its highest-ranked
-/// neighbour if that neighbour outranks it.
-pub fn local_drr_forest(graph: &Graph, ranks: &Ranks) -> Forest {
+/// Pure (network-free) Local-DRR, the oracle the networked run is held to:
+/// each node connects to its highest-ranked neighbour if that neighbour
+/// outranks it.
+#[cfg(test)]
+fn local_drr_forest(graph: &Graph, ranks: &Ranks) -> Forest {
     let n = graph.n();
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
     #[allow(clippy::needless_range_loop)] // v is a node id indexing several arrays

@@ -18,16 +18,10 @@ pub struct Ranks {
 
 impl Ranks {
     /// Draw a rank for every node of the network from the simulation RNG.
-    pub fn assign<T: Transport>(net: &mut T) -> Self {
+    pub(crate) fn assign<T: Transport>(net: &mut T) -> Self {
         let n = net.n();
         let rng = net.rng_mut();
         let ranks = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
-        Ranks { ranks }
-    }
-
-    /// Build ranks from explicit values (for tests and deterministic
-    /// constructions). Values need not be distinct — ties are broken by id.
-    pub fn from_values(ranks: Vec<f64>) -> Self {
         Ranks { ranks }
     }
 
@@ -40,11 +34,6 @@ impl Ranks {
     #[inline]
     pub fn rank(&self, v: NodeId) -> f64 {
         self.ranks[v.index()]
-    }
-
-    /// Raw rank slice.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.ranks
     }
 
     /// Strict "is ranked higher than" comparison with id tie-breaking.
@@ -65,20 +54,6 @@ impl Ranks {
         }
         best
     }
-
-    /// Nodes sorted by increasing rank (the "order statistic" numbering used
-    /// in the proofs of Theorems 2 and 4).
-    pub fn order_statistic(&self) -> Vec<NodeId> {
-        let mut order: Vec<NodeId> = (0..self.ranks.len()).map(NodeId::new).collect();
-        order.sort_by(|&a, &b| {
-            if self.higher(b, a) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
-        order
-    }
 }
 
 #[cfg(test)]
@@ -91,14 +66,14 @@ mod tests {
         let mut net = Network::new(SimConfig::new(500).with_seed(1));
         let ranks = Ranks::assign(&mut net);
         assert_eq!(ranks.n(), 500);
-        assert!(ranks.as_slice().iter().all(|&r| (0.0..1.0).contains(&r)));
+        assert!(ranks.ranks.iter().all(|&r| (0.0..1.0).contains(&r)));
     }
 
     #[test]
     fn assign_is_deterministic_in_seed() {
         let ranks = |seed| {
             let mut net = Network::new(SimConfig::new(64).with_seed(seed));
-            Ranks::assign(&mut net).as_slice().to_vec()
+            Ranks::assign(&mut net).ranks
         };
         assert_eq!(ranks(5), ranks(5));
         assert_ne!(ranks(5), ranks(6));
@@ -106,7 +81,9 @@ mod tests {
 
     #[test]
     fn higher_is_a_strict_total_order_even_with_ties() {
-        let ranks = Ranks::from_values(vec![0.5, 0.5, 0.2]);
+        let ranks = Ranks {
+            ranks: vec![0.5, 0.5, 0.2],
+        };
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         // tie broken by id
         assert!(ranks.higher(b, a));
@@ -118,24 +95,10 @@ mod tests {
 
     #[test]
     fn highest_finds_maximum() {
-        let ranks = Ranks::from_values(vec![0.1, 0.9, 0.3, 0.9]);
+        let ranks = Ranks {
+            ranks: vec![0.1, 0.9, 0.3, 0.9],
+        };
         // tie between 1 and 3 broken towards the larger id
         assert_eq!(ranks.highest(), NodeId::new(3));
-    }
-
-    #[test]
-    fn order_statistic_sorts_by_rank() {
-        let ranks = Ranks::from_values(vec![0.3, 0.1, 0.9, 0.5]);
-        let order: Vec<usize> = ranks.order_statistic().iter().map(|v| v.index()).collect();
-        assert_eq!(order, vec![1, 0, 3, 2]);
-    }
-
-    #[test]
-    fn order_statistic_is_consistent_with_higher() {
-        let ranks = Ranks::from_values(vec![0.4, 0.4, 0.2, 0.8]);
-        let order = ranks.order_statistic();
-        for w in order.windows(2) {
-            assert!(ranks.higher(w[1], w[0]));
-        }
     }
 }

@@ -42,7 +42,6 @@ fn max_gossip_converges_over_real_udp_and_matches_the_simulator() {
     let config = MaxGossipConfig {
         bits: sim.id_bits() + sim.value_bits(),
         push_interval_us: 1_000,
-        fanout: 1,
     };
 
     // The simulator's verdict for this configuration.

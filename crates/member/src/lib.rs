@@ -47,8 +47,6 @@ pub mod state;
 pub mod swim;
 pub mod wire;
 
-pub use state::{
-    supersedes, Liveness, MemberTable, PeerRecord, Transition, Update, UPDATE_WIRE_BYTES,
-};
-pub use swim::{Member, MemberConfig, MemberMsg, MemberStats, MEMBER_TIMER_RTT, MEMBER_TIMER_TICK};
+pub use state::{supersedes, Liveness, MemberTable, PeerRecord, Transition, Update};
+pub use swim::{Member, MemberConfig, MemberMsg, MemberStats};
 pub use wire::{payload_bytes, MAX_UPDATES};

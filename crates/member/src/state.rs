@@ -58,12 +58,12 @@ impl Liveness {
     }
 
     /// Wire tag (total decoder counterpart is [`Liveness::from_wire`]).
-    pub fn to_wire(self) -> u8 {
+    pub(crate) fn to_wire(self) -> u8 {
         self.rank()
     }
 
     /// Decode a wire tag; `None` for hostile bytes.
-    pub fn from_wire(tag: u8) -> Option<Liveness> {
+    pub(crate) fn from_wire(tag: u8) -> Option<Liveness> {
         match tag {
             0 => Some(Liveness::Alive),
             1 => Some(Liveness::Suspect),
@@ -85,7 +85,7 @@ pub struct Update {
 }
 
 /// Exact wire size of one [`Update`]: u32 id + u64 incarnation + u8 state.
-pub const UPDATE_WIRE_BYTES: usize = 4 + 8 + 1;
+pub(crate) const UPDATE_WIRE_BYTES: usize = 4 + 8 + 1;
 
 /// Does `(new_state, new_inc)` supersede `(old_state, old_inc)`?
 pub fn supersedes(new_state: Liveness, new_inc: u64, old_state: Liveness, old_inc: u64) -> bool {
@@ -284,7 +284,7 @@ impl MemberTable {
 
     /// The local detector starts suspecting `node` (probe timed out) at
     /// its current incarnation. No-op unless the record is known-Alive.
-    pub fn start_suspect(&mut self, node: NodeId, now_us: u64) -> bool {
+    pub(crate) fn start_suspect(&mut self, node: NodeId, now_us: u64) -> bool {
         let idx = node.index();
         if idx >= self.records.len() || node == self.me {
             return false;
@@ -303,7 +303,7 @@ impl MemberTable {
     /// the incarnation that was suspected* — a refutation that arrived
     /// meanwhile moved the record to a higher incarnation and is immune.
     /// Returns the newly declared dead, in id order.
-    pub fn sweep_suspects(&mut self, now_us: u64, timeout_us: u64) -> Vec<NodeId> {
+    pub(crate) fn sweep_suspects(&mut self, now_us: u64, timeout_us: u64) -> Vec<NodeId> {
         let mut dead = Vec::new();
         for idx in 0..self.records.len() {
             let rec = self.records[idx];
@@ -326,7 +326,7 @@ impl MemberTable {
     /// then highest id recency tiebreak by id for determinism), reading
     /// each node's *current* record. Slots at the retransmit limit are
     /// retired.
-    pub fn next_piggyback(&mut self, max: usize) -> Vec<Update> {
+    pub(crate) fn next_piggyback(&mut self, max: usize) -> Vec<Update> {
         if max == 0 || self.queue.is_empty() {
             return Vec::new();
         }
@@ -360,11 +360,6 @@ impl MemberTable {
                 state: r.state,
             })
             .collect()
-    }
-
-    /// Number of rumors currently queued for dissemination.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     fn enqueue(&mut self, node: NodeId) {
@@ -494,7 +489,7 @@ mod tests {
         // 1 and 2 hit the retransmit limit on this drain and retire.
         assert_eq!(t.next_piggyback(2).len(), 2);
         assert_eq!(t.next_piggyback(8), vec![up(3, 0, Liveness::Alive)]);
-        assert_eq!(t.queue_len(), 0);
+        assert!(t.queue.is_empty());
     }
 
     #[test]
@@ -526,7 +521,7 @@ mod tests {
         t.bootstrap(NodeId::new(3));
         t.bootstrap(NodeId::new(3));
         assert_eq!(t.live_view(), &vec![NodeId::new(3)]);
-        assert_eq!(t.queue_len(), 0);
+        assert!(t.queue.is_empty());
         assert_eq!(t.counts(), (1, 0, 0, 2));
     }
 

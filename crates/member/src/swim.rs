@@ -34,7 +34,7 @@
 //!
 //! Rumors ride every outgoing message — control plane and application
 //! alike — freshest-first from a bounded queue (see
-//! [`MemberTable::next_piggyback`]), with the count capped so the encoded
+//! `MemberTable::next_piggyback`), with the count capped so the encoded
 //! datagram stays inside `budget_bytes`; nothing this layer adds can trip
 //! a host's `send_oversize` guard as long as the wrapped payload itself
 //! fits the budget.
@@ -48,9 +48,9 @@ use rand::Rng;
 /// The periodic protocol tick (probe round). Member timer labels live far
 /// above the small ids application handlers use; the range
 /// `0x4D45_4D00..=0x4D45_4DFF` is reserved for this crate.
-pub const MEMBER_TIMER_TICK: TimerId = TimerId(0x4D45_4D00);
+pub(crate) const MEMBER_TIMER_TICK: TimerId = TimerId(0x4D45_4D00);
 /// The direct-ping RTT deadline within a probe round.
-pub const MEMBER_TIMER_RTT: TimerId = TimerId(0x4D45_4D01);
+pub(crate) const MEMBER_TIMER_RTT: TimerId = TimerId(0x4D45_4D01);
 
 /// Salt for the per-node stagger of the first tick.
 const TICK_SALT: u64 = 0x4D45_4D42_5253_5749; // "MEMBRSWI"
@@ -83,11 +83,6 @@ pub struct MemberConfig {
     /// Hard cap on rumors per datagram (further capped by `budget_bytes`
     /// and by the wire's one-byte count, [`MAX_UPDATES`]).
     pub piggyback_limit: usize,
-    /// Retire a rumor after this many transmissions (0 = auto:
-    /// `3·⌈log2(n+1)⌉`, the classic λ log n dissemination bound).
-    pub retransmit_limit: u32,
-    /// Cap on distinct queued rumors (0 = auto: `n`).
-    pub max_queue: usize,
     /// Target encoded-datagram budget (bytes) piggybacking must respect.
     pub budget_bytes: usize,
     /// Contact points for joining. A node not listed here sends a Join to
@@ -108,8 +103,6 @@ impl Default for MemberConfig {
             proxies: 3,
             probe_fanout: 1,
             piggyback_limit: 8,
-            retransmit_limit: 0,
-            max_queue: 0,
             budget_bytes: 1200,
             seeds: Vec::new(),
             static_bootstrap: false,
@@ -144,21 +137,6 @@ impl MemberConfig {
 
     fn suspect_timeout_us(&self) -> u64 {
         self.probe_interval_us * u64::from(self.suspect_periods.max(1))
-    }
-
-    fn retransmit_limit_for(&self, n: usize) -> u32 {
-        if self.retransmit_limit > 0 {
-            return self.retransmit_limit;
-        }
-        3 * (usize::BITS - n.max(1).leading_zeros()).max(1)
-    }
-
-    fn max_queue_for(&self, n: usize) -> usize {
-        if self.max_queue > 0 {
-            self.max_queue
-        } else {
-            n.max(4)
-        }
     }
 }
 
@@ -607,11 +585,6 @@ impl<H: Handler> Member<H> {
         &self.inner
     }
 
-    /// The wrapped application handler, mutably.
-    pub fn inner_mut(&mut self) -> &mut H {
-        &mut self.inner
-    }
-
     /// Protocol counters.
     pub fn stats(&self) -> &MemberStats {
         &self.core.stats
@@ -751,11 +724,12 @@ impl<H: Handler> Handler for Member<H> {
     fn on_start(&mut self, mailbox: &mut dyn Mailbox<Self::Msg>) {
         let me = mailbox.me();
         let n = mailbox.n();
-        let retransmit_limit = self.core.cfg.retransmit_limit_for(n);
-        let max_queue = self.core.cfg.max_queue_for(n);
+        // A rumor retires after `3·⌈log2(n+1)⌉` transmissions, the classic
+        // λ log n dissemination bound; at most `n` distinct rumors queue.
+        let retransmit_limit = 3 * (usize::BITS - n.max(1).leading_zeros()).max(1);
         self.core.me = me;
         self.core.n = n;
-        self.core.table = MemberTable::new(me, n, retransmit_limit, max_queue);
+        self.core.table = MemberTable::new(me, n, retransmit_limit, n.max(4));
         self.core.stats = MemberStats::default();
         self.core.rtt_us = Histogram::new();
         self.core.seq = 0;

@@ -40,7 +40,6 @@ fn max_config(n: usize) -> MaxGossipConfig {
     MaxGossipConfig {
         bits: sim.id_bits() + sim.value_bits(),
         push_interval_us: 1_000,
-        fanout: 1,
     }
 }
 

@@ -40,7 +40,6 @@ fn max_handler(n: usize, me: NodeId, vals: &[f64]) -> MaxGossipHandler {
     let config = MaxGossipConfig {
         bits: sim.id_bits() + sim.value_bits(),
         push_interval_us: 1_000,
-        fanout: 1,
     };
     MaxGossipHandler::new(me, vals[me.index()], config)
 }

@@ -34,7 +34,7 @@ pub fn id_bits(n: usize) -> u32 {
 /// `range` (i.e. `log s` in the paper's notation). A floating-point payload
 /// in the simulator is charged this logical width, not its in-memory width.
 #[inline]
-pub fn value_bits_for_range(range: f64) -> u32 {
+pub(crate) fn value_bits_for_range(range: f64) -> u32 {
     if !range.is_finite() || range <= 1.0 {
         1
     } else {

@@ -98,9 +98,9 @@ impl SimConfig {
     /// deserialised from external input (sweep grids, CLI flags, ...).
     ///
     /// Note that `loss_prob` values *inside* `[0, 1)` but outside the
-    /// paper's analysis window `1/log n < δ < 1/8` are **valid** — the
-    /// simulator accepts them — they just void the paper's whp guarantees;
-    /// see [`SimConfig::delta_in_analysis_window`].
+    /// paper's analysis window `1/log n < δ < 1/8` (Section 2) are
+    /// **valid** — the simulator accepts them — they just void the paper's
+    /// whp guarantees (Theorems 5–7).
     pub fn validate(&self) -> Result<(), String> {
         if self.n < 1 {
             return Err("network must contain at least one node".to_string());
@@ -124,15 +124,6 @@ impl SimConfig {
             ));
         }
         Ok(())
-    }
-
-    /// Whether `δ` lies inside the paper's analysis window
-    /// `1/log n < δ < 1/8` (Section 2). Outside the window the simulator
-    /// still runs, but Theorems 5–7 no longer promise their whp bounds —
-    /// experiment code uses this to annotate such configurations.
-    pub fn delta_in_analysis_window(&self) -> bool {
-        let log_n = f64::from(self.log_n()).max(1.0);
-        self.loss_prob > 1.0 / log_n && self.loss_prob < 0.125
     }
 
     /// `⌈log₂ n⌉`, the natural probe budget unit of the paper (`log n − 1`
@@ -261,21 +252,6 @@ mod tests {
         assert!(bad_range.validate().unwrap_err().contains("value range"));
         let bad_n = SimConfig { n: 0, ..base };
         assert!(bad_n.validate().unwrap_err().contains("at least one node"));
-    }
-
-    #[test]
-    fn analysis_window_matches_paper_bounds() {
-        // n = 1024: 1/log n ≈ 0.1 — the window is (0.1, 0.125).
-        let cfg = |delta| SimConfig::new(1024).with_loss_prob(delta);
-        assert!(!cfg(0.0).delta_in_analysis_window());
-        assert!(!cfg(0.05).delta_in_analysis_window(), "below 1/log n");
-        assert!(cfg(0.11).delta_in_analysis_window());
-        assert!(!cfg(0.125).delta_in_analysis_window(), "1/8 is excluded");
-        assert!(!cfg(0.3).delta_in_analysis_window());
-        // Huge n: the window widens from below.
-        assert!(SimConfig::new(1 << 30)
-            .with_loss_prob(0.05)
-            .delta_in_analysis_window());
     }
 
     #[test]

@@ -58,10 +58,10 @@ pub mod transport;
 pub mod wire;
 
 pub use auth::{hmac_sha256, sha256, AuthKey, AUTH_TAG_BYTES};
-pub use bits::{ceil_log2, id_bits, mix64, value_bits_for_range, SETUP_STREAM_SALT};
+pub use bits::{ceil_log2, id_bits, mix64, SETUP_STREAM_SALT};
 pub use config::SimConfig;
 pub use ledger::{PhaseCost, PhaseLedger};
-pub use mailbox::{sample_from_view, stagger_us, Handler, Mailbox, PeerView, StaticView, TimerId};
+pub use mailbox::{sample_from_view, stagger_us, Handler, Mailbox, PeerView, TimerId};
 pub use metrics::{Metrics, PhaseBreakdown};
 pub use network::Network;
 pub use node::NodeId;
@@ -69,9 +69,7 @@ pub use phase::Phase;
 pub use stream::node_rng;
 pub use transport::{NodeIdIter, Transport};
 pub use wire::{
-    decode_frame, decode_frame_sealed, decode_frame_traced, encode_frame, encode_frame_into,
-    encode_frame_sealed, encode_frame_traced, frame_with_payload, frame_with_payload_traced,
-    seal_frame, WireError, WireMsg, WireReader, WireWriter, FLAG_AUTH, FLAG_TRACE,
-    FRAME_HEADER_BYTES, MAX_FRAME_BYTES, MAX_PAYLOAD_BYTES, TRACE_CTX_BYTES, WIRE_MAGIC,
-    WIRE_VERSION,
+    decode_frame, decode_frame_sealed, encode_frame, encode_frame_into, encode_frame_sealed,
+    frame_with_payload, seal_frame, WireError, WireMsg, WireReader, WireWriter, FLAG_AUTH,
+    FRAME_HEADER_BYTES, MAX_FRAME_BYTES, MAX_PAYLOAD_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };

@@ -94,7 +94,7 @@ pub trait Mailbox<M> {
     /// sending to it is then wasted, which is part of the model.
     ///
     /// The default routes through [`sample_from_view`] with the static
-    /// full-range [`StaticView`]; mailboxes layered over a membership view
+    /// full-range `StaticView`; mailboxes layered over a membership view
     /// override this to draw from the discovered topology instead.
     fn sample_peer(&mut self) -> NodeId {
         let n = self.n();
@@ -140,7 +140,7 @@ pub trait Mailbox<M> {
 
 /// A swappable source of candidate peers for [`Mailbox::sample_peer`].
 ///
-/// The default is the static full range `0..n` ([`StaticView`]) — every
+/// The default is the static full range `0..n` (`StaticView`) — every
 /// node id that could exist. A membership layer substitutes a *live* view
 /// (the ids it currently believes are up), and the aggregation protocols
 /// underneath keep calling `sample_peer` unchanged: the seam is in the
@@ -166,7 +166,7 @@ pub trait PeerView {
 /// The default [`PeerView`]: every node id in `0..n`, the fixed universe
 /// the round-based backends assume.
 #[derive(Clone, Copy, Debug)]
-pub struct StaticView(pub usize);
+pub(crate) struct StaticView(pub usize);
 
 impl PeerView for StaticView {
     fn len(&self) -> usize {

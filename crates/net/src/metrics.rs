@@ -98,17 +98,17 @@ impl Metrics {
     }
 
     /// Messages sent in a particular phase.
-    pub fn messages_in(&self, phase: Phase) -> u64 {
+    pub(crate) fn messages_in(&self, phase: Phase) -> u64 {
         self.messages.get(phase.as_index()).copied().unwrap_or(0)
     }
 
     /// Dropped messages in a particular phase.
-    pub fn dropped_in(&self, phase: Phase) -> u64 {
+    pub(crate) fn dropped_in(&self, phase: Phase) -> u64 {
         self.dropped.get(phase.as_index()).copied().unwrap_or(0)
     }
 
     /// Bits sent in a particular phase.
-    pub fn bits_in(&self, phase: Phase) -> u64 {
+    pub(crate) fn bits_in(&self, phase: Phase) -> u64 {
         self.bits.get(phase.as_index()).copied().unwrap_or(0)
     }
 
@@ -122,11 +122,6 @@ impl Metrics {
     /// Messages sent per completed round.
     pub fn per_round_messages(&self) -> &[u64] {
         &self.per_round_messages
-    }
-
-    /// Messages recorded since the last `advance_round` call.
-    pub fn current_round_messages(&self) -> u64 {
-        self.current_round_messages
     }
 
     /// Per-phase breakdown of all non-empty phases, in declaration order.
@@ -252,7 +247,7 @@ mod tests {
         m.advance_round(); // empty round
         assert_eq!(m.rounds(), 3);
         assert_eq!(m.per_round_messages(), &[2, 1, 0]);
-        assert_eq!(m.current_round_messages(), 0);
+        assert_eq!(m.current_round_messages, 0);
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl Network {
     }
 
     /// Sample a uniformly random *alive* node.
-    pub fn sample_uniform_alive(&mut self) -> NodeId {
+    pub(crate) fn sample_uniform_alive(&mut self) -> NodeId {
         loop {
             let candidate = self.sample_uniform();
             if self.is_alive(candidate) {

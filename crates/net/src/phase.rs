@@ -51,7 +51,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// All phases, exactly once each, in the order of [`Phase::as_index`].
+    /// All phases, exactly once each, in declaration order.
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::DrrProbe,
         Phase::DrrReply,
@@ -74,11 +74,11 @@ impl Phase {
     ];
 
     /// Number of distinct phases.
-    pub const COUNT: usize = 18;
+    pub(crate) const COUNT: usize = 18;
 
     /// Dense index for per-phase counters.
     #[inline]
-    pub fn as_index(self) -> usize {
+    pub(crate) fn as_index(self) -> usize {
         match self {
             Phase::DrrProbe => 0,
             Phase::DrrReply => 1,

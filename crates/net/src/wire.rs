@@ -53,22 +53,22 @@ const LEN_FIELD: std::ops::Range<usize> = 8..FRAME_HEADER_BYTES;
 /// plus hop `u8`) before the payload. Frames without the bit carry no extra
 /// bytes and are byte-identical to frames from builds that predate
 /// tracing — the feature is opt-in per frame, not a version bump.
-pub const FLAG_TRACE: u8 = 0x01;
+pub(crate) const FLAG_TRACE: u8 = 0x01;
 
 /// Flags bit: the frame is authenticated — [`AUTH_TAG_BYTES`] of
 /// truncated HMAC-SHA256 (keyed by the cluster [`AuthKey`]) follow the
 /// header and any trace context, covering every frame byte except the tag
-/// itself. Like [`FLAG_TRACE`], the bit is opt-in per frame: frames
+/// itself. Like `FLAG_TRACE`, the bit is opt-in per frame: frames
 /// without it are byte-identical to the unauthenticated format.
 pub const FLAG_AUTH: u8 = 0x02;
 
 /// All flags bits this build understands. Unknown bits are rejected: a
 /// flag may imply extra header bytes (as [`FLAG_TRACE`] and [`FLAG_AUTH`]
 /// do), so a decoder that ignored one would misparse everything after it.
-pub const KNOWN_FLAGS: u8 = FLAG_TRACE | FLAG_AUTH;
+pub(crate) const KNOWN_FLAGS: u8 = FLAG_TRACE | FLAG_AUTH;
 
 /// Extra bytes a [`FLAG_TRACE`] frame carries: trace id (8) + hop (1).
-pub const TRACE_CTX_BYTES: usize = 9;
+pub(crate) const TRACE_CTX_BYTES: usize = 9;
 
 /// Hard ceiling on a frame's payload length, chosen so that header +
 /// payload always fits a single unfragmented-at-the-API UDP datagram
@@ -139,7 +139,7 @@ pub enum WireError {
         value: u64,
     },
     /// The flags byte carries a bit this build does not understand (see
-    /// [`KNOWN_FLAGS`]): the frame cannot be parsed safely.
+    /// `KNOWN_FLAGS`): the frame cannot be parsed safely.
     BadFlags {
         /// The flags byte actually found.
         found: u8,
@@ -227,7 +227,7 @@ impl WireWriter {
     }
 
     /// Append a `u16` (little-endian).
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -299,7 +299,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read a little-endian `u16`.
-    pub fn take_u16(&mut self) -> Result<u16, WireError> {
+    pub(crate) fn take_u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
@@ -611,24 +611,18 @@ pub fn frame_with_payload(from: NodeId, payload: &[u8]) -> Vec<u8> {
     seal_frame(from, TraceCtx::NONE, None, payload)
 }
 
-/// [`frame_with_payload`] with a causal context. The absent context
-/// produces a frame byte-identical to an untraced one (flags 0, no extra
-/// bytes); a real context sets [`FLAG_TRACE`] and carries
-/// [`TRACE_CTX_BYTES`] of trace id + hop between the header and the
-/// payload. The length field counts the payload only.
-pub fn frame_with_payload_traced(from: NodeId, ctx: TraceCtx, payload: &[u8]) -> Vec<u8> {
-    seal_frame(from, ctx, None, payload)
-}
-
-/// The full framing seam: [`frame_with_payload_traced`] plus optional
-/// authentication. With `key = None` the output is byte-identical to the
-/// unauthenticated encoders (down to flags 0 when the context is also
-/// absent). With a key, the frame sets [`FLAG_AUTH`] and splices
-/// [`AUTH_TAG_BYTES`] of truncated HMAC-SHA256 between the trace context
-/// (if any) and the payload; the tag covers every frame byte *except
-/// itself* — header, trace context, and payload — so any post-seal
-/// tampering (including the length field and sender id) invalidates it.
-/// The length field counts the payload only, as always.
+/// The full framing seam: [`frame_with_payload`] plus an optional causal
+/// context and optional authentication. The absent context produces a
+/// frame byte-identical to an untraced one (flags 0, no extra bytes); a
+/// real context sets `FLAG_TRACE` and carries `TRACE_CTX_BYTES` of trace
+/// id + hop between the header and the payload. With `key = None` the
+/// output is byte-identical to the unauthenticated encoders (down to
+/// flags 0 when the context is also absent). With a key, the frame sets
+/// [`FLAG_AUTH`] and splices [`AUTH_TAG_BYTES`] of truncated HMAC-SHA256
+/// between the trace context (if any) and the payload; the tag covers
+/// every frame byte *except itself* — header, trace context, and payload —
+/// so any post-seal tampering (including the length field and sender id)
+/// invalidates it. The length field counts the payload only, as always.
 ///
 /// # Panics
 /// Panics if `payload` exceeds [`MAX_PAYLOAD_BYTES`]: callers check the
@@ -640,8 +634,8 @@ pub fn seal_frame(from: NodeId, ctx: TraceCtx, key: Option<&AuthKey>, payload: &
     frame
 }
 
-/// [`encode_frame_traced`] with optional authentication (see
-/// [`seal_frame`] for the layout).
+/// [`encode_frame`] with an optional causal context and optional
+/// authentication (see [`seal_frame`] for the layout).
 ///
 /// # Panics
 /// Panics on oversize payloads, like [`encode_frame`].
@@ -656,15 +650,6 @@ pub fn encode_frame_sealed<M: WireMsg>(
         panic!("encoded payload does not fit one frame: {e}");
     }
     frame
-}
-
-/// [`encode_frame`] with a causal context (see
-/// [`frame_with_payload_traced`] for the layout).
-///
-/// # Panics
-/// Panics on oversize payloads, like [`encode_frame`].
-pub fn encode_frame_traced<M: WireMsg>(from: NodeId, ctx: TraceCtx, msg: &M) -> Vec<u8> {
-    encode_frame_sealed(from, ctx, None, msg)
 }
 
 /// Decode one frame: validates magic, version and the length field, then
@@ -686,11 +671,14 @@ pub fn decode_frame<M: WireMsg>(buf: &[u8]) -> Result<(NodeId, M), WireError> {
 /// frames are *accepted* (the tag is skipped, not verified) so a keyless
 /// node can interoperate with a keyed cluster, mirroring how untraced
 /// decoders accept traced frames.
-pub fn decode_frame_traced<M: WireMsg>(buf: &[u8]) -> Result<(NodeId, TraceCtx, M), WireError> {
+pub(crate) fn decode_frame_traced<M: WireMsg>(
+    buf: &[u8],
+) -> Result<(NodeId, TraceCtx, M), WireError> {
     decode_frame_sealed(buf, None)
 }
 
-/// The full decoding seam: [`decode_frame_traced`] plus authentication
+/// The full decoding seam: [`decode_frame`] plus the frame's causal
+/// context ([`TraceCtx::NONE`] for untraced frames) and an authentication
 /// policy. Total over arbitrary input, like every decoder here.
 ///
 /// * `key = None` — legacy behaviour: bare frames decode as before and
@@ -967,7 +955,7 @@ mod tests {
             trace_id: 0x0123_4567_89AB_CDEF,
             hop: 3,
         };
-        let traced = encode_frame_traced(NodeId::new(9), ctx, &msg);
+        let traced = encode_frame_sealed(NodeId::new(9), ctx, None, &msg);
         assert_eq!(
             traced.len(),
             FRAME_HEADER_BYTES + TRACE_CTX_BYTES + msg.to_wire_bytes().len()
@@ -981,7 +969,7 @@ mod tests {
 
         // The absent context produces a frame byte-identical to the
         // untraced encoder's — the version-compatibility contract.
-        let plain = encode_frame_traced(NodeId::new(9), TraceCtx::NONE, &msg);
+        let plain = encode_frame_sealed(NodeId::new(9), TraceCtx::NONE, None, &msg);
         assert_eq!(plain, encode_frame(NodeId::new(9), &msg));
         let (_, got_ctx, _): (NodeId, TraceCtx, Vec<u64>) = decode_frame_traced(&plain).unwrap();
         assert!(got_ctx.is_none());
@@ -1000,12 +988,13 @@ mod tests {
             decode_frame::<u64>(&frame),
             Err(WireError::BadFlags { found: 0x04 })
         );
-        let mut frame = encode_frame_traced(
+        let mut frame = encode_frame_sealed(
             NodeId::new(1),
             TraceCtx {
                 trace_id: 5,
                 hop: 0,
             },
+            None,
             &7u64,
         );
         frame[3] |= 0x80;
@@ -1021,7 +1010,7 @@ mod tests {
             trace_id: 42,
             hop: 1,
         };
-        let frame = encode_frame_traced(NodeId::new(3), ctx, &vec![1u64, 2, 3]);
+        let frame = encode_frame_sealed(NodeId::new(3), ctx, None, &vec![1u64, 2, 3]);
         for cut in 0..frame.len() {
             let err = decode_frame_traced::<Vec<u64>>(&frame[..cut]).unwrap_err();
             assert!(
@@ -1087,17 +1076,9 @@ mod tests {
     #[test]
     fn keyless_sealing_is_byte_identical_to_legacy_encoders() {
         let msg = vec![1u64, 2, 3];
-        let ctx = TraceCtx {
-            trace_id: 99,
-            hop: 2,
-        };
         assert_eq!(
             encode_frame_sealed(NodeId::new(9), TraceCtx::NONE, None, &msg),
             encode_frame(NodeId::new(9), &msg)
-        );
-        assert_eq!(
-            encode_frame_sealed(NodeId::new(9), ctx, None, &msg),
-            encode_frame_traced(NodeId::new(9), ctx, &msg)
         );
         assert_eq!(
             seal_frame(NodeId::new(9), TraceCtx::NONE, None, &[1, 2, 3]),
@@ -1124,12 +1105,13 @@ mod tests {
             decode_frame_sealed::<u64>(&bare, Some(&key)),
             Err(WireError::AuthRequired)
         );
-        let traced = encode_frame_traced(
+        let traced = encode_frame_sealed(
             NodeId::new(2),
             TraceCtx {
                 trace_id: 1,
                 hop: 0,
             },
+            None,
             &77u64,
         );
         assert_eq!(

@@ -404,11 +404,6 @@ impl<H: Handler> NodeCore<H> {
         &self.timer_lag
     }
 
-    /// Whether this node requires (and produces) authenticated frames.
-    pub fn auth_required(&self) -> bool {
-        self.auth_key.is_some()
-    }
-
     /// Run `on_start` once. Idempotent; the hosts call it implicitly on
     /// their first pump.
     pub fn start(&mut self, sink: &mut dyn FrameSink)
@@ -454,7 +449,7 @@ impl<H: Handler> NodeCore<H> {
     /// for the next pass, so a periodic timer whose callback outlasts its
     /// period fires once per pass, never back to back. Returns the number
     /// of callbacks dispatched.
-    pub fn fire_due_timers(&mut self, sink: &mut dyn FrameSink) -> usize
+    pub(crate) fn fire_due_timers(&mut self, sink: &mut dyn FrameSink) -> usize
     where
         H::Msg: WireMsg,
     {
@@ -506,7 +501,7 @@ impl<H: Handler> NodeCore<H> {
     /// queue is empty, `Some(ZERO)` when one is already overdue). The
     /// bound every host wait must respect: sleeping longer than this
     /// trades timer punctuality for nothing.
-    pub fn until_next_timer(&self) -> Option<Duration> {
+    pub(crate) fn until_next_timer(&self) -> Option<Duration> {
         self.timers.peek().map(|Reverse((at, _, _))| {
             (self.epoch + Duration::from_micros(*at)).saturating_duration_since(Instant::now())
         })
@@ -514,7 +509,7 @@ impl<H: Handler> NodeCore<H> {
 
     /// Count one socket-level receive failure (the host saw the error;
     /// the core keeps the books).
-    pub fn note_recv_error(&mut self) {
+    pub(crate) fn note_recv_error(&mut self) {
         self.stats.recv_errors += 1;
         let now = self.now_us();
         self.trace_event(
@@ -663,7 +658,7 @@ impl<H: Handler> NodeCore<H> {
     /// The `/status` page: identity, uptime, the address book, wire
     /// counters and the handler's own lines. `udp_addr` is the host's
     /// bound transport address, which the core does not know itself.
-    pub fn status_page(&self, udp_addr: Option<SocketAddr>) -> String {
+    pub(crate) fn status_page(&self, udp_addr: Option<SocketAddr>) -> String {
         use std::fmt::Write;
         let now = self.now_us();
         let mut page = String::new();

@@ -138,7 +138,7 @@ where
     /// Blocking event loop until `deadline`: sleeps in the kernel on the
     /// socket (bounded by the next timer's due instant), wakes for
     /// datagrams and timers, returns when the deadline passes.
-    pub fn run_until_deadline(&mut self, deadline: Instant) {
+    pub(crate) fn run_until_deadline(&mut self, deadline: Instant) {
         loop {
             let now = Instant::now();
             if now >= deadline {
@@ -148,7 +148,7 @@ where
         }
     }
 
-    /// [`run_until_deadline`](NodeHost::run_until_deadline) for a duration.
+    /// Pump the host's event loop until `wall` has elapsed.
     pub fn run_for(&mut self, wall: Duration) {
         self.run_until_deadline(Instant::now() + wall);
     }
@@ -233,9 +233,8 @@ impl<H: Handler> NodeHost<H> {
     /// a TCP listener at `addr` (port 0 for ephemeral). Returns the bound
     /// address. The server is non-blocking and is pumped from the host's
     /// own event loops ([`poll`](NodeHost::poll),
-    /// [`run_until_deadline`](NodeHost::run_until_deadline)) — no thread,
-    /// no executor. Scrapes observe the host between callbacks, never
-    /// during one.
+    /// [`run_for`](NodeHost::run_for)) — no thread, no executor. Scrapes
+    /// observe the host between callbacks, never during one.
     pub fn serve_status(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
         self.reactor.serve_status(addr)
     }

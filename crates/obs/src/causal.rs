@@ -65,14 +65,14 @@ impl TraceChain {
     }
 
     /// Time from the earliest to the latest surviving step (µs).
-    pub fn span_us(&self) -> u64 {
+    pub(crate) fn span_us(&self) -> u64 {
         let first = self.steps.iter().map(|s| s.at_us).min().unwrap_or(0);
         let last = self.steps.iter().map(|s| s.at_us).max().unwrap_or(0);
         last - first
     }
 
     /// The first drop on the chain, if any step was dropped.
-    pub fn first_drop(&self) -> Option<&ChainStep> {
+    pub(crate) fn first_drop(&self) -> Option<&ChainStep> {
         self.steps.iter().find(|s| s.kind == TraceKind::Drop)
     }
 

@@ -5,10 +5,10 @@
 //! never blocks), so a scrape can never stall the protocol. It is scoped
 //! to what a metrics endpoint needs and hardened against hostile input:
 //!
-//! * request heads are capped ([`MAX_HEAD_BYTES`] → `431`),
-//! * concurrent connections are capped ([`MAX_CONNECTIONS`] → excess
+//! * request heads are capped (`MAX_HEAD_BYTES` → `431`),
+//! * concurrent connections are capped (`MAX_CONNECTIONS` → excess
 //!   accepts are dropped immediately),
-//! * every connection has a wall-clock deadline ([`CONN_DEADLINE`]), so a
+//! * every connection has a wall-clock deadline (`CONN_DEADLINE`), so a
 //!   half-open peer that never finishes its request (or never reads the
 //!   response) is dropped instead of wedging the node,
 //! * malformed request lines get a `400` and the connection is closed —
@@ -19,11 +19,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// Largest request head (request line + headers) we will buffer.
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Most connections serviced at once; excess accepts are closed at once.
-pub const MAX_CONNECTIONS: usize = 32;
+pub(crate) const MAX_CONNECTIONS: usize = 32;
 /// Wall-clock budget for a connection to finish its request/response.
-pub const CONN_DEADLINE: Duration = Duration::from_secs(2);
+pub(crate) const CONN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A parsed request: just the parts a status endpoint cares about.
 #[derive(Clone, Debug, PartialEq, Eq)]

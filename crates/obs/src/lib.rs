@@ -36,6 +36,4 @@ pub mod trace;
 pub use causal::{reconstruct, CausalReport, ChainStep, TraceChain};
 pub use http::{HttpServer, Request, Response};
 pub use registry::{Histogram, Registry};
-pub use trace::{
-    TraceCtx, TraceEvent, TraceFilter, TraceKind, TraceReason, TraceRing, NO_PEER, NO_TRACE,
-};
+pub use trace::{TraceCtx, TraceEvent, TraceFilter, TraceKind, TraceReason, TraceRing, NO_PEER};

@@ -322,11 +322,6 @@ impl Registry {
         });
     }
 
-    /// Overwrite a counter with `v`.
-    pub fn set_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: u64) {
-        self.upsert(name, help, labels, Value::Counter(v), |cur, new| *cur = new);
-    }
-
     /// Add `v` to a gauge (creating it at `v`).
     pub fn add_gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: f64) {
         self.upsert(name, help, labels, Value::Gauge(v), |cur, add| {
@@ -534,7 +529,7 @@ mod tests {
         let mut r = Registry::new();
         r.add_counter("a_total", "as", &[], 2);
         r.add_counter("a_total", "as", &[], 3);
-        r.set_counter("b_total", "bs", &[("phase", "rumor")], 7);
+        r.add_counter("b_total", "bs", &[("phase", "rumor")], 7);
         assert_eq!(r.counter_value("a_total", &[]), Some(5));
         assert_eq!(r.counter_value("b_total", &[("phase", "rumor")]), Some(7));
         let text = r.render();

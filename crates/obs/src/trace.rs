@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 pub const NO_PEER: u64 = u64::MAX;
 
 /// Sentinel trace id for events recorded outside any causal chain.
-pub const NO_TRACE: u64 = 0;
+pub(crate) const NO_TRACE: u64 = 0;
 
 /// The causal context of an event: which chain it belongs to and how many
 /// message hops separate it from the chain's origin.
@@ -28,7 +28,7 @@ pub const NO_TRACE: u64 = 0;
 /// untraced one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TraceCtx {
-    /// Chain id; [`NO_TRACE`] when the event is untraced.
+    /// Chain id; `NO_TRACE` when the event is untraced.
     pub trace_id: u64,
     /// Message hops from the chain's origin (0 at the root).
     pub hop: u8,
@@ -48,7 +48,7 @@ impl TraceCtx {
 
     /// Mint a root context from values already at hand — an
     /// avalanche-quality integer mix (splitmix64 finalizer), *not* an RNG
-    /// draw, so deriving ids is passive. Forced nonzero: [`NO_TRACE`]
+    /// draw, so deriving ids is passive. Forced nonzero: `NO_TRACE`
     /// always means "untraced".
     pub fn derive(node: u64, seq: u64) -> TraceCtx {
         let mut z = node
@@ -213,7 +213,7 @@ pub struct TraceEvent {
     pub kind: TraceKind,
     /// Why (mostly drop reasons; [`TraceReason::None`] otherwise).
     pub reason: TraceReason,
-    /// Causal chain id ([`NO_TRACE`] for untraced events).
+    /// Causal chain id (`NO_TRACE` for untraced events).
     pub trace_id: u64,
     /// Message hops from the chain's origin.
     pub hop: u8,

@@ -10,7 +10,7 @@
 //! allocates nothing per message.
 //!
 //! Keys are *stable*: a slot index never moves while its payload is live
-//! (only [`PayloadArena::decay`] shrinks the slab, and it only truncates
+//! (only `PayloadArena::decay` shrinks the slab, and it only truncates
 //! trailing **vacant** slots). Keys never feed an order hash — the event
 //! order is keyed by `(timestamp, origin, origin-sequence)` — so slab
 //! layout is free to differ across hosts without touching determinism.
@@ -18,7 +18,7 @@
 /// Sentinel key for events that carry no payload (crashes, timers, raw
 /// `Transport::send` traffic). Never returned by [`PayloadArena::insert`]:
 /// a slab would need 2³² − 1 concurrently-live payloads first.
-pub const NO_PAYLOAD: u32 = u32::MAX;
+pub(crate) const NO_PAYLOAD: u32 = u32::MAX;
 
 /// A slab allocator for one host's in-flight payloads. See the module docs.
 #[derive(Clone, Debug)]
@@ -73,7 +73,7 @@ impl<M> PayloadArena<M> {
     }
 
     /// Remove and return the payload at `key`, freeing the slot. Returns
-    /// `None` for [`NO_PAYLOAD`], for out-of-range keys and for
+    /// `None` for `NO_PAYLOAD`, for out-of-range keys and for
     /// already-freed slots (an undelivered event's key is freed eagerly;
     /// its event later pops with a stale key and must read nothing).
     #[inline]
@@ -96,7 +96,7 @@ impl<M> PayloadArena<M> {
     }
 
     /// How many inserts reused a freed slot instead of allocating.
-    pub fn reuse_total(&self) -> u64 {
+    pub(crate) fn reuse_total(&self) -> u64 {
         self.reuse_total
     }
 
@@ -104,7 +104,7 @@ impl<M> PayloadArena<M> {
     /// — live slots never move) and drop the now-dangling free-list
     /// entries. Cheap enough to call at every window barrier; does nothing
     /// while the slab is mostly live or already small.
-    pub fn decay(&mut self) {
+    pub(crate) fn decay(&mut self) {
         if self.slots.len() <= DECAY_MIN_SLOTS || self.live * 4 > self.slots.len() {
             return;
         }

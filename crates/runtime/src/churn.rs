@@ -61,7 +61,7 @@ impl ChurnModel {
     }
 
     /// Whether this model ever draws randomness.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.crash_prob > 0.0 || self.rejoin_prob > 0.0
     }
 }

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Distribution of one-way message latency, in virtual microseconds.
 ///
 /// Latency is sampled per message; an optional deterministic per-link bias
-/// (see [`LatencyModel::link_bias`]) makes some `(from, to)` pairs
+/// (see `LatencyModel::link_bias`) makes some `(from, to)` pairs
 /// persistently slower, which is what produces realistic tail behaviour in
 /// the `latency_tail` experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -43,7 +43,7 @@ impl Default for LatencyModel {
 impl LatencyModel {
     /// Deterministic per-link multiplier in `[1 − spread, 1 + spread]`,
     /// derived from the pair of endpoints (stable across the whole run).
-    pub fn link_bias(seed: u64, from: NodeId, to: NodeId, spread: f64) -> f64 {
+    pub(crate) fn link_bias(seed: u64, from: NodeId, to: NodeId, spread: f64) -> f64 {
         if spread <= 0.0 {
             return 1.0;
         }
@@ -60,7 +60,7 @@ impl LatencyModel {
 
     /// Sample one message latency, floored at 1 µs — no message arrives at
     /// the instant it was sent, which is also the contract
-    /// [`LatencyModel::min_us`] (and with it the sharded engine's
+    /// `LatencyModel::min_us` (and with it the sharded engine's
     /// cross-shard lookahead) relies on. [`LatencyModel::Constant`] draws
     /// nothing from `rng`.
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
@@ -87,7 +87,7 @@ impl LatencyModel {
     /// derives its bounded-lag epoch (the cross-shard lookahead) from this:
     /// a message sent at `t` can never arrive before `t + min_us`, so
     /// shards may safely run `min_us` of virtual time apart.
-    pub fn min_us(&self) -> u64 {
+    pub(crate) fn min_us(&self) -> u64 {
         match *self {
             LatencyModel::Constant(us) => us.max(1),
             LatencyModel::Uniform { lo_us, .. } => lo_us.max(1),

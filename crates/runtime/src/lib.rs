@@ -85,7 +85,7 @@ pub mod shard;
 mod soa;
 pub mod sweep;
 
-pub use arena::{PayloadArena, NO_PAYLOAD};
+pub use arena::PayloadArena;
 pub use churn::ChurnModel;
 pub use config::{AsyncConfig, RoundPolicy};
 pub use facade::ShardedTransport;

@@ -74,17 +74,8 @@ impl LatencyHistogram {
         self.total
     }
 
-    /// Mean latency (µs); 0 when empty.
-    pub fn mean_us(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.total as f64
-        }
-    }
-
     /// Minimum recorded latency (µs); 0 when empty.
-    pub fn min_us(&self) -> u64 {
+    pub(crate) fn min_us(&self) -> u64 {
         if self.total == 0 {
             0
         } else {
@@ -93,7 +84,8 @@ impl LatencyHistogram {
     }
 
     /// Maximum recorded latency (µs).
-    pub fn max_us(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn max_us(&self) -> u64 {
         self.max_us
     }
 
@@ -319,7 +311,6 @@ mod tests {
         assert!((450..=560).contains(&p50), "p50 = {p50}");
         let p99 = h.quantile_us(0.99);
         assert!((900..=1000).contains(&p99), "p99 = {p99}");
-        assert!((h.mean_us() - 500.5).abs() < 1.0);
     }
 
     #[test]
@@ -327,7 +318,6 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_us(0.99), 0);
-        assert_eq!(h.mean_us(), 0.0);
         assert_eq!(h.min_us(), 0);
     }
 

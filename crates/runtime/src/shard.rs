@@ -39,7 +39,7 @@
 //! per-origin sequence)` — a total order every shard can compute locally,
 //! which a single global submission counter would not be.
 //! Time advances in **bounded-lag epochs** of at most the latency model's
-//! minimum ([`LatencyModel::min_us`](crate::LatencyModel::min_us), scaled
+//! minimum (`LatencyModel::min_us`, scaled
 //! down by the link spread): a
 //! message sent at `t` can never arrive before `t + lookahead`, so while a
 //! shard processes the epoch `[E, E + lookahead)` every cross-shard message
@@ -1325,7 +1325,8 @@ where
     /// a shard's past and the run would no longer be shard-count invariant
     /// — or if the run has already started (a mid-run epoch change would
     /// break the slicing-invariance contract).
-    pub fn with_epoch_us(mut self, epoch_us: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_epoch_us(mut self, epoch_us: u64) -> Self {
         assert!(!self.started, "epoch length is fixed once the run starts");
         let lookahead = Self::lookahead_us(&self.topo.config);
         assert!(

@@ -33,25 +33,6 @@ pub fn ring(n: usize) -> Graph {
     Graph::from_edges(n, &edges)
 }
 
-/// Star with node 0 at the centre.
-pub fn star(n: usize) -> Graph {
-    let edges: Vec<(usize, usize)> = (1..n).map(|i| (0, i)).collect();
-    Graph::from_edges(n.max(1), &edges)
-}
-
-/// Complete binary tree on `n` nodes (node `i` has children `2i+1`, `2i+2`).
-pub fn binary_tree(n: usize) -> Graph {
-    let mut edges = Vec::new();
-    for i in 0..n {
-        for child in [2 * i + 1, 2 * i + 2] {
-            if child < n {
-                edges.push((i, child));
-            }
-        }
-    }
-    Graph::from_edges(n.max(1), &edges)
-}
-
 /// 2-D grid of `width × height` nodes; `wrap` makes it a torus.
 pub fn grid2d(width: usize, height: usize, wrap: bool) -> Graph {
     assert!(width >= 1 && height >= 1);
@@ -106,7 +87,7 @@ pub fn d_regular(n: usize, d: usize, seed: u64) -> Graph {
 
 /// Erdős–Rényi `G(n, p)` random graph, sampled in `O(n + m)` expected time
 /// with geometric edge skipping.
-pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
+pub(crate) fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x00c0_ffee_1234_5678);
     let mut edges = Vec::new();
@@ -183,24 +164,6 @@ mod tests {
         assert_eq!(g2.num_edges(), 1);
         let g1 = ring(1);
         assert_eq!(g1.num_edges(), 0);
-    }
-
-    #[test]
-    fn star_structure() {
-        let g = star(8);
-        assert_eq!(g.degree(NodeId::new(0)), 7);
-        assert!((1..8).all(|i| g.degree(NodeId::new(i)) == 1));
-        assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn binary_tree_structure() {
-        let g = binary_tree(7);
-        assert_eq!(g.num_edges(), 6);
-        assert_eq!(g.degree(NodeId::new(0)), 2);
-        assert_eq!(g.degree(NodeId::new(1)), 3);
-        assert_eq!(g.degree(NodeId::new(6)), 1);
-        assert!(is_connected(&g));
     }
 
     #[test]

@@ -84,16 +84,19 @@ impl ChordOverlay {
     /// `from` to `target`, excluding `from` itself and ending with `target`.
     /// Each hop follows the largest finger that does not overshoot the
     /// target, so the path has `O(log n)` hops.
-    pub fn lookup_path(&self, from: NodeId, target: NodeId) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn lookup_path(&self, from: NodeId, target: NodeId) -> Vec<NodeId> {
         let mut path = Vec::new();
         self.lookup_path_into(from, target, &mut path);
         path
     }
 
-    /// [`lookup_path`](ChordOverlay::lookup_path) into a caller-owned
-    /// buffer, which is cleared first: a caller routing many samples pays
-    /// for one path allocation, not one per sample.
-    pub fn lookup_path_into(&self, from: NodeId, target: NodeId, path: &mut Vec<NodeId>) {
+    /// The greedy Chord lookup from `from` to `target` into a caller-owned
+    /// buffer, which is cleared first: the nodes visited, excluding `from`
+    /// and ending with `target`, each hop along the largest finger that
+    /// does not overshoot (`O(log n)` hops). A caller routing many samples
+    /// pays for one path allocation, not one per sample.
+    pub(crate) fn lookup_path_into(&self, from: NodeId, target: NodeId, path: &mut Vec<NodeId>) {
         path.clear();
         let mut current = from.index();
         let target_idx = target.index();
@@ -112,25 +115,12 @@ impl ChordOverlay {
         }
     }
 
-    /// Number of hops of the greedy lookup.
-    pub fn lookup_hops(&self, from: NodeId, target: NodeId) -> usize {
-        self.lookup_path(from, target).len()
-    }
-
-    /// Sample a (roughly) uniformly random node and return the routing path
-    /// to it. This plays the role of the random-peer-selection protocol of
-    /// King et al. cited by the paper: `T = O(log n)` rounds and
-    /// `M = O(log n)` messages per sample.
-    pub fn sample_random_node(&self, from: NodeId, rng: &mut SmallRng) -> Vec<NodeId> {
-        let mut path = Vec::new();
-        self.sample_random_node_into(from, rng, &mut path);
-        path
-    }
-
-    /// [`sample_random_node`](ChordOverlay::sample_random_node) into a
-    /// caller-owned buffer, which is cleared first. The path is empty when
-    /// the node sampled itself.
-    pub fn sample_random_node_into(
+    /// Sample a (roughly) uniformly random node and leave the routing path
+    /// to it in a caller-owned buffer, which is cleared first. The path is
+    /// empty when the node sampled itself. This plays the role of the
+    /// random-peer-selection protocol of King et al. cited by the paper:
+    /// `T = O(log n)` rounds and `M = O(log n)` messages per sample.
+    pub(crate) fn sample_random_node_into(
         &self,
         from: NodeId,
         rng: &mut SmallRng,
@@ -199,8 +189,9 @@ mod tests {
     fn sample_random_node_routes_to_valid_target() {
         let chord = ChordOverlay::new(500);
         let mut rng = SmallRng::seed_from_u64(3);
+        let mut path = Vec::new();
         for _ in 0..100 {
-            let path = chord.sample_random_node(NodeId::new(42), &mut rng);
+            chord.sample_random_node_into(NodeId::new(42), &mut rng, &mut path);
             assert!(path.len() <= chord.max_lookup_hops());
             if let Some(last) = path.last() {
                 assert!(last.index() < 500);

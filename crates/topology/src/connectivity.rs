@@ -1,11 +1,12 @@
-//! Graph connectivity utilities (BFS distances, components, diameter).
+//! Connectivity oracle for the generator and overlay tests: BFS distances
+//! and whether a graph is connected.
 
 use crate::graph::Graph;
 use gossip_net::NodeId;
 use std::collections::VecDeque;
 
 /// BFS distances from `source`; `None` for unreachable nodes.
-pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<Option<u32>> {
+fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<Option<u32>> {
     let mut dist = vec![None; graph.n()];
     let mut queue = VecDeque::new();
     dist[source.index()] = Some(0);
@@ -23,7 +24,7 @@ pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<Option<u32>> {
 }
 
 /// Whether the graph is connected (vacuously true for a single node).
-pub fn is_connected(graph: &Graph) -> bool {
+pub(crate) fn is_connected(graph: &Graph) -> bool {
     if graph.n() == 0 {
         return true;
     }
@@ -32,59 +33,10 @@ pub fn is_connected(graph: &Graph) -> bool {
         .all(Option::is_some)
 }
 
-/// Connected-component label for each node (labels are dense, 0-based,
-/// assigned in order of discovery).
-pub fn connected_components(graph: &Graph) -> Vec<usize> {
-    let mut label = vec![usize::MAX; graph.n()];
-    let mut next = 0;
-    for start in graph.nodes() {
-        if label[start.index()] != usize::MAX {
-            continue;
-        }
-        let mut queue = VecDeque::new();
-        label[start.index()] = next;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            for u in graph.neighbors(v) {
-                if label[u.index()] == usize::MAX {
-                    label[u.index()] = next;
-                    queue.push_back(u);
-                }
-            }
-        }
-        next += 1;
-    }
-    label
-}
-
-/// Number of connected components.
-pub fn component_count(graph: &Graph) -> usize {
-    connected_components(graph)
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |m| m + 1)
-}
-
-/// Lower-bound estimate of the diameter via a double BFS sweep from `start`.
-/// Exact on trees; a good lower bound on general graphs.
-pub fn diameter_estimate(graph: &Graph, start: NodeId) -> u32 {
-    let first = bfs_distances(graph, start);
-    let farthest = first
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| d.map(|d| (i, d)))
-        .max_by_key(|&(_, d)| d)
-        .map(|(i, _)| NodeId::new(i))
-        .unwrap_or(start);
-    let second = bfs_distances(graph, farthest);
-    second.iter().flatten().copied().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{binary_tree, complete, grid2d, ring, star};
+    use crate::builders::{complete, d_regular, grid2d, ring};
 
     #[test]
     fn bfs_on_ring() {
@@ -100,27 +52,18 @@ mod tests {
     fn disconnected_graph_detected() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!is_connected(&g));
-        let labels = connected_components(&g);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
-        assert_eq!(component_count(&g), 2);
     }
 
     #[test]
     fn connected_graphs_have_one_component() {
-        for g in [complete(10), ring(10), star(10), binary_tree(10)] {
+        for g in [
+            complete(10),
+            ring(10),
+            grid2d(3, 4, false),
+            d_regular(30, 4, 1),
+        ] {
             assert!(is_connected(&g));
-            assert_eq!(component_count(&g), 1);
         }
-    }
-
-    #[test]
-    fn diameter_of_known_graphs() {
-        assert_eq!(diameter_estimate(&ring(10), NodeId::new(0)), 5);
-        assert_eq!(diameter_estimate(&star(10), NodeId::new(3)), 2);
-        assert_eq!(diameter_estimate(&complete(10), NodeId::new(0)), 1);
-        assert_eq!(diameter_estimate(&grid2d(4, 4, false), NodeId::new(0)), 6);
     }
 
     #[test]

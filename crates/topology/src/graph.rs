@@ -74,7 +74,8 @@ impl Graph {
     }
 
     /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_edges(&self) -> usize {
         self.adjacency.len() / 2
     }
 
@@ -96,7 +97,7 @@ impl Graph {
 
     /// Raw neighbour slice of a node (dense `u32` ids).
     #[inline]
-    pub fn neighbor_slice(&self, v: NodeId) -> &[u32] {
+    pub(crate) fn neighbor_slice(&self, v: NodeId) -> &[u32] {
         let i = v.index();
         &self.adjacency[self.offsets[i]..self.offsets[i + 1]]
     }
@@ -122,7 +123,8 @@ impl Graph {
     }
 
     /// Average degree.
-    pub fn avg_degree(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn avg_degree(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {

@@ -7,30 +7,26 @@
 //! topology; this crate supplies everything the sparse-network results need:
 //!
 //! * [`graph::Graph`] — CSR undirected graphs with degree queries;
-//! * [`builders`] — complete graphs, rings, grids/tori, stars, binary trees,
-//!   random `d`-regular graphs and Erdős–Rényi graphs;
+//! * [`builders`] — complete graphs, rings, grids/tori, random `d`-regular
+//!   graphs and Erdős–Rényi graphs;
 //! * [`chord::ChordOverlay`] — an idealised Chord ring with finger tables and
 //!   greedy `O(log n)`-hop lookups (the paper's flagship sparse topology);
 //! * [`routing`] — the [`routing::RandomNodeSampler`] abstraction of
 //!   Assumption 2 of Theorem 14 (reach a random node in `T` rounds and `M`
-//!   messages), with direct, Chord-lookup and random-walk implementations;
-//! * [`connectivity`] — BFS distances, components and diameter estimates.
+//!   messages), with direct, Chord-lookup and random-walk implementations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builders;
 pub mod chord;
-pub mod connectivity;
+#[cfg(test)]
+mod connectivity;
 pub mod graph;
 pub mod routing;
 
-pub use builders::{
-    binary_tree, complete, d_regular, erdos_renyi, erdos_renyi_logn, grid2d, ring, star,
-};
+pub use builders::{complete, d_regular, erdos_renyi_logn, grid2d, ring};
 pub use chord::ChordOverlay;
-pub use connectivity::{
-    bfs_distances, component_count, connected_components, diameter_estimate, is_connected,
-};
+
 pub use graph::Graph;
 pub use routing::{ChordSampler, DirectSampler, RandomNodeSampler, RandomWalkSampler, SampleRoute};

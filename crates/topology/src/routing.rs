@@ -26,13 +26,6 @@ pub struct SampleRoute {
     pub path: Vec<NodeId>,
 }
 
-impl SampleRoute {
-    /// Number of messages needed to deliver one payload along this route.
-    pub fn message_cost(&self) -> usize {
-        self.path.len()
-    }
-}
-
 /// A protocol for reaching a (roughly) uniformly random node of the network.
 pub trait RandomNodeSampler {
     /// Sample a random node reachable from `from`: return it, and leave the
@@ -184,7 +177,7 @@ mod tests {
         let mut counts = [0u32; 8];
         for _ in 0..16_000 {
             let route = sampler.sample(NodeId::new(0), &mut rng);
-            assert!(route.message_cost() <= 1);
+            assert!(route.path.len() <= 1);
             counts[route.target.index()] += 1;
         }
         for &c in &counts {
@@ -199,7 +192,7 @@ mod tests {
         let mut rng = rng();
         for _ in 0..200 {
             let route = sampler.sample(NodeId::new(77), &mut rng);
-            assert!(route.message_cost() <= sampler.rounds_per_sample());
+            assert!(route.path.len() <= sampler.rounds_per_sample());
             assert!(route.target.index() < 1 << 10);
         }
         assert_eq!(sampler.rounds_per_sample(), 10);
@@ -227,7 +220,7 @@ mod tests {
         let mut rng = rng();
         for _ in 0..100 {
             let route = sampler.sample(NodeId::new(3), &mut rng);
-            assert!(route.message_cost() <= 20);
+            assert!(route.path.len() <= 20);
             // Each consecutive pair in the path must be an edge.
             let mut prev = NodeId::new(3);
             for &hop in &route.path {

@@ -235,7 +235,6 @@ fn max_handler(n: usize, me: NodeId) -> MaxGossipHandler {
     let config = MaxGossipConfig {
         bits: sim.id_bits() + sim.value_bits(),
         push_interval_us: 1_000,
-        fanout: 1,
     };
     MaxGossipHandler::new(me, own_value(me), config)
 }
