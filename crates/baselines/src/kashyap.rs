@@ -18,12 +18,13 @@
 //! when *every* small group has merged — which is what produces the extra
 //! time factor, while each node is informed of a new leader only
 //! `O(log log n)` times, which keeps the message count at `O(n log log n)`.
-//! The leaders then run uniform push-sum (forwarded through group members,
-//! exactly like Phase III of DRR-gossip) and push the result back to their
-//! members.
+//! The leaders then run push-sum, a push that lands on a member forwarded
+//! to its leader, and push the result back to their members. That gossip is
+//! exactly Phase III of DRR-gossip: the same round loop,
+//! [`gossip_net::PushSum`], with leaders in place of tree roots.
 
 use gossip_aggregate::relative_error;
-use gossip_net::{Network, NodeId, Phase, PhaseCost, PhaseLedger};
+use gossip_net::{push_sum_rounds, Network, NodeId, Phase, PhaseCost, PhaseLedger, PushSum};
 use serde::{Deserialize, Serialize};
 
 /// Leader push-sum rounds = `⌈LEADER_ROUNDS_FACTOR · (log₂ m + log₂(1/ε))⌉`.
@@ -190,11 +191,10 @@ pub fn efficient_gossip_average(
     }
     ledger.record(net, "grouping");
 
-    let group_leaders: Vec<usize> = alive
-        .iter()
-        .map(|v| v.index())
-        .filter(|&i| is_group_leader(&leader, i))
+    let is_leader: Vec<bool> = (0..n)
+        .map(|i| alive_set[i] && is_group_leader(&leader, i))
         .collect();
+    let group_leaders: Vec<usize> = (0..n).filter(|&i| is_leader[i]).collect();
     let num_groups = group_leaders.len();
     let max_group_size = group_leaders
         .iter()
@@ -230,62 +230,31 @@ pub fn efficient_gossip_average(
     }
     ledger.record(net, "in-group aggregation");
 
-    // ---- Leader gossip: uniform push-sum among leaders (forwarded through members) ----
-    let total_sum: f64 = group_leaders.iter().map(|&l| group_sum[l]).sum();
-    let total_count: f64 = group_leaders.iter().map(|&l| group_count[l]).sum();
-    let true_average = if total_count > 0.0 {
-        total_sum / total_count
-    } else {
-        0.0
-    };
-    let mut s: Vec<f64> = group_sum.clone();
-    let mut w: Vec<f64> = group_count.clone();
-    let log_m = f64::from(gossip_net::id_bits(num_groups.max(2)));
-    let log_eps = (1.0 / config.epsilon).log2().max(0.0);
-    let leader_rounds = ((LEADER_ROUNDS_FACTOR * (log_m + log_eps)).ceil() as u64).max(1);
+    // ---- Leader gossip: push-sum among leaders, forwarded by members ----
+    let mut pairs = PushSum::new(&is_leader, |l| (group_sum[l], group_count[l]));
+    let true_average = pairs.average(&is_leader);
+    let leader_rounds = push_sum_rounds(LEADER_ROUNDS_FACTOR, num_groups, config.epsilon);
     let payload_bits = 2 * value_bits + id_bits;
-    for _ in 0..leader_rounds {
-        let mut incoming_s = vec![0.0; n];
-        let mut incoming_w = vec![0.0; n];
-        for &l in &group_leaders {
-            let half_s = s[l] / 2.0;
-            let half_w = w[l] / 2.0;
-            s[l] = half_s;
-            w[l] = half_w;
-            let me = NodeId::new(l);
-            let target = net.sample_uniform();
-            if !net.send(me, target, Phase::LeaderGossip, payload_bits) {
-                continue;
-            }
-            if !alive_set[target.index()] {
-                continue;
-            }
-            let dest_leader = leader[target.index()];
-            if dest_leader != target.index()
-                && !net.send(
-                    target,
-                    NodeId::new(dest_leader),
-                    Phase::LeaderGossip,
-                    payload_bits,
-                )
-            {
-                continue;
-            }
-            incoming_s[dest_leader] += half_s;
-            incoming_w[dest_leader] += half_w;
+    let reach = |net: &mut Network, l: usize| {
+        let target = net.sample_uniform();
+        if !net.send(NodeId::new(l), target, Phase::LeaderGossip, payload_bits)
+            || !alive_set[target.index()]
+        {
+            return None;
         }
-        for i in 0..n {
-            s[i] += incoming_s[i];
-            w[i] += incoming_w[i];
-        }
-        net.advance_round();
-    }
+        // A member hands the push on to its leader.
+        let dest = NodeId::new(leader[target.index()]);
+        (dest == target || net.send(target, dest, Phase::LeaderGossip, payload_bits))
+            .then_some(dest.index())
+    };
+    let end_round = |net: &mut Network, _: &PushSum| net.advance_round();
+    pairs.run(net, &is_leader, leader_rounds, reach, end_round);
     ledger.record(net, "leader gossip");
 
     // ---- Dissemination: each leader sends the estimate to its members, one per round ----
     let mut estimate: Vec<f64> = vec![f64::NAN; n];
     for &l in &group_leaders {
-        estimate[l] = if w[l] > 0.0 { s[l] / w[l] } else { 0.0 };
+        estimate[l] = pairs.estimate(l);
     }
     for round in 0..max_group_size.saturating_sub(1) {
         for &l in &group_leaders {

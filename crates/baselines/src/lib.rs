@@ -7,12 +7,13 @@
 //! * [`push_sum`] — **uniform gossip** for Average (Kempe, Dobra & Gehrke,
 //!   FOCS'03): time-optimal `O(log n)` but `O(n log n)` messages;
 //!   address-oblivious. Includes the routed sparse-network variant used as
-//!   the Chord baseline of Section 4.
+//!   the Chord baseline of Section 4. Both run [`gossip_net::PushSum`], the
+//!   push-sum round DRR-gossip's Gossip-ave runs among its roots.
 //! * [`mod@push_max`] — uniform (address-oblivious) push / push-pull gossip
 //!   for Max, with coverage instrumentation.
 //! * [`kashyap`] — **efficient gossip** (Kashyap et al., PODS'06):
 //!   `O(n log log n)` messages but `O(log n log log n)` time;
-//!   non-address-oblivious.
+//!   non-address-oblivious. Its leaders gossip by the same push-sum round.
 //! * [`rumor`] — **randomized rumor spreading** (Karp et al., FOCS'00) with
 //!   the push&pull + counter termination rule: `O(log n)` rounds and
 //!   `O(n log log n)` transmissions — the reference point showing that

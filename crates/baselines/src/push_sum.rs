@@ -12,10 +12,15 @@
 //! must be routed to its random destination through the overlay
 //! ([`RandomNodeSampler`]), costing `M` messages and `T` rounds per push —
 //! `O(n log² n)` messages and `O(log² n)` time on Chord (Section 4).
+//!
+//! Both run the round of [`gossip_net::PushSum`] among the nodes alive at
+//! the start, the loop DRR-gossip's Gossip-ave runs among its roots; they
+//! differ only in how a push travels. Any node the transport delivers a
+//! push to takes it, a node that rejoined mid-run included.
 
 use gossip_aggregate::relative_error;
-use gossip_net::{NodeId, Phase, Transport};
-use gossip_topology::RandomNodeSampler;
+use gossip_net::{push_sum_rounds, NodeId, Phase, PushSum, Transport};
+use gossip_topology::{route_sample, RandomNodeSampler};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of push-sum.
@@ -39,9 +44,7 @@ impl Default for PushSumConfig {
 impl PushSumConfig {
     /// Number of rounds for an `n`-node network.
     pub fn rounds(&self, n: usize) -> u64 {
-        let log_n = f64::from(gossip_net::id_bits(n.max(2)));
-        let log_eps = (1.0 / self.epsilon).log2().max(0.0);
-        ((self.rounds_factor * (log_n + log_eps)).ceil() as u64).max(1)
+        push_sum_rounds(self.rounds_factor, n, self.epsilon)
     }
 }
 
@@ -70,23 +73,45 @@ impl PushSumOutcome {
     }
 }
 
-fn finish<T: Transport>(
-    net: &T,
-    sum: Vec<f64>,
-    weight: Vec<f64>,
-    true_average: f64,
-    max_error_trace: Vec<f64>,
-    rounds: u64,
-    messages_before: u64,
+/// Push-sum among the nodes alive at the start, each pushing to the node
+/// `reach` returns (`None`: lost); `ticks` transport rounds make one gossip
+/// round.
+fn push_sum_among_alive<T: Transport>(
+    net: &mut T,
+    values: &[f64],
+    config: &PushSumConfig,
+    ticks: usize,
+    mut reach: impl FnMut(&mut T, NodeId) -> Option<NodeId>,
 ) -> PushSumOutcome {
-    let estimates: Vec<f64> = net
+    let n = net.n();
+    assert_eq!(values.len(), n);
+    let messages_before = net.metrics().total_messages();
+    let alive: Vec<bool> = net.nodes().map(|v| net.is_alive(v)).collect();
+    let mut pairs = PushSum::new(&alive, |i| (values[i], 1.0));
+    let true_average = pairs.average(&alive);
+    let rounds = config.rounds(n);
+    let mut max_error_trace = Vec::with_capacity(rounds as usize);
+    pairs.run(
+        net,
+        &alive,
+        rounds,
+        |net, i| reach(net, NodeId::new(i)).map(NodeId::index),
+        |net, pairs| {
+            for _ in 0..ticks {
+                net.advance_round();
+            }
+            let error = net
+                .alive_nodes()
+                .map(|v| relative_error(pairs.estimate(v.index()), true_average))
+                .fold(0.0, f64::max);
+            max_error_trace.push(error);
+        },
+    );
+    let estimates = net
         .nodes()
         .map(|v| {
-            let i = v.index();
-            if net.is_alive(v) && weight[i] > 0.0 {
-                sum[i] / weight[i]
-            } else if net.is_alive(v) {
-                0.0
+            if net.is_alive(v) {
+                pairs.estimate(v.index())
             } else {
                 f64::NAN
             }
@@ -101,78 +126,18 @@ fn finish<T: Transport>(
     }
 }
 
-fn max_error<T: Transport>(net: &T, sum: &[f64], weight: &[f64], truth: f64) -> f64 {
-    net.alive_nodes()
-        .map(|v| {
-            let i = v.index();
-            let est = if weight[i] > 0.0 {
-                sum[i] / weight[i]
-            } else {
-                0.0
-            };
-            relative_error(est, truth)
-        })
-        .fold(0.0, f64::max)
-}
-
 /// Uniform-gossip push-sum on the complete-graph phone-call model.
 pub fn push_sum_average<T: Transport>(
     net: &mut T,
     values: &[f64],
     config: &PushSumConfig,
 ) -> PushSumOutcome {
-    let n = net.n();
-    assert_eq!(values.len(), n);
-    let messages_before = net.metrics().total_messages();
     let payload_bits = 2 * net.config().value_bits();
-
-    let mut sum = vec![0.0; n];
-    let mut weight = vec![0.0; n];
-    let mut total = 0.0;
-    let mut count = 0.0;
-    for v in net.alive_nodes() {
-        sum[v.index()] = values[v.index()];
-        weight[v.index()] = 1.0;
-        total += values[v.index()];
-        count += 1.0;
-    }
-    let true_average = if count > 0.0 { total / count } else { 0.0 };
-
-    let rounds = config.rounds(n);
-    let mut trace = Vec::with_capacity(rounds as usize);
-    let alive: Vec<NodeId> = net.alive_nodes().collect();
-    for _ in 0..rounds {
-        let mut incoming_sum = vec![0.0; n];
-        let mut incoming_weight = vec![0.0; n];
-        for &v in &alive {
-            let i = v.index();
-            let half_sum = sum[i] / 2.0;
-            let half_weight = weight[i] / 2.0;
-            sum[i] = half_sum;
-            weight[i] = half_weight;
-            let target = net.sample_uniform();
-            if net.send(v, target, Phase::UniformGossip, payload_bits) {
-                incoming_sum[target.index()] += half_sum;
-                incoming_weight[target.index()] += half_weight;
-            }
-        }
-        for i in 0..n {
-            sum[i] += incoming_sum[i];
-            weight[i] += incoming_weight[i];
-        }
-        net.advance_round();
-        trace.push(max_error(net, &sum, &weight, true_average));
-    }
-
-    finish(
-        net,
-        sum,
-        weight,
-        true_average,
-        trace,
-        rounds,
-        messages_before,
-    )
+    push_sum_among_alive(net, values, config, 1, |net, v| {
+        let target = net.sample_uniform();
+        net.send(v, target, Phase::UniformGossip, payload_bits)
+            .then_some(target)
+    })
 }
 
 /// Push-sum on a sparse network: each push is routed to a random node via the
@@ -186,72 +151,13 @@ pub fn routed_push_sum_average<T: Transport>(
     values: &[f64],
     config: &PushSumConfig,
 ) -> PushSumOutcome {
-    let n = net.n();
-    assert_eq!(values.len(), n);
-    let messages_before = net.metrics().total_messages();
     let payload_bits = 2 * net.config().value_bits();
-
-    let mut sum = vec![0.0; n];
-    let mut weight = vec![0.0; n];
-    let mut total = 0.0;
-    let mut count = 0.0;
-    for v in net.alive_nodes() {
-        sum[v.index()] = values[v.index()];
-        weight[v.index()] = 1.0;
-        total += values[v.index()];
-        count += 1.0;
-    }
-    let true_average = if count > 0.0 { total / count } else { 0.0 };
-
-    let rounds = config.rounds(n);
-    let mut trace = Vec::with_capacity(rounds as usize);
-    let alive: Vec<NodeId> = net.alive_nodes().collect();
-    for _ in 0..rounds {
-        let mut incoming_sum = vec![0.0; n];
-        let mut incoming_weight = vec![0.0; n];
-        for &v in &alive {
-            let i = v.index();
-            let half_sum = sum[i] / 2.0;
-            let half_weight = weight[i] / 2.0;
-            sum[i] = half_sum;
-            weight[i] = half_weight;
-            let mut rng = net.derive_rng(i as u64 ^ (net.round() << 24));
-            let route = sampler.sample(v, &mut rng);
-            // Route hop by hop; the push is lost if any hop drops it.
-            let mut current = v;
-            let mut delivered = true;
-            for &hop in &route.path {
-                if !net.send(current, hop, Phase::Routing, payload_bits) {
-                    delivered = false;
-                    break;
-                }
-                current = hop;
-            }
-            if delivered {
-                incoming_sum[route.target.index()] += half_sum;
-                incoming_weight[route.target.index()] += half_weight;
-            }
-        }
-        for i in 0..n {
-            sum[i] += incoming_sum[i];
-            weight[i] += incoming_weight[i];
-        }
-        // Each gossip round costs T underlying rounds of routing.
-        for _ in 0..sampler.rounds_per_sample().max(1) {
-            net.advance_round();
-        }
-        trace.push(max_error(net, &sum, &weight, true_average));
-    }
-
-    finish(
-        net,
-        sum,
-        weight,
-        true_average,
-        trace,
-        rounds,
-        messages_before,
-    )
+    let ticks = sampler.rounds_per_sample().max(1);
+    let mut path = Vec::new();
+    push_sum_among_alive(net, values, config, ticks, |net, v| {
+        let salt = v.index() as u64 ^ (net.round() << 24);
+        route_sample(net, sampler, v, salt, &mut path, payload_bits)
+    })
 }
 
 #[cfg(test)]

@@ -10,10 +10,15 @@
 //! size, only the **largest-tree root** is guaranteed (Theorem 7) to reach a
 //! relative error of `2/n^{α−1}` within `O(log n)` rounds; DRR-gossip-ave
 //! therefore follows Gossip-ave with a Data-spread from that root.
+//!
+//! The round itself is [`gossip_net::PushSum`], the loop the baselines'
+//! push-sum and Kashyap et al.'s leader gossip run too; this module supplies
+//! the roots as its participants and the forwarding to a root as its
+//! `reach`.
 
 use crate::forest::Forest;
 use gossip_aggregate::{relative_error, AverageState};
-use gossip_net::{NodeId, Phase, Transport};
+use gossip_net::{push_sum_rounds, NodeId, Phase, PushSum, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of Gossip-ave.
@@ -37,9 +42,7 @@ impl Default for GossipAveConfig {
 impl GossipAveConfig {
     /// Number of push-sum rounds for `m` participating roots.
     pub fn rounds(&self, m: usize) -> u64 {
-        let log_m = f64::from(gossip_net::id_bits(m.max(2)));
-        let log_eps = (1.0 / self.epsilon).log2().max(0.0);
-        ((self.rounds_factor * (log_m + log_eps)).ceil() as u64).max(1)
+        push_sum_rounds(self.rounds_factor, m, self.epsilon)
     }
 }
 
@@ -69,12 +72,11 @@ impl GossipAveOutcome {
     }
 }
 
-/// Push-sum state of the roots: one `(s, g)` pair per root slot
+/// Push-sum among the roots: one `(s, g)` pair per root slot
 /// ([`Forest::root_slot`]; there are `O(n / log n)` of them). `active`
-/// marks the roots alive at the start; only they push and receive.
+/// marks the roots alive at the start; only they push and take pushes.
 pub(crate) struct RootPairs {
-    sum: Vec<f64>,
-    weight: Vec<f64>,
+    pairs: PushSum,
     active: Vec<bool>,
 }
 
@@ -86,79 +88,38 @@ impl RootPairs {
         initial: impl Fn(NodeId) -> AverageState,
     ) -> Self {
         let roots = forest.roots();
-        let mut pairs = RootPairs {
-            sum: vec![0.0; roots.len()],
-            weight: vec![0.0; roots.len()],
-            active: vec![false; roots.len()],
-        };
-        for (slot, &root) in roots.iter().enumerate() {
-            if net.is_alive(root) {
-                let state = initial(root);
-                pairs.sum[slot] = state.sum;
-                pairs.weight[slot] = state.count;
-                pairs.active[slot] = true;
-            }
-        }
-        pairs
-    }
-
-    /// The average estimate `s/g` of the root in `slot`.
-    fn estimate(&self, slot: usize) -> f64 {
-        if self.weight[slot] > 0.0 {
-            self.sum[slot] / self.weight[slot]
-        } else {
-            0.0
-        }
+        let active: Vec<bool> = roots.iter().map(|&root| net.is_alive(root)).collect();
+        let pairs = PushSum::new(&active, |slot| {
+            let state = initial(roots[slot]);
+            (state.sum, state.count)
+        });
+        RootPairs { pairs, active }
     }
 
     /// The estimates per node: `Some` at the active roots.
     pub(crate) fn by_node(&self, forest: &Forest) -> Vec<Option<f64>> {
-        forest
-            .by_node((0..self.sum.len()).map(|slot| self.active[slot].then(|| self.estimate(slot))))
+        forest.by_node(
+            (0..self.active.len()).map(|slot| self.active[slot].then(|| self.pairs.estimate(slot))),
+        )
     }
 
-    /// Algorithm 6's round loop, on either network model: every round each
-    /// active root keeps half of its pair and pushes the other half to the
-    /// node `reach` lands it on (`None`: lost on the way), whose root takes
-    /// it if active. What a round delivers is added when the round ends,
-    /// and `end_round` then closes it.
+    /// Algorithm 6's rounds, on either network model: each active root
+    /// pushes to the node `reach` lands it on (`None`: lost on the way),
+    /// whose root takes the push if it is active.
     pub(crate) fn run<T: Transport>(
         &mut self,
         net: &mut T,
         forest: &Forest,
         rounds: u64,
         mut reach: impl FnMut(&mut T, NodeId) -> Option<NodeId>,
-        mut end_round: impl FnMut(&mut T, &Self),
+        end_round: impl FnMut(&mut T, &PushSum),
     ) {
-        let slots = self.sum.len();
-        let mut incoming_sum = vec![0.0; slots];
-        let mut incoming_weight = vec![0.0; slots];
-        for _ in 0..rounds {
-            incoming_sum.fill(0.0);
-            incoming_weight.fill(0.0);
-            for (slot, &root) in forest.roots().iter().enumerate() {
-                if !self.active[slot] {
-                    continue;
-                }
-                let half_sum = self.sum[slot] / 2.0;
-                let half_weight = self.weight[slot] / 2.0;
-                self.sum[slot] = half_sum;
-                self.weight[slot] = half_weight;
-                let Some(landed) = reach(net, root) else {
-                    continue;
-                };
-                let receiver = forest.root_slot(landed);
-                if self.active[receiver] {
-                    incoming_sum[receiver] += half_sum;
-                    incoming_weight[receiver] += half_weight;
-                }
-            }
-            for slot in 0..slots {
-                self.sum[slot] += incoming_sum[slot];
-                self.weight[slot] += incoming_weight[slot];
-            }
-            end_round(net, self);
-        }
+        let active = &self.active;
+        let reach_root = |net: &mut T, slot: usize| {
+            let receiver = forest.root_slot(reach(net, forest.roots()[slot])?);
+            active[receiver].then_some(receiver)
+        };
+        self.pairs.run(net, active, rounds, reach_root, end_round);
     }
 }
 
@@ -195,19 +156,8 @@ pub(crate) fn gossip_ave_from<T: Transport>(
     let payload_bits = 2 * net.config().value_bits() + net.config().id_bits();
 
     let mut pairs = RootPairs::new(net, forest, initial);
-    let mut m = 0usize;
-    let mut total_sum = 0.0;
-    let mut total_weight = 0.0;
-    for slot in (0..pairs.sum.len()).filter(|&slot| pairs.active[slot]) {
-        total_sum += pairs.sum[slot];
-        total_weight += pairs.weight[slot];
-        m += 1;
-    }
-    let true_average = if total_weight == 0.0 {
-        0.0
-    } else {
-        total_sum / total_weight
-    };
+    let true_average = pairs.pairs.average(&pairs.active);
+    let m = pairs.active.iter().filter(|&&active| active).count();
     let largest_root = forest.largest_tree_root();
     let z = forest.root_slot(largest_root);
 

@@ -31,7 +31,7 @@ use crate::local_drr::run_local_drr;
 use crate::protocol::{averaging_chain, max_chain, DrrGossipReport, Mass, RootOverlay};
 use gossip_aggregate::AverageState;
 use gossip_net::{NodeId, Phase, PhaseLedger, Transport};
-use gossip_topology::{Graph, RandomNodeSampler};
+use gossip_topology::{route_sample, Graph, RandomNodeSampler};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the sparse-network DRR-gossip protocols.
@@ -61,26 +61,6 @@ impl SparseGossipConfig {
             .map(|factor| ((log_roots * factor).ceil() as u64).max(1))
             .sum()
     }
-}
-
-/// Deliver a payload hop-by-hop along `path`, starting at `from`. Every hop
-/// costs one message; the delivery fails if any hop is lost. Returns whether
-/// the payload reached the end of the path.
-fn route_along<T: Transport>(
-    net: &mut T,
-    from: NodeId,
-    path: &[NodeId],
-    phase: Phase,
-    bits: u32,
-) -> bool {
-    let mut current = from;
-    for &hop in path {
-        if !net.send(current, hop, phase, bits) {
-            return false;
-        }
-        current = hop;
-    }
-    true
 }
 
 /// Climb from `node` to its tree root along parent pointers, one message per
@@ -114,12 +94,10 @@ fn reach_routed<T: Transport>(
     path: &mut Vec<NodeId>,
     bits: u32,
 ) -> Option<NodeId> {
-    let mut rng = net.derive_rng(salt);
-    let landed = sampler.sample_into(root, &mut rng, path);
-    let delivered = route_along(net, root, path, Phase::Routing, bits)
-        && (landed == forest.root_of(landed)
-            || climb_to_root(net, forest, landed, Phase::RootForward, bits));
-    delivered.then_some(landed)
+    let landed = route_sample(net, sampler, root, salt, path, bits)?;
+    (landed == forest.root_of(landed)
+        || climb_to_root(net, forest, landed, Phase::RootForward, bits))
+    .then_some(landed)
 }
 
 /// Charge the time of one routed gossip super-round: `T` rounds for the

@@ -53,6 +53,7 @@ pub mod metrics;
 pub mod network;
 pub mod node;
 pub mod phase;
+pub mod push_sum;
 pub mod stream;
 pub mod transport;
 pub mod wire;
@@ -66,6 +67,7 @@ pub use metrics::{Metrics, PhaseBreakdown};
 pub use network::Network;
 pub use node::NodeId;
 pub use phase::Phase;
+pub use push_sum::{push_sum_rounds, PushSum};
 pub use stream::node_rng;
 pub use transport::{NodeIdIter, Transport};
 pub use wire::{

@@ -9,9 +9,12 @@
 //! `Network`'s RNG stream draw for draw, so whole protocol runs are
 //! bit-identical, and these tests hold it to that.
 
+use gossip_aggregate::AverageState;
 use gossip_baselines::{push_sum_average, PushSumConfig};
 use gossip_drr::convergecast::ReceptionModel;
+use gossip_drr::gossip_ave::{gossip_ave, GossipAveConfig};
 use gossip_drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport};
+use gossip_drr::Forest;
 use gossip_drr::{broadcast_down, convergecast_max, convergecast_plain_sum, run_drr, DrrConfig};
 use gossip_net::{Network, NodeId, Phase, SimConfig, Transport};
 use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, RoundPolicy, ShardedTransport};
@@ -210,6 +213,62 @@ fn deadline_capped_retries_reproduce_their_golden() {
             g
         },
     );
+}
+
+/// Nodes dead at the start that rejoin during the run, on every shard count.
+fn rejoin_config(n: usize, seed: u64) -> AsyncConfig {
+    AsyncConfig::new(
+        SimConfig::new(n)
+            .with_seed(seed)
+            .with_initial_crash_prob(0.3),
+    )
+    .with_churn(ChurnModel::per_round(0.0, 0.3))
+}
+
+#[test]
+fn push_sum_credits_rejoiners_and_gossip_ave_only_its_starting_roots() {
+    // The one push-sum loop leaves who may take a push to each caller.
+    // Uniform push-sum credits any node the transport delivered to, so a
+    // node dead at the start that rejoins collects mass (and never pushes);
+    // Gossip-ave credits only roots alive when it starts.
+    let n = 400;
+    let vals: Vec<f64> = values(n).iter().map(|v| v + 1.0).collect();
+    for shards in shard_counts() {
+        let mut t = ShardedTransport::new(rejoin_config(n, 0x4E7), shards);
+        let dead_at_start: Vec<NodeId> = t.nodes().filter(|&v| !t.is_alive(v)).collect();
+        let out = push_sum_average(&mut t, &vals, &PushSumConfig::default());
+        let credited = dead_at_start
+            .iter()
+            .filter(|&&v| t.is_alive(v) && out.estimates[v.index()] > 0.0)
+            .count();
+        assert!(credited > 0, "no rejoiner took a push at {shards} shard(s)");
+
+        // One big tree under a root dead at the start, plus singleton roots.
+        let mut t = ShardedTransport::new(rejoin_config(n, 0x4E8), shards);
+        let big = t
+            .nodes()
+            .find(|&v| !t.is_alive(v))
+            .expect("a node starts dead");
+        let parents = (0..n)
+            .map(|i| (i != big.index() && i % 8 != 0).then_some(big))
+            .collect();
+        let forest = Forest::from_parents(parents).expect("a star and singletons");
+        assert_eq!(forest.largest_tree_root(), big);
+        let initial = vec![
+            Some(AverageState {
+                sum: 5.0,
+                count: 1.0
+            });
+            n
+        ];
+        let out = gossip_ave(&mut t, &forest, &initial, &GossipAveConfig::default());
+        assert!(t.is_alive(big), "the big root rejoined during the run");
+        assert!(
+            out.error_trace.iter().all(|&e| e == 1.0),
+            "a root dead at the start took a push at {shards} shard(s): {:?}",
+            out.error_trace
+        );
+    }
 }
 
 #[test]

@@ -13,7 +13,9 @@
 //!   greedy `O(log n)`-hop lookups (the paper's flagship sparse topology);
 //! * [`routing`] — the [`routing::RandomNodeSampler`] abstraction of
 //!   Assumption 2 of Theorem 14 (reach a random node in `T` rounds and `M`
-//!   messages), with direct, Chord-lookup and random-walk implementations.
+//!   messages), with direct, Chord-lookup and random-walk implementations,
+//!   and [`routing::route_sample`], which sends a payload along a sample's
+//!   path hop by hop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,4 +31,6 @@ pub use builders::{complete, d_regular, erdos_renyi_logn, grid2d, ring};
 pub use chord::ChordOverlay;
 
 pub use graph::Graph;
-pub use routing::{ChordSampler, DirectSampler, RandomNodeSampler, RandomWalkSampler, SampleRoute};
+pub use routing::{
+    route_sample, ChordSampler, DirectSampler, RandomNodeSampler, RandomWalkSampler,
+};

@@ -5,42 +5,24 @@
 //! using `O(M)` messages whp" (Assumption 2), citing random walks and Chord's
 //! lookup machinery as instantiations. The [`RandomNodeSampler`] trait
 //! captures exactly that interface; the gossip phase of the sparse-network
-//! DRR-gossip and the routed uniform-gossip baseline are generic over it.
+//! DRR-gossip and the routed uniform-gossip baseline are generic over it,
+//! and both send along a sample with [`route_sample`].
 
 use crate::chord::ChordOverlay;
 use crate::graph::Graph;
-use gossip_net::NodeId;
+use gossip_net::{NodeId, Phase, Transport};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// The outcome of one random-node sample: the node reached and the routing
-/// path used to reach it (each hop of the path costs one message and the
-/// whole path costs `T` rounds — the caller charges both to the network).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SampleRoute {
-    /// The sampled node.
-    pub target: NodeId,
-    /// Intermediate hops from the source to the target (inclusive of the
-    /// target, exclusive of the source). Empty when the source sampled
-    /// itself or can reach the target directly in zero hops.
-    pub path: Vec<NodeId>,
-}
 
 /// A protocol for reaching a (roughly) uniformly random node of the network.
 pub trait RandomNodeSampler {
     /// Sample a random node reachable from `from`: return it, and leave the
-    /// path to it in `path` (cleared first; hops as in
-    /// [`SampleRoute::path`]). A caller that routes many samples reuses one
-    /// buffer and pays for no allocation per sample.
+    /// path to it in `path` (cleared first): the hops from the source to the
+    /// sampled node, the node included and the source not, each costing one
+    /// message, the whole path `T` rounds. The path is empty when the source
+    /// sampled itself. A caller that routes many samples reuses one buffer
+    /// and pays for no allocation per sample.
     fn sample_into(&self, from: NodeId, rng: &mut SmallRng, path: &mut Vec<NodeId>) -> NodeId;
-
-    /// Sample a random node reachable from `from` and the path to it, in a
-    /// path of its own.
-    fn sample(&self, from: NodeId, rng: &mut SmallRng) -> SampleRoute {
-        let mut path = Vec::new();
-        let target = self.sample_into(from, rng, &mut path);
-        SampleRoute { target, path }
-    }
 
     /// The `T` of Assumption 2: worst-case rounds per sample.
     fn rounds_per_sample(&self) -> usize;
@@ -160,10 +142,35 @@ impl RandomNodeSampler for RandomWalkSampler<'_> {
     }
 }
 
+/// Route a `bits`-bit payload from `from` to a random node that `sampler`
+/// draws from the stream `salt`, hop by hop, one [`Phase::Routing`] message
+/// per hop: the node reached, or `None` if a hop lost the payload. The
+/// route is left in `path`.
+pub fn route_sample<T: Transport>(
+    net: &mut T,
+    sampler: &dyn RandomNodeSampler,
+    from: NodeId,
+    salt: u64,
+    path: &mut Vec<NodeId>,
+    bits: u32,
+) -> Option<NodeId> {
+    let mut rng = net.derive_rng(salt);
+    let target = sampler.sample_into(from, &mut rng, path);
+    let mut current = from;
+    for &hop in path.iter() {
+        if !net.send(current, hop, Phase::Routing, bits) {
+            return None;
+        }
+        current = hop;
+    }
+    Some(target)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::{complete, d_regular};
+    use gossip_net::{Network, SimConfig};
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -175,10 +182,11 @@ mod tests {
         let sampler = DirectSampler::new(8);
         let mut rng = rng();
         let mut counts = [0u32; 8];
+        let mut path = Vec::new();
         for _ in 0..16_000 {
-            let route = sampler.sample(NodeId::new(0), &mut rng);
-            assert!(route.path.len() <= 1);
-            counts[route.target.index()] += 1;
+            let target = sampler.sample_into(NodeId::new(0), &mut rng, &mut path);
+            assert!(path.len() <= 1);
+            counts[target.index()] += 1;
         }
         for &c in &counts {
             assert!((c as f64 - 2000.0).abs() < 300.0, "{counts:?}");
@@ -190,10 +198,11 @@ mod tests {
         let overlay = ChordOverlay::new(1 << 10);
         let sampler = ChordSampler::new(&overlay);
         let mut rng = rng();
+        let mut path = Vec::new();
         for _ in 0..200 {
-            let route = sampler.sample(NodeId::new(77), &mut rng);
-            assert!(route.path.len() <= sampler.rounds_per_sample());
-            assert!(route.target.index() < 1 << 10);
+            let target = sampler.sample_into(NodeId::new(77), &mut rng, &mut path);
+            assert!(path.len() <= sampler.rounds_per_sample());
+            assert!(target.index() < 1 << 10);
         }
         assert_eq!(sampler.rounds_per_sample(), 10);
     }
@@ -203,8 +212,13 @@ mod tests {
         let overlay = ChordOverlay::new(256);
         let sampler = ChordSampler::new(&overlay);
         let mut rng = rng();
+        let mut path = Vec::new();
         let targets: std::collections::HashSet<usize> = (0..2000)
-            .map(|_| sampler.sample(NodeId::new(0), &mut rng).target.index())
+            .map(|_| {
+                sampler
+                    .sample_into(NodeId::new(0), &mut rng, &mut path)
+                    .index()
+            })
             .collect();
         assert!(
             targets.len() > 200,
@@ -218,16 +232,17 @@ mod tests {
         let graph = d_regular(200, 6, 4);
         let sampler = RandomWalkSampler::new(&graph, 20);
         let mut rng = rng();
+        let mut path = Vec::new();
         for _ in 0..100 {
-            let route = sampler.sample(NodeId::new(3), &mut rng);
-            assert!(route.path.len() <= 20);
+            let target = sampler.sample_into(NodeId::new(3), &mut rng, &mut path);
+            assert!(path.len() <= 20);
             // Each consecutive pair in the path must be an edge.
             let mut prev = NodeId::new(3);
-            for &hop in &route.path {
+            for &hop in &path {
                 assert!(graph.has_edge(prev, hop));
                 prev = hop;
             }
-            assert_eq!(prev, route.target);
+            assert_eq!(prev, target);
         }
     }
 
@@ -236,10 +251,37 @@ mod tests {
         let graph = complete(50);
         let sampler = RandomWalkSampler::new(&graph, 10);
         let mut rng = rng();
+        let mut path = Vec::new();
         let targets: std::collections::HashSet<usize> = (0..2000)
-            .map(|_| sampler.sample(NodeId::new(0), &mut rng).target.index())
+            .map(|_| {
+                sampler
+                    .sample_into(NodeId::new(0), &mut rng, &mut path)
+                    .index()
+            })
             .collect();
         assert!(targets.len() >= 45);
+    }
+
+    #[test]
+    fn a_routed_sample_costs_one_message_per_hop() {
+        let overlay = ChordOverlay::new(256);
+        let sampler = ChordSampler::new(&overlay);
+        let mut net = Network::new(SimConfig::new(256).with_seed(5));
+        let mut path = Vec::new();
+        for salt in 0..50 {
+            let before = net.metrics().total_messages();
+            let target = route_sample(&mut net, &sampler, NodeId::new(9), salt, &mut path, 16);
+            assert_eq!(target, Some(path.last().copied().unwrap_or(NodeId::new(9))));
+            assert_eq!(net.metrics().total_messages() - before, path.len() as u64);
+        }
+        // A lossy hop loses the payload.
+        let mut lossy = Network::new(SimConfig::new(256).with_seed(5).with_loss_prob(0.9));
+        let lost = (0..50)
+            .filter(|&salt| {
+                route_sample(&mut lossy, &sampler, NodeId::new(9), salt, &mut path, 16).is_none()
+            })
+            .count();
+        assert!(lost > 25, "lost {lost} of 50");
     }
 
     #[test]
