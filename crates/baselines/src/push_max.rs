@@ -10,9 +10,15 @@
 //!
 //! The per-round coverage/message traces recorded here drive the
 //! lower-bound experiment (E10).
+//!
+//! The round is [`gossip_net::PushMax`], the loop Gossip-max (Algorithm 4)
+//! and the sparse root gossip run too: here every node alive at the start
+//! pushes one hop, the called node replies in push-pull, and coverage
+//! counts the nodes alive at the start.
 
-use gossip_net::{Network, NodeId, Phase};
+use gossip_net::{log_rounds, Network, NodeId, Phase, PushMax};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Configuration of uniform max gossip.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -33,13 +39,6 @@ impl Default for PushMaxConfig {
             pull: false,
             stop_at_full_coverage: false,
         }
-    }
-}
-
-impl PushMaxConfig {
-    /// Maximum number of rounds for an `n`-node network.
-    pub(crate) fn max_rounds(&self, n: usize) -> u64 {
-        ((f64::from(gossip_net::id_bits(n.max(2))) * self.rounds_factor).ceil() as u64).max(1)
     }
 }
 
@@ -92,62 +91,57 @@ pub fn push_max(net: &mut Network, values: &[f64], config: &PushMaxConfig) -> Pu
     let messages_before = net.metrics().total_messages();
     let payload_bits = net.config().value_bits();
 
-    let mut estimate: Vec<f64> = (0..n)
-        .map(|i| {
-            if net.is_alive(NodeId::new(i)) {
-                values[i]
-            } else {
-                f64::NAN
-            }
-        })
-        .collect();
+    // A slot per node, holding a value exactly at the nodes alive at the
+    // start: they push, and they are the ones coverage counts.
+    let mut estimates =
+        PushMax::new((0..n).map(|i| net.is_alive(NodeId::new(i)).then_some(values[i])));
     let true_max = net
         .alive_nodes()
         .map(|v| values[v.index()])
         .fold(f64::NEG_INFINITY, f64::max);
-    let alive: Vec<NodeId> = net.alive_nodes().collect();
-    let alive_count = alive.len().max(1) as f64;
+    let alive: Vec<usize> = net.alive_nodes().map(NodeId::index).collect();
 
-    let max_rounds = config.max_rounds(n);
+    let max_rounds = log_rounds(config.rounds_factor, n);
     let mut coverage_trace = Vec::with_capacity(max_rounds as usize);
     let mut message_trace = Vec::with_capacity(max_rounds as usize);
-    let mut rounds = 0;
-    for _ in 0..max_rounds {
-        let snapshot = estimate.clone();
-        let mut incoming: Vec<(usize, f64)> = Vec::new();
-        for &v in &alive {
+    let rounds = estimates.run(
+        net,
+        max_rounds,
+        |net, slot, values| {
+            if values[slot].is_none() {
+                return (None, None);
+            }
+            let v = NodeId::new(slot);
             let target = net.sample_uniform();
-            if net.send(v, target, Phase::UniformGossip, payload_bits) {
-                incoming.push((target.index(), snapshot[v.index()]));
+            let pushed = net.send(v, target, Phase::UniformGossip, payload_bits);
+            // In push-pull the called node replies with its own estimate.
+            let pulled = config.pull
+                && net.is_alive(target)
+                && net.send(target, v, Phase::UniformGossip, payload_bits);
+            (
+                pushed.then_some(target.index()),
+                pulled.then_some(target.index()),
+            )
+        },
+        |net, estimates| {
+            net.advance_round();
+            let coverage = estimates.fraction_holding(alive.iter().copied(), true_max);
+            coverage_trace.push(coverage);
+            message_trace.push(net.metrics().total_messages() - messages_before);
+            if config.stop_at_full_coverage && coverage >= 1.0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            if config.pull {
-                // The called node replies with its own estimate.
-                if net.is_alive(target) && net.send(target, v, Phase::UniformGossip, payload_bits) {
-                    incoming.push((v.index(), snapshot[target.index()]));
-                }
-            }
-        }
-        for (idx, value) in incoming {
-            if !estimate[idx].is_nan() {
-                estimate[idx] = estimate[idx].max(value);
-            }
-        }
-        net.advance_round();
-        rounds += 1;
-        let coverage = alive
-            .iter()
-            .filter(|v| estimate[v.index()] == true_max)
-            .count() as f64
-            / alive_count;
-        coverage_trace.push(coverage);
-        message_trace.push(net.metrics().total_messages() - messages_before);
-        if config.stop_at_full_coverage && coverage >= 1.0 {
-            break;
-        }
-    }
+        },
+    );
 
     PushMaxOutcome {
-        estimates: estimate,
+        estimates: estimates
+            .values()
+            .iter()
+            .map(|v| v.unwrap_or(f64::NAN))
+            .collect(),
         true_max,
         rounds,
         messages: net.metrics().total_messages() - messages_before,

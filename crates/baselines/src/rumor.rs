@@ -22,7 +22,7 @@
 //! Only transmissions of the rumor itself are counted as messages, matching
 //! Karp et al.'s communication-complexity accounting.
 
-use gossip_net::{Network, NodeId, Phase};
+use gossip_net::{log_rounds, Network, NodeId, Phase};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of rumor spreading.
@@ -50,10 +50,6 @@ impl RumorConfig {
     fn counter_threshold(n: usize) -> u32 {
         let log_n = f64::from(gossip_net::id_bits(n.max(4)));
         (log_n.log2().ceil() as u32) + 2
-    }
-
-    fn max_rounds(&self, n: usize) -> u64 {
-        ((f64::from(gossip_net::id_bits(n.max(2))) * self.rounds_factor).ceil() as u64).max(1)
     }
 }
 
@@ -85,7 +81,7 @@ pub fn spread_rumor(net: &mut Network, source: NodeId, config: &RumorConfig) -> 
     let messages_before = net.metrics().total_messages();
     let rumor_bits = net.config().value_bits();
     let ctr_max = RumorConfig::counter_threshold(n);
-    let max_rounds = config.max_rounds(n);
+    let max_rounds = log_rounds(config.rounds_factor, n);
 
     let mut state = vec![NodeState::Uninformed; n];
     if net.is_alive(source) {
@@ -97,13 +93,14 @@ pub fn spread_rumor(net: &mut Network, source: NodeId, config: &RumorConfig) -> 
     let mut coverage_trace = Vec::new();
     let mut rounds = 0;
     for _ in 0..max_rounds {
-        let snapshot = state.clone();
+        // `state` changes only after every call of the round is made, so
+        // each call reads round-start state.
         let mut newly_informed: Vec<usize> = Vec::new();
         let mut counter_bumps: Vec<usize> = Vec::new();
         for &caller in &alive {
             let callee = net.sample_other_than(caller);
-            let caller_state = snapshot[caller.index()];
-            let callee_state = snapshot[callee.index()];
+            let caller_state = state[caller.index()];
+            let callee_state = state[callee.index()];
             // Push: an Active caller transmits the rumor to the callee.
             if let NodeState::Active(c) = caller_state {
                 if net.send(caller, callee, Phase::Rumor, rumor_bits) {

@@ -1,17 +1,21 @@
-//! Golden fingerprints of the three push-sum baselines: uniform push-sum on
+//! Golden fingerprints of the three push-sum baselines — uniform push-sum on
 //! a lossy `Network` with initial crashes, routed push-sum on Chord, and
-//! Kashyap et al.'s efficient gossip on a lossy `Network` with crashes.
+//! Kashyap et al.'s efficient gossip on a lossy `Network` with crashes —
+//! and of uniform push-max, push-only and push-pull, on a lossy `Network`
+//! with crashes.
 //!
 //! Each fingerprint folds every field of the outcome a run returns and the
 //! transport's per-phase counters, so a change to any RNG draw, send,
-//! round boundary or phase name moves it. The constants were captured at
-//! commit 85d03b6, before the baselines and Algorithm 6 were folded into
-//! one push-sum loop; they may move only in a change whose stated point is
-//! to change what the protocols do.
+//! round boundary or phase name moves it. The push-sum constants were
+//! captured at commit 85d03b6, before the baselines and Algorithm 6 were
+//! folded into one push-sum loop; the push-max ones at commit fb4ff11,
+//! before push-max and Algorithm 4 were folded into one push-max loop.
+//! They may move only in a change whose stated point is to change what the
+//! protocols do.
 
 use gossip_baselines::{
-    efficient_gossip_average, push_sum_average, routed_push_sum_average, EfficientGossipConfig,
-    PushSumConfig, PushSumOutcome,
+    efficient_gossip_average, push_max, push_sum_average, routed_push_sum_average,
+    EfficientGossipConfig, PushMaxConfig, PushSumConfig, PushSumOutcome,
 };
 use gossip_net::{Network, SimConfig};
 use gossip_topology::{ChordOverlay, ChordSampler};
@@ -141,6 +145,40 @@ fn baselines_reproduce_their_goldens() {
     ]);
 }
 
+#[test]
+fn push_max_reproduces_its_goldens() {
+    let run = |seed: u64, config: &PushMaxConfig| {
+        let n = 1500;
+        let mut net = lossy(n, seed);
+        let out = push_max(&mut net, &values(n), config);
+        let mut h = Fnv::new();
+        h.words(out.estimates.iter().map(|e| e.to_bits()));
+        h.word(out.true_max.to_bits());
+        h.word(out.rounds);
+        h.word(out.messages);
+        h.words(out.coverage_trace.iter().map(|c| c.to_bits()));
+        h.words(out.message_trace.iter().copied());
+        h.metrics(&net);
+        (h.0, out.rounds)
+    };
+    let (push_only, _) = run(54, &PushMaxConfig::default());
+    let push_pull_config = PushMaxConfig {
+        pull: true,
+        stop_at_full_coverage: true,
+        ..PushMaxConfig::default()
+    };
+    let (push_pull, rounds) = run(55, &push_pull_config);
+    // Push-pull stops at full coverage, before its ⌈4 · log₂ 1500⌉ = 44
+    // rounds are up, so the early exit is pinned too.
+    assert!(rounds < 44, "push-pull ran all {rounds} rounds");
+    check(&[
+        ("push_max, push only", push_only, GOLDEN_PUSH_MAX),
+        ("push_max, push-pull", push_pull, GOLDEN_PUSH_PULL_MAX),
+    ]);
+}
+
+const GOLDEN_PUSH_MAX: u64 = 0x3AC9_FA17_A432_EFC8;
+const GOLDEN_PUSH_PULL_MAX: u64 = 0x87F8_C783_28AA_EEA5;
 const GOLDEN_PUSH_SUM: u64 = 0x91EA_1C69_4EA0_CB61;
 const GOLDEN_ROUTED_CHORD: u64 = 0x11D2_D14C_7E81_62E8;
 const GOLDEN_EFFICIENT: u64 = 0x4D3C_6693_9729_31EF;

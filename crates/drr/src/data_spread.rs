@@ -1,4 +1,5 @@
-//! Data-spread (Algorithm 5): one root spreads a value to all roots.
+//! Data-spread (Algorithm 5): one root, or several holding the same value,
+//! spread a value to all roots.
 //!
 //! A root that wants to disseminate a value (in DRR-gossip-ave, the
 //! largest-tree root spreading its average estimate) sets its initial value
@@ -11,31 +12,9 @@ use crate::forest::Forest;
 use crate::gossip_max::{gossip_max_from, GossipMaxConfig, GossipMaxOutcome};
 use gossip_net::{NodeId, Transport};
 
-/// Spread `value` from `source` (which must be an alive root) to all roots.
-pub fn data_spread<T: Transport>(
-    net: &mut T,
-    forest: &Forest,
-    source: NodeId,
-    value: f64,
-    config: &GossipMaxConfig,
-) -> GossipMaxOutcome {
-    assert!(forest.is_root(source), "data-spread source must be a root");
-    assert!(
-        value.is_finite(),
-        "data-spread requires a finite value (|x_ru| < ∞)"
-    );
-    let initial = |root| {
-        if root == source {
-            value
-        } else {
-            f64::NEG_INFINITY
-        }
-    };
-    gossip_max_from(net, forest, initial, config)
-}
-
-/// Spread from several sources holding the same value (used when the
-/// largest-tree election produces ties).
+/// Spread `value` from `sources` to all roots. Every source must be a root
+/// and the value finite; several sources hold the same value when the
+/// largest-tree election ends in a tie.
 pub fn data_spread_multi<T: Transport>(
     net: &mut T,
     forest: &Forest,
@@ -44,6 +23,12 @@ pub fn data_spread_multi<T: Transport>(
     config: &GossipMaxConfig,
 ) -> GossipMaxOutcome {
     assert!(!sources.is_empty(), "need at least one spreading root");
+    let all_roots = sources.iter().all(|&source| forest.is_root(source));
+    assert!(all_roots, "data-spread source must be a root");
+    assert!(
+        value.is_finite(),
+        "data-spread requires a finite value (|x_ru| < ∞)"
+    );
     let initial = |root| {
         if sources.contains(&root) {
             value
@@ -71,10 +56,10 @@ mod tests {
     fn spreads_value_to_all_roots() {
         let (forest, mut net) = setup(3000, 3, 0.0);
         let source = forest.largest_tree_root();
-        let out = data_spread(
+        let out = data_spread_multi(
             &mut net,
             &forest,
-            source,
+            &[source],
             123.456,
             &GossipMaxConfig::default(),
         );
@@ -89,7 +74,13 @@ mod tests {
     fn spreads_under_loss() {
         let (forest, mut net) = setup(3000, 5, 0.1);
         let source = forest.largest_tree_root();
-        let out = data_spread(&mut net, &forest, source, -7.5, &GossipMaxConfig::default());
+        let out = data_spread_multi(
+            &mut net,
+            &forest,
+            &[source],
+            -7.5,
+            &GossipMaxConfig::default(),
+        );
         assert!(
             out.fraction_after_sampling > 0.995,
             "fraction = {}",
@@ -102,10 +93,10 @@ mod tests {
         // The −∞ sentinel must not be confused with very negative payloads.
         let (forest, mut net) = setup(1000, 7, 0.0);
         let source = forest.roots()[0];
-        let out = data_spread(
+        let out = data_spread_multi(
             &mut net,
             &forest,
-            source,
+            &[source],
             -1e12,
             &GossipMaxConfig::default(),
         );
@@ -135,10 +126,10 @@ mod tests {
             .map(NodeId::new)
             .find(|&v| !forest.is_root(v))
             .unwrap();
-        let _ = data_spread(
+        let _ = data_spread_multi(
             &mut net,
             &forest,
-            non_root,
+            &[non_root],
             1.0,
             &GossipMaxConfig::default(),
         );
@@ -149,10 +140,10 @@ mod tests {
     fn infinite_value_rejected() {
         let (forest, mut net) = setup(100, 13, 0.0);
         let source = forest.roots()[0];
-        let _ = data_spread(
+        let _ = data_spread_multi(
             &mut net,
             &forest,
-            source,
+            &[source],
             f64::INFINITY,
             &GossipMaxConfig::default(),
         );

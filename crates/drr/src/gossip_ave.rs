@@ -17,6 +17,7 @@
 //! `reach`.
 
 use crate::forest::Forest;
+use crate::gossip_max::reach_uniform;
 use gossip_aggregate::{relative_error, AverageState};
 use gossip_net::{push_sum_rounds, NodeId, Phase, PushSum, Transport};
 use serde::{Deserialize, Serialize};
@@ -167,18 +168,7 @@ pub(crate) fn gossip_ave_from<T: Transport>(
         net,
         forest,
         rounds,
-        |net, root| {
-            let target = net.sample_uniform();
-            let delivered = net.send(root, target, Phase::RootGossip, payload_bits)
-                && (forest.is_root(target)
-                    || net.send(
-                        target,
-                        forest.root_of(target),
-                        Phase::RootForward,
-                        payload_bits,
-                    ));
-            delivered.then_some(target)
-        },
+        |net, root| reach_uniform(net, forest, root, Phase::RootGossip, payload_bits),
         |net, pairs| {
             net.advance_round();
             error_trace.push(relative_error(pairs.estimate(z), true_average));

@@ -15,10 +15,14 @@
 //!
 //! Cost: `O(log n)` rounds and `O(n)` messages (there are only
 //! `m = O(n/log n)` roots).
+//!
+//! Both procedures are rounds of [`gossip_net::PushMax`] with a slot per
+//! root; this module supplies their two exchanges.
 
 use crate::forest::Forest;
-use gossip_net::{NodeId, Phase, Transport};
+use gossip_net::{log_rounds, NodeId, Phase, PushMax, Transport};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Configuration of Gossip-max.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -49,21 +53,6 @@ impl Default for GossipMaxConfig {
     }
 }
 
-impl GossipMaxConfig {
-    /// The number of gossip-procedure rounds for an `n`-node network.
-    pub fn gossip_rounds(&self, n: usize) -> u64 {
-        ((f64::from(gossip_net::id_bits(n)) * self.gossip_rounds_factor).ceil() as u64).max(1)
-    }
-
-    /// The number of sampling-procedure rounds for an `n`-node network.
-    pub(crate) fn sampling_rounds(&self, n: usize) -> u64 {
-        if !self.run_sampling {
-            return 0;
-        }
-        ((f64::from(gossip_net::id_bits(n)) * self.sampling_rounds_factor).ceil() as u64).max(1)
-    }
-}
-
 /// Outcome of Gossip-max.
 #[derive(Clone, Debug)]
 pub struct GossipMaxOutcome {
@@ -91,39 +80,21 @@ impl GossipMaxOutcome {
     }
 }
 
-/// Fraction of the alive roots whose slot of `values` holds `target`.
-fn fraction_with_value<T: Transport>(
-    net: &T,
+/// Send a `bits`-bit payload from `root` to a uniformly random node and,
+/// from a non-root, on to its root: the node it landed on, or `None` if a
+/// hop lost it.
+pub(crate) fn reach_uniform<T: Transport>(
+    net: &mut T,
     forest: &Forest,
-    values: &[Option<f64>],
-    target: f64,
-) -> f64 {
-    let mut roots = 0usize;
-    let mut have = 0usize;
-    for (slot, &r) in forest.roots().iter().enumerate() {
-        if !net.is_alive(r) {
-            continue;
-        }
-        roots += 1;
-        if values[slot] == Some(target) {
-            have += 1;
-        }
-    }
-    if roots == 0 {
-        0.0
-    } else {
-        have as f64 / roots as f64
-    }
-}
-
-/// Fold what a round delivered, as `(root slot, value)` pairs, into the
-/// roots' values, emptying `incoming`.
-pub(crate) fn absorb(values: &mut [Option<f64>], incoming: &mut Vec<(usize, f64)>) {
-    for (slot, value) in incoming.drain(..) {
-        if let Some(current) = values[slot] {
-            values[slot] = Some(current.max(value));
-        }
-    }
+    root: NodeId,
+    phase: Phase,
+    bits: u32,
+) -> Option<NodeId> {
+    let target = net.sample_uniform();
+    let delivered = net.send(root, target, phase, bits)
+        && (forest.is_root(target)
+            || net.send(target, forest.root_of(target), Phase::RootForward, bits));
+    delivered.then_some(target)
 }
 
 /// Run Algorithm 4 on the roots of `forest`.
@@ -149,9 +120,7 @@ pub fn gossip_max<T: Transport>(
 }
 
 /// [`gossip_max`] with the starting values given as a function of the root,
-/// asked once per alive root. All working state is indexed by
-/// [`Forest::root_slot`] — there are `O(n / log n)` roots — and reused from
-/// round to round.
+/// asked once per root alive now: those roots, and only they, hold a value.
 pub(crate) fn gossip_max_from<T: Transport>(
     net: &mut T,
     forest: &Forest,
@@ -163,98 +132,78 @@ pub(crate) fn gossip_max_from<T: Transport>(
     let messages_before = net.metrics().total_messages();
     let value_bits = net.config().value_bits() + net.config().id_bits();
     let inquiry_bits = net.config().id_bits();
+    let roots = forest.roots();
 
-    // Working values, one slot per root: defined exactly at the roots alive
-    // now. They change only between rounds (what a round delivers waits in
-    // `incoming`), so every push and reply of a round reads round-start
-    // state.
-    let mut values: Vec<Option<f64>> = forest
-        .roots()
-        .iter()
-        .map(|&root| net.is_alive(root).then(|| initial(root)))
-        .collect();
+    let mut values = PushMax::new(
+        roots
+            .iter()
+            .map(|&root| net.is_alive(root).then(|| initial(root))),
+    );
     let true_max = values
+        .values()
         .iter()
         .flatten()
         .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-    let mut incoming: Vec<(usize, f64)> = Vec::new();
-
-    // ---- Gossip procedure ----
-    let gossip_rounds = config.gossip_rounds(n);
-    for _ in 0..gossip_rounds {
-        for (slot, &root) in forest.roots().iter().enumerate() {
-            if !net.is_alive(root) {
-                continue;
-            }
-            let value = match values[slot] {
-                Some(v) => v,
-                None => continue,
-            };
-            let target = net.sample_uniform();
-            if !net.send(root, target, Phase::RootGossip, value_bits) {
-                continue;
-            }
-            let receiver_root = if forest.is_root(target) {
-                target
-            } else {
-                let owner = forest.root_of(target);
-                if !net.send(target, owner, Phase::RootForward, value_bits) {
-                    continue;
-                }
-                owner
-            };
-            if net.is_alive(receiver_root) {
-                incoming.push((forest.root_slot(target), value));
-            }
-        }
-        absorb(&mut values, &mut incoming);
+    // Theorems 5 and 6 count the roots alive now.
+    let fraction = |net: &T, values: &PushMax| {
+        let alive = (0..roots.len()).filter(|&slot| net.is_alive(roots[slot]));
+        values.fraction_holding(alive, true_max)
+    };
+    let end_round = |net: &mut T, _: &PushMax| {
         net.advance_round();
-    }
-    let fraction_after_gossip = fraction_with_value(net, forest, &values, true_max);
-
-    // ---- Sampling procedure ----
-    let sampling_rounds = config.sampling_rounds(n);
-    for _ in 0..sampling_rounds {
-        for (slot, &root) in forest.roots().iter().enumerate() {
-            if !net.is_alive(root) {
-                continue;
-            }
-            let target = net.sample_uniform();
-            if !net.send(root, target, Phase::RootSampling, inquiry_bits) {
-                continue;
-            }
-            let queried_root = if forest.is_root(target) {
-                target
-            } else {
-                let owner = forest.root_of(target);
-                if !net.send(target, owner, Phase::RootForward, inquiry_bits) {
-                    continue;
-                }
-                owner
-            };
-            if !net.is_alive(queried_root) {
-                continue;
-            }
-            let reply_value = match values[forest.root_slot(target)] {
-                Some(v) => v,
-                None => continue,
-            };
-            // The queried root replies directly to the inquiring root.
-            if net.send(queried_root, root, Phase::RootSampling, value_bits) {
-                incoming.push((slot, reply_value));
-            }
-        }
-        absorb(&mut values, &mut incoming);
-        net.advance_round();
-    }
-    let fraction_after_sampling = if config.run_sampling {
-        fraction_with_value(net, forest, &values, true_max)
-    } else {
-        fraction_after_gossip
+        ControlFlow::Continue(())
     };
 
+    // Gossip procedure: a root alive now that holds a value pushes it to
+    // the receiver's root, if that is alive.
+    let gossip_rounds = log_rounds(config.gossip_rounds_factor, n);
+    values.run(
+        net,
+        gossip_rounds,
+        |net, slot, values| {
+            let root = roots[slot];
+            if !net.is_alive(root) || values[slot].is_none() {
+                return (None, None);
+            }
+            let target = reach_uniform(net, forest, root, Phase::RootGossip, value_bits);
+            let receiver = target.filter(|&target| net.is_alive(forest.root_of(target)));
+            (receiver.map(|target| forest.root_slot(target)), None)
+        },
+        end_round,
+    );
+    let fraction_after_gossip = fraction(net, &values);
+
+    // Sampling procedure: every root alive now inquires, a rejoined one
+    // without a value too, and the queried root replies if it is alive and
+    // holds a value.
+    let sampling_rounds = if config.run_sampling {
+        log_rounds(config.sampling_rounds_factor, n)
+    } else {
+        0
+    };
+    values.run(
+        net,
+        sampling_rounds,
+        |net, slot, values| {
+            let root = roots[slot];
+            if !net.is_alive(root) {
+                return (None, None);
+            }
+            let replied = reach_uniform(net, forest, root, Phase::RootSampling, inquiry_bits)
+                .filter(|&target| {
+                    let queried_root = forest.root_of(target);
+                    net.is_alive(queried_root)
+                        && values[forest.root_slot(target)].is_some()
+                        && net.send(queried_root, root, Phase::RootSampling, value_bits)
+                });
+            (None, replied.map(|target| forest.root_slot(target)))
+        },
+        end_round,
+    );
+    let fraction_after_sampling = fraction(net, &values);
+
     GossipMaxOutcome {
-        root_values: forest.by_node(values),
+        root_values: forest.by_node(values.values().iter().copied()),
         true_max,
         fraction_after_gossip,
         fraction_after_sampling,

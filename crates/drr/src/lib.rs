@@ -13,7 +13,8 @@
 //!    `O(log n)` each (Theorems 2–4).
 //! 2. **[`mod@convergecast`] / [`broadcast`]** (Algorithms 2–3): aggregate
 //!    each tree's values at its root and tell every member its root's address.
-//! 3. **[`mod@gossip_max`] / [`mod@gossip_ave`] / [`mod@data_spread`]** (Algorithms 4–6):
+//! 3. **[`mod@gossip_max`] / [`mod@gossip_ave`]** (Algorithms 4 and 6, with
+//!    [`data_spread_multi`] for Algorithm 5):
 //!    the roots gossip among themselves — forwarding through non-roots when
 //!    needed (the non-address-oblivious step) — to agree on the global
 //!    aggregate (Theorems 5–7), which is finally broadcast back down the
@@ -60,7 +61,7 @@ pub use convergecast::{
     convergecast, convergecast_max, convergecast_plain_sum, convergecast_sum, ConvergecastOutcome,
     ReceptionModel,
 };
-pub use data_spread::{data_spread, data_spread_multi};
+pub use data_spread::data_spread_multi;
 pub use drr::{run_drr, DrrConfig, DrrOutcome, ProbeBudget};
 pub use forest::{Forest, ForestError, ForestStats};
 pub use gossip_ave::{gossip_ave, GossipAveConfig, GossipAveOutcome};

@@ -21,18 +21,20 @@
 //! for routed uniform gossip.
 //!
 //! The chain is the one [`crate::protocol`] runs on the complete graph;
-//! this module supplies its routed root overlay.
+//! this module supplies its routed root overlay: [`gossip_net::PushMax`]
+//! and [`gossip_net::PushSum`] rounds whose pushes travel routed samples.
 
 use crate::convergecast::ReceptionModel;
 use crate::forest::Forest;
 use crate::gossip_ave::RootPairs;
-use crate::gossip_max::{absorb, GossipMaxOutcome};
+use crate::gossip_max::GossipMaxOutcome;
 use crate::local_drr::run_local_drr;
 use crate::protocol::{averaging_chain, max_chain, DrrGossipReport, Mass, RootOverlay};
 use gossip_aggregate::AverageState;
-use gossip_net::{NodeId, Phase, PhaseLedger, Transport};
+use gossip_net::{log_rounds, NodeId, Phase, PhaseLedger, PushMax, Transport};
 use gossip_topology::{route_sample, Graph, RandomNodeSampler};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Configuration of the sparse-network DRR-gossip protocols.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -55,11 +57,8 @@ impl Default for SparseGossipConfig {
 impl SparseGossipConfig {
     /// Super-rounds of one root gossip: the gossip and the sampling rounds.
     fn rounds(&self, roots: usize) -> u64 {
-        let log_roots = f64::from(gossip_net::id_bits(roots.max(2)));
-        [self.gossip_rounds_factor, self.sampling_rounds_factor]
-            .iter()
-            .map(|factor| ((log_roots * factor).ceil() as u64).max(1))
-            .sum()
+        log_rounds(self.gossip_rounds_factor, roots)
+            + log_rounds(self.sampling_rounds_factor, roots)
     }
 }
 
@@ -108,70 +107,6 @@ fn charge_super_round<T: Transport>(net: &mut T, sampler_rounds: usize, max_heig
     }
 }
 
-/// Gossip-max among the roots of a Local-DRR forest, using `sampler` to
-/// reach random nodes; each alive root starts at `initial(root)`. Returns
-/// per-node values (at roots).
-///
-/// Working state is indexed by [`Forest::root_slot`], and it and the
-/// routing path are reused from sample to sample.
-fn sparse_gossip_max<T: Transport>(
-    net: &mut T,
-    forest: &Forest,
-    sampler: &dyn RandomNodeSampler,
-    initial: impl Fn(NodeId) -> f64,
-    config: &SparseGossipConfig,
-) -> Vec<Option<f64>> {
-    let value_bits = net.config().value_bits() + net.config().id_bits();
-    // Values change only between rounds, so every exchange of a round reads
-    // round-start state.
-    let mut values: Vec<Option<f64>> = forest
-        .roots()
-        .iter()
-        .map(|&root| net.is_alive(root).then(|| initial(root)))
-        .collect();
-    let max_height = forest.max_height();
-    let rounds = config.rounds(forest.num_trees());
-
-    let mut incoming: Vec<(usize, f64)> = Vec::new();
-    let mut path = Vec::new();
-    for _ in 0..rounds {
-        for (slot, &root) in forest.roots().iter().enumerate() {
-            if !net.is_alive(root) {
-                continue;
-            }
-            let value = match values[slot] {
-                Some(v) => v,
-                None => continue,
-            };
-            let salt = root.index() as u64 ^ net.round() << 20;
-            let Some(landed) =
-                reach_routed(net, forest, sampler, root, salt, &mut path, value_bits)
-            else {
-                continue;
-            };
-            let receiver_root = forest.root_of(landed);
-            let receiver = forest.root_slot(landed);
-            if net.is_alive(receiver_root) {
-                incoming.push((receiver, value));
-            }
-            // Pull half of the exchange: the receiver root's value travels
-            // back along the same route (sampling-procedure style), so the
-            // sender also learns the receiver's value.
-            if let Some(back_value) = values[receiver] {
-                let back_cost = (path.len() + forest.depth(landed)) as u32;
-                if back_cost == 0 || net.send(receiver_root, root, Phase::RootSampling, value_bits)
-                {
-                    incoming.push((slot, back_value));
-                }
-            }
-        }
-        absorb(&mut values, &mut incoming);
-        charge_super_round(net, sampler.rounds_per_sample(), max_height);
-    }
-
-    forest.by_node(values)
-}
-
 /// The sparse-graph overlay of Section 4: Local-DRR over `graph`, root
 /// gossip over routed samples charged a super-round each, and no size
 /// election: the canonical largest-tree root spreads the estimate.
@@ -194,13 +129,54 @@ impl RootOverlay for Routed<'_> {
         forest
     }
 
+    /// Gossip-max whose pushes travel by [`reach_routed`] and pull the
+    /// receiver's value back along the same route, a super-round each.
     fn gossip_max<T: Transport>(
         &self,
         net: &mut T,
         forest: &Forest,
         initial: impl Fn(NodeId) -> f64,
     ) -> Vec<Option<f64>> {
-        sparse_gossip_max(net, forest, self.sampler, initial, self.config)
+        let value_bits = net.config().value_bits() + net.config().id_bits();
+        let roots = forest.roots();
+        let mut values = PushMax::new(
+            roots
+                .iter()
+                .map(|&root| net.is_alive(root).then(|| initial(root))),
+        );
+        let max_height = forest.max_height();
+        let mut path = Vec::new();
+        values.run(
+            net,
+            self.config.rounds(forest.num_trees()),
+            |net, slot, values| {
+                let root = roots[slot];
+                if !net.is_alive(root) || values[slot].is_none() {
+                    return (None, None);
+                }
+                let salt = root.index() as u64 ^ net.round() << 20;
+                let Some(landed) =
+                    reach_routed(net, forest, self.sampler, root, salt, &mut path, value_bits)
+                else {
+                    return (None, None);
+                };
+                let receiver_root = forest.root_of(landed);
+                let receiver = forest.root_slot(landed);
+                let pushed = net.is_alive(receiver_root).then_some(receiver);
+                // The pull: the receiver root's value comes back the same way.
+                let back_cost = (path.len() + forest.depth(landed)) as u32;
+                let pulled = (values[receiver].is_some()
+                    && (back_cost == 0
+                        || net.send(receiver_root, root, Phase::RootSampling, value_bits)))
+                .then_some(receiver);
+                (pushed, pulled)
+            },
+            |net, _| {
+                charge_super_round(net, self.sampler.rounds_per_sample(), max_height);
+                ControlFlow::Continue(())
+            },
+        );
+        forest.by_node(values.values().iter().copied())
     }
 
     /// Push-sum whose pushes travel by [`reach_routed`], a super-round each.

@@ -53,6 +53,7 @@ pub mod metrics;
 pub mod network;
 pub mod node;
 pub mod phase;
+pub mod push_max;
 pub mod push_sum;
 pub mod stream;
 pub mod transport;
@@ -67,7 +68,8 @@ pub use metrics::{Metrics, PhaseBreakdown};
 pub use network::Network;
 pub use node::NodeId;
 pub use phase::Phase;
-pub use push_sum::{push_sum_rounds, PushSum};
+pub use push_max::PushMax;
+pub use push_sum::{log_rounds, push_sum_rounds, PushSum};
 pub use stream::node_rng;
 pub use transport::{NodeIdIter, Transport};
 pub use wire::{

@@ -11,6 +11,12 @@
 
 use crate::transport::Transport;
 
+/// Rounds for a gossip among `n` participants: `⌈factor · log₂ n⌉`, at
+/// least one ([`push_sum_rounds`] at `ε = 1`, whose precision term is 0).
+pub fn log_rounds(factor: f64, n: usize) -> u64 {
+    push_sum_rounds(factor, n, 1.0)
+}
+
 /// Rounds for a push-sum among `m` participants to reach relative error
 /// `epsilon`: `⌈factor · (log₂ m + log₂(1/ε))⌉`, at least one.
 pub fn push_sum_rounds(factor: f64, m: usize, epsilon: f64) -> u64 {
@@ -153,6 +159,8 @@ mod tests {
     #[test]
     fn rounds_grow_with_participants_and_precision() {
         assert_eq!(push_sum_rounds(1.0, 1, 1.0), 1);
+        assert_eq!(log_rounds(1.5, 1), 2);
+        assert_eq!(log_rounds(2.0, 1000), 20);
         assert!(push_sum_rounds(1.0, 1000, 1e-6) > push_sum_rounds(1.0, 1000, 0.1));
         assert!(push_sum_rounds(1.0, 100_000, 0.1) > push_sum_rounds(1.0, 100, 0.1));
     }
