@@ -24,7 +24,9 @@
 //! [`gossip_net::PushSum`], with leaders in place of tree roots.
 
 use gossip_aggregate::relative_error;
-use gossip_net::{push_sum_rounds, Network, NodeId, Phase, PhaseCost, PhaseLedger, PushSum};
+use gossip_net::{
+    push_sum_rounds, Network, NodeId, Phase, PhaseCost, PhaseLedger, PushSum, Transport,
+};
 use serde::{Deserialize, Serialize};
 
 /// Leader push-sum rounds = `⌈LEADER_ROUNDS_FACTOR · (log₂ m + log₂(1/ε))⌉`.

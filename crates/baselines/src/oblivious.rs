@@ -9,7 +9,7 @@
 //! the gap to the (non-address-oblivious) DRR-gossip.
 
 use crate::push_max::{push_max, PushMaxConfig, PushMaxOutcome};
-use gossip_net::Network;
+use gossip_net::{Network, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Which address-oblivious protocol to measure.

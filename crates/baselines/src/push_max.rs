@@ -16,7 +16,7 @@
 //! pushes one hop, the called node replies in push-pull, and coverage
 //! counts the nodes alive at the start.
 
-use gossip_net::{log_rounds, Network, NodeId, Phase, PushMax};
+use gossip_net::{log_rounds, Network, NodeId, Phase, PushMax, Transport};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 

@@ -22,7 +22,7 @@
 //! Only transmissions of the rumor itself are counted as messages, matching
 //! Karp et al.'s communication-complexity accounting.
 
-use gossip_net::{log_rounds, Network, NodeId, Phase};
+use gossip_net::{log_rounds, Network, NodeId, Phase, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of rumor spreading.

@@ -6,7 +6,7 @@ use gossip_baselines::{
     efficient_gossip_average, push_max, push_sum_average, spread_rumor, EfficientGossipConfig,
     PushMaxConfig, PushSumConfig, RumorConfig,
 };
-use gossip_net::{Network, NodeId, SimConfig};
+use gossip_net::{Network, NodeId, SimConfig, Transport};
 use proptest::prelude::*;
 
 fn values(n: usize, seed: u64) -> Vec<f64> {

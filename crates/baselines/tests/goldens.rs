@@ -17,7 +17,7 @@ use gossip_baselines::{
     efficient_gossip_average, push_max, push_sum_average, routed_push_sum_average,
     EfficientGossipConfig, PushMaxConfig, PushSumConfig, PushSumOutcome,
 };
-use gossip_net::{Network, SimConfig};
+use gossip_net::{Network, SimConfig, Transport};
 use gossip_topology::{ChordOverlay, ChordSampler};
 
 /// Word-level FNV-1a.

@@ -11,7 +11,7 @@ use gossip_analysis::{fmt_float, Sweep, Table};
 use gossip_drr::convergecast::{convergecast_max, ReceptionModel};
 use gossip_drr::drr::{run_drr, DrrConfig};
 use gossip_drr::gossip_max::{gossip_max, GossipMaxConfig};
-use gossip_net::{Network, SimConfig};
+use gossip_net::{Network, SimConfig, Transport};
 
 fn one_trial(n: usize, seed: u64, loss: f64, run_sampling: bool) -> (f64, f64) {
     let mut net = Network::new(

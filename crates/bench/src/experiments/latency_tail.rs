@@ -84,8 +84,8 @@ fn one_trial(n: usize, seed: u64, latency: LatencyModel, policy: RoundPolicy) ->
     let total = report.total_messages.max(1);
     TailOutcome {
         rounds: report.total_rounds as f64,
-        p50_us: am.latency.quantile_us(0.5) as f64,
-        p99_us: am.latency.quantile_us(0.99) as f64,
+        p50_us: am.latency.quantile(0.5) as f64,
+        p99_us: am.latency.quantile(0.99) as f64,
         virtual_ms: sent as f64 / 1_000.0,
         late_fraction: am.late_drops as f64 / total as f64,
     }

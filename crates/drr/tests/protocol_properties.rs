@@ -5,7 +5,7 @@
 use gossip_drr::convergecast::{convergecast_sum, ReceptionModel};
 use gossip_drr::drr::{run_drr, DrrConfig, ProbeBudget};
 use gossip_drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig};
-use gossip_net::{Network, NodeId, SimConfig};
+use gossip_net::{Network, NodeId, SimConfig, Transport};
 use proptest::prelude::*;
 
 fn arbitrary_values(n: usize, magnitude: f64, seed: u64) -> Vec<f64> {

@@ -6,13 +6,10 @@
 //! Protocols construct message sizes from these helpers so that the bound
 //! can be asserted in tests and tracked by [`crate::Metrics`].
 
-/// Salt of the backends' setup/churn RNG stream (`seed ^ salt`): the
-/// synchronous `Network`, the asynchronous engine and the sharded driver
-/// all seed their initial-crash draws from it, which is what makes their
-/// initial alive sets identical for the same [`SimConfig`](crate::SimConfig).
-/// One definition on purpose — editing it anywhere means editing it
-/// everywhere, or the backends silently desynchronize.
-pub const SETUP_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Salt of the backends' setup/churn RNG stream (`seed ^ salt`), from
+/// which [`draw_initial_liveness`](crate::draw_initial_liveness) — the one
+/// initial-crash draw every backend makes — seeds its stream.
+pub(crate) const SETUP_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// `ceil(log2(x))` for `x >= 1`; returns 0 for `x <= 1`.
 #[inline]

@@ -23,12 +23,12 @@
 //!   by the simulator).
 //!
 //! Every protocol in the workspace funnels all of its communication through
-//! [`Network::send`] so that message counts, per-phase breakdowns, dropped
+//! [`Transport::send`] so that message counts, per-phase breakdowns, dropped
 //! messages, message sizes and round counts are accounted for uniformly and
 //! can be compared across protocols.
 //!
 //! ```
-//! use gossip_net::{Network, Phase, SimConfig};
+//! use gossip_net::{Network, Phase, SimConfig, Transport};
 //!
 //! let mut net = Network::new(SimConfig::new(64).with_seed(7).with_loss_prob(0.05));
 //! let a = net.sample_uniform();
@@ -60,12 +60,12 @@ pub mod transport;
 pub mod wire;
 
 pub use auth::{hmac_sha256, sha256, AuthKey, AUTH_TAG_BYTES};
-pub use bits::{ceil_log2, id_bits, mix64, SETUP_STREAM_SALT};
+pub use bits::{ceil_log2, id_bits, mix64};
 pub use config::SimConfig;
 pub use ledger::{PhaseCost, PhaseLedger};
 pub use mailbox::{sample_from_view, stagger_us, Handler, Mailbox, PeerView, TimerId};
 pub use metrics::{Metrics, PhaseBreakdown};
-pub use network::Network;
+pub use network::{draw_initial_liveness, Network};
 pub use node::NodeId;
 pub use phase::Phase;
 pub use push_max::PushMax;

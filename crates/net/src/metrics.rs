@@ -56,7 +56,8 @@ impl Metrics {
         }
     }
 
-    /// Record one message attempt (called by [`crate::Network::send`]).
+    /// Record one message attempt (called by every backend's
+    /// [`Transport::send`](crate::Transport::send)).
     pub fn record_send(&mut self, phase: Phase, bits: u32, delivered: bool) {
         self.ensure_capacity();
         let i = phase.as_index();

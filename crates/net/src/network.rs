@@ -1,19 +1,22 @@
 //! The simulated network: RNG, failure model, liveness and message delivery.
 
+use crate::bits::SETUP_STREAM_SALT;
 use crate::config::SimConfig;
 use crate::metrics::Metrics;
 use crate::node::NodeId;
 use crate::phase::Phase;
+use crate::transport::Transport;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A simulated `n`-node network in the random phone-call model.
 ///
 /// `Network` owns the deterministic RNG, the failure model (initial crashes
-/// and per-message loss) and the [`Metrics`]. Protocols are written as plain
-/// functions/structs that drive a `&mut Network`; every transmission goes
-/// through [`Network::send`], and each synchronous round is closed with
-/// [`Network::advance_round`].
+/// and per-message loss) and the [`Metrics`], and implements the required
+/// core of [`Transport`]; everything else callers use (`n`, `round`,
+/// `nodes`, `sample_uniform`, `send_with_retries`, ...) is the trait's
+/// default methods. Every transmission goes through [`Transport::send`],
+/// and each synchronous round is closed with [`Transport::advance_round`].
 #[derive(Clone, Debug)]
 pub struct Network {
     config: SimConfig,
@@ -34,22 +37,7 @@ impl Network {
         if let Err(msg) = config.validate() {
             panic!("invalid SimConfig: {msg}");
         }
-        let mut rng = SmallRng::seed_from_u64(config.seed ^ crate::bits::SETUP_STREAM_SALT);
-        let mut alive = vec![true; config.n];
-        let mut alive_count = config.n;
-        if config.initial_crash_prob > 0.0 {
-            for slot in alive.iter_mut() {
-                if rng.gen_bool(config.initial_crash_prob) {
-                    *slot = false;
-                    alive_count -= 1;
-                }
-            }
-            // Keep at least one alive node so protocols always have a subject.
-            if alive_count == 0 {
-                alive[0] = true;
-                alive_count = 1;
-            }
-        }
+        let (alive, alive_count, rng) = draw_initial_liveness(&config);
         Network {
             config,
             rng,
@@ -58,114 +46,68 @@ impl Network {
             metrics: Metrics::new(),
         }
     }
+}
 
-    /// Number of nodes (including crashed ones).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.config.n
+/// Draw the initial liveness pattern of `sim`: each node crashes
+/// independently with probability `initial_crash_prob`, in node-id order,
+/// from the `seed ^ SETUP_STREAM_SALT` stream; if every node crashed, node
+/// 0 is revived so protocols always have a subject. Every backend starts
+/// from this one draw — [`Network::new`] here, and the simulator's
+/// `ShardedTransport` and `ShardedDriver` — so all of them see the same
+/// alive set for the same `SimConfig`. Returns the liveness vector, the
+/// alive count, and the stream positioned for the backend's subsequent
+/// draws (loss and churn).
+pub fn draw_initial_liveness(sim: &SimConfig) -> (Vec<bool>, usize, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(sim.seed ^ SETUP_STREAM_SALT);
+    let mut alive = vec![true; sim.n];
+    let mut alive_count = sim.n;
+    if sim.initial_crash_prob > 0.0 {
+        for slot in alive.iter_mut() {
+            if rng.gen_bool(sim.initial_crash_prob) {
+                *slot = false;
+                alive_count -= 1;
+            }
+        }
+        if alive_count == 0 {
+            alive[0] = true;
+            alive_count = 1;
+        }
     }
+    (alive, alive_count, rng)
+}
 
-    /// The configuration this network was built from.
+impl Transport for Network {
     #[inline]
-    pub fn config(&self) -> &SimConfig {
+    fn config(&self) -> &SimConfig {
         &self.config
     }
 
-    /// Accumulated metrics (read-only).
     #[inline]
-    pub fn metrics(&self) -> &Metrics {
+    fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Take the metrics out, leaving zeroed metrics behind.
-    pub fn take_metrics(&mut self) -> Metrics {
-        std::mem::replace(&mut self.metrics, Metrics::new())
-    }
-
-    /// Reset the metrics (keeps liveness and RNG state).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
     }
 
     /// Whether a node is alive (did not crash before the protocol started).
     #[inline]
-    pub fn is_alive(&self, node: NodeId) -> bool {
+    fn is_alive(&self, node: NodeId) -> bool {
         self.alive[node.index()]
     }
 
-    /// Number of alive nodes.
     #[inline]
-    pub fn alive_count(&self) -> usize {
+    fn alive_count(&self) -> usize {
         self.alive_count
     }
 
-    /// Iterator over all node ids, `0..n`.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.config.n).map(NodeId::new)
-    }
-
-    /// Iterator over alive node ids.
-    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| NodeId::new(i))
-    }
-
-    /// Mutable access to the simulation RNG. Protocol-level random choices
-    /// (ranks, partner selection, ...) should all come from here so that a
-    /// run is fully determined by the seed.
     #[inline]
-    pub fn rng_mut(&mut self) -> &mut SmallRng {
+    fn rng_mut(&mut self) -> &mut SmallRng {
         &mut self.rng
     }
 
-    /// Derive an independent RNG stream from the simulation seed, e.g. for
-    /// per-node decisions computed outside the main simulation loop.
-    pub fn derive_rng(&self, salt: u64) -> SmallRng {
-        SmallRng::seed_from_u64(self.config.seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ salt)
-    }
-
-    /// Sample a node uniformly at random from all `n` nodes ("selects a node
-    /// in `V`", as every gossip step of the paper does). The sampled node may
-    /// be crashed; sending to it will then fail.
-    #[inline]
-    pub fn sample_uniform(&mut self) -> NodeId {
-        NodeId::new(self.rng.gen_range(0..self.config.n))
-    }
-
-    /// Sample a uniformly random node different from `me`. For `n == 1`
-    /// returns `me` (there is nobody else to talk to).
-    pub fn sample_other_than(&mut self, me: NodeId) -> NodeId {
-        if self.config.n == 1 {
-            return me;
-        }
-        loop {
-            let candidate = self.sample_uniform();
-            if candidate != me {
-                return candidate;
-            }
-        }
-    }
-
-    /// Sample a uniformly random *alive* node.
-    pub(crate) fn sample_uniform_alive(&mut self) -> NodeId {
-        loop {
-            let candidate = self.sample_uniform();
-            if self.is_alive(candidate) {
-                return candidate;
-            }
-        }
-    }
-
-    /// Send one message of `bits` bits from `from` to `to` in phase `phase`.
-    ///
-    /// The message is always *counted* (the paper's message complexity counts
-    /// transmissions, not deliveries). It is delivered iff the sender is
-    /// alive, the receiver is alive and it survives the lossy link (loss
-    /// probability `δ`). Returns `true` iff the message was delivered.
-    pub fn send(&mut self, from: NodeId, to: NodeId, phase: Phase, bits: u32) -> bool {
+    /// The message is always *counted* (the paper's message complexity
+    /// counts transmissions, not deliveries). It is delivered iff the
+    /// sender is alive, the receiver is alive and it survives the lossy
+    /// link (loss probability `δ`).
+    fn send(&mut self, from: NodeId, to: NodeId, phase: Phase, bits: u32) -> bool {
         debug_assert!(from.index() < self.config.n, "sender out of range");
         debug_assert!(to.index() < self.config.n, "receiver out of range");
         let mut delivered = self.alive[from.index()] && self.alive[to.index()];
@@ -176,117 +118,14 @@ impl Network {
         delivered
     }
 
-    /// Send with up to `max_attempts` retransmissions until delivery.
-    /// Each attempt is counted as a message. Returns the number of attempts
-    /// made and whether the final attempt was delivered.
-    pub fn send_with_retries(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        phase: Phase,
-        bits: u32,
-        max_attempts: u32,
-    ) -> (u32, bool) {
-        let mut attempts = 0;
-        while attempts < max_attempts {
-            attempts += 1;
-            if self.send(from, to, phase, bits) {
-                return (attempts, true);
-            }
-            // A dead endpoint will never succeed; avoid burning the budget.
-            if !self.alive[from.index()] || !self.alive[to.index()] {
-                return (attempts, false);
-            }
-        }
-        (attempts, false)
-    }
-
-    /// Close the current synchronous round.
-    #[inline]
-    pub fn advance_round(&mut self) {
-        self.metrics.advance_round();
-    }
-
-    /// Number of completed rounds.
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.metrics.rounds()
-    }
-}
-
-impl crate::transport::Transport for Network {
-    #[inline]
-    fn config(&self) -> &SimConfig {
-        Network::config(self)
-    }
-
-    #[inline]
-    fn metrics(&self) -> &Metrics {
-        Network::metrics(self)
-    }
-
-    #[inline]
-    fn is_alive(&self, node: NodeId) -> bool {
-        Network::is_alive(self, node)
-    }
-
-    #[inline]
-    fn alive_count(&self) -> usize {
-        Network::alive_count(self)
-    }
-
-    #[inline]
-    fn rng_mut(&mut self) -> &mut SmallRng {
-        Network::rng_mut(self)
-    }
-
-    #[inline]
-    fn send(&mut self, from: NodeId, to: NodeId, phase: Phase, bits: u32) -> bool {
-        Network::send(self, from, to, phase, bits)
-    }
-
     #[inline]
     fn advance_round(&mut self) {
-        Network::advance_round(self)
+        self.metrics.advance_round();
     }
 
     #[inline]
     fn reset_metrics(&mut self) {
-        Network::reset_metrics(self)
-    }
-
-    // Forward the derived methods to the (slightly faster, liveness-array
-    // based) inherent implementations so trait-generic and concrete callers
-    // observe the exact same RNG consumption.
-    #[inline]
-    fn sample_uniform(&mut self) -> NodeId {
-        Network::sample_uniform(self)
-    }
-
-    #[inline]
-    fn sample_other_than(&mut self, me: NodeId) -> NodeId {
-        Network::sample_other_than(self, me)
-    }
-
-    #[inline]
-    fn sample_uniform_alive(&mut self) -> NodeId {
-        Network::sample_uniform_alive(self)
-    }
-
-    #[inline]
-    fn derive_rng(&self, salt: u64) -> SmallRng {
-        Network::derive_rng(self, salt)
-    }
-
-    fn send_with_retries(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        phase: Phase,
-        bits: u32,
-        max_attempts: u32,
-    ) -> (u32, bool) {
-        Network::send_with_retries(self, from, to, phase, bits, max_attempts)
+        self.metrics.reset();
     }
 }
 
@@ -418,19 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_uniform_alive_only_returns_alive_nodes() {
-        let mut net = Network::new(
-            SimConfig::new(200)
-                .with_seed(4)
-                .with_initial_crash_prob(0.7),
-        );
-        for _ in 0..500 {
-            let v = net.sample_uniform_alive();
-            assert!(net.is_alive(v));
-        }
-    }
-
-    #[test]
     fn identical_seeds_give_identical_runs() {
         let run = |seed: u64| {
             let mut net = Network::new(SimConfig::new(64).with_seed(seed).with_loss_prob(0.1));
@@ -455,14 +281,5 @@ mod tests {
         net.advance_round();
         assert_eq!(net.round(), 2);
         assert_eq!(net.metrics().per_round_messages(), &[1, 0]);
-    }
-
-    #[test]
-    fn take_metrics_resets() {
-        let mut net = net(4);
-        net.send(NodeId::new(0), NodeId::new(1), Phase::Other, 8);
-        let m = net.take_metrics();
-        assert_eq!(m.total_messages(), 1);
-        assert_eq!(net.metrics().total_messages(), 0);
     }
 }

@@ -1,9 +1,10 @@
 //! Protocol phase labels used to break down message counts.
 //!
-//! Every message sent through [`crate::Network::send`] is tagged with the
-//! phase of the protocol that produced it. The experiment harness uses the
-//! breakdown to reproduce the paper's claim that the message complexity of
-//! DRR-gossip is dominated by Phase I (the DRR algorithm, Section 3.5).
+//! Every message sent through [`Transport::send`](crate::Transport::send)
+//! is tagged with the phase of the protocol that produced it. The
+//! experiment harness uses the breakdown to reproduce the paper's claim
+//! that the message complexity of DRR-gossip is dominated by Phase I (the
+//! DRR algorithm, Section 3.5).
 
 use serde::{Deserialize, Serialize};
 

@@ -16,8 +16,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Sub-buckets per power of two — the same log-bucket layout as the
-/// runtime's latency histogram, so per-shard histograms merge exactly.
+/// Sub-buckets per power of two. One fixed layout for every histogram, so
+/// per-shard and per-node histograms merge exactly, bucket by bucket.
 const SUB_BUCKETS: u64 = 8;
 /// Total bucket count covering the full `u64` range.
 const NUM_BUCKETS: usize = (64 * SUB_BUCKETS) as usize;
@@ -58,9 +58,8 @@ fn bucket_midpoint(bucket: usize) -> u64 {
 }
 
 /// Fixed-footprint log-scale histogram (≤ ~9% relative quantile error,
-/// 512 slots, full `u64` range). Bit-compatible with the bucket layout of
-/// `gossip_runtime::LatencyHistogram`, which exports into it via
-/// [`Histogram::from_raw`].
+/// 512 slots, full `u64` range). The simulator's delivery-latency tally
+/// (`gossip_runtime::AsyncMetrics::latency`) is one of these.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -82,23 +81,9 @@ impl Histogram {
         }
     }
 
-    /// Adopt raw bucket counts from a histogram with the identical layout
-    /// (64 octaves × 8 sub-buckets). `min` is `u64::MAX` when empty.
-    ///
-    /// # Panics
-    /// Panics if `counts` is not exactly 512 buckets long.
-    pub fn from_raw(counts: &[u64], total: u64, sum: u64, min: u64, max: u64) -> Self {
-        assert_eq!(counts.len(), NUM_BUCKETS, "bucket layout mismatch");
-        Histogram {
-            counts: counts.to_vec(),
-            total,
-            sum,
-            min,
-            max,
-        }
-    }
-
-    /// Record one sample.
+    /// Record one sample. Inlined: the simulator records one latency per
+    /// delivery through this.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_of(v).min(NUM_BUCKETS - 1)] += 1;
         self.total += 1;
@@ -577,6 +562,11 @@ mod tests {
         assert!((450..=560).contains(&p50), "p50 = {p50}");
         let p99 = h.quantile(0.99);
         assert!((900..=1000).contains(&p99), "p99 = {p99}");
+        // Empty: every reading is zero, min included.
+        let empty = Histogram::new();
+        assert_eq!(empty.count(), 0);
+        assert_eq!(empty.quantile(0.99), 0);
+        assert_eq!(empty.min(), 0);
     }
 
     #[test]
@@ -613,20 +603,18 @@ mod tests {
         assert_eq!(a.counter_value("c_total", &[]), Some(3));
         assert_eq!(a.gauge_value("g", &[]), Some(4.0));
         assert_eq!(a.histogram("h", &[]).map(Histogram::count), Some(2));
-    }
-
-    #[test]
-    fn from_raw_round_trips_through_merge() {
-        let mut h = Histogram::new();
-        h.record(5);
-        h.record(500);
-        let raw = Histogram::from_raw(&h.counts, h.total, h.sum, h.min, h.max);
-        assert_eq!(raw, h);
-        // An empty from_raw merges as a no-op.
-        let empty = Histogram::from_raw(&vec![0; NUM_BUCKETS], 0, 0, u64::MAX, 0);
-        let mut merged = h.clone();
-        merged.merge(&empty);
-        assert_eq!(merged, h);
+        // Merging combines counts and keeps both extremes.
+        let mut lo = Histogram::new();
+        let mut hi = Histogram::new();
+        lo.record(10);
+        hi.record(1000);
+        hi.record(2000);
+        lo.merge(&hi);
+        assert_eq!((lo.count(), lo.min(), lo.max()), (3, 10, 2000));
+        // An empty histogram merges as a no-op.
+        let before = lo.clone();
+        lo.merge(&Histogram::new());
+        assert_eq!(lo, before);
     }
 
     /// Undo 0.0.4 label-value escaping (the inverse of `label_key`), for

@@ -1,41 +1,11 @@
 //! Configuration shared by both faces of the sharded core:
 //! [`AsyncConfig`] (what [`ShardedTransport`](crate::ShardedTransport) and
-//! [`ShardedDriver`](crate::ShardedDriver) are built from), the
-//! [`RoundPolicy`] that closes a round window, and the initial-liveness
-//! draw every backend shares with the synchronous
-//! [`Network`](gossip_net::Network).
+//! [`ShardedDriver`](crate::ShardedDriver) are built from) and the
+//! [`RoundPolicy`] that closes a round window.
 
 use crate::churn::ChurnModel;
 use crate::latency::LatencyModel;
 use gossip_net::SimConfig;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Draw the initial liveness pattern exactly like
-/// [`Network::new`](gossip_net::Network::new): the same
-/// `seed ^ SETUP_STREAM_SALT` stream, the same per-node draw order, the
-/// same all-dead rescue. Shared by the facade and the sharded driver, so
-/// every backend starts from the identical alive set for the same
-/// `SimConfig`. Returns the liveness vector, the alive count, and
-/// the stream positioned for the backend's subsequent churn draws.
-pub(crate) fn draw_initial_liveness(sim: &SimConfig) -> (Vec<bool>, usize, SmallRng) {
-    let mut rng = SmallRng::seed_from_u64(sim.seed ^ gossip_net::SETUP_STREAM_SALT);
-    let mut alive = vec![true; sim.n];
-    let mut alive_count = sim.n;
-    if sim.initial_crash_prob > 0.0 {
-        for slot in alive.iter_mut() {
-            if rng.gen_bool(sim.initial_crash_prob) {
-                *slot = false;
-                alive_count -= 1;
-            }
-        }
-        if alive_count == 0 {
-            alive[0] = true;
-            alive_count = 1;
-        }
-    }
-    (alive, alive_count, rng)
-}
 
 /// How a round window closes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]

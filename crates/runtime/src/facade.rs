@@ -28,10 +28,11 @@
 //!   barrier, so "alive at the arrival instant" is known without waiting.
 //! * Round-barrier protocols carry their data in the coordinator, not in
 //!   the message, so the only thing a delivery does besides its verdict is
-//!   add its latency to the [`LatencyHistogram`] — an order-insensitive
-//!   tally, taken at send time too. Both round policies close the window
-//!   at or beyond every delivered arrival, so nothing is ever in flight
-//!   across a barrier and there is nothing to queue.
+//!   record its latency in [`AsyncMetrics::latency`] (a
+//!   [`gossip_obs::Histogram`]) — an order-insensitive tally, taken at
+//!   send time too. Both round policies close the window at or beyond
+//!   every delivered arrival, so nothing is ever in flight across a
+//!   barrier and there is nothing to queue.
 //! * [`Transport::advance_round`] is the barrier: it closes the window
 //!   (fixed deadline, or stretch to the slowest delivered arrival, at
 //!   least one latency median either way), applies the window's crashes,
@@ -56,13 +57,18 @@
 //! configurations only this backend can run, a live comparison against
 //! `Network` for the rest.
 //!
-//! [`LatencyHistogram`]: crate::LatencyHistogram
+//! # Retries
+//!
+//! [`Transport::send_with_retries`] is the one derived method the facade
+//! overrides: under [`RoundPolicy::FixedDeadline`] attempt `k` ships after
+//! `k − 1` timeout cycles of one RTT (twice the latency median), and the
+//! retries stop once that offset reaches the deadline.
 
-use crate::config::{draw_initial_liveness, AsyncConfig, RoundPolicy};
+use crate::config::{AsyncConfig, RoundPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::AsyncMetrics;
 use crate::soa::NO_CRASH;
-use gossip_net::{Metrics, NodeId, Phase, SimConfig, Transport};
+use gossip_net::{draw_initial_liveness, Metrics, NodeId, Phase, SimConfig, Transport};
 use gossip_obs::{TraceCtx, TraceKind, TraceReason, TraceRing};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -119,8 +125,8 @@ pub struct ShardedTransport {
 }
 
 impl ShardedTransport {
-    /// Build a facade, applying initial crashes exactly like
-    /// [`Network::new`](gossip_net::Network::new) (same RNG stream).
+    /// Build a facade, applying initial crashes with
+    /// [`draw_initial_liveness`], the draw every backend makes.
     ///
     /// `shards` partitions nothing: the facade keeps no per-shard state
     /// since it stopped queueing deliveries. The argument stays so that
@@ -216,12 +222,6 @@ impl ShardedTransport {
         self.async_metrics.clone()
     }
 
-    /// Take the protocol metrics out, leaving zeroed metrics behind
-    /// (mirrors `Network::take_metrics`).
-    pub fn take_metrics(&mut self) -> Metrics {
-        std::mem::replace(&mut self.metrics, Metrics::new())
-    }
-
     /// Event slots the facade holds memory for: 0, unless a trace is
     /// attached, in which case it is the arrival buffer's capacity.
     pub fn queue_capacity_events(&self) -> usize {
@@ -285,6 +285,22 @@ impl ShardedTransport {
     /// given the crashes already scheduled inside the current window.
     fn alive_at(&self, node: NodeId, at_us: u64) -> bool {
         self.alive[node.index()] && (self.crashes.is_empty() || at_us < self.crash_at[node.index()])
+    }
+
+    /// The virtual time a retransmission has before its round closes:
+    /// the fixed deadline, or `None` under [`RoundPolicy::Stretch`], where
+    /// deliveries never expire.
+    fn retry_deadline_us(&self) -> Option<u64> {
+        match self.config.round_policy {
+            RoundPolicy::FixedDeadline(d) => Some(d.max(1)),
+            RoundPolicy::Stretch => None,
+        }
+    }
+
+    /// The round-trip-time estimate (µs): what one timeout-plus-
+    /// retransmission cycle costs, twice the latency median.
+    fn rtt_us(&self) -> u64 {
+        2 * self.config.latency.median_us().max(1)
     }
 
     /// The reference window length: what one round "costs" when nothing is
@@ -489,10 +505,8 @@ impl Transport for ShardedTransport {
         bits: u32,
         max_attempts: u32,
     ) -> (u32, bool) {
-        let deadline = self.deadline_budget_us();
-        let rtt = self
-            .rtt_estimate_us()
-            .expect("the facade always has a latency model");
+        let deadline = self.retry_deadline_us();
+        let rtt = self.rtt_us();
         // One causal root for every attempt of this logical send — the
         // retries of one message are one chain.
         let ctx = self.root_send_ctx(from);
@@ -574,17 +588,6 @@ impl Transport for ShardedTransport {
     fn reset_metrics(&mut self) {
         self.metrics.reset();
         self.async_metrics = AsyncMetrics::default();
-    }
-
-    fn deadline_budget_us(&self) -> Option<u64> {
-        match self.config.round_policy {
-            RoundPolicy::FixedDeadline(d) => Some(d.max(1)),
-            RoundPolicy::Stretch => None,
-        }
-    }
-
-    fn rtt_estimate_us(&self) -> Option<u64> {
-        Some(2 * self.config.latency.median_us().max(1))
     }
 }
 
@@ -685,7 +688,7 @@ mod tests {
             facade.send(NodeId::new(i), NodeId::new(i + 4), Phase::Other, 8);
         }
         facade.advance_round();
-        let max_latency = facade.async_metrics().latency.max_us();
+        let max_latency = facade.async_metrics().latency.max();
         assert_eq!(facade.now_us(), max_latency.max(25_005));
     }
 
@@ -733,6 +736,14 @@ mod tests {
         let (attempts, _) =
             facade.send_with_retries(NodeId::new(0), NodeId::new(1), Phase::Other, 8, 64);
         assert!(attempts <= 3, "deadline-capped, got {attempts}");
+
+        // A deadline shorter than one trip still sends the first attempt,
+        // and only that one.
+        let mut facade = lossy(RoundPolicy::FixedDeadline(500));
+        let (attempts, _) =
+            facade.send_with_retries(NodeId::new(0), NodeId::new(1), Phase::Other, 8, 64);
+        assert_eq!(attempts, 1, "one gamble, no retries");
+        assert_eq!(facade.metrics().total_messages(), 1);
 
         // Stretching rounds never expire deliveries: the full budget is
         // available (and with 99% loss this seed burns several attempts).
@@ -800,7 +811,7 @@ mod tests {
             assert!(facade.send(NodeId::new(i), NodeId::new(i + 4), Phase::Other, 8));
         }
         facade.advance_round();
-        let slowest = facade.async_metrics().latency.max_us();
+        let slowest = facade.async_metrics().latency.max();
         assert_eq!(facade.now_us(), slowest.max(median));
     }
 

@@ -90,6 +90,6 @@ pub use churn::ChurnModel;
 pub use config::{AsyncConfig, RoundPolicy};
 pub use facade::ShardedTransport;
 pub use latency::LatencyModel;
-pub use metrics::{AsyncMetrics, DriverMetrics, LatencyHistogram};
+pub use metrics::{AsyncMetrics, DriverMetrics};
 pub use shard::ShardedDriver;
 pub use sweep::SweepRunner;

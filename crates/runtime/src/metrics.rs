@@ -8,133 +8,8 @@
 //! can know.
 
 use gossip_net::NodeId;
+use gossip_obs::Histogram;
 use serde::{Deserialize, Serialize};
-
-/// Fixed-resolution log-scale histogram of latencies (µs).
-///
-/// Buckets subdivide each power of two into 8 sub-buckets, giving ≤ ~9%
-/// relative quantile error over the full `u64` range at a fixed 512-slot
-/// footprint — plenty for tail inspection without storing samples.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum_us: u64,
-    min_us: u64,
-    max_us: u64,
-}
-
-const SUB_BUCKETS: u64 = 8;
-const NUM_BUCKETS: usize = (64 * SUB_BUCKETS) as usize;
-
-fn bucket_of(us: u64) -> usize {
-    if us < SUB_BUCKETS {
-        return us as usize; // exact for the first octave
-    }
-    let octave = 63 - us.leading_zeros() as u64;
-    let offset = (us >> (octave.saturating_sub(3))) & (SUB_BUCKETS - 1);
-    (octave * SUB_BUCKETS + offset) as usize
-}
-
-fn bucket_midpoint(bucket: usize) -> u64 {
-    let bucket = bucket as u64;
-    if bucket < SUB_BUCKETS {
-        return bucket;
-    }
-    let octave = bucket / SUB_BUCKETS;
-    let offset = bucket % SUB_BUCKETS;
-    let base = 1u64 << octave;
-    let step = (base / SUB_BUCKETS).max(1);
-    base + offset * step + step / 2
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            counts: vec![0; NUM_BUCKETS],
-            total: 0,
-            sum_us: 0,
-            min_us: u64::MAX,
-            max_us: 0,
-        }
-    }
-
-    /// Record one delivered-message latency.
-    pub fn record(&mut self, us: u64) {
-        self.counts[bucket_of(us).min(NUM_BUCKETS - 1)] += 1;
-        self.total += 1;
-        self.sum_us += us;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Minimum recorded latency (µs); 0 when empty.
-    pub(crate) fn min_us(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min_us
-        }
-    }
-
-    /// Maximum recorded latency (µs).
-    #[cfg(test)]
-    pub(crate) fn max_us(&self) -> u64 {
-        self.max_us
-    }
-
-    /// Approximate `q`-quantile (e.g. `0.99`), by cumulative bucket walk.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_midpoint(i).clamp(self.min_us(), self.max_us);
-            }
-        }
-        self.max_us
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Export into the observability layer's histogram type. Both use the
-    /// same 512-slot log-bucket layout, so this is a lossless copy.
-    pub fn to_obs(&self) -> gossip_obs::Histogram {
-        gossip_obs::Histogram::from_raw(
-            &self.counts,
-            self.total,
-            self.sum_us,
-            self.min_us,
-            self.max_us,
-        )
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram::new()
-    }
-}
 
 /// What the asynchronous engine knows beyond [`gossip_net::Metrics`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -147,8 +22,8 @@ pub struct AsyncMetrics {
     pub churn_crashes: u64,
     /// Rejoins applied by the churn model.
     pub churn_rejoins: u64,
-    /// Latency distribution of *delivered* messages.
-    pub latency: LatencyHistogram,
+    /// Latency distribution of *delivered* messages (µs).
+    pub latency: Histogram,
 }
 
 impl AsyncMetrics {
@@ -194,7 +69,7 @@ impl AsyncMetrics {
             "engine_delivery_latency_us",
             "Latency distribution of delivered messages (virtual us)",
             &[],
-            &self.latency.to_obs(),
+            &self.latency,
         );
     }
 }
@@ -291,57 +166,5 @@ impl DriverMetrics {
             &[],
             self.rejoin_log.len() as u64,
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quantiles_track_the_distribution() {
-        let mut h = LatencyHistogram::new();
-        for us in 1..=1000u64 {
-            h.record(us);
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.min_us(), 1);
-        assert_eq!(h.max_us(), 1000);
-        let p50 = h.quantile_us(0.5);
-        assert!((450..=560).contains(&p50), "p50 = {p50}");
-        let p99 = h.quantile_us(0.99);
-        assert!((900..=1000).contains(&p99), "p99 = {p99}");
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroed() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_us(0.99), 0);
-        assert_eq!(h.min_us(), 0);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(10);
-        b.record(1000);
-        b.record(2000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min_us(), 10);
-        assert_eq!(a.max_us(), 2000);
-    }
-
-    #[test]
-    fn buckets_are_monotone_in_latency() {
-        let mut last = 0;
-        for us in [0u64, 1, 7, 8, 9, 100, 1000, 65_000, 1 << 33] {
-            let b = bucket_of(us);
-            assert!(b >= last, "bucket({us}) = {b} < {last}");
-            last = b;
-        }
-        assert!(bucket_of(u64::MAX) < NUM_BUCKETS);
     }
 }

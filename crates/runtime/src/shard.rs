@@ -1127,9 +1127,8 @@ where
         let chunk = n.div_ceil(num_shards);
         let num_shards = n.div_ceil(chunk); // trailing empty shards dropped
 
-        // Initial crashes: the shared setup stream, drawn in node order —
-        // the identical alive set every backend starts from.
-        let (alive, _, churn_rng) = crate::config::draw_initial_liveness(&config.sim);
+        // Initial crashes: the one draw every backend starts from.
+        let (alive, _, churn_rng) = gossip_net::draw_initial_liveness(&config.sim);
 
         let lookahead = Self::lookahead_us(&config);
         let window_us = config.latency.median_us().max(1);
@@ -1687,7 +1686,7 @@ mod tests {
     use super::*;
     use crate::churn::ChurnModel;
     use crate::latency::LatencyModel;
-    use gossip_net::SimConfig;
+    use gossip_net::{SimConfig, Transport};
     use rand::SeedableRng;
 
     /// Interval-driven rumor flooding (the ciruela emulator shape): every
@@ -2231,7 +2230,7 @@ mod tests {
         assert_eq!(driver.handler(NodeId::new(1)).arrived_at, Some(delay));
         let latency = driver.async_metrics().latency;
         assert_eq!(latency.count(), 1);
-        assert_eq!(latency.max_us(), u64::from(u32::MAX));
+        assert_eq!(latency.max(), u64::from(u32::MAX));
     }
 
     /// The queue [`CalendarQueue`] replaced, kept as its oracle: one level,

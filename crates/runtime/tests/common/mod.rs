@@ -96,7 +96,7 @@ impl Golden {
     /// Every field of the engine metrics, the latency histogram bucket by
     /// bucket.
     pub fn async_metrics(self, m: &AsyncMetrics) -> Self {
-        let latency = m.latency.to_obs();
+        let latency = &m.latency;
         self.word(m.late_drops)
             .word(m.bandwidth_drops)
             .word(m.churn_crashes)

@@ -83,8 +83,8 @@ fn main() {
     );
     println!(
         "  latency p50/p99   {:>7} / {} µs",
-        am.latency.quantile_us(0.50),
-        am.latency.quantile_us(0.99)
+        am.latency.quantile(0.50),
+        am.latency.quantile(0.99)
     );
     println!(
         "  virtual time      {:>8.1} ms  ({:.2} ms/round)",

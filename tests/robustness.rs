@@ -4,7 +4,7 @@
 use drr_gossip::aggregate::{AggregateKind, ValueDistribution};
 use drr_gossip::drr::aggregates::{drr_gossip_aggregate, drr_gossip_median};
 use drr_gossip::drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig};
-use drr_gossip::net::{Network, SimConfig};
+use drr_gossip::net::{Network, SimConfig, Transport};
 
 fn network(n: usize, seed: u64, loss: f64, crash: f64) -> Network {
     Network::new(
