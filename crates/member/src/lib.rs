@@ -10,11 +10,11 @@
 //!
 //! The wrapped application protocol keeps calling
 //! [`Mailbox::sample_peer`](gossip_net::Mailbox::sample_peer) and gets
-//! the **discovered live view** (the [`PeerView`](gossip_net::PeerView)
-//! seam); its outgoing messages carry membership rumors within a strict
-//! datagram budget. See `DESIGN.md` §7 for the state machine, the
-//! piggyback budget rules and how simulated churn maps onto detector
-//! events.
+//! the **discovered live view**, drawn by
+//! [`sample_from_view`](gossip_net::sample_from_view); its outgoing
+//! messages carry membership rumors within a strict datagram budget. See
+//! `DESIGN.md` §7 for the state machine, the piggyback budget rules and
+//! how simulated churn maps onto detector events.
 //!
 //! ```
 //! use gossip_member::{Member, MemberConfig};

@@ -154,8 +154,8 @@ pub struct MemberTable {
     me: NodeId,
     records: Vec<PeerRecord>,
     /// Known ids believed up (`Alive` or `Suspect`), excluding `me`,
-    /// sorted ascending — the [`PeerView`](gossip_net::PeerView) handed to
-    /// the wrapped protocol.
+    /// sorted ascending — the view the wrapped protocol's
+    /// [`sample_peer`](gossip_net::Mailbox::sample_peer) draws from.
     live: Vec<NodeId>,
     /// At most one pending rumor per node; drained freshest-first.
     queue: Vec<QueueSlot>,
@@ -205,7 +205,7 @@ impl MemberTable {
     }
 
     /// Known ids believed up (Alive or Suspect), excluding `me`, sorted.
-    pub fn live_view(&self) -> &Vec<NodeId> {
+    pub fn live_view(&self) -> &[NodeId] {
         &self.live
     }
 

@@ -40,7 +40,7 @@
 //! fits the budget.
 
 use crate::state::{Liveness, MemberTable, Transition, Update, UPDATE_WIRE_BYTES};
-use crate::wire::{MAX_UPDATES, UPDATES_LEN_BYTES};
+use crate::wire::{modelled_bits, payload_bytes, MAX_UPDATES};
 use gossip_net::{sample_from_view, stagger_us, Handler, Mailbox, NodeId, Phase, TimerId};
 use gossip_obs::{Histogram, Registry, TraceReason};
 use rand::Rng;
@@ -54,16 +54,6 @@ pub(crate) const MEMBER_TIMER_RTT: TimerId = TimerId(0x4D45_4D01);
 
 /// Salt for the per-node stagger of the first tick.
 const TICK_SALT: u64 = 0x4D45_4D42_5253_5749; // "MEMBRSWI"
-
-/// Wire-tag byte plus fields, excluding the trailing updates vec, per
-/// control variant (kept in lockstep with `wire.rs`).
-const PING_BASE_BYTES: usize = 1 + 8 + 4;
-const ACK_BASE_BYTES: usize = 1 + 8 + 4;
-const PING_REQ_BASE_BYTES: usize = 1 + 8 + 4;
-const JOIN_BASE_BYTES: usize = 1;
-const JOIN_ACK_BASE_BYTES: usize = 1;
-const LEAVE_BASE_BYTES: usize = 1 + 8;
-const APP_BASE_BYTES: usize = 1;
 
 /// Tuning knobs for the detector and disseminator.
 #[derive(Clone, Debug)]
@@ -204,6 +194,18 @@ pub enum MemberMsg<M> {
 impl<M> MemberMsg<M> {
     /// The piggybacked rumors of any variant.
     pub fn updates(&self) -> &[Update] {
+        match self {
+            MemberMsg::Ping { updates, .. }
+            | MemberMsg::Ack { updates, .. }
+            | MemberMsg::PingReq { updates, .. }
+            | MemberMsg::Join { updates }
+            | MemberMsg::JoinAck { updates }
+            | MemberMsg::Leave { updates, .. }
+            | MemberMsg::App { updates, .. } => updates,
+        }
+    }
+
+    fn updates_mut(&mut self) -> &mut Vec<Update> {
         match self {
             MemberMsg::Ping { updates, .. }
             | MemberMsg::Ack { updates, .. }
@@ -398,31 +400,43 @@ struct Core {
 }
 
 impl Core {
-    /// Rumors that fit a datagram whose non-rumor part is `base_bytes`.
-    fn piggyback_for(&mut self, base_bytes: usize) -> Vec<Update> {
+    /// Rumors that fit the datagram budget beside `msg` (its rumor vector
+    /// still empty, an App payload counted at `app_bytes`), capped at the
+    /// wire's one-byte count.
+    fn rumor_room<M>(&self, msg: &MemberMsg<M>, app_bytes: usize) -> usize {
         let room = self
             .cfg
             .budget_bytes
-            .saturating_sub(base_bytes + UPDATES_LEN_BYTES)
+            .saturating_sub(payload_bytes(msg, app_bytes))
             / UPDATE_WIRE_BYTES;
-        let take = room.min(self.cfg.piggyback_limit).min(MAX_UPDATES);
-        let ups = self.table.next_piggyback(take);
-        self.stats.updates_piggybacked += ups.len() as u64;
-        ups
+        room.min(MAX_UPDATES)
     }
 
-    /// Send a control message built by `make` from a budget-fitted rumor
-    /// batch, charging exact wire bits to [`Phase::Membership`].
+    /// Fill `msg`'s empty rumor vector with the freshest rumors that fit
+    /// the budget beside it, and return its modelled bits
+    /// ([`modelled_bits`]; an App payload counts `app_bits`, the wrapped
+    /// message's own modelled size).
+    fn piggyback<M>(&mut self, msg: &mut MemberMsg<M>, app_bits: u32) -> u32 {
+        let room = self.rumor_room(msg, (app_bits as usize).div_ceil(8));
+        let ups = self
+            .table
+            .next_piggyback(room.min(self.cfg.piggyback_limit));
+        self.stats.updates_piggybacked += ups.len() as u64;
+        *msg.updates_mut() = ups;
+        modelled_bits(msg, app_bits)
+    }
+
+    /// Send a control message (built with an empty rumor vector) with a
+    /// budget-fitted rumor batch, charging its wire bits to
+    /// [`Phase::Membership`].
     fn send_control<M>(
         &mut self,
         mailbox: &mut dyn Mailbox<MemberMsg<M>>,
         to: NodeId,
-        base_bytes: usize,
-        make: impl FnOnce(Vec<Update>) -> MemberMsg<M>,
+        mut msg: MemberMsg<M>,
     ) {
-        let updates = self.piggyback_for(base_bytes);
-        let bytes = base_bytes + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
-        mailbox.send(to, Phase::Membership, (bytes * 8) as u32, make(updates));
+        let bits = self.piggyback(&mut msg, 0);
+        mailbox.send(to, Phase::Membership, bits, msg);
     }
 
     /// Apply one batch of piggybacked rumors from `from`, routing
@@ -539,14 +553,10 @@ impl Core {
             incarnation: inc,
             state: Liveness::Alive,
         };
-        let updates = vec![self_claim];
-        let bytes = JOIN_BASE_BYTES + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
-        mailbox.send(
-            seed,
-            Phase::Membership,
-            (bytes * 8) as u32,
-            MemberMsg::Join { updates },
-        );
+        let join = MemberMsg::Join {
+            updates: vec![self_claim],
+        };
+        mailbox.send(seed, Phase::Membership, modelled_bits(&join, 0), join);
         self.stats.joins_sent += 1;
     }
 }
@@ -626,13 +636,11 @@ impl<H: Handler> Member<H> {
         let inc = self.core.table.my_incarnation() + 1;
         let goodbyes = self.core.draw_targets(mailbox, 3, None);
         for peer in goodbyes {
-            self.core
-                .send_control(mailbox, peer, LEAVE_BASE_BYTES, |updates| {
-                    MemberMsg::Leave {
-                        incarnation: inc,
-                        updates,
-                    }
-                });
+            let leave = MemberMsg::Leave {
+                incarnation: inc,
+                updates: Vec::new(),
+            };
+            self.core.send_control(mailbox, peer, leave);
         }
     }
 
@@ -669,14 +677,12 @@ impl<H: Handler> Member<H> {
                     self.core.seq += 1;
                     let seq = self.core.seq;
                     let me = self.core.me;
-                    self.core
-                        .send_control(mailbox, target, PING_BASE_BYTES, |updates| {
-                            MemberMsg::Ping {
-                                seq,
-                                origin: me,
-                                updates,
-                            }
-                        });
+                    let ping = MemberMsg::Ping {
+                        seq,
+                        origin: me,
+                        updates: Vec::new(),
+                    };
+                    self.core.send_control(mailbox, target, ping);
                     self.core.stats.probes_sent += 1;
                     self.core.pending.push(Probe {
                         target,
@@ -703,15 +709,12 @@ impl<H: Handler> Member<H> {
                 self.core
                     .draw_targets(mailbox, self.core.cfg.proxies, Some(probe.target));
             for proxy in proxies {
-                let (seq, target) = (probe.seq, probe.target);
-                self.core
-                    .send_control(mailbox, proxy, PING_REQ_BASE_BYTES, |updates| {
-                        MemberMsg::PingReq {
-                            seq,
-                            target,
-                            updates,
-                        }
-                    });
+                let ping_req = MemberMsg::PingReq {
+                    seq: probe.seq,
+                    target: probe.target,
+                    updates: Vec::new(),
+                };
+                self.core.send_control(mailbox, proxy, ping_req);
                 self.core.stats.ping_reqs_sent += 1;
             }
         }
@@ -770,12 +773,12 @@ impl<H: Handler> Handler for Member<H> {
         match msg {
             MemberMsg::Ping { seq, origin, .. } => {
                 self.core.stats.pings_rx += 1;
-                self.core
-                    .send_control(mailbox, from, ACK_BASE_BYTES, |updates| MemberMsg::Ack {
-                        seq,
-                        origin,
-                        updates,
-                    });
+                let ack = MemberMsg::Ack {
+                    seq,
+                    origin,
+                    updates: Vec::new(),
+                };
+                self.core.send_control(mailbox, from, ack);
             }
             MemberMsg::Ack { seq, origin, .. } => {
                 if origin == self.core.me {
@@ -788,26 +791,24 @@ impl<H: Handler> Handler for Member<H> {
                         self.core.stats.acks_rx += 1;
                     }
                 } else if origin.index() < self.core.n {
-                    self.core
-                        .send_control(mailbox, origin, ACK_BASE_BYTES, |updates| MemberMsg::Ack {
-                            seq,
-                            origin,
-                            updates,
-                        });
+                    let ack = MemberMsg::Ack {
+                        seq,
+                        origin,
+                        updates: Vec::new(),
+                    };
+                    self.core.send_control(mailbox, origin, ack);
                     self.core.stats.acks_relayed += 1;
                 }
             }
             MemberMsg::PingReq { seq, target, .. } => {
                 self.core.stats.ping_reqs_rx += 1;
                 if target.index() < self.core.n && target != self.core.me {
-                    self.core
-                        .send_control(mailbox, target, PING_BASE_BYTES, |updates| {
-                            MemberMsg::Ping {
-                                seq,
-                                origin: from,
-                                updates,
-                            }
-                        });
+                    let ping = MemberMsg::Ping {
+                        seq,
+                        origin: from,
+                        updates: Vec::new(),
+                    };
+                    self.core.send_control(mailbox, target, ping);
                 }
             }
             MemberMsg::Join { .. } => {
@@ -815,22 +816,16 @@ impl<H: Handler> Handler for Member<H> {
                 // with the full table, chunked to the datagram budget.
                 self.core.stats.joins_answered += 1;
                 let snapshot = self.core.table.snapshot(from);
-                let per_chunk = self
-                    .core
-                    .cfg
-                    .budget_bytes
-                    .saturating_sub(JOIN_ACK_BASE_BYTES + UPDATES_LEN_BYTES)
-                    / UPDATE_WIRE_BYTES;
-                for chunk in snapshot.chunks(per_chunk.clamp(1, MAX_UPDATES)) {
-                    let updates = chunk.to_vec();
-                    let bytes =
-                        JOIN_ACK_BASE_BYTES + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
-                    mailbox.send(
-                        from,
-                        Phase::Membership,
-                        (bytes * 8) as u32,
-                        MemberMsg::JoinAck { updates },
-                    );
+                let empty = MemberMsg::<H::Msg>::JoinAck {
+                    updates: Vec::new(),
+                };
+                let per_chunk = self.core.rumor_room(&empty, 0).max(1);
+                for chunk in snapshot.chunks(per_chunk) {
+                    let join_ack = MemberMsg::JoinAck {
+                        updates: chunk.to_vec(),
+                    };
+                    let bits = modelled_bits(&join_ack, 0);
+                    mailbox.send(from, Phase::Membership, bits, join_ack);
                 }
             }
             MemberMsg::JoinAck { .. } => {
@@ -951,18 +946,12 @@ impl<M> Mailbox<M> for MemberMailbox<'_, M> {
     }
 
     fn send(&mut self, to: NodeId, phase: Phase, bits: u32, msg: M) {
-        let payload_bytes = (bits as usize).div_ceil(8);
-        let updates = self.core.piggyback_for(APP_BASE_BYTES + payload_bytes);
-        let overhead_bytes = APP_BASE_BYTES + UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * updates.len();
-        self.outer.send(
-            to,
-            phase,
-            bits + (overhead_bytes * 8) as u32,
-            MemberMsg::App {
-                payload: msg,
-                updates,
-            },
-        );
+        let mut app = MemberMsg::App {
+            payload: msg,
+            updates: Vec::new(),
+        };
+        let bits = self.core.piggyback(&mut app, bits);
+        self.outer.send(to, phase, bits, app);
     }
 
     fn set_timer(&mut self, delay_us: u64, timer: TimerId) {

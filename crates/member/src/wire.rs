@@ -6,9 +6,10 @@
 //! so at most [`MAX_UPDATES`] rumors a message, then 13 bytes per
 //! [`Update`]: u32 id, u64 incarnation, u8 state). The
 //! [`payload_bytes`] helper is the byte-length twin of the encoder —
-//! pinned equal to `to_wire_bytes().len()` by the property suite — which
-//! is what the piggyback budget arithmetic in `swim.rs` relies on to keep
-//! every datagram under `budget_bytes` and away from `send_oversize`.
+//! pinned equal to `to_wire_bytes().len()` by the property suite — and
+//! the one place `swim.rs` reads message sizes from: the piggyback budget
+//! arithmetic that keeps every datagram under `budget_bytes` and away
+//! from `send_oversize`, and the modelled bits every send is charged.
 //!
 //! The decoder is total: truncated, oversized, bit-flipped and
 //! hostile-length input returns [`WireError`], never a panic. Decoding is
@@ -34,7 +35,7 @@ const TAG_APP: u8 = 6;
 /// Most rumors one message carries: the count travels as one byte.
 pub const MAX_UPDATES: usize = u8::MAX as usize;
 /// Wire bytes of the rumor count.
-pub(crate) const UPDATES_LEN_BYTES: usize = 1;
+const UPDATES_LEN_BYTES: usize = 1;
 
 fn put_updates(w: &mut WireWriter, updates: &[Update]) {
     let k = u8::try_from(updates.len()).expect("at most MAX_UPDATES rumors per message");
@@ -166,7 +167,7 @@ impl<M: WireMsg> WireMsg for MemberMsg<M> {
 /// Exact encoded size of `msg` in bytes, given the encoded size of the
 /// wrapped payload for [`MemberMsg::App`] (`app_payload_bytes` is ignored
 /// for control variants). The size-twin of [`WireMsg::encode`].
-pub fn payload_bytes<M: WireMsg>(msg: &MemberMsg<M>, app_payload_bytes: usize) -> usize {
+pub fn payload_bytes<M>(msg: &MemberMsg<M>, app_payload_bytes: usize) -> usize {
     let updates_bytes = UPDATES_LEN_BYTES + UPDATE_WIRE_BYTES * msg.updates().len();
     match msg {
         MemberMsg::Ping { .. } | MemberMsg::Ack { .. } | MemberMsg::PingReq { .. } => {
@@ -176,6 +177,13 @@ pub fn payload_bytes<M: WireMsg>(msg: &MemberMsg<M>, app_payload_bytes: usize) -
         MemberMsg::Leave { .. } => 1 + 8 + updates_bytes,
         MemberMsg::App { .. } => 1 + app_payload_bytes + updates_bytes,
     }
+}
+
+/// The modelled size of `msg` in bits, what every `Member` send is
+/// charged: its wire bytes × 8, plus `app_bits` (the wrapped message's own
+/// modelled size) for [`MemberMsg::App`]; control variants pass 0.
+pub(crate) fn modelled_bits<M>(msg: &MemberMsg<M>, app_bits: u32) -> u32 {
+    app_bits + (8 * payload_bytes(msg, 0)) as u32
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ pub use auth::{hmac_sha256, sha256, AuthKey, AUTH_TAG_BYTES};
 pub use bits::{ceil_log2, id_bits, mix64};
 pub use config::SimConfig;
 pub use ledger::{PhaseCost, PhaseLedger};
-pub use mailbox::{sample_from_view, stagger_us, Handler, Mailbox, PeerView, TimerId};
+pub use mailbox::{sample_from_view, stagger_us, Handler, Mailbox, TimerId};
 pub use metrics::{Metrics, PhaseBreakdown};
 pub use network::{draw_initial_liveness, Network};
 pub use node::NodeId;

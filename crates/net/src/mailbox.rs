@@ -68,13 +68,8 @@ pub trait Mailbox<M> {
     /// Arm a timer to fire at `now + delay_us` (at least 1 µs from now).
     /// Timers are one-shot; re-arm from [`Handler::on_timer`] for periodic
     /// behaviour. Timers do not survive a crash: after a rejoin, timers set
-    /// by the previous incarnation never fire.
-    ///
-    /// Hosts may add **jitter** on top of `delay_us` (an opt-in host
-    /// configuration, e.g. `with_timer_jitter_us`): a uniform draw in
-    /// `[0, jitter]` from the acting node's RNG stream, so staggered
-    /// protocols de-phase naturally while runs stay a pure function of
-    /// the seed.
+    /// by the previous incarnation never fire. Handlers that want their
+    /// nodes de-phased offset the first arm with [`stagger_us`].
     fn set_timer(&mut self, delay_us: u64, timer: TimerId);
 
     /// Cancel every pending timer with this label that *this node* armed
@@ -93,20 +88,12 @@ pub trait Mailbox<M> {
     /// only in a singleton network). The sampled node may be crashed —
     /// sending to it is then wasted, which is part of the model.
     ///
-    /// The default routes through [`sample_from_view`] with the static
-    /// full-range `StaticView`; mailboxes layered over a membership view
-    /// override this to draw from the discovered topology instead.
+    /// The default draws from the full range `0..n`; mailboxes layered
+    /// over a membership view override this to draw from the discovered
+    /// topology instead, through [`sample_from_view`].
     fn sample_peer(&mut self) -> NodeId {
-        let n = self.n();
-        self.sample_peer_from(&StaticView(n))
-    }
-
-    /// Sample a uniform peer from an explicit [`PeerView`], excluding `me`.
-    /// Draws come from this node's RNG stream, so runs stay a pure function
-    /// of the seed whatever the view.
-    fn sample_peer_from(&mut self, view: &dyn PeerView) -> NodeId {
-        let me = self.me();
-        sample_from_view(self.rng_mut(), me, view)
+        let (me, n) = (self.me(), self.n());
+        sample_excluding(self.rng_mut(), me, n, NodeId::new)
     }
 
     /// Record a protocol-level observability event (a state transition such
@@ -138,97 +125,39 @@ pub trait Mailbox<M> {
     }
 }
 
-/// A swappable source of candidate peers for [`Mailbox::sample_peer`].
-///
-/// The default is the static full range `0..n` (`StaticView`) — every
-/// node id that could exist. A membership layer substitutes a *live* view
-/// (the ids it currently believes are up), and the aggregation protocols
-/// underneath keep calling `sample_peer` unchanged: the seam is in the
-/// mailbox, not in the handlers.
-///
-/// Contract: entries are distinct node ids; `get(i)` is defined for
-/// `i < len()`; the view may contain the sampling node itself (it is
-/// excluded at sampling time). Iteration order is part of no contract —
-/// sampling draws indices from the caller's RNG stream.
-pub trait PeerView {
-    /// Number of candidate peers in the view.
-    fn len(&self) -> usize;
-
-    /// The `idx`-th candidate (`idx < len()`).
-    fn get(&self, idx: usize) -> NodeId;
-
-    /// True when the view holds no candidates at all.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The default [`PeerView`]: every node id in `0..n`, the fixed universe
-/// the round-based backends assume.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct StaticView(pub usize);
-
-impl PeerView for StaticView {
-    fn len(&self) -> usize {
-        self.0
-    }
-    fn get(&self, idx: usize) -> NodeId {
-        NodeId::new(idx)
-    }
-}
-
-/// A slice of node ids is a view — the natural shape for a membership
-/// layer's live list.
-impl PeerView for &[NodeId] {
-    fn len(&self) -> usize {
-        <[NodeId]>::len(self)
-    }
-    fn get(&self, idx: usize) -> NodeId {
-        self[idx]
-    }
-}
-
-/// An owned id list is a view too (a membership layer keeps one
-/// incrementally up to date).
-impl PeerView for Vec<NodeId> {
-    fn len(&self) -> usize {
-        <[NodeId]>::len(self)
-    }
-    fn get(&self, idx: usize) -> NodeId {
-        self[idx]
-    }
-}
-
 /// Sample a uniform peer from `view`, excluding `me`; returns `me` only
-/// when the view offers no other candidate.
-///
-/// This is the one sampling routine behind [`Mailbox::sample_peer`] and
-/// [`Mailbox::sample_peer_from`], split out as a free function so layered
-/// mailboxes (which hold the view in their own state) can call it without
-/// fighting the borrow checker. For `StaticView(n)` it draws exactly the
-/// sequence the pre-seam `sample_peer` drew (`gen_range(0..n)` rejection),
-/// so golden hashes are unchanged.
-pub fn sample_from_view(rng: &mut SmallRng, me: NodeId, view: &dyn PeerView) -> NodeId {
-    let len = view.len();
+/// when the view offers no other candidate. Entries must be distinct and
+/// may include `me`. The routine a membership layer's `sample_peer`
+/// override calls with its live view; it draws exactly as the default
+/// [`Mailbox::sample_peer`] does over `0..n`.
+pub fn sample_from_view(rng: &mut SmallRng, me: NodeId, view: &[NodeId]) -> NodeId {
+    sample_excluding(rng, me, view.len(), |i| view[i])
+}
+
+/// The one sampling rule over `len` candidates `get(0..len)`: none
+/// returns `me`; one is returned without a draw (`me` if it is `me`);
+/// otherwise up to 64 `gen_range(0..len)` draws reject `me`, and a scan
+/// turns a contract violation (every entry `me`) into an answer instead
+/// of a hang.
+fn sample_excluding(
+    rng: &mut SmallRng,
+    me: NodeId,
+    len: usize,
+    get: impl Fn(usize) -> NodeId,
+) -> NodeId {
     if len == 0 {
         return me;
     }
     if len == 1 {
-        let only = view.get(0);
-        return if only == me { me } else { only };
+        return get(0);
     }
-    // Distinct-entry views terminate almost surely; the attempt cap turns a
-    // contract violation (every entry == me) into a scan instead of a hang.
     for _ in 0..64 {
-        let candidate = view.get(rng.gen_range(0..len));
+        let candidate = get(rng.gen_range(0..len));
         if candidate != me {
             return candidate;
         }
     }
-    (0..len)
-        .map(|i| view.get(i))
-        .find(|&p| p != me)
-        .unwrap_or(me)
+    (0..len).map(get).find(|&p| p != me).unwrap_or(me)
 }
 
 /// Deterministic per-node timer stagger in `[1, interval_us]`.
@@ -398,6 +327,39 @@ mod tests {
     }
 
     #[test]
+    fn sample_peer_draws_are_pinned() {
+        // Node 0's stream at seed 7, as literal lists: any change to how
+        // the default sample_peer consumes the RNG (draw range, rejection
+        // rule, the n = 1 shortcut) shows here.
+        let draws = |mb: &mut LoopbackMailbox, k: usize| {
+            (0..k).map(|_| mb.sample_peer().index()).collect::<Vec<_>>()
+        };
+        let next = |mb: &mut LoopbackMailbox| rand::RngCore::next_u64(mb.rng_mut());
+        let nine = [
+            5, 8, 2, 3, 4, 3, 3, 1, 2, 4, 3, 1, 3, 3, 3, 6, 7, 7, 7, 6, 6, 6, 4, 7, 8, 4, 2, 6, 7,
+            6, 7, 4,
+        ];
+        assert_eq!(draws(&mut mailbox(9), 32), nine);
+        // A membership layer's view of the whole range draws the same.
+        let full: Vec<NodeId> = (0..9).map(NodeId::new).collect();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let via_view: Vec<usize> = (0..32)
+            .map(|_| sample_from_view(&mut rng, NodeId::new(0), &full).index())
+            .collect();
+        assert_eq!(via_view, nine);
+        // n = 1 returns self and makes no draw: the stream is untouched.
+        let mut one = mailbox(1);
+        assert_eq!(draws(&mut one, 4), [0, 0, 0, 0]);
+        assert_eq!(next(&mut one), next(&mut mailbox(1)));
+        // n = 2 always lands on the other node, after as many rejected
+        // draws of self as the stream dictates; the stream's next word
+        // pins how many that was.
+        let mut two = mailbox(2);
+        assert_eq!(draws(&mut two, 8), [1, 1, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(next(&mut two), 0x18E7_1892_7F54_E75B);
+    }
+
+    #[test]
     fn cancel_timer_only_drops_the_named_label() {
         let mut mb = mailbox(4);
         mb.set_timer(10, TimerId(0));
@@ -412,28 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn sample_peer_matches_the_static_view_draw_for_draw() {
-        // The seam must not perturb existing runs: the default sample_peer
-        // and an explicit StaticView consume the same RNG stream and return
-        // the same peers.
-        let mut a = mailbox(9);
-        let mut b = mailbox(9);
-        for _ in 0..100 {
-            let via_default = a.sample_peer();
-            let via_view = b.sample_peer_from(&StaticView(9));
-            assert_eq!(via_default, via_view);
-        }
-    }
-
-    #[test]
     fn slice_views_sample_only_their_members() {
-        let mut mb = mailbox(100);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let me = NodeId::new(0);
         let live = [NodeId::new(0), NodeId::new(17), NodeId::new(42)];
-        let live = &live[..];
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            let p = mb.sample_peer_from(&live);
-            assert_ne!(p, mb.me());
+            let p = sample_from_view(&mut rng, me, &live);
+            assert_ne!(p, me);
             seen.insert(p.index());
         }
         assert_eq!(seen, [17usize, 42].into_iter().collect());
@@ -441,10 +389,14 @@ mod tests {
 
     #[test]
     fn degenerate_views_fall_back_to_me() {
-        let mut mb = mailbox(4);
-        assert_eq!(mb.sample_peer_from(&Vec::new()), mb.me());
-        assert_eq!(mb.sample_peer_from(&vec![NodeId::new(0)]), mb.me());
-        assert_eq!(mb.sample_peer_from(&vec![NodeId::new(3)]), NodeId::new(3));
+        let mut rng = SmallRng::seed_from_u64(7);
+        let me = NodeId::new(0);
+        assert_eq!(sample_from_view(&mut rng, me, &[]), me);
+        assert_eq!(sample_from_view(&mut rng, me, &[NodeId::new(0)]), me);
+        assert_eq!(
+            sample_from_view(&mut rng, me, &[NodeId::new(3)]),
+            NodeId::new(3)
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!   worker publishes, so scrapes never touch live protocol state.
 //!
 //! Shutdown is cooperative: workers check an atomic stop flag between
-//! bounded pump slices (the reactor's socket waits are capped at its poll
+//! bounded pump slices (a host's socket waits are capped at its poll
 //! quantum), so `stop_threads` joins within a few quanta.
 
 use crate::host::{NodeHost, NodeStats};
@@ -370,16 +370,7 @@ where
             "round-robin on one thread"
         };
         let _ = writeln!(page, "cluster of {}, {schedule}", pages.len());
-        let _ = writeln!(
-            page,
-            "sent: {} datagrams / {} bytes ({} errors, {} oversize)",
-            total.datagrams_sent, total.bytes_sent, total.send_errors, total.send_oversize
-        );
-        let _ = writeln!(
-            page,
-            "received: {} datagrams / {} bytes ({} decode errors)",
-            total.datagrams_received, total.bytes_received, total.decode_errors
-        );
+        total.write_summary(&mut page);
         for (i, node) in pages.iter().enumerate() {
             for (key, value) in &node.status {
                 let _ = writeln!(page, "node {i}  {key}: {value}");

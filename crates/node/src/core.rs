@@ -14,9 +14,9 @@
 //!   [`FrameSink`], the one-method trait a host implements to put frame
 //!   bytes on its transport.
 //!
-//! This split is what makes the core host-agnostic: the blocking
-//! reactor ([`Reactor`](crate::Reactor)), the cluster in either schedule
-//! and any test harness drive the *same* engine, so dispatch order, stats
+//! This split is what makes the core host-agnostic: the socket host
+//! ([`NodeHost`](crate::NodeHost)), the cluster in either schedule and
+//! any test harness drive the *same* engine, so dispatch order, stats
 //! and authentication policy cannot drift between deployment shapes.
 
 use gossip_net::{
@@ -217,6 +217,31 @@ impl NodeStats {
         );
     }
 
+    /// The `sent:` and `received:` lines of a `/status` page — one host's
+    /// counters or a cluster's totals, with every rejection kind spelled
+    /// out so a forging attack shows on `/status` as it does on
+    /// `/metrics`.
+    pub(crate) fn write_summary(&self, page: &mut String) {
+        use std::fmt::Write;
+        let _ = writeln!(
+            page,
+            "sent: {} datagrams / {} bytes ({} errors, {} oversize)",
+            self.datagrams_sent, self.bytes_sent, self.send_errors, self.send_oversize
+        );
+        let _ = writeln!(
+            page,
+            "received: {} datagrams / {} bytes ({} recv errors, {} decode errors, \
+             {} auth rejects, {} unknown senders, {} addr mismatches)",
+            self.datagrams_received,
+            self.bytes_received,
+            self.recv_errors,
+            self.decode_errors,
+            self.auth_reject,
+            self.unknown_sender_drops,
+            self.addr_mismatches
+        );
+    }
+
     /// Field-wise sum (cluster-level totals).
     pub fn merge(&mut self, other: &NodeStats) {
         self.handler_starts += other.handler_starts;
@@ -274,7 +299,6 @@ pub struct NodeCore<H: Handler> {
     /// Cancellation watermarks (label → arm-sequence): pending timers with
     /// a smaller sequence are suppressed at dispatch.
     cancels: HashMap<u32, u64>,
-    timer_jitter_us: u64,
     started: bool,
     /// Cluster authentication key. `Some` makes this node *require*
     /// authenticated frames inbound and seal every frame outbound.
@@ -311,7 +335,6 @@ impl<H: Handler> NodeCore<H> {
             timers: BinaryHeap::new(),
             timer_seq: 0,
             cancels: HashMap::new(),
-            timer_jitter_us: 0,
             started: false,
             auth_key: None,
             frame_buf: Vec::new(),
@@ -328,14 +351,6 @@ impl<H: Handler> NodeCore<H> {
     pub fn with_epoch(mut self, epoch: Instant) -> Self {
         assert!(!self.started, "the epoch is fixed once the node starts");
         self.epoch = epoch;
-        self
-    }
-
-    /// Add host-injected jitter to every [`Mailbox::set_timer`]: a uniform
-    /// draw in `[0, jitter_us]` from this node's stream, exactly like the
-    /// simulated hosts' `with_timer_jitter_us`.
-    pub fn with_timer_jitter_us(mut self, jitter_us: u64) -> Self {
-        self.timer_jitter_us = jitter_us;
         self
     }
 
@@ -677,26 +692,7 @@ impl<H: Handler> NodeCore<H> {
             },
             gossip_net::auth::sha256_impl()
         );
-        let _ = writeln!(
-            page,
-            "sent: {} datagrams / {} bytes ({} errors, {} oversize)",
-            self.stats.datagrams_sent,
-            self.stats.bytes_sent,
-            self.stats.send_errors,
-            self.stats.send_oversize
-        );
-        let _ = writeln!(
-            page,
-            "received: {} datagrams / {} bytes ({} recv errors, {} decode errors, \
-             {} auth rejects, {} unknown senders, {} addr mismatches)",
-            self.stats.datagrams_received,
-            self.stats.bytes_received,
-            self.stats.recv_errors,
-            self.stats.decode_errors,
-            self.stats.auth_reject,
-            self.stats.unknown_sender_drops,
-            self.stats.addr_mismatches
-        );
+        self.stats.write_summary(&mut page);
         let _ = writeln!(
             page,
             "timers: {} fired, {} cancelled, lag p99 {} us",
@@ -790,7 +786,6 @@ impl<H: Handler> NodeCore<H> {
             timers,
             timer_seq,
             cancels,
-            timer_jitter_us,
             auth_key,
             frame_buf,
             metrics,
@@ -808,7 +803,6 @@ impl<H: Handler> NodeCore<H> {
             timers,
             timer_seq,
             cancels,
-            jitter_us: *timer_jitter_us,
             auth_key: auth_key.as_ref(),
             frame_buf,
             metrics,
@@ -883,7 +877,6 @@ struct CoreMailbox<'a, M> {
     timers: &'a mut BinaryHeap<PendingTimer>,
     timer_seq: &'a mut u64,
     cancels: &'a mut HashMap<u32, u64>,
-    jitter_us: u64,
     auth_key: Option<&'a AuthKey>,
     frame_buf: &'a mut Vec<u8>,
     metrics: &'a mut Metrics,
@@ -958,16 +951,7 @@ impl<M: WireMsg> Mailbox<M> for CoreMailbox<'_, M> {
     }
 
     fn set_timer(&mut self, delay_us: u64, timer: TimerId) {
-        use rand::Rng;
-        let jitter = if self.jitter_us > 0 {
-            self.rng.gen_range(0..=self.jitter_us)
-        } else {
-            0
-        };
-        let at = self
-            .now_us
-            .saturating_add(delay_us.max(1))
-            .saturating_add(jitter);
+        let at = self.now_us.saturating_add(delay_us.max(1));
         let seq = *self.timer_seq;
         *self.timer_seq += 1;
         self.timers.push(Reverse((at, seq, timer.0)));

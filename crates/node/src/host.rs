@@ -4,21 +4,30 @@
 //! `ShardedDriver`: the same callbacks, the same [`Mailbox`] surface, but
 //! `send` writes a [wire frame](gossip_net::wire) to a real
 //! [`UdpSocket`] and `now_us` reads a real clock.
-//! Internally it is a thin pairing of the two halves the host layer
-//! splits into:
 //!
-//! * [`NodeCore`] — the per-node protocol engine: handler, timer queue,
-//!   address book, RNG, stats, trace ring, authentication key. No I/O.
-//! * [`Reactor`] — the I/O engine: the socket, the receive buffer and
-//!   the HTTP status pump, driving the core through one readiness loop.
+//! Everything about the node that is not I/O — handler, timer queue,
+//! address book, RNG, stats, trace ring, authentication key — lives in a
+//! [`NodeCore`]. The host owns what the OS hands out: the bound socket,
+//! its blocking-mode cache, the receive buffer and the non-blocking
+//! status server. It drives the core through one readiness pass, `pump`,
+//! in two shapes:
+//!
+//! * non-blocking ([`poll`](NodeHost::poll)) — fire due timers, drain up
+//!   to a batch of waiting datagrams (re-checking timers between
+//!   packets), answer status scrapes, return. The cluster's round-robin
+//!   uses this.
+//! * blocking ([`run_for`](NodeHost::run_for)) — the same pass, but the
+//!   socket wait sleeps in the kernel, bounded by the next due timer and
+//!   [`MAX_BLOCK_WAIT`] so timers and scrapes stay punctual. Deployed
+//!   single-node loops and the cluster's worker threads use this.
 //!
 //! The event loop keeps the driver's dispatch discipline where reality
 //! permits it:
 //!
 //! * **Timers** fire in exact `(due instant, arm order)` order — the
 //!   `(timestamp, seq)` key of the simulators — from a monotonic queue
-//!   that survives between loop iterations. [`Mailbox::cancel_timer`] and
-//!   host-injected jitter work exactly as on the simulated hosts.
+//!   that survives between loop iterations. [`Mailbox::cancel_timer`]
+//!   works exactly as on the simulated hosts.
 //! * **Messages** dispatch in kernel arrival order with the receive
 //!   instant as their timestamp. Due timers are drained before the socket
 //!   is read, so a timer is never starved by a packet burst.
@@ -34,21 +43,45 @@
 //! HMAC-SHA256 tag and drops (counts, never panics) every inbound frame
 //! that does not verify.
 
-use crate::core::NodeCore;
-use crate::reactor::Reactor;
+use crate::core::{NodeCore, Recv};
 
 pub use crate::core::NodeStats;
-use gossip_net::{AuthKey, Handler, Mailbox, Metrics, NodeId, WireMsg};
-use gossip_obs::{Histogram, TraceRing};
+use gossip_net::{AuthKey, Handler, Mailbox, Metrics, NodeId, WireMsg, MAX_FRAME_BYTES};
+use gossip_obs::{Histogram, HttpServer, TraceRing};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
+
+/// Receive buffer size: one byte more than the largest legal frame. The
+/// kernel cuts a longer datagram to fit, so an overlong one arrives as
+/// `MAX_FRAME_BYTES + 1` bytes, which no length field can account for,
+/// and is rejected by the decoder instead of being trimmed into
+/// something acceptable.
+const RECV_BUF_BYTES: usize = MAX_FRAME_BYTES + 1;
+
+/// Datagrams drained per pump pass before yielding, so a flood cannot
+/// starve the timer queue or the caller's loop.
+const MAX_RECV_BATCH: usize = 64;
+
+/// Ceiling on one blocking wait in the host's event loop: the loop wakes
+/// at least this often to re-check timers, deadlines and status scrapes.
+/// This is the host's *poll quantum* — the worst-case lag a timer or a
+/// scrape can see from the host sleeping in the kernel.
+pub const MAX_BLOCK_WAIT: Duration = Duration::from_millis(10);
 
 /// One node of a real deployment: a [`Handler`] driven by a UDP socket.
 /// See the module docs for the dispatch discipline.
 pub struct NodeHost<H: Handler> {
     core: NodeCore<H>,
-    reactor: Reactor,
+    socket: UdpSocket,
+    /// Cached blocking mode, so pump passes flip the socket option only
+    /// on an actual change.
+    nonblocking: bool,
+    read_timeout: Option<Duration>,
+    /// The `/metrics` + `/status` endpoint (`None` until
+    /// [`serve_status`](NodeHost::serve_status)).
+    status: Option<HttpServer>,
+    recv_buf: Vec<u8>,
 }
 
 impl<H: Handler> NodeHost<H>
@@ -80,7 +113,11 @@ where
     ) -> io::Result<Self> {
         Ok(NodeHost {
             core: NodeCore::new(me, peers, seed, handler),
-            reactor: Reactor::from_socket(socket),
+            socket,
+            nonblocking: false,
+            read_timeout: None,
+            status: None,
+            recv_buf: vec![0; RECV_BUF_BYTES],
         })
     }
 
@@ -89,14 +126,6 @@ where
     /// Must precede [`start`](NodeHost::start).
     pub fn with_epoch(mut self, epoch: Instant) -> Self {
         self.core = self.core.with_epoch(epoch);
-        self
-    }
-
-    /// Add host-injected jitter to every [`Mailbox::set_timer`]: a uniform
-    /// draw in `[0, jitter_us]` from this node's stream, exactly like the
-    /// simulated hosts' `with_timer_jitter_us`.
-    pub fn with_timer_jitter_us(mut self, jitter_us: u64) -> Self {
-        self.core = self.core.with_timer_jitter_us(jitter_us);
         self
     }
 
@@ -113,7 +142,7 @@ where
     /// Run `on_start` once. Idempotent; [`poll`](NodeHost::poll) and the
     /// blocking loops call it implicitly.
     pub fn start(&mut self) {
-        self.core.start(&mut self.reactor.socket());
+        self.core.start(&mut &self.socket);
     }
 
     /// Run `f` against the handler with a live mailbox, outside the event
@@ -123,7 +152,7 @@ where
     /// a callback. Starts the host if it has not started yet, so the
     /// handler is never observed pre-`on_start`.
     pub fn with_handler(&mut self, f: impl FnOnce(&mut H, &mut dyn Mailbox<H::Msg>)) {
-        self.core.with_handler(&mut self.reactor.socket(), f);
+        self.core.with_handler(&mut &self.socket, f);
     }
 
     /// One non-blocking pump: fire every due timer, then drain up to a
@@ -132,7 +161,7 @@ where
     /// blocks — a [`Cluster`](crate::Cluster) round-robins this across its
     /// hosts on the caller's thread.
     pub fn poll(&mut self) -> usize {
-        self.reactor.pump(&mut self.core, None)
+        self.pump(None)
     }
 
     /// Blocking event loop until `deadline`: sleeps in the kernel on the
@@ -144,7 +173,7 @@ where
             if now >= deadline {
                 return;
             }
-            self.reactor.pump(&mut self.core, Some(deadline - now));
+            self.pump(Some(deadline - now));
         }
     }
 
@@ -158,7 +187,84 @@ where
     /// scraping `/metrics` mid-run against frozen stats does exactly
     /// this). Returns the number of requests served.
     pub fn pump_status(&mut self) -> usize {
-        self.reactor.pump_status(&self.core)
+        match &mut self.status {
+            Some(server) => {
+                let udp_addr = self.socket.local_addr().ok();
+                server.poll(|req| self.core.respond(req, udp_addr))
+            }
+            None => 0,
+        }
+    }
+
+    /// One readiness pass over the core — the single event loop both
+    /// [`poll`](NodeHost::poll) and the blocking loops share. `wait` is
+    /// the largest time this call may spend blocked in the kernel: `None`
+    /// never blocks; `Some(budget)` sleeps on the socket for up to
+    /// `budget.min(`[`MAX_BLOCK_WAIT`]`)`, additionally bounded by the
+    /// next due timer so timers never lag more than one poll quantum
+    /// behind a sleeping socket. Returns the number of callbacks
+    /// dispatched; `0` means the pass was idle.
+    fn pump(&mut self, wait: Option<Duration>) -> usize {
+        self.core.start(&mut &self.socket);
+        let mut dispatched = self.core.fire_due_timers(&mut &self.socket);
+        match wait {
+            None => {
+                self.set_nonblocking(true);
+                for _ in 0..MAX_RECV_BATCH {
+                    match self.recv_one() {
+                        Recv::Dispatched => dispatched += 1,
+                        Recv::Rejected | Recv::Error => {} // counted, not dispatched
+                        Recv::Idle => break,               // nothing waiting
+                    }
+                    dispatched += self.core.fire_due_timers(&mut &self.socket);
+                }
+            }
+            Some(budget) => {
+                self.set_nonblocking(false);
+                let mut wait = budget.min(MAX_BLOCK_WAIT);
+                if let Some(until_due) = self.core.until_next_timer() {
+                    wait = wait.min(until_due);
+                }
+                // set_read_timeout(Some(0)) is an error; anything due
+                // fires on the next pump anyway.
+                self.set_read_timeout(wait.max(Duration::from_micros(100)));
+                if let Recv::Error = self.recv_one() {
+                    // A socket in a persistent error state returns
+                    // instantly instead of sleeping on its timeout; back
+                    // off so the loop cannot busy-spin a core — but never
+                    // past the next due timer (or the caller's budget),
+                    // so an erroring socket cannot add timer lag.
+                    let mut backoff = Duration::from_millis(1).min(budget);
+                    if let Some(until_due) = self.core.until_next_timer() {
+                        backoff = backoff.min(until_due);
+                    }
+                    std::thread::sleep(backoff);
+                } else {
+                    dispatched += self.core.fire_due_timers(&mut &self.socket);
+                }
+            }
+        }
+        self.pump_status();
+        dispatched
+    }
+
+    /// Receive and deliver one datagram into the core.
+    fn recv_one(&mut self) -> Recv {
+        let (len, src) = match self.socket.recv_from(&mut self.recv_buf) {
+            Ok(got) => got,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Recv::Idle,
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => return Recv::Idle,
+            // Other kernel-level errors (e.g. a previous send's ICMP
+            // port-unreachable surfacing on Linux) are not fatal to the
+            // loop, but they are counted — and the blocking pump backs off
+            // on them, since an erroring socket returns without sleeping.
+            Err(_) => {
+                self.core.note_recv_error();
+                return Recv::Error;
+            }
+        };
+        self.core
+            .on_datagram(&self.recv_buf[..len], src, &mut &self.socket)
     }
 }
 
@@ -175,7 +281,7 @@ impl<H: Handler> NodeHost<H> {
 
     /// The socket's actual bound address (useful after binding port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.reactor.local_addr()
+        self.socket.local_addr()
     }
 
     /// Microseconds since the host's epoch — what handler callbacks see as
@@ -236,12 +342,15 @@ impl<H: Handler> NodeHost<H> {
     /// [`run_for`](NodeHost::run_for)) — no thread, no executor. Scrapes
     /// observe the host between callbacks, never during one.
     pub fn serve_status(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-        self.reactor.serve_status(addr)
+        let server = HttpServer::bind(addr)?;
+        let bound = server.local_addr()?;
+        self.status = Some(server);
+        Ok(bound)
     }
 
     /// The status endpoint's bound address, if serving.
     pub fn status_addr(&self) -> Option<SocketAddr> {
-        self.reactor.status_addr()
+        self.status.as_ref().and_then(|s| s.local_addr().ok())
     }
 
     /// Route everything this host knows into one registry: wire counters,
@@ -250,13 +359,37 @@ impl<H: Handler> NodeHost<H> {
     pub fn fill_registry(&self, registry: &mut gossip_obs::Registry) {
         self.core.fill_registry(registry);
     }
+
+    fn set_nonblocking(&mut self, nonblocking: bool) {
+        if self.nonblocking != nonblocking {
+            // Failing to flip the mode would hang the loop; this is the
+            // one socket option the host cannot run without.
+            self.socket
+                .set_nonblocking(nonblocking)
+                .expect("set_nonblocking is supported on every UDP target");
+            self.nonblocking = nonblocking;
+        }
+    }
+
+    /// Bound one blocking receive — which also bounds how long a cluster
+    /// worker takes to notice its stop flag.
+    fn set_read_timeout(&mut self, timeout: Duration) {
+        if self.read_timeout != Some(timeout) {
+            self.socket
+                .set_read_timeout(Some(timeout))
+                .expect("set_read_timeout accepts any positive duration");
+            self.read_timeout = Some(timeout);
+        }
+    }
 }
 
 impl<H: Handler + std::fmt::Debug> std::fmt::Debug for NodeHost<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeHost")
             .field("core", &self.core)
-            .field("reactor", &self.reactor)
+            .field("local_addr", &self.socket.local_addr().ok())
+            .field("nonblocking", &self.nonblocking)
+            .field("status", &self.status_addr())
             .finish()
     }
 }

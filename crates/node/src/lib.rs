@@ -14,11 +14,10 @@
 //! ```
 //!
 //! * [`NodeHost`] — one node: a bound UDP socket, a peer address book, a
-//!   monotonic timer queue (with `cancel_timer` and host jitter), and an
-//!   event loop that keeps the simulators' `(timestamp, seq)` dispatch
-//!   discipline wherever reality permits it. It pairs a [`NodeCore`]
-//!   (protocol state, no I/O) with a [`Reactor`] (the socket and its
-//!   readiness loop).
+//!   monotonic timer queue (with `cancel_timer`), and an event loop that
+//!   keeps the simulators' `(timestamp, seq)` dispatch discipline
+//!   wherever reality permits it. It owns the socket and its readiness
+//!   loop and drives a [`NodeCore`] (protocol state, no I/O).
 //! * [`Cluster`] — N hosts on 127.0.0.1 ephemeral ports in one process:
 //!   round-robined from the caller's thread, where a test can inspect
 //!   every handler between passes, or moved one per OS thread with
@@ -44,9 +43,7 @@
 pub mod cluster;
 pub mod core;
 pub mod host;
-pub mod reactor;
 
 pub use crate::core::{FrameSink, NodeCore, NodeStats, Recv};
 pub use cluster::Cluster;
-pub use host::NodeHost;
-pub use reactor::{Reactor, MAX_BLOCK_WAIT};
+pub use host::{NodeHost, MAX_BLOCK_WAIT};

@@ -224,48 +224,6 @@ fn hostile_datagrams_are_counted_never_fatal() {
     );
 }
 
-#[test]
-fn timer_jitter_still_fires_and_spreads_arming() {
-    if !sockets_available() {
-        return;
-    }
-    // Jittered hosts must keep working; jitter itself is probabilistic, so
-    // the assertion is liveness (ticks fire) not spacing.
-    let sockets: Vec<std::net::UdpSocket> = (0..2)
-        .map(|_| std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap())
-        .collect();
-    let peers: Vec<std::net::SocketAddr> =
-        sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-    let mut hosts: Vec<_> = sockets
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            gossip_node::NodeHost::from_socket(
-                s,
-                NodeId::new(i),
-                peers.clone(),
-                9,
-                Rumor {
-                    tokens: Vec::new(),
-                    tick_us: 500,
-                },
-            )
-            .unwrap()
-            .with_timer_jitter_us(400)
-        })
-        .collect();
-    let deadline = std::time::Instant::now() + Duration::from_millis(50);
-    while std::time::Instant::now() < deadline {
-        for h in &mut hosts {
-            h.poll();
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    for h in &hosts {
-        assert!(h.stats().timer_fires >= 10, "jittered ticks keep firing");
-    }
-}
-
 /// A handler whose first send is deliberately larger than one datagram
 /// (a `Vec<u64>` beyond `MAX_PAYLOAD_BYTES`), followed by a normal-sized
 /// send — the oversize-send path in isolation.
@@ -419,7 +377,7 @@ fn one_causal_chain_crosses_four_real_hosts() {
 /// Regression for the blocking loop's backoff: bursty traffic must add
 /// no more than one poll quantum ([`MAX_BLOCK_WAIT`]) of timer lag. The
 /// old loop slept a hard-coded 1 ms on socket errors regardless of what
-/// was due; the reactor bounds every wait — including the error backoff —
+/// was due; the host bounds every wait — including the error backoff —
 /// by the next due timer.
 ///
 /// The bound is relative to an unflooded `Tick` host measured just

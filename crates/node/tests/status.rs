@@ -198,6 +198,40 @@ fn scraped_metrics_agree_byte_exactly_with_in_process_stats() {
 }
 
 #[test]
+fn cluster_status_page_shows_auth_rejects() {
+    if !sockets_available() {
+        return;
+    }
+    // A keyed cluster gets one bare (unsealed) frame from outside. Only
+    // node 0 is ever pumped, and nothing else sends to it, so the one
+    // rejection is the forgery — and the cluster page must show it, as a
+    // single host's page and both `/metrics` pages do.
+    let n = 2;
+    let mut cluster = Cluster::bind(n, 0xA07, ae_factory(n))
+        .expect("bind cluster")
+        .with_auth_key(gossip_net::AuthKey::from_passphrase("status-suite"));
+    let status = cluster.serve_status(("127.0.0.1", 0)).expect("bind status");
+    let target = cluster
+        .host(NodeId::new(0))
+        .local_addr()
+        .expect("node 0 address");
+    let forger = std::net::UdpSocket::bind(("127.0.0.1", 0)).expect("bind forger");
+    let bare = gossip_net::encode_frame(NodeId::new(1), &0u64);
+    forger.send_to(&bare, target).expect("send the bare frame");
+    let deadline = Instant::now() + GENEROUS;
+    while cluster.host(NodeId::new(0)).stats().auth_reject == 0 {
+        assert!(Instant::now() < deadline, "the bare frame never arrived");
+        cluster.poll_node(NodeId::new(0));
+    }
+    assert_eq!(cluster.total_stats().auth_reject, 1);
+    let (code, page) = get(status, "/status", || {
+        cluster.pump_status();
+    });
+    assert_eq!(code, 200);
+    assert!(page.contains(", 1 auth rejects, "), "{page}");
+}
+
+#[test]
 fn member_host_serves_metrics_status_and_trace() {
     if !sockets_available() {
         return;

@@ -628,10 +628,6 @@ struct Topology {
     /// `i / chunk`.
     chunk: usize,
     num_shards: usize,
-    /// Host-injected timer jitter ceiling (µs); `0` disables it. Jitter is
-    /// drawn from the acting node's private stream, so it is shard-count
-    /// invariant like every other protocol draw.
-    timer_jitter_us: u64,
 }
 
 /// Split-borrow helper: carves a [`Shard`] into the handler at `local`
@@ -1016,17 +1012,7 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
     }
 
     fn set_timer(&mut self, delay_us: u64, timer: TimerId) {
-        // Host-injected jitter from the node's own stream (shard-count
-        // invariant); disabled it draws nothing, preserving the stream.
-        let jitter = if self.topo.timer_jitter_us > 0 {
-            self.rng.gen_range(0..=self.topo.timer_jitter_us)
-        } else {
-            0
-        };
-        let at_us = self
-            .now_us
-            .saturating_add(delay_us.max(1))
-            .saturating_add(jitter);
+        let at_us = self.now_us.saturating_add(delay_us.max(1));
         let oseq = self.next_oseq();
         // Timers stay with their owner: always the shard's own queue.
         self.queue.push(ShardEvent {
@@ -1165,7 +1151,6 @@ where
                 config,
                 chunk,
                 num_shards,
-                timer_jitter_us: 0,
             },
             shards: shard_vec,
             factory: Box::new(factory),
@@ -1333,19 +1318,6 @@ where
             "epoch must lie in [1, {lookahead}] (the cross-shard lookahead), got {epoch_us}"
         );
         self.epoch_us = epoch_us;
-        self
-    }
-
-    /// Add host-injected jitter to every [`Mailbox::set_timer`]: a uniform
-    /// draw in `[0, jitter_us]` on top of the requested delay, taken from
-    /// the **acting node's** private stream — so jittered runs stay
-    /// shard-count, slicing and thread-path invariant like everything
-    /// else. Enabling it changes each node's RNG stream relative to a
-    /// jitter-free run. Must precede the first
-    /// [`run_until`](ShardedDriver::run_until).
-    pub fn with_timer_jitter_us(mut self, jitter_us: u64) -> Self {
-        assert!(!self.started, "timer jitter is fixed once the run starts");
-        self.topo.timer_jitter_us = jitter_us;
         self
     }
 
@@ -1913,51 +1885,6 @@ mod tests {
         let m = driver.metrics();
         assert_eq!(m.cancelled_timer_skips, 3);
         assert_eq!(m.timer_fires, 6);
-    }
-
-    #[test]
-    fn jittered_runs_are_shard_count_invariant() {
-        let run = |shards| {
-            let config = AsyncConfig::new(SimConfig::new(64).with_seed(21).with_loss_prob(0.05))
-                .with_latency(LatencyModel::Uniform {
-                    lo_us: 200,
-                    hi_us: 1_500,
-                });
-            let mut d = ShardedDriver::new(config, shards, |me| Rumor {
-                me,
-                tokens: Vec::new(),
-                tick_us: 1_000,
-            })
-            .with_timer_jitter_us(400);
-            d.run_until(30_000);
-            fingerprint(&d)
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-    }
-
-    #[test]
-    fn timer_jitter_delays_but_never_advances_and_perturbs_the_schedule() {
-        let run = |jitter| {
-            let config = AsyncConfig::new(SimConfig::new(4).with_seed(9));
-            let mut driver = ShardedDriver::new(config, 1, |me| Rumor {
-                me,
-                tokens: Vec::new(),
-                tick_us: 1_000,
-            })
-            .with_timer_jitter_us(jitter);
-            driver.run_until(20_000);
-            (driver.metrics(), driver.net_metrics().total_messages())
-        };
-        // Jittered runs are as reproducible as plain ones.
-        assert_eq!(run(300), run(300));
-        // And jitter actually perturbs the schedule.
-        assert_ne!(run(0).0.order_hash, run(300).0.order_hash);
-        // Ticks still fire at the expected rate (jitter delays, it does
-        // not drop): ~20 intervals per node, give or take the drift the
-        // jitter accumulates.
-        assert!(run(300).0.timer_fires >= 4 * 15);
     }
 
     #[test]

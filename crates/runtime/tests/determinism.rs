@@ -378,20 +378,18 @@ fn suspector_factory(n: usize) -> impl Fn(NodeId) -> Suspector + Send + 'static 
 
 #[test]
 fn cancellation_is_order_stable_across_shard_counts() {
-    // The determinism contract extended to cancel_timer + jitter: the
-    // dispatch schedule (order hash), the suppressed-timer count and every
-    // node's observable state must not depend on how the node space is
-    // sharded — with and without host-injected timer jitter.
+    // The determinism contract extended to cancel_timer: the dispatch
+    // schedule (order hash), the suppressed-timer count and every node's
+    // observable state must not depend on how the node space is sharded.
     let n = 96;
-    let run = |seed, shards, jitter| {
+    let run = |seed, shards| {
         let config = AsyncConfig::new(SimConfig::new(n).with_seed(seed).with_loss_prob(0.2))
             .with_latency(LatencyModel::Uniform {
                 lo_us: 300,
                 hi_us: 2_000,
             })
             .with_churn(ChurnModel::per_round(0.01, 0.1).with_min_alive(n / 2));
-        let mut d =
-            ShardedDriver::new(config, shards, suspector_factory(n)).with_timer_jitter_us(jitter);
+        let mut d = ShardedDriver::new(config, shards, suspector_factory(n));
         d.run_until(60_000);
         let m = d.metrics();
         let states: Vec<(u64, u64)> = d
@@ -406,31 +404,26 @@ fn cancellation_is_order_stable_across_shard_counts() {
             states,
         )
     };
-    for &jitter in &[0u64, 250] {
-        let counts = common::shard_counts();
-        let reference = run(0xCA9, counts[0], jitter);
-        assert!(
-            reference.1 > 0,
-            "the workload must actually exercise cancellation (jitter {jitter})"
-        );
-        let suspicions: u64 = reference.4.iter().map(|&(_, s)| s).sum();
-        assert!(
-            suspicions > 0,
-            "quiet stretches must let suspicion fire (jitter {jitter})"
-        );
-        for &shards in &counts {
-            assert_eq!(
-                reference,
-                run(0xCA9, shards, jitter),
-                "shard count {shards} changed a cancellation-heavy run (jitter {jitter})"
-            );
-        }
-        assert_ne!(
-            reference.0,
-            run(0xCAA, counts[0], jitter).0,
-            "a seed change must move the schedule (jitter {jitter})"
+    let counts = common::shard_counts();
+    let reference = run(0xCA9, counts[0]);
+    assert!(
+        reference.1 > 0,
+        "the workload must actually exercise cancellation"
+    );
+    let suspicions: u64 = reference.4.iter().map(|&(_, s)| s).sum();
+    assert!(suspicions > 0, "quiet stretches must let suspicion fire");
+    for &shards in &counts {
+        assert_eq!(
+            reference,
+            run(0xCA9, shards),
+            "shard count {shards} changed a cancellation-heavy run"
         );
     }
+    assert_ne!(
+        reference.0,
+        run(0xCAA, counts[0]).0,
+        "a seed change must move the schedule"
+    );
 }
 
 /// A [`Suspector`] that remembers when its incarnation booted, so a stale
