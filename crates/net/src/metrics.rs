@@ -70,6 +70,14 @@ impl Metrics {
         self.max_message_bits = self.max_message_bits.max(bits);
     }
 
+    /// Count one message already recorded as delivered in `phase` as
+    /// dropped after all: a host that hands its frames to the kernel in
+    /// batches learns of a refusal only when the batch is flushed.
+    pub fn record_refused(&mut self, phase: Phase) {
+        self.ensure_capacity();
+        self.dropped[phase.as_index()] += 1;
+    }
+
     /// Close the current round: increments the round counter and starts a new
     /// per-round message bucket.
     pub fn advance_round(&mut self) {
@@ -235,6 +243,16 @@ mod tests {
         assert_eq!(m.messages_in(Phase::RootGossip), 1);
         assert_eq!(m.max_message_bits(), 40);
         assert_eq!(m.total_bits(), 80);
+    }
+
+    #[test]
+    fn a_refusal_books_what_an_undelivered_send_does() {
+        let mut refused = Metrics::new();
+        refused.record_send(Phase::Rumor, 24, true);
+        refused.record_refused(Phase::Rumor);
+        let mut undelivered = Metrics::new();
+        undelivered.record_send(Phase::Rumor, 24, false);
+        assert_eq!(refused, undelivered);
     }
 
     #[test]

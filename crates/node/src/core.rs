@@ -11,8 +11,8 @@
 //!   the full accept pipeline: frame decode, authentication, sender
 //!   validation, handler dispatch.
 //! * **Outbound** — every send a callback makes goes through a
-//!   [`FrameSink`], the one-method trait a host implements to put frame
-//!   bytes on its transport.
+//!   [`FrameSink`], the trait a host implements to put frame bytes on its
+//!   transport (one required method).
 //!
 //! This split is what makes the core host-agnostic: the socket host
 //! ([`NodeHost`](crate::NodeHost)), the cluster in either schedule and
@@ -35,25 +35,27 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Where a [`NodeCore`]'s outbound frames go: the one seam between the
-/// protocol engine and a host's transport. `NodeHost` implements it with
-/// `UdpSocket::send_to`; tests implement it with a `Vec` of captured
-/// frames.
+/// protocol engine and a host's transport. `NodeHost` implements it with a
+/// send batch it flushes to its socket once per pump pass; tests implement
+/// it with a `Vec` of captured frames.
 pub trait FrameSink {
     /// Put one encoded frame on the wire towards `addr`. Fire-and-forget
     /// semantics: an `Err` is counted by the core as a send error, never
     /// surfaced to the handler.
     fn send_frame(&mut self, addr: SocketAddr, frame: &[u8]) -> io::Result<usize>;
-}
 
-impl FrameSink for std::net::UdpSocket {
-    fn send_frame(&mut self, addr: SocketAddr, frame: &[u8]) -> io::Result<usize> {
-        self.send_to(frame, addr)
-    }
-}
-
-impl FrameSink for &std::net::UdpSocket {
-    fn send_frame(&mut self, addr: SocketAddr, frame: &[u8]) -> io::Result<usize> {
-        self.send_to(frame, addr)
+    /// [`send_frame`](FrameSink::send_frame) told the message's phase: the
+    /// call [`NodeCore`] makes. A sink that hands its frames to the kernel
+    /// later keeps the phase, so that a frame the kernel then refuses is
+    /// charged to it ([`NodeCore`] re-books it); the default forwards.
+    fn send_phase_frame(
+        &mut self,
+        phase: Phase,
+        addr: SocketAddr,
+        frame: &[u8],
+    ) -> io::Result<usize> {
+        let _ = phase;
+        self.send_frame(addr, frame)
     }
 }
 
@@ -79,16 +81,20 @@ pub struct NodeStats {
     pub cancelled_timer_skips: u64,
     /// Messages dispatched into `on_message`.
     pub messages_dispatched: u64,
-    /// Datagrams handed to the kernel.
+    /// Datagrams handed to the kernel when the pass's batch is flushed
+    /// (a frame the kernel refuses there moves to
+    /// [`send_errors`](NodeStats::send_errors)).
     pub datagrams_sent: u64,
-    /// Bytes handed to the kernel (frame bytes, headers included).
+    /// Bytes handed to the kernel when the pass's batch is flushed (frame
+    /// bytes, headers included).
     pub bytes_sent: u64,
     /// Sends that failed locally (kernel error or an out-of-range peer).
     pub send_errors: u64,
     /// Sends whose encoded payload exceeded one datagram
     /// ([`MAX_PAYLOAD_BYTES`](gossip_net::MAX_PAYLOAD_BYTES)): detected
-    /// *before* `send_to`, counted, and dropped — the kernel would reject
-    /// the datagram with a raw OS error that is easy to mistake for loss.
+    /// *before* the frame is queued, counted, and dropped — the kernel
+    /// would reject the datagram with a raw OS error that is easy to
+    /// mistake for loss.
     /// A non-zero count means the protocol's messages outgrew the
     /// transport (e.g. a dense anti-entropy digest at n ≳ 10,000); the fix
     /// is a protocol that fragments, such as Merkle-mode `gossip-ae`.
@@ -400,7 +406,8 @@ impl<H: Handler> NodeCore<H> {
     }
 
     /// Modelled protocol metrics (the `bits` accounting every backend
-    /// keeps). `delivered` here means "handed to the sink" — a datagram's
+    /// keeps). `delivered` here means "handed to the sink", less the
+    /// frames a batching host reports the kernel refused — a datagram's
     /// real fate is unknowable at the sender, exactly like the fire-and-
     /// forget contract of [`Mailbox::send`].
     pub fn metrics(&self) -> &Metrics {
@@ -601,6 +608,36 @@ impl<H: Handler> NodeCore<H> {
             handler.on_message(from, msg, mailbox)
         });
         Recv::Dispatched
+    }
+
+    /// Re-book one frame that the sink accepted and the kernel then
+    /// refused (the socket host's batch learns of a refusal at flush).
+    /// It is counted exactly as a refused send at the time of the call:
+    /// out of `datagrams_sent`/`bytes_sent`, into `send_errors`, a dropped
+    /// message of `phase` in the metrics, and a `Drop`/`SendError` trace
+    /// record carrying the frame's causal context, after the `Send` record
+    /// the queueing left.
+    pub(crate) fn note_refused(&mut self, addr: SocketAddr, phase: Phase, frame: &[u8])
+    where
+        H::Msg: WireMsg,
+    {
+        self.stats.datagrams_sent -= 1;
+        self.stats.bytes_sent -= frame.len() as u64;
+        self.stats.send_errors += 1;
+        self.metrics.record_refused(phase);
+        if self.trace.is_some() {
+            let peer = self
+                .peers
+                .iter()
+                .position(|&a| a == addr)
+                .map_or(NO_PEER, |i| i as u64);
+            // The node's own frame: it decodes, and without a key the tag
+            // is skipped rather than verified.
+            let ctx = decode_frame_sealed::<H::Msg>(frame, None)
+                .map_or(TraceCtx::NONE, |(_, ctx, _)| ctx);
+            let now = self.now_us();
+            self.trace_event(now, peer, TraceKind::Drop, TraceReason::SendError, ctx);
+        }
     }
 
     /// Route everything this node knows into one registry: wire counters,
@@ -925,7 +962,7 @@ impl<M: WireMsg> Mailbox<M> for CoreMailbox<'_, M> {
                     self.trace_event(peer, TraceKind::Drop, TraceReason::Oversize, ctx);
                     false
                 }
-                Ok(()) => match self.sink.send_frame(addr, self.frame_buf) {
+                Ok(()) => match self.sink.send_phase_frame(phase, addr, self.frame_buf) {
                     Ok(_) => {
                         self.stats.datagrams_sent += 1;
                         self.stats.bytes_sent += self.frame_buf.len() as u64;
@@ -945,7 +982,8 @@ impl<M: WireMsg> Mailbox<M> for CoreMailbox<'_, M> {
             false
         };
         // The modelled accounting the Mailbox contract requires:
-        // `delivered` means "handed to the kernel" — real delivery is as
+        // `delivered` means "handed to the sink" (a batching host re-books
+        // a frame the kernel refuses at flush) — real delivery is as
         // unknowable as the fire-and-forget contract says.
         self.metrics.record_send(phase, bits, ok);
     }

@@ -31,6 +31,15 @@
 //! * **Messages** dispatch in kernel arrival order with the receive
 //!   instant as their timestamp. Due timers are drained before the socket
 //!   is read, so a timer is never starved by a packet burst.
+//! * **Sends** a callback makes are queued in the host's send batch, in
+//!   call order, and leave together when the pass ends: one `sendmmsg(2)`
+//!   per 64 frames on 64-bit Linux, one `send_to` per frame elsewhere.
+//!   The blocking pass also flushes before it sleeps, so what its timers
+//!   sent never waits out the socket wait; [`start`](NodeHost::start) and
+//!   [`with_handler`](NodeHost::with_handler) flush before they return.
+//!   A frame the kernel refuses at the flush is counted as any refused
+//!   send: in [`NodeStats::send_errors`], as a dropped message in
+//!   [`metrics`](NodeHost::metrics), and as a `Drop` trace record.
 //!
 //! What real time *breaks* relative to virtual time is documented in
 //! `DESIGN.md` §6: there is no global barrier, no replayable total order
@@ -43,6 +52,7 @@
 //! HMAC-SHA256 tag and drops (counts, never panics) every inbound frame
 //! that does not verify.
 
+use crate::batch::SendBatch;
 use crate::core::{NodeCore, Recv};
 
 pub use crate::core::NodeStats;
@@ -82,6 +92,9 @@ pub struct NodeHost<H: Handler> {
     /// [`serve_status`](NodeHost::serve_status)).
     status: Option<HttpServer>,
     recv_buf: Vec<u8>,
+    /// The frames the current pass has sent, handed to the socket when
+    /// the pass ends.
+    batch: SendBatch,
 }
 
 impl<H: Handler> NodeHost<H>
@@ -118,6 +131,7 @@ where
             read_timeout: None,
             status: None,
             recv_buf: vec![0; RECV_BUF_BYTES],
+            batch: SendBatch::default(),
         })
     }
 
@@ -142,17 +156,19 @@ where
     /// Run `on_start` once. Idempotent; [`poll`](NodeHost::poll) and the
     /// blocking loops call it implicitly.
     pub fn start(&mut self) {
-        self.core.start(&mut &self.socket);
+        self.core.start(&mut self.batch);
+        self.flush();
     }
 
     /// Run `f` against the handler with a live mailbox, outside the event
     /// loop — for host-initiated protocol actions such as announcing a
     /// graceful departure (`--leave`) just before shutdown. Sends go to
-    /// the socket immediately; timers and RNG draws behave exactly as in
-    /// a callback. Starts the host if it has not started yet, so the
+    /// the socket when `f` returns; timers and RNG draws behave exactly as
+    /// in a callback. Starts the host if it has not started yet, so the
     /// handler is never observed pre-`on_start`.
     pub fn with_handler(&mut self, f: impl FnOnce(&mut H, &mut dyn Mailbox<H::Msg>)) {
-        self.core.with_handler(&mut &self.socket, f);
+        self.core.with_handler(&mut self.batch, f);
+        self.flush();
     }
 
     /// One non-blocking pump: fire every due timer, then drain up to a
@@ -202,11 +218,12 @@ where
     /// never blocks; `Some(budget)` sleeps on the socket for up to
     /// `budget.min(`[`MAX_BLOCK_WAIT`]`)`, additionally bounded by the
     /// next due timer so timers never lag more than one poll quantum
-    /// behind a sleeping socket. Returns the number of callbacks
+    /// behind a sleeping socket. The pass's sends leave in one batch
+    /// when it ends, and before it sleeps. Returns the number of callbacks
     /// dispatched; `0` means the pass was idle.
     fn pump(&mut self, wait: Option<Duration>) -> usize {
-        self.core.start(&mut &self.socket);
-        let mut dispatched = self.core.fire_due_timers(&mut &self.socket);
+        self.core.start(&mut self.batch);
+        let mut dispatched = self.core.fire_due_timers(&mut self.batch);
         match wait {
             None => {
                 self.set_nonblocking(true);
@@ -216,10 +233,12 @@ where
                         Recv::Rejected | Recv::Error => {} // counted, not dispatched
                         Recv::Idle => break,               // nothing waiting
                     }
-                    dispatched += self.core.fire_due_timers(&mut &self.socket);
+                    dispatched += self.core.fire_due_timers(&mut self.batch);
                 }
             }
             Some(budget) => {
+                // What the timers sent must not wait out the sleep.
+                self.flush();
                 self.set_nonblocking(false);
                 let mut wait = budget.min(MAX_BLOCK_WAIT);
                 if let Some(until_due) = self.core.until_next_timer() {
@@ -240,12 +259,22 @@ where
                     }
                     std::thread::sleep(backoff);
                 } else {
-                    dispatched += self.core.fire_due_timers(&mut &self.socket);
+                    dispatched += self.core.fire_due_timers(&mut self.batch);
                 }
             }
         }
+        self.flush();
         self.pump_status();
         dispatched
+    }
+
+    /// Hand the batch to the socket; the core re-books every frame the
+    /// kernel refuses as a failed send.
+    fn flush(&mut self) {
+        let core = &mut self.core;
+        self.batch.flush(&self.socket, |queued| {
+            core.note_refused(queued.addr, queued.phase, queued.frame)
+        });
     }
 
     /// Receive and deliver one datagram into the core.
@@ -264,7 +293,7 @@ where
             }
         };
         self.core
-            .on_datagram(&self.recv_buf[..len], src, &mut &self.socket)
+            .on_datagram(&self.recv_buf[..len], src, &mut self.batch)
     }
 }
 
@@ -301,7 +330,8 @@ impl<H: Handler> NodeHost<H> {
     }
 
     /// Modelled protocol metrics (the `bits` accounting every backend
-    /// keeps). `delivered` here means "handed to the kernel" — a datagram's
+    /// keeps). `delivered` here means "handed to the kernel when the pass's
+    /// batch is flushed" — a datagram's
     /// real fate is unknowable at the sender, exactly like the fire-and-
     /// forget contract of [`Mailbox::send`].
     pub fn metrics(&self) -> &Metrics {

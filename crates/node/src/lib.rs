@@ -37,9 +37,10 @@
 //! the simulators' failure models forced the protocols to get right); the
 //! *determinism* does not (real clocks, real schedulers, real loss).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 pub mod cluster;
 pub mod core;
 pub mod host;

@@ -562,3 +562,62 @@ fn authenticated_cluster_converges_and_rejects_hostile_frames() {
         );
     }
 }
+
+/// A handler that only sends when told to.
+#[derive(Debug, Default)]
+struct Quiet;
+
+impl Handler for Quiet {
+    type Msg = u32;
+    fn on_start(&mut self, _mailbox: &mut dyn Mailbox<u32>) {}
+    fn on_message(&mut self, _from: NodeId, _msg: u32, _mailbox: &mut dyn Mailbox<u32>) {}
+    fn on_timer(&mut self, _timer: TimerId, _mailbox: &mut dyn Mailbox<u32>) {}
+}
+
+#[test]
+fn a_refused_send_inside_a_batch_is_a_send_error_and_the_rest_still_leave() {
+    use gossip_node::NodeHost;
+    use std::net::{Ipv6Addr, SocketAddr, UdpSocket};
+
+    if !sockets_available() {
+        return;
+    }
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let good = [
+        UdpSocket::bind(("127.0.0.1", 0)).unwrap(),
+        UdpSocket::bind(("127.0.0.1", 0)).unwrap(),
+    ];
+    // An IPv4 socket cannot send to an IPv6 address (EAFNOSUPPORT); no
+    // IPv6 bind is needed for the kernel to refuse it.
+    let v6_peer = SocketAddr::from((Ipv6Addr::LOCALHOST, 9));
+    let peers = vec![
+        socket.local_addr().unwrap(),
+        good[0].local_addr().unwrap(),
+        v6_peer,
+        good[1].local_addr().unwrap(),
+    ];
+    let mut host = NodeHost::from_socket(socket, NodeId::new(0), peers, 3, Quiet).unwrap();
+    host.with_handler(|_, mailbox| {
+        mailbox.send(NodeId::new(1), Phase::Other, 32, 11);
+        mailbox.send(NodeId::new(2), Phase::Rumor, 32, 22);
+        mailbox.send(NodeId::new(3), Phase::Other, 32, 33);
+    });
+
+    let mut buf = [0u8; 64];
+    let mut frame_bytes = 0;
+    for (peer, want) in good.iter().zip([11u32, 33]) {
+        peer.set_read_timeout(Some(GENEROUS)).unwrap();
+        let (len, _) = peer.recv_from(&mut buf).expect("the good frame arrives");
+        assert_eq!(&buf[..len], &encode_frame(NodeId::new(0), &want)[..]);
+        frame_bytes += len as u64;
+    }
+    let stats = host.stats();
+    assert_eq!(stats.send_errors, 1, "the IPv6 send was refused");
+    assert_eq!(
+        stats.datagrams_sent, 2,
+        "only the good frames count as sent"
+    );
+    assert_eq!(stats.bytes_sent, frame_bytes);
+    assert_eq!(host.metrics().total_messages(), 3);
+    assert_eq!(host.metrics().total_dropped(), 1);
+}
