@@ -35,17 +35,29 @@
 //!
 //! Every leg is stateless, so the protocol inherits the dense exchange's
 //! loss story: a dropped leg costs nothing but the next tick's root
-//! exchange. Hashes are 64-bit [`mix64`] folds — collision-*resistant*
+//! exchange. Hashes are 64-bit [`mix64`] mixes — collision-*resistant*
 //! against drift and churn, not against an adversary crafting preimages
 //! (the socket host is simulation-grade and unauthenticated either way;
 //! see `DESIGN.md` §6).
 //!
-//! [`DigestTree`] is maintained **incrementally**: as a delivered delta is
-//! merged, each leaf it touches is recomputed once (a `fallback_slots`-wide
-//! scan, when the delta moves on to the next leaf or ends) together with
-//! its root path — O(span + log n) per touched leaf per message, not per
-//! adopted entry and not O(n) per exchange. A range repair touches one
-//! leaf however many entries it carries.
+//! A leaf's hash is **additive**: a seed plus the wrapping sum of one term
+//! per held slot, each term a mix of the slot's position and its stamp
+//! (an absent slot adds nothing). So [`DigestTree`] is maintained
+//! **incrementally** at O(1) per adopted entry: merging an entry swaps its
+//! slot's old term for the new one in the leaf hash, and each leaf a
+//! delivered delta touches has its root path recomputed once, when the
+//! delta moves on to the next leaf or ends — O(1) per adopted entry plus
+//! O(log n) per touched leaf, with no leaf scan and nothing O(n) per
+//! exchange. A range repair touches one leaf however many entries it
+//! carries.
+//!
+//! The hash is not part of the wire format, but replicas only agree on a
+//! root when they compute it alike. A peer that folds its leaves the old
+//! way (a chained mix over every slot of the span) still converges with
+//! this one: its roots and subtree hashes never match, so every exchange
+//! descends to the leaf ranges and repairs through [`AeMsg::RangeSyn`],
+//! whose per-slot stamps are version-free. What the mixed pair loses is
+//! the silent-root steady state — each exchange costs a full descent.
 
 use crate::protocol::AeMsg;
 use crate::store::{sparse_digest_well_formed, Entry, Store};
@@ -56,7 +68,7 @@ use gossip_net::{mix64, NodeId};
 /// triggers a descent.
 const EMPTY_HASH: u64 = 0;
 
-/// Seed of a leaf-hash fold (distinct from [`EMPTY_HASH`] so "leaf with no
+/// Seed of a leaf hash (distinct from [`EMPTY_HASH`] so "leaf with no
 /// entries" and "padding" still compare equal only to themselves).
 const LEAF_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -163,10 +175,42 @@ impl DigestTree {
         }
     }
 
-    /// Re-hash the leaf covering `origin` and its root path — call after
-    /// merging into that leaf's slots. O(leaf_span + log n).
+    /// Re-hash the leaf covering `origin` from `store`, and its root path —
+    /// for callers that merged into that leaf's slots without telling the
+    /// tree which stamps changed. O(leaf_span + log n).
     pub fn refresh(&mut self, origin: NodeId, store: &Store) {
-        self.refresh_leaf(self.leaf_of(origin), store);
+        debug_assert_eq!(store.n(), self.n, "tree built over a different arity");
+        let leaf = self.leaf_of(origin);
+        self.hashes[self.leaves - 1 + leaf] = self.leaf_hash(leaf, store);
+        self.rehash_path(leaf);
+    }
+
+    /// Record that `origin`'s stamp went from `old` to `new` (`0` =
+    /// absent), and recompute the root path. O(log n), no leaf scan.
+    pub(crate) fn restamp(&mut self, origin: NodeId, old: u64, new: u64) {
+        let leaf = self.restamp_leaf(origin, old, new);
+        self.rehash_path(leaf);
+    }
+
+    /// Swap `origin`'s term in its leaf hash from stamp `old` to `new`,
+    /// leaving the leaf's root path stale; returns the leaf. O(1).
+    fn restamp_leaf(&mut self, origin: NodeId, old: u64, new: u64) -> usize {
+        let leaf = self.leaf_of(origin);
+        let slot = origin.index();
+        let h = &mut self.hashes[self.leaves - 1 + leaf];
+        *h = h
+            .wrapping_sub(slot_term(slot, old))
+            .wrapping_add(slot_term(slot, new));
+        leaf
+    }
+
+    /// Recompute the hashes on `leaf`'s path to the root. O(log n).
+    fn rehash_path(&mut self, leaf: usize) {
+        let mut idx = self.leaves - 1 + leaf;
+        while idx > 0 {
+            idx = (idx - 1) / 2;
+            self.hashes[idx] = combine(self.hashes[2 * idx + 1], self.hashes[2 * idx + 2]);
+        }
     }
 
     /// The leaf whose span covers `origin`'s slot.
@@ -174,33 +218,36 @@ impl DigestTree {
         origin.index() / self.leaf_span
     }
 
-    fn refresh_leaf(&mut self, leaf: usize, store: &Store) {
-        debug_assert_eq!(store.n(), self.n, "tree built over a different arity");
-        let mut idx = self.leaves - 1 + leaf;
-        self.hashes[idx] = self.leaf_hash(leaf, store);
-        while idx > 0 {
-            idx = (idx - 1) / 2;
-            self.hashes[idx] = combine(self.hashes[2 * idx + 1], self.hashes[2 * idx + 2]);
-        }
-    }
-
-    /// The fold over one leaf's slots: position-implicit (every slot in
-    /// the span contributes, absent as 0), so two replicas' leaves hash
-    /// equal iff their stamp vectors for the span are equal. Allocation-
-    /// free — this runs on every tree refresh.
+    /// One leaf's hash, by scan: [`LEAF_SEED`] plus the wrapping sum of
+    /// [`slot_term`] over the span's slots. Each term is keyed by the
+    /// slot's position, so two replicas' leaves hash equal iff their stamp
+    /// vectors for the span are equal (modulo 64-bit collisions), and a
+    /// sum is what lets [`DigestTree::restamp`] update a leaf in O(1) per
+    /// changed slot instead of re-folding the span: the incremental cost
+    /// is O(1) per adopted entry plus one root path per touched leaf. The
+    /// leaf with no entries hashes to `LEAF_SEED`, padding to
+    /// [`EMPTY_HASH`]. Allocation-free.
     fn leaf_hash(&self, leaf: usize, store: &Store) -> u64 {
         let start = leaf * self.leaf_span;
         if start >= self.n {
             return EMPTY_HASH;
         }
         let len = self.leaf_span.min(self.n - start);
-        let mut h = LEAF_SEED;
-        for slot in start..start + len {
+        (start..start + len).fold(LEAF_SEED, |h, slot| {
             let stamp = store.get(NodeId::new(slot)).map_or(0, |e| e.stamp);
-            h = mix64(h ^ stamp);
-        }
-        h
+            h.wrapping_add(slot_term(slot, stamp))
+        })
     }
+}
+
+/// One slot's share of its leaf hash: a mix of the slot's position and its
+/// stamp, `0` for an absent slot (stamp `0`). Computed, never stored — a
+/// per-slot table would cost every node n words of heap.
+fn slot_term(slot: usize, stamp: u64) -> u64 {
+    if stamp == 0 {
+        return 0;
+    }
+    mix64(stamp ^ mix64(slot as u64 ^ LEAF_SEED))
 }
 
 /// Position-sensitive parent hash (swapped children hash differently).
@@ -327,7 +374,10 @@ pub(crate) fn reconcile_into(
                 }),
                 Some(tree) => {
                     if *root != tree.root() {
-                        let mut front = Vec::with_capacity(2);
+                        // A root that splits probes its two children; one
+                        // that does not is answered with a range instead.
+                        let pairs = if tree.splits(0, fallback_slots) { 2 } else { 0 };
+                        let mut front = Vec::with_capacity(pairs);
                         descend(tree, store, 0, fallback_slots, &mut front, &mut reply);
                         send_probes(n, front, &mut reply);
                     }
@@ -424,36 +474,38 @@ pub(crate) fn reconcile_into(
 /// — which, off a socket, would otherwise index out of bounds or trip the
 /// store's stamp invariant.
 ///
-/// A leaf is rehashed when the delta moves on to another leaf (and the
-/// last one when the delta ends), not per adopted entry. Honest deltas
-/// ascend by origin, so each leaf they touch — one, for a range repair —
-/// is rehashed exactly once; any other order leaves the tree just as
-/// current and costs at most the per-entry refresh it replaces.
+/// Each adopted entry swaps its slot's term in the leaf hash (O(1)); a
+/// leaf's root path is recomputed when the delta moves on to another leaf
+/// (and the last one when the delta ends), not per adopted entry. Honest
+/// deltas ascend by origin, so each leaf they touch — one, for a range
+/// repair — has its path recomputed exactly once; any other order leaves
+/// the tree just as current and costs at most one path per entry.
 fn adopt(
     store: &mut Store,
     tree: &mut Option<&mut DigestTree>,
     delta: &[(NodeId, Entry)],
     tally: &mut Tally,
 ) {
-    // The leaf holding adopted entries the tree has not hashed yet.
+    // The leaf whose root path is stale.
     let mut dirty: Option<usize> = None;
     for &(origin, entry) in delta {
         if origin.index() >= store.n() || entry.stamp == 0 {
             tally.invalid += 1;
             continue;
         }
+        let old = store.get(origin).map_or(0, |held| held.stamp);
         if store.merge(origin, entry) {
             tally.adopted += 1;
             if let Some(tree) = tree.as_deref_mut() {
-                let leaf = tree.leaf_of(origin);
+                let leaf = tree.restamp_leaf(origin, old, entry.stamp);
                 if let Some(done) = dirty.replace(leaf).filter(|&done| done != leaf) {
-                    tree.refresh_leaf(done, store);
+                    tree.rehash_path(done);
                 }
             }
         }
     }
     if let (Some(tree), Some(leaf)) = (tree.as_deref_mut(), dirty) {
-        tree.refresh_leaf(leaf, store);
+        tree.rehash_path(leaf);
     }
 }
 
@@ -586,6 +638,35 @@ mod tests {
         ta.refresh(NodeId::new(40), &a);
         assert_eq!(ta, DigestTree::new(&a, 8));
         assert_ne!(ta.root(), tb.root(), "one changed stamp changes the root");
+    }
+
+    #[test]
+    fn leaf_hashes_are_keyed_by_slot_position() {
+        // Swapping two slots' stamps within one leaf changes its hash: the
+        // sum's terms are position-keyed.
+        let a = DigestTree::new(&store_with(16, &[(0, 5), (1, 9)]), 8);
+        let b = DigestTree::new(&store_with(16, &[(0, 9), (1, 5)]), 8);
+        assert_ne!(a.hash(1), b.hash(1), "swapped stamps, same leaf hash");
+        assert_eq!(a.hash(2), b.hash(2), "the untouched leaf");
+        // A leaf with no entries is not padding: 17 slots in spans of 8
+        // fill three leaves of four.
+        let empty = DigestTree::new(&Store::new(17), 8);
+        assert_eq!(empty.slot_range(6), (17, 0), "the fourth leaf is padding");
+        assert_eq!((empty.hash(3), empty.hash(6)), (LEAF_SEED, EMPTY_HASH));
+        assert_eq!(slot_term(3, 0), 0, "an absent slot adds nothing");
+    }
+
+    #[test]
+    fn restamping_a_slot_matches_a_rescan() {
+        let mut store = store_with(40, &[(3, 7), (20, 2)]);
+        let mut tree = DigestTree::new(&store, 8);
+        for (origin, stamp) in [(3, 8), (21, 4), (39, 1), (3, 30)] {
+            let origin = NodeId::new(origin);
+            let old = store.get(origin).map_or(0, |held| held.stamp);
+            assert!(store.merge(origin, e(stamp, 0.0)));
+            tree.restamp(origin, old, stamp);
+            assert_eq!(tree, DigestTree::new(&store, 8));
+        }
     }
 
     #[test]

@@ -424,6 +424,11 @@ impl AeNode {
         &self.store
     }
 
+    /// The node's digest tree (`Some` iff it runs [`DigestMode::Merkle`]).
+    pub fn tree(&self) -> Option<&DigestTree> {
+        self.tree.as_ref()
+    }
+
     /// Inject one entry directly into the store (digest tree kept
     /// current). Bootstrap/test plumbing — a deployment that warm-starts a
     /// node from a checkpoint does exactly this; live reconciliation never
@@ -431,9 +436,16 @@ impl AeNode {
     pub fn seed_entry(&mut self, origin: NodeId, entry: Entry) {
         assert!(origin.index() < self.store.n(), "origin outside the store");
         assert!(entry.stamp >= 1, "stamp 0 is the digest code for absent");
+        self.merge_one(origin, entry);
+    }
+
+    /// Merge one entry outside a delta (a seed, a local re-stamp), keeping
+    /// the digest tree current in O(log n).
+    fn merge_one(&mut self, origin: NodeId, entry: Entry) {
+        let old = self.store.get(origin).map_or(0, |held| held.stamp);
         if self.store.merge(origin, entry) {
             if let Some(tree) = &mut self.tree {
-                tree.refresh(origin, &self.store);
+                tree.restamp(origin, old, entry.stamp);
             }
         }
     }
@@ -451,11 +463,7 @@ impl AeNode {
             stamp: now_us.max(1),
             value: self.config.signal.value(self.me, now_us),
         };
-        if self.store.merge(self.me, entry) {
-            if let Some(tree) = &mut self.tree {
-                tree.refresh(self.me, &self.store);
-            }
-        }
+        self.merge_one(self.me, entry);
     }
 
     /// The exchange opener this node's digest mode sends on its tick.

@@ -74,6 +74,19 @@ pub fn sparse_digest_well_formed(n: usize, pairs: &[(NodeId, u64)]) -> bool {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Store {
     slots: Vec<Option<Entry>>,
+    /// How many slots hold an entry: what [`Store::known`] reads and
+    /// [`Store::sparse_digest`] sizes its buffer by.
+    held: usize,
+}
+
+/// Collect `items` into a vector allocated once, at its final length: one
+/// pass counts, the second fills. The reply builders below keep a subset
+/// of a slot scan whose size is unknown up front, and growing a vector by
+/// doubling instead costs a reallocation per doubling on every reply.
+fn collect_exact<T>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.clone().count());
+    out.extend(items);
+    out
 }
 
 impl Store {
@@ -81,6 +94,7 @@ impl Store {
     pub fn new(n: usize) -> Self {
         Store {
             slots: vec![None; n],
+            held: 0,
         }
     }
 
@@ -91,7 +105,7 @@ impl Store {
 
     /// Number of origins this replica holds an entry for.
     pub fn known(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.held
     }
 
     /// The entry held for `origin`, if any.
@@ -107,6 +121,7 @@ impl Store {
         match slot {
             Some(held) if !entry.beats(held) => false,
             _ => {
+                self.held += usize::from(slot.is_none());
                 *slot = Some(entry);
                 true
             }
@@ -132,7 +147,10 @@ impl Store {
             if let Some(entry) = theirs {
                 match mine {
                     Some(held) if !entry.beats(held) => {}
-                    _ => *mine = Some(*entry),
+                    _ => {
+                        self.held += usize::from(mine.is_none());
+                        *mine = Some(*entry);
+                    }
                 }
             }
         }
@@ -150,11 +168,14 @@ impl Store {
     /// for every held entry, ascending by origin. Always well-formed per
     /// [`sparse_digest_well_formed`].
     pub fn sparse_digest(&self) -> SparseDigest {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|e| (NodeId::new(i), e.stamp)))
-            .collect()
+        let mut digest = Vec::with_capacity(self.held);
+        digest.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| slot.as_ref().map(|e| (NodeId::new(i), e.stamp))),
+        );
+        digest
     }
 
     /// The entries this replica holds that are strictly newer than the
@@ -164,22 +185,21 @@ impl Store {
     /// order. Ascending origin order, like [`Store::delta_for`].
     pub fn delta_for_sparse(&self, their: &[(NodeId, u64)]) -> Vec<(NodeId, Entry)> {
         debug_assert!(sparse_digest_well_formed(self.n(), their));
-        let mut j = 0usize;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let entry = slot.as_ref()?;
-                while j < their.len() && their[j].0.index() < i {
-                    j += 1;
-                }
-                let theirs = match their.get(j) {
-                    Some(&(origin, stamp)) if origin.index() == i => stamp,
-                    _ => 0,
-                };
-                (entry.stamp > theirs).then_some((NodeId::new(i), *entry))
-            })
-            .collect()
+        // `j` walks `their` alongside the slots.
+        let newer = self.slots.iter().enumerate().scan(0usize, |j, (i, slot)| {
+            while *j < their.len() && their[*j].0.index() < i {
+                *j += 1;
+            }
+            let theirs = match their.get(*j) {
+                Some(&(origin, stamp)) if origin.index() == i => stamp,
+                _ => 0,
+            };
+            Some(
+                slot.filter(|e| e.stamp > theirs)
+                    .map(|e| (NodeId::new(i), e)),
+            )
+        });
+        collect_exact(newer.flatten())
     }
 
     /// The dense digest of the slot range `[start, start + len)` — the
@@ -211,14 +231,16 @@ impl Store {
             their.len(),
             self.n()
         );
-        self.slots[start..start + their.len()]
-            .iter()
-            .enumerate()
-            .filter_map(|(k, slot)| {
-                let entry = slot.as_ref()?;
-                (entry.stamp > their[k]).then_some((NodeId::new(start + k), *entry))
-            })
-            .collect()
+        collect_exact(
+            self.slots[start..start + their.len()]
+                .iter()
+                .zip(their)
+                .enumerate()
+                .filter_map(move |(k, (slot, &theirs))| {
+                    let entry = slot.as_ref()?;
+                    (entry.stamp > theirs).then_some((NodeId::new(start + k), *entry))
+                }),
+        )
     }
 
     /// The want word of a range repair: bit k is set when this replica
@@ -244,13 +266,14 @@ impl Store {
     /// store.
     pub(crate) fn delta_for_want(&self, start: usize, want: u64) -> Vec<(NodeId, Entry)> {
         let mut rest = want;
-        std::iter::from_fn(|| {
-            let k = rest.trailing_zeros() as usize;
-            rest &= rest.wrapping_sub(1);
-            (k < 64).then_some(start + k)
-        })
-        .filter_map(|slot| self.slots[slot].map(|entry| (NodeId::new(slot), entry)))
-        .collect()
+        collect_exact(
+            std::iter::from_fn(move || {
+                let k = rest.trailing_zeros() as usize;
+                rest &= rest.wrapping_sub(1);
+                (k < 64).then_some(start + k)
+            })
+            .filter_map(|slot| self.slots[slot].map(|entry| (NodeId::new(slot), entry))),
+        )
     }
 
     /// The entries this replica holds that are strictly newer than `their`
@@ -258,15 +281,11 @@ impl Store {
     /// order (deterministic).
     pub fn delta_for(&self, their: &Digest) -> Vec<(NodeId, Entry)> {
         debug_assert_eq!(their.len(), self.slots.len(), "digest arity mismatch");
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let entry = slot.as_ref()?;
-                let theirs = their.get(i).copied().unwrap_or(0);
-                (entry.stamp > theirs).then_some((NodeId::new(i), *entry))
-            })
-            .collect()
+        collect_exact(self.slots.iter().enumerate().filter_map(|(i, slot)| {
+            let entry = slot.as_ref()?;
+            let theirs = their.get(i).copied().unwrap_or(0);
+            (entry.stamp > theirs).then_some((NodeId::new(i), *entry))
+        }))
     }
 
     /// Mean over the held entries no older than `expiry_us` at instant
@@ -349,6 +368,7 @@ mod tests {
         }
         assert_eq!(joined, reference);
         assert_eq!(joined.get(NodeId::new(1)), Some(&e(7, 3.0)));
+        assert_eq!(joined.known(), 3, "origins 0, 1 and 3");
         // Idempotent and absorbs the smaller side.
         let again = {
             let mut j = joined.clone();

@@ -16,11 +16,17 @@
 //! responder holds nothing or less than the range syn claimed, and the
 //! initiator's `Delta` answering it is always a subset of the oracle's —
 //! equal to it whenever the initiator's store did not change in between.
+//!
+//! The tree an [`AeNode`] keeps current, one O(1) leaf update per adopted
+//! entry, is held to a from-scratch build after every step of arbitrary
+//! sequences of hostile deltas, seeded entries and the node's own
+//! re-stamps.
 
 use gossip_ae::merkle::{reconcile, DigestTree};
-use gossip_ae::protocol::AeMsg;
+use gossip_ae::protocol::{AeConfig, AeMsg, AeNode, DigestMode};
 use gossip_ae::store::{Entry, Store};
-use gossip_net::NodeId;
+use gossip_ae::Handler;
+use gossip_net::{Mailbox, NodeId, Phase, TimerId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -381,6 +387,96 @@ proptest! {
             }
         };
         reconcile_checked(&mut held, span, &flight);
+    }
+}
+
+/// Drives one [`AeNode`] by hand: a clock the test sets, replies dropped.
+struct Clock {
+    me: NodeId,
+    now: u64,
+    rng: SmallRng,
+}
+
+impl Mailbox<AeMsg> for Clock {
+    fn me(&self) -> NodeId {
+        self.me
+    }
+    fn n(&self) -> usize {
+        N
+    }
+    fn now_us(&self) -> u64 {
+        self.now
+    }
+    fn send(&mut self, _to: NodeId, _phase: Phase, _bits: u32, _msg: AeMsg) {}
+    fn set_timer(&mut self, _delay_us: u64, _timer: TimerId) {}
+    fn cancel_timer(&mut self, _timer: TimerId) {}
+    fn rng_mut(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+}
+
+/// [`AeNode`]'s signal re-stamp timer.
+const UPDATE: TimerId = TimerId(1);
+
+/// A hostile delta drawn from `raw`: up to five pairs, unsorted, origins up
+/// to 8 beyond the store, stamps from 0 (the absent code) to 63, the same
+/// origin any number of times.
+fn hostile_delta(raw: u64) -> Vec<(NodeId, Entry)> {
+    let mut rng = SmallRng::seed_from_u64(raw);
+    (0..rng.gen_range(0..6))
+        .map(|_| {
+            let origin = NodeId::new(rng.gen_range(0..N + 8));
+            let stamp = rng.gen_range(0..64);
+            (
+                origin,
+                Entry {
+                    stamp,
+                    value: rng.gen_range(0..4) as f64,
+                },
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn adopt_sequences_keep_the_incremental_tree_equal_to_a_rebuild(
+        ops in proptest::collection::vec(0u64..=u64::MAX, 0..40),
+        span in 1usize..=16,
+    ) {
+        let config = AeConfig::default()
+            .with_digest_mode(DigestMode::Merkle)
+            .with_merkle_fallback_slots(span);
+        let me = NodeId::new(5);
+        let mut node = AeNode::new(me, N, 7, 24, config);
+        let mut clock = Clock { me, now: 0, rng: SmallRng::seed_from_u64(1) };
+        node.on_start(&mut clock);
+        for raw in ops {
+            let arg = raw >> 2;
+            match raw % 4 {
+                // A delta or a syn ack (the two adopting legs with no range
+                // check in the way) carrying hostile pairs.
+                0 => node.on_message(NodeId::new(1), AeMsg::Delta { delta: hostile_delta(arg) }, &mut clock),
+                1 => node.on_message(
+                    NodeId::new(1),
+                    AeMsg::SynAck { n: N as u32, delta: hostile_delta(arg), digest: Vec::new() },
+                    &mut clock,
+                ),
+                // A seeded entry.
+                2 => node.seed_entry(
+                    NodeId::new(arg as usize % N),
+                    Entry { stamp: 1 + (arg >> 8) % 63, value: 1.0 },
+                ),
+                // The node's own re-stamp, at a clock that may run back
+                // (a stamp older than the held one is not adopted).
+                _ => {
+                    clock.now = arg % 64;
+                    node.on_timer(UPDATE, &mut clock);
+                }
+            }
+            let tree = node.tree().expect("a Merkle node has a tree");
+            prop_assert_eq!(tree, &DigestTree::new(node.store(), span));
+        }
     }
 }
 

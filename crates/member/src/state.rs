@@ -157,6 +157,10 @@ pub struct MemberTable {
     /// sorted ascending — the view the wrapped protocol's
     /// [`sample_peer`](gossip_net::Mailbox::sample_peer) draws from.
     live: Vec<NodeId>,
+    /// Known records in `Suspect` (`me`'s included): what lets
+    /// [`MemberTable::sweep_suspects`] return at once on the probe ticks
+    /// — nearly all of them — that have nothing to expire.
+    suspects: usize,
     /// At most one pending rumor per node; drained freshest-first.
     queue: Vec<QueueSlot>,
     /// Drop a rumor after this many transmissions.
@@ -176,6 +180,7 @@ impl MemberTable {
             me,
             records,
             live: Vec::new(),
+            suspects: 0,
             queue: Vec::new(),
             retransmit_limit,
             max_queue,
@@ -193,6 +198,7 @@ impl MemberTable {
     pub fn refute(&mut self, claimed: u64) -> u64 {
         let rec = &mut self.records[self.me.index()];
         rec.incarnation = rec.incarnation.max(claimed) + 1;
+        self.suspects -= usize::from(rec.state == Liveness::Suspect);
         rec.state = Liveness::Alive;
         let inc = rec.incarnation;
         self.enqueue(self.me);
@@ -230,6 +236,11 @@ impl MemberTable {
         (a, s, d, u)
     }
 
+    /// How many known records are in `Suspect`, without a scan.
+    pub fn suspects(&self) -> usize {
+        self.suspects
+    }
+
     /// Install `node` as known-Alive at incarnation 0 without queueing a
     /// rumor — the bootstrap path for seeds and static full views.
     pub fn bootstrap(&mut self, node: NodeId) {
@@ -258,6 +269,8 @@ impl MemberTable {
             return Transition::Stale;
         }
         let was = if rec.known { Some(rec.state) } else { None };
+        self.suspects -= usize::from(was == Some(Liveness::Suspect));
+        self.suspects += usize::from(update.state == Liveness::Suspect);
         let rec = &mut self.records[idx];
         rec.known = true;
         rec.state = update.state;
@@ -284,7 +297,7 @@ impl MemberTable {
 
     /// The local detector starts suspecting `node` (probe timed out) at
     /// its current incarnation. No-op unless the record is known-Alive.
-    pub(crate) fn start_suspect(&mut self, node: NodeId, now_us: u64) -> bool {
+    pub fn start_suspect(&mut self, node: NodeId, now_us: u64) -> bool {
         let idx = node.index();
         if idx >= self.records.len() || node == self.me {
             return false;
@@ -295,6 +308,7 @@ impl MemberTable {
         }
         rec.state = Liveness::Suspect;
         rec.since_us = now_us;
+        self.suspects += 1;
         self.enqueue(node);
         true
     }
@@ -302,8 +316,12 @@ impl MemberTable {
     /// Expire suspicions older than `timeout_us`: each becomes Dead *at
     /// the incarnation that was suspected* — a refutation that arrived
     /// meanwhile moved the record to a higher incarnation and is immune.
-    /// Returns the newly declared dead, in id order.
-    pub(crate) fn sweep_suspects(&mut self, now_us: u64, timeout_us: u64) -> Vec<NodeId> {
+    /// Returns the newly declared dead, in id order. O(1) when nothing is
+    /// suspected.
+    pub fn sweep_suspects(&mut self, now_us: u64, timeout_us: u64) -> Vec<NodeId> {
+        if self.suspects == 0 {
+            return Vec::new();
+        }
         let mut dead = Vec::new();
         for idx in 0..self.records.len() {
             let rec = self.records[idx];
@@ -314,6 +332,7 @@ impl MemberTable {
                 let node = NodeId::new(idx);
                 self.records[idx].state = Liveness::Dead;
                 self.records[idx].since_us = now_us;
+                self.suspects -= 1;
                 self.remove_live(node);
                 self.enqueue(node);
                 dead.push(node);
@@ -331,7 +350,7 @@ impl MemberTable {
             return Vec::new();
         }
         self.queue.sort_by_key(|s| (s.sent, s.node.index()));
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(max.min(self.queue.len()));
         for slot in self.queue.iter_mut().take(max) {
             let rec = self.records[slot.node.index()];
             out.push(Update {
@@ -490,6 +509,19 @@ mod tests {
         assert_eq!(t.next_piggyback(2).len(), 2);
         assert_eq!(t.next_piggyback(8), vec![up(3, 0, Liveness::Alive)]);
         assert!(t.queue.is_empty());
+    }
+
+    #[test]
+    fn piggyback_batches_are_allocated_at_their_final_length() {
+        let mut t = table(8);
+        for node in 1..6 {
+            t.apply(up(node, 0, Liveness::Alive), 0);
+        }
+        for max in [3, 8] {
+            let ups = t.next_piggyback(max);
+            assert_eq!(ups.len(), max.min(5));
+            assert_eq!(ups.capacity(), ups.len(), "max {max}");
+        }
     }
 
     #[test]
