@@ -424,11 +424,6 @@ impl AeNode {
         &self.store
     }
 
-    /// The node's digest tree (`Some` iff it runs [`DigestMode::Merkle`]).
-    pub fn tree(&self) -> Option<&DigestTree> {
-        self.tree.as_ref()
-    }
-
     /// Inject one entry directly into the store (digest tree kept
     /// current). Bootstrap/test plumbing — a deployment that warm-starts a
     /// node from a checkpoint does exactly this; live reconciliation never

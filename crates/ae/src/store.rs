@@ -74,15 +74,14 @@ pub fn sparse_digest_well_formed(n: usize, pairs: &[(NodeId, u64)]) -> bool {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Store {
     slots: Vec<Option<Entry>>,
-    /// How many slots hold an entry: what [`Store::known`] reads and
-    /// [`Store::sparse_digest`] sizes its buffer by.
-    held: usize,
 }
 
 /// Collect `items` into a vector allocated once, at its final length: one
-/// pass counts, the second fills. The reply builders below keep a subset
-/// of a slot scan whose size is unknown up front, and growing a vector by
-/// doubling instead costs a reallocation per doubling on every reply.
+/// pass counts, the second fills. For the range repair's builders, whose
+/// scan is at most one leaf span (≤ 64 slots): growing by doubling would
+/// cost a reallocation per doubling on every reply. The whole-store
+/// builders collect in one pass instead — a second O(n) scan per reply is
+/// dearer than their growth.
 fn collect_exact<T>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
     let mut out = Vec::with_capacity(items.clone().count());
     out.extend(items);
@@ -94,7 +93,6 @@ impl Store {
     pub fn new(n: usize) -> Self {
         Store {
             slots: vec![None; n],
-            held: 0,
         }
     }
 
@@ -105,7 +103,7 @@ impl Store {
 
     /// Number of origins this replica holds an entry for.
     pub fn known(&self) -> usize {
-        self.held
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// The entry held for `origin`, if any.
@@ -121,7 +119,6 @@ impl Store {
         match slot {
             Some(held) if !entry.beats(held) => false,
             _ => {
-                self.held += usize::from(slot.is_none());
                 *slot = Some(entry);
                 true
             }
@@ -147,10 +144,7 @@ impl Store {
             if let Some(entry) = theirs {
                 match mine {
                     Some(held) if !entry.beats(held) => {}
-                    _ => {
-                        self.held += usize::from(mine.is_none());
-                        *mine = Some(*entry);
-                    }
+                    _ => *mine = Some(*entry),
                 }
             }
         }
@@ -168,14 +162,11 @@ impl Store {
     /// for every held entry, ascending by origin. Always well-formed per
     /// [`sparse_digest_well_formed`].
     pub fn sparse_digest(&self) -> SparseDigest {
-        let mut digest = Vec::with_capacity(self.held);
-        digest.extend(
-            self.slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| slot.as_ref().map(|e| (NodeId::new(i), e.stamp))),
-        );
-        digest
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|e| (NodeId::new(i), e.stamp)))
+            .collect()
     }
 
     /// The entries this replica holds that are strictly newer than the
@@ -185,21 +176,22 @@ impl Store {
     /// order. Ascending origin order, like [`Store::delta_for`].
     pub fn delta_for_sparse(&self, their: &[(NodeId, u64)]) -> Vec<(NodeId, Entry)> {
         debug_assert!(sparse_digest_well_formed(self.n(), their));
-        // `j` walks `their` alongside the slots.
-        let newer = self.slots.iter().enumerate().scan(0usize, |j, (i, slot)| {
-            while *j < their.len() && their[*j].0.index() < i {
-                *j += 1;
-            }
-            let theirs = match their.get(*j) {
-                Some(&(origin, stamp)) if origin.index() == i => stamp,
-                _ => 0,
-            };
-            Some(
-                slot.filter(|e| e.stamp > theirs)
-                    .map(|e| (NodeId::new(i), e)),
-            )
-        });
-        collect_exact(newer.flatten())
+        let mut j = 0usize;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| {
+                let entry = slot.as_ref()?;
+                while j < their.len() && their[j].0.index() < i {
+                    j += 1;
+                }
+                let theirs = match their.get(j) {
+                    Some(&(origin, stamp)) if origin.index() == i => stamp,
+                    _ => 0,
+                };
+                (entry.stamp > theirs).then_some((NodeId::new(i), *entry))
+            })
+            .collect()
     }
 
     /// The dense digest of the slot range `[start, start + len)` — the
@@ -281,11 +273,15 @@ impl Store {
     /// order (deterministic).
     pub fn delta_for(&self, their: &Digest) -> Vec<(NodeId, Entry)> {
         debug_assert_eq!(their.len(), self.slots.len(), "digest arity mismatch");
-        collect_exact(self.slots.iter().enumerate().filter_map(|(i, slot)| {
-            let entry = slot.as_ref()?;
-            let theirs = their.get(i).copied().unwrap_or(0);
-            (entry.stamp > theirs).then_some((NodeId::new(i), *entry))
-        }))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| {
+                let entry = slot.as_ref()?;
+                let theirs = their.get(i).copied().unwrap_or(0);
+                (entry.stamp > theirs).then_some((NodeId::new(i), *entry))
+            })
+            .collect()
     }
 
     /// Mean over the held entries no older than `expiry_us` at instant
@@ -368,7 +364,6 @@ mod tests {
         }
         assert_eq!(joined, reference);
         assert_eq!(joined.get(NodeId::new(1)), Some(&e(7, 3.0)));
-        assert_eq!(joined.known(), 3, "origins 0, 1 and 3");
         // Idempotent and absorbs the smaller side.
         let again = {
             let mut j = joined.clone();

@@ -1,9 +1,12 @@
-//! The reply builders' allocation budget, pinned: every reply vector the
-//! anti-entropy engine builds is allocated once, at its final length — one
-//! allocation per non-empty `RangeAck`, `Delta`, `RangeSyn`, `SynReq` and
-//! `MerkleProbe`, one per vector of a `SynAck`, no reallocation, and
-//! `capacity() == len()` on every vector that leaves the node. A reply
-//! vector grown by doubling would show here as extra `realloc` calls.
+//! The Merkle exchange's allocation budget, pinned: every reply vector a
+//! descent or a range repair builds is allocated once, at its final length
+//! — one allocation per non-empty `RangeAck`, `Delta`, `RangeSyn` and
+//! `MerkleProbe`, no reallocation, and `capacity() == len()` on every
+//! vector that leaves the node. A reply vector grown by doubling would
+//! show here as extra `realloc` calls. The classic exchange's whole-store
+//! builders (`SynReq`, `SynAck` and their closing `Delta`) collect in one
+//! pass and are not pinned: sizing them first would cost a second O(n)
+//! scan per reply.
 //!
 //! Driven through `AeNode::on_message` with a mailbox whose outbox is
 //! reserved up front, so the only heap traffic left is the replies' own.
@@ -97,15 +100,11 @@ fn entry(stamp: u64) -> Entry {
     }
 }
 
-/// A node with leaves of `span` slots holding stamp `10 + i` at every
-/// origin `i` in `origins`.
-fn node_with_span(
-    span: usize,
-    mode: DigestMode,
-    origins: impl IntoIterator<Item = usize>,
-) -> AeNode {
+/// A Merkle node with leaves of `span` slots holding stamp `10 + i` at
+/// every origin `i` in `origins`.
+fn node_with_span(span: usize, origins: impl IntoIterator<Item = usize>) -> AeNode {
     let config = AeConfig::default()
-        .with_digest_mode(mode)
+        .with_digest_mode(DigestMode::Merkle)
         .with_merkle_fallback_slots(span);
     let mut node = AeNode::new(NodeId::new(0), N, 6, 24, config);
     for i in origins {
@@ -115,8 +114,8 @@ fn node_with_span(
 }
 
 /// [`node_with_span`] at leaves of [`SPAN`] slots.
-fn node(mode: DigestMode, origins: impl IntoIterator<Item = usize>) -> AeNode {
-    node_with_span(SPAN, mode, origins)
+fn node(origins: impl IntoIterator<Item = usize>) -> AeNode {
+    node_with_span(SPAN, origins)
 }
 
 /// Deliver `msg` and return the replies with the allocations the delivery
@@ -132,17 +131,13 @@ fn deliver(node: &mut AeNode, msg: AeMsg) -> (Vec<AeMsg>, u64) {
 /// Every vector a reply carries, as `(len, capacity)`.
 fn vectors(msg: &AeMsg) -> Vec<(usize, usize)> {
     match msg {
-        AeMsg::SynReq { digest, .. } => vec![(digest.len(), digest.capacity())],
-        AeMsg::SynAck { delta, digest, .. } => vec![
-            (delta.len(), delta.capacity()),
-            (digest.len(), digest.capacity()),
-        ],
         AeMsg::Delta { delta } | AeMsg::RangeAck { delta, .. } => {
             vec![(delta.len(), delta.capacity())]
         }
         AeMsg::MerkleSyn { .. } => Vec::new(),
         AeMsg::MerkleProbe { probes, .. } => vec![(probes.len(), probes.capacity())],
         AeMsg::RangeSyn { stamps, .. } => vec![(stamps.len(), stamps.capacity())],
+        AeMsg::SynReq { .. } | AeMsg::SynAck { .. } => panic!("{msg:?} is not a Merkle reply"),
     }
 }
 
@@ -166,8 +161,8 @@ fn one_reply(node: &mut AeNode, msg: AeMsg) -> AeMsg {
 fn range_repair_replies_are_one_allocation_each() {
     // In the first leaf, the initiator holds the origins 1 and 7, the
     // responder the six others: lengths a doubling vector overshoots.
-    let mut initiator = node(DigestMode::Merkle, [1, SPAN - 1]);
-    let mut responder = node(DigestMode::Merkle, (2..SPAN - 1).chain([0]));
+    let mut initiator = node([1, SPAN - 1]);
+    let mut responder = node((2..SPAN - 1).chain([0]));
     let syn = AeMsg::RangeSyn {
         n: N as u32,
         start: 0,
@@ -193,7 +188,7 @@ fn range_repair_replies_are_one_allocation_each() {
 
 #[test]
 fn descent_replies_are_one_allocation_each() {
-    let mut responder = node(DigestMode::Merkle, 0..N);
+    let mut responder = node(0..N);
     // A root mismatch is answered with one two-pair probe…
     let probe = one_reply(
         &mut responder,
@@ -216,7 +211,7 @@ fn descent_replies_are_one_allocation_each() {
         if *start as usize == 3 * SPAN && stamps.len() == SPAN));
     // A tree that is one leaf answers a root mismatch with a range syn
     // over the whole store, and builds no probe front beside it.
-    let mut one_leaf = node_with_span(N, DigestMode::Merkle, 0..N);
+    let mut one_leaf = node_with_span(N, 0..N);
     let syn = one_reply(
         &mut one_leaf,
         AeMsg::MerkleSyn {
@@ -225,34 +220,4 @@ fn descent_replies_are_one_allocation_each() {
         },
     );
     assert!(matches!(&syn, AeMsg::RangeSyn { stamps, .. } if stamps.len() == N));
-}
-
-#[test]
-fn classic_exchange_replies_are_one_allocation_per_vector() {
-    // A dense node answers a Merkle opener with its sparse digest.
-    let mut dense = node(DigestMode::Dense, (0..N).step_by(3));
-    let opener = one_reply(
-        &mut dense,
-        AeMsg::MerkleSyn {
-            n: N as u32,
-            root: 0,
-        },
-    );
-    let AeMsg::SynReq { digest, .. } = &opener else {
-        panic!("{opener:?} is not a syn req");
-    };
-    assert_eq!(digest.len(), N.div_ceil(3));
-    // A peer holding the even origins answers with a delta (the evens the
-    // digest lacks) and a digest, one allocation each…
-    let mut peer = node(DigestMode::Dense, (0..N).step_by(2));
-    let ack = one_reply(&mut peer, opener);
-    let missing = (0..N).step_by(2).filter(|i| i % 3 != 0).count();
-    assert!(
-        matches!(&ack, AeMsg::SynAck { delta, digest, .. }
-            if delta.len() == missing && digest.len() == N / 2),
-        "{ack:?}"
-    );
-    // …and the closing delta is one more.
-    let back = one_reply(&mut dense, ack);
-    assert!(matches!(&back, AeMsg::Delta { .. }), "{back:?}");
 }

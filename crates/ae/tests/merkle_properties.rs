@@ -20,7 +20,8 @@
 //! The tree an [`AeNode`] keeps current, one O(1) leaf update per adopted
 //! entry, is held to a from-scratch build after every step of arbitrary
 //! sequences of hostile deltas, seeded entries and the node's own
-//! re-stamps.
+//! re-stamps: probed at every index with the build's hashes, the node
+//! finds no mismatch to answer.
 
 use gossip_ae::merkle::{reconcile, DigestTree};
 use gossip_ae::protocol::{AeConfig, AeMsg, AeNode, DigestMode};
@@ -390,11 +391,12 @@ proptest! {
     }
 }
 
-/// Drives one [`AeNode`] by hand: a clock the test sets, replies dropped.
+/// Drives one [`AeNode`] by hand: a clock the test sets, replies kept.
 struct Clock {
     me: NodeId,
     now: u64,
     rng: SmallRng,
+    sent: Vec<AeMsg>,
 }
 
 impl Mailbox<AeMsg> for Clock {
@@ -407,12 +409,43 @@ impl Mailbox<AeMsg> for Clock {
     fn now_us(&self) -> u64 {
         self.now
     }
-    fn send(&mut self, _to: NodeId, _phase: Phase, _bits: u32, _msg: AeMsg) {}
+    fn send(&mut self, _to: NodeId, _phase: Phase, _bits: u32, msg: AeMsg) {
+        self.sent.push(msg);
+    }
     fn set_timer(&mut self, _delay_us: u64, _timer: TimerId) {}
     fn cancel_timer(&mut self, _timer: TimerId) {}
     fn rng_mut(&mut self) -> &mut SmallRng {
         &mut self.rng
     }
+}
+
+/// What `node` answers a probe of every index of `expected`'s tree with
+/// `expected`'s hash there, with `flip` xored into the root's: nothing
+/// unless some index's hash differs from the node's own tree.
+fn probe_everything(
+    node: &mut AeNode,
+    clock: &mut Clock,
+    expected: &DigestTree,
+    flip: u64,
+) -> Vec<AeMsg> {
+    let probes = (0..expected.len())
+        .map(|idx| {
+            (
+                idx as u32,
+                expected.hash(idx) ^ if idx == 0 { flip } else { 0 },
+            )
+        })
+        .collect();
+    clock.sent.clear();
+    node.on_message(
+        NodeId::new(1),
+        AeMsg::MerkleProbe {
+            n: N as u32,
+            probes,
+        },
+        clock,
+    );
+    std::mem::take(&mut clock.sent)
 }
 
 /// [`AeNode`]'s signal re-stamp timer.
@@ -449,7 +482,7 @@ proptest! {
             .with_merkle_fallback_slots(span);
         let me = NodeId::new(5);
         let mut node = AeNode::new(me, N, 7, 24, config);
-        let mut clock = Clock { me, now: 0, rng: SmallRng::seed_from_u64(1) };
+        let mut clock = Clock { me, now: 0, rng: SmallRng::seed_from_u64(1), sent: Vec::new() };
         node.on_start(&mut clock);
         for raw in ops {
             let arg = raw >> 2;
@@ -474,9 +507,13 @@ proptest! {
                     node.on_timer(UPDATE, &mut clock);
                 }
             }
-            let tree = node.tree().expect("a Merkle node has a tree");
-            prop_assert_eq!(tree, &DigestTree::new(node.store(), span));
+            let rebuilt = DigestTree::new(node.store(), span);
+            let replies = probe_everything(&mut node, &mut clock, &rebuilt, 0);
+            prop_assert!(replies.is_empty(), "the node's tree differs: {:?}", replies);
         }
+        // The check is live: a root the node does not hold draws a reply.
+        let rebuilt = DigestTree::new(node.store(), span);
+        prop_assert!(!probe_everything(&mut node, &mut clock, &rebuilt, 1).is_empty());
     }
 }
 

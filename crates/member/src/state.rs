@@ -236,11 +236,6 @@ impl MemberTable {
         (a, s, d, u)
     }
 
-    /// How many known records are in `Suspect`, without a scan.
-    pub fn suspects(&self) -> usize {
-        self.suspects
-    }
-
     /// Install `node` as known-Alive at incarnation 0 without queueing a
     /// rumor — the bootstrap path for seeds and static full views.
     pub fn bootstrap(&mut self, node: NodeId) {
@@ -297,7 +292,7 @@ impl MemberTable {
 
     /// The local detector starts suspecting `node` (probe timed out) at
     /// its current incarnation. No-op unless the record is known-Alive.
-    pub fn start_suspect(&mut self, node: NodeId, now_us: u64) -> bool {
+    pub(crate) fn start_suspect(&mut self, node: NodeId, now_us: u64) -> bool {
         let idx = node.index();
         if idx >= self.records.len() || node == self.me {
             return false;
@@ -318,7 +313,7 @@ impl MemberTable {
     /// meanwhile moved the record to a higher incarnation and is immune.
     /// Returns the newly declared dead, in id order. O(1) when nothing is
     /// suspected.
-    pub fn sweep_suspects(&mut self, now_us: u64, timeout_us: u64) -> Vec<NodeId> {
+    pub(crate) fn sweep_suspects(&mut self, now_us: u64, timeout_us: u64) -> Vec<NodeId> {
         if self.suspects == 0 {
             return Vec::new();
         }
@@ -565,5 +560,72 @@ mod tests {
         let snap = t.snapshot(NodeId::new(4));
         let nodes: Vec<usize> = snap.iter().map(|u| u.node.index()).collect();
         assert_eq!(nodes, vec![0, 2], "me and node 2, excluding the asker");
+    }
+
+    /// Apply one operation decoded from `raw` at `now` to a table over
+    /// `n` ids: a claim about a peer, a local suspicion (of any id, `me`
+    /// included), a sweep, a refutation or a bootstrap (one id past the
+    /// universe included). A sweep is held to a scan-based oracle.
+    fn step(t: &mut MemberTable, n: usize, raw: u64, now: u64) {
+        let arg = raw >> 3;
+        match raw % 5 {
+            0 => {
+                let state = [Liveness::Alive, Liveness::Suspect, Liveness::Dead][arg as usize % 3];
+                t.apply(
+                    up(1 + (arg >> 2) as usize % (n - 1), (arg >> 4) % 4, state),
+                    now,
+                );
+            }
+            1 => {
+                t.start_suspect(NodeId::new(arg as usize % n), now);
+            }
+            2 => {
+                let timeout = arg % 40;
+                let expired: Vec<NodeId> = (0..n)
+                    .map(NodeId::new)
+                    .filter(|&node| {
+                        let r = t.records[node.index()];
+                        r.known
+                            && r.state == Liveness::Suspect
+                            && now.saturating_sub(r.since_us) >= timeout
+                    })
+                    .collect();
+                assert_eq!(t.sweep_suspects(now, timeout), expired);
+                for node in expired {
+                    let r = t.records[node.index()];
+                    assert_eq!((r.state, r.since_us), (Liveness::Dead, now));
+                    assert!(!t.live_view().contains(&node));
+                }
+            }
+            3 => {
+                t.refute(arg % 6);
+            }
+            _ => t.bootstrap(NodeId::new(arg as usize % (n + 1))),
+        }
+    }
+
+    proptest::proptest! {
+        /// Under arbitrary sequences of claims, local suspicions, sweeps,
+        /// refutations and bootstraps, the suspect count is always a
+        /// scan's, and every sweep declares dead exactly the suspects a
+        /// scan finds expired.
+        #[test]
+        fn the_suspect_count_and_the_sweep_match_a_scan(
+            ops in proptest::collection::vec(0u64..=u64::MAX, 0..96),
+        ) {
+            let n = 6;
+            let mut t = table(n);
+            let mut now = 0;
+            for raw in ops {
+                now += (raw >> 40) % 16;
+                step(&mut t, n, raw, now);
+                let scanned = t
+                    .records
+                    .iter()
+                    .filter(|r| r.known && r.state == Liveness::Suspect)
+                    .count();
+                proptest::prop_assert_eq!(t.suspects, scanned, "after op {:#x}", raw);
+            }
+        }
     }
 }

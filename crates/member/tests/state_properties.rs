@@ -10,11 +10,6 @@
 //! update multisets (including adversarial resurrection attempts no
 //! honest node produces) and arbitrary delivery schedules, and check the
 //! table against an independently computed supremum oracle.
-//!
-//! The suspicion bookkeeping is checked the same way: under arbitrary
-//! sequences of claims, local suspicions, sweeps, refutations and
-//! bootstraps, the table's suspect count is always a scan's, and every
-//! sweep declares dead exactly the suspects a scan finds expired.
 
 use gossip_member::{supersedes, Liveness, MemberTable, Transition, Update};
 use gossip_net::NodeId;
@@ -86,67 +81,7 @@ fn supremum(updates: &[Update], node: NodeId) -> Option<Update> {
         })
 }
 
-/// Known records in `Suspect`, by scan: what [`MemberTable::suspects`]
-/// keeps without one.
-fn scanned_suspects(table: &MemberTable) -> usize {
-    (0..N)
-        .filter_map(|i| table.record(NodeId::new(i)))
-        .filter(|r| r.known && r.state == Liveness::Suspect)
-        .count()
-}
-
-/// Apply one operation decoded from `raw` at `now`: a claim, a local
-/// suspicion (of any id, `me` and unknown ones included), a sweep, a
-/// refutation or a bootstrap (ids one past the universe included). A
-/// sweep is checked against a scan-based oracle.
-fn step(table: &mut MemberTable, raw: u64, now: u64) {
-    let arg = raw >> 3;
-    match raw % 5 {
-        0 => {
-            table.apply(decode(arg), now);
-        }
-        1 => {
-            table.start_suspect(NodeId::new(arg as usize % N), now);
-        }
-        2 => {
-            let timeout = arg % 40;
-            let expired: Vec<NodeId> = (0..N)
-                .map(NodeId::new)
-                .filter(|&node| {
-                    let r = table.record(node).expect("in universe");
-                    r.known
-                        && r.state == Liveness::Suspect
-                        && now.saturating_sub(r.since_us) >= timeout
-                })
-                .collect();
-            assert_eq!(table.sweep_suspects(now, timeout), expired);
-            for node in expired {
-                let r = table.record(node).expect("in universe");
-                assert_eq!((r.state, r.since_us), (Liveness::Dead, now));
-                assert!(!table.live_view().contains(&node));
-            }
-        }
-        3 => {
-            table.refute(arg % 6);
-        }
-        _ => table.bootstrap(NodeId::new(arg as usize % (N + 1))),
-    }
-}
-
 proptest! {
-    #[test]
-    fn the_suspect_count_and_the_sweep_match_a_scan(
-        ops in proptest::collection::vec(0u64..=u64::MAX, 0..96),
-    ) {
-        let mut t = table();
-        let mut now = 0;
-        for raw in ops {
-            now += (raw >> 40) % 16;
-            step(&mut t, raw, now);
-            prop_assert_eq!(t.suspects(), scanned_suspects(&t), "after op {:#x}", raw);
-        }
-    }
-
     #[test]
     fn the_final_view_is_the_supremum_regardless_of_delivery_order(
         raws in proptest::collection::vec(0u64..4096, 0..48),
