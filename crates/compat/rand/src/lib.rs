@@ -72,6 +72,34 @@ pub trait SampleRange<T> {
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+// Unsigned ranges reduce the word in `u64`: every span but the full range
+// of a 64-bit type fits, and there the word itself is the sample, so each
+// draw is the value `x as u128 % span` gives without a 128-bit remainder.
+macro_rules! uint_sample_range {
+    ($($t:ty),*) => {$(
+        impl SampleRange<$t> for core::ops::Range<$t> {
+            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                let span = (self.end - self.start) as u64;
+                self.start + (rng.next_u64() % span) as $t
+            }
+        }
+        impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
+            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
+                let (lo, hi) = (*self.start(), *self.end());
+                assert!(lo <= hi, "cannot sample empty range");
+                let x = rng.next_u64();
+                match ((hi - lo) as u64).checked_add(1) {
+                    Some(span) => lo + (x % span) as $t,
+                    None => x as $t,
+                }
+            }
+        }
+    )*};
+}
+
+uint_sample_range!(u8, u16, u32, u64, usize);
+
 macro_rules! int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
@@ -94,7 +122,7 @@ macro_rules! int_sample_range {
     )*};
 }
 
-int_sample_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_sample_range!(i8, i16, i32, i64, isize);
 
 macro_rules! float_sample_range {
     ($($t:ty),*) => {$(
@@ -158,6 +186,52 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         // Huge inclusive spans must not overflow.
         let _ = rng.gen_range(1u64..=u64::MAX / 2);
+    }
+
+    /// An `RngCore` whose every word is the one it was built with.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Every unsigned range draws what the 128-bit formula it replaced,
+    /// `lo + (x as u128 % span)`, draws from the same word `x`: spans 1, 2,
+    /// 1001, 2^32 ± 1, 2^63, `u64::MAX` and the full `0..=MAX` of each
+    /// type, at the bottom, middle and top of the type's range.
+    macro_rules! check_uint_against_u128 {
+        ($($t:ty),*) => {$({
+            let max = <$t>::MAX as u128;
+            let mut words = vec![0, 1, 1000, (1 << 32) - 1, 1 << 32, 1 << 63, u64::MAX - 1, u64::MAX];
+            let mut rng = SmallRng::seed_from_u64(11);
+            words.extend((0..64).map(|_| rng.next_u64()));
+            let spans = [
+                1u128, 2, 1001, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 63,
+                u64::MAX as u128, max, max + 1,
+            ];
+            for span in spans.into_iter().filter(|&span| span <= max + 1) {
+                for lo in [0, 1, (max + 1 - span) / 2, max + 1 - span] {
+                    if lo + span > max + 1 {
+                        continue;
+                    }
+                    let hi = lo + span - 1;
+                    for &x in &words {
+                        let old = (lo + x as u128 % span) as $t;
+                        assert_eq!(Word(x).gen_range(lo as $t..=hi as $t), old);
+                        if hi < max {
+                            assert_eq!(Word(x).gen_range(lo as $t..(hi + 1) as $t), old);
+                        }
+                    }
+                }
+            }
+        })*};
+    }
+
+    #[test]
+    fn unsigned_ranges_draw_the_128_bit_formula() {
+        check_uint_against_u128!(u8, u16, u32, u64, usize);
     }
 
     #[test]

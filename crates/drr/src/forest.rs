@@ -80,7 +80,9 @@ impl Forest {
             }
         }
 
-        // Resolve root_of / depth with cycle detection.
+        // Resolve root_of / depth with cycle detection: one walk up from
+        // each unresolved node to a root or an already-resolved node, then
+        // back down the stack, so every node is resolved exactly once.
         const UNVISITED: u32 = u32::MAX;
         const IN_PROGRESS: u32 = u32::MAX - 1;
         let mut depth = vec![UNVISITED; n];
@@ -107,58 +109,22 @@ impl Forest {
                     None => break,
                 }
             }
-            // `v` is either a resolved node or a root still IN_PROGRESS.
-            let (mut current_depth, root) = if depth[v] == IN_PROGRESS {
-                // v is a root discovered on this walk.
+            // `v` is either a resolved node or a root found on this walk,
+            // still IN_PROGRESS on top of the stack.
+            let (mut d, root) = if depth[v] == IN_PROGRESS {
+                stack.pop();
+                depth[v] = 0;
+                root_of[v] = NodeId::new(v);
                 (0, NodeId::new(v))
             } else {
                 (depth[v], root_of[v])
             };
             while let Some(u) = stack.pop() {
-                if u == v && depth[v] == IN_PROGRESS {
-                    depth[u] = 0;
-                    root_of[u] = root;
-                    current_depth = 0;
-                    continue;
-                }
-                current_depth += 1;
-                depth[u] = current_depth;
+                d += 1;
+                depth[u] = d;
                 root_of[u] = root;
             }
         }
-
-        // The walk above assigns depths along the discovery path; recompute
-        // depths exactly from parents now that acyclicity is certain (the
-        // incremental bookkeeping above can be off when a path joins an
-        // already-resolved node).
-        let mut exact_depth = vec![UNVISITED; n];
-        let mut chain = Vec::new();
-        for start in 0..n {
-            if exact_depth[start] != UNVISITED {
-                continue;
-            }
-            chain.clear();
-            let mut v = start;
-            while exact_depth[v] == UNVISITED {
-                chain.push(v);
-                match parent[v] {
-                    Some(p) => v = p.index(),
-                    None => {
-                        exact_depth[v] = 0;
-                        break;
-                    }
-                }
-            }
-            let mut d = exact_depth[v];
-            for &u in chain.iter().rev() {
-                if u == v {
-                    continue;
-                }
-                d += 1;
-                exact_depth[u] = d;
-            }
-        }
-        let depth = exact_depth;
 
         // Children, flat: count per parent, prefix-sum into run starts, then
         // file the nodes in increasing id order.
@@ -503,40 +469,108 @@ mod tests {
         assert_eq!(f.tree_size(NodeId::new(0)), 100);
     }
 
+    /// A random acyclic parent vector with node ids permuted: node
+    /// `order[k]` is a root or points at some `order[j]`, `j < k` (half the
+    /// time `j = k − 1`, so chains grow tall), so a parent's id is as likely
+    /// above its child's as below it.
+    fn permuted_forest(n: usize, rng: &mut rand::rngs::SmallRng) -> Vec<Option<NodeId>> {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(rng);
+        let mut parent = vec![None; n];
+        for k in 1..n {
+            if !rng.gen_bool(0.15) {
+                let j = if rng.gen_bool(0.5) {
+                    k - 1
+                } else {
+                    rng.gen_range(0..k)
+                };
+                parent[order[k]] = Some(NodeId::new(order[j]));
+            }
+        }
+        parent
+    }
+
+    /// Each node's `(root, depth)` by walking its parent chain, or `None`
+    /// when the walk does not reach a root within `n` hops (a cycle).
+    fn naive_root_and_depth(parent: &[Option<NodeId>], v: usize) -> Option<(usize, usize)> {
+        let (mut cur, mut hops) = (v, 0);
+        while let Some(p) = parent[cur] {
+            if hops == parent.len() {
+                return None;
+            }
+            cur = p.index();
+            hops += 1;
+        }
+        Some((cur, hops))
+    }
+
     proptest! {
-        /// Build random "each node points to a lower index or is a root"
-        /// forests — these are always acyclic — and check the invariants.
         #[test]
-        fn random_valid_forests_roundtrip(n in 1usize..200, seed in 0u64..1000) {
+        fn from_parents_rejects_what_is_not_a_forest(n in 1usize..60, seed in 0u64..u64::MAX) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            let parents: Vec<Option<NodeId>> = (0..n)
-                .map(|i| {
-                    if i == 0 || rng.gen_bool(0.2) {
-                        None
-                    } else {
-                        Some(NodeId::new(rng.gen_range(0..i)))
-                    }
-                })
-                .collect();
-            let f = Forest::from_parents(parents.clone()).unwrap();
-            // Every node's root is a root and sizes add up to n.
-            let total: usize = f.tree_sizes().map(|(_, s)| s).sum();
-            prop_assert_eq!(total, n);
-            for i in 0..n {
-                let v = NodeId::new(i);
-                let r = f.root_of(v);
-                prop_assert!(f.is_root(r));
-                // depth is the number of parent hops to the root
-                let mut hops = 0;
-                let mut cur = v;
-                while let Some(par) = f.parent(cur) {
-                    cur = par;
-                    hops += 1;
-                }
-                prop_assert_eq!(cur, r);
-                prop_assert_eq!(hops, f.depth(v));
+            // A permuted forest with a few parents rewired anywhere,
+            // out of range and onto the node itself included.
+            let mut parent = permuted_forest(n, &mut rng);
+            for _ in 0..rng.gen_range(0..3usize) {
+                let v = rng.gen_range(0..n);
+                parent[v] = Some(NodeId::new(rng.gen_range(0..=n)));
             }
+            let invalid = parent.iter().enumerate().find_map(|(i, p)| match p {
+                Some(p) if p.index() >= n => Some(ForestError::ParentOutOfRange(NodeId::new(i))),
+                Some(p) if p.index() == i => Some(ForestError::SelfParent(NodeId::new(i))),
+                _ => None,
+            });
+            let cyclic = invalid.is_none()
+                && (0..n).any(|v| naive_root_and_depth(&parent, v).is_none());
+            match Forest::from_parents(parent.clone()) {
+                Ok(_) => prop_assert!(invalid.is_none() && !cyclic),
+                Err(ForestError::Cycle(v)) => {
+                    prop_assert!(cyclic);
+                    // The node named lies on the cycle: its chain returns to it.
+                    let mut cur = v;
+                    let mut back = false;
+                    for _ in 0..n {
+                        match parent[cur.index()] {
+                            Some(p) => cur = p,
+                            None => break,
+                        }
+                        back |= cur == v;
+                    }
+                    prop_assert!(back, "{v} is not on a cycle");
+                }
+                Err(err) => prop_assert_eq!(Some(err), invalid),
+            }
+        }
+
+        /// Random permuted-id forests against a naive walk up each node's
+        /// parent chain: depth, root, root slot, tree size and tree height.
+        #[test]
+        fn random_valid_forests_roundtrip(n in 1usize..300, seed in 0u64..u64::MAX) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let parents = permuted_forest(n, &mut rng);
+            let f = Forest::from_parents(parents.clone()).unwrap();
+            let roots: Vec<usize> = (0..n).filter(|&i| parents[i].is_none()).collect();
+            let mut size = vec![0; n];
+            let mut height = vec![0; n];
+            for i in 0..n {
+                let (root, depth) = naive_root_and_depth(&parents, i).unwrap();
+                let v = NodeId::new(i);
+                prop_assert_eq!(f.depth(v), depth);
+                prop_assert_eq!(f.root_of(v), NodeId::new(root));
+                prop_assert_eq!(f.root_slot(v), roots.binary_search(&root).unwrap());
+                size[root] += 1;
+                height[root] = height[root].max(depth);
+            }
+            for &r in &roots {
+                prop_assert_eq!(f.tree_size(NodeId::new(r)), size[r]);
+                prop_assert_eq!(f.tree_height[r] as usize, height[r]);
+            }
+            prop_assert!(f.roots().iter().map(|r| r.index()).eq(roots.iter().copied()));
+            prop_assert_eq!(f.max_height(), height.iter().copied().max().unwrap());
             // children lists are consistent with parents: every child
             // names its parent, runs are in increasing id order, and
             // together they hold every non-root exactly once
@@ -548,7 +582,6 @@ mod tests {
                 }
                 prop_assert!(f.children(v).windows(2).all(|w| w[0] < w[1]));
                 listed += f.children(v).len();
-                prop_assert_eq!(f.roots()[f.root_slot(v)], f.root_of(v));
             }
             prop_assert_eq!(listed, n - f.num_trees());
         }

@@ -25,9 +25,9 @@ pub struct PhaseBreakdown {
 /// Accumulated simulation metrics.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
-    messages: Vec<u64>,
-    dropped: Vec<u64>,
-    bits: Vec<u64>,
+    messages: [u64; Phase::COUNT],
+    dropped: [u64; Phase::COUNT],
+    bits: [u64; Phase::COUNT],
     rounds: u64,
     per_round_messages: Vec<u64>,
     current_round_messages: u64,
@@ -37,29 +37,13 @@ pub struct Metrics {
 impl Metrics {
     /// Fresh, zeroed metrics.
     pub fn new() -> Self {
-        Metrics {
-            messages: vec![0; Phase::COUNT],
-            dropped: vec![0; Phase::COUNT],
-            bits: vec![0; Phase::COUNT],
-            rounds: 0,
-            per_round_messages: Vec::new(),
-            current_round_messages: 0,
-            max_message_bits: 0,
-        }
-    }
-
-    fn ensure_capacity(&mut self) {
-        if self.messages.len() < Phase::COUNT {
-            self.messages.resize(Phase::COUNT, 0);
-            self.dropped.resize(Phase::COUNT, 0);
-            self.bits.resize(Phase::COUNT, 0);
-        }
+        Metrics::default()
     }
 
     /// Record one message attempt (called by every backend's
     /// [`Transport::send`](crate::Transport::send)).
+    #[inline]
     pub fn record_send(&mut self, phase: Phase, bits: u32, delivered: bool) {
-        self.ensure_capacity();
         let i = phase.as_index();
         self.messages[i] += 1;
         self.bits[i] += u64::from(bits);
@@ -74,7 +58,6 @@ impl Metrics {
     /// dropped after all: a host that hands its frames to the kernel in
     /// batches learns of a refusal only when the batch is flushed.
     pub fn record_refused(&mut self, phase: Phase) {
-        self.ensure_capacity();
         self.dropped[phase.as_index()] += 1;
     }
 
@@ -108,17 +91,17 @@ impl Metrics {
 
     /// Messages sent in a particular phase.
     pub(crate) fn messages_in(&self, phase: Phase) -> u64 {
-        self.messages.get(phase.as_index()).copied().unwrap_or(0)
+        self.messages[phase.as_index()]
     }
 
     /// Dropped messages in a particular phase.
     pub(crate) fn dropped_in(&self, phase: Phase) -> u64 {
-        self.dropped.get(phase.as_index()).copied().unwrap_or(0)
+        self.dropped[phase.as_index()]
     }
 
     /// Bits sent in a particular phase.
     pub(crate) fn bits_in(&self, phase: Phase) -> u64 {
-        self.bits.get(phase.as_index()).copied().unwrap_or(0)
+        self.bits[phase.as_index()]
     }
 
     /// The widest message (in bits) sent so far. Tests compare this against
@@ -156,11 +139,10 @@ impl Metrics {
     /// add; rounds add; per-round traces concatenate). Useful when a protocol
     /// is composed of sub-protocols that each ran on their own `Network`.
     pub fn merge(&mut self, other: &Metrics) {
-        self.ensure_capacity();
         for i in 0..Phase::COUNT {
-            self.messages[i] += other.messages.get(i).copied().unwrap_or(0);
-            self.dropped[i] += other.dropped.get(i).copied().unwrap_or(0);
-            self.bits[i] += other.bits.get(i).copied().unwrap_or(0);
+            self.messages[i] += other.messages[i];
+            self.dropped[i] += other.dropped[i];
+            self.bits[i] += other.bits[i];
         }
         self.rounds += other.rounds;
         self.per_round_messages
@@ -227,6 +209,16 @@ mod tests {
         assert_eq!(m.rounds(), 0);
         assert_eq!(m.max_message_bits(), 0);
         assert!(m.breakdown().is_empty());
+    }
+
+    #[test]
+    fn default_equals_new() {
+        assert_eq!(Metrics::default(), Metrics::new());
+        let mut recorded = Metrics::default();
+        recorded.record_send(Phase::Rumor, 8, true);
+        let mut expected = Metrics::new();
+        expected.record_send(Phase::Rumor, 8, true);
+        assert_eq!(recorded, expected);
     }
 
     #[test]

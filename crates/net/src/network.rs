@@ -107,6 +107,7 @@ impl Transport for Network {
     /// counts transmissions, not deliveries). It is delivered iff the
     /// sender is alive, the receiver is alive and it survives the lossy
     /// link (loss probability `δ`).
+    #[inline]
     fn send(&mut self, from: NodeId, to: NodeId, phase: Phase, bits: u32) -> bool {
         debug_assert!(from.index() < self.config.n, "sender out of range");
         debug_assert!(to.index() < self.config.n, "receiver out of range");

@@ -63,6 +63,7 @@ impl LatencyModel {
     /// `LatencyModel::min_us` (and with it the sharded engine's
     /// cross-shard lookahead) relies on. [`LatencyModel::Constant`] draws
     /// nothing from `rng`.
+    #[inline]
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         match *self {
             LatencyModel::Constant(us) => us.max(1),

@@ -12,6 +12,11 @@
 //! and its `k`-th finger is `i + 2^k (mod n)`. Random-peer sampling routes to
 //! the node owning a uniformly random ring position (the substitution for
 //! King et al.'s protocol documented in DESIGN.md).
+//!
+//! Because the fingers are exactly the powers of two below `n`, a greedy
+//! lookup takes one hop per set bit of the clockwise distance to the target,
+//! highest first: popcount(distance) ≤ `⌈log₂ n⌉` hops, each O(1) work (one
+//! bit scan and one conditional wrap).
 
 use crate::graph::Graph;
 use gossip_net::{ceil_log2, NodeId};
@@ -75,15 +80,10 @@ impl ChordOverlay {
         Graph::from_edges(self.n, &edges)
     }
 
-    /// Clockwise ring distance from `from` to `to`.
-    fn clockwise_distance(&self, from: usize, to: usize) -> usize {
-        (to + self.n - from) % self.n
-    }
-
     /// Greedy Chord lookup: the sequence of nodes visited when routing from
     /// `from` to `target`, excluding `from` itself and ending with `target`.
     /// Each hop follows the largest finger that does not overshoot the
-    /// target, so the path has `O(log n)` hops.
+    /// target, so the path has popcount(clockwise distance) hops.
     #[cfg(test)]
     pub(crate) fn lookup_path(&self, from: NodeId, target: NodeId) -> Vec<NodeId> {
         let mut path = Vec::new();
@@ -94,23 +94,29 @@ impl ChordOverlay {
     /// The greedy Chord lookup from `from` to `target` into a caller-owned
     /// buffer, which is cleared first: the nodes visited, excluding `from`
     /// and ending with `target`, each hop along the largest finger that
-    /// does not overshoot (`O(log n)` hops). A caller routing many samples
-    /// pays for one path allocation, not one per sample.
+    /// does not overshoot. The fingers are every power of two below `n`,
+    /// so that finger is the highest set bit of the clockwise distance
+    /// still to go: the path takes one hop per set bit of the distance
+    /// (popcount(distance) ≤ `⌈log₂ n⌉` hops), each O(1) work. A caller
+    /// routing many samples pays for one path allocation, not one per
+    /// sample.
+    #[inline]
     pub(crate) fn lookup_path_into(&self, from: NodeId, target: NodeId, path: &mut Vec<NodeId>) {
         path.clear();
-        let mut current = from.index();
-        let target_idx = target.index();
-        while current != target_idx {
-            let remaining = self.clockwise_distance(current, target_idx);
-            // Largest finger offset <= remaining; offset 1 (successor) always qualifies.
-            let step = self
-                .finger_offsets
-                .iter()
-                .copied()
-                .filter(|&off| off <= remaining)
-                .max()
-                .unwrap_or(1);
-            current = (current + step) % self.n;
+        let (from, target) = (from.index(), target.index());
+        let mut remaining = if target >= from {
+            target - from
+        } else {
+            target + self.n - from
+        };
+        let mut current = from;
+        while remaining != 0 {
+            let step = 1usize << (usize::BITS - 1 - remaining.leading_zeros());
+            remaining ^= step;
+            current += step;
+            if current >= self.n {
+                current -= self.n;
+            }
             path.push(NodeId::new(current));
         }
     }
@@ -120,6 +126,7 @@ impl ChordOverlay {
     /// empty when the node sampled itself. This plays the role of the
     /// random-peer-selection protocol of King et al. cited by the paper:
     /// `T = O(log n)` rounds and `M = O(log n)` messages per sample.
+    #[inline]
     pub(crate) fn sample_random_node_into(
         &self,
         from: NodeId,
@@ -142,6 +149,28 @@ mod tests {
     use crate::connectivity::is_connected;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The finger-scan lookup the bit walk replaced, kept as its oracle:
+    /// each hop takes the largest finger offset not past the remaining
+    /// clockwise distance.
+    fn finger_scan_path(chord: &ChordOverlay, from: NodeId, target: NodeId) -> Vec<NodeId> {
+        let n = chord.n;
+        let mut path = Vec::new();
+        let mut current = from.index();
+        while current != target.index() {
+            let remaining = (target.index() + n - current) % n;
+            let step = chord
+                .finger_offsets
+                .iter()
+                .copied()
+                .filter(|&off| off <= remaining)
+                .max()
+                .unwrap_or(1);
+            current = (current + step) % n;
+            path.push(NodeId::new(current));
+        }
+        path
+    }
 
     #[test]
     fn fingers_have_log_degree() {
@@ -221,6 +250,34 @@ mod tests {
                 prop_assert!(path.is_empty());
             } else {
                 prop_assert_eq!(*path.last().unwrap(), NodeId::new(to));
+                prop_assert!(path.len() <= chord.max_lookup_hops());
+            }
+        }
+
+        #[test]
+        fn bit_walk_lookup_equals_the_finger_scan(
+            n_exp in 0u32..=17,
+            shape in 0usize..4,
+            n_any in 1usize..=(1 << 17),
+            seed in 0u64..u64::MAX,
+        ) {
+            // Powers of two, 2^k ± 1 and arbitrary sizes up to 2^17.
+            let n = match shape {
+                0 => 1usize << n_exp,
+                1 => (1usize << n_exp) + 1,
+                2 => ((1usize << n_exp) - 1).max(1),
+                _ => n_any,
+            };
+            let chord = ChordOverlay::new(n);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut path = Vec::new();
+            for _ in 0..16 {
+                let from = NodeId::new(rng.gen_range(0..n));
+                let to = NodeId::new(rng.gen_range(0..n));
+                chord.lookup_path_into(from, to, &mut path);
+                prop_assert_eq!(&path, &finger_scan_path(&chord, from, to));
+                let distance = (to.index() + n - from.index()) % n;
+                prop_assert_eq!(path.len(), distance.count_ones() as usize);
                 prop_assert!(path.len() <= chord.max_lookup_hops());
             }
         }
