@@ -2,8 +2,9 @@
 //! round-barrier facade under the full DRR-gossip chain.
 //!
 //! The [`ShardedDriver`] partitions the node space into per-shard calendar
-//! queues and payload arenas with struct-of-arrays node state and
-//! per-node RNG streams (see `gossip_runtime::shard`). This experiment
+//! queues and payload arenas, with one record per node (handler, RNG
+//! stream, counters) beside dense liveness and churn arrays (see
+//! `gossip_runtime::shard`). This experiment
 //! measures it as raw event throughput and as peak memory: an
 //! interval-gossip workload ([`MaxGossipHandler`], one push per node per
 //! tick) under mid-run churn at S ∈ {1, 2, 8} shards, reporting
@@ -205,8 +206,9 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
         }
     }
     table.push_note(
-        "shard=S = the sharded driver (per-shard calendar queues + payload arenas, \
-         struct-of-arrays node state, per-node RNG streams, batched cross-shard exchange)",
+        "shard=S = the sharded driver (per-shard calendar queues of 32-byte events + payload \
+         arenas, one record per node holding its handler and RNG stream beside dense liveness \
+         arrays, batched cross-shard exchange)",
     );
     table.push_note(
         "identical workload at every S (uniform gossip-max, 10 ticks, ~0.2% churn/round), \

@@ -23,8 +23,9 @@
 //!   queues, with first-class timer events and crash/rejoin incarnations —
 //!   the execution model of the continuous anti-entropy layer
 //!   (`gossip-ae`). The node space is partitioned across shards —
-//!   per-shard queues and payload arenas, struct-of-arrays node state,
-//!   per-node RNG streams ([`gossip_net::node_rng`]) and deterministic
+//!   per-shard queues and payload arenas, one record per node (handler,
+//!   RNG stream — [`gossip_net::node_rng`] — and counters) beside dense
+//!   liveness arrays, and deterministic
 //!   bounded-lag cross-shard batching — which scales the event loop to
 //!   n ≥ 10⁷ with runs that are bit-identical across shard counts, worker
 //!   threads and event-loop slicings (see the `shard` module docs).

@@ -6,10 +6,12 @@
 //! barrier: the clock advances from event to event. The node space is
 //! split into `S` contiguous shards, and each shard owns
 //!
-//! * its nodes' state — handler instances in their own slab, the scalar
-//!   per-node fields packed into the dense parallel arrays of a
-//!   `NodeTable` (liveness, incarnations, bandwidth tallies, cancel
-//!   watermarks — see the `soa` module docs),
+//! * its nodes' state — one `NodeSlot` record per node holding what a
+//!   dispatch touches (the handler, the node's **private RNG stream**
+//!   ([`gossip_net::node_rng`]), its event-scheduling counter, order hash
+//!   and incarnation), beside the dense arrays of a `NodeTable` holding
+//!   what the barriers sweep (liveness, crash instants, bandwidth
+//!   tallies, cancel watermarks — see the `soa` module docs), and
 //! * a **per-shard event queue** holding exactly the events addressed to
 //!   its nodes — a two-level calendar queue (a wheel of one-microsecond
 //!   slots the cursor crosses from one occupied slot to the next, and
@@ -17,9 +19,9 @@
 //!   `CalendarQueue`), so a run costs what its events cost whether its
 //!   time scale is microseconds or seconds — with message payloads parked
 //!   in a per-shard [`PayloadArena`] and referenced by `u32` slot key from
-//!   the event (events are plain-old-data; steady-state traffic allocates
-//!   nothing per event), and
-//! * its nodes' **private RNG streams** ([`gossip_net::node_rng`]).
+//!   the event (events are 32 bytes of plain-old-data, the instant implied
+//!   by the wheel slot they wait in; steady-state traffic allocates
+//!   nothing per event).
 //!
 //! # Why per-node RNG streams
 //!
@@ -77,7 +79,7 @@
 use crate::arena::{PayloadArena, NO_PAYLOAD};
 use crate::config::{AsyncConfig, RoundPolicy};
 use crate::metrics::{AsyncMetrics, DriverMetrics, FNV_PRIME};
-use crate::soa::{NodeTable, NO_CRASH};
+use crate::soa::{NodeSlot, NodeTable, NO_CRASH};
 use gossip_net::{node_rng, Handler, Mailbox, Metrics, NodeId, Phase, TimerId};
 use gossip_obs::{TraceCtx, TraceKind, TraceReason, TraceRing, NO_PEER};
 use rand::rngs::SmallRng;
@@ -140,10 +142,12 @@ impl EventKind {
 
 /// An event addressed to `to`, globally ordered by
 /// `(at_us, origin, oseq)` — a key every shard computes locally, so the
-/// total order is independent of the shard count.
+/// total order is independent of the shard count. The instant `at_us` is
+/// not stored: a wheel slot holds events of one instant, so the slot
+/// implies it, and the levels that hold several instants keep it beside
+/// the event.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ShardEvent {
-    pub(crate) at_us: u64,
     /// The node whose action scheduled this event (sender of a message,
     /// owner of a timer, the crashing node itself).
     pub(crate) origin: u32,
@@ -154,17 +158,19 @@ pub(crate) struct ShardEvent {
     pub(crate) kind: EventKind,
 }
 
-// The queue's memory is its events' size times their count: 24 bytes of
-// ordering key and destination, 16 of kind. That is why a traced message's
-// causal context waits in the shard's trace table instead of riding every
-// event, traced or not, and why the latency is a `u32`.
-const _: () = assert!(std::mem::size_of::<ShardEvent>() == 40);
+// The queue's memory is its events' size times their count: 16 bytes of
+// ordering key and destination, 16 of kind — half a cache line. That is
+// why the instant lives in the slot, why a traced message's causal context
+// waits in the shard's trace table instead of riding every event, traced
+// or not, and why the latency is a `u32`.
+const _: () = assert!(std::mem::size_of::<ShardEvent>() == 32);
 
-/// A cross-shard send parked in an outbox: the event plus its payload and
-/// causal context, which are re-homed into the destination shard's arena
-/// and trace table at the exchange (the event's `payload` key is filled in
-/// there).
+/// A cross-shard send parked in an outbox: the event and its arrival
+/// instant plus its payload and causal context, which are re-homed into
+/// the destination shard's arena and trace table at the exchange (the
+/// event's `payload` key is filled in there).
 struct Outbound<M> {
+    at_us: u64,
     ev: ShardEvent,
     msg: M,
     ctx: TraceCtx,
@@ -197,10 +203,11 @@ const SLOT_DECAY_MIN: usize = 32;
 /// setup outweighs the dispatch work an epoch can possibly contain.
 const MIN_PARALLEL_EPOCH_US: u64 = 32;
 
-/// One second-level event: a slab cell threaded onto its revolution's
-/// list (or, once folded, onto the free list).
+/// One second-level event and its instant: a slab cell threaded onto its
+/// revolution's list (or, once folded, onto the free list).
 #[derive(Clone, Copy)]
 struct FarNode {
+    at_us: u64,
     ev: ShardEvent,
     next: u32,
 }
@@ -264,8 +271,9 @@ pub(crate) struct CalendarQueue {
     /// the first second-level event: a dense short-latency run never has
     /// one.
     far_heads: Vec<u32>,
-    /// Events at or beyond `FAR_REVS` revolutions past the cursor's.
-    overflow: Vec<ShardEvent>,
+    /// Events at or beyond `FAR_REVS` revolutions past the cursor's, each
+    /// beside its instant.
+    overflow: Vec<(u64, ShardEvent)>,
     /// All events strictly below the cursor have been drained.
     cursor: u64,
 }
@@ -286,16 +294,16 @@ impl CalendarQueue {
         }
     }
 
-    /// Schedule an event. Its instant must not lie in the past (the
-    /// mailbox floors delays at 1 µs and cross-shard arrivals carry at
+    /// Schedule an event at `at_us`. The instant must not lie in the past
+    /// (the mailbox floors delays at 1 µs and cross-shard arrivals carry at
     /// least the lookahead, so this holds by construction).
     #[inline]
-    pub(crate) fn push(&mut self, ev: ShardEvent) {
-        debug_assert!(ev.at_us >= self.cursor, "event scheduled in the past");
-        if ev.at_us - self.cursor < WHEEL_US {
-            self.push_wheel(ev);
+    pub(crate) fn push(&mut self, at_us: u64, ev: ShardEvent) {
+        debug_assert!(at_us >= self.cursor, "event scheduled in the past");
+        if at_us - self.cursor < WHEEL_US {
+            self.push_wheel(at_us, ev);
         } else {
-            self.push_far(ev);
+            self.push_far(at_us, ev);
         }
     }
 
@@ -304,8 +312,8 @@ impl CalendarQueue {
     /// slot turns non-empty: a dense run's pushes read one length they
     /// were about to read anyway.
     #[inline]
-    fn push_wheel(&mut self, ev: ShardEvent) {
-        let slot = (ev.at_us & WHEEL_MASK) as usize;
+    fn push_wheel(&mut self, at_us: u64, ev: ShardEvent) {
+        let slot = (at_us & WHEEL_MASK) as usize;
         let events = &mut self.wheel[slot];
         if events.is_empty() {
             self.occupied[slot >> 6] |= 1 << (slot & 63);
@@ -325,17 +333,21 @@ impl CalendarQueue {
     /// the dense workloads' `push` stays a compare and a `Vec::push`.
     #[cold]
     #[inline(never)]
-    fn push_far(&mut self, ev: ShardEvent) {
-        let rev = ev.at_us >> WHEEL_BITS;
+    fn push_far(&mut self, at_us: u64, ev: ShardEvent) {
+        let rev = at_us >> WHEEL_BITS;
         if rev - (self.cursor >> WHEEL_BITS) >= FAR_REVS {
-            self.overflow.push(ev);
+            self.overflow.push((at_us, ev));
             return;
         }
         if self.far_heads.is_empty() {
             self.far_heads = vec![NIL; FAR_REVS as usize];
         }
         let head = &mut self.far_heads[(rev & FAR_MASK) as usize];
-        let node = FarNode { ev, next: *head };
+        let node = FarNode {
+            at_us,
+            ev,
+            next: *head,
+        };
         if self.far_free != NIL {
             *head = self.far_free;
             let cell = &mut self.far[self.far_free as usize];
@@ -350,7 +362,8 @@ impl CalendarQueue {
     }
 
     /// Detach the batch of the earliest queued instant before `end_us`,
-    /// sorted by `(origin, oseq)`, leaving the cursor on that instant; or
+    /// sorted by `(origin, oseq)`, leaving the cursor on that instant (the
+    /// batch's events carry no instant: the cursor is it); or
     /// move the cursor to `end_us` and return `None` when nothing is due
     /// before it. The caller dispatches the batch (dispatches only ever
     /// schedule *future* events — delays floor at 1 µs — so the detached
@@ -379,10 +392,6 @@ impl CalendarQueue {
             self.cursor = at_us;
             self.occupied[slot >> 6] &= !(1 << (slot & 63));
             let mut batch = std::mem::take(&mut self.wheel[slot]);
-            debug_assert!(
-                batch.iter().all(|ev| ev.at_us == at_us),
-                "slot holds one instant"
-            );
             batch.sort_unstable_by_key(|ev| (ev.origin, ev.oseq));
             return Some(batch);
         }
@@ -432,9 +441,9 @@ impl CalendarQueue {
             // FAR_REVS revolutions ahead now has a list (or a slot).
             let mut i = 0;
             while i < self.overflow.len() {
-                if (self.overflow[i].at_us >> WHEEL_BITS) - rev < FAR_REVS {
-                    let ev = self.overflow.swap_remove(i);
-                    self.push(ev);
+                if (self.overflow[i].0 >> WHEEL_BITS) - rev < FAR_REVS {
+                    let (at_us, ev) = self.overflow.swap_remove(i);
+                    self.push(at_us, ev);
                 } else {
                     i += 1;
                 }
@@ -447,11 +456,11 @@ impl CalendarQueue {
             let mut at = std::mem::replace(head, NIL);
             while at != NIL {
                 let cell = &mut self.far[at as usize];
-                let (ev, next) = (cell.ev, cell.next);
+                let (at_us, ev, next) = (cell.at_us, cell.ev, cell.next);
                 cell.next = self.far_free;
                 self.far_free = at;
                 self.far_live -= 1;
-                self.push_wheel(ev);
+                self.push_wheel(at_us, ev);
                 at = next;
             }
         }
@@ -505,8 +514,12 @@ impl CalendarQueue {
         for head in &mut self.far_heads {
             let mut at = std::mem::replace(head, NIL);
             while at != NIL {
-                let FarNode { ev, next } = self.far[at as usize];
-                packed.push(FarNode { ev, next: *head });
+                let FarNode { at_us, ev, next } = self.far[at as usize];
+                packed.push(FarNode {
+                    at_us,
+                    ev,
+                    next: *head,
+                });
                 *head = packed.len() as u32 - 1;
                 at = next;
             }
@@ -591,17 +604,17 @@ impl ShardTrace {
     }
 }
 
-/// One shard: the owner of a contiguous block of nodes. Scalar per-node
-/// state lives in the `NodeTable`'s parallel arrays; handlers and RNG
-/// streams keep their own slabs (they are lent out individually by `&mut`).
+/// One shard: the owner of a contiguous block of nodes. What a dispatch
+/// touches of a node lives in its `NodeSlot`; what the barriers sweep
+/// lives in the `NodeTable`'s dense arrays (see the `soa` module docs).
 struct Shard<H: Handler> {
     /// First global node id owned by this shard.
     start: usize,
-    // Per owned node, indexed by `global id - start`:
-    handlers: Vec<H>,
-    rng: Vec<SmallRng>,
-    /// Liveness, incarnations, sequence counters, bandwidth tallies,
-    /// dispatch hashes and cancel watermarks, as dense parallel arrays.
+    /// Per owned node, indexed by `global id - start`: handler, RNG
+    /// stream, sequence counter, dispatch hash and incarnation.
+    slots: Vec<NodeSlot<H>>,
+    /// Liveness, crash instants, bandwidth tallies and cancel watermarks,
+    /// as dense arrays.
     nodes: NodeTable,
     queue: CalendarQueue,
     /// In-flight payloads of events queued at this shard.
@@ -631,17 +644,19 @@ struct Topology {
 }
 
 /// Split-borrow helper: carves a [`Shard`] into the handler at `local`
-/// plus a [`ShardMailbox`] lending every *other* per-node field — the one
-/// place the mailbox's field wiring is written down. A macro rather than a
-/// method because a method returning the pair would borrow all of `self`,
-/// hiding the field-level disjointness the borrow checker needs.
+/// plus a [`ShardMailbox`] lending the RNG stream and sequence counter of
+/// the same record and the shard's other state — the one place the
+/// mailbox's field wiring is written down. A macro rather than a method
+/// because a method returning the pair would borrow all of `self`, hiding
+/// the field-level disjointness the borrow checker needs.
 /// `$incarnation` must be a pre-evaluated value, not a borrow of the
 /// shard.
 macro_rules! handler_and_mailbox {
     ($shard:expr, $topo:expr, $local:expr, $now_us:expr, $incarnation:expr, $ctx:expr) => {{
         let shard = &mut *$shard;
+        let slot = &mut shard.slots[$local];
         (
-            &mut shard.handlers[$local],
+            &mut slot.handler,
             ShardMailbox {
                 me: NodeId::new(shard.start + $local),
                 local: $local,
@@ -649,7 +664,8 @@ macro_rules! handler_and_mailbox {
                 incarnation: $incarnation,
                 ctx: $ctx,
                 topo: $topo,
-                rng: &mut shard.rng[$local],
+                rng: &mut slot.rng,
+                oseq: &mut slot.oseq,
                 nodes: &mut shard.nodes,
                 shard_start: shard.start,
                 queue: &mut shard.queue,
@@ -670,11 +686,12 @@ impl<H: Handler> Shard<H> {
     ///
     /// The queue hands out one instant's events at a time, already in
     /// `(origin, oseq)` order, and moves its cursor straight from one
-    /// occupied instant to the next.
+    /// occupied instant to the next: the cursor is the batch's instant.
     fn run_epoch(&mut self, end_us: u64, topo: &Topology) {
         while let Some(mut batch) = self.queue.next_batch(end_us) {
+            let at_us = self.queue.cursor;
             for ev in batch.drain(..) {
-                self.dispatch(ev, topo);
+                self.dispatch(at_us, ev, topo);
             }
             self.queue.finish_batch(batch);
         }
@@ -708,7 +725,7 @@ impl<H: Handler> Shard<H> {
         }
     }
 
-    fn dispatch(&mut self, ev: ShardEvent, topo: &Topology) {
+    fn dispatch(&mut self, at_us: u64, ev: ShardEvent, topo: &Topology) {
         let local = ev.to as usize - self.start;
         let tagged = ev.kind.tag() << 60 | u64::from(ev.origin) << 28;
         match ev.kind {
@@ -722,9 +739,9 @@ impl<H: Handler> Shard<H> {
                     self.nodes.crash_at[local] = NO_CRASH;
                     self.nodes.pending_crashes -= 1;
                 }
-                fold3(&mut self.nodes.node_hash[local], ev.at_us, tagged, ev.oseq);
+                fold3(&mut self.slots[local].node_hash, at_us, tagged, ev.oseq);
                 self.trace_event(
-                    ev.at_us,
+                    at_us,
                     u64::from(ev.to),
                     NO_PEER,
                     TraceKind::Crash,
@@ -753,7 +770,7 @@ impl<H: Handler> Shard<H> {
                 if !ok {
                     self.counters.dead_receiver_drops += 1;
                     self.trace_event(
-                        ev.at_us,
+                        at_us,
                         u64::from(ev.to),
                         u64::from(ev.origin),
                         TraceKind::Drop,
@@ -764,9 +781,9 @@ impl<H: Handler> Shard<H> {
                 }
                 self.async_metrics.latency.record(u64::from(latency_us));
                 self.counters.messages_dispatched += 1;
-                fold3(&mut self.nodes.node_hash[local], ev.at_us, tagged, ev.oseq);
+                fold3(&mut self.slots[local].node_hash, at_us, tagged, ev.oseq);
                 self.trace_event(
-                    ev.at_us,
+                    at_us,
                     u64::from(ev.to),
                     u64::from(ev.origin),
                     TraceKind::Recv,
@@ -774,16 +791,16 @@ impl<H: Handler> Shard<H> {
                     ctx,
                 );
                 let msg = msg.expect("a queued delivery always carries a payload");
-                let incarnation = self.nodes.incarnation[local];
+                let incarnation = self.slots[local].incarnation;
                 let (handler, mut mailbox) =
-                    handler_and_mailbox!(self, topo, local, ev.at_us, incarnation, ctx);
+                    handler_and_mailbox!(self, topo, local, at_us, incarnation, ctx);
                 handler.on_message(NodeId::new(ev.origin as usize), msg, &mut mailbox);
             }
             EventKind::Timer { timer, incarnation } => {
-                if !self.nodes.alive[local] || self.nodes.incarnation[local] != incarnation {
+                if !self.nodes.alive[local] || self.slots[local].incarnation != incarnation {
                     self.counters.stale_timer_skips += 1;
                     self.trace_event(
-                        ev.at_us,
+                        at_us,
                         u64::from(ev.to),
                         NO_PEER,
                         TraceKind::Drop,
@@ -803,7 +820,7 @@ impl<H: Handler> Shard<H> {
                     // never cancel keep their golden fingerprints.
                     self.counters.cancelled_timer_skips += 1;
                     self.trace_event(
-                        ev.at_us,
+                        at_us,
                         u64::from(ev.to),
                         NO_PEER,
                         TraceKind::Drop,
@@ -820,7 +837,7 @@ impl<H: Handler> Shard<H> {
                 // oseq — shard-count invariant like the dispatch order.
                 let ctx = self.root_ctx(u64::from(ev.to), ev.oseq);
                 self.trace_event(
-                    ev.at_us,
+                    at_us,
                     u64::from(ev.to),
                     NO_PEER,
                     TraceKind::TimerFire,
@@ -828,13 +845,13 @@ impl<H: Handler> Shard<H> {
                     ctx,
                 );
                 fold3(
-                    &mut self.nodes.node_hash[local],
-                    ev.at_us,
+                    &mut self.slots[local].node_hash,
+                    at_us,
                     tagged | u64::from(timer.0),
                     ev.oseq,
                 );
                 let (handler, mut mailbox) =
-                    handler_and_mailbox!(self, topo, local, ev.at_us, incarnation, ctx);
+                    handler_and_mailbox!(self, topo, local, at_us, incarnation, ctx);
                 handler.on_timer(timer, &mut mailbox);
             }
         }
@@ -843,7 +860,7 @@ impl<H: Handler> Shard<H> {
     /// Run `on_start` for the (fresh) handler at local index `local`, with
     /// the clock at `now_us`. Used for initial boots and rejoin restarts.
     fn boot(&mut self, local: usize, now_us: u64, topo: &Topology) {
-        let incarnation = self.nodes.incarnation[local];
+        let incarnation = self.slots[local].incarnation;
         // Boot roots live in their own id space (high bit set) so a boot
         // chain can never collide with a timer chain of the same node.
         let ctx = self.root_ctx(
@@ -864,6 +881,7 @@ fn enqueue_delivery<M>(
     queue: &mut CalendarQueue,
     arena: &mut PayloadArena<M>,
     trace: &mut Option<ShardTrace>,
+    at_us: u64,
     mut ev: ShardEvent,
     msg: M,
     ctx: TraceCtx,
@@ -875,11 +893,11 @@ fn enqueue_delivery<M>(
     if let EventKind::Deliver { payload, .. } = &mut ev.kind {
         *payload = key;
     }
-    queue.push(ev);
+    queue.push(at_us, ev);
 }
 
 /// The mailbox a sharded dispatch hands to handler callbacks: a view of
-/// one node's slice of its shard.
+/// one node's record and slice of its shard.
 struct ShardMailbox<'a, M> {
     me: NodeId,
     local: usize,
@@ -890,6 +908,8 @@ struct ShardMailbox<'a, M> {
     ctx: TraceCtx,
     topo: &'a Topology,
     rng: &'a mut SmallRng,
+    /// The node's event-scheduling counter, in its record.
+    oseq: &'a mut u64,
     nodes: &'a mut NodeTable,
     shard_start: usize,
     queue: &'a mut CalendarQueue,
@@ -903,7 +923,9 @@ struct ShardMailbox<'a, M> {
 impl<M> ShardMailbox<'_, M> {
     #[inline]
     fn next_oseq(&mut self) -> u64 {
-        self.nodes.next_oseq(self.local)
+        let seq = *self.oseq;
+        *self.oseq += 1;
+        seq
     }
 
     /// Record into the shard's trace ring, if tracing is on (passive).
@@ -991,8 +1013,8 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
         // arena and table; a cross-shard one carries both next to the event
         // and is re-homed at the exchange.
         let oseq = self.next_oseq();
+        let at_us = self.now_us + latency_us;
         let ev = ShardEvent {
-            at_us: self.now_us + latency_us,
             origin: self.me.index() as u32,
             oseq,
             to: to.index() as u32,
@@ -1005,9 +1027,14 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
         };
         let to_idx = to.index();
         if to_idx >= self.shard_start && to_idx < self.shard_start + self.topo.chunk {
-            enqueue_delivery(self.queue, self.arena, self.trace, ev, msg, ctx);
+            enqueue_delivery(self.queue, self.arena, self.trace, at_us, ev, msg, ctx);
         } else {
-            self.outbox[to_idx / self.topo.chunk].push(Outbound { ev, msg, ctx });
+            self.outbox[to_idx / self.topo.chunk].push(Outbound {
+                at_us,
+                ev,
+                msg,
+                ctx,
+            });
         }
     }
 
@@ -1015,16 +1042,18 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
         let at_us = self.now_us.saturating_add(delay_us.max(1));
         let oseq = self.next_oseq();
         // Timers stay with their owner: always the shard's own queue.
-        self.queue.push(ShardEvent {
+        self.queue.push(
             at_us,
-            origin: self.me.index() as u32,
-            oseq,
-            to: self.me.index() as u32,
-            kind: EventKind::Timer {
-                timer,
-                incarnation: self.incarnation,
+            ShardEvent {
+                origin: self.me.index() as u32,
+                oseq,
+                to: self.me.index() as u32,
+                kind: EventKind::Timer {
+                    timer,
+                    incarnation: self.incarnation,
+                },
             },
-        });
+        );
     }
 
     fn cancel_timer(&mut self, timer: TimerId) {
@@ -1033,7 +1062,7 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
         // dispatch; a later set_timer draws a larger one and fires.
         self.nodes
             .cancels
-            .insert((self.local as u32, timer.0), self.nodes.oseq[self.local]);
+            .insert((self.local as u32, timer.0), *self.oseq);
     }
 
     fn rng_mut(&mut self) -> &mut SmallRng {
@@ -1122,13 +1151,11 @@ where
         for s in 0..num_shards {
             let start = s * chunk;
             let end = ((s + 1) * chunk).min(n);
-            let ids = start..end;
             shard_vec.push(Shard {
                 start,
-                handlers: ids.clone().map(|i| factory(NodeId::new(i))).collect(),
-                rng: ids
-                    .clone()
-                    .map(|i| node_rng(config.sim.seed, NodeId::new(i)))
+                slots: (start..end)
+                    .map(NodeId::new)
+                    .map(|id| NodeSlot::new(factory(id), node_rng(config.sim.seed, id)))
                     .collect(),
                 nodes: NodeTable::new(&alive[start..end], &config),
                 queue: CalendarQueue::new(),
@@ -1396,17 +1423,17 @@ where
     /// The handler currently installed at `node` (the live incarnation).
     pub fn handler(&self, node: NodeId) -> &H {
         let (s, local) = self.locate(node.index());
-        &self.shards[s].handlers[local]
+        &self.shards[s].slots[local].handler
     }
 
     /// All handlers with their node ids, in node-id order.
     pub fn iter_handlers(&self) -> impl Iterator<Item = (NodeId, &H)> {
         self.shards.iter().flat_map(|shard| {
             shard
-                .handlers
+                .slots
                 .iter()
                 .enumerate()
-                .map(move |(local, h)| (NodeId::new(shard.start + local), h))
+                .map(move |(local, slot)| (NodeId::new(shard.start + local), &slot.handler))
         })
     }
 
@@ -1443,8 +1470,8 @@ where
             m.dead_receiver_drops += shard.counters.dead_receiver_drops;
         }
         for shard in &self.shards {
-            for &h in &shard.nodes.node_hash {
-                m.fold_word(h);
+            for slot in &shard.slots {
+                m.fold_word(slot.node_hash);
             }
         }
         m
@@ -1457,15 +1484,23 @@ where
     }
 
     /// Total events dispatched (messages + timers + crashes + drops) — the
-    /// throughput numerator of the `engine_scaling` experiment.
+    /// throughput numerator of the `engine_scaling` experiment. Sums the
+    /// shards' counters directly: no rejoin-log clone, hash fold or
+    /// histogram merge.
     pub fn events_dispatched(&self) -> u64 {
-        let m = self.metrics();
-        let a = self.async_metrics();
-        m.messages_dispatched
-            + m.timer_fires
-            + m.stale_timer_skips
-            + m.dead_receiver_drops
-            + a.churn_crashes
+        let per_shard: u64 = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let c = &shard.counters;
+                c.messages_dispatched
+                    + c.timer_fires
+                    + c.stale_timer_skips
+                    + c.dead_receiver_drops
+                    + shard.async_metrics.churn_crashes
+            })
+            .sum();
+        per_shard + self.base_async.churn_crashes
     }
 
     #[inline]
@@ -1482,11 +1517,14 @@ where
     pub fn run_until(&mut self, t_end_us: u64) {
         if !self.started {
             self.started = true;
-            for i in 0..self.topo.config.sim.n {
-                let (s, local) = self.locate(i);
-                if self.shards[s].nodes.alive[local] {
-                    self.handler_starts += 1;
-                    self.shards[s].boot(local, 0, &self.topo);
+            // Shard by shard and local by local: node-id order, without a
+            // division per node.
+            for shard in &mut self.shards {
+                for local in 0..shard.slots.len() {
+                    if shard.nodes.alive[local] {
+                        self.handler_starts += 1;
+                        shard.boot(local, 0, &self.topo);
+                    }
                 }
             }
             self.exchange();
@@ -1554,11 +1592,18 @@ where
                     continue;
                 }
                 let dest = &mut self.shards[d];
-                for Outbound { ev, msg, ctx } in events.drain(..) {
+                for Outbound {
+                    at_us,
+                    ev,
+                    msg,
+                    ctx,
+                } in events.drain(..)
+                {
                     enqueue_delivery(
                         &mut dest.queue,
                         &mut dest.arena,
                         &mut dest.trace,
+                        at_us,
                         ev,
                         msg,
                         ctx,
@@ -1598,43 +1643,50 @@ where
         }
         let mut alive_total: usize = self.shards.iter().map(|s| s.nodes.alive_count).sum();
         let mut pending_total: usize = self.shards.iter().map(|s| s.nodes.pending_crashes).sum();
-        for i in 0..self.topo.config.sim.n {
-            let (s, local) = self.locate(i);
-            if self.shards[s].nodes.alive[local] {
-                let can_crash = alive_total - pending_total > churn.min_alive;
-                if can_crash
-                    && churn.crash_prob > 0.0
-                    && self.shards[s].nodes.crash_at[local] == NO_CRASH
-                    && self.churn_rng.gen_bool(churn.crash_prob)
-                {
-                    // Uniform instant strictly inside the window, ordered
-                    // against deliveries by the event queue.
-                    let at = boundary + 1 + self.churn_rng.gen_range(0..self.window_us.max(1));
-                    let shard = &mut self.shards[s];
-                    shard.nodes.crash_at[local] = at;
-                    shard.nodes.pending_crashes += 1;
-                    pending_total += 1;
-                    let oseq = shard.nodes.next_oseq(local);
-                    shard.queue.push(ShardEvent {
-                        at_us: at,
-                        origin: i as u32,
-                        oseq,
-                        to: i as u32,
-                        kind: EventKind::Crash,
-                    });
+        // Shard by shard and local by local: node-id order (so every coin
+        // lands where it always did), without a division per node.
+        for shard in &mut self.shards {
+            for local in 0..shard.slots.len() {
+                let i = shard.start + local;
+                if shard.nodes.alive[local] {
+                    let can_crash = alive_total - pending_total > churn.min_alive;
+                    if can_crash
+                        && churn.crash_prob > 0.0
+                        && shard.nodes.crash_at[local] == NO_CRASH
+                        && self.churn_rng.gen_bool(churn.crash_prob)
+                    {
+                        // Uniform instant strictly inside the window,
+                        // ordered against deliveries by the event queue.
+                        let at = boundary + 1 + self.churn_rng.gen_range(0..self.window_us.max(1));
+                        shard.nodes.crash_at[local] = at;
+                        shard.nodes.pending_crashes += 1;
+                        pending_total += 1;
+                        let oseq = shard.slots[local].next_oseq();
+                        shard.queue.push(
+                            at,
+                            ShardEvent {
+                                origin: i as u32,
+                                oseq,
+                                to: i as u32,
+                                kind: EventKind::Crash,
+                            },
+                        );
+                    }
+                } else if churn.rejoin_prob > 0.0 && self.churn_rng.gen_bool(churn.rejoin_prob) {
+                    // A fresh handler and a bumped incarnation; the RNG
+                    // stream, sequence counter and order hash run on.
+                    let node = NodeId::new(i);
+                    shard.nodes.alive[local] = true;
+                    shard.nodes.alive_count += 1;
+                    alive_total += 1;
+                    let slot = &mut shard.slots[local];
+                    slot.incarnation = slot.incarnation.wrapping_add(1);
+                    slot.handler = (self.factory)(node);
+                    self.base_async.churn_rejoins += 1;
+                    self.rejoin_log.push((boundary, node));
+                    self.handler_starts += 1;
+                    shard.boot(local, boundary, &self.topo);
                 }
-            } else if churn.rejoin_prob > 0.0 && self.churn_rng.gen_bool(churn.rejoin_prob) {
-                let node = NodeId::new(i);
-                let shard = &mut self.shards[s];
-                shard.nodes.alive[local] = true;
-                shard.nodes.alive_count += 1;
-                alive_total += 1;
-                shard.nodes.incarnation[local] = shard.nodes.incarnation[local].wrapping_add(1);
-                shard.handlers[local] = (self.factory)(node);
-                self.base_async.churn_rejoins += 1;
-                self.rejoin_log.push((boundary, node));
-                self.handler_starts += 1;
-                self.shards[s].boot(local, boundary, &self.topo);
             }
         }
     }
@@ -1659,7 +1711,9 @@ mod tests {
     use crate::churn::ChurnModel;
     use crate::latency::LatencyModel;
     use gossip_net::{SimConfig, Transport};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Interval-driven rumor flooding (the ciruela emulator shape): every
     /// tick each node pushes its token set to one random peer.
@@ -1820,6 +1874,133 @@ mod tests {
         let a = driver.async_metrics();
         assert!(a.churn_crashes > 0);
         assert_eq!(a.churn_rejoins, rejoins as u64);
+    }
+
+    #[test]
+    fn events_dispatched_sums_the_driver_counters() {
+        // Read mid-window (the window is 850 µs) and after barriers, so
+        // crashes counted both in the shards and in the drained base.
+        let mut driver = rumor_driver(96, 3, 4, ChurnModel::per_round(0.05, 0.2));
+        for t in [1_000, 10_100, 33_333, 60_000] {
+            driver.run_until(t);
+            let m = driver.metrics();
+            let a = driver.async_metrics();
+            assert_eq!(
+                driver.events_dispatched(),
+                m.messages_dispatched
+                    + m.timer_fires
+                    + m.stale_timer_skips
+                    + m.dead_receiver_drops
+                    + a.churn_crashes,
+                "at {t} µs"
+            );
+        }
+        let (m, a) = (driver.metrics(), driver.async_metrics());
+        assert!(a.churn_crashes > 0 && m.stale_timer_skips > 0 && m.dead_receiver_drops > 0);
+    }
+
+    const AUX: TimerId = TimerId(3);
+
+    /// Its first incarnation arms eight throwaway timers and then cancels
+    /// `TICK` — a watermark above every sequence number a reset counter
+    /// would hand out at first — and every later incarnation arms `TICK`
+    /// at boot. Each boot draws once from the node's stream.
+    #[derive(Debug)]
+    struct Rejoiner {
+        first: bool,
+        boot_draw: Option<u64>,
+        ticks: u32,
+    }
+
+    impl Handler for Rejoiner {
+        type Msg = ();
+        fn on_start(&mut self, mailbox: &mut dyn Mailbox<()>) {
+            self.boot_draw = Some(mailbox.rng_mut().next_u64());
+            if self.first {
+                for _ in 0..8 {
+                    mailbox.set_timer(1, AUX);
+                }
+                mailbox.cancel_timer(TICK);
+            } else {
+                mailbox.set_timer(1, TICK);
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: (), _mailbox: &mut dyn Mailbox<()>) {}
+        fn on_timer(&mut self, timer: TimerId, _mailbox: &mut dyn Mailbox<()>) {
+            if timer == TICK {
+                self.ticks += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejoiner_keeps_its_record_but_not_its_handler() {
+        let n = 8;
+        let config = AsyncConfig::new(SimConfig::new(n).with_seed(13))
+            .with_latency(LatencyModel::Constant(500))
+            .with_churn(ChurnModel::per_round(0.3, 0.5));
+        let made = Arc::new(AtomicUsize::new(0));
+        let first_n = Arc::clone(&made);
+        let mut driver = ShardedDriver::new(config, 2, move |_| Rejoiner {
+            first: first_n.fetch_add(1, Ordering::Relaxed) < n,
+            boot_draw: None,
+            ticks: 0,
+        })
+        .with_window_us(1_000);
+        let mut checked = 0;
+        for boundary in (1..=40).map(|k| k * 1_000) {
+            driver.run_until(boundary - 1);
+            let before: Vec<_> = (0..n)
+                .map(|i| {
+                    let (s, local) = driver.locate(i);
+                    let slot = &driver.shards[s].slots[local];
+                    (
+                        slot.rng.clone(),
+                        slot.oseq,
+                        slot.node_hash,
+                        slot.incarnation,
+                    )
+                })
+                .collect();
+            let logged = driver.rejoin_log().len();
+            driver.run_until(boundary);
+            let rejoined: Vec<usize> = driver.rejoin_log()[logged..]
+                .iter()
+                .map(|&(_, node)| node.index())
+                .collect();
+            for &i in &rejoined {
+                let (s, local) = driver.locate(i);
+                let shard = &driver.shards[s];
+                let slot = &shard.slots[local];
+                let (rng, oseq, hash, incarnation) = &before[i];
+                assert_eq!(slot.incarnation, incarnation + 1, "node {i}: bumped");
+                assert!(!slot.handler.first, "node {i}: a fresh handler");
+                let mut stream = rng.clone();
+                assert_eq!(
+                    slot.handler.boot_draw,
+                    Some(stream.next_u64()),
+                    "node {i}: the boot drew the next value of the old stream"
+                );
+                assert_eq!(slot.oseq, oseq + 1, "node {i}: the counter ran on");
+                assert_eq!(slot.node_hash, *hash, "node {i}: the hash ran on");
+                assert_ne!(*hash, crate::metrics::FNV_OFFSET, "node {i}");
+                if *incarnation == 0 {
+                    // The first incarnation's watermark is still filed, above
+                    // every sequence number a reset counter would reach.
+                    assert_eq!(shard.nodes.cancels.get(&(local as u32, TICK.0)), Some(&8));
+                }
+            }
+            driver.run_until(boundary + 1);
+            for &i in &rejoined {
+                // TICK was armed after the rejoin: the old watermark must
+                // not suppress it.
+                assert_eq!(driver.handler(NodeId::new(i)).ticks, 1, "node {i}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 5, "only {checked} rejoins checked");
+        assert_eq!(driver.metrics().cancelled_timer_skips, 0);
+        assert_eq!(made.load(Ordering::Relaxed), n + checked);
     }
 
     #[test]
@@ -2096,20 +2277,19 @@ mod tests {
         // when that revolution starts. The slot decay must see it there
         // (the spare decay never will) and shrink it to what one event needs.
         let mut q = CalendarQueue::new();
-        let event = |at_us, oseq| ShardEvent {
-            at_us,
+        let event = |oseq| ShardEvent {
             origin: 0,
             oseq,
             to: 0,
             kind: EventKind::Crash,
         };
         for oseq in 0..10_000 {
-            q.push(event(10, oseq));
+            q.push(10, event(oseq));
         }
         let mut batch = q.next_batch(11).expect("the burst is due");
         batch.clear();
         q.finish_batch(batch);
-        q.push(event(WHEEL_US + 7, 0));
+        q.push(WHEEL_US + 7, event(0));
         assert!(
             q.capacity_events() >= 10_000,
             "the slot took the burst's buffer"
@@ -2162,10 +2342,12 @@ mod tests {
 
     /// The queue [`CalendarQueue`] replaced, kept as its oracle: one level,
     /// a cursor that sweeps the wheel one microsecond at a time, and an
-    /// unsorted overflow list rescanned at every revolution.
+    /// unsorted overflow list rescanned at every revolution. It keeps each
+    /// event's instant beside it, so its pops carry the whole
+    /// `(at_us, origin, oseq)` key.
     struct SweepQueue {
-        wheel: Vec<Vec<ShardEvent>>,
-        overflow: Vec<ShardEvent>,
+        wheel: Vec<Vec<(u64, ShardEvent)>>,
+        overflow: Vec<(u64, ShardEvent)>,
         cursor: u64,
     }
 
@@ -2178,12 +2360,12 @@ mod tests {
             }
         }
 
-        fn push(&mut self, ev: ShardEvent) {
-            assert!(ev.at_us >= self.cursor, "event scheduled in the past");
-            if ev.at_us >= self.cursor + WHEEL_US {
-                self.overflow.push(ev);
+        fn push(&mut self, at_us: u64, ev: ShardEvent) {
+            assert!(at_us >= self.cursor, "event scheduled in the past");
+            if at_us >= self.cursor + WHEEL_US {
+                self.overflow.push((at_us, ev));
             } else {
-                self.wheel[(ev.at_us & WHEEL_MASK) as usize].push(ev);
+                self.wheel[(at_us & WHEEL_MASK) as usize].push((at_us, ev));
             }
         }
 
@@ -2191,16 +2373,16 @@ mod tests {
             let horizon = self.cursor + WHEEL_US;
             let mut i = 0;
             while i < self.overflow.len() {
-                if self.overflow[i].at_us < horizon {
-                    let ev = self.overflow.swap_remove(i);
-                    self.wheel[(ev.at_us & WHEEL_MASK) as usize].push(ev);
+                if self.overflow[i].0 < horizon {
+                    let timed = self.overflow.swap_remove(i);
+                    self.wheel[(timed.0 & WHEEL_MASK) as usize].push(timed);
                 } else {
                     i += 1;
                 }
             }
         }
 
-        fn next_batch(&mut self, end_us: u64) -> Option<Vec<ShardEvent>> {
+        fn next_batch(&mut self, end_us: u64) -> Option<Vec<(u64, ShardEvent)>> {
             while self.cursor < end_us {
                 if self.cursor & WHEEL_MASK == 0 {
                     self.redistribute();
@@ -2208,7 +2390,7 @@ mod tests {
                 let slot = (self.cursor & WHEEL_MASK) as usize;
                 if !self.wheel[slot].is_empty() {
                     let mut batch = std::mem::take(&mut self.wheel[slot]);
-                    batch.sort_unstable_by_key(|ev| (ev.origin, ev.oseq));
+                    batch.sort_unstable_by_key(|(_, ev)| (ev.origin, ev.oseq));
                     return Some(batch);
                 }
                 self.cursor += 1;
@@ -2236,15 +2418,15 @@ mod tests {
         /// arrive out of `(origin, oseq)` order.
         fn push(&mut self, now_us: u64, delay_us: u64) {
             self.oseq += 1;
+            let at_us = now_us + delay_us;
             let ev = ShardEvent {
-                at_us: now_us + delay_us,
                 origin: self.rng.gen_range(0..8),
                 oseq: self.oseq,
                 to: 0,
                 kind: EventKind::Crash,
             };
-            self.new.push(ev);
-            self.old.push(ev);
+            self.new.push(at_us, ev);
+            self.old.push(at_us, ev);
             self.queued += 1;
         }
 
@@ -2315,16 +2497,21 @@ mod tests {
                         break;
                     };
                     assert_eq!(pair.new.cursor, pair.old.cursor, "seed {seed}: pop instant");
-                    let key = |ev: &ShardEvent| (ev.at_us, ev.origin, ev.oseq);
+                    // The new queue's instant is its cursor; the oracle's
+                    // is stored beside each event.
+                    let at_us = pair.new.cursor;
                     assert_eq!(
-                        new.iter().map(key).collect::<Vec<_>>(),
-                        old.iter().map(key).collect::<Vec<_>>(),
+                        new.iter()
+                            .map(|ev| (at_us, ev.origin, ev.oseq))
+                            .collect::<Vec<_>>(),
+                        old.iter()
+                            .map(|&(at, ev)| (at, ev.origin, ev.oseq))
+                            .collect::<Vec<_>>(),
                         "seed {seed}: batch at {}",
                         pair.new.cursor
                     );
                     // Dispatch: most events schedule a successor while
                     // their batch is still detached.
-                    let at_us = pair.new.cursor;
                     for _ in new.drain(..) {
                         popped += 1;
                         pair.queued -= 1;

@@ -1,12 +1,20 @@
-//! Struct-of-arrays per-node state for the sharded engine.
+//! Per-node state for the sharded engine: one record per node for what a
+//! dispatch touches, dense arrays for what the barriers sweep.
 //!
-//! A shard used to scatter each node's scalar state across an
-//! array-of-structs-flavoured mix of `Vec<Option<u64>>` and per-node
-//! `HashMap`s; at n ≥ 10⁶ the barrier sweeps (bandwidth reset, churn
-//! draw, hash folding) paid a cache miss per node for fields they never
-//! touch together. [`NodeTable`] packs each field into its own dense
-//! array so every sweep walks exactly the bytes it reads:
+//! A dispatch reads and writes a handful of one node's fields together —
+//! its handler, its RNG stream (every send and peer sample draws from
+//! it), its event-scheduling counter (every send and timer advances it),
+//! its order hash and its incarnation. Kept as five parallel arrays, those
+//! fields cost one dispatch up to six unrelated cache lines; at n ≥ 10⁵
+//! each of them is a first load that misses. [`NodeSlot`] keeps them in
+//! one record, so a callback touches one record.
 //!
+//! What the barriers sweep, or only some configurations read, stays in
+//! the dense arrays of [`NodeTable`], where a sweep walks exactly the
+//! bytes it reads:
+//!
+//! * `alive` is one byte per node: the churn sweep walks n of them every
+//!   window, and a record-wide stride would make it walk n records;
 //! * `crash_at` stores a raw `u64` with [`NO_CRASH`] as the "none"
 //!   sentinel — half the width of `Option<u64>` and branch-free to scan;
 //! * arrays only some configurations read are allocated only under them:
@@ -17,23 +25,62 @@
 //!   `(local node, timer label)` instead of a `HashMap` per node, so the
 //!   common all-nodes-never-cancel case costs one empty map, not n.
 //!
-//! Handlers and per-node RNG streams stay in their own slabs next to the
-//! table (they are handed out by `&mut` reference individually, which a
-//! field of the table could not be while the rest is borrowed).
-//!
 //! The layout is storage-only: dispatch reads and writes the same values
 //! in the same order as before, so the per-node order hashes — and with
 //! them the driver's shard-count-invariant fingerprint — are preserved
 //! bit for bit.
 
 use crate::config::AsyncConfig;
+use rand::rngs::SmallRng;
 use std::collections::HashMap;
 
 /// Sentinel in [`NodeTable::crash_at`] marking "no crash scheduled".
 pub(crate) const NO_CRASH: u64 = u64::MAX;
 
-/// Dense parallel arrays of per-node scalar state, indexed by a node's
-/// local (shard-relative) index. See the module docs.
+/// One node's dispatch-time state, in one record. A rejoin replaces the
+/// handler and bumps the incarnation; the RNG stream, the sequence
+/// counter and the order hash run on across incarnations.
+pub(crate) struct NodeSlot<H> {
+    /// The live incarnation's handler.
+    pub(crate) handler: H,
+    /// The node's private RNG stream ([`gossip_net::node_rng`]).
+    pub(crate) rng: SmallRng,
+    /// Private, monotone event-scheduling counter.
+    pub(crate) oseq: u64,
+    /// Dispatch-order hash (FNV fold of the node's events).
+    pub(crate) node_hash: u64,
+    /// Incarnation epoch, bumped at every rejoin.
+    pub(crate) incarnation: u32,
+}
+
+impl<H> NodeSlot<H> {
+    /// A never-run node: incarnation 0, nothing scheduled, nothing folded.
+    pub(crate) fn new(handler: H, rng: SmallRng) -> Self {
+        NodeSlot {
+            handler,
+            rng,
+            oseq: 0,
+            node_hash: crate::metrics::FNV_OFFSET,
+            incarnation: 0,
+        }
+    }
+
+    /// Advance and return the node's event-scheduling counter.
+    #[inline]
+    pub(crate) fn next_oseq(&mut self) -> u64 {
+        let seq = self.oseq;
+        self.oseq += 1;
+        seq
+    }
+}
+
+// Besides the handler, a record costs the RNG's 32 bytes, two counters
+// and the incarnation: one cache line holds it with room for a small
+// handler.
+const _: () = assert!(std::mem::size_of::<NodeSlot<()>>() <= 56);
+
+/// Dense per-node arrays the barriers sweep, indexed by a node's local
+/// (shard-relative) index. See the module docs.
 pub(crate) struct NodeTable {
     /// Current liveness.
     pub(crate) alive: Vec<bool>,
@@ -41,15 +88,9 @@ pub(crate) struct NodeTable {
     /// when none is). Empty when the churn model never crashes anyone:
     /// only crash events and the churn draw read it.
     pub(crate) crash_at: Vec<u64>,
-    /// Incarnation epoch, bumped at every rejoin.
-    pub(crate) incarnation: Vec<u32>,
-    /// Private, monotone event-scheduling counter.
-    pub(crate) oseq: Vec<u64>,
     /// Bits sent in the current bandwidth window. Empty without a
     /// bandwidth budget: nothing is tallied then.
     pub(crate) bits_window: Vec<u64>,
-    /// Per-node dispatch-order hash (FNV fold of the node's events).
-    pub(crate) node_hash: Vec<u64>,
     /// Cancellation watermarks, keyed `(local index, timer label)`: a
     /// pending timer with a smaller `oseq` than the recorded watermark is
     /// suppressed at dispatch. `oseq` is monotone across incarnations, so
@@ -70,22 +111,11 @@ impl NodeTable {
         NodeTable {
             alive: alive.to_vec(),
             crash_at: per_node(config.churn.crash_prob > 0.0, NO_CRASH),
-            incarnation: vec![0; n],
-            oseq: vec![0; n],
             bits_window: per_node(config.bandwidth_bits_per_round.is_some(), 0),
-            node_hash: vec![crate::metrics::FNV_OFFSET; n],
             cancels: HashMap::new(),
             alive_count: alive.iter().filter(|&&a| a).count(),
             pending_crashes: 0,
         }
-    }
-
-    /// Advance and return `local`'s event-scheduling counter.
-    #[inline]
-    pub(crate) fn next_oseq(&mut self, local: usize) -> u64 {
-        let seq = self.oseq[local];
-        self.oseq[local] += 1;
-        seq
     }
 }
 
@@ -93,23 +123,27 @@ impl NodeTable {
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
-    use gossip_net::SimConfig;
+    use gossip_net::{node_rng, NodeId, SimConfig};
 
     #[test]
     fn table_tracks_liveness_and_sequences() {
         let config = AsyncConfig::new(SimConfig::new(3))
             .with_churn(ChurnModel::per_round(0.1, 0.1))
             .with_bandwidth_bits_per_round(64);
-        let mut t = NodeTable::new(&[true, false, true], &config);
+        let t = NodeTable::new(&[true, false, true], &config);
         assert_eq!(t.alive.len(), 3);
         assert_eq!(t.alive_count, 2);
         assert_eq!(t.pending_crashes, 0);
         assert_eq!(t.crash_at, vec![NO_CRASH; 3]);
         assert_eq!(t.bits_window, vec![0; 3]);
-        assert_eq!(t.next_oseq(1), 0);
-        assert_eq!(t.next_oseq(1), 1);
-        assert_eq!(t.next_oseq(0), 0);
-        assert_eq!(t.node_hash[2], crate::metrics::FNV_OFFSET);
+        let rng = node_rng(7, NodeId::new(1));
+        let mut slot = NodeSlot::new((), rng.clone());
+        assert_eq!(slot.next_oseq(), 0);
+        assert_eq!(slot.next_oseq(), 1);
+        assert_eq!(slot.oseq, 2);
+        assert_eq!(slot.node_hash, crate::metrics::FNV_OFFSET);
+        assert_eq!(slot.incarnation, 0);
+        assert_eq!(slot.rng, rng, "the slot runs the stream it was given");
     }
 
     #[test]
@@ -121,6 +155,6 @@ mod tests {
         let rejoin_only = quiet.with_churn(ChurnModel::per_round(0.0, 0.5));
         let t = NodeTable::new(&[true, false, true], &rejoin_only);
         assert!(t.crash_at.is_empty());
-        assert_eq!(t.incarnation.len(), 3);
+        assert_eq!(t.alive.len(), 3);
     }
 }
