@@ -68,10 +68,17 @@ impl<H> NodeSlot<H> {
     /// Advance and return the node's event-scheduling counter.
     #[inline]
     pub(crate) fn next_oseq(&mut self) -> u64 {
-        let seq = self.oseq;
-        self.oseq += 1;
-        seq
+        bump(&mut self.oseq)
     }
+}
+
+/// Return an event-scheduling counter and step it: the one place a
+/// node's `oseq` advances, from its record or through its mailbox.
+#[inline]
+pub(crate) fn bump(seq: &mut u64) -> u64 {
+    let now = *seq;
+    *seq += 1;
+    now
 }
 
 // Besides the handler, a record costs the RNG's 32 bytes, two counters
