@@ -687,22 +687,7 @@ impl<H: Handler> NodeCore<H> {
             },
         );
         if let Some(ring) = &self.trace {
-            registry.add_counter(
-                "trace_events_total",
-                "Protocol events recorded in the trace ring",
-                &[],
-                ring.total(),
-            );
-            registry.add_counter(
-                "trace_ring_overwrites_total",
-                "Trace events evicted from the ring to make room",
-                &[],
-                ring.overwritten(),
-            );
-            // Causal chains reconstructed from the ring snapshot: counts,
-            // depth/span distributions and the latency breakdown. A pure
-            // read of the ring — reconstruction happens at scrape time.
-            gossip_obs::reconstruct(ring).fill_registry(registry);
+            ring.fill_registry(registry);
         }
         self.handler.fill_registry(registry);
     }

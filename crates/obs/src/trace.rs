@@ -363,6 +363,26 @@ impl TraceRing {
         self.total = 0;
     }
 
+    /// Route this ring into an observability registry — the recorded and
+    /// evicted totals, and the causal chains reconstructed from the
+    /// retained events — under the family names every backend exports.
+    /// Purely a read: reconstruction happens at scrape time.
+    pub fn fill_registry(&self, registry: &mut crate::Registry) {
+        registry.add_counter(
+            "trace_events_total",
+            "Protocol events recorded into the trace ring",
+            &[],
+            self.total,
+        );
+        registry.add_counter(
+            "trace_ring_overwrites_total",
+            "Trace events lost to ring capacity",
+            &[],
+            self.overwritten(),
+        );
+        crate::causal::reconstruct(self).fill_registry(registry);
+    }
+
     /// Render the retained events as lines, oldest first.
     pub fn render(&self) -> String {
         self.render_filtered(&TraceFilter::default())
@@ -437,6 +457,24 @@ mod tests {
         assert!(ring.is_empty());
         assert_eq!(ring.total(), 2);
         assert_eq!(ring.overwritten(), 2);
+    }
+
+    #[test]
+    fn fill_registry_exports_the_totals_and_the_chains() {
+        let mut ring = TraceRing::new(2);
+        for at in 0..3 {
+            ring.push(ev(at));
+        }
+        let mut registry = crate::Registry::new();
+        ring.fill_registry(&mut registry);
+        let text = registry.render();
+        assert!(text.contains("trace_events_total 3"), "{text}");
+        assert!(text.contains("trace_ring_overwrites_total 1"), "{text}");
+        let mut chains = crate::Registry::new();
+        crate::causal::reconstruct(&ring).fill_registry(&mut chains);
+        for line in chains.render().lines() {
+            assert!(text.contains(line), "{line}");
+        }
     }
 
     #[test]

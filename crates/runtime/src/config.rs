@@ -5,7 +5,8 @@
 
 use crate::churn::ChurnModel;
 use crate::latency::LatencyModel;
-use gossip_net::SimConfig;
+use gossip_net::{NodeId, SimConfig};
+use rand::rngs::SmallRng;
 
 /// How a round window closes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
@@ -89,5 +90,19 @@ impl AsyncConfig {
     pub fn with_round_policy(mut self, policy: RoundPolicy) -> Self {
         self.round_policy = policy;
         self
+    }
+
+    /// One message's latency from `from` to `to` (µs): a
+    /// [`LatencyModel::sample`] times the link's deterministic bias,
+    /// rounded, at least 1 µs. Draws what the sample draws.
+    #[inline]
+    pub(crate) fn link_latency_us(&self, rng: &mut SmallRng, from: NodeId, to: NodeId) -> u64 {
+        let latency_us = self.latency.sample(rng);
+        if self.link_spread > 0.0 {
+            let bias = LatencyModel::link_bias(self.sim.seed, from, to, self.link_spread);
+            ((latency_us as f64) * bias).round().max(1.0) as u64
+        } else {
+            latency_us
+        }
     }
 }

@@ -37,7 +37,9 @@
 //!   (fixed deadline, or stretch to the slowest delivered arrival, at
 //!   least one latency median either way), applies the window's crashes,
 //!   resets bandwidth budgets and draws next-window churn serially in
-//!   node-id order.
+//!   node-id order. Per-node state lives in one `NodeTable`, the type each
+//!   of the driver's shards keeps, and the model's laws are the driver's
+//!   too: a drawn crash is recorded here, and applied at the next barrier.
 //! * With [`with_trace`](ShardedTransport::with_trace), arrivals are also
 //!   *recorded*: each delivery is buffered and written to the Recv ring at
 //!   the barrier, stable-sorted by arrival instant. Without it no buffer
@@ -64,10 +66,10 @@
 //! `k − 1` timeout cycles of one RTT (twice the latency median), and the
 //! retries stop once that offset reaches the deadline.
 
+use crate::churn::{Churn, ChurnDraw};
 use crate::config::{AsyncConfig, RoundPolicy};
-use crate::latency::LatencyModel;
-use crate::metrics::AsyncMetrics;
-use crate::soa::NO_CRASH;
+use crate::metrics::{fill_engine_gauges, AsyncMetrics};
+use crate::soa::NodeTable;
 use gossip_net::{draw_initial_liveness, Metrics, NodeId, Phase, SimConfig, Transport};
 use gossip_obs::{TraceCtx, TraceKind, TraceReason, TraceRing};
 use rand::rngs::SmallRng;
@@ -102,17 +104,11 @@ pub struct ShardedTransport {
     /// The shared protocol RNG (seeded and positioned exactly like
     /// `Network`'s: the setup stream continues as the send/churn stream).
     rng: SmallRng,
-    alive: Vec<bool>,
-    alive_count: usize,
-    /// Crash instant scheduled inside the current window, per node
-    /// ([`NO_CRASH`] when none is). Empty when the churn model never
-    /// crashes anyone; read only while `crashes` is non-empty.
-    crash_at: Vec<u64>,
+    /// Liveness, crash instants scheduled inside the current window and
+    /// the bits each sender put on the wire this round.
+    nodes: NodeTable,
     /// Nodes with a crash scheduled this window, in node-id order.
     crashes: Vec<u32>,
-    /// Bits each sender put on the wire this round. Empty without a
-    /// bandwidth budget.
-    bits_this_round: Vec<u64>,
     window_start: u64,
     round_horizon: u64,
     /// The shard count asked for, clamped to `n`. Reported, never used.
@@ -140,19 +136,14 @@ impl ShardedTransport {
             .sim
             .validate()
             .expect("invalid simulation configuration");
-        let n = config.sim.n;
-        let (alive, alive_count, rng) = draw_initial_liveness(&config.sim);
-        let per_node = |needed: bool, fill: u64| if needed { vec![fill; n] } else { Vec::new() };
+        let (alive, _, rng) = draw_initial_liveness(&config.sim);
         ShardedTransport {
             rng,
-            alive,
-            alive_count,
-            crash_at: per_node(config.churn.crash_prob > 0.0, NO_CRASH),
+            nodes: NodeTable::new(alive, &config),
             crashes: Vec::new(),
-            bits_this_round: per_node(config.bandwidth_bits_per_round.is_some(), 0),
             window_start: 0,
             round_horizon: 0,
-            shards: shards.min(n).max(1),
+            shards: shards.min(config.sim.n).max(1),
             async_metrics: AsyncMetrics::default(),
             metrics: Metrics::new(),
             trace: None,
@@ -234,57 +225,24 @@ impl ShardedTransport {
     pub fn fill_registry(&self, registry: &mut gossip_obs::Registry) {
         self.metrics.fill_registry(registry);
         self.async_metrics.fill_registry(registry);
-        registry.set_gauge(
-            "engine_nodes",
-            "Nodes in the simulated network (crashed included)",
-            &[],
-            self.config.sim.n as f64,
-        );
-        registry.set_gauge(
-            "engine_alive_nodes",
-            "Currently alive nodes",
-            &[],
-            self.alive_count as f64,
-        );
-        registry.set_gauge(
-            "engine_virtual_time_us",
-            "Current virtual time (us)",
-            &[],
-            self.window_start as f64,
-        );
-        registry.set_gauge(
-            "engine_shards",
-            "Shards hosting the node space",
-            &[],
-            self.shards as f64,
-        );
-        registry.set_gauge(
-            "engine_queue_capacity_events",
-            "Event slots the calendar queues hold memory for",
-            &[],
-            self.queue_capacity_events() as f64,
+        fill_engine_gauges(
+            registry,
+            self.config.sim.n,
+            self.nodes.alive_count,
+            self.window_start,
+            self.shards,
+            self.queue_capacity_events(),
         );
         if let Some(ring) = self.trace() {
-            registry.add_counter(
-                "trace_events_total",
-                "Protocol events recorded into the trace ring",
-                &[],
-                ring.total(),
-            );
-            registry.add_counter(
-                "trace_ring_overwrites_total",
-                "Trace events lost to ring capacity",
-                &[],
-                ring.overwritten(),
-            );
-            gossip_obs::reconstruct(&ring).fill_registry(registry);
+            ring.fill_registry(registry);
         }
     }
 
     /// Whether `node` will still be alive at virtual instant `at_us`,
     /// given the crashes already scheduled inside the current window.
     fn alive_at(&self, node: NodeId, at_us: u64) -> bool {
-        self.alive[node.index()] && (self.crashes.is_empty() || at_us < self.crash_at[node.index()])
+        let i = node.index();
+        self.nodes.alive[i] && (self.nodes.pending_crashes == 0 || at_us < self.nodes.crash_at[i])
     }
 
     /// The virtual time a retransmission has before its round closes:
@@ -336,8 +294,7 @@ impl ShardedTransport {
 
         // 1. Endpoint liveness and the loss draw, in exactly the order the
         //    synchronous Network performs them (RNG-stream compatibility).
-        let sender_alive = self.alive[from.index()];
-        let mut delivered = sender_alive && self.alive[to.index()];
+        let mut delivered = self.nodes.alive[from.index()] && self.nodes.alive[to.index()];
         if !delivered {
             drop_reason = TraceReason::DeadEndpoint;
         }
@@ -351,30 +308,16 @@ impl ShardedTransport {
 
         // 2. Latency: sampled per message, scaled by the deterministic
         //    per-link bias. Constant latency with zero spread draws nothing.
-        let mut latency_us = self.config.latency.sample(&mut self.rng);
-        if self.config.link_spread > 0.0 {
-            let bias =
-                LatencyModel::link_bias(self.config.sim.seed, from, to, self.config.link_spread);
-            latency_us = ((latency_us as f64) * bias).round().max(1.0) as u64;
-        }
+        let latency_us = self.config.link_latency_us(&mut self.rng, from, to);
         let arrival = self.window_start + elapsed_us + latency_us;
 
-        // 3. Bandwidth budget of the sender for this round. Only a live
-        //    sender puts bits on the wire: attempts from a dead node must
-        //    not accrue against the budget it gets back on rejoin.
-        //    Over-budget attempts by a live sender *do* accrue — the NIC
-        //    tried and burned the slot — so an oversized message can starve
-        //    later small ones until the barrier resets the budget.
-        if let Some(budget) = self.config.bandwidth_bits_per_round {
-            let used = &mut self.bits_this_round[from.index()];
-            if delivered && *used + u64::from(bits) > budget {
-                delivered = false;
-                drop_reason = TraceReason::Bandwidth;
-                self.async_metrics.bandwidth_drops += 1;
-            }
-            if sender_alive {
-                *used += u64::from(bits);
-            }
+        // 3. Bandwidth budget of the sender for this round: a live sender's
+        //    attempt accrues whatever its verdict, a dead one's does not.
+        let bandwidth = self.config.bandwidth_bits_per_round;
+        if self.nodes.charge(from.index(), bits, bandwidth) && delivered {
+            delivered = false;
+            drop_reason = TraceReason::Bandwidth;
+            self.async_metrics.bandwidth_drops += 1;
         }
 
         // 4. Receiver liveness at the arrival instant (mid-window crashes
@@ -433,33 +376,6 @@ impl ShardedTransport {
         self.metrics.record_send(phase, bits, delivered);
         delivered
     }
-
-    /// Draw next-window churn from the shared stream, in node-id order;
-    /// draws nothing when churn is disabled (RNG-stream compatibility with
-    /// `Network`). Crashes land at a uniform instant strictly inside the
-    /// window and are recorded (not queued — the barrier applies them) so
-    /// `alive_at` can rule on arrivals; rejoins take effect at the
-    /// boundary itself.
-    fn draw_churn(&mut self, window_start: u64, window_len: u64) {
-        if !self.config.churn.is_enabled() {
-            return;
-        }
-        let churn = self.config.churn;
-        for i in 0..self.config.sim.n {
-            if self.alive[i] {
-                let can_crash = self.alive_count - self.crashes.len() > churn.min_alive;
-                if can_crash && churn.crash_prob > 0.0 && self.rng.gen_bool(churn.crash_prob) {
-                    let at = window_start + 1 + self.rng.gen_range(0..window_len.max(1));
-                    self.crash_at[i] = at;
-                    self.crashes.push(i as u32);
-                }
-            } else if churn.rejoin_prob > 0.0 && self.rng.gen_bool(churn.rejoin_prob) {
-                self.alive[i] = true;
-                self.alive_count += 1;
-                self.async_metrics.churn_rejoins += 1;
-            }
-        }
-    }
 }
 
 impl Transport for ShardedTransport {
@@ -472,11 +388,11 @@ impl Transport for ShardedTransport {
     }
 
     fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.index()]
+        self.nodes.alive[node.index()]
     }
 
     fn alive_count(&self) -> usize {
-        self.alive_count
+        self.nodes.alive_count
     }
 
     fn rng_mut(&mut self) -> &mut SmallRng {
@@ -526,7 +442,7 @@ impl Transport for ShardedTransport {
             if self.send_attempt(from, to, phase, bits, elapsed, ctx) {
                 return (attempts, true);
             }
-            if !self.alive[from.index()] || !self.alive[to.index()] {
+            if !self.nodes.alive[from.index()] || !self.nodes.alive[to.index()] {
                 return (attempts, false);
             }
         }
@@ -566,23 +482,26 @@ impl Transport for ShardedTransport {
         // instants lie inside (window_start, window_start + base_window_len]
         // and both policies close the window at or beyond that bound, so
         // none outlives its window.
-        for i in std::mem::take(&mut self.crashes) {
-            let i = i as usize;
-            if self.alive[i] {
-                self.alive[i] = false;
-                self.alive_count -= 1;
-                self.async_metrics.churn_crashes += 1;
-            }
-            self.crash_at[i] = NO_CRASH;
+        for i in self.crashes.drain(..) {
+            self.nodes.crash(i as usize, &mut self.async_metrics);
         }
 
         self.window_start = horizon;
         self.round_horizon = horizon;
-        self.bits_this_round.fill(0);
+        self.nodes.bits_window.fill(0);
         self.metrics.advance_round();
 
-        let window_len = self.base_window_len();
-        self.draw_churn(horizon, window_len);
+        // Next window's churn, from the shared stream (nothing when churn is
+        // disabled: RNG-stream compatibility with `Network`). A crash is
+        // recorded, not queued: `alive_at` rules on arrivals after it.
+        let (churn, window) = (self.config.churn, (horizon, self.base_window_len()));
+        let metrics = &mut self.async_metrics;
+        let mut draw = ChurnDraw::new(churn, &mut self.rng, metrics, window, [&self.nodes]);
+        while let Some((i, churn)) = draw.next(&mut self.nodes) {
+            if let Churn::Crash(_) = churn {
+                self.crashes.push(i as u32);
+            }
+        }
     }
 
     fn reset_metrics(&mut self) {
@@ -604,6 +523,7 @@ impl std::fmt::Debug for ShardedTransport {
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
+    use crate::latency::LatencyModel;
     use gossip_net::Network;
 
     fn churny_config(n: usize, seed: u64) -> AsyncConfig {
@@ -631,9 +551,9 @@ mod tests {
     /// Crash `node` on the spot (tests only: in a run, crashes are drawn
     /// by the churn model and applied at the barrier).
     fn crash_now(facade: &mut ShardedTransport, node: NodeId) {
-        assert!(facade.alive[node.index()], "node is already dead");
-        facade.alive[node.index()] = false;
-        facade.alive_count -= 1;
+        assert!(facade.nodes.alive[node.index()], "node is already dead");
+        facade.nodes.alive[node.index()] = false;
+        facade.nodes.alive_count -= 1;
     }
 
     #[test]
@@ -817,7 +737,7 @@ mod tests {
 
     #[test]
     fn dead_senders_are_not_charged_bandwidth() {
-        // Regression: bits_this_round[from] was charged unconditionally,
+        // Regression: the sender's tally was charged unconditionally,
         // so a crashed node's budget kept accruing while it was dead and
         // the stale tally was what a rejoiner's accounting started from.
         let mut facade = ShardedTransport::new(
@@ -830,7 +750,7 @@ mod tests {
             assert!(!ok, "a dead sender transmits nothing");
         }
         assert_eq!(
-            facade.bits_this_round[0], 0,
+            facade.nodes.bits_window[0], 0,
             "attempts from a dead sender must not accrue against its budget"
         );
         assert_eq!(
@@ -844,7 +764,7 @@ mod tests {
         for _ in 0..4 {
             facade.send(NodeId::new(2), NodeId::new(3), Phase::Other, 40);
         }
-        assert_eq!(facade.bits_this_round[2], 160, "live attempts all accrue");
+        assert_eq!(facade.nodes.bits_window[2], 160, "live attempts all accrue");
         assert_eq!(facade.async_metrics().bandwidth_drops, 2);
     }
 

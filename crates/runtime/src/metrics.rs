@@ -107,20 +107,41 @@ pub struct DriverMetrics {
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
+/// Export the gauges both faces of the simulator share: population,
+/// liveness, virtual time, shard count and queue memory.
+pub(crate) fn fill_engine_gauges(
+    registry: &mut gossip_obs::Registry,
+    nodes: usize,
+    alive: usize,
+    now_us: u64,
+    shards: usize,
+    queue_capacity_events: usize,
+) {
+    let mut gauge = |name, help, value: f64| registry.set_gauge(name, help, &[], value);
+    gauge(
+        "engine_nodes",
+        "Nodes in the simulated network (crashed included)",
+        nodes as f64,
+    );
+    gauge("engine_alive_nodes", "Currently alive nodes", alive as f64);
+    gauge(
+        "engine_virtual_time_us",
+        "Current virtual time (us)",
+        now_us as f64,
+    );
+    gauge(
+        "engine_shards",
+        "Shards hosting the node space",
+        shards as f64,
+    );
+    gauge(
+        "engine_queue_capacity_events",
+        "Event slots the calendar queues hold memory for",
+        queue_capacity_events as f64,
+    );
+}
+
 impl DriverMetrics {
-    pub(crate) fn new() -> Self {
-        DriverMetrics {
-            order_hash: FNV_OFFSET,
-            ..DriverMetrics::default()
-        }
-    }
-
-    /// Fold one word into the order hash. The sharded driver combines its
-    /// per-node dispatch hashes through this, in node-id order.
-    pub(crate) fn fold_word(&mut self, w: u64) {
-        self.order_hash = (self.order_hash ^ w).wrapping_mul(FNV_PRIME);
-    }
-
     /// Route these counters into an observability registry as the
     /// `driver_*` families. Purely a read.
     pub fn fill_registry(&self, registry: &mut gossip_obs::Registry) {

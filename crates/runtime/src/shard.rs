@@ -77,23 +77,28 @@
 //! attempt in its metrics.
 
 use crate::arena::{PayloadArena, NO_PAYLOAD};
+use crate::churn::{Churn, ChurnDraw};
 use crate::config::{AsyncConfig, RoundPolicy};
-use crate::metrics::{AsyncMetrics, DriverMetrics, FNV_PRIME};
-use crate::soa::{bump, NodeSlot, NodeTable, NO_CRASH};
+use crate::metrics::{fill_engine_gauges, AsyncMetrics, DriverMetrics, FNV_OFFSET, FNV_PRIME};
+use crate::soa::{bump, NodeSlot, NodeTable};
 use gossip_net::{node_rng, Handler, Mailbox, Metrics, NodeId, Phase, TimerId};
 use gossip_obs::{TraceCtx, TraceKind, TraceReason, TraceRing, NO_PEER};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Word-level FNV-style fold for the per-node dispatch hashes, on the same
-/// FNV constants as [`DriverMetrics`]. Three words per event keep the hot
-/// path cheap (a byte-level FNV would cost 32 multiplies per event; this
-/// costs 3).
+/// Word-level FNV-style fold: the per-node dispatch hashes and the
+/// driver's [`order_hash`](ShardedDriver::order_hash) over them.
+#[inline]
+fn fold_word(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// Fold one dispatched event into its node's hash: three words per event
+/// keep the hot path cheap (a byte-level FNV would cost 32 multiplies per
+/// event; this costs 3).
 #[inline]
 fn fold3(h: &mut u64, a: u64, b: u64, c: u64) {
-    *h = (*h ^ a).wrapping_mul(FNV_PRIME);
-    *h = (*h ^ b).wrapping_mul(FNV_PRIME);
-    *h = (*h ^ c).wrapping_mul(FNV_PRIME);
+    *h = fold_word(fold_word(fold_word(*h, a), b), c);
 }
 
 /// What happens when a scheduled event reaches its destination node.
@@ -732,15 +737,7 @@ impl<H: Handler> Shard<H> {
         let tagged = ev.kind.tag() << 60 | u64::from(ev.origin) << 28;
         match ev.kind {
             EventKind::Crash => {
-                if self.nodes.alive[local] {
-                    self.nodes.alive[local] = false;
-                    self.nodes.alive_count -= 1;
-                    self.async_metrics.churn_crashes += 1;
-                }
-                if self.nodes.crash_at[local] != NO_CRASH {
-                    self.nodes.crash_at[local] = NO_CRASH;
-                    self.nodes.pending_crashes -= 1;
-                }
+                self.nodes.crash(local, &mut self.async_metrics);
                 fold3(&mut self.slots[local].node_hash, at_us, tagged, ev.oseq);
                 self.trace_event(
                     at_us,
@@ -956,28 +953,13 @@ impl<M> Mailbox<M> for ShardMailbox<'_, M> {
     fn send(&mut self, to: NodeId, phase: Phase, bits: u32, msg: M) {
         let config = &self.topo.config;
         // Sender-side verdicts, all drawn from the sender's own stream in a
-        // fixed order (the callback only runs on a live node, so the sender
-        // is alive by construction — and its attempt accrues against its
-        // bandwidth budget, delivered or not, as on the facade).
+        // fixed order (the callback only runs on a live node, so the
+        // attempt is charged to its bandwidth budget whatever its fate).
         let lost = config.sim.loss_prob > 0.0 && self.rng.gen_bool(config.sim.loss_prob);
-        let mut latency_us = config.latency.sample(self.rng);
-        if config.link_spread > 0.0 {
-            let bias = crate::latency::LatencyModel::link_bias(
-                config.sim.seed,
-                self.me,
-                to,
-                config.link_spread,
-            );
-            latency_us = ((latency_us as f64) * bias).round().max(1.0) as u64;
-        }
-        let over_budget = match config.bandwidth_bits_per_round {
-            Some(budget) => {
-                let sent = &mut self.nodes.bits_window[self.local];
-                *sent += u64::from(bits);
-                *sent > budget
-            }
-            None => false,
-        };
+        let latency_us = config.link_latency_us(self.rng, self.me, to);
+        let over_budget = self
+            .nodes
+            .charge(self.local, bits, config.bandwidth_bits_per_round);
         // The outgoing message inherits this callback's causal context one
         // hop downstream; drop records carry the same ctx so a chain ends
         // with its reason.
@@ -1157,7 +1139,7 @@ where
                     .map(NodeId::new)
                     .map(|id| NodeSlot::new(factory(id), node_rng(config.sim.seed, id)))
                     .collect(),
-                nodes: NodeTable::new(&alive[start..end], &config),
+                nodes: NodeTable::new(alive[start..end].to_vec(), &config),
                 queue: CalendarQueue::new(),
                 arena: PayloadArena::new(),
                 outbox: (0..num_shards).map(|_| Vec::new()).collect(),
@@ -1232,29 +1214,13 @@ where
         self.net_metrics().fill_registry(registry);
         self.async_metrics().fill_registry(registry);
         self.metrics().fill_registry(registry);
-        registry.set_gauge(
-            "engine_nodes",
-            "Nodes in the simulated network (crashed included)",
-            &[],
-            self.topo.config.sim.n as f64,
-        );
-        registry.set_gauge(
-            "engine_alive_nodes",
-            "Currently alive nodes",
-            &[],
-            self.alive_count() as f64,
-        );
-        registry.set_gauge(
-            "engine_virtual_time_us",
-            "Current virtual time (us)",
-            &[],
-            self.clock as f64,
-        );
-        registry.set_gauge(
-            "engine_shards",
-            "Shards hosting the node space",
-            &[],
-            self.topo.num_shards as f64,
+        fill_engine_gauges(
+            registry,
+            self.n(),
+            self.alive_count(),
+            self.clock,
+            self.topo.num_shards,
+            self.queue_capacity_events(),
         );
         registry.set_gauge(
             "engine_arena_live",
@@ -1274,12 +1240,6 @@ where
             &[],
             self.arena_reuse_total(),
         );
-        registry.set_gauge(
-            "engine_queue_capacity_events",
-            "Event slots the calendar queues hold memory for",
-            &[],
-            self.queue_capacity_events() as f64,
-        );
         let mut timer_lag = gossip_obs::Histogram::new();
         for shard in &self.shards {
             timer_lag.merge(&shard.timer_lag);
@@ -1291,19 +1251,7 @@ where
             &timer_lag,
         );
         if let Some(ring) = self.trace() {
-            registry.add_counter(
-                "trace_events_total",
-                "Protocol events recorded into the trace ring",
-                &[],
-                ring.total(),
-            );
-            registry.add_counter(
-                "trace_ring_overwrites_total",
-                "Trace events lost to ring capacity",
-                &[],
-                ring.overwritten(),
-            );
-            gossip_obs::reconstruct(&ring).fill_registry(registry);
+            ring.fill_registry(registry);
         }
         for (_, handler) in self.iter_handlers() {
             handler.fill_registry(registry);
@@ -1459,9 +1407,12 @@ where
 
     /// Merged driver counters and the shard-count-invariant order hash.
     pub fn metrics(&self) -> DriverMetrics {
-        let mut m = DriverMetrics::new();
-        m.handler_starts = self.handler_starts;
-        m.rejoin_log = self.rejoin_log.clone();
+        let mut m = DriverMetrics {
+            handler_starts: self.handler_starts,
+            rejoin_log: self.rejoin_log.clone(),
+            order_hash: self.order_hash(),
+            ..DriverMetrics::default()
+        };
         for shard in &self.shards {
             m.messages_dispatched += shard.counters.messages_dispatched;
             m.timer_fires += shard.counters.timer_fires;
@@ -1469,18 +1420,17 @@ where
             m.cancelled_timer_skips += shard.counters.cancelled_timer_skips;
             m.dead_receiver_drops += shard.counters.dead_receiver_drops;
         }
-        for shard in &self.shards {
-            for slot in &shard.slots {
-                m.fold_word(slot.node_hash);
-            }
-        }
         m
     }
 
-    /// The shard-count-invariant dispatch-order fingerprint (shorthand for
-    /// [`metrics`](ShardedDriver::metrics)`().order_hash`).
+    /// The shard-count-invariant dispatch-order fingerprint
+    /// ([`DriverMetrics::order_hash`]): the per-node hashes folded in
+    /// node-id order.
     pub fn order_hash(&self) -> u64 {
-        self.metrics().order_hash
+        self.shards
+            .iter()
+            .flat_map(|shard| &shard.slots)
+            .fold(FNV_OFFSET, |h, slot| fold_word(h, slot.node_hash))
     }
 
     /// Total events dispatched (messages + timers + crashes + drops) — the
@@ -1624,61 +1574,39 @@ where
             }
         }
         self.base_metrics.advance_round();
-        if self.topo.config.bandwidth_bits_per_round.is_some() {
-            for shard in &mut self.shards {
-                shard.nodes.bits_window.iter_mut().for_each(|b| *b = 0);
-            }
-        }
-        let churn = self.topo.config.churn;
-        if !churn.is_enabled() {
-            return;
-        }
-        let mut alive_total: usize = self.shards.iter().map(|s| s.nodes.alive_count).sum();
-        let mut pending_total: usize = self.shards.iter().map(|s| s.nodes.pending_crashes).sum();
-        // Shard by shard and local by local: node-id order (so every coin
-        // lands where it always did), without a division per node.
         for shard in &mut self.shards {
-            for local in 0..shard.slots.len() {
+            shard.nodes.bits_window.fill(0);
+        }
+        let (churn, window) = (self.topo.config.churn, (boundary, self.window_us));
+        let (tables, metrics) = (self.shards.iter().map(|s| &s.nodes), &mut self.base_async);
+        let mut draw = ChurnDraw::new(churn, &mut self.churn_rng, metrics, window, tables);
+        // Shard by shard: node-id order, so every coin lands where it
+        // always did.
+        for shard in &mut self.shards {
+            while let Some((local, churn)) = draw.next(&mut shard.nodes) {
                 let i = shard.start + local;
-                if shard.nodes.alive[local] {
-                    let can_crash = alive_total - pending_total > churn.min_alive;
-                    if can_crash
-                        && churn.crash_prob > 0.0
-                        && shard.nodes.crash_at[local] == NO_CRASH
-                        && self.churn_rng.gen_bool(churn.crash_prob)
-                    {
-                        // Uniform instant strictly inside the window,
-                        // ordered against deliveries by the event queue.
-                        let at = boundary + 1 + self.churn_rng.gen_range(0..self.window_us.max(1));
-                        shard.nodes.crash_at[local] = at;
-                        shard.nodes.pending_crashes += 1;
-                        pending_total += 1;
-                        let oseq = shard.slots[local].next_oseq();
-                        shard.queue.push(
-                            at,
-                            ShardEvent {
-                                origin: i as u32,
-                                oseq,
-                                to: i as u32,
-                                kind: EventKind::Crash,
-                            },
-                        );
-                    }
-                } else if churn.rejoin_prob > 0.0 && self.churn_rng.gen_bool(churn.rejoin_prob) {
-                    // A fresh handler and a bumped incarnation; the RNG
-                    // stream, sequence counter and order hash run on.
-                    let node = NodeId::new(i);
-                    shard.nodes.alive[local] = true;
-                    shard.nodes.alive_count += 1;
-                    alive_total += 1;
-                    let slot = &mut shard.slots[local];
-                    slot.incarnation = slot.incarnation.wrapping_add(1);
-                    slot.handler = (self.factory)(node);
-                    self.base_async.churn_rejoins += 1;
-                    self.rejoin_log.push((boundary, node));
-                    self.handler_starts += 1;
-                    shard.boot(local, boundary, &self.topo);
+                if let Churn::Crash(at_us) = churn {
+                    let oseq = shard.slots[local].next_oseq();
+                    shard.queue.push(
+                        at_us,
+                        ShardEvent {
+                            origin: i as u32,
+                            oseq,
+                            to: i as u32,
+                            kind: EventKind::Crash,
+                        },
+                    );
+                    continue;
                 }
+                // A fresh handler and a bumped incarnation; the RNG stream,
+                // sequence counter and order hash run on.
+                let node = NodeId::new(i);
+                let slot = &mut shard.slots[local];
+                slot.incarnation = slot.incarnation.wrapping_add(1);
+                slot.handler = (self.factory)(node);
+                self.rejoin_log.push((boundary, node));
+                self.handler_starts += 1;
+                shard.boot(local, boundary, &self.topo);
             }
         }
     }
@@ -1842,6 +1770,44 @@ mod tests {
         }
         assert_eq!(fingerprint(&one_shot), fingerprint(&stepped));
         assert_eq!(fingerprint(&one_shot), fingerprint(&uneven));
+    }
+
+    #[test]
+    fn a_crash_pending_at_its_barrier_gets_no_second_coin() {
+        // With a 1 µs window every crash lands exactly on the next
+        // boundary, and `run_until` crosses a barrier before it dispatches
+        // that instant's events: each crash is still pending at the next
+        // draw. Such a node must flip no second crash coin, and it must
+        // count against the floor.
+        let floor = 24;
+        let churn = ChurnModel::per_round(0.5, 0.5).with_min_alive(floor);
+        let mut driver = rumor_driver(32, 9, 2, churn)
+            .with_window_us(1)
+            .with_trace(1 << 14);
+        let mut doomed_at_barrier = 0;
+        for t in 1..=400 {
+            driver.run_until(t);
+            let tables = || driver.shards.iter().map(|s| &s.nodes);
+            let pending: usize = tables().map(|t| t.pending_crashes).sum();
+            let scheduled = tables()
+                .flat_map(|t| &t.crash_at)
+                .filter(|&&at| at != crate::soa::NO_CRASH)
+                .count();
+            assert_eq!(pending, scheduled, "at {t}");
+            doomed_at_barrier += usize::from(pending > 0);
+            assert!(driver.alive_count() - pending >= floor, "at {t}");
+        }
+        // One crash event per crash: a second coin would have queued a
+        // second event for a node already doomed.
+        let ring = driver.trace().expect("traced");
+        assert_eq!(ring.overwritten(), 0);
+        let crash_events = ring.iter().filter(|e| e.kind == TraceKind::Crash).count();
+        let crashes = driver.async_metrics().churn_crashes;
+        assert!(
+            doomed_at_barrier > 50 && crashes > 50,
+            "{doomed_at_barrier} {crashes}"
+        );
+        assert_eq!(crash_events as u64, crashes);
     }
 
     #[test]

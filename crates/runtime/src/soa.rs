@@ -1,5 +1,7 @@
-//! Per-node state for the sharded engine: one record per node for what a
-//! dispatch touches, dense arrays for what the barriers sweep.
+//! Per-node state of the simulator: dense [`NodeTable`] arrays for what
+//! the barriers sweep — one type for both faces, each driver shard keeping
+//! one over its nodes and the facade one over all — and, in the driver,
+//! one record per node for what a dispatch touches.
 //!
 //! A dispatch reads and writes a handful of one node's fields together —
 //! its handler, its RNG stream (every send and peer sample draws from
@@ -25,12 +27,10 @@
 //!   `(local node, timer label)` instead of a `HashMap` per node, so the
 //!   common all-nodes-never-cancel case costs one empty map, not n.
 //!
-//! The layout is storage-only: dispatch reads and writes the same values
-//! in the same order as before, so the per-node order hashes — and with
-//! them the driver's shard-count-invariant fingerprint — are preserved
-//! bit for bit.
+//! The layout is storage-only: it feeds no draw, verdict or order hash.
 
 use crate::config::AsyncConfig;
+use crate::metrics::AsyncMetrics;
 use rand::rngs::SmallRng;
 use std::collections::HashMap;
 
@@ -86,14 +86,14 @@ pub(crate) fn bump(seq: &mut u64) -> u64 {
 // handler.
 const _: () = assert!(std::mem::size_of::<NodeSlot<()>>() <= 56);
 
-/// Dense per-node arrays the barriers sweep, indexed by a node's local
-/// (shard-relative) index. See the module docs.
+/// Dense per-node arrays the barriers sweep, indexed by a node's index in
+/// the table (shard-relative in the driver, global in the facade). See the
+/// module docs.
 pub(crate) struct NodeTable {
     /// Current liveness.
     pub(crate) alive: Vec<bool>,
     /// Crash instant scheduled inside the current window ([`NO_CRASH`]
-    /// when none is). Empty when the churn model never crashes anyone:
-    /// only crash events and the churn draw read it.
+    /// when none is); empty when the churn model never crashes anyone.
     pub(crate) crash_at: Vec<u64>,
     /// Bits sent in the current bandwidth window. Empty without a
     /// bandwidth budget: nothing is tallied then.
@@ -101,7 +101,7 @@ pub(crate) struct NodeTable {
     /// Cancellation watermarks, keyed `(local index, timer label)`: a
     /// pending timer with a smaller `oseq` than the recorded watermark is
     /// suppressed at dispatch. `oseq` is monotone across incarnations, so
-    /// stale entries can never cancel a post-rejoin timer.
+    /// stale entries can never cancel a post-rejoin timer. Driver only.
     pub(crate) cancels: HashMap<(u32, u32), u64>,
     /// Number of `true` entries in `alive`.
     pub(crate) alive_count: usize,
@@ -112,16 +112,43 @@ pub(crate) struct NodeTable {
 impl NodeTable {
     /// A table seeded from the initial liveness pattern, with the arrays
     /// `config` reads.
-    pub(crate) fn new(alive: &[bool], config: &AsyncConfig) -> Self {
+    pub(crate) fn new(alive: Vec<bool>, config: &AsyncConfig) -> Self {
         let n = alive.len();
         let per_node = |needed: bool, fill: u64| if needed { vec![fill; n] } else { Vec::new() };
         NodeTable {
-            alive: alive.to_vec(),
+            alive_count: alive.iter().filter(|&&a| a).count(),
+            alive,
             crash_at: per_node(config.churn.crash_prob > 0.0, NO_CRASH),
             bits_window: per_node(config.bandwidth_bits_per_round.is_some(), 0),
             cancels: HashMap::new(),
-            alive_count: alive.iter().filter(|&&a| a).count(),
             pending_crashes: 0,
+        }
+    }
+
+    /// Node `i`'s pending crash comes due. (Only a crash kills a node, so a
+    /// node with one pending is alive.)
+    pub(crate) fn crash(&mut self, i: usize, metrics: &mut AsyncMetrics) {
+        debug_assert!(self.alive[i] && self.crash_at[i] != NO_CRASH);
+        self.alive[i] = false;
+        self.alive_count -= 1;
+        self.crash_at[i] = NO_CRASH;
+        self.pending_crashes -= 1;
+        metrics.churn_crashes += 1;
+    }
+
+    /// Charge sender `i`'s attempt of `bits` to its window budget and say
+    /// whether it is now over. A live sender's every attempt accrues — the
+    /// NIC tried and burned the slot, so an oversized message can starve
+    /// later small ones; a dead one puts nothing on the wire.
+    #[inline]
+    pub(crate) fn charge(&mut self, i: usize, bits: u32, budget: Option<u64>) -> bool {
+        match budget {
+            Some(budget) if self.alive[i] => {
+                let sent = &mut self.bits_window[i];
+                *sent += u64::from(bits);
+                *sent > budget
+            }
+            _ => false,
         }
     }
 }
@@ -137,7 +164,7 @@ mod tests {
         let config = AsyncConfig::new(SimConfig::new(3))
             .with_churn(ChurnModel::per_round(0.1, 0.1))
             .with_bandwidth_bits_per_round(64);
-        let t = NodeTable::new(&[true, false, true], &config);
+        let t = NodeTable::new(vec![true, false, true], &config);
         assert_eq!(t.alive.len(), 3);
         assert_eq!(t.alive_count, 2);
         assert_eq!(t.pending_crashes, 0);
@@ -156,11 +183,11 @@ mod tests {
     #[test]
     fn arrays_the_config_never_reads_are_not_allocated() {
         let quiet = AsyncConfig::new(SimConfig::new(3));
-        let t = NodeTable::new(&[true; 3], &quiet);
+        let t = NodeTable::new(vec![true; 3], &quiet);
         assert!(t.crash_at.is_empty() && t.bits_window.is_empty());
         // Rejoins alone crash nobody.
         let rejoin_only = quiet.with_churn(ChurnModel::per_round(0.0, 0.5));
-        let t = NodeTable::new(&[true, false, true], &rejoin_only);
+        let t = NodeTable::new(vec![true, false, true], &rejoin_only);
         assert!(t.crash_at.is_empty());
         assert_eq!(t.alive.len(), 3);
     }
