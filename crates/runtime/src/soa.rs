@@ -127,6 +127,7 @@ impl NodeTable {
 
     /// Node `i`'s pending crash comes due. (Only a crash kills a node, so a
     /// node with one pending is alive.)
+    #[inline]
     pub(crate) fn crash(&mut self, i: usize, metrics: &mut AsyncMetrics) {
         debug_assert!(self.alive[i] && self.crash_at[i] != NO_CRASH);
         self.alive[i] = false;
