@@ -15,14 +15,6 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
     }
 }
 
-/// Largest relative error over a collection of per-node estimates.
-pub fn max_relative_error(estimates: &[f64], truth: f64) -> f64 {
-    estimates
-        .iter()
-        .map(|&e| relative_error(e, truth))
-        .fold(0.0, f64::max)
-}
-
 /// Fraction of estimates that are exactly equal to the truth (used for the
 /// Max/Min consensus checks of Theorems 5 and 6).
 pub fn fraction_exact(estimates: &[f64], truth: f64) -> f64 {
@@ -47,13 +39,6 @@ mod tests {
     fn relative_error_falls_back_to_absolute_for_zero_truth() {
         assert_eq!(relative_error(0.25, 0.0), 0.25);
         assert_eq!(relative_error(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn max_relative_error_over_estimates() {
-        let estimates = [10.0, 10.5, 9.0];
-        assert!((max_relative_error(&estimates, 10.0) - 0.1).abs() < 1e-12);
-        assert_eq!(max_relative_error(&[], 10.0), 0.0);
     }
 
     #[test]

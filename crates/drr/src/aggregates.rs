@@ -3,7 +3,8 @@
 //! The paper states that beyond Max and Average, "other aggregates such as
 //! Min, Sum etc., can be calculated by a suitable modification" and lists
 //! Count and Rank among the common aggregates (Section 1, Section 3.3).
-//! This module provides those modifications as a high-level API:
+//! This module writes those modifications as changes of input to the two
+//! chains of [`crate::protocol`]:
 //!
 //! * [`drr_gossip_min`] — Max of the negated values;
 //! * [`drr_gossip_sum`] — push-sum among the roots where only the
@@ -12,11 +13,9 @@
 //! * [`drr_gossip_count`] — the Sum of all-ones values (the number of alive
 //!   nodes);
 //! * [`drr_gossip_rank`] — the Sum of the indicators `v_i < target`;
-//! * [`drr_gossip_quantile`] / [`drr_gossip_median`] — binary search on the
-//!   value domain using repeated Rank computations (each iteration is one
-//!   DRR-gossip-rank run; `O(log(range/precision))` iterations).
-//! * [`drr_gossip_aggregate`] — dynamic dispatch over
-//!   [`gossip_aggregate::AggregateKind`].
+//! * [`drr_gossip_quantile`] — binary search on the value domain using
+//!   repeated Rank computations (each iteration is one DRR-gossip-rank run;
+//!   `O(log(range/precision))` iterations). The median is `q = 0.5`.
 //!
 //! Every function returns the same [`DrrGossipReport`] as the core protocols
 //! so that costs remain comparable.
@@ -31,10 +30,8 @@
 //! running the sum push-phase for twice the configured number of rounds.
 
 use crate::protocol::{
-    averaging_chain, drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport, Mass,
-    Uniform,
+    averaging_chain, drr_gossip_max, DrrGossipConfig, DrrGossipReport, Mass, Uniform,
 };
-use gossip_aggregate::AggregateKind;
 use gossip_net::Transport;
 
 /// Compute the global minimum at every node (Max of the negated values).
@@ -126,7 +123,7 @@ pub fn drr_gossip_quantile<T: Transport>(
     let start_messages = net.metrics().total_messages();
 
     let alive_values: Vec<f64> = net.alive_nodes().map(|v| values[v.index()]).collect();
-    let exact = gossip_aggregate::ExactAggregates::quantile(&alive_values, q);
+    let exact = gossip_aggregate::exact::quantile(&alive_values, q);
     let alive_count = alive_values.len().max(1) as f64;
     let target_rank = q * (alive_count - 1.0);
 
@@ -167,33 +164,6 @@ fn search_bracket(min: &DrrGossipReport, max: &DrrGossipReport) -> Option<(f64, 
     (lo.is_finite() && hi.is_finite() && lo <= hi).then_some((lo, hi))
 }
 
-/// Estimate the median of the node values.
-pub fn drr_gossip_median<T: Transport>(
-    net: &mut T,
-    values: &[f64],
-    value_tolerance: f64,
-    config: &DrrGossipConfig,
-) -> QuantileReport {
-    drr_gossip_quantile(net, values, 0.5, value_tolerance, config)
-}
-
-/// Dispatch a [`AggregateKind`] to the matching DRR-gossip protocol.
-pub fn drr_gossip_aggregate<T: Transport>(
-    net: &mut T,
-    values: &[f64],
-    kind: AggregateKind,
-    config: &DrrGossipConfig,
-) -> DrrGossipReport {
-    match kind {
-        AggregateKind::Max => drr_gossip_max(net, values, config),
-        AggregateKind::Min => drr_gossip_min(net, values, config),
-        AggregateKind::Average => drr_gossip_ave(net, values, config),
-        AggregateKind::Sum => drr_gossip_sum(net, values, config),
-        AggregateKind::Count => drr_gossip_count(net, config),
-        AggregateKind::Rank(target) => drr_gossip_rank(net, values, target, config),
-    }
-}
-
 /// The first finite estimate of a run (NaN if it has none).
 fn report_estimate(report: &DrrGossipReport) -> f64 {
     report
@@ -207,7 +177,7 @@ fn report_estimate(report: &DrrGossipReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::NodeStatus;
+    use crate::protocol::{drr_gossip_ave, NodeStatus};
     use gossip_net::{Network, SimConfig};
 
     fn values(n: usize) -> Vec<f64> {
@@ -300,7 +270,7 @@ mod tests {
         let n = 1500;
         let vals = values(n);
         let mut network = net(n, 13, 0.0);
-        let report = drr_gossip_median(&mut network, &vals, 2.0, &DrrGossipConfig::paper());
+        let report = drr_gossip_quantile(&mut network, &vals, 0.5, 2.0, &DrrGossipConfig::paper());
         assert!(
             (report.estimate - report.exact).abs() < 25.0,
             "median estimate {} vs exact {}",
@@ -361,35 +331,48 @@ mod tests {
 
     #[test]
     fn aggregate_dispatch_covers_all_kinds() {
+        // The six entry points through one `(name, run)` table, each
+        // against an oracle computed here from the inputs.
+        type Run = fn(&mut Network, &[f64], &DrrGossipConfig) -> DrrGossipReport;
         let n = 1200;
         let vals = values(n);
-        for kind in [
-            AggregateKind::Max,
-            AggregateKind::Min,
-            AggregateKind::Average,
-            AggregateKind::Sum,
-            AggregateKind::Count,
-            AggregateKind::Rank(300.0),
-        ] {
+        let sum: f64 = vals.iter().sum();
+        let alive = net(n, 17, 0.02).alive_count() as f64;
+        let below = vals.iter().filter(|&&v| v < 300.0).count() as f64;
+        let runs: [(&str, Run, f64, f64); 6] = [
+            (
+                "max",
+                drr_gossip_max,
+                vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+                0.05,
+            ),
+            (
+                "min",
+                drr_gossip_min,
+                vals.iter().cloned().fold(f64::INFINITY, f64::min),
+                0.05,
+            ),
+            ("average", drr_gossip_ave, sum / n as f64, 0.05),
+            // Sum-style aggregates are more loss-sensitive (module docs).
+            ("sum", drr_gossip_sum, sum, 0.12),
+            ("count", |t, _, c| drr_gossip_count(t, c), alive, 0.12),
+            (
+                "rank",
+                |t, v, c| drr_gossip_rank(t, v, 300.0, c),
+                below,
+                0.12,
+            ),
+        ];
+        for (name, run, exact, tolerance) in runs {
             let mut network = net(n, 17, 0.02);
-            let report = drr_gossip_aggregate(&mut network, &vals, kind, &DrrGossipConfig::paper());
-            let exact = match kind {
-                AggregateKind::Count => network.alive_count() as f64,
-                other => other.exact(&vals),
-            };
+            let report = run(&mut network, &vals, &DrrGossipConfig::paper());
             assert!(
                 (report.exact - exact).abs() < 1e-9,
-                "{kind}: exact mismatch"
+                "{name}: exact mismatch"
             );
-            let tolerance = if kind.is_extremum() || kind == AggregateKind::Average {
-                0.05
-            } else {
-                // Sum-style aggregates are more loss-sensitive (module docs).
-                0.12
-            };
             assert!(
                 report.max_relative_error() < tolerance,
-                "{kind}: error {}",
+                "{name}: error {}",
                 report.max_relative_error()
             );
         }

@@ -14,7 +14,7 @@
 //! [`ReceptionModel`] selects between the two.
 
 use crate::forest::{Forest, FrontierNode};
-use gossip_aggregate::{Aggregate, Average, AverageState, Max, Sum};
+use gossip_aggregate::{Aggregate, Average, AverageState, Max};
 use gossip_net::{NodeId, Phase, Transport};
 use serde::{Deserialize, Serialize};
 
@@ -206,16 +206,6 @@ pub fn convergecast_sum<T: Transport>(
     reception: ReceptionModel,
 ) -> ConvergecastOutcome<AverageState> {
     convergecast(net, forest, &Average, values, reception)
-}
-
-/// Convenience: plain sum (without the size count).
-pub fn convergecast_plain_sum<T: Transport>(
-    net: &mut T,
-    forest: &Forest,
-    values: &[f64],
-    reception: ReceptionModel,
-) -> ConvergecastOutcome<f64> {
-    convergecast(net, forest, &Sum, values, reception)
 }
 
 #[cfg(test)]

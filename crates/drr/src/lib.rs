@@ -53,13 +53,12 @@ pub mod rank;
 pub mod sparse;
 
 pub use aggregates::{
-    drr_gossip_aggregate, drr_gossip_count, drr_gossip_median, drr_gossip_min, drr_gossip_quantile,
-    drr_gossip_rank, drr_gossip_sum, QuantileReport,
+    drr_gossip_count, drr_gossip_min, drr_gossip_quantile, drr_gossip_rank, drr_gossip_sum,
+    QuantileReport,
 };
 pub use broadcast::{broadcast_down, BroadcastOutcome};
 pub use convergecast::{
-    convergecast, convergecast_max, convergecast_plain_sum, convergecast_sum, ConvergecastOutcome,
-    ReceptionModel,
+    convergecast, convergecast_max, convergecast_sum, ConvergecastOutcome, ReceptionModel,
 };
 pub use data_spread::data_spread_multi;
 pub use drr::{run_drr, DrrConfig, DrrOutcome, ProbeBudget};

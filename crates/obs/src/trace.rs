@@ -352,10 +352,9 @@ impl TraceRing {
     /// Move every retained event into `dst` (oldest first), preserving
     /// `dst`'s capacity bound. Used to merge per-shard rings at barriers.
     pub fn drain_into(&mut self, dst: &mut TraceRing) {
-        // The receiving ring's `total` already advances inside push();
-        // subtract the retained count so totals add, not double-count...
-        // actually totals must reflect *recorded* events: dst absorbs
-        // self's overwritten count too, so nothing is lost at a merge.
+        // `dst` takes the source's evicted count here, and `push` counts
+        // each retained event as it moves, so `dst.total` ends up adding
+        // every event the source recorded.
         dst.total += self.overwritten();
         for event in self.events.drain(..) {
             dst.push(event);

@@ -203,11 +203,6 @@ impl ShardedTransport {
         self.window_start
     }
 
-    /// The engine configuration.
-    pub fn async_config(&self) -> &AsyncConfig {
-        &self.config
-    }
-
     /// Engine-level metrics (drop causes, churn counts, latency tail).
     pub fn async_metrics(&self) -> AsyncMetrics {
         self.async_metrics.clone()

@@ -15,7 +15,7 @@ use gossip_drr::convergecast::ReceptionModel;
 use gossip_drr::gossip_ave::{gossip_ave, GossipAveConfig};
 use gossip_drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use gossip_drr::Forest;
-use gossip_drr::{broadcast_down, convergecast_max, convergecast_plain_sum, run_drr, DrrConfig};
+use gossip_drr::{broadcast_down, convergecast_max, convergecast_sum, run_drr, DrrConfig};
 use gossip_net::{Network, NodeId, Phase, SimConfig, Transport};
 use gossip_runtime::{AsyncConfig, ChurnModel, LatencyModel, RoundPolicy, ShardedTransport};
 
@@ -134,7 +134,8 @@ fn tree_phases_reproduce_their_golden_at_every_shard_count() {
         |t| {
             let drr = run_drr(t, &DrrConfig::default());
             let max = convergecast_max(t, &drr.forest, &vals, ReceptionModel::default());
-            let sum = convergecast_plain_sum(t, &drr.forest, &vals, ReceptionModel::default());
+            let sum = convergecast_sum(t, &drr.forest, &vals, ReceptionModel::default());
+            let sums: Vec<Option<f64>> = sum.state.iter().map(|s| s.map(|s| s.sum)).collect();
             let id_bits = t.config().id_bits();
             let bc = broadcast_down(
                 t,
@@ -155,7 +156,7 @@ fn tree_phases_reproduce_their_golden_at_every_shard_count() {
                 .words(cc_bits(&max.state))
                 .word(max.rounds)
                 .word(max.messages)
-                .words(cc_bits(&sum.state))
+                .words(cc_bits(&sums))
                 .word(sum.rounds)
                 .word(sum.messages)
                 .bools(&bc.reached)

@@ -11,10 +11,15 @@
 //! cargo run --release --example aggregate_menu
 //! ```
 
-use drr_gossip::aggregate::{AggregateKind, ValueDistribution};
-use drr_gossip::drr::aggregates::{drr_gossip_aggregate, drr_gossip_median, drr_gossip_quantile};
-use drr_gossip::drr::protocol::DrrGossipConfig;
+use drr_gossip::aggregate::ValueDistribution;
+use drr_gossip::drr::aggregates::{
+    drr_gossip_count, drr_gossip_min, drr_gossip_quantile, drr_gossip_rank, drr_gossip_sum,
+};
+use drr_gossip::drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use drr_gossip::net::{Network, SimConfig};
+
+/// One entry point of the menu, run on a fresh network.
+type Run = fn(&mut Network, &[f64], &DrrGossipConfig) -> DrrGossipReport;
 
 fn main() {
     let n = 5_000;
@@ -36,16 +41,19 @@ fn main() {
         "{:<12} {:>14} {:>14} {:>10} {:>12} {:>10}",
         "aggregate", "exact", "estimate", "max err", "messages", "rounds"
     );
-    for kind in [
-        AggregateKind::Max,
-        AggregateKind::Min,
-        AggregateKind::Average,
-        AggregateKind::Sum,
-        AggregateKind::Count,
-        AggregateKind::Rank(1000.0),
-    ] {
+    let menu: [(&str, Run); 6] = [
+        ("max", drr_gossip_max),
+        ("min", drr_gossip_min),
+        ("average", drr_gossip_ave),
+        ("sum", drr_gossip_sum),
+        ("count", |net, _, config| drr_gossip_count(net, config)),
+        ("rank:1000", |net, values, config| {
+            drr_gossip_rank(net, values, 1000.0, config)
+        }),
+    ];
+    for (name, run) in menu {
         let mut net = Network::new(sim.clone());
-        let report = drr_gossip_aggregate(&mut net, &values, kind, &config);
+        let report = run(&mut net, &values, &config);
         let estimate = report
             .estimates
             .iter()
@@ -54,7 +62,7 @@ fn main() {
             .unwrap_or(f64::NAN);
         println!(
             "{:<12} {:>14.2} {:>14.2} {:>10.2e} {:>12} {:>10}",
-            kind.to_string(),
+            name,
             report.exact,
             estimate,
             report.max_relative_error(),
@@ -66,7 +74,7 @@ fn main() {
     // Median and tail quantile via binary search over rank queries.
     println!("\n--- order statistics via repeated rank queries ---");
     let mut net = Network::new(sim.clone());
-    let median = drr_gossip_median(&mut net, &values, 1.0, &config);
+    let median = drr_gossip_quantile(&mut net, &values, 0.5, 1.0, &config);
     println!(
         "median : exact {:>10.2}  estimate {:>10.2}  ({} rank queries, {} messages)",
         median.exact, median.estimate, median.iterations, median.total_messages

@@ -1,9 +1,11 @@
 //! Robustness and edge-case integration tests: degenerate network sizes,
 //! extreme failure rates, adversarial workloads and the full aggregate menu.
 
-use drr_gossip::aggregate::{AggregateKind, ValueDistribution};
-use drr_gossip::drr::aggregates::{drr_gossip_aggregate, drr_gossip_median};
-use drr_gossip::drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig};
+use drr_gossip::aggregate::ValueDistribution;
+use drr_gossip::drr::aggregates::{
+    drr_gossip_min, drr_gossip_quantile, drr_gossip_rank, drr_gossip_sum,
+};
+use drr_gossip::drr::protocol::{drr_gossip_ave, drr_gossip_max, DrrGossipConfig, DrrGossipReport};
 use drr_gossip::net::{Network, SimConfig, Transport};
 
 fn network(n: usize, seed: u64, loss: f64, crash: f64) -> Network {
@@ -106,22 +108,37 @@ fn negative_values_are_handled_by_every_aggregate() {
         hi: -100.0,
     }
     .generate(n, 11);
-    for kind in [
-        AggregateKind::Max,
-        AggregateKind::Min,
-        AggregateKind::Average,
-        AggregateKind::Sum,
-        AggregateKind::Rank(-300.0),
-    ] {
+    type Run = fn(&mut Network, &[f64], &DrrGossipConfig) -> DrrGossipReport;
+    let sum: f64 = values.iter().sum();
+    let runs: [(&str, Run, f64); 5] = [
+        (
+            "max",
+            drr_gossip_max,
+            values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        ),
+        (
+            "min",
+            drr_gossip_min,
+            values.iter().cloned().fold(f64::INFINITY, f64::min),
+        ),
+        ("average", drr_gossip_ave, sum / n as f64),
+        ("sum", drr_gossip_sum, sum),
+        (
+            "rank",
+            |t, v, c| drr_gossip_rank(t, v, -300.0, c),
+            values.iter().filter(|&&v| v < -300.0).count() as f64,
+        ),
+    ];
+    for (name, run, exact) in runs {
         let mut net = network(n, 11, 0.0, 0.0);
-        let report = drr_gossip_aggregate(&mut net, &values, kind, &DrrGossipConfig::paper());
+        let report = run(&mut net, &values, &DrrGossipConfig::paper());
         assert!(
-            (report.exact - kind.exact(&values)).abs() < 1e-9,
-            "{kind}: exact mismatch"
+            (report.exact - exact).abs() < 1e-9,
+            "{name}: exact mismatch"
         );
         assert!(
             report.max_relative_error() < 0.05,
-            "{kind}: error {}",
+            "{name}: error {}",
             report.max_relative_error()
         );
     }
@@ -136,7 +153,7 @@ fn median_is_close_on_a_skewed_workload() {
     }
     .generate(n, 13);
     let mut net = Network::new(SimConfig::new(n).with_seed(13).with_value_range(1000.0));
-    let report = drr_gossip_median(&mut net, &values, 1.0, &DrrGossipConfig::paper());
+    let report = drr_gossip_quantile(&mut net, &values, 0.5, 1.0, &DrrGossipConfig::paper());
     // The exact median of a heavy-tailed Zipf sample is small; the binary
     // search over rank queries should land within a few values of it.
     assert!(
