@@ -11,26 +11,16 @@ use rand::{Rng, SeedableRng};
 
 /// Complete graph `K_n` (the point-to-point model of Sections 2–3, made
 /// explicit as a topology; only use for modest `n` — it has `n(n−1)/2` edges).
+/// It is the circulant graph of every distance up to `n/2`.
 pub fn complete(n: usize) -> Graph {
-    let mut edges = Vec::with_capacity(n.saturating_sub(1) * n / 2);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            edges.push((a, b));
-        }
-    }
-    Graph::from_edges(n, &edges)
+    let distances: Vec<usize> = (1..=n / 2).collect();
+    Graph::circulant(n, &distances)
 }
 
-/// Cycle (ring) on `n` nodes.
+/// Cycle (ring) on `n` nodes: the circulant graph of distance 1. `ring(0)`
+/// and `ring(1)` are one node with no edge, `ring(2)` is one edge.
 pub fn ring(n: usize) -> Graph {
-    if n <= 1 {
-        return Graph::from_edges(n.max(1), &[]);
-    }
-    if n == 2 {
-        return Graph::from_edges(2, &[(0, 1)]);
-    }
-    let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    Graph::from_edges(n, &edges)
+    Graph::circulant(n.max(1), &[1])
 }
 
 /// 2-D grid of `width × height` nodes; `wrap` makes it a torus.
@@ -145,6 +135,44 @@ mod tests {
     use super::*;
     use crate::connectivity::is_connected;
     use gossip_net::NodeId;
+
+    /// The edge-list builds `complete` and `ring` replaced, kept as their
+    /// oracles.
+    fn complete_from_edges(n: usize) -> Graph {
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                edges.push((a, b));
+            }
+        }
+        Graph::from_edges(n, &edges)
+    }
+
+    fn ring_from_edges(n: usize) -> Graph {
+        match n {
+            0 | 1 => Graph::from_edges(1, &[]),
+            2 => Graph::from_edges(2, &[(0, 1)]),
+            _ => {
+                let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+                Graph::from_edges(n, &edges)
+            }
+        }
+    }
+
+    #[test]
+    fn circulant_builders_equal_their_edge_list_builds() {
+        assert_eq!(ring(0), ring_from_edges(0));
+        for n in 1..64 {
+            assert_eq!(complete(n), complete_from_edges(n), "complete({n})");
+            assert_eq!(ring(n), ring_from_edges(n), "ring({n})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node")]
+    fn complete_on_no_nodes_panics() {
+        let _ = complete(0);
+    }
 
     #[test]
     fn complete_graph_has_all_edges() {

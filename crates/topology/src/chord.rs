@@ -67,17 +67,11 @@ impl ChordOverlay {
 
     /// The overlay as an undirected [`Graph`] (fingers in both directions),
     /// i.e. the degree-`O(log n)` communication topology of Section 4.
+    /// Node `v`'s neighbours are `v ± 2^k (mod n)`, so this is the
+    /// circulant graph of the finger offsets, built row by row from one
+    /// distance table.
     pub fn graph(&self) -> Graph {
-        let mut edges = Vec::with_capacity(self.n * self.finger_offsets.len());
-        for v in 0..self.n {
-            for &off in &self.finger_offsets {
-                let u = (v + off) % self.n;
-                if u != v {
-                    edges.push((v, u));
-                }
-            }
-        }
-        Graph::from_edges(self.n, &edges)
+        Graph::circulant(self.n, &self.finger_offsets)
     }
 
     /// Greedy Chord lookup: the sequence of nodes visited when routing from
@@ -170,6 +164,40 @@ mod tests {
             path.push(NodeId::new(current));
         }
         path
+    }
+
+    /// The edge-list build `graph` replaced, kept as its oracle: every
+    /// finger edge through `Graph::from_edges`.
+    fn finger_edge_graph(chord: &ChordOverlay) -> Graph {
+        let mut edges = Vec::new();
+        for v in 0..chord.n {
+            for &off in &chord.finger_offsets {
+                let u = (v + off) % chord.n;
+                if u != v {
+                    edges.push((v, u));
+                }
+            }
+        }
+        Graph::from_edges(chord.n, &edges)
+    }
+
+    #[test]
+    fn graph_equals_the_finger_edge_build() {
+        let mut sizes = vec![1, 2, 3];
+        for k in 2..=17 {
+            sizes.extend([(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for n in sizes {
+            let chord = ChordOverlay::new(n);
+            let g = chord.graph();
+            assert_eq!(g, finger_edge_graph(&chord), "n = {n}");
+            if n.is_power_of_two() && n >= 2 {
+                // +n/2 and −n/2 are one neighbour.
+                let log_n = n.trailing_zeros() as usize;
+                assert_eq!(g.min_degree(), 2 * log_n - 1, "n = {n}");
+                assert_eq!(g.max_degree(), 2 * log_n - 1, "n = {n}");
+            }
+        }
     }
 
     #[test]

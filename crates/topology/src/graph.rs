@@ -1,4 +1,19 @@
 //! Compressed sparse-row undirected graphs.
+//!
+//! Two constructors fill the rows:
+//!
+//! * `Graph::circulant` builds [`crate::builders::ring`],
+//!   [`crate::builders::complete`] and [`crate::ChordOverlay::graph`], whose
+//!   node `v` neighbours `v ± d (mod n)` for a fixed distance list. It sorts
+//!   one table of `k` distances and writes each row as a rotation of it:
+//!   `n·k` ids into one exact-size allocation, with no edge list and no
+//!   per-row sort. Chord at n = 32 768 (`k` = 29) is 3.6 MiB of rows and
+//!   0.25 MiB of offsets, and nothing else.
+//! * [`Graph::from_edges`] builds every other shape (grids and tori,
+//!   `d`-regular, Erdős–Rényi) from the caller's edge list, 16 bytes a
+//!   pair. It adds the offsets, a copy of them as fill cursors and both
+//!   directions of every edge, duplicates included, then sorts each row and
+//!   squeezes the duplicates out in place: `O(m + Σ deg·log deg)` time.
 
 use gossip_net::NodeId;
 use serde::{Deserialize, Serialize};
@@ -60,6 +75,38 @@ impl Graph {
         }
         offsets[n] = kept;
         adjacency.truncate(kept);
+        Graph {
+            n,
+            offsets,
+            adjacency,
+        }
+    }
+
+    /// The circulant graph on `0..n` joining every `v` to `v ± d (mod n)`
+    /// for each `d` in `distances`: equal to [`Graph::from_edges`] over
+    /// those edges, built without them. Every row is one table
+    /// `D = {d mod n, (n − d) mod n} \ {0}`, sorted and deduped once, so
+    /// each node has `|D|` neighbours. Row `v` is that table rotated where
+    /// `v + d` wraps: first the ids `v + d − n` for `d ≥ n − v`, then the
+    /// ids `v + d` — already sorted. Distances `≥ n`, zero and repeats are
+    /// allowed.
+    pub(crate) fn circulant(n: usize, distances: &[usize]) -> Self {
+        assert!(n >= 1, "graph must have at least one node");
+        let mut table: Vec<usize> = distances
+            .iter()
+            .flat_map(|&d| [d % n, (n - d % n) % n])
+            .filter(|&d| d != 0)
+            .collect();
+        table.sort_unstable();
+        table.dedup();
+        let k = table.len();
+        let offsets = (0..=n).map(|v| v * k).collect();
+        let mut adjacency = Vec::with_capacity(n * k);
+        for v in 0..n {
+            let wrap = table.partition_point(|&d| d < n - v);
+            adjacency.extend(table[wrap..].iter().map(|&d| (v + d - n) as u32));
+            adjacency.extend(table[..wrap].iter().map(|&d| (v + d) as u32));
+        }
         Graph {
             n,
             offsets,
@@ -234,6 +281,29 @@ mod tests {
                 proptest::prop_assert_eq!(g.neighbor_slice(v), &want[..]);
             }
             proptest::prop_assert_eq!(g.num_edges() * 2, sets.iter().map(|s| s.len()).sum::<usize>());
+        }
+
+        /// The circulant rows against the edge-list build of the same
+        /// distances: lists with zero, `n/2`, distances `≥ n` and repeats.
+        #[test]
+        fn circulant_equals_the_edge_list_build(
+            n in 1usize..4096,
+            raw in proptest::collection::vec(0usize..32768, 0..12),
+        ) {
+            let mut distances = Vec::new();
+            for x in raw {
+                let d = match x % 4 {
+                    0 => 0,
+                    1 => n / 2,
+                    2 => x / 4,
+                    _ => distances.last().copied().unwrap_or(n),
+                };
+                distances.push(d);
+            }
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|v| distances.iter().map(move |&d| (v, (v + d) % n)))
+                .collect();
+            proptest::prop_assert_eq!(Graph::circulant(n, &distances), Graph::from_edges(n, &edges));
         }
     }
 }

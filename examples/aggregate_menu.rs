@@ -71,18 +71,19 @@ fn main() {
         );
     }
 
-    // Median and tail quantile via binary search over rank queries.
-    println!("\n--- order statistics via repeated rank queries ---");
+    // Median and tail quantile via binary search: each probe averages the
+    // indicators "value below the probe".
+    println!("\n--- order statistics via binary search over fraction-below probes ---");
     let mut net = Network::new(sim.clone());
     let median = drr_gossip_quantile(&mut net, &values, 0.5, 1.0, &config);
     println!(
-        "median : exact {:>10.2}  estimate {:>10.2}  ({} rank queries, {} messages)",
+        "median : exact {:>10.2}  estimate {:>10.2}  ({} chain runs, {} messages)",
         median.exact, median.estimate, median.iterations, median.total_messages
     );
     let mut net = Network::new(sim);
     let p95 = drr_gossip_quantile(&mut net, &values, 0.95, 1.0, &config);
     println!(
-        "p95    : exact {:>10.2}  estimate {:>10.2}  ({} rank queries, {} messages)",
+        "p95    : exact {:>10.2}  estimate {:>10.2}  ({} chain runs, {} messages)",
         p95.exact, p95.estimate, p95.iterations, p95.total_messages
     );
 }

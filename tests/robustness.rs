@@ -155,7 +155,7 @@ fn median_is_close_on_a_skewed_workload() {
     let mut net = Network::new(SimConfig::new(n).with_seed(13).with_value_range(1000.0));
     let report = drr_gossip_quantile(&mut net, &values, 0.5, 1.0, &DrrGossipConfig::paper());
     // The exact median of a heavy-tailed Zipf sample is small; the binary
-    // search over rank queries should land within a few values of it.
+    // search over fraction-below probes should land within a few values of it.
     assert!(
         (report.estimate - report.exact).abs() <= 3.0,
         "median estimate {} vs exact {}",
