@@ -37,8 +37,9 @@
 //! loss story: a dropped leg costs nothing but the next tick's root
 //! exchange. Hashes are 64-bit [`mix64`] mixes — collision-*resistant*
 //! against drift and churn, not against an adversary crafting preimages
-//! (the socket host is simulation-grade and unauthenticated either way;
-//! see `DESIGN.md` §6).
+//! (an unkeyed socket host trusts its peers at simulation grade, and a
+//! keyed one drops a forged frame before its payload decodes; see
+//! `DESIGN.md` §6).
 //!
 //! A leaf's hash is **additive**: a seed plus the wrapping sum of one term
 //! per held slot, each term a mix of the slot's position and its stamp

@@ -8,7 +8,7 @@
 //! group. The clustering is what saves messages (`O(n log log n)` in total),
 //! at the price of extra time (`O(log n log log n)`).
 //!
-//! **Substitution note (see DESIGN.md):** the PODS'06 paper only sketches the
+//! **Substitution note:** the PODS'06 paper only sketches the
 //! group-formation procedure; we reconstruct it as *randomized group
 //! doubling*: starting from singleton groups, the protocol runs
 //! `⌈log₂ log₂ n⌉ + O(1)` synchronized merge phases. In each phase every
@@ -38,27 +38,19 @@ const PROBE_ROUND_CAP_FACTOR: f64 = 6.0;
 /// Configuration of efficient gossip.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EfficientGossipConfig {
-    /// Target group size; `None` selects `⌈log₂ n⌉`.
-    pub target_group_size: Option<usize>,
     /// Target relative error of the leader gossip.
     pub epsilon: f64,
 }
 
 impl Default for EfficientGossipConfig {
     fn default() -> Self {
-        EfficientGossipConfig {
-            target_group_size: None,
-            epsilon: 1e-4,
-        }
+        EfficientGossipConfig { epsilon: 1e-4 }
     }
 }
 
-impl EfficientGossipConfig {
-    fn target(&self, n: usize) -> usize {
-        self.target_group_size
-            .unwrap_or(gossip_net::id_bits(n.max(2)) as usize)
-            .max(2)
-    }
+/// Target group size: `⌈log₂ n⌉`, at least 2.
+fn target_group_size(n: usize) -> usize {
+    (gossip_net::id_bits(n.max(2)) as usize).max(2)
 }
 
 /// Outcome of efficient gossip.
@@ -101,7 +93,7 @@ pub fn efficient_gossip_average(
     assert_eq!(values.len(), n);
     let id_bits = net.config().id_bits();
     let value_bits = net.config().value_bits();
-    let target = config.target(n);
+    let target = target_group_size(n);
     let mut ledger = PhaseLedger::new(net);
 
     // ---- Grouping: randomized group doubling ----
@@ -427,19 +419,5 @@ mod tests {
                 "n = {n}: true average mismatch"
             );
         }
-    }
-
-    #[test]
-    fn explicit_group_size_is_respected() {
-        let n = 1024;
-        let mut net = Network::new(SimConfig::new(n).with_seed(19));
-        let vals = values(n);
-        let cfg = EfficientGossipConfig {
-            target_group_size: Some(4),
-            ..EfficientGossipConfig::default()
-        };
-        let out = efficient_gossip_average(&mut net, &vals, &cfg);
-        // With a target of 4 we expect far more groups than with log n.
-        assert!(out.num_groups > n / 16, "groups = {}", out.num_groups);
     }
 }

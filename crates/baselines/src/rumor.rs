@@ -25,23 +25,15 @@
 use gossip_net::{log_rounds, Network, NodeId, Phase, Transport};
 use serde::{Deserialize, Serialize};
 
+/// Hard cap on rounds = `⌈ROUNDS_FACTOR · log₂ n⌉`.
+const ROUNDS_FACTOR: f64 = 8.0;
+
 /// Configuration of rumor spreading.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RumorConfig {
-    /// Hard cap on rounds = `⌈rounds_factor · log₂ n⌉`.
-    pub rounds_factor: f64,
     /// Disable the pull half (plain push protocol; needs `Θ(n log n)`
     /// transmissions — the contrast Karp et al. draw).
     pub push_only: bool,
-}
-
-impl Default for RumorConfig {
-    fn default() -> Self {
-        RumorConfig {
-            rounds_factor: 8.0,
-            push_only: false,
-        }
-    }
 }
 
 impl RumorConfig {
@@ -81,7 +73,7 @@ pub fn spread_rumor(net: &mut Network, source: NodeId, config: &RumorConfig) -> 
     let messages_before = net.metrics().total_messages();
     let rumor_bits = net.config().value_bits();
     let ctr_max = RumorConfig::counter_threshold(n);
-    let max_rounds = log_rounds(config.rounds_factor, n);
+    let max_rounds = log_rounds(ROUNDS_FACTOR, n);
 
     let mut state = vec![NodeState::Uninformed; n];
     if net.is_alive(source) {
@@ -226,14 +218,7 @@ mod tests {
         };
         let push_only = {
             let mut net = Network::new(SimConfig::new(n).with_seed(9));
-            spread_rumor(
-                &mut net,
-                NodeId::new(0),
-                &RumorConfig {
-                    push_only: true,
-                    ..RumorConfig::default()
-                },
-            )
+            spread_rumor(&mut net, NodeId::new(0), &RumorConfig { push_only: true })
         };
         assert!(push_only.informed_fraction >= 0.999);
         assert!(push_only.rumor_messages > push_pull.rumor_messages);

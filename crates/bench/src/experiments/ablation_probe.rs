@@ -64,7 +64,7 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
             let config = DrrGossipConfig {
                 drr: DrrConfig {
                     probe_budget: budget,
-                    connect_retries: 8,
+                    ..DrrConfig::paper()
                 },
                 ..DrrGossipConfig::paper()
             };

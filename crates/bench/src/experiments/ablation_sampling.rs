@@ -33,10 +33,7 @@ fn one_trial(n: usize, seed: u64, loss: f64, run_sampling: bool) -> (f64, f64) {
         ReceptionModel::OneCallPerRound,
     );
     let before = net.metrics().total_messages();
-    let cfg = GossipMaxConfig {
-        run_sampling,
-        ..GossipMaxConfig::default()
-    };
+    let cfg = GossipMaxConfig { run_sampling };
     let out = gossip_max(&mut net, &drr.forest, &cc.state, &cfg);
     let messages = (net.metrics().total_messages() - before) as f64;
     (out.fraction_after_sampling, messages)

@@ -22,7 +22,7 @@
 //! the argument partitions nothing, so the two rows of one n do the same
 //! work; both stay so that the table keeps saying so.
 
-use super::ExperimentOptions;
+use super::{peak_rss_mib, reset_peak_rss, ExperimentOptions};
 use gossip_analysis::{fmt_float, Table};
 use gossip_drr::handler::{MaxGossipConfig, MaxGossipHandler};
 use gossip_drr::protocol::{drr_gossip_max, DrrGossipConfig, DrrGossipReport};
@@ -65,21 +65,6 @@ fn handler_config(n: usize) -> MaxGossipConfig {
 
 fn own_value(me: NodeId) -> f64 {
     ((me.index() as u64).wrapping_mul(0x9E37_79B9) % 1_000_003) as f64
-}
-
-/// Reset the process peak-RSS high-water mark (Linux: `/proc/self/clear_refs`),
-/// so each measurement reports its own footprint rather than the largest
-/// earlier row's. Best-effort — a no-op where procfs is absent.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
-/// Current peak RSS (`VmHWM`) in MiB, `None` where procfs is absent.
-fn peak_rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib / 1024.0)
 }
 
 fn rss_cell(rss: Option<f64>) -> String {

@@ -1,7 +1,8 @@
 //! Experiment registry and shared options.
 //!
-//! Each submodule reproduces one table/figure/theorem of the paper (the ids
-//! E1–E14 refer to the per-experiment index in `DESIGN.md`).
+//! Each submodule reproduces one table/figure/theorem of the paper or
+//! measures one runtime layer; [`EXPERIMENTS`] is the index, which
+//! `experiments --list` prints and `EXPERIMENTS.md` follows.
 
 pub mod ablation_probe;
 pub mod ablation_sampling;
@@ -78,7 +79,7 @@ pub(crate) type ExperimentEntry = (
     fn(&ExperimentOptions) -> Vec<Table>,
 );
 
-/// The experiment registry, in the order of the DESIGN.md index.
+/// The experiment registry, in id order (E1–E22).
 pub const EXPERIMENTS: &[ExperimentEntry] = &[
     (
         "table1",
@@ -190,6 +191,21 @@ pub fn run_experiment(name: &str, options: &ExperimentOptions) -> Option<Vec<Tab
         .iter()
         .find(|(id, _, _)| *id == name)
         .map(|(_, _, runner)| runner(options))
+}
+
+/// Reset the process peak-RSS high-water mark (Linux: `/proc/self/clear_refs`),
+/// so each measurement reports its own footprint rather than the largest
+/// earlier one's. Best-effort — a no-op where procfs is absent.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// Current peak RSS (`VmHWM`) in MiB, `None` where procfs is absent.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 #[cfg(test)]

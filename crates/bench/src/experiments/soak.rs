@@ -36,7 +36,7 @@
 //! Any violation fails the process loudly — this experiment doubles as
 //! the CI soak smoke (`--quick`).
 
-use super::ExperimentOptions;
+use super::{peak_rss_mib, reset_peak_rss, ExperimentOptions};
 use gossip_ae::{AeConfig, AeNode, DigestMode, SignalModel};
 use gossip_analysis::{fmt_float, Table};
 use gossip_member::{Member, MemberConfig};
@@ -248,19 +248,6 @@ fn may_reset(name: &str) -> bool {
         || name.starts_with("node_")
         || name.starts_with("trace_events")
         || name.starts_with("trace_ring"))
-}
-
-/// Reset the process peak-RSS high-water mark (Linux `/proc/self/clear_refs`).
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
-/// Current peak RSS (`VmHWM`) in MiB, `None` where procfs is absent.
-fn peak_rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib / 1024.0)
 }
 
 /// RSS flatness: peak since the warmup-end reset may not exceed the

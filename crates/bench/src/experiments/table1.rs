@@ -93,7 +93,6 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
             &values,
             &EfficientGossipConfig {
                 epsilon: epsilon(n),
-                ..EfficientGossipConfig::default()
             },
         );
         obs.push(("efficient_rounds".to_string(), efficient.rounds as f64));

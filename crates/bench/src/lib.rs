@@ -1,9 +1,8 @@
 //! # gossip-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper reproduction (see `DESIGN.md` §8 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results), plus Criterion wall-clock
-//! micro-benchmarks of the simulator itself.
+//! paper reproduction (`experiments --list` prints the experiment index;
+//! `EXPERIMENTS.md` holds the recorded results).
 //!
 //! Run all experiments with:
 //!

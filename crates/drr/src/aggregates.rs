@@ -15,7 +15,8 @@
 //! * [`drr_gossip_rank`] — the Sum of the indicators `v_i < target`;
 //! * [`drr_gossip_quantile`] — binary search on the value domain, each
 //!   probe one Average of the indicators `v_i < probe` (the fraction below
-//!   it; `O(log(range/precision))` iterations). The median is `q = 0.5`.
+//!   it; `O(log(range/precision))` iterations), closed by one Min over the
+//!   values in the final bracket. The median is `q = 0.5`.
 //!
 //! Every function returns the same [`DrrGossipReport`] as the core protocols
 //! so that costs remain comparable.
@@ -92,13 +93,13 @@ pub fn drr_gossip_rank<T: Transport>(
 /// The result of a quantile computation.
 #[derive(Clone, Debug)]
 pub struct QuantileReport {
-    /// The estimated `q`-quantile value (NaN when the Min or Max run left
-    /// no estimate to bracket the search with).
+    /// The estimated `q`-quantile, a value some node holds (NaN when a Min
+    /// or Max run left no estimate to bracket or close the search with).
     pub estimate: f64,
     /// The exact quantile over the alive nodes (nearest rank).
     pub exact: f64,
-    /// Number of chain runs: the Min and Max brackets plus one probe per
-    /// binary-search iteration.
+    /// Number of chain runs: the Min and Max brackets, one probe per
+    /// binary-search iteration and the closing Min over the final bracket.
     pub iterations: u32,
     /// Total rounds across all iterations.
     pub total_rounds: u64,
@@ -108,7 +109,10 @@ pub struct QuantileReport {
 
 /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`) of the node values by binary
 /// search on the value domain. `value_tolerance` stops the search once the
-/// bracketing interval is narrower than this width.
+/// bracketing interval is narrower than this width; one more DRR-gossip Min
+/// over the values at or above the bracket's low end then returns the
+/// smallest node value in the bracket, so the estimate is a value some node
+/// holds.
 ///
 /// The search is bracketed by a DRR-gossip Min and Max run. Each probe
 /// `mid` is one DRR-gossip Average of the indicators `v_i < mid`: the
@@ -140,7 +144,6 @@ pub fn drr_gossip_quantile<T: Transport>(
     let mut iterations = 2; // the two extremum runs above
     let mut estimate = f64::NAN;
     if let Some((mut lo, mut hi)) = search_bracket(&min_report, &max_report) {
-        estimate = (lo + hi) / 2.0;
         while hi - lo > value_tolerance && iterations < 64 {
             let mid = (lo + hi) / 2.0;
             let below: Vec<f64> = values
@@ -155,8 +158,15 @@ pub fn drr_gossip_quantile<T: Transport>(
             } else {
                 hi = mid;
             }
-            estimate = (lo + hi) / 2.0;
         }
+        // Land on a value some node holds: the smallest one at or above
+        // `lo`, every value below it standing in as +∞.
+        let at_or_above: Vec<f64> = values
+            .iter()
+            .map(|&v| if v >= lo { v } else { f64::INFINITY })
+            .collect();
+        estimate = report_estimate(&drr_gossip_min(net, &at_or_above, config));
+        iterations += 1;
     }
 
     QuantileReport {
@@ -334,18 +344,16 @@ mod tests {
                 tolerance,
                 &DrrGossipConfig::paper(),
             );
-            // The search ends on a bracket `tolerance` wide around its
-            // estimate, so the estimate's exact rank is the range of ranks
-            // the values in that bracket hold: the median's value 3 alone
-            // holds some 300 of them.
-            let low = alive
-                .iter()
-                .filter(|&&v| v < report.estimate - tolerance / 2.0)
-                .count() as f64;
-            let high = alive
-                .iter()
-                .filter(|&&v| v <= report.estimate + tolerance / 2.0)
-                .count() as f64;
+            // The estimate is a value some node holds, and its exact rank
+            // is the range of ranks its copies hold: the median's value 3
+            // alone holds some 300 of them.
+            assert!(
+                values.contains(&report.estimate),
+                "q = {q}: estimate {} is no input value",
+                report.estimate
+            );
+            let low = alive.iter().filter(|&&v| v < report.estimate).count() as f64;
+            let high = alive.iter().filter(|&&v| v <= report.estimate).count() as f64;
             let target = q * (alive.len() as f64 - 1.0);
             let miss = (low - target).max(target - high).max(0.0);
             assert!(

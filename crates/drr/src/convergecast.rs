@@ -12,6 +12,14 @@
 //! model of Section 4 a node may receive from all neighbours simultaneously
 //! and the running time is bounded by the tree **height** (Theorem 11).
 //! [`ReceptionModel`] selects between the two.
+//!
+//! Both convergecast and [`crate::broadcast`] walk an active frontier in
+//! node-id order, not all `n` nodes each round: here the nodes that have
+//! yet to deliver, there the holders with a child yet to serve, each with
+//! a cursor into its child list. A node leaves the walk once it has
+//! nothing left to send, so the sends keep the all-nodes sweep's order and
+//! no RNG draw moves; liveness is re-read every round, as churn needs.
+//! `crates/runtime/tests/tree_phases.rs` keeps the sweeps as an oracle.
 
 use crate::forest::{Forest, FrontierNode};
 use gossip_aggregate::{Aggregate, Average, AverageState, Max};

@@ -41,6 +41,10 @@ impl ProbeBudget {
     }
 }
 
+/// The paper configuration's attempts at the connection message, in DRR
+/// and in Local-DRR.
+pub(crate) const CONNECT_RETRIES: u32 = 8;
+
 /// Configuration of the DRR phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct DrrConfig {
@@ -56,7 +60,7 @@ impl DrrConfig {
     pub fn paper() -> Self {
         DrrConfig {
             probe_budget: ProbeBudget::LogNMinusOne,
-            connect_retries: 8,
+            connect_retries: CONNECT_RETRIES,
         }
     }
 }

@@ -24,13 +24,20 @@ use gossip_net::{log_rounds, NodeId, Phase, PushMax, Transport};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
+// The analysis of Theorems 5–6 uses generous constants
+// (8 log n/(1−ρ) + log_β n gossip rounds); empirically consensus is reached
+// well before that, so Gossip-max and the sparse root gossip use 2·log n
+// gossip rounds and 1.5·log n sampling rounds — still Θ(log n), and every
+// correctness test (all roots agree on Max whp, under loss and crashes)
+// passes with margin.
+/// Gossip-procedure rounds = `⌈GOSSIP_ROUNDS_FACTOR · log₂ n⌉`.
+pub(crate) const GOSSIP_ROUNDS_FACTOR: f64 = 2.0;
+/// Sampling-procedure rounds = `⌈SAMPLING_ROUNDS_FACTOR · log₂ n⌉`.
+pub(crate) const SAMPLING_ROUNDS_FACTOR: f64 = 1.5;
+
 /// Configuration of Gossip-max.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GossipMaxConfig {
-    /// Gossip-procedure rounds = `⌈gossip_rounds_factor · log₂ n⌉`.
-    pub gossip_rounds_factor: f64,
-    /// Sampling-procedure rounds = `⌈sampling_rounds_factor · log₂ n⌉`.
-    pub sampling_rounds_factor: f64,
     /// Whether to run the sampling procedure at all (disabled by the E14
     /// ablation to show that the gossip procedure alone does not reach
     /// consensus).
@@ -39,17 +46,7 @@ pub struct GossipMaxConfig {
 
 impl Default for GossipMaxConfig {
     fn default() -> Self {
-        // The analysis of Theorems 5–6 uses generous constants
-        // (8 log n/(1−ρ) + log_β n gossip rounds); empirically consensus is
-        // reached well before that, so the defaults use 2·log n gossip rounds
-        // and 1.5·log n sampling rounds — still Θ(log n), and every
-        // correctness test (all roots agree on Max whp, under loss and
-        // crashes) passes with margin.
-        GossipMaxConfig {
-            gossip_rounds_factor: 2.0,
-            sampling_rounds_factor: 1.5,
-            run_sampling: true,
-        }
+        GossipMaxConfig { run_sampling: true }
     }
 }
 
@@ -156,7 +153,7 @@ pub(crate) fn gossip_max_from<T: Transport>(
 
     // Gossip procedure: a root alive now that holds a value pushes it to
     // the receiver's root, if that is alive.
-    let gossip_rounds = log_rounds(config.gossip_rounds_factor, n);
+    let gossip_rounds = log_rounds(GOSSIP_ROUNDS_FACTOR, n);
     values.run(
         net,
         gossip_rounds,
@@ -177,7 +174,7 @@ pub(crate) fn gossip_max_from<T: Transport>(
     // without a value too, and the queried root replies if it is alive and
     // holds a value.
     let sampling_rounds = if config.run_sampling {
-        log_rounds(config.sampling_rounds_factor, n)
+        log_rounds(SAMPLING_ROUNDS_FACTOR, n)
     } else {
         0
     };
@@ -272,12 +269,11 @@ mod tests {
     #[test]
     fn rounds_are_logarithmic() {
         let (forest, mut net, initial, _) = setup(1 << 13, 9, 0.0);
-        let cfg = GossipMaxConfig::default();
-        let out = gossip_max(&mut net, &forest, &initial, &cfg);
+        let out = gossip_max(&mut net, &forest, &initial, &GossipMaxConfig::default());
         let log_n = (1u64 << 13) as f64;
         let log_n = log_n.log2();
-        assert!(out.gossip_rounds as f64 <= (cfg.gossip_rounds_factor + 1.0) * log_n);
-        assert!(out.sampling_rounds as f64 <= (cfg.sampling_rounds_factor + 1.0) * log_n);
+        assert!(out.gossip_rounds as f64 <= (GOSSIP_ROUNDS_FACTOR + 1.0) * log_n);
+        assert!(out.sampling_rounds as f64 <= (SAMPLING_ROUNDS_FACTOR + 1.0) * log_n);
     }
 
     #[test]
@@ -300,7 +296,6 @@ mod tests {
         let (forest, mut net, initial, _) = setup(2000, 13, 0.0);
         let cfg = GossipMaxConfig {
             run_sampling: false,
-            ..GossipMaxConfig::default()
         };
         let out = gossip_max(&mut net, &forest, &initial, &cfg);
         assert_eq!(out.sampling_rounds, 0);

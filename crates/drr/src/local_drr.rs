@@ -11,6 +11,7 @@
 //! * Theorem 11 — every tree has height `O(log n)` whp on *any* graph;
 //! * Theorem 13 — the number of trees is `Θ(Σᵢ 1/(dᵢ+1))` whp.
 
+use crate::drr::CONNECT_RETRIES;
 use crate::forest::Forest;
 use crate::rank::Ranks;
 use gossip_net::{NodeId, Phase, Transport};
@@ -79,7 +80,8 @@ pub fn run_local_drr<T: Transport>(net: &mut T, graph: &Graph) -> LocalDrrOutcom
     for v in 0..n {
         let me = NodeId::new(v);
         if let Some(p) = parent[v] {
-            let (_, ok) = net.send_with_retries(me, p, Phase::DrrConnect, connect_bits, 8);
+            let (_, ok) =
+                net.send_with_retries(me, p, Phase::DrrConnect, connect_bits, CONNECT_RETRIES);
             if !ok {
                 parent[v] = None;
             }

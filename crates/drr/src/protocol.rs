@@ -14,9 +14,15 @@
 //! Each algorithm is written once, as `max_chain` and `averaging_chain`,
 //! over any [`Transport`] and either root overlay: the complete graph here
 //! (`Uniform`) and a sparse graph with routed samples (`Routed`, in
-//! [`crate::sparse`]). The Sum, Count and Rank protocols of
+//! [`crate::sparse`]). `Uniform` forms the forest by DRR, forwards a push
+//! that lands on a non-root to its root and elects the largest tree by a
+//! Gossip-max on tree sizes; `Routed` forms it by Local-DRR, charges each
+//! routed sample a super-round and takes the canonical largest-tree root
+//! with no election. The Sum, Count and Rank protocols of
 //! [`crate::aggregates`] are the averaging chain with unit weight at the
-//! largest root.
+//! largest root. A `PhaseLedger` records each phase's rounds and
+//! messages, and `crates/drr/tests/chain_goldens.rs` pins every
+//! composite's report bit for bit.
 
 use crate::broadcast::broadcast_down;
 use crate::convergecast::{convergecast_max, convergecast_sum, ReceptionModel};

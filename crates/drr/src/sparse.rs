@@ -27,7 +27,7 @@
 use crate::convergecast::ReceptionModel;
 use crate::forest::Forest;
 use crate::gossip_ave::RootPairs;
-use crate::gossip_max::GossipMaxOutcome;
+use crate::gossip_max::{GossipMaxOutcome, GOSSIP_ROUNDS_FACTOR, SAMPLING_ROUNDS_FACTOR};
 use crate::local_drr::run_local_drr;
 use crate::protocol::{averaging_chain, max_chain, DrrGossipReport, Mass, RootOverlay};
 use gossip_aggregate::AverageState;
@@ -48,8 +48,8 @@ pub struct SparseGossipConfig {
 impl Default for SparseGossipConfig {
     fn default() -> Self {
         SparseGossipConfig {
-            gossip_rounds_factor: 2.0,
-            sampling_rounds_factor: 1.5,
+            gossip_rounds_factor: GOSSIP_ROUNDS_FACTOR,
+            sampling_rounds_factor: SAMPLING_ROUNDS_FACTOR,
         }
     }
 }

@@ -18,7 +18,9 @@
 //! derived methods (`n`, `round`, `nodes`, `alive_nodes`, `derive_rng`,
 //! the samplers and `send_with_retries`) are written once, here. `Network`
 //! implements the core only. `ShardedTransport` also overrides
-//! `send_with_retries`, to charge retries against a round deadline.
+//! `send_with_retries`, to charge retries against a round deadline. Both
+//! backends, and the event-driven `ShardedDriver`, start from the one
+//! initial-crash draw, [`draw_initial_liveness`](crate::draw_initial_liveness).
 //!
 //! The contract every implementation must honour:
 //!

@@ -46,7 +46,10 @@
 //! across nodes, and loss/latency are whatever the network does —
 //! protocols built for the simulators' failure models (idempotent merges,
 //! stateless exchanges, re-arming timers) carry over; protocols that
-//! secretly relied on determinism do not. Frame authentication
+//! secretly relied on determinism do not. Churn is best-effort by
+//! construction: a process that stops polling is a crashed node, one that
+//! resumes is a rejoiner that kept its state, and a fresh process is the
+//! simulators' fresh-incarnation rejoin. Frame authentication
 //! ([`NodeHost::with_auth_key`]) closes the "trusts sender ids verbatim"
 //! gap: a keyed host seals every outbound frame with a truncated
 //! HMAC-SHA256 tag and drops (counts, never panics) every inbound frame

@@ -9,9 +9,17 @@
 //!
 //! We model an idealised, fully-populated Chord ring: `n` nodes occupy the
 //! identifier space `0..n` directly, node `i`'s successor is `i+1 (mod n)`
-//! and its `k`-th finger is `i + 2^k (mod n)`. Random-peer sampling routes to
-//! the node owning a uniformly random ring position (the substitution for
-//! King et al.'s protocol documented in DESIGN.md).
+//! and its `k`-th finger is `i + 2^k (mod n)`.
+//!
+//! **Substitution note.** The paper takes its random-node protocol from
+//! King et al.; this crate substitutes the simplest protocol that meets
+//! the same assumption on this ring. A sample draws a uniformly random ring
+//! position and routes a greedy lookup to its owner, one message per hop,
+//! and is charged `⌈log₂ n⌉` rounds (`ChordSampler`). Every position here
+//! is owned by exactly one node, so the endpoint is exactly uniform. On a
+//! real ring, nodes own arcs of unequal length and routing to a random
+//! position favours the owners of long arcs; that bias is what King et
+//! al.'s protocol removes, and this model does not have it.
 //!
 //! Because the fingers are exactly the powers of two below `n`, a greedy
 //! lookup takes one hop per set bit of the clockwise distance to the target,
