@@ -35,4 +35,4 @@ pub use kashyap::{efficient_gossip_average, EfficientGossipConfig, EfficientGoss
 pub use oblivious::{oblivious_max_lower_bound, ObliviousLowerBoundResult, ObliviousProtocol};
 pub use push_max::{push_max, PushMaxConfig, PushMaxOutcome};
 pub use push_sum::{push_sum_average, routed_push_sum_average, PushSumConfig, PushSumOutcome};
-pub use rumor::{spread_rumor, RumorConfig, RumorOutcome};
+pub use rumor::{spread_rumor, RumorOutcome};

@@ -23,28 +23,26 @@ use gossip_net::{push_sum_rounds, NodeId, Phase, PushSum, Transport};
 use gossip_topology::{route_sample, RandomNodeSampler};
 use serde::{Deserialize, Serialize};
 
+/// Push-sum rounds = `⌈ROUNDS_FACTOR · (log₂ n + log₂(1/ε))⌉`.
+const ROUNDS_FACTOR: f64 = 1.0;
+
 /// Configuration of push-sum.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PushSumConfig {
-    /// Round multiplier: rounds = `⌈rounds_factor · (log₂ n + log₂(1/ε))⌉`.
-    pub rounds_factor: f64,
     /// Target relative error ε.
     pub epsilon: f64,
 }
 
 impl Default for PushSumConfig {
     fn default() -> Self {
-        PushSumConfig {
-            rounds_factor: 1.0,
-            epsilon: 1e-4,
-        }
+        PushSumConfig { epsilon: 1e-4 }
     }
 }
 
 impl PushSumConfig {
     /// Number of rounds for an `n`-node network.
     pub fn rounds(&self, n: usize) -> u64 {
-        push_sum_rounds(self.rounds_factor, n, self.epsilon)
+        push_sum_rounds(ROUNDS_FACTOR, n, self.epsilon)
     }
 }
 

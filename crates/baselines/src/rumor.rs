@@ -23,26 +23,15 @@
 //! Karp et al.'s communication-complexity accounting.
 
 use gossip_net::{log_rounds, Network, NodeId, Phase, Transport};
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on rounds = `⌈ROUNDS_FACTOR · log₂ n⌉`.
 const ROUNDS_FACTOR: f64 = 8.0;
 
-/// Configuration of rumor spreading.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct RumorConfig {
-    /// Disable the pull half (plain push protocol; needs `Θ(n log n)`
-    /// transmissions — the contrast Karp et al. draw).
-    pub push_only: bool,
-}
-
-impl RumorConfig {
-    /// Counter threshold after which an informed node stops pushing: the
-    /// paper's `⌈log₂ log₂ n⌉ + 2`.
-    fn counter_threshold(n: usize) -> u32 {
-        let log_n = f64::from(gossip_net::id_bits(n.max(4)));
-        (log_n.log2().ceil() as u32) + 2
-    }
+/// Counter threshold after which an informed node stops pushing: the
+/// paper's `⌈log₂ log₂ n⌉ + 2`.
+fn counter_threshold(n: usize) -> u32 {
+    let log_n = f64::from(gossip_net::id_bits(n.max(4)));
+    (log_n.log2().ceil() as u32) + 2
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -68,11 +57,11 @@ pub struct RumorOutcome {
 }
 
 /// Spread a rumor from `source` to all nodes.
-pub fn spread_rumor(net: &mut Network, source: NodeId, config: &RumorConfig) -> RumorOutcome {
+pub fn spread_rumor(net: &mut Network, source: NodeId) -> RumorOutcome {
     let n = net.n();
     let messages_before = net.metrics().total_messages();
     let rumor_bits = net.config().value_bits();
-    let ctr_max = RumorConfig::counter_threshold(n);
+    let ctr_max = counter_threshold(n);
     let max_rounds = log_rounds(ROUNDS_FACTOR, n);
 
     let mut state = vec![NodeState::Uninformed; n];
@@ -106,8 +95,7 @@ pub fn spread_rumor(net: &mut Network, source: NodeId, config: &RumorConfig) -> 
             }
             // Pull: an uninformed caller asks; an informed callee answers
             // with the rumor.
-            if !config.push_only
-                && matches!(caller_state, NodeState::Uninformed)
+            if matches!(caller_state, NodeState::Uninformed)
                 && !matches!(callee_state, NodeState::Uninformed)
                 && net.is_alive(callee)
                 && net.send(callee, caller, Phase::Rumor, rumor_bits)
@@ -143,9 +131,6 @@ pub fn spread_rumor(net: &mut Network, source: NodeId, config: &RumorConfig) -> 
         if informed >= 1.0 && all_passive {
             break;
         }
-        if informed >= 1.0 && config.push_only {
-            break;
-        }
     }
 
     let informed: Vec<bool> = state
@@ -173,7 +158,7 @@ mod tests {
     fn rumor_reaches_everyone() {
         let n = 4000;
         let mut net = Network::new(SimConfig::new(n).with_seed(3));
-        let out = spread_rumor(&mut net, NodeId::new(0), &RumorConfig::default());
+        let out = spread_rumor(&mut net, NodeId::new(0));
         assert_eq!(out.informed_fraction, 1.0);
     }
 
@@ -181,7 +166,7 @@ mod tests {
     fn rounds_are_logarithmic() {
         let n = 1 << 13;
         let mut net = Network::new(SimConfig::new(n).with_seed(5));
-        let out = spread_rumor(&mut net, NodeId::new(7), &RumorConfig::default());
+        let out = spread_rumor(&mut net, NodeId::new(7));
         let log_n = (n as f64).log2();
         assert!(out.rounds as f64 <= 8.0 * log_n);
         assert!(out.rounds as f64 >= log_n / 2.0);
@@ -191,7 +176,7 @@ mod tests {
     fn push_pull_uses_far_fewer_messages_than_n_log_n() {
         let n = 1 << 13;
         let mut net = Network::new(SimConfig::new(n).with_seed(7));
-        let out = spread_rumor(&mut net, NodeId::new(0), &RumorConfig::default());
+        let out = spread_rumor(&mut net, NodeId::new(0));
         assert_eq!(out.informed_fraction, 1.0);
         let n_f = n as f64;
         // Θ(n log log n) transmissions: clearly below the Θ(n log n) of
@@ -210,25 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn push_only_needs_more_messages_than_push_pull() {
-        let n = 1 << 12;
-        let push_pull = {
-            let mut net = Network::new(SimConfig::new(n).with_seed(9));
-            spread_rumor(&mut net, NodeId::new(0), &RumorConfig::default())
-        };
-        let push_only = {
-            let mut net = Network::new(SimConfig::new(n).with_seed(9));
-            spread_rumor(&mut net, NodeId::new(0), &RumorConfig { push_only: true })
-        };
-        assert!(push_only.informed_fraction >= 0.999);
-        assert!(push_only.rumor_messages > push_pull.rumor_messages);
-    }
-
-    #[test]
     fn coverage_is_monotone_and_reaches_one() {
         let n = 2000;
         let mut net = Network::new(SimConfig::new(n).with_seed(11));
-        let out = spread_rumor(&mut net, NodeId::new(3), &RumorConfig::default());
+        let out = spread_rumor(&mut net, NodeId::new(3));
         for w in out.coverage_trace.windows(2) {
             assert!(w[1] >= w[0]);
         }
@@ -239,7 +209,7 @@ mod tests {
     fn survives_loss() {
         let n = 2000;
         let mut net = Network::new(SimConfig::new(n).with_seed(13).with_loss_prob(0.1));
-        let out = spread_rumor(&mut net, NodeId::new(0), &RumorConfig::default());
+        let out = spread_rumor(&mut net, NodeId::new(0));
         assert!(out.informed_fraction > 0.999);
     }
 
@@ -251,7 +221,7 @@ mod tests {
                 .with_initial_crash_prob(0.5),
         );
         let dead = net.nodes().find(|&v| !net.is_alive(v)).unwrap();
-        let out = spread_rumor(&mut net, dead, &RumorConfig::default());
+        let out = spread_rumor(&mut net, dead);
         assert_eq!(out.informed_fraction, 0.0);
     }
 }

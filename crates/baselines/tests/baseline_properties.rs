@@ -4,7 +4,7 @@
 
 use gossip_baselines::{
     efficient_gossip_average, push_max, push_sum_average, spread_rumor, EfficientGossipConfig,
-    PushMaxConfig, PushSumConfig, RumorConfig,
+    PushMaxConfig, PushSumConfig,
 };
 use gossip_net::{Network, NodeId, SimConfig, Transport};
 use proptest::prelude::*;
@@ -86,7 +86,7 @@ proptest! {
     fn rumor_invariants(n in 4usize..500, seed in 0u64..10_000, loss in 0.0f64..0.2) {
         let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_loss_prob(loss));
         let source = NodeId::new((seed as usize) % n);
-        let out = spread_rumor(&mut net, source, &RumorConfig::default());
+        let out = spread_rumor(&mut net, source);
         for w in out.coverage_trace.windows(2) {
             prop_assert!(w[1] >= w[0]);
         }

@@ -24,13 +24,7 @@ fn one_trial(n: usize, seed: u64) -> Vec<(String, f64)> {
     .generate(n, seed ^ 0xc0de);
 
     let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_value_range(1000.0));
-    let drr = sparse_drr_gossip_ave(
-        &mut net,
-        &graph,
-        &sampler,
-        &values,
-        &SparseGossipConfig::default(),
-    );
+    let drr = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &values, &SparseGossipConfig);
 
     let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_value_range(1000.0));
     let uniform = routed_push_sum_average(&mut net, &sampler, &values, &PushSumConfig::default());

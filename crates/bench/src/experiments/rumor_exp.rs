@@ -9,7 +9,7 @@
 
 use super::ExperimentOptions;
 use gossip_analysis::{best_fit, fmt_float, ComplexityModel, Sweep, Table};
-use gossip_baselines::{push_max, spread_rumor, PushMaxConfig, RumorConfig};
+use gossip_baselines::{push_max, spread_rumor, PushMaxConfig};
 use gossip_drr::protocol::{drr_gossip_max, DrrGossipConfig};
 use gossip_net::{Network, NodeId, SimConfig};
 
@@ -18,7 +18,7 @@ fn one_trial(n: usize, seed: u64) -> Vec<(String, f64)> {
 
     // Rumor spreading (push&pull with counters).
     let mut net = Network::new(SimConfig::new(n).with_seed(seed));
-    let rumor = spread_rumor(&mut net, NodeId::new(0), &RumorConfig::default());
+    let rumor = spread_rumor(&mut net, NodeId::new(0));
     obs.push(("rumor_rounds".to_string(), rumor.rounds as f64));
     obs.push(("rumor_messages".to_string(), rumor.rumor_messages as f64));
 

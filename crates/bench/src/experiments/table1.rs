@@ -79,7 +79,6 @@ pub fn run(options: &ExperimentOptions) -> Vec<Table> {
             &mut network,
             &values,
             &PushSumConfig {
-                rounds_factor: 1.0,
                 epsilon: epsilon(n),
             },
         );

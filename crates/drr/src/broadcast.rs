@@ -175,7 +175,6 @@ mod tests {
     fn forest_and_net(n: usize, seed: u64, loss: f64) -> (Forest, Network) {
         let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_loss_prob(loss));
         let outcome = run_drr(&mut net, &DrrConfig::paper());
-        net.reset_metrics();
         (outcome.forest, net)
     }
 
@@ -253,7 +252,6 @@ mod tests {
                 .with_initial_crash_prob(0.2),
         );
         let drr = run_drr(&mut net, &DrrConfig::paper());
-        net.reset_metrics();
         let out = broadcast_down(
             &mut net,
             &drr.forest,

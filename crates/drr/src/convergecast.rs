@@ -27,10 +27,9 @@ use gossip_net::{NodeId, Phase, Transport};
 use serde::{Deserialize, Serialize};
 
 /// How many children a parent can hear from in a single round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReceptionModel {
     /// The phone-call model of Sections 2–3: one child per parent per round.
-    #[default]
     OneCallPerRound,
     /// The message-passing model of Section 4: all children in one round.
     AllNeighborsPerRound,
@@ -225,7 +224,6 @@ mod tests {
     fn forest_and_net(n: usize, seed: u64, loss: f64) -> (Forest, Network) {
         let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_loss_prob(loss));
         let outcome = run_drr(&mut net, &DrrConfig::paper());
-        net.reset_metrics();
         (outcome.forest, net)
     }
 
@@ -316,7 +314,6 @@ mod tests {
                 .with_initial_crash_prob(0.25),
         );
         let drr = run_drr(&mut net, &DrrConfig::paper());
-        net.reset_metrics();
         let values = vec![5.0; 400];
         let out = convergecast_sum(
             &mut net,

@@ -48,7 +48,6 @@ mod tests {
     fn setup(n: usize, seed: u64, loss: f64) -> (Forest, Network) {
         let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_loss_prob(loss));
         let drr = run_drr(&mut net, &DrrConfig::paper());
-        net.reset_metrics();
         (drr.forest, net)
     }
 

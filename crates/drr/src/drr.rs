@@ -18,10 +18,9 @@ use serde::{Deserialize, Serialize};
 
 /// How many random nodes each node may probe before giving up and becoming a
 /// root.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ProbeBudget {
     /// The paper's choice: `log₂ n − 1` probes.
-    #[default]
     LogNMinusOne,
     /// A fixed number of probes (used by the probe-budget ablation, E13).
     Fixed(u32),
@@ -41,18 +40,15 @@ impl ProbeBudget {
     }
 }
 
-/// The paper configuration's attempts at the connection message, in DRR
-/// and in Local-DRR.
+/// Attempts at the connection message, in DRR and in Local-DRR: a lost
+/// connection message would otherwise silently orphan a child.
 pub(crate) const CONNECT_RETRIES: u32 = 8;
 
 /// Configuration of the DRR phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DrrConfig {
     /// Probe budget per node.
     pub probe_budget: ProbeBudget,
-    /// Maximum retransmissions of the connection message (lost connection
-    /// messages would otherwise silently orphan a child).
-    pub connect_retries: u32,
 }
 
 impl DrrConfig {
@@ -60,7 +56,6 @@ impl DrrConfig {
     pub fn paper() -> Self {
         DrrConfig {
             probe_budget: ProbeBudget::LogNMinusOne,
-            connect_retries: CONNECT_RETRIES,
         }
     }
 }
@@ -95,7 +90,6 @@ pub fn run_drr<T: Transport>(net: &mut T, config: &DrrConfig) -> DrrOutcome {
     // A rank reply carries the rank; drawing from [1, n³] needs 3·log n bits.
     let reply_bits = 3 * net.config().id_bits();
     let connect_bits = net.config().id_bits();
-    let connect_retries = config.connect_retries.max(1);
 
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
     let mut found = vec![false; n];
@@ -140,7 +134,7 @@ pub fn run_drr<T: Transport>(net: &mut T, config: &DrrConfig) -> DrrOutcome {
         let me = NodeId::new(i);
         if let Some(p) = parent[i] {
             let (_attempts, ok) =
-                net.send_with_retries(me, p, Phase::DrrConnect, connect_bits, connect_retries);
+                net.send_with_retries(me, p, Phase::DrrConnect, connect_bits, CONNECT_RETRIES);
             if !ok {
                 parent[i] = None;
                 found[i] = false;
@@ -270,13 +264,55 @@ mod tests {
         assert!(avg >= 1.0);
     }
 
+    /// A `Network` that tallies each node's `DrrConnect` sends.
+    struct ConnectTally {
+        net: Network,
+        connects: Vec<u32>,
+    }
+
+    impl Transport for ConnectTally {
+        fn config(&self) -> &gossip_net::SimConfig {
+            self.net.config()
+        }
+        fn metrics(&self) -> &gossip_net::Metrics {
+            self.net.metrics()
+        }
+        fn is_alive(&self, node: NodeId) -> bool {
+            self.net.is_alive(node)
+        }
+        fn alive_count(&self) -> usize {
+            self.net.alive_count()
+        }
+        fn rng_mut(&mut self) -> &mut rand::rngs::SmallRng {
+            self.net.rng_mut()
+        }
+        fn send(&mut self, from: NodeId, to: NodeId, phase: Phase, bits: u32) -> bool {
+            if phase == Phase::DrrConnect {
+                self.connects[from.index()] += 1;
+            }
+            self.net.send(from, to, phase, bits)
+        }
+        fn advance_round(&mut self) {
+            self.net.advance_round();
+        }
+    }
+
     #[test]
     fn works_under_message_loss() {
-        let (outcome, _net) = run(1000, 17, 0.1);
+        let net = Network::new(SimConfig::new(1000).with_seed(17).with_loss_prob(0.1));
+        let mut tally = ConnectTally {
+            net,
+            connects: vec![0; 1000],
+        };
+        let outcome = run_drr(&mut tally, &DrrConfig::paper());
         // Forest still valid, still covers all nodes.
         assert_eq!(outcome.forest.n(), 1000);
         let total: usize = outcome.forest.tree_sizes().map(|(_, s)| s).sum();
         assert_eq!(total, 1000);
+        // Each child stops at CONNECT_RETRIES attempts, and at 10 % loss
+        // some child needs the retry path.
+        assert!(tally.connects.iter().all(|&c| c <= CONNECT_RETRIES));
+        assert!(tally.connects.iter().any(|&c| c > 1));
     }
 
     #[test]
@@ -316,7 +352,6 @@ mod tests {
             let mut net = Network::new(SimConfig::new(4096).with_seed(31));
             let cfg = DrrConfig {
                 probe_budget: budget,
-                connect_retries: 4,
             };
             run_drr(&mut net, &cfg).forest.num_trees()
         };

@@ -210,7 +210,6 @@ mod tests {
             values,
             ReceptionModel::OneCallPerRound,
         );
-        net.reset_metrics();
         (drr.forest, net, cc.state)
     }
 

@@ -231,7 +231,6 @@ mod tests {
             .alive_nodes()
             .map(|v| values[v.index()])
             .fold(f64::NEG_INFINITY, f64::max);
-        net.reset_metrics();
         (drr.forest, net, cc.state, true_max)
     }
 
@@ -339,7 +338,6 @@ mod tests {
             &values,
             ReceptionModel::OneCallPerRound,
         );
-        net.reset_metrics();
         let out = gossip_max(
             &mut net,
             &drr.forest,

@@ -36,7 +36,7 @@ use gossip_net::{Metrics, NodeId, Phase, PhaseLedger, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the full DRR-gossip protocols.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DrrGossipConfig {
     /// Phase I parameters.
     pub drr: DrrConfig,

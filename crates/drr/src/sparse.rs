@@ -36,30 +36,17 @@ use gossip_topology::{route_sample, Graph, RandomNodeSampler};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
-/// Configuration of the sparse-network DRR-gossip protocols.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SparseGossipConfig {
-    /// Root-gossip rounds = `⌈gossip_rounds_factor · log₂(#roots)⌉`.
-    pub gossip_rounds_factor: f64,
-    /// Sampling-procedure rounds = `⌈sampling_rounds_factor · log₂(#roots)⌉`.
-    pub sampling_rounds_factor: f64,
-}
+/// Configuration of the sparse-network DRR-gossip protocols. It carries no
+/// setting: the root gossip runs Gossip-max's gossip and sampling round
+/// counts over the roots.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct SparseGossipConfig;
 
-impl Default for SparseGossipConfig {
-    fn default() -> Self {
-        SparseGossipConfig {
-            gossip_rounds_factor: GOSSIP_ROUNDS_FACTOR,
-            sampling_rounds_factor: SAMPLING_ROUNDS_FACTOR,
-        }
-    }
-}
-
-impl SparseGossipConfig {
-    /// Super-rounds of one root gossip: the gossip and the sampling rounds.
-    fn rounds(&self, roots: usize) -> u64 {
-        log_rounds(self.gossip_rounds_factor, roots)
-            + log_rounds(self.sampling_rounds_factor, roots)
-    }
+/// Super-rounds of one root gossip over `roots` roots: the gossip rounds,
+/// `⌈GOSSIP_ROUNDS_FACTOR · log₂(#roots)⌉`, and the sampling rounds,
+/// `⌈SAMPLING_ROUNDS_FACTOR · log₂(#roots)⌉`.
+fn root_gossip_rounds(roots: usize) -> u64 {
+    log_rounds(GOSSIP_ROUNDS_FACTOR, roots) + log_rounds(SAMPLING_ROUNDS_FACTOR, roots)
 }
 
 /// Climb from `node` to its tree root along parent pointers, one message per
@@ -113,7 +100,6 @@ fn charge_super_round<T: Transport>(net: &mut T, sampler_rounds: usize, max_heig
 struct Routed<'a> {
     graph: &'a Graph,
     sampler: &'a dyn RandomNodeSampler,
-    config: &'a SparseGossipConfig,
 }
 
 impl RootOverlay for Routed<'_> {
@@ -148,7 +134,7 @@ impl RootOverlay for Routed<'_> {
         let mut path = Vec::new();
         values.run(
             net,
-            self.config.rounds(forest.num_trees()),
+            root_gossip_rounds(forest.num_trees()),
             |net, slot, values| {
                 let root = roots[slot];
                 if !net.is_alive(root) || values[slot].is_none() {
@@ -189,7 +175,7 @@ impl RootOverlay for Routed<'_> {
         ledger: &mut PhaseLedger,
     ) -> Vec<Option<f64>> {
         let payload_bits = 2 * net.config().value_bits() + net.config().id_bits();
-        let rounds = self.config.rounds(forest.num_trees());
+        let rounds = root_gossip_rounds(forest.num_trees());
         let (rounds, name) = match mass {
             Mass::Average => (rounds, "root-gossip-ave"),
             Mass::Sum => (2 * rounds, "root-gossip-sum"),
@@ -237,13 +223,9 @@ pub fn sparse_drr_gossip_max<T: Transport>(
     graph: &Graph,
     sampler: &dyn RandomNodeSampler,
     values: &[f64],
-    config: &SparseGossipConfig,
+    _config: &SparseGossipConfig,
 ) -> DrrGossipReport {
-    let overlay = Routed {
-        graph,
-        sampler,
-        config,
-    };
+    let overlay = Routed { graph, sampler };
     max_chain(net, &overlay, values)
 }
 
@@ -253,13 +235,9 @@ pub fn sparse_drr_gossip_ave<T: Transport>(
     graph: &Graph,
     sampler: &dyn RandomNodeSampler,
     values: &[f64],
-    config: &SparseGossipConfig,
+    _config: &SparseGossipConfig,
 ) -> DrrGossipReport {
-    let overlay = Routed {
-        graph,
-        sampler,
-        config,
-    };
+    let overlay = Routed { graph, sampler };
     averaging_chain(net, &overlay, values, Mass::Average)
 }
 
@@ -281,13 +259,7 @@ mod tests {
         let sampler = ChordSampler::new(&overlay);
         let mut net = Network::new(SimConfig::new(n).with_seed(3));
         let vals = values(n);
-        let report = sparse_drr_gossip_max(
-            &mut net,
-            &graph,
-            &sampler,
-            &vals,
-            &SparseGossipConfig::default(),
-        );
+        let report = sparse_drr_gossip_max(&mut net, &graph, &sampler, &vals, &SparseGossipConfig);
         assert!(
             report.fraction_exact() > 0.999,
             "fraction exact = {}",
@@ -303,13 +275,7 @@ mod tests {
         let sampler = ChordSampler::new(&overlay);
         let mut net = Network::new(SimConfig::new(n).with_seed(5));
         let vals = values(n);
-        let report = sparse_drr_gossip_ave(
-            &mut net,
-            &graph,
-            &sampler,
-            &vals,
-            &SparseGossipConfig::default(),
-        );
+        let report = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &vals, &SparseGossipConfig);
         assert!(
             report.max_relative_error() < 0.05,
             "max relative error = {}",
@@ -326,13 +292,7 @@ mod tests {
         let sampler = ChordSampler::new(&overlay);
         let mut net = Network::new(SimConfig::new(n).with_seed(7));
         let vals = values(n);
-        let report = sparse_drr_gossip_max(
-            &mut net,
-            &graph,
-            &sampler,
-            &vals,
-            &SparseGossipConfig::default(),
-        );
+        let report = sparse_drr_gossip_max(&mut net, &graph, &sampler, &vals, &SparseGossipConfig);
         let n_f = n as f64;
         let log_n = n_f.log2();
         assert!(
@@ -355,13 +315,7 @@ mod tests {
         let sampler = RandomWalkSampler::new(&graph, walk);
         let mut net = Network::new(SimConfig::new(n).with_seed(9));
         let vals = values(n);
-        let report = sparse_drr_gossip_max(
-            &mut net,
-            &graph,
-            &sampler,
-            &vals,
-            &SparseGossipConfig::default(),
-        );
+        let report = sparse_drr_gossip_max(&mut net, &graph, &sampler, &vals, &SparseGossipConfig);
         assert!(
             report.fraction_exact() > 0.95,
             "fraction exact = {}",
@@ -376,13 +330,7 @@ mod tests {
         let sampler = DirectSampler::new(n);
         let mut net = Network::new(SimConfig::new(n).with_seed(11));
         let vals = values(n);
-        let report = sparse_drr_gossip_ave(
-            &mut net,
-            &graph,
-            &sampler,
-            &vals,
-            &SparseGossipConfig::default(),
-        );
+        let report = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &vals, &SparseGossipConfig);
         assert!(report.max_relative_error() < 0.05);
         // Local-DRR on a complete graph yields a single tree.
         assert_eq!(report.forest_stats.num_trees, 1);
@@ -396,13 +344,7 @@ mod tests {
         let sampler = ChordSampler::new(&overlay);
         let mut net = Network::new(SimConfig::new(n).with_seed(13).with_loss_prob(0.05));
         let vals = values(n);
-        let report = sparse_drr_gossip_max(
-            &mut net,
-            &graph,
-            &sampler,
-            &vals,
-            &SparseGossipConfig::default(),
-        );
+        let report = sparse_drr_gossip_max(&mut net, &graph, &sampler, &vals, &SparseGossipConfig);
         assert!(
             report.fraction_exact() > 0.9,
             "fraction exact = {}",
@@ -418,13 +360,7 @@ mod tests {
         let sampler = ChordSampler::new(&overlay);
         let mut net = Network::new(SimConfig::new(n).with_seed(15));
         let vals = values(n);
-        let report = sparse_drr_gossip_ave(
-            &mut net,
-            &graph,
-            &sampler,
-            &vals,
-            &SparseGossipConfig::default(),
-        );
+        let report = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &vals, &SparseGossipConfig);
         let phase_msgs: u64 = report.phases.iter().map(|p| p.messages).sum();
         assert_eq!(phase_msgs, report.total_messages);
         assert!(report.phases.iter().any(|p| p.name == "local-drr"));

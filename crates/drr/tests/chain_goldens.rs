@@ -145,7 +145,7 @@ fn dense_chains_reproduce_their_goldens() {
 fn sparse_chains_reproduce_their_goldens() {
     let n = 1024;
     let vals = values(n);
-    let config = SparseGossipConfig::default();
+    let config = SparseGossipConfig;
     let overlay = ChordOverlay::new(n);
     let chord = overlay.graph();
     let chord_sampler = ChordSampler::new(&overlay);

@@ -34,7 +34,7 @@ proptest! {
         budget in 1u32..6,
     ) {
         let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_loss_prob(loss));
-        let cfg = DrrConfig { probe_budget: ProbeBudget::Fixed(budget), connect_retries: 6 };
+        let cfg = DrrConfig { probe_budget: ProbeBudget::Fixed(budget) };
         let outcome = run_drr(&mut net, &cfg);
         let forest = &outcome.forest;
         // Partition: tree sizes add up to n.

@@ -151,11 +151,6 @@ impl Metrics {
         self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
     }
 
-    /// Reset everything to zero.
-    pub fn reset(&mut self) {
-        *self = Metrics::new();
-    }
-
     /// Route these counters into an observability registry as the
     /// `gossip_*` families (per-phase label, non-empty phases only).
     /// Purely a read — calling it never perturbs the metrics themselves.
@@ -292,14 +287,5 @@ mod tests {
         assert_eq!(a.messages_in(Phase::Broadcast), 1);
         assert_eq!(a.max_message_bits(), 30);
         assert_eq!(a.per_round_messages().len(), 3);
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let mut m = Metrics::new();
-        m.record_send(Phase::Other, 8, true);
-        m.advance_round();
-        m.reset();
-        assert_eq!(m, Metrics::new());
     }
 }

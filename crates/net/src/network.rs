@@ -123,11 +123,6 @@ impl Transport for Network {
     fn advance_round(&mut self) {
         self.metrics.advance_round();
     }
-
-    #[inline]
-    fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
 }
 
 #[cfg(test)]

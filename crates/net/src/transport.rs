@@ -14,10 +14,10 @@
 //!   protocol chain to n ≥ 10⁷.
 //!
 //! A backend implements the required core (configuration, metrics,
-//! liveness, the RNG, `send`, the round barrier, `reset_metrics`); the
-//! derived methods (`n`, `round`, `nodes`, `alive_nodes`, `derive_rng`,
-//! the samplers and `send_with_retries`) are written once, here. `Network`
-//! implements the core only. `ShardedTransport` also overrides
+//! liveness, the RNG, `send`, the round barrier); the derived methods
+//! (`n`, `round`, `nodes`, `alive_nodes`, `derive_rng`, the samplers and
+//! `send_with_retries`) are written once, here. `Network` implements the
+//! core only. `ShardedTransport` also overrides
 //! `send_with_retries`, to charge retries against a round deadline. Both
 //! backends, and the event-driven `ShardedDriver`, start from the one
 //! initial-crash draw, [`draw_initial_liveness`](crate::draw_initial_liveness).
@@ -68,9 +68,6 @@ pub trait Transport {
 
     /// Close the current synchronous round.
     fn advance_round(&mut self);
-
-    /// Reset the metrics (keeps liveness and RNG state).
-    fn reset_metrics(&mut self);
 
     // ---- Derived API (identical across backends) ----
 

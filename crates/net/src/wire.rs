@@ -654,27 +654,18 @@ pub fn encode_frame_sealed<M: WireMsg>(
 
 /// Decode one frame: validates magic, version and the length field, then
 /// decodes the payload and requires it to consume every payload byte.
-/// Returns the sender id carried in the header and the payload.
-///
-/// Total over arbitrary input — every failure is a [`WireError`].
-pub fn decode_frame<M: WireMsg>(buf: &[u8]) -> Result<(NodeId, M), WireError> {
-    let (from, _ctx, msg) = decode_frame_traced(buf)?;
-    Ok((from, msg))
-}
-
-/// [`decode_frame`] that also surfaces the frame's causal context —
-/// [`TraceCtx::NONE`] for untraced frames. Total over arbitrary input:
-/// unknown flag bits are [`WireError::BadFlags`], a tagged-but-truncated
-/// context is [`WireError::Truncated`].
+/// Returns the sender id carried in the header and the payload; a traced
+/// frame's causal context is dropped.
 ///
 /// Equivalent to [`decode_frame_sealed`] with no key: authenticated
 /// frames are *accepted* (the tag is skipped, not verified) so a keyless
-/// node can interoperate with a keyed cluster, mirroring how untraced
-/// decoders accept traced frames.
-pub(crate) fn decode_frame_traced<M: WireMsg>(
-    buf: &[u8],
-) -> Result<(NodeId, TraceCtx, M), WireError> {
-    decode_frame_sealed(buf, None)
+/// node can interoperate with a keyed cluster, mirroring how this decoder
+/// accepts traced frames.
+///
+/// Total over arbitrary input — every failure is a [`WireError`].
+pub fn decode_frame<M: WireMsg>(buf: &[u8]) -> Result<(NodeId, M), WireError> {
+    let (from, _ctx, msg) = decode_frame_sealed(buf, None)?;
+    Ok((from, msg))
 }
 
 /// The full decoding seam: [`decode_frame`] plus the frame's causal
@@ -962,7 +953,7 @@ mod tests {
         );
         assert_eq!(traced[3], FLAG_TRACE);
         let (from, got_ctx, decoded): (NodeId, TraceCtx, Vec<u64>) =
-            decode_frame_traced(&traced).unwrap();
+            decode_frame_sealed(&traced, None).unwrap();
         assert_eq!(from, NodeId::new(9));
         assert_eq!(got_ctx, ctx);
         assert_eq!(decoded, msg);
@@ -971,7 +962,8 @@ mod tests {
         // untraced encoder's — the version-compatibility contract.
         let plain = encode_frame_sealed(NodeId::new(9), TraceCtx::NONE, None, &msg);
         assert_eq!(plain, encode_frame(NodeId::new(9), &msg));
-        let (_, got_ctx, _): (NodeId, TraceCtx, Vec<u64>) = decode_frame_traced(&plain).unwrap();
+        let (_, got_ctx, _): (NodeId, TraceCtx, Vec<u64>) =
+            decode_frame_sealed(&plain, None).unwrap();
         assert!(got_ctx.is_none());
 
         // The untraced decoder accepts traced frames (drops the context).
@@ -1012,7 +1004,7 @@ mod tests {
         };
         let frame = encode_frame_sealed(NodeId::new(3), ctx, None, &vec![1u64, 2, 3]);
         for cut in 0..frame.len() {
-            let err = decode_frame_traced::<Vec<u64>>(&frame[..cut]).unwrap_err();
+            let err = decode_frame_sealed::<Vec<u64>>(&frame[..cut], None).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1030,7 +1022,7 @@ mod tests {
         w.put_u32(0); // empty payload...
         w.put_u32(0xDEAD); // ...but only 4 of the 9 context bytes
         assert!(matches!(
-            decode_frame_traced::<u64>(&w.into_bytes()),
+            decode_frame_sealed::<u64>(&w.into_bytes(), None),
             Err(WireError::Truncated { .. })
         ));
     }

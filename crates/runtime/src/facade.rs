@@ -498,11 +498,6 @@ impl Transport for ShardedTransport {
             }
         }
     }
-
-    fn reset_metrics(&mut self) {
-        self.metrics.reset();
-        self.async_metrics = AsyncMetrics::default();
-    }
 }
 
 impl std::fmt::Debug for ShardedTransport {
@@ -830,16 +825,6 @@ mod tests {
             dropped_by_churn > 0,
             "some still-alive receivers crash before +500µs"
         );
-    }
-
-    #[test]
-    fn reset_metrics_clears_both_layers() {
-        let mut facade = compat_facade(8, 23, 0.0);
-        facade.send(NodeId::new(0), NodeId::new(1), Phase::Other, 8);
-        facade.advance_round();
-        Transport::reset_metrics(&mut facade);
-        assert_eq!(Transport::metrics(&facade).total_messages(), 0);
-        assert_eq!(facade.async_metrics().latency.count(), 0);
     }
 
     #[test]

@@ -1436,13 +1436,16 @@ where
     /// Total events dispatched (messages + timers + crashes + drops) — the
     /// throughput numerator of the `engine_scaling` experiment.
     pub fn events_dispatched(&self) -> u64 {
-        let m = self.metrics();
-        let a = self.async_metrics();
-        m.messages_dispatched
-            + m.timer_fires
-            + m.stale_timer_skips
-            + m.dead_receiver_drops
-            + a.churn_crashes
+        self.shards
+            .iter()
+            .fold(self.base_async.churn_crashes, |sum, shard| {
+                let c = &shard.counters;
+                sum + c.messages_dispatched
+                    + c.timer_fires
+                    + c.stale_timer_skips
+                    + c.dead_receiver_drops
+                    + shard.async_metrics.churn_crashes
+            })
     }
 
     #[inline]

@@ -130,17 +130,17 @@ fn tree_phases_reproduce_their_golden_at_every_shard_count() {
     assert_golden(
         "tree phases, churny",
         &churny_config(n, 0x7EE5),
-        0xE528_9D6B_F7FF_6309,
+        0xF7BD_679B_10B6_9B58,
         |t| {
-            let drr = run_drr(t, &DrrConfig::default());
-            let max = convergecast_max(t, &drr.forest, &vals, ReceptionModel::default());
-            let sum = convergecast_sum(t, &drr.forest, &vals, ReceptionModel::default());
+            let drr = run_drr(t, &DrrConfig::paper());
+            let max = convergecast_max(t, &drr.forest, &vals, ReceptionModel::OneCallPerRound);
+            let sum = convergecast_sum(t, &drr.forest, &vals, ReceptionModel::OneCallPerRound);
             let sums: Vec<Option<f64>> = sum.state.iter().map(|s| s.map(|s| s.sum)).collect();
             let id_bits = t.config().id_bits();
             let bc = broadcast_down(
                 t,
                 &drr.forest,
-                ReceptionModel::default(),
+                ReceptionModel::OneCallPerRound,
                 Phase::Broadcast,
                 id_bits,
             );

@@ -44,13 +44,7 @@ fn main() {
 
     // DRR-gossip on the overlay.
     let mut net = Network::new(SimConfig::new(n).with_seed(seed).with_value_range(10_000.0));
-    let drr = sparse_drr_gossip_ave(
-        &mut net,
-        &graph,
-        &sampler,
-        &files,
-        &SparseGossipConfig::default(),
-    );
+    let drr = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &files, &SparseGossipConfig);
     println!("DRR-gossip (Local-DRR + routed root gossip):");
     println!("  average files/peer (exact)  : {exact:.2}");
     println!(

@@ -22,13 +22,7 @@ fn chord_average_and_max_are_accurate() {
     .generate(n, 3);
 
     let mut net = Network::new(SimConfig::new(n).with_seed(3).with_value_range(5000.0));
-    let ave = sparse_drr_gossip_ave(
-        &mut net,
-        &graph,
-        &sampler,
-        &values,
-        &SparseGossipConfig::default(),
-    );
+    let ave = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &values, &SparseGossipConfig);
     assert!(
         ave.max_relative_error() < 0.05,
         "error {}",
@@ -36,13 +30,7 @@ fn chord_average_and_max_are_accurate() {
     );
 
     let mut net = Network::new(SimConfig::new(n).with_seed(4).with_value_range(5000.0));
-    let max = sparse_drr_gossip_max(
-        &mut net,
-        &graph,
-        &sampler,
-        &values,
-        &SparseGossipConfig::default(),
-    );
+    let max = sparse_drr_gossip_max(&mut net, &graph, &sampler, &values, &SparseGossipConfig);
     assert!(
         max.fraction_exact() > 0.99,
         "fraction {}",
@@ -59,13 +47,7 @@ fn drr_gossip_beats_routed_uniform_gossip_on_chord_messages() {
     let values = ValueDistribution::Uniform { lo: 0.0, hi: 100.0 }.generate(n, 7);
 
     let mut net = Network::new(SimConfig::new(n).with_seed(7).with_value_range(100.0));
-    let drr = sparse_drr_gossip_ave(
-        &mut net,
-        &graph,
-        &sampler,
-        &values,
-        &SparseGossipConfig::default(),
-    );
+    let drr = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &values, &SparseGossipConfig);
 
     let mut net = Network::new(SimConfig::new(n).with_seed(7).with_value_range(100.0));
     let uniform = routed_push_sum_average(&mut net, &sampler, &values, &PushSumConfig::default());
@@ -114,13 +96,7 @@ fn random_walk_sampler_supports_non_chord_overlays() {
     let sampler = RandomWalkSampler::new(&graph, walk_length);
     let values = ValueDistribution::Uniform { lo: 0.0, hi: 10.0 }.generate(n, 13);
     let mut net = Network::new(SimConfig::new(n).with_seed(13).with_value_range(10.0));
-    let report = sparse_drr_gossip_ave(
-        &mut net,
-        &graph,
-        &sampler,
-        &values,
-        &SparseGossipConfig::default(),
-    );
+    let report = sparse_drr_gossip_ave(&mut net, &graph, &sampler, &values, &SparseGossipConfig);
     assert!(
         report.max_relative_error() < 0.1,
         "error {}",
