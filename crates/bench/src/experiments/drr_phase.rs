@@ -1,7 +1,11 @@
 //! E2–E4 and E7–E8 — the shape and cost of the ranking forests.
 //!
 //! * E2 (Theorem 2): the DRR forest has `Θ(n / log n)` trees.
-//! * E3 (Theorem 3): the largest DRR tree has `O(log n)` nodes.
+//! * E3 (cited as Theorem 3): the largest DRR tree's size. The code has
+//!   cited `O(log n)` nodes, and the table's claim column still prints it;
+//!   the citation is unresolved. Over n = 2⁸…2²⁰ the size fits `log² n`
+//!   and the height `log n`, and without the paper's text the repo cannot
+//!   tell which of the two (or the expected size) Theorem 3 bounds.
 //! * E4 (Theorem 4): the DRR phase costs `O(n log log n)` messages and
 //!   `O(log n)` rounds.
 //! * E7 (Theorem 11): Local-DRR trees have height `O(log n)` on arbitrary

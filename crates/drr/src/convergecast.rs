@@ -7,10 +7,14 @@
 //!
 //! Under the phone-call model of Sections 2–3 a node can communicate with at
 //! most one node per round, so the running time of convergecast is bounded
-//! by the **size** of the tree (not just its height) — this is exactly why
-//! Theorem 3's `O(log n)` tree-size bound matters. Under the message-passing
-//! model of Section 4 a node may receive from all neighbours simultaneously
-//! and the running time is bounded by the tree **height** (Theorem 11).
+//! by the **size** of the tree (not just its height), which is why the
+//! largest tree's size matters here. The code has cited Theorem 3 for an
+//! `O(log n)` bound on that size; measured over n = 2⁸…2²⁰ it fits
+//! `log² n` (the height fits `log n`), so the citation is unresolved
+//! without the paper's text (see `ForestStats::max_tree_size`). Under the
+//! message-passing model of Section 4 a node may receive from all
+//! neighbours simultaneously and the running time is bounded by the tree
+//! **height** (Theorem 11).
 //! [`ReceptionModel`] selects between the two.
 //!
 //! Both convergecast and [`crate::broadcast`] walk an active frontier in

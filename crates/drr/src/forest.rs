@@ -38,7 +38,13 @@ impl std::error::Error for ForestError {}
 pub struct ForestStats {
     /// Number of trees (= number of roots). Theorem 2: `O(n / log n)`.
     pub num_trees: usize,
-    /// Size of the largest tree. Theorem 3: `O(log n)`.
+    /// Size of the largest tree. The code has cited Theorem 3 for an
+    /// `O(log n)` bound on it; that citation is unresolved. Over
+    /// n = 2⁸…2²⁰ the DRR forest's largest size fits `log² n` (size / log₂ n
+    /// grows 4.5 → 14.3, size / log₂² n stays within 0.55–0.71), while its
+    /// `max_height` fits `log n`. Without the paper's text the repo cannot
+    /// tell whether Theorem 3 bounds this size, its expectation or the
+    /// height.
     pub max_tree_size: usize,
     /// Mean tree size.
     pub mean_tree_size: f64,

@@ -64,20 +64,11 @@ impl ChordOverlay {
         self.n
     }
 
-    /// The finger targets of a node (its overlay neighbours, clockwise).
-    pub fn fingers(&self, v: NodeId) -> Vec<NodeId> {
-        self.finger_offsets
-            .iter()
-            .map(|&off| NodeId::new((v.index() + off) % self.n))
-            .filter(|&u| u != v)
-            .collect()
-    }
-
     /// The overlay as an undirected [`Graph`] (fingers in both directions),
     /// i.e. the degree-`O(log n)` communication topology of Section 4.
     /// Node `v`'s neighbours are `v ± 2^k (mod n)`, so this is the
-    /// circulant graph of the finger offsets, built row by row from one
-    /// distance table.
+    /// circulant graph of the finger offsets: one sorted table of at most
+    /// `2⌈log₂ n⌉` distances, with no per-node rows.
     pub fn graph(&self) -> Graph {
         Graph::circulant(self.n, &self.finger_offsets)
     }
@@ -210,11 +201,36 @@ mod tests {
 
     #[test]
     fn fingers_have_log_degree() {
-        let chord = ChordOverlay::new(1024);
-        let f = chord.fingers(NodeId::new(0));
-        assert_eq!(f.len(), 10);
-        assert_eq!(f[0], NodeId::new(1));
-        assert_eq!(f[9], NodeId::new(512));
+        // Ten fingers 1, 2, …, 512 and their mirrors; +512 and −512 are one
+        // neighbour.
+        let g = ChordOverlay::new(1024).graph();
+        let row: Vec<NodeId> = g.neighbors(NodeId::new(0)).collect();
+        assert_eq!(row.len(), 2 * 10 - 1);
+        assert_eq!(g.degree(NodeId::new(0)), 2 * 10 - 1);
+        assert_eq!(row[0], NodeId::new(1));
+        assert!(row.contains(&NodeId::new(512)));
+    }
+
+    #[test]
+    fn a_ten_million_node_graph_is_one_small_table() {
+        // Fingers 2⁰…2²³ and their 24 mirrors, none shared: 48 neighbours a
+        // node, with no stored rows (as rows, ≈ 1.9 GiB).
+        let n = 10_000_000;
+        let g = ChordOverlay::new(n).graph();
+        assert_eq!(g.n(), n);
+        for v in [0, 1, 4_999_999, n - 1] {
+            assert_eq!(g.degree(NodeId::new(v)), 48, "v = {v}");
+        }
+        let edge = |a: usize, b: usize| g.has_edge(NodeId::new(a), NodeId::new(b));
+        assert!(edge(0, 1) && edge(1, 0) && edge(0, n - 1));
+        assert!(edge(0, 1 << 23) && edge(0, n - (1 << 23)));
+        assert!(edge(n - 1, (1 << 20) - 1) && edge(123_456, 123_456 + (1 << 17)));
+        assert!(!edge(0, 3) && !edge(0, 0) && !edge(5, 5 + (1 << 23) + 1));
+        let row: Vec<usize> = g.neighbors(NodeId::new(n - 2)).map(|u| u.index()).collect();
+        assert_eq!(row.len(), 48);
+        assert!(row.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(row[0], 0);
+        assert!(row.iter().all(|&u| edge(n - 2, u) && edge(u, n - 2)));
     }
 
     #[test]

@@ -1,34 +1,54 @@
-//! Compressed sparse-row undirected graphs.
+//! Undirected graphs on nodes `0..n`, held in one of two forms.
 //!
-//! Two constructors fill the rows:
-//!
-//! * `Graph::circulant` builds [`crate::builders::ring`],
+//! * **Circulant.** `Graph::circulant` builds [`crate::builders::ring`],
 //!   [`crate::builders::complete`] and [`crate::ChordOverlay::graph`], whose
-//!   node `v` neighbours `v ± d (mod n)` for a fixed distance list. It sorts
-//!   one table of `k` distances and writes each row as a rotation of it:
-//!   `n·k` ids into one exact-size allocation, with no edge list and no
-//!   per-row sort. Chord at n = 32 768 (`k` = 29) is 3.6 MiB of rows and
-//!   0.25 MiB of offsets, and nothing else.
-//! * [`Graph::from_edges`] builds every other shape (grids and tori,
-//!   `d`-regular, Erdős–Rényi) from the caller's edge list, 16 bytes a
-//!   pair. It adds the offsets, a copy of them as fill cursors and both
-//!   directions of every edge, duplicates included, then sorts each row and
-//!   squeezes the duplicates out in place: `O(m + Σ deg·log deg)` time.
+//!   node `v` neighbours `v ± d (mod n)` for a fixed distance list. It keeps
+//!   the `k` distinct distances as one sorted `u32` table and nothing per
+//!   node: Chord at n = 32 768 (`k` = 29) is 116 bytes, and at n = 10⁷
+//!   (`k` = 48) 192. Node `v`'s row is the table rotated where `v + d`
+//!   wraps past `n`, so a row read costs one binary search of the table
+//!   and one add per neighbour.
+//! * **Stored rows.** [`Graph::from_edges`] builds every other shape
+//!   (grids and tori, `d`-regular, Erdős–Rényi) into compressed sparse rows
+//!   from the caller's edge list, 16 bytes a pair. It adds the offsets, a
+//!   copy of them as fill cursors and both directions of every edge,
+//!   duplicates included, then sorts each row and squeezes the duplicates
+//!   out in place: `O(m + Σ deg·log deg)` time.
+//!
+//! Both forms list a row as two runs of `u32`s, each shifted by a wrapping
+//! add, so one iterator type reads either with no branch on the form per
+//! neighbour. A circulant graph equals the edge-list build of its
+//! distances: the same `n` and, node for node, the same neighbours in the
+//! same (sorted) order, so a draw that indexes a row lands on the same
+//! node.
 
 use gossip_net::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// An undirected graph on nodes `0..n` stored in compressed sparse-row form.
+/// An undirected graph on nodes `0..n`.
 ///
 /// This is the communication topology of the *sparse-network* model of
 /// Section 4 of the paper: in one round a node may exchange messages with
 /// its immediate neighbours only (but with all of them simultaneously, as in
 /// the standard message-passing model).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
     n: usize,
-    offsets: Vec<usize>,
-    adjacency: Vec<u32>,
+    rows: Rows,
+}
+
+/// How a [`Graph`] holds its rows.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+enum Rows {
+    /// Compressed sparse rows: node `v`'s sorted neighbours are
+    /// `adjacency[offsets[v]..offsets[v + 1]]`.
+    Stored {
+        offsets: Vec<usize>,
+        adjacency: Vec<u32>,
+    },
+    /// Every node's neighbours are `v + d (mod n)` for each `d` in this
+    /// sorted table of distinct distances in `1..n`.
+    Circulant { table: Vec<u32> },
 }
 
 impl Graph {
@@ -77,40 +97,51 @@ impl Graph {
         adjacency.truncate(kept);
         Graph {
             n,
-            offsets,
-            adjacency,
+            rows: Rows::Stored { offsets, adjacency },
         }
     }
 
     /// The circulant graph on `0..n` joining every `v` to `v ± d (mod n)`
     /// for each `d` in `distances`: equal to [`Graph::from_edges`] over
-    /// those edges, built without them. Every row is one table
-    /// `D = {d mod n, (n − d) mod n} \ {0}`, sorted and deduped once, so
-    /// each node has `|D|` neighbours. Row `v` is that table rotated where
-    /// `v + d` wraps: first the ids `v + d − n` for `d ≥ n − v`, then the
-    /// ids `v + d` — already sorted. Distances `≥ n`, zero and repeats are
+    /// those edges, built without them. It keeps one table
+    /// `D = {d mod n, (n − d) mod n} \ {0}`, sorted and deduped, so each
+    /// node has `|D|` neighbours. Distances `≥ n`, zero and repeats are
     /// allowed.
     pub(crate) fn circulant(n: usize, distances: &[usize]) -> Self {
         assert!(n >= 1, "graph must have at least one node");
-        let mut table: Vec<usize> = distances
+        let mut table: Vec<u32> = distances
             .iter()
             .flat_map(|&d| [d % n, (n - d % n) % n])
             .filter(|&d| d != 0)
+            .map(|d| d as u32)
             .collect();
         table.sort_unstable();
         table.dedup();
-        let k = table.len();
-        let offsets = (0..=n).map(|v| v * k).collect();
-        let mut adjacency = Vec::with_capacity(n * k);
-        for v in 0..n {
-            let wrap = table.partition_point(|&d| d < n - v);
-            adjacency.extend(table[wrap..].iter().map(|&d| (v + d - n) as u32));
-            adjacency.extend(table[..wrap].iter().map(|&d| (v + d) as u32));
-        }
         Graph {
             n,
-            offsets,
-            adjacency,
+            rows: Rows::Circulant { table },
+        }
+    }
+
+    /// Node `v`'s row as two runs, each a slice of `u32`s and the amount
+    /// to add to every one of them (wrapping). Stored rows are one run
+    /// shifted by 0. A circulant row is the table rotated where `v + d`
+    /// wraps: first the ids `v + d − n` for `d ≥ n − v`, then the ids
+    /// `v + d`, which lists them in ascending order.
+    #[inline]
+    fn runs(&self, v: usize) -> [(&[u32], u32); 2] {
+        match &self.rows {
+            Rows::Stored { offsets, adjacency } => {
+                [(&adjacency[offsets[v]..offsets[v + 1]], 0), (&[], 0)]
+            }
+            Rows::Circulant { table } => {
+                let wrap = table.partition_point(|&d| (d as usize) < self.n - v);
+                let v32 = v as u32;
+                [
+                    (&table[wrap..], v32.wrapping_sub(self.n as u32)),
+                    (&table[..wrap], v32),
+                ]
+            }
         }
     }
 
@@ -123,35 +154,50 @@ impl Graph {
     /// Number of undirected edges.
     #[cfg(test)]
     pub(crate) fn num_edges(&self) -> usize {
-        self.adjacency.len() / 2
+        self.nodes().map(|v| self.degree(v)).sum::<usize>() / 2
     }
 
     /// Degree of a node.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        let i = v.index();
-        self.offsets[i + 1] - self.offsets[i]
+        match &self.rows {
+            Rows::Stored { offsets, .. } => offsets[v.index() + 1] - offsets[v.index()],
+            Rows::Circulant { table } => table.len(),
+        }
     }
 
     /// The (sorted) neighbours of a node.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let i = v.index();
-        self.adjacency[self.offsets[i]..self.offsets[i + 1]]
-            .iter()
-            .map(|&u| NodeId(u))
+        let [(high, shift_high), (low, shift_low)] = self.runs(v.index());
+        high.iter()
+            .map(move |&d| NodeId(d.wrapping_add(shift_high)))
+            .chain(low.iter().map(move |&d| NodeId(d.wrapping_add(shift_low))))
     }
 
-    /// Raw neighbour slice of a node (dense `u32` ids).
+    /// Neighbour `i` of a node, in [`Graph::neighbors`] order. Panics if
+    /// `i ≥ degree(v)`.
     #[inline]
-    pub(crate) fn neighbor_slice(&self, v: NodeId) -> &[u32] {
-        let i = v.index();
-        &self.adjacency[self.offsets[i]..self.offsets[i + 1]]
+    pub(crate) fn neighbor(&self, v: NodeId, i: usize) -> NodeId {
+        let [(high, shift_high), (low, shift_low)] = self.runs(v.index());
+        match high.get(i) {
+            Some(&d) => NodeId(d.wrapping_add(shift_high)),
+            None => NodeId(low[i - high.len()].wrapping_add(shift_low)),
+        }
     }
 
     /// Whether `{a, b}` is an edge. `O(log degree)`.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.neighbor_slice(a).binary_search(&(b.0)).is_ok()
+        match &self.rows {
+            Rows::Stored { offsets, adjacency } => adjacency
+                [offsets[a.index()]..offsets[a.index() + 1]]
+                .binary_search(&b.0)
+                .is_ok(),
+            Rows::Circulant { table } => {
+                let d = (b.index() + self.n - a.index()) % self.n;
+                table.binary_search(&(d as u32)).is_ok()
+            }
+        }
     }
 
     /// All nodes `0..n`.
@@ -172,11 +218,7 @@ impl Graph {
     /// Average degree.
     #[cfg(test)]
     pub(crate) fn avg_degree(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.adjacency.len() as f64 / self.n as f64
-        }
+        self.nodes().map(|v| self.degree(v)).sum::<usize>() as f64 / self.n as f64
     }
 
     /// Sum over nodes of `1/(degree+1)` — the expected number of trees
@@ -187,6 +229,19 @@ impl Graph {
             .sum()
     }
 }
+
+/// Two graphs are equal when they have the same nodes and every node the
+/// same neighbours in the same order, whichever form holds them.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self
+                .nodes()
+                .all(|v| self.neighbors(v).eq(other.neighbors(v)))
+    }
+}
+
+impl Eq for Graph {}
 
 #[cfg(test)]
 mod tests {
@@ -258,6 +313,20 @@ mod tests {
         assert_eq!(g.degree(NodeId::new(0)), 0);
     }
 
+    #[test]
+    fn circulant_overlays_store_no_rows() {
+        use crate::builders::{complete, ring};
+        for g in [ring(1), ring(64), complete(1), complete(33)] {
+            assert!(matches!(g.rows, Rows::Circulant { .. }), "{g:?}");
+        }
+        let chord = crate::ChordOverlay::new(32_768).graph();
+        assert!(matches!(&chord.rows, Rows::Circulant { table } if table.len() == 29));
+        assert!(matches!(
+            crate::builders::d_regular(64, 4, 1).rows,
+            Rows::Stored { .. }
+        ));
+    }
+
     proptest::proptest! {
         /// The in-place row construction against per-node sets: random
         /// multigraphs with self-loops, repeats in both directions and
@@ -278,7 +347,8 @@ mod tests {
             let g = Graph::from_edges(n, &edges);
             for v in g.nodes() {
                 let want: Vec<u32> = sets[v.index()].iter().copied().collect();
-                proptest::prop_assert_eq!(g.neighbor_slice(v), &want[..]);
+                let row: Vec<u32> = g.neighbors(v).map(|u| u.0).collect();
+                proptest::prop_assert_eq!(row, want);
             }
             proptest::prop_assert_eq!(g.num_edges() * 2, sets.iter().map(|s| s.len()).sum::<usize>());
         }
@@ -303,7 +373,26 @@ mod tests {
             let edges: Vec<(usize, usize)> = (0..n)
                 .flat_map(|v| distances.iter().map(move |&d| (v, (v + d) % n)))
                 .collect();
-            proptest::prop_assert_eq!(Graph::circulant(n, &distances), Graph::from_edges(n, &edges));
+            let circulant = Graph::circulant(n, &distances);
+            let stored = Graph::from_edges(n, &edges);
+            proptest::prop_assert!(matches!(circulant.rows, Rows::Circulant { .. }));
+            proptest::prop_assert_eq!(&circulant, &stored);
+            proptest::prop_assert_eq!(&stored, &circulant);
+            for v in stored.nodes() {
+                proptest::prop_assert_eq!(circulant.degree(v), stored.degree(v));
+                let row: Vec<NodeId> = stored.neighbors(v).collect();
+                proptest::prop_assert!(circulant.neighbors(v).eq(row.iter().copied()));
+                for (i, &u) in row.iter().enumerate() {
+                    proptest::prop_assert_eq!(circulant.neighbor(v, i), u);
+                }
+            }
+            if n < 64 {
+                for a in stored.nodes() {
+                    for b in stored.nodes() {
+                        proptest::prop_assert_eq!(circulant.has_edge(a, b), stored.has_edge(a, b));
+                    }
+                }
+            }
         }
     }
 }

@@ -6,7 +6,8 @@
 //! The complete-graph phone-call model of Sections 2–3 needs no explicit
 //! topology; this crate supplies everything the sparse-network results need:
 //!
-//! * [`graph::Graph`] — CSR undirected graphs with degree queries;
+//! * [`graph::Graph`] — undirected graphs with degree queries: circulant
+//!   graphs as one distance table, every other shape as stored rows;
 //! * [`builders`] — complete graphs, rings, grids/tori, random `d`-regular
 //!   graphs and Erdős–Rényi graphs;
 //! * [`chord::ChordOverlay`] — an idealised Chord ring with finger tables and

@@ -117,8 +117,8 @@ impl RandomNodeSampler for RandomWalkSampler<'_> {
         let mut current = from;
         path.clear();
         for _ in 0..self.walk_length {
-            let neighbors = self.graph.neighbor_slice(current);
-            if neighbors.is_empty() {
+            let degree = self.graph.degree(current);
+            if degree == 0 {
                 break;
             }
             // Lazy walk: stay put with probability 1/2 (standard fix for
@@ -126,7 +126,7 @@ impl RandomNodeSampler for RandomWalkSampler<'_> {
             if rng.gen_bool(0.5) {
                 continue;
             }
-            let next = NodeId(neighbors[rng.gen_range(0..neighbors.len())]);
+            let next = self.graph.neighbor(current, rng.gen_range(0..degree));
             path.push(next);
             current = next;
         }
@@ -297,5 +297,69 @@ mod tests {
             names.iter().collect::<std::collections::HashSet<_>>().len(),
             3
         );
+    }
+
+    /// Eight lazy walks of six steps from node 5 at seed 1234, as
+    /// `(endpoint, path)`, on a circulant ring, a circulant Chord graph and a
+    /// `from_edges` 6-regular graph. The lists were recorded from the walk
+    /// that indexed stored CSR rows, so they hold the indexed-neighbour walk
+    /// to the same draws on both representations.
+    #[test]
+    fn random_walks_are_pinned_on_both_representations() {
+        type Walks = [(u32, &'static [u32]); 8];
+        let pinned: [(&str, Graph, Walks); 3] = [
+            (
+                "ring(64)",
+                crate::builders::ring(64),
+                [
+                    (7, &[6, 5, 6, 7]),
+                    (6, &[6, 5, 6]),
+                    (5, &[6, 5, 4, 5]),
+                    (8, &[6, 7, 8, 9, 8]),
+                    (4, &[6, 5, 4, 5, 4]),
+                    (6, &[4, 5, 6, 5, 6]),
+                    (4, &[6, 5, 6, 5, 4]),
+                    (7, &[6, 7]),
+                ],
+            ),
+            (
+                "chord(1024)",
+                ChordOverlay::new(1024).graph(),
+                [
+                    (962, &[3, 995, 963, 962]),
+                    (245, &[1021, 253, 245]),
+                    (333, &[21, 85, 341, 333]),
+                    (361, &[997, 1005, 109, 105, 361]),
+                    (326, &[6, 70, 326, 70, 326]),
+                    (960, &[965, 967, 975, 976, 960]),
+                    (803, &[901, 885, 821, 805, 803]),
+                    (33, &[37, 33]),
+                ],
+            ),
+            (
+                "d_regular(200, 6, 4)",
+                d_regular(200, 6, 4),
+                [
+                    (37, &[142, 5, 142, 37]),
+                    (29, &[142, 5, 29]),
+                    (114, &[125, 166, 19, 114]),
+                    (44, &[142, 74, 71, 156, 44]),
+                    (150, &[29, 116, 102, 69, 150]),
+                    (156, &[41, 161, 6, 113, 156]),
+                    (43, &[142, 93, 198, 93, 43]),
+                    (136, &[125, 136]),
+                ],
+            ),
+        ];
+        for (name, graph, walks) in pinned {
+            let sampler = RandomWalkSampler::new(&graph, 6);
+            let mut rng = SmallRng::seed_from_u64(1234);
+            let mut path = Vec::new();
+            for (end, hops) in walks {
+                let target = sampler.sample_into(NodeId::new(5), &mut rng, &mut path);
+                let got: Vec<u32> = path.iter().map(|v| v.0).collect();
+                assert_eq!((target.0, &got[..]), (end, hops), "{name}");
+            }
+        }
     }
 }

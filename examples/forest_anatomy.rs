@@ -3,7 +3,8 @@
 //! a live run:
 //!
 //! * Theorem 2 — the DRR forest has Θ(n / log n) trees;
-//! * Theorem 3 — its largest tree has O(log n) nodes;
+//! * Theorem 3 (citation unresolved) — its largest tree is small: measured
+//!   over n = 2⁸…2²⁰, its size fits log² n and its height log n;
 //! * Theorem 11 — Local-DRR trees have height O(log n) on any graph;
 //! * Theorem 13 — Local-DRR produces ≈ Σ 1/(dᵢ+1) trees.
 //!

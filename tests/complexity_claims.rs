@@ -32,6 +32,10 @@ fn theorem_2_tree_count_scales_as_n_over_log_n() {
     assert_eq!(fit.model, ComplexityModel::NOverLogN, "fit: {fit:?}");
 }
 
+/// Theorem 3 as the code cites it, on the largest DRR tree's size. The fit
+/// accepts `LogN | Log2N`, looser than the name: over n = 2⁸…2²⁰ the size
+/// fits `log² n`, and which quantity Theorem 3 bounds is unresolved
+/// without the paper's text.
 #[test]
 fn theorem_3_max_tree_size_scales_as_log_n() {
     let result = sweep().run(|n, seed| {
